@@ -99,7 +99,6 @@ class RunParams:
     constraint_tol: float = 1e-2
     b_floor: float = 1e-3
     renormalize: bool = False
-    dense_cutoff: int = elliptic.DENSE_CUTOFF
     inner_iter: int = 8
 
 
@@ -329,7 +328,6 @@ def step(
         b_floor=params.b_floor,
         bentness_report=bentness_report,
         check_bentness=check_bentness,
-        dense_cutoff=params.dense_cutoff,
     )
     theta, flux = solved.theta, solved.flux
     rate = _eta_rate(flux, state, samples, grid)
@@ -467,7 +465,6 @@ def march(
         b_floor=params.b_floor,
         bentness_report=carried,
         check_bentness=False,
-        dense_cutoff=params.dense_cutoff,
     )
     final_state = current.with_theta(solved.theta)
     states.append(final_state)
@@ -515,7 +512,6 @@ def _theta_series(
             tol=params.solver_tol,
             b_floor=params.b_floor,
             check_bentness=(m == 0),
-            dense_cutoff=params.dense_cutoff,
         )
         thetas.append(solved.theta)
         fluxes.append(solved.flux)

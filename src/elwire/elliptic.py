@@ -14,9 +14,11 @@ tension operator loses definiteness exactly when the tangent field is
 covariantly constant; the bentness value measures the distance from that
 degeneracy and gates the solve.
 
-Systems up to DENSE_CUTOFF unknowns are assembled densely and solved directly;
-larger ones use an unassembled conjugate-direction iteration with the same
-call signature and tolerances.
+D couples each point to its two neighbours, so -D o D + Z is
+block-pentadiagonal with periodic corners.  Taking the points in the folded
+order 0, N-1, 1, N-2, ... turns it into an ordinary band matrix of
+half-bandwidth 5n - 1, which is assembled block by block from the connection
+blocks Gamma(xi_k, .) and solved by banded LU at every grid size.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
-from .errors import NearGeodesicError, NumericalSolveError
+from .errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
 from .fields import Grid, constraint_drift, cov_dx, l2_norm, m0, perp
 from .geometry import GeometrySamples
 
@@ -36,16 +37,6 @@ from .geometry import GeometrySamples
 DEFAULT_TOL = 1e-8
 #: default bentness floor below which the tension solve refuses to run
 DEFAULT_B_FLOOR = 1e-3
-#: largest N * n solved by dense direct factorisation
-DENSE_CUTOFF = 4096
-
-
-@dataclass(frozen=True)
-class EllipticSystem:
-    """Dense symmetric system matrix and right-hand side (flattened fields)."""
-
-    matrix: np.ndarray  # (N*n, N*n)
-    rhs: np.ndarray     # (N*n,)
 
 
 @dataclass(frozen=True)
@@ -78,19 +69,6 @@ class ThetaSolveResult:
     bentness: Optional[BentnessReport]
 
 
-def _dense_cov_dx_matrix(xi: np.ndarray, samples: GeometrySamples, grid: Grid) -> np.ndarray:
-    """Dense (N*n, N*n) matrix of cov_dx along the curve with tangent xi."""
-    npts, n = xi.shape
-    shift_up = np.eye(npts, k=1) + np.eye(npts, k=1 - npts)
-    c = (shift_up - shift_up.T) / (2.0 * grid.dx)
-    d = np.kron(c, np.eye(n))
-    # pointwise connection blocks Gamma(xi_k, .)
-    blocks = np.einsum("pikj,pi->pkj", samples.chris, xi)
-    for k in range(npts):
-        d[k * n : (k + 1) * n, k * n : (k + 1) * n] += blocks[k]
-    return d
-
-
 def _zeroth_blocks(xi: np.ndarray, kind: str) -> np.ndarray:
     npts, n = xi.shape
     eye = np.broadcast_to(np.eye(n), (npts, n, n))
@@ -101,88 +79,73 @@ def _zeroth_blocks(xi: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown zeroth-order kind {kind!r}")
 
 
-def _dense_operator(xi, samples, grid, kind: str) -> np.ndarray:
-    d = _dense_cov_dx_matrix(xi, samples, grid)
-    a = -d @ d
+def _fold_order(npts: int) -> np.ndarray:
+    """Points in the order 0, N-1, 1, N-2, 2, ...
+
+    Points two apart on the circle, including across the wrap, end up at
+    most four places apart in this order.
+    """
+    order = np.empty(npts, dtype=int)
+    order[0::2] = np.arange((npts + 1) // 2)
+    order[1::2] = npts - 1 - np.arange(npts // 2)
+    return order
+
+
+def _banded_operator(xi, samples, grid, kind: str):
+    """-D o D + Z in fold order, in the band storage of solve_banded.
+
+    Returns ``(ab, order)``: row ``bw + i - j`` of ``ab`` holds entry (i, j)
+    of the folded matrix, whose half-bandwidth is bw = 5n - 1, and ``order``
+    lists the grid point behind each block row.
+    """
     npts, n = xi.shape
-    blocks = _zeroth_blocks(xi, kind)
-    for k in range(npts):
-        a[k * n : (k + 1) * n, k * n : (k + 1) * n] += blocks[k]
-    return a
+    dx = grid.dx
+    conn = np.einsum("pikj,pi->pkj", samples.chris, xi)  # B_k = Gamma(xi_k, .)
+    eye = np.eye(n)
+    # blocks[2 + d, k] couples point k to point k + d
+    blocks = np.empty((5, npts, n, n))
+    blocks[0] = blocks[4] = -eye / (4.0 * dx * dx)
+    blocks[1] = (conn + np.roll(conn, 1, axis=0)) / (2.0 * dx)
+    blocks[3] = -(conn + np.roll(conn, -1, axis=0)) / (2.0 * dx)
+    blocks[2] = eye / (2.0 * dx * dx) - conn @ conn + _zeroth_blocks(xi, kind)
+
+    # folded row and column of entry (i, j) of blocks[2 + d, k]
+    order = _fold_order(npts)
+    slot = np.empty(npts, dtype=int)
+    slot[order] = np.arange(npts)
+    neighbour = (np.arange(npts) + np.arange(-2, 3)[:, None]) % npts
+    comp = np.arange(n)
+    rows = (n * slot)[None, :, None, None] + comp[:, None]
+    cols = (n * slot[neighbour])[:, :, None, None] + comp
+    bw = 5 * n - 1
+    ab = np.zeros((2 * bw + 1, npts * n))
+    ab[bw + rows - cols, cols] = blocks
+    return ab, order
 
 
-def _matrix_free_operator(xi, samples, grid, kind: str):
-    npts, n = xi.shape
-    blocks = _zeroth_blocks(xi, kind)
-
-    def matvec(flat):
-        u = flat.reshape(npts, n)
-        du = cov_dx(u, xi, samples, grid.dx)
-        out = -cov_dx(du, xi, samples, grid.dx)
-        out += np.einsum("pkj,pj->pk", blocks, u)
-        return out.reshape(-1)
-
-    return scipy.sparse.linalg.LinearOperator((npts * n, npts * n), matvec=matvec)
-
-
-def _solve_system(xi, samples, grid, kind, rhs_field, tol, dense_cutoff):
-    """Solve the symmetric operator (dense direct or conjugate-direction)."""
-    npts, n = xi.shape
-    flat_rhs = rhs_field.reshape(-1)
-    if npts * n <= dense_cutoff:
-        a = _dense_operator(xi, samples, grid, kind)
-        try:
-            flat = scipy.linalg.solve(a, flat_rhs, assume_a="sym")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalSolveError(
-                f"dense tension-family solve failed ({exc}); "
-                f"condition estimate {np.linalg.cond(a):.3e}"
-            ) from exc
-        return flat.reshape(npts, n)
-    op = _matrix_free_operator(xi, samples, grid, kind)
-    scale = max(np.max(np.abs(flat_rhs)), 1.0)
-    flat, info = _cg(op, flat_rhs, rtol=min(tol, 1e-10) / scale)
-    if info != 0:
-        raise NumericalSolveError(
-            f"conjugate-direction solve did not converge (info={info}, "
-            f"size={npts * n})"
-        )
-    return flat.reshape(npts, n)
-
-
-def _cg(op, rhs, rtol):
+def _solve_system(xi, samples, grid, kind, rhs_field):
+    """Solve (-D o D + Z) u = rhs by banded LU in fold order."""
+    ab, order = _banded_operator(xi, samples, grid, kind)
+    bw = (ab.shape[0] - 1) // 2
     try:
-        return scipy.sparse.linalg.cg(op, rhs, rtol=rtol, atol=0.0, maxiter=20000)
-    except TypeError:  # older scipy spells the keyword "tol"
-        return scipy.sparse.linalg.cg(op, rhs, tol=rtol, atol=0.0, maxiter=20000)
+        folded = scipy.linalg.solve_banded(
+            (bw, bw), ab, rhs_field[order].reshape(-1), overwrite_ab=True, check_finite=False
+        )
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalSolveError(f"banded elliptic solve failed ({exc})") from exc
+    u = np.empty_like(rhs_field)
+    u[order] = folded.reshape(rhs_field.shape)
+    return u
 
 
-def assemble_tension_system(f, h, xi, samples: GeometrySamples, grid: Grid) -> EllipticSystem:
-    """Dense tension system -D(Du + f) + perp(u) = h as matrix and rhs."""
-    rhs = h + cov_dx(f, xi, samples, grid.dx)
-    return EllipticSystem(matrix=_dense_operator(xi, samples, grid, "perp"), rhs=rhs.reshape(-1))
-
-
-def assemble_bentness_system(xi, samples: GeometrySamples, grid: Grid) -> EllipticSystem:
-    """Dense bentness optimality system (-DD + I) phi = xi."""
-    return EllipticSystem(matrix=_dense_operator(xi, samples, grid, "identity"), rhs=xi.reshape(-1))
-
-
-def bentness(
-    xi: np.ndarray,
-    samples: GeometrySamples,
-    grid: Grid,
-    *,
-    tol: float = DEFAULT_TOL,
-    dense_cutoff: int = DENSE_CUTOFF,
-) -> BentnessReport:
+def bentness(xi: np.ndarray, samples: GeometrySamples, grid: Grid) -> BentnessReport:
     """Distance of the tangent field from covariant constancy, in [0, 1].
 
     Minimises ||phi - xi||_L2^2 + ||D phi||_L2^2 over fields phi; the minimum
     is attained at the solution of (-DD + I) phi = xi and vanishes exactly
     when some covariantly constant field equals xi.
     """
-    phi = _solve_system(xi, samples, grid, "identity", xi, tol, dense_cutoff)
+    phi = _solve_system(xi, samples, grid, "identity", xi)
     dphi = cov_dx(phi, xi, samples, grid.dx)
     value_sq = l2_norm(phi - xi, grid.dx) ** 2 + l2_norm(dphi, grid.dx) ** 2
     defect = -cov_dx(dphi, xi, samples, grid.dx) + phi - xi
@@ -204,7 +167,6 @@ def solve_flux_form(
     b_floor: float = DEFAULT_B_FLOOR,
     bentness_report: Optional[BentnessReport] = None,
     check_bentness: bool = True,
-    dense_cutoff: int = DENSE_CUTOFF,
 ) -> FluxSolveResult:
     """Solve -D(Du + f) + perp(u) = h along the current curve.
 
@@ -213,24 +175,27 @@ def solve_flux_form(
     The returned flux D u + f is the quantity downstream consumers need, so
     it is formed here rather than re-differenced.
     """
-    if constraint_drift(xi) > 0.1:
-        raise ValueError("tangent field is far from unit length; refusing tension solve")
+    drift = constraint_drift(xi)
+    if not drift <= 0.1:
+        raise ConstraintDriftError(
+            f"unit-tangent defect {drift:.3e} exceeds 0.1; refusing tension solve"
+        )
     report = bentness_report
     if check_bentness:
         if report is None:
-            report = bentness(xi, samples, grid, tol=tol, dense_cutoff=dense_cutoff)
+            report = bentness(xi, samples, grid)
         if report.b_value < b_floor:
             raise NearGeodesicError(
                 f"bentness {report.b_value:.3e} below floor {b_floor:.3e}; "
                 "tension operator is (near) singular"
             )
     rhs = h + cov_dx(f, xi, samples, grid.dx)
-    u = _solve_system(xi, samples, grid, "perp", rhs, tol, dense_cutoff)
+    u = _solve_system(xi, samples, grid, "perp", rhs)
     flux = cov_dx(u, xi, samples, grid.dx) + f
     defect = -cov_dx(flux, xi, samples, grid.dx) + perp(u, xi) - h
     residual = m0(defect)
     scale = max(1.0, m0(h) + m0(f))
-    if residual > tol * scale:
+    if not residual <= tol * scale:
         raise NumericalSolveError(
             f"tension solve residual {residual:.3e} exceeds tolerance "
             f"{tol:.1e} * {scale:.3e}"

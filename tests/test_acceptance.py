@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from elliptic_oracle import band_to_dense, cg_solve, dense_solve
 from elwire import initial
 from elwire.cli import main
 from elwire.diagnostics import energy
@@ -26,7 +27,7 @@ from elwire.dynamics import (
     reconstruct_mu,
     residual_base_single,
 )
-from elwire.elliptic import assemble_tension_system, bentness, solve_flux_form
+from elwire.elliptic import _banded_operator, bentness, solve_flux_form
 from elwire.fields import (
     CurveState,
     Grid,
@@ -273,17 +274,18 @@ def test_05_bentness_lipschitz(capsys):
 
 
 def test_06_tension_solver_oracles(capsys):
+    def symmetry_gap(xi, samples, grid):
+        ab, order = _banded_operator(xi, samples, grid, "perp")
+        matrix = band_to_dense(ab, order, xi.shape[1])
+        return np.max(np.abs(matrix - matrix.T))
+
     grid = Grid(256)
     flat = _flat_samples(256)
     xi = _circle_tangent(grid)
     zero = np.zeros_like(xi)
-    matrix = assemble_tension_system(zero, zero, xi, flat, grid).matrix
-    sym_flat = np.max(np.abs(matrix - matrix.T))
+    sym_flat = symmetry_gap(xi, flat, grid)
     grid_h, samples_h, xi_h = _hyperbolic_setup(96)
-    matrix = assemble_tension_system(
-        np.zeros_like(xi_h), np.zeros_like(xi_h), xi_h, samples_h, grid_h
-    ).matrix
-    sym_hyp = np.max(np.abs(matrix - matrix.T))
+    sym_hyp = symmetry_gap(xi_h, samples_h, grid_h)
 
     # the stencil symbol stands in for the continuum 4 pi^2 of the two
     # closed-form solutions xi / (4 pi^2) and -xi
@@ -293,15 +295,14 @@ def test_06_tension_solver_oracles(capsys):
     negated = solve_flux_form(zero, -omega_sq * xi, xi, flat, grid).u
     err_neg = m0(negated + xi) / m0(xi)
 
+    # the banded production solve against two routes that share none of its
+    # assembly: a dense matrix and conjugate gradients on cov_dx applied twice
     rng = np.random.default_rng(3)
     source = rng.standard_normal(xi_h.shape)
-    dense = solve_flux_form(
-        np.zeros_like(xi_h), source, xi_h, samples_h, grid_h, dense_cutoff=10**9
-    ).u
-    iterative = solve_flux_form(
-        np.zeros_like(xi_h), source, xi_h, samples_h, grid_h, dense_cutoff=0
-    ).u
-    path_gap = m0(dense - iterative)
+    banded = solve_flux_form(np.zeros_like(xi_h), source, xi_h, samples_h, grid_h).u
+    dense_gap = m0(banded - dense_solve(xi_h, samples_h, grid_h, "perp", source))
+    cg_gap = m0(banded - cg_solve(xi_h, samples_h, grid_h, "perp", source))
+    path_gap = max(dense_gap, cg_gap)
 
     ok = (
         max(sym_flat, sym_hyp) <= 1e-10
@@ -313,7 +314,7 @@ def test_06_tension_solver_oracles(capsys):
         ok,
         "tension solver oracles",
         f"symmetry {max(sym_flat, sym_hyp):.2e}, closed forms "
-        f"{err_pull:.2e}/{err_neg:.2e}, dense vs cg {path_gap:.2e}",
+        f"{err_pull:.2e}/{err_neg:.2e}, banded vs dense/cg {dense_gap:.2e}/{cg_gap:.2e}",
     )
     assert sym_flat <= 1e-10
     assert sym_hyp <= 1e-10

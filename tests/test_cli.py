@@ -167,6 +167,30 @@ def test_constraint_gate_abort_keeps_last_good(tmp_path, capsys):
     assert float(rows[-1][0]) == last_good["time"]
 
 
+def test_solver_drift_guard_aborts_with_report(tmp_path, capsys):
+    # a loose constraint gate lets the tangent drift until the tension solve
+    # itself refuses; that is a numerical abort, not a config error
+    data = {
+        "grid": {"n": 16},
+        "time": {"horizon": 3},
+        "initial": {"name": "perturbed-circle", "amplitude": 0.2, "mode": 3},
+        "tolerances": {"constraint": 0.9, "bentness_floor": 1e-6},
+    }
+    path = config_file(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "aborted: ConstraintDriftError" in err
+    assert "config error" not in err
+
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "aborted"
+    assert meta["failure"]["type"] == "ConstraintDriftError"
+    _header, rows = read_csv(out / "diagnostics.csv")
+    assert len(rows) >= 1
+    assert float(rows[-1][0]) == meta["failure"]["last_good"]["time"]
+
+
 def test_bad_generator_parameters_exit_code(tmp_path, capsys):
     data = {
         "manifold": {"name": "flat-torus"},

@@ -1,26 +1,28 @@
 """Tests for the tension and bentness solves.
 
-The dense operator is checked against an index-by-index loop construction,
-both solve paths (direct and conjugate gradient) against each other, and the
-solver against closed-form solutions on the resting circle, where the wide
-composed stencil has the exact symbol sin(2 pi dx) / dx on the lowest mode.
+The dense oracle is checked against an index-by-index loop construction; the
+banded operator and solve against the dense oracle and against conjugate
+gradients on the unassembled operator, on every chart; and the solver
+against closed-form solutions on the resting circle, where the wide composed
+stencil has the exact symbol sin(2 pi dx) / dx on the lowest mode.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from elwire.elliptic import (
-    BentnessReport,
-    assemble_bentness_system,
-    assemble_tension_system,
-    bentness,
-    solve_flux_form,
+from elliptic_oracle import band_to_dense, cg_solve, dense_operator, dense_solve
+from elwire.elliptic import BentnessReport, _banded_operator, bentness, solve_flux_form
+from elwire.errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
+from elwire.fields import MIN_POINTS, Grid, circ_diff, cov_dx, l2_norm, m0, perp, row_norms
+from elwire.geometry import (
+    EuclideanModel,
+    HyperbolicHalfPlaneModel,
+    make_manifold,
+    sample_geometry,
 )
-from elwire.errors import NearGeodesicError, NumericalSolveError
-from elwire.fields import Grid, circ_diff, cov_dx, l2_norm, m0, perp, row_norms
-from elwire.geometry import EuclideanModel, HyperbolicHalfPlaneModel, sample_geometry
 
 SYMMETRY_TOL = 1e-10
 ORACLE_TOL = 1e-10
@@ -50,6 +52,37 @@ def hyperbolic_setup(n: int):
     tangent = np.einsum("pij,pj->pi", samples.frame_inv, circ_diff(curve, grid.dx))
     xi = tangent / row_norms(tangent)[:, None]
     return grid, samples, xi
+
+
+# one closed curve inside each chart: (make_manifold keywords, centre, radii)
+CHART_CURVES = {
+    "euclidean": ({}, (0.2, -0.1), (0.5, 0.3)),
+    "flat-torus": ({}, (0.5, 0.5), (0.3, 0.2)),
+    "hyperbolic": ({}, (0.0, 1.0), (0.3, 0.2)),
+    "sphere": ({}, (0.1, 0.2), (0.6, 0.4)),
+    "conformal": ({"expression": "0.3*x**2 - 0.2*x*y + 0.1*sin(y)"}, (0.1, 0.0), (0.5, 0.4)),
+}
+ORACLE_SIZES = (MIN_POINTS, 9, 33, 64)
+
+
+def chart_setup(name: str, n: int):
+    """Grid, samples and unit tangent of a wobbly closed curve in a chart."""
+    params, centre, radii = CHART_CURVES[name]
+    grid = Grid(n)
+    x = TWO_PI * grid.points()
+    wobble = 1.0 + 0.1 * np.cos(3.0 * x)
+    curve = np.column_stack(
+        [centre[0] + radii[0] * wobble * np.sin(x), centre[1] + radii[1] * wobble * np.cos(x)]
+    )
+    samples = sample_geometry(make_manifold(name, 2, **params), curve)
+    tangent = np.einsum("pij,pj->pi", samples.frame_inv, circ_diff(curve, grid.dx))
+    return grid, samples, tangent / row_norms(tangent)[:, None]
+
+
+def production_matrix(xi, samples, grid, kind):
+    """The banded operator of the production solve, unfolded to a dense matrix."""
+    ab, order = _banded_operator(xi, samples, grid, kind)
+    return band_to_dense(ab, order, xi.shape[1])
 
 
 def random_unit_field(grid: Grid, rng) -> np.ndarray:
@@ -84,29 +117,31 @@ def naive_first_derivative_matrix(xi, samples, grid) -> np.ndarray:
 def test_tension_matrix_is_symmetric():
     grid, samples = flat_setup(24)
     xi = circle_tangent(grid)
-    matrix = assemble_tension_system(np.zeros_like(xi), np.zeros_like(xi), xi, samples, grid).matrix
+    matrix = production_matrix(xi, samples, grid, "perp")
     assert np.max(np.abs(matrix - matrix.T)) < SYMMETRY_TOL
     grid, samples, xi = hyperbolic_setup(24)
-    matrix = assemble_tension_system(np.zeros_like(xi), np.zeros_like(xi), xi, samples, grid).matrix
+    matrix = production_matrix(xi, samples, grid, "perp")
     assert np.max(np.abs(matrix - matrix.T)) < SYMMETRY_TOL
-    bent = assemble_bentness_system(xi, samples, grid).matrix
+    bent = production_matrix(xi, samples, grid, "identity")
     assert np.max(np.abs(bent - bent.T)) < SYMMETRY_TOL
 
 
-def test_dense_matrices_match_naive_loops():
-    grid, samples, xi = hyperbolic_setup(24)
+@pytest.mark.parametrize("n_points", ORACLE_SIZES)
+@pytest.mark.parametrize("chart", sorted(CHART_CURVES))
+def test_dense_matrices_match_naive_loops(chart, n_points):
+    grid, samples, xi = chart_setup(chart, n_points)
     d = naive_first_derivative_matrix(xi, samples, grid)
     npts, n = xi.shape
     perp_blocks = np.zeros((npts * n, npts * n))
     for k in range(npts):
         block = np.eye(n) - np.outer(xi[k], xi[k])
         perp_blocks[k * n : (k + 1) * n, k * n : (k + 1) * n] = block
-    tension = assemble_tension_system(
-        np.zeros_like(xi), np.zeros_like(xi), xi, samples, grid
-    ).matrix
-    assert np.max(np.abs(tension - (-d @ d + perp_blocks))) < ORACLE_TOL
-    bent = assemble_bentness_system(xi, samples, grid).matrix
-    assert np.max(np.abs(bent - (-d @ d + np.eye(npts * n)))) < ORACLE_TOL
+    expected = {"perp": -d @ d + perp_blocks, "identity": -d @ d + np.eye(npts * n)}
+    for kind, naive in expected.items():
+        oracle = dense_operator(xi, samples, grid, kind)
+        assert np.max(np.abs(oracle - naive)) < ORACLE_TOL
+        banded = production_matrix(xi, samples, grid, kind)
+        assert np.max(np.abs(banded - oracle)) < ORACLE_TOL
 
 
 def test_assembled_system_solves_like_flux_form():
@@ -114,8 +149,7 @@ def test_assembled_system_solves_like_flux_form():
     rng = np.random.default_rng(12)
     f = 0.1 * rng.standard_normal(xi.shape)
     h = rng.standard_normal(xi.shape)
-    system = assemble_tension_system(f, h, xi, samples, grid)
-    direct = np.linalg.solve(system.matrix, system.rhs).reshape(xi.shape)
+    direct = dense_solve(xi, samples, grid, "perp", h + cov_dx(f, xi, samples, grid.dx))
     result = solve_flux_form(f, h, xi, samples, grid)
     assert m0(result.u - direct) < 1e-9
     assert m0(result.flux - (cov_dx(result.u, xi, samples, grid.dx) + f)) < EXACT_TOL
@@ -139,14 +173,19 @@ def test_closed_forms_on_rest_circle():
     assert result.residual < 1e-8
 
 
-def test_dense_and_cg_paths_agree():
-    grid, samples, xi = hyperbolic_setup(64)
-    rng = np.random.default_rng(3)
-    h = rng.standard_normal(xi.shape)
-    zero = np.zeros_like(xi)
-    dense = solve_flux_form(zero, h, xi, samples, grid, dense_cutoff=10**9)
-    iterative = solve_flux_form(zero, h, xi, samples, grid, dense_cutoff=0)
-    assert m0(dense.u - iterative.u) < DENSE_CG_TOL
+@pytest.mark.parametrize("kind", ["perp", "identity"])
+@pytest.mark.parametrize("n_points", ORACLE_SIZES)
+@pytest.mark.parametrize("chart", sorted(CHART_CURVES))
+def test_dense_and_cg_paths_agree(chart, n_points, kind):
+    grid, samples, xi = chart_setup(chart, n_points)
+    if kind == "perp":
+        rhs = np.random.default_rng(3).standard_normal(xi.shape)
+        banded = solve_flux_form(np.zeros_like(xi), rhs, xi, samples, grid).u
+    else:
+        rhs = xi
+        banded = bentness(xi, samples, grid).phi
+    assert m0(banded - dense_solve(xi, samples, grid, kind, rhs)) < DENSE_CG_TOL
+    assert m0(banded - cg_solve(xi, samples, grid, kind, rhs)) < DENSE_CG_TOL
 
 
 def test_solver_is_linear():
@@ -236,7 +275,7 @@ def test_near_geodesic_refusal_and_bypass():
 def test_unit_drift_guard():
     grid, samples = flat_setup(32)
     xi = 2.0 * circle_tangent(grid)
-    with pytest.raises(ValueError, match="unit"):
+    with pytest.raises(ConstraintDriftError, match="unit"):
         solve_flux_form(np.zeros_like(xi), np.ones_like(xi), xi, samples, grid)
 
 
@@ -245,6 +284,24 @@ def test_unreachable_tolerance_raises():
     xi = circle_tangent(grid)
     with pytest.raises(NumericalSolveError):
         solve_flux_form(np.zeros_like(xi), np.ones_like(xi), xi, samples, grid, tol=1e-30)
+
+
+def test_nan_source_raises_solve_error():
+    grid, samples, xi = hyperbolic_setup(32)
+    h = np.ones_like(xi)
+    h[5, 1] = np.nan
+    with pytest.raises(NumericalSolveError):
+        solve_flux_form(np.zeros_like(xi), h, xi, samples, grid)
+
+
+def test_factorisation_failure_raises_solve_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+    grid, samples, xi = hyperbolic_setup(32)
+    with pytest.raises(NumericalSolveError, match="singular"):
+        solve_flux_form(np.zeros_like(xi), np.ones_like(xi), xi, samples, grid)
 
 
 def test_residual_is_checked_against_defect():
