@@ -7,12 +7,14 @@ the marching integrator at the configured resolution and its two refinements.
 Outputs land in the chosen directory:
 
 * ``diagnostics.csv``   one row per recorded level (see diagnostics module);
-* ``snapshot_*.json``   full state dumps (first, last, optional cadence);
+* ``snapshot_*.json``   full state dumps (first, last, optional cadence), with
+                        the bytes of ``json.dumps(indent=2, sort_keys=True)``;
 * ``metadata.json``     config echo, status, summary, failure report if any;
 * ``study.json``        resolutions, drift measures and observed orders
                         (convergence-study only).
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical abort.  A run
+Exit codes: 0 success, 2 configuration problem, 3 numerical abort; any
+other exception is a bug and propagates with its traceback.  A run
 that aborts still writes the diagnostics gathered so far plus a failure
 report naming the reason and the last good row, so partial results remain
 inspectable.  With a fixed config and seed the diagnostics bytes are
@@ -100,17 +102,29 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def snapshot_payload(state: CurveState) -> dict:
-    payload = {
-        "time": state.time,
-        "gamma": state.gamma.tolist(),
-        "xi": state.xi.tolist(),
-        "xi_t": state.xi_t.tolist(),
-        "eta": state.eta.tolist(),
+def _array_json(arr: np.ndarray) -> str:
+    """An (N, n) array laid out as ``json.dumps(indent=2)`` lays out a top-level value."""
+    rows, cols = arr.shape
+    # the C encoder spells the numbers (repr digits, NaN, Infinity) without
+    # the per-item Python work that any indent costs
+    tokens = json.dumps(arr.ravel().tolist())[1:-1].split(", ")
+    row = "    [\n" + ",\n".join(["      {}"] * cols) + "\n    ]"
+    return ("[\n" + ",\n".join([row] * rows) + "\n  ]").format(*tokens)
+
+
+def write_snapshot(path: Path, state: CurveState) -> None:
+    """Dump a state with the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+    arrays = {
+        "gamma": state.gamma,
+        "xi": state.xi,
+        "xi_t": state.xi_t,
+        "eta": state.eta,
+        "theta": state.theta,
     }
-    if state.theta is not None:
-        payload["theta"] = state.theta.tolist()
-    return payload
+    texts = {key: _array_json(value) for key, value in arrays.items() if value is not None}
+    texts["time"] = json.dumps(state.time)
+    body = ",\n".join(f'  "{key}": {texts[key]}' for key in sorted(texts))
+    path.write_text("{\n" + body + "\n}\n")
 
 
 def _record_summary(records: list[DiagnosticsRecord]) -> dict:
@@ -163,7 +177,7 @@ def _march_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
                 )
             )
         if level == 0 or final or (cfg.snapshot_every and level % cfg.snapshot_every == 0):
-            write_json(out / f"snapshot_{level:06d}.json", snapshot_payload(solved_state))
+            write_snapshot(out / f"snapshot_{level:06d}.json", solved_state)
 
     failure: Optional[dict] = None
     result = None
@@ -265,11 +279,8 @@ def _picard_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
                     st, manifold, grid, bentness_value=last_bent, transport_residual=residual
                 )
             )
-        write_json(out / "snapshot_000000.json", snapshot_payload(level_states[0]))
-        write_json(
-            out / f"snapshot_{len(level_states) - 1:06d}.json",
-            snapshot_payload(level_states[-1]),
-        )
+        write_snapshot(out / "snapshot_000000.json", level_states[0])
+        write_snapshot(out / f"snapshot_{len(level_states) - 1:06d}.json", level_states[-1])
     except NumericalAbort as exc:
         failure = {"type": type(exc).__name__, "reason": str(exc)}
     write_csv(out / "diagnostics.csv", records)
@@ -401,10 +412,6 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(cfg, mode="convergence-study")
     try:
         return run(cfg, out_dir=args.out, quiet=args.quiet)
-    except ValueError as exc:
-        # bad generator parameters surface here (e.g. torus direction)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ElwireError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -19,7 +19,10 @@ unless noted; defaults in parentheses):
 ``"characteristic"`` locks the time step to the grid spacing, which is what
 the integral wave solver and the transport diagnostic require.  Validation
 collects every problem (not just the first) and reports each with its JSON
-path, e.g. ``grid.n: must be an integer >= 8``.
+path, e.g. ``grid.n: must be an integer >= 8``.  It covers everything a run
+builds from the document: numbers must be finite, generator vectors (centre,
+origin, direction, velocity vector and centre) must have ``manifold.dim``
+entries, and a conformal expression must parse in the chart coordinates.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
+from .geometry import ConformalModel
 
 MANIFOLDS = ("euclidean", "flat-torus", "hyperbolic", "sphere", "conformal")
 MODES = ("march", "picard", "convergence-study")
@@ -45,6 +49,9 @@ _INITIAL_REQUIRES = {
     "circle": ("euclidean", "flat-torus", "conformal"),
     "perturbed-circle": ("euclidean", "flat-torus", "conformal"),
 }
+
+#: initial curves drawn in the first two coordinates
+_PLANAR_INITIALS = ("circle", "perturbed-circle", "sphere-loop")
 
 _SECTION_KEYS = {
     "manifold": {"name", "dim", "expression"},
@@ -95,9 +102,23 @@ class RunConfig:
 
 
 def _number(value) -> Optional[float]:
+    """The value as a float if it is a finite JSON number, else None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _vector(value, length: int) -> bool:
+    """Whether the value is a list of ``length`` finite numbers."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == length
+        and all(_number(x) is not None for x in value)
+    )
 
 
 def parse_config(text: str) -> RunConfig:
@@ -143,6 +164,11 @@ def parse_config(text: str) -> RunConfig:
     if manifold_name == "conformal" and not isinstance(expression, str):
         err("manifold.expression", "conformal model needs a closed-form expression string")
         expression = "0"
+    elif manifold_name == "conformal":
+        try:
+            ConformalModel(dim, expression)
+        except ValueError as exc:
+            err("manifold.expression", str(exc))
 
     grid = data.get("grid", {})
     n = grid.get("n", 64)
@@ -189,17 +215,29 @@ def parse_config(text: str) -> RunConfig:
             f"{initial_name!r} runs on manifold(s) {list(allowed_manifolds)}, "
             f"config selects {manifold_name!r}",
         )
+    if initial_name in _PLANAR_INITIALS and dim < 2:
+        err("manifold.dim", f"{initial_name!r} lies in the first two coordinates, needs dim >= 2")
     if initial_name == "hyperbolic-circle":
         center = init.get("center", (0.0, 1.0))
-        if (
-            not isinstance(center, (list, tuple))
-            or len(center) != 2
-            or _number(center[1]) is None
-            or float(center[1]) <= 0.0
-        ):
+        if not _vector(center, 2) or center[1] <= 0.0:
             err(
                 "initial.center",
                 f"hyperbolic circle centre must lie in the chart (y > 0), got {center!r}",
+            )
+    elif initial_name in ("circle", "perturbed-circle") and "center" in init:
+        if not _vector(init["center"], dim):
+            err("initial.center", f"must be a list of {dim} numbers, got {init['center']!r}")
+    if initial_name == "torus-geodesic":
+        if "origin" in init and not _vector(init["origin"], dim):
+            err("initial.origin", f"must be a list of {dim} numbers, got {init['origin']!r}")
+        direction = init.get("direction")
+        if direction is not None and not (
+            _vector(direction, dim) and sorted(abs(x) for x in direction) == [0] * (dim - 1) + [1]
+        ):
+            err(
+                "initial.direction",
+                f"must be a coordinate direction ({dim} entries: one 1 or -1, the rest 0), "
+                f"got {direction!r}",
             )
     if initial_name == "perturbed-circle":
         fmode = init.get("mode", 2)
@@ -215,10 +253,21 @@ def parse_config(text: str) -> RunConfig:
     vname = velocity.get("name", "none")
     if vname not in VELOCITIES:
         err("initial.velocity.name", f"must be one of {list(VELOCITIES)}, got {vname!r}")
-    elif vname == "translate" and "vector" not in velocity:
-        err("initial.velocity.vector", "translate velocity needs a vector")
-    elif vname == "rotate" and _number(velocity.get("omega")) is None:
-        err("initial.velocity.omega", "rotate velocity needs a numeric omega")
+    elif vname == "translate" and not _vector(velocity.get("vector"), dim):
+        err(
+            "initial.velocity.vector",
+            f"translate velocity needs a vector of {dim} numbers, got {velocity.get('vector')!r}",
+        )
+    elif vname == "rotate":
+        if _number(velocity.get("omega")) is None:
+            err("initial.velocity.omega", "rotate velocity needs a numeric omega")
+        if dim < 2:
+            err("initial.velocity.name", "rotate turns the first two coordinates, needs dim >= 2")
+        if "center" in velocity and not _vector(velocity["center"], dim):
+            err(
+                "initial.velocity.center",
+                f"must be a list of {dim} numbers, got {velocity['center']!r}",
+            )
     initial_params = {k: v for k, v in init.items() if k != "name"}
     initial_params["velocity"] = velocity
 

@@ -119,7 +119,7 @@ def make_record(
     samples = sample_geometry(manifold, state.gamma)
     total, parts = energy(state, samples, grid)
     if state.theta is not None:
-        mu = reconstruct_mu(state, samples, grid).mu
+        mu = reconstruct_mu(state, samples, grid)
         mu_min, mu_max = float(np.min(mu)), float(np.max(mu))
     else:
         mu_min = mu_max = math.nan

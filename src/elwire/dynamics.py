@@ -85,13 +85,6 @@ class PreparationReport:
 
 
 @dataclass(frozen=True)
-class MultiplierField:
-    """Pointwise multiplier of the single-equation form of the motion."""
-
-    mu: np.ndarray
-
-
-@dataclass(frozen=True)
 class RunParams:
     """Numerical knobs shared by the stepper and the window solver."""
 
@@ -154,19 +147,21 @@ def assemble_sources(state: CurveState, samples: GeometrySamples, grid: Grid) ->
     return SourceTerms(psi=psi, phi=phi)
 
 
-def reconstruct_mu(state: CurveState, samples: GeometrySamples, grid: Grid) -> MultiplierField:
-    """Pointwise multiplier ||D_x xi||^2 - ||D_t xi||^2 - <theta, xi> - 1."""
+def reconstruct_mu(state: CurveState, samples: GeometrySamples, grid: Grid) -> np.ndarray:
+    """Pointwise multiplier ||D_x xi||^2 - ||D_t xi||^2 - <theta, xi> - 1.
+
+    This is the multiplier of the single-equation form of the motion.
+    """
     if state.theta is None:
         raise ValueError("state carries no tension field; solve theta first")
     dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
     dtxi = cov_dt_state(state, samples)
-    mu = (
+    return (
         np.sum(dxi * dxi, axis=-1)
         - np.sum(dtxi * dtxi, axis=-1)
         - np.sum(state.theta * state.xi, axis=-1)
         - 1.0
     )
-    return MultiplierField(mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +263,7 @@ def _bootstrap_prev(
         samples_next = sample_geometry(manifold, gamma_next)
         chris_rate = (samples_next.chris - samples.chris) / dt
         accel = accel - (
-            np.einsum("pikj,pi,pj->pk", chris_rate, eta, xi)
+            apply_chris(chris_rate, eta, xi)
             + apply_chris(samples.chris, rate, xi)
             + apply_chris(samples.chris, eta, state.xi_t)
             + apply_chris(samples.chris, eta, dtxi)
@@ -716,7 +711,7 @@ def residual_base_single(
         d2xi = cov_dx(dxi, sc.xi, samples_c, dx)
         d3xi = cov_dx(d2xi, sc.xi, samples_c, dx)
         sources = assemble_sources(sc, samples_c, grid)
-        mu = reconstruct_mu(sc, samples_c, grid).mu
+        mu = reconstruct_mu(sc, samples_c, grid)
         lhs = -dteta + cov_dx(dt2xi, sc.xi, samples_c, dx) - d3xi + sources.psi
         rhs = cov_dx(mu[:, None] * sc.xi, sc.xi, samples_c, dx)
         defects.append(m0(lhs - rhs))

@@ -420,7 +420,7 @@ def leapfrog_step(
             if eta_rate is not None:
                 correction += apply_chris(chris, eta_rate, xi_curr)
             if chris_rate is not None:
-                correction += np.einsum("pikj,pi,pj->pk", chris_rate, eta, xi_curr)
+                correction += apply_chris(chris_rate, eta, xi_curr)
             accel = accel - correction
         xi_next = 2.0 * xi_curr - xi_prev + dt * dt * accel
         new_t = (xi_next - xi_prev) / (2.0 * dt)

@@ -1,0 +1,29 @@
+"""Reference routes for the pointwise geometric actions.
+
+Production contracts the connection and curvature coefficients with one
+vector at a time (chained two-operand einsums).  The tests compare that
+with a single multi-operand einsum, which sums every product in one loop.
+"""
+
+import numpy as np
+
+
+def apply_chris_einsum(chris, u, v):
+    """Gamma(u, v) as one three-operand einsum."""
+    return np.einsum("pikj,pi,pj->pk", chris, u, v)
+
+
+def apply_curv_einsum(curv, u, v, w):
+    """R(u, v) w as one four-operand einsum."""
+    return np.einsum("pijkl,pi,pj,pk->pl", curv, u, v, w)
+
+
+def chris_scale(chris, u, v):
+    """Sum of the absolute products in Gamma(u, v): the scale of its rounding."""
+    return apply_chris_einsum(np.abs(chris), np.abs(u), np.abs(v))
+
+
+def curv_scale(curv, u, v, w):
+    """Sum of the absolute products in R(u, v) w: the scale of its rounding."""
+    return apply_curv_einsum(np.abs(curv), np.abs(u), np.abs(v), np.abs(w))
+

@@ -427,7 +427,7 @@ def test_09_multiplier_and_residual(capsys):
     state, manifold, grid = _prepared_state(256, "circle", {})
     rest = march(state, grid.dx, 2, manifold, grid, RunParams())
     samples = sample_geometry(manifold, rest.states[0].gamma)
-    mu = reconstruct_mu(rest.states[0], samples, grid).mu
+    mu = reconstruct_mu(rest.states[0], samples, grid)
     mu_err = float(np.max(np.abs(mu - 4.0 * math.pi**2)))
 
     sups = []

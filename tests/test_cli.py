@@ -297,3 +297,61 @@ def test_study_abort_records_resolution(tmp_path, capsys):
     study = json.loads((out / "study.json").read_text())
     assert study["status"] == "aborted"
     assert study["resolution"] == 16
+
+
+@pytest.mark.parametrize(
+    "initial, field",
+    [
+        ({"name": "torus-geodesic", "direction": [1, 1]}, "initial.direction"),
+        (
+            {"name": "torus-geodesic", "velocity": {"name": "translate", "vector": [0.1]}},
+            "initial.velocity.vector",
+        ),
+        ({"name": "circle", "center": [0.5, 0.5, 0.5]}, "initial.center"),
+    ],
+    ids=["direction", "translate-vector", "center"],
+)
+def test_check_rejects_generator_parameters(tmp_path, capsys, initial, field):
+    # run used to reject these only once the generator raised
+    data = {"manifold": {"name": "flat-torus"}, "grid": {"n": 16}, "initial": initial}
+    path = config_file(tmp_path, data)
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:")
+
+
+def test_runtime_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    def broken_march(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("elwire.cli.march", broken_march)
+    path = config_file(tmp_path, REST_CONFIG)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["march", "picard"])
+def test_json_outputs_are_canonical_indented_json(tmp_path, mode):
+    # the snapshot writer lays out json by hand; repr floats round-trip, so
+    # re-encoding what it wrote must give the same bytes
+    data = {
+        "manifold": {"name": "hyperbolic"},
+        "grid": {"n": 32},
+        "time": {"horizon": 0.25},
+        "initial": {
+            "name": "hyperbolic-circle",
+            "velocity": {"name": "translate", "vector": [0.1, 0.0]},
+        },
+        "output": {"snapshot_every": 3},
+    }
+    if mode == "picard":
+        data = dict(REST_CONFIG, grid={"n": 32}, mode="picard", picard={"window": 4})
+    path = config_file(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    files = sorted(out.glob("snapshot_*.json")) + [out / "metadata.json"]
+    assert len(files) == (5 if mode == "march" else 3)
+    for file in files:
+        text = file.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

@@ -187,3 +187,78 @@ def test_config_round_trips_to_dict():
     payload = cfg.to_dict()
     assert payload["grid_n"] == 32
     assert set(payload) == {f.name for f in cfg.__dataclass_fields__.values()}
+
+
+def test_generator_parameters_are_checked_against_dim():
+    torus = {"manifold": {"name": "flat-torus", "dim": 3}}
+    cases = [
+        ({"name": "torus-geodesic", "direction": [0, 1]}, "initial.direction"),
+        ({"name": "torus-geodesic", "direction": [0, 2, 0]}, "initial.direction"),
+        ({"name": "torus-geodesic", "direction": [0.5, 0.5, 0]}, "initial.direction"),
+        ({"name": "torus-geodesic", "origin": [0.1, 0.2]}, "initial.origin"),
+        ({"name": "circle", "center": [0.0, 0.0]}, "initial.center"),
+        ({"name": "perturbed-circle", "center": [0.0, "x", 0.0]}, "initial.center"),
+        ({"velocity": {"name": "translate", "vector": [1.0, 0.0]}}, "initial.velocity.vector"),
+        (
+            {"velocity": {"name": "rotate", "omega": 1.0, "center": [0, 0]}},
+            "initial.velocity.center",
+        ),
+    ]
+    for initial, field in cases:
+        problems = problems_of(json.dumps(dict(torus, initial=initial)))
+        assert [p.split(":")[0] for p in problems] == [field], initial
+
+    cfg = parse_config(
+        json.dumps(
+            dict(
+                torus,
+                initial={
+                    "name": "torus-geodesic",
+                    "direction": [0, -1.0, 0],
+                    "origin": [0.1, 0.2, 0.3],
+                    "velocity": {"name": "rotate", "omega": 1.0, "center": [0, 0, 1]},
+                },
+            )
+        )
+    )
+    assert cfg.initial_params["direction"] == [0, -1.0, 0]
+
+
+def test_planar_generators_need_two_dimensions():
+    problems = problems_of(json.dumps({"manifold": {"dim": 1}}))
+    assert [p.split(":")[0] for p in problems] == ["manifold.dim"]
+    problems = problems_of(
+        json.dumps(
+            {
+                "manifold": {"name": "flat-torus", "dim": 1},
+                "initial": {"name": "torus-geodesic", "velocity": {"name": "rotate", "omega": 1}},
+            }
+        )
+    )
+    assert [p.split(":")[0] for p in problems] == ["initial.velocity.name"]
+
+
+def test_hyperbolic_centre_must_be_numeric():
+    data = {"manifold": {"name": "hyperbolic"}, "initial": {"name": "hyperbolic-circle"}}
+    data["initial"]["center"] = ["a", 1.0]
+    assert [p.split(":")[0] for p in problems_of(json.dumps(data))] == ["initial.center"]
+
+
+def test_non_finite_numbers_are_rejected():
+    text = '{"time": {"horizon": Infinity}, "tolerances": {"solver": NaN, "constraint": 1%s}}'
+    problems = problems_of(text % ("0" * 400))
+    paths = {p.split(":")[0] for p in problems}
+    assert paths == {"time.horizon", "tolerances.solver", "tolerances.constraint"}
+
+
+def test_conformal_expression_must_parse_with_chart_coordinates():
+    for expression, message in (
+        ("x + q", "unknown symbols"),
+        ("x**", "cannot parse"),
+        ("[x, y]", "not a scalar expression"),
+    ):
+        manifold = {"name": "conformal", "expression": expression}
+        problems = problems_of(json.dumps({"manifold": manifold}))
+        assert len(problems) == 1
+        assert problems[0].startswith("manifold.expression:")
+        assert message in problems[0]

@@ -146,7 +146,7 @@ def test_rest_circle_tension_and_multiplier_closed_forms():
     solved = solve_theta(state, sources, samples, grid)
     assert m0(solved.theta + state.xi) < CLOSED_FORM_TOL
 
-    mu = reconstruct_mu(state.with_theta(solved.theta), samples, grid).mu
+    mu = reconstruct_mu(state.with_theta(solved.theta), samples, grid)
     assert np.max(np.abs(mu - omega_sq)) < CLOSED_FORM_TOL
     with pytest.raises(ValueError, match="tension"):
         reconstruct_mu(state, samples, grid)

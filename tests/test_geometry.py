@@ -11,7 +11,6 @@ import pytest
 
 from elwire.errors import ChartDomainError
 from elwire.geometry import (
-    ChartPoint,
     ConformalModel,
     EuclideanModel,
     FlatTorusModel,
@@ -19,9 +18,6 @@ from elwire.geometry import (
     SphereChartModel,
     apply_chris,
     apply_curv,
-    christoffel_at,
-    curvature_at,
-    frame_at,
     make_manifold,
     sample_geometry,
 )
@@ -220,19 +216,24 @@ def test_generic_conformal_matches_constant_curvature_models():
 
 
 # ---------------------------------------------------------------------------
-# pointwise API, sampling, chart domain
+# single points, sampling, chart domain
 
 
-def test_pointwise_accessors_validate_and_wrap():
+def test_single_point_evaluators_and_chart_domain():
     model = HyperbolicHalfPlaneModel()
-    point = ChartPoint(np.array([0.3, 1.2]))
-    assert frame_at(model, point).h.shape == (2, 2)
-    assert christoffel_at(model, [0.3, 1.2]).gamma.shape == (2, 2, 2)
-    assert curvature_at(model, point).r.shape == (2, 2, 2, 2)
+    point = np.array([0.3, 1.2])
+    assert model.frame(point).shape == (2, 2)
+    gamma = model.christoffel(point)
+    r = model.curvature(point)
+    assert gamma.shape == (2, 2, 2)
+    assert r.shape == (2, 2, 2, 2)
+    assert np.max(np.abs(gamma + np.swapaxes(gamma, -2, -1))) < EXACT_TOL
+    assert np.max(np.abs(r + np.swapaxes(r, 0, 1))) < EXACT_TOL
+    assert np.max(np.abs(r + np.swapaxes(r, 2, 3))) < EXACT_TOL
     with pytest.raises(ChartDomainError):
-        frame_at(model, [0.0, -1.0])
+        sample_geometry(model, [[0.0, -1.0]])
     with pytest.raises(ValueError):
-        frame_at(model, [0.0, 1.0, 2.0])
+        sample_geometry(model, [[0.0, 1.0, 2.0]])
 
 
 def test_sample_geometry_reports_first_bad_index():
@@ -305,4 +306,4 @@ def test_conformal_domain_predicate_restricts_chart():
     assert bool(model.contains(np.array([0.0, 1.0])))
     assert not bool(model.contains(np.array([0.0, -1.0])))
     with pytest.raises(ChartDomainError):
-        frame_at(model, [0.0, -1.0])
+        sample_geometry(model, [[0.0, -1.0]])
