@@ -33,10 +33,9 @@ def main() -> None:
         ratio = f"{report.ratios[k - 1]:.4f}" if k >= 1 else "     -"
         print(f"  {k + 1:5d}   {distance:.3e}  {ratio}")
 
-    marched = march(state, grid.dx, steps, manifold, grid)
     gap = max(
-        float(np.max(np.abs(iterate.xi[m] - marched.states[m].xi)))
-        for m in range(steps + 1)
+        float(np.max(np.abs(iterate.xi[m] - level.state.xi)))
+        for m, level in enumerate(march(state, grid.dx, steps, manifold, grid))
     )
     print()
     print(f"sup gap between window fixed point and march: {gap:.3e}")

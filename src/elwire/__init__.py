@@ -13,7 +13,8 @@ a conformal (or flat) metric.  Modules:
 * ``wave``         the semilinear wave level: integral-formula solver and
                    leapfrog step;
 * ``dynamics``     source assembly, initial-data preparation, the time
-                   marcher and the coupled window iteration;
+                   marcher (a generator of levels) and the coupled window
+                   iteration;
 * ``diagnostics``  energy split, constraint drift and the transported-frame
                    residual;
 * ``initial``      closed-form starting curves and velocity fields;
@@ -26,7 +27,7 @@ from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsRecord, energy, make_record, transport_check
 from .dynamics import (
     InitialData,
-    MarchResult,
+    Level,
     RunParams,
     SourceTerms,
     StepResult,
@@ -85,8 +86,8 @@ __all__ = [
     "Grid",
     "HyperbolicHalfPlaneModel",
     "InitialData",
+    "Level",
     "ManifoldModel",
-    "MarchResult",
     "NearGeodesicError",
     "NonContractionError",
     "NumericalAbort",

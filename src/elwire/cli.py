@@ -4,11 +4,16 @@
 ``check`` only validates the config, ``study`` forces a convergence study of
 the marching integrator at the configured resolution and its two refinements.
 
-Outputs land in the chosen directory:
+March and picard runs share one output loop.  Each mode is a producer of
+time levels (state with tension, geometry samples, bentness gate in force);
+the loop streams them, keeping only the last three for the transport check,
+and writes:
 
-* ``diagnostics.csv``   one row per recorded level (see diagnostics module);
-* ``snapshot_*.json``   full state dumps (first, last, optional cadence), with
-                        the bytes of ``json.dumps(indent=2, sort_keys=True)``;
+* ``diagnostics.csv``   one row every ``diagnostics.every`` levels plus the
+                        last level (see diagnostics module);
+* ``snapshot_*.json``   full state dumps (first, last, every
+                        ``output.snapshot_every`` levels), with the bytes of
+                        ``json.dumps(indent=2, sort_keys=True)``;
 * ``metadata.json``     config echo, status, summary, failure report if any;
 * ``study.json``        resolutions, drift measures and observed orders
                         (convergence-study only).
@@ -17,8 +22,8 @@ Exit codes: 0 success, 2 configuration problem, 3 numerical abort; any
 other exception is a bug and propagates with its traceback.  A run
 that aborts still writes the diagnostics gathered so far plus a failure
 report naming the reason and the last good row, so partial results remain
-inspectable.  With a fixed config and seed the diagnostics bytes are
-reproducible run to run.
+inspectable.  With a fixed config the output bytes are reproducible run to
+run.
 """
 
 from __future__ import annotations
@@ -30,16 +35,16 @@ import math
 import sys
 from collections import deque
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsRecord, make_record, transport_check
-from .dynamics import RunParams, make_state, march, picard_coupled, prepare_initial
+from .dynamics import Level, RunParams, make_state, march, picard_coupled, prepare_initial
 from .errors import ConfigError, ElwireError, NumericalAbort
-from .fields import CurveState, Grid, time_diff_series
+from .fields import CurveState, Grid, m0, time_diff_series
 from .geometry import make_manifold
 from . import elliptic, initial
 
@@ -143,71 +148,100 @@ def _record_summary(records: list[DiagnosticsRecord]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the three modes
+# level producers: each yields the levels of its mode and adds its own
+# entries to the metadata
 
 
-def _march_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
-    """March the configured system, writing outputs into ``out``."""
+def _march_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
+    meta["n_steps"] = cfg.n_steps
+    meta["effective_horizon"] = cfg.n_steps * cfg.dt
+    state, prep = build_initial_state(cfg, manifold, grid)
+    max_displacement = 0.0
+    for level in march(
+        state,
+        cfg.dt,
+        cfg.n_steps,
+        manifold,
+        grid,
+        run_params(cfg),
+        bentness_every=cfg.bentness_every,
+    ):
+        max_displacement = max(
+            max_displacement, m0(manifold.displacement(state.gamma, level.state.gamma))
+        )
+        yield level
+    meta["summary"]["max_displacement"] = max_displacement
+    meta["prepared"] = {"projection_magnitude": prep.projection_magnitude}
+
+
+def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
+    meta["window_steps"] = cfg.picard_window
+    state, _ = build_initial_state(cfg, manifold, grid)
+    iterate, report = picard_coupled(
+        state,
+        manifold,
+        grid,
+        run_params(cfg),
+        n_levels=cfg.picard_window,
+        max_iter=cfg.picard_max_iter,
+        tol=cfg.picard_tol,
+    )
+    meta["contraction"] = {
+        "distances": list(report.distances),
+        "ratios": list(report.ratios),
+        "converged": report.converged,
+        "iterations": report.iterations,
+    }
+    xi_t = time_diff_series(iterate.xi, grid.dx)
+    gate = None
+    for m, samples in enumerate(iterate.samples):
+        level_state = CurveState(
+            gamma=iterate.gamma[m],
+            xi=iterate.xi[m],
+            xi_t=xi_t[m],
+            eta=iterate.eta[m],
+            theta=iterate.theta[m],
+            time=m * grid.dx,
+        )
+        if m % cfg.bentness_every == 0:
+            gate = elliptic.bentness(level_state.xi, samples, grid)
+        yield Level(level_state, samples, gate)
+
+
+def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
+    """Run the configured march or picard window, writing outputs into ``out``.
+
+    One loop consumes the levels: it keeps the last three for the transport
+    check, records diagnostics every ``diagnostics.every`` levels and writes
+    snapshots at level 0, every ``output.snapshot_every`` levels and at the
+    last level, which is always recorded too.
+    """
     out.mkdir(parents=True, exist_ok=True)
     manifold = build_manifold(cfg)
     grid = Grid(cfg.grid_n)
-    params = run_params(cfg)
+    picard = cfg.mode == "picard"
+    meta = {"version": __version__, "config": cfg.to_dict(), "mode": cfg.mode, "summary": {}}
+    levels = (_picard_levels if picard else _march_levels)(cfg, manifold, grid, meta)
+    last = cfg.picard_window if picard else cfg.n_steps
+    window: deque[Level] = deque(maxlen=3)
     records: list[DiagnosticsRecord] = []
-    trailing: deque[CurveState] = deque(maxlen=3)
-    state_box: dict = {"last_bent": math.nan}
-    n_steps = cfg.n_steps
-    use_transport = cfg.dt_characteristic
-
-    def on_level(level, solved_state, result):
-        if result is not None and result.bentness is not None:
-            state_box["last_bent"] = result.bentness.b_value
-        trailing.append(solved_state)
-        final = result is None
-        if level % cfg.diag_every == 0 or final:
-            residual = None
-            if use_transport and len(trailing) == 3:
-                residual = transport_check(list(trailing), cfg.dt, manifold, grid)
-            records.append(
-                make_record(
-                    solved_state,
-                    manifold,
-                    grid,
-                    bentness_value=state_box["last_bent"],
-                    transport_residual=residual,
-                )
-            )
-        if level == 0 or final or (cfg.snapshot_every and level % cfg.snapshot_every == 0):
-            write_snapshot(out / f"snapshot_{level:06d}.json", solved_state)
-
     failure: Optional[dict] = None
-    result = None
     try:
-        initial_state, prep = build_initial_state(cfg, manifold, grid)
-        result = march(
-            initial_state,
-            cfg.dt,
-            n_steps,
-            manifold,
-            grid,
-            params,
-            bentness_every=cfg.bentness_every,
-            on_level=on_level,
-        )
+        for index, level in enumerate(levels):
+            window.append(level)
+            final = index == last
+            if final or index % cfg.diag_every == 0:
+                residual = None
+                if cfg.dt_characteristic and len(window) == 3:
+                    residual = transport_check(list(window), cfg.dt, grid)
+                records.append(make_record(level, manifold, grid, transport_residual=residual))
+            if final or index == 0 or (cfg.snapshot_every and index % cfg.snapshot_every == 0):
+                write_snapshot(out / f"snapshot_{index:06d}.json", level.state)
     except NumericalAbort as exc:
         failure = {"type": type(exc).__name__, "reason": str(exc)}
     write_csv(out / "diagnostics.csv", records)
-    meta = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "mode": "march",
-        "n_steps": n_steps,
-        "effective_horizon": n_steps * cfg.dt,
-        "status": "aborted" if failure else "completed",
-        "summary": _record_summary(records),
-    }
-    if failure is None and result is not None:
-        meta["summary"]["max_displacement"] = result.max_displacement
-        meta["prepared"] = {"projection_magnitude": prep.projection_magnitude}
+    meta["status"] = "aborted" if failure else "completed"
+    meta["summary"].update(_record_summary(records))
     if failure is not None:
         meta["failure"] = failure
         if records:
@@ -216,98 +250,22 @@ def _march_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
     if failure is not None:
         print(f"aborted: {failure['type']}: {failure['reason']}", file=sys.stderr)
         return 3, meta
-    if not quiet:
-        s = meta["summary"]
-        print(
-            f"marched {n_steps} steps to t={meta['effective_horizon']:.6g}; "
-            f"energy drift {s['max_relative_energy_drift']:.3e}, "
-            f"constraint drift {s['max_constraint_drift']:.3e} -> {out}"
-        )
-    return 0, meta
-
-
-def _picard_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
-    out.mkdir(parents=True, exist_ok=True)
-    manifold = build_manifold(cfg)
-    grid = Grid(cfg.grid_n)
-    params = run_params(cfg)
-    records: list[DiagnosticsRecord] = []
-    failure: Optional[dict] = None
-    contraction: Optional[dict] = None
-    try:
-        state, prep = build_initial_state(cfg, manifold, grid)
-        iterate, report = picard_coupled(
-            state,
-            manifold,
-            grid,
-            params,
-            n_levels=cfg.picard_window,
-            max_iter=cfg.picard_max_iter,
-            tol=cfg.picard_tol,
-        )
-        contraction = {
-            "distances": list(report.distances),
-            "ratios": list(report.ratios),
-            "converged": report.converged,
-            "iterations": report.iterations,
-        }
-        xi_t = time_diff_series(iterate.xi, grid.dx)
-        level_states = []
-        for m in range(iterate.xi.shape[0]):
-            level_states.append(
-                CurveState(
-                    gamma=iterate.gamma[m],
-                    xi=iterate.xi[m],
-                    xi_t=xi_t[m],
-                    eta=iterate.eta[m],
-                    theta=iterate.theta[m],
-                    time=m * grid.dx,
-                )
-            )
-        from .geometry import sample_geometry
-
-        last_bent = math.nan
-        for m, st in enumerate(level_states):
-            if m % cfg.bentness_every == 0:
-                samples = sample_geometry(manifold, st.gamma)
-                last_bent = elliptic.bentness(st.xi, samples, grid).b_value
-            residual = None
-            if m >= 2:
-                residual = transport_check(level_states[m - 2 : m + 1], grid.dx, manifold, grid)
-            records.append(
-                make_record(
-                    st, manifold, grid, bentness_value=last_bent, transport_residual=residual
-                )
-            )
-        write_snapshot(out / "snapshot_000000.json", level_states[0])
-        write_snapshot(out / f"snapshot_{len(level_states) - 1:06d}.json", level_states[-1])
-    except NumericalAbort as exc:
-        failure = {"type": type(exc).__name__, "reason": str(exc)}
-    write_csv(out / "diagnostics.csv", records)
-    meta = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "mode": "picard",
-        "window_steps": cfg.picard_window,
-        "status": "aborted" if failure else "completed",
-        "summary": _record_summary(records),
-    }
-    if contraction is not None:
-        meta["contraction"] = contraction
-    if failure is not None:
-        meta["failure"] = failure
-        if records:
-            meta["failure"]["last_good"] = dataclasses.asdict(records[-1])
-    write_json(out / "metadata.json", meta)
-    if failure is not None:
-        print(f"aborted: {failure['type']}: {failure['reason']}", file=sys.stderr)
-        return 3, meta
-    if not quiet and contraction is not None:
+    if quiet:
+        return 0, meta
+    if picard:
+        contraction = meta["contraction"]
         ratios = ", ".join(f"{r:.3f}" for r in contraction["ratios"][:6])
         print(
             f"picard window of {cfg.picard_window} steps converged="
             f"{contraction['converged']} in {contraction['iterations']} sweeps "
             f"(ratios: {ratios}) -> {out}"
+        )
+    else:
+        s = meta["summary"]
+        print(
+            f"marched {cfg.n_steps} steps to t={meta['effective_horizon']:.6g}; "
+            f"energy drift {s['max_relative_energy_drift']:.3e}, "
+            f"constraint drift {s['max_constraint_drift']:.3e} -> {out}"
         )
     return 0, meta
 
@@ -329,7 +287,7 @@ def _study_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
             dt=(1.0 / n) if cfg.dt_characteristic else cfg.dt * cfg.grid_n / n,
             mode="march",
         )
-        code, meta = _march_into(sub, out / f"n{n:04d}", quiet=True)
+        code, meta = _run_into(sub, out / f"n{n:04d}", quiet=True)
         if code != 0:
             write_json(out / "study.json", {"status": "aborted", "resolution": n, "detail": meta})
             return code, meta
@@ -368,12 +326,10 @@ def _study_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
 def run(cfg: RunConfig, out_dir: Optional[str] = None, quiet: bool = False) -> int:
     """Execute a validated config; returns the process exit code."""
     out = Path(out_dir or cfg.out_dir or "elwire-out")
-    if cfg.mode == "march":
-        code, _ = _march_into(cfg, out, quiet)
-    elif cfg.mode == "picard":
-        code, _ = _picard_into(cfg, out, quiet)
-    else:
+    if cfg.mode == "convergence-study":
         code, _ = _study_into(cfg, out, quiet)
+    else:
+        code, _ = _run_into(cfg, out, quiet)
     return code
 
 

@@ -14,7 +14,6 @@ unless noted; defaults in parentheses):
     output       {"directory": null, "snapshot_every": 0}
     diagnostics  {"every": 1, "bentness_every": 10}
     renormalize  false
-    seed         0
 
 ``"characteristic"`` locks the time step to the grid spacing, which is what
 the integral wave solver and the transport diagnostic require.  Validation
@@ -22,7 +21,9 @@ collects every problem (not just the first) and reports each with its JSON
 path, e.g. ``grid.n: must be an integer >= 8``.  It covers everything a run
 builds from the document: numbers must be finite, generator vectors (centre,
 origin, direction, velocity vector and centre) must have ``manifold.dim``
-entries, and a conformal expression must parse in the chart coordinates.
+entries, and a conformal expression must be plain arithmetic in the chart
+coordinates (checked without running it, see geometry.ConformalModel) whose
+value and first two derivatives sympy cannot show to be infinite or complex.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ _SECTION_KEYS = {
     "output": {"directory", "snapshot_every"},
     "diagnostics": {"every", "bentness_every"},
 }
-_TOP_KEYS = set(_SECTION_KEYS) | {"mode", "renormalize", "seed"}
+_TOP_KEYS = set(_SECTION_KEYS) | {"mode", "renormalize"}
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,6 @@ class RunConfig:
     diag_every: int = 1
     bentness_every: int = 10
     renormalize: bool = False
-    seed: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -324,10 +324,6 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(renormalize, bool):
         err("renormalize", f"must be a boolean, got {renormalize!r}")
         renormalize = False
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        err("seed", f"must be an integer, got {seed!r}")
-        seed = 0
 
     if problems:
         raise ConfigError(problems)
@@ -353,5 +349,4 @@ def parse_config(text: str) -> RunConfig:
         diag_every=diag_every,
         bentness_every=bentness_every,
         renormalize=renormalize,
-        seed=seed,
     )

@@ -1,8 +1,9 @@
 """Pure run diagnostics: energy split, drifts, bentness, transport identity.
 
-Every quantity here is a pure function of the supplied states (plus cadence
-flags), so recomputing a record from a stored trajectory is bit-identical to
-the one produced during the run.  Nothing in this module renders plots; the
+Every quantity here is a pure function of the supplied levels (states with
+their geometry samples, see dynamics.Level), so recomputing a record from a
+stored trajectory is bit-identical to the one produced during the run.
+Nothing here samples the geometry again, and nothing renders plots; the
 command line writes the records to CSV and leaves presentation to the caller.
 """
 
@@ -14,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import cov_dt_state, reconstruct_mu
+from .dynamics import Level, cov_dt_state, reconstruct_mu
 from .fields import CurveState, Grid, constraint_drift, cov_dx, l2_norm, m0, perp
-from .geometry import GeometrySamples, ManifoldModel, sample_geometry
+from .geometry import GeometrySamples, ManifoldModel
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,9 @@ class DiagnosticsRecord:
 
     ``energy`` is always the sum of the three parts (squared L2 norms of the
     covariant tangent rate, the velocity, and the covariant tangent
-    derivative).  ``bentness`` is NaN on levels where the cadence skipped the
-    solve; ``transport_residual`` is None when the check does not apply (time
-    step not locked to dx, or too few levels retained).
+    derivative).  ``bentness`` is the value of the gate in force at the level
+    (NaN if none ran); ``transport_residual`` is None when the check does not
+    apply (time step not locked to dx, or too few levels retained).
     """
 
     time: float
@@ -64,31 +65,26 @@ def gamma_xi_drift(state: CurveState, manifold: ManifoldModel, samples: Geometry
     return m0(frame_tangent - state.xi)
 
 
-def transport_check(
-    states: list,
-    dt: float,
-    manifold: ManifoldModel,
-    grid: Grid,
-) -> float:
-    """Residual of the characteristic transport identity on a state window.
+def transport_check(levels: list, dt: float, grid: Grid) -> float:
+    """Residual of the characteristic transport identity on a level window.
 
     Along left/right characteristics the shifted combinations
     (D_x xi +/- D_t xi)(x -/+ t, t) change their squared length at the rate
     +/- 2 <combo, perp(theta)> evaluated at the same shifted point.  Requires
     dt == dx (characteristics through grid points) and at least three levels
-    with tension fields attached; returns the sup residual over interior
+    whose states carry tension fields; returns the sup residual over interior
     levels.
     """
     if abs(dt - grid.dx) > 1e-12 * max(1.0, dt):
         raise ValueError("transport identity check requires dt == dx")
-    if len(states) < 3:
+    if len(levels) < 3:
         raise ValueError("transport identity check needs at least 3 levels")
     combos = {+1: [], -1: []}
     targets = {+1: [], -1: []}
-    for m, state in enumerate(states):
+    for m, level in enumerate(levels):
+        state, samples = level.state, level.samples
         if state.theta is None:
             raise ValueError("states must carry tension fields")
-        samples = sample_geometry(manifold, state.gamma)
         dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
         dtxi = cov_dt_state(state, samples)
         theta_perp = perp(state.theta, state.xi)
@@ -108,15 +104,14 @@ def transport_check(
 
 
 def make_record(
-    state: CurveState,
+    level: Level,
     manifold: ManifoldModel,
     grid: Grid,
     *,
-    bentness_value: float = math.nan,
     transport_residual: Optional[float] = None,
 ) -> DiagnosticsRecord:
-    """Assemble one diagnostics row for a state carrying its tension field."""
-    samples = sample_geometry(manifold, state.gamma)
+    """Assemble one diagnostics row for a level (state, samples, bentness)."""
+    state, samples = level.state, level.samples
     total, parts = energy(state, samples, grid)
     if state.theta is not None:
         mu = reconstruct_mu(state, samples, grid)
@@ -130,7 +125,7 @@ def make_record(
         energy_velocity=parts[1],
         energy_bending=parts[2],
         constraint_drift=constraint_drift(state.xi),
-        bentness=float(bentness_value),
+        bentness=math.nan if level.bentness is None else float(level.bentness.b_value),
         mu_min=mu_min,
         mu_max=mu_max,
         gamma_xi_drift=gamma_xi_drift(state, manifold, samples, grid),

@@ -9,7 +9,8 @@ velocity.  This module provides
 * assemble_sources   curvature source terms (psi, phi) of a state,
 * prepare_initial    admissible discrete data from raw curve + velocity samples,
 * step / march       one covariant leapfrog step of the full system, and the
-                     driving loop with bentness gating and displacement tracking,
+                     generator that yields each time level with its geometry
+                     and the bentness gate in force,
 * picard_coupled     the contraction-map alternative on a short time window,
 * reconstruct_mu     the pointwise multiplier of the single-equation form,
 * residual_base_single  defect of a computed trajectory in the single equation.
@@ -18,17 +19,21 @@ The marching step keeps xi, eta and gamma each second-order accurate: the
 tangent uses the three-level wave leapfrog, the velocity a midpoint rule whose
 half-time flux is extrapolated from the two most recent tension solves, and
 the curve a midpoint rule through a predicted half-step position.
+
+The frame, connection and curvature at a level depend only on the curve
+there, so each curve position is sampled once: a ``Level`` carries the
+samples of its ``gamma`` to the next step and to every diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import elliptic
-from .elliptic import BentnessReport, ThetaSolveResult
+from .elliptic import BentnessReport
 from .errors import ConstraintDriftError, DegenerateCurveError, NonContractionError
 from .fields import (
     CurveState,
@@ -92,19 +97,27 @@ class RunParams:
     constraint_tol: float = 1e-2
     b_floor: float = 1e-3
     renormalize: bool = False
-    inner_iter: int = 8
 
 
 @dataclass(frozen=True)
 class StepResult:
-    """Next state plus everything solved at the departing level."""
+    """Next state plus what was solved and sampled at the departing level."""
 
     state: CurveState
     theta: np.ndarray
     flux: np.ndarray
-    sources: SourceTerms
+    samples: GeometrySamples
+    bentness: BentnessReport
+
+
+@dataclass(frozen=True)
+class Level:
+    """One time level: the state with its tension attached, the geometry
+    samples of its curve, and the bentness report in force there."""
+
+    state: CurveState
+    samples: GeometrySamples
     bentness: Optional[BentnessReport]
-    solve_residual: float
 
 
 @dataclass(frozen=True)
@@ -115,15 +128,7 @@ class WindowIterate:
     xi: np.ndarray
     eta: np.ndarray
     theta: np.ndarray
-
-
-@dataclass(frozen=True)
-class MarchResult:
-    """Outcome of a marching run."""
-
-    states: list          # CurveState per level, theta attached
-    max_displacement: float
-    displacements: np.ndarray  # chart displacement from the initial curve, per level
+    samples: Optional[list] = None  # GeometrySamples of gamma per level, once solved
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +251,23 @@ def _bootstrap_prev(
     theta: np.ndarray,
     rate: np.ndarray,
     dt: float,
-    manifold: ManifoldModel,
     samples: GeometrySamples,
+    samples_next: Optional[GeometrySamples],
     grid: Grid,
 ) -> np.ndarray:
-    """Second-order backward level xi(t - dt) for the first leapfrog step."""
+    """Second-order backward level xi(t - dt) for the first leapfrog step.
+
+    ``samples_next`` samples the predicted next curve position; it is None on
+    a flat model, where the connection terms vanish.
+    """
     dx = grid.dx
     xi, eta = state.xi, state.eta
     d2xi = cov_dxx(xi, xi, samples, dx)
     dtxi = cov_dt_state(state, samples)
     coeff = sided_grad_sq(xi, xi, samples, dx) - np.sum(dtxi * dtxi, axis=-1)
     accel = d2xi + coeff[:, None] * xi + perp(theta, xi)
-    if not getattr(manifold, "is_flat", False):
+    if samples_next is not None:
         # forward-difference estimate of the connection rate along the motion
-        gamma_next = _predict_position(state, rate, dt, manifold, samples)
-        samples_next = sample_geometry(manifold, gamma_next)
         chris_rate = (samples_next.chris - samples.chris) / dt
         accel = accel - (
             apply_chris(chris_rate, eta, xi)
@@ -292,18 +299,19 @@ def step(
     grid: Grid,
     params: RunParams = RunParams(),
     *,
-    prev_state: Optional[CurveState] = None,
+    prev: Optional[Level] = None,
     flux_prev: Optional[np.ndarray] = None,
     bentness_report: Optional[BentnessReport] = None,
-    check_bentness: bool = True,
 ) -> StepResult:
     """Advance the full wire state by one step of size dt.
 
     Order of operations: tension solve at the current level, tangent leapfrog
     (bootstrapping a virtual previous level on the first step), velocity
     midpoint update with the extrapolated half-time flux, curve midpoint
-    update.  Aborts with the dedicated error types on chart exit, constraint
-    drift, near-geodesic tangents, or a failed linear solve.
+    update.  ``prev`` is the previous level, whose samples are reused; the
+    samples of the current curve are returned for the next step.  Aborts
+    with the dedicated error types on chart exit, constraint drift,
+    near-geodesic tangents, or a failed linear solve.
     """
     dx = grid.dx
     drift = constraint_drift(state.xi)
@@ -313,33 +321,26 @@ def step(
             f"at t={state.time:.6f}"
         )
     samples = sample_geometry(manifold, state.gamma)
-    sources = assemble_sources(state, samples, grid)
-    solved: ThetaSolveResult = elliptic.solve_theta(
+    solved = elliptic.solve_theta(
         state,
-        sources,
+        assemble_sources(state, samples, grid),
         samples,
         grid,
         tol=params.solver_tol,
         b_floor=params.b_floor,
         bentness_report=bentness_report,
-        check_bentness=check_bentness,
     )
-    theta, flux = solved.theta, solved.flux
+    theta, flux = solved.u, solved.flux
     rate = _eta_rate(flux, state, samples, grid)
 
     flat = getattr(manifold, "is_flat", False)
-    if prev_state is None:
-        xi_prev = _bootstrap_prev(state, theta, rate, dt, manifold, samples, grid)
-        samples_prev = None
-    else:
-        xi_prev = prev_state.xi
-        samples_prev = None if flat else sample_geometry(manifold, prev_state.gamma)
-    if flat:
-        samples_next = None
-    else:
+    samples_prev = samples_next = None
+    if not flat:
         gamma_pred = _predict_position(state, rate, dt, manifold, samples)
         samples_next = sample_geometry(manifold, gamma_pred)
-        if samples_prev is None:
+    if prev is None:
+        xi_prev = _bootstrap_prev(state, theta, rate, dt, samples, samples_next, grid)
+        if not flat:
             # first step: no previous level, so doctor the pair handed to the
             # centred connection-rate difference into the forward rate
             # (2*next - curr - curr) / (2 dt) = (next - curr) / dt
@@ -350,6 +351,10 @@ def step(
                 chris=2.0 * samples_next.chris - samples.chris,
                 curv=samples_next.curv,
             )
+    else:
+        xi_prev = prev.state.xi
+        if not flat:
+            samples_prev = prev.samples
     xi_next = leapfrog_step(
         xi_prev,
         state.xi,
@@ -361,7 +366,6 @@ def step(
         samples_prev=samples_prev,
         samples_next=samples_next,
         eta_rate=rate,
-        inner_iter=params.inner_iter,
     )
     if params.renormalize:
         xi_next = xi_next / row_norms(xi_next)[:, None]
@@ -378,8 +382,7 @@ def step(
     eta_next = state.eta + dt * k2
 
     # curve: midpoint through the predicted half-step position
-    frame_mid = samples_mid.frame if not flat else samples.frame
-    gamma_next = state.gamma + dt * _chart_velocity(frame_mid, eta_half)
+    gamma_next = state.gamma + dt * _chart_velocity(samples_mid.frame, eta_half)
 
     next_state = CurveState(
         gamma=gamma_next,
@@ -390,12 +393,7 @@ def step(
         time=state.time + dt,
     )
     return StepResult(
-        state=next_state,
-        theta=theta,
-        flux=flux,
-        sources=sources,
-        bentness=solved.bentness,
-        solve_residual=solved.residual,
+        state=next_state, theta=theta, flux=flux, samples=samples, bentness=solved.bentness
     )
 
 
@@ -408,20 +406,18 @@ def march(
     params: RunParams = RunParams(),
     *,
     bentness_every: int = 10,
-    on_level: Optional[Callable[[int, CurveState, Optional[StepResult]], None]] = None,
-) -> MarchResult:
-    """Run the marching integrator for n_steps, retaining all levels.
+) -> Iterator[Level]:
+    """Run the marching integrator, yielding the levels 0..n_steps one by one.
 
-    The bentness gate is re-evaluated every ``bentness_every`` steps (and
-    always at the first); between gates the most recent report is reused.
-    ``on_level`` is invoked with (level, state_with_theta, step_result) after
-    each tension solve, and once more for the final level.  Chart displacement
-    from the initial curve is tracked per level.
+    Each level is yielded once its tension is solved, before the next step
+    runs, so a consumer holds only the levels it keeps.  The bentness gate is
+    re-evaluated every ``bentness_every`` steps (and always at the first);
+    between gates the most recent report is reused and carried by the
+    levels.  The final level gets a tension field too, so diagnostics cover
+    [0, T].
     """
-    states: list[CurveState] = []
-    displacements = [0.0]
     current = initial
-    prev: Optional[CurveState] = None
+    prev: Optional[Level] = None
     flux_prev: Optional[np.ndarray] = None
     carried: Optional[BentnessReport] = None
     for k in range(n_steps):
@@ -432,28 +428,19 @@ def march(
             manifold,
             grid,
             params,
-            prev_state=prev,
+            prev=prev,
             flux_prev=flux_prev,
             bentness_report=None if fresh_gate else carried,
-            check_bentness=True,
         )
-        solved_state = current.with_theta(result.theta)
-        states.append(solved_state)
-        if on_level is not None:
-            on_level(k, solved_state, result)
-        if result.bentness is not None:
-            carried = result.bentness
-        prev = current
+        carried = result.bentness
+        prev = Level(current.with_theta(result.theta), result.samples, carried)
+        yield prev
         flux_prev = result.flux
         current = result.state
-        disp = m0(manifold.displacement(initial.gamma, current.gamma))
-        displacements.append(disp)
-    # attach a tension field to the final level so diagnostics cover [0, T]
     samples = sample_geometry(manifold, current.gamma)
-    sources = assemble_sources(current, samples, grid)
     solved = elliptic.solve_theta(
         current,
-        sources,
+        assemble_sources(current, samples, grid),
         samples,
         grid,
         tol=params.solver_tol,
@@ -461,16 +448,7 @@ def march(
         bentness_report=carried,
         check_bentness=False,
     )
-    final_state = current.with_theta(solved.theta)
-    states.append(final_state)
-    if on_level is not None:
-        on_level(n_steps, final_state, None)
-    disp_arr = np.asarray(displacements)
-    return MarchResult(
-        states=states,
-        max_displacement=float(np.max(disp_arr)),
-        displacements=disp_arr,
-    )
+    yield Level(current.with_theta(solved.u), samples, carried)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +486,7 @@ def _theta_series(
             b_floor=params.b_floor,
             check_bentness=(m == 0),
         )
-        thetas.append(solved.theta)
+        thetas.append(solved.u)
         fluxes.append(solved.flux)
         samples_list.append(samples)
     return np.stack(thetas), np.stack(fluxes), samples_list
@@ -585,7 +563,8 @@ def picard_coupled(
     the velocity from the frozen flux, then refresh tension and velocity once
     more on the new fields.  Distances between sweeps use the composite norm
     of window_distance; three consecutive non-decreasing distances raise
-    NonContractionError.
+    NonContractionError.  The returned iterate carries the geometry samples
+    of its curve, taken by that last tension refresh.
     """
     dt = grid.dx
     levels = n_levels + 1
@@ -634,7 +613,9 @@ def picard_coupled(
             [cov_dx(xi_new[m], xi_new[m], samples_new[m], grid.dx) for m in range(levels)]
         )
         eta_new = _integrate_eta(state.eta, flux_new, dxi_new, chris_new, dt)
-        new = WindowIterate(gamma=gamma_new, xi=xi_new, eta=eta_new, theta=theta_new)
+        new = WindowIterate(
+            gamma=gamma_new, xi=xi_new, eta=eta_new, theta=theta_new, samples=samples_new
+        )
         dist = window_distance(new, current, grid.dx)
         if distances:
             ratio = dist / distances[-1] if distances[-1] > 0 else 0.0
@@ -673,34 +654,35 @@ class ResidualReport:
 
 
 def residual_base_single(
-    states: list,
+    levels: list,
     dt: float,
     manifold: ManifoldModel,
     grid: Grid,
 ) -> ResidualReport:
-    """Defect of computed states in the single governing equation.
+    """Defect of computed levels in the single governing equation.
 
     Uses three consecutive levels for every covariant time derivative, the
     composed covariant difference for all spatial derivatives, and the
-    reconstructed multiplier on the right-hand side.  States must carry their
-    tension fields.  Needs at least three levels.
+    reconstructed multiplier on the right-hand side.  ``levels`` are
+    ``Level`` objects as march yields them: states carrying their tension
+    fields plus the geometry samples of their curves.  Needs at least three
+    levels.
     """
-    if len(states) < 3:
+    if len(levels) < 3:
         raise ValueError("residual evaluation needs at least 3 consecutive levels")
     dx = grid.dx
     times, defects, coherences = [], [], []
-    for i in range(1, len(states) - 1):
-        sp, sc, sn = states[i - 1], states[i], states[i + 1]
-        samples_p = sample_geometry(manifold, sp.gamma)
-        samples_c = sample_geometry(manifold, sc.gamma)
-        samples_n = sample_geometry(manifold, sn.gamma)
+    for i in range(1, len(levels) - 1):
+        lp, lc, ln = levels[i - 1], levels[i], levels[i + 1]
+        sp, sc, sn = lp.state, lc.state, ln.state
+        samples_c = lc.samples
         if sc.theta is None:
             raise ValueError("states must carry tension fields (run march or solve theta)")
         # covariant velocity rate
         dteta = cov_dt(sp.eta, sn.eta, sc.eta, dt, samples_c)
         # covariant second time rate of the tangent
-        conn_p = apply_chris(samples_p.chris, sp.eta, sp.xi)
-        conn_n = apply_chris(samples_n.chris, sn.eta, sn.xi)
+        conn_p = apply_chris(lp.samples.chris, sp.eta, sp.xi)
+        conn_n = apply_chris(ln.samples.chris, sn.eta, sn.xi)
         conn_rate = (conn_n - conn_p) / (2.0 * dt)
         dtxi = (sn.xi - sp.xi) / (2.0 * dt) + apply_chris(samples_c.chris, sc.eta, sc.xi)
         dt2xi = (sn.xi - 2.0 * sc.xi + sp.xi) / (dt * dt) + conn_rate + apply_chris(

@@ -55,16 +55,8 @@ class BentnessReport:
 
 @dataclass(frozen=True)
 class FluxSolveResult:
-    u: np.ndarray
+    u: np.ndarray          # the solution; the tension theta for solve_theta
     flux: np.ndarray       # D u + f, reused by the velocity update
-    residual: float
-    bentness: Optional[BentnessReport]
-
-
-@dataclass(frozen=True)
-class ThetaSolveResult:
-    theta: np.ndarray
-    flux: np.ndarray       # D theta + psi
     residual: float
     bentness: Optional[BentnessReport]
 
@@ -209,14 +201,11 @@ def solve_theta(
     samples: GeometrySamples,
     grid: Grid,
     **kwargs,
-) -> ThetaSolveResult:
+) -> FluxSolveResult:
     """Tension field of a wire state: flux form with f = psi, h = phi.
 
     ``sources`` carries the curvature source terms of the state (see
-    dynamics.assemble_sources).  Returns the tension theta together with the
-    flux D theta + psi consumed by the velocity update.
+    dynamics.assemble_sources).  Returns the tension theta as ``u`` together
+    with the flux D theta + psi consumed by the velocity update.
     """
-    res = solve_flux_form(sources.psi, sources.phi, state.xi, samples, grid, **kwargs)
-    return ThetaSolveResult(
-        theta=res.u, flux=res.flux, residual=res.residual, bentness=res.bentness
-    )
+    return solve_flux_form(sources.psi, sources.phi, state.xi, samples, grid, **kwargs)

@@ -30,6 +30,7 @@ On the flat charts the coefficients are zero and so are both actions.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 
@@ -238,13 +239,76 @@ class SphereChartModel(_ConformalModel):
         return (-2.0 / s)[..., None, None] * np.eye(n) + (4.0 / s**2)[..., None, None] * outer
 
 
+#: the functions a conformal factor may call; with numbers, ``pi`` and the
+#: chart coordinates they are all its expression may name
+CONFORMAL_FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh", "atan")
+_CONFORMAL_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+def _check_conformal_syntax(expression: str, names: list) -> None:
+    """Raise ValueError unless ``expression`` is plain arithmetic in ``names``.
+
+    The expression is parsed, never run: numbers, the coordinates, ``pi``,
+    ``+ - * / **``, unary signs and one-argument calls of CONFORMAL_FUNCTIONS
+    are allowed, every other construct is rejected.  Only an expression that
+    passes is handed to sympy, whose parser evaluates its input as Python.
+    """
+    try:
+        tree = ast.parse(expression, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse the conformal factor {expression!r}") from exc
+    unknown = set()
+
+    def refuse(what: str):
+        raise ValueError(
+            f"conformal factor {expression!r} is not a scalar expression: {what} is not "
+            f"allowed (use numbers, {names}, pi, + - * / ** and {list(CONFORMAL_FUNCTIONS)})"
+        )
+
+    def visit(node):
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                refuse(f"the constant {node.value!r}")
+        elif isinstance(node, ast.Name):
+            if node.id not in names and node.id != "pi":
+                unknown.add(node.id)
+        elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            if not isinstance(node.op, _CONFORMAL_OPERATORS):
+                refuse(f"the operator {type(node.op).__name__}")
+            children = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.operand,)
+            for child in children:
+                visit(child)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if not (
+                isinstance(func, ast.Name)
+                and func.id in CONFORMAL_FUNCTIONS
+                and len(node.args) == 1
+                and not node.keywords
+            ):
+                refuse(f"the call {ast.unparse(node)!r}")
+            visit(node.args[0])
+        else:
+            refuse(f"{type(node).__name__} syntax")
+
+    visit(tree.body)
+    if unknown:
+        raise ValueError(
+            f"conformal factor uses unknown symbols {sorted(unknown)}; coordinates are {names}"
+        )
+
+
 class ConformalModel(_ConformalModel):
     """User-supplied conformal factor exp(2*lam) on R^n.
 
     ``expression`` is a closed-form expression for lam in the coordinates
-    ``x, y, z`` (dimensions <= 3) or ``x0, x1, ...``; it is differentiated
-    symbolically once, then evaluated numerically.  ``domain`` optionally
-    restricts the chart (a vectorised predicate on coordinate arrays).
+    ``x, y, z`` (dimensions <= 3) or ``x0, x1, ...``, built only from the
+    arithmetic that _check_conformal_syntax allows; it is differentiated
+    symbolically once, then evaluated numerically.  An expression that, or
+    whose first or second derivatives, is not finite and real everywhere
+    sympy can tell (``1/0``, ``sqrt(-1)``) is rejected.  ``domain``
+    optionally restricts the chart (a vectorised predicate on coordinate
+    arrays).
     """
 
     name = "conformal"
@@ -257,28 +321,25 @@ class ConformalModel(_ConformalModel):
             names = ["x", "y", "z"][:dim]
         else:
             names = [f"x{i}" for i in range(dim)]
+        _check_conformal_syntax(expression, names)
         syms = sympy.symbols(names)
         if dim == 1:
             syms = [syms]
-        try:
-            expr = sympy.sympify(expression, locals=dict(zip(names, syms)))
-        except sympy.SympifyError as exc:
-            raise ValueError(f"cannot parse the conformal factor {expression!r}") from exc
-        if not isinstance(expr, sympy.Expr):
-            raise ValueError(f"conformal factor {expression!r} is not a scalar expression")
-        extra = expr.free_symbols - set(syms)
-        if extra:
-            raise ValueError(
-                f"conformal factor uses unknown symbols {sorted(map(str, extra))}; "
-                f"coordinates are {names}"
-            )
+        expr = sympy.sympify(expression, locals=dict(zip(names, syms)))
+        grads = [expr.diff(s) for s in syms]
+        hessian = [[expr.diff(a, b) for b in syms] for a in syms]
+        for part in [expr, *grads, *(h for row in hessian for h in row)]:
+            for bad in (sympy.zoo, sympy.nan, sympy.oo, -sympy.oo, sympy.I):
+                if part.has(bad):
+                    raise ValueError(
+                        f"conformal factor {expression!r} is not finite and real: it or "
+                        f"one of its first two derivatives contains {bad}"
+                    )
         self.expression = str(expr)
         self._domain = domain
         self._lam_fn = sympy.lambdify(syms, expr, "numpy")
-        self._grad_fns = [sympy.lambdify(syms, expr.diff(s), "numpy") for s in syms]
-        self._hess_fns = [
-            [sympy.lambdify(syms, expr.diff(a, b), "numpy") for b in syms] for a in syms
-        ]
+        self._grad_fns = [sympy.lambdify(syms, g, "numpy") for g in grads]
+        self._hess_fns = [[sympy.lambdify(syms, h, "numpy") for h in row] for row in hessian]
 
     def contains(self, coords):
         base = super().contains(coords)

@@ -38,6 +38,9 @@ from .geometry import GeometrySamples, apply_chris
 DEFAULT_WINDOW_LEVELS = 16
 GRID_TIME_TOL = 1e-9
 UNIT_DATA_TOL = 1e-8
+#: sweeps and relative tolerance of the leapfrog's inner fixed-point iteration
+INNER_ITER = 8
+INNER_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -357,8 +360,6 @@ def leapfrog_step(
     samples_prev: Optional[GeometrySamples] = None,
     samples_next: Optional[GeometrySamples] = None,
     eta_rate: Optional[np.ndarray] = None,
-    inner_iter: int = 8,
-    inner_tol: float = 1e-14,
 ) -> np.ndarray:
     """One explicit three-level step of the covariant tangent wave equation.
 
@@ -410,7 +411,7 @@ def leapfrog_step(
     xi_next = xi_curr
     bwd_t = (xi_curr - xi_prev) / dt + conn_eta_xi
     bwd_t_sq = np.sum(bwd_t * bwd_t, axis=-1)
-    for _ in range(max(1, inner_iter)):
+    for _ in range(INNER_ITER):
         dtu = xi_t + conn_eta_xi
         fwd_t = (xi_next - xi_curr) / dt + conn_eta_xi
         coeff = du_sq - 0.5 * (np.sum(fwd_t * fwd_t, axis=-1) + bwd_t_sq)
@@ -424,7 +425,7 @@ def leapfrog_step(
             accel = accel - correction
         xi_next = 2.0 * xi_curr - xi_prev + dt * dt * accel
         new_t = (xi_next - xi_prev) / (2.0 * dt)
-        if m0(new_t - xi_t) <= inner_tol * (1.0 + m0(new_t)):
+        if m0(new_t - xi_t) <= INNER_TOL * (1.0 + m0(new_t)):
             xi_t = new_t
             break
         xi_t = new_t

@@ -124,17 +124,18 @@ def _prepared_state(n, name, params):
 
 def _march_summary(n, name, params):
     state, manifold, grid = _prepared_state(n, name, params)
-    box = {"drift": 0.0, "constraint": 0.0}
-
-    def track(level, solved, result):
-        total, _ = energy(solved, sample_geometry(manifold, solved.gamma), grid)
+    box = {"drift": 0.0, "constraint": 0.0, "displacement": 0.0}
+    for level in march(state, grid.dx, n, manifold, grid, RunParams()):
+        solved = level.state
+        total, _ = energy(solved, level.samples, grid)
         box.setdefault("e0", total)
         box["drift"] = max(box["drift"], abs(total - box["e0"]))
         box["constraint"] = max(box["constraint"], constraint_drift(solved.xi))
-
-    result = march(state, grid.dx, n, manifold, grid, RunParams(), on_level=track)
+        box["displacement"] = max(
+            box["displacement"], m0(manifold.displacement(state.gamma, solved.gamma))
+        )
     return {
-        "displacement": result.max_displacement,
+        "displacement": box["displacement"],
         "energy_drift": box["drift"],
         "relative_drift": box["drift"] / box["e0"],
         "constraint": box["constraint"],
@@ -405,8 +406,7 @@ def test_08_window_iteration_contraction(capsys):
         st, manifold, g = _prepared_state(n, "perturbed-circle", PERTURBATION)
         steps = n // 16
         iterate, _ = picard_coupled(st, manifold, g, n_levels=steps + 1)
-        states = []
-        march(st, g.dx, steps, manifold, g, RunParams(), on_level=lambda k, s, r: states.append(s))
+        states = [lv.state for lv in march(st, g.dx, steps, manifold, g, RunParams())]
         errs.append(max(np.max(np.abs(states[m].xi - iterate.xi[m])) for m in range(steps + 1)))
     orders = _orders(errs)
 
@@ -425,20 +425,23 @@ def test_08_window_iteration_contraction(capsys):
 
 def test_09_multiplier_and_residual(capsys):
     state, manifold, grid = _prepared_state(256, "circle", {})
-    rest = march(state, grid.dx, 2, manifold, grid, RunParams())
-    samples = sample_geometry(manifold, rest.states[0].gamma)
-    mu = reconstruct_mu(rest.states[0], samples, grid)
+    rest = list(march(state, grid.dx, 2, manifold, grid, RunParams()))
+    samples = sample_geometry(manifold, rest[0].state.gamma)
+    mu = reconstruct_mu(rest[0].state, samples, grid)
     mu_err = float(np.max(np.abs(mu - 4.0 * math.pi**2)))
 
     sups = []
     for n in RESOLUTIONS:
         st, manifold, g = _prepared_state(n, "perturbed-circle", PERTURBATION)
-        marched = march(st, g.dx, n // 8, manifold, g, RunParams())
-        report = residual_base_single(marched.states, g.dx, manifold, g)
+        marched = list(march(st, g.dx, n // 8, manifold, g, RunParams()))
+        report = residual_base_single(marched, g.dx, manifold, g)
         sups.append(float(np.max(report.residual)))
     orders = _orders(sups)
 
-    scaled = [dataclasses.replace(s, xi=1.05 * s.xi) for s in rest.states]
+    scaled = [
+        dataclasses.replace(lv, state=dataclasses.replace(lv.state, xi=1.05 * lv.state.xi))
+        for lv in rest
+    ]
     control = float(np.max(residual_base_single(scaled, grid.dx, manifold, grid).residual))
 
     ok = (

@@ -1,6 +1,9 @@
 """Tests for the command line driver: exit codes, output files, determinism."""
 
+import gc
 import json
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -355,3 +358,103 @@ def test_json_outputs_are_canonical_indented_json(tmp_path, mode):
     for file in files:
         text = file.read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_check_never_runs_the_conformal_expression(tmp_path, capsys):
+    # the expression is parsed against a whitelist, never evaluated as Python
+    marker = tmp_path / "created"
+    # at the parent this ran the call and simplified to plain x
+    expression = f"x + 0*len(__import__('pathlib').Path({str(marker)!r}).touch().__repr__())"
+    data = {"manifold": {"name": "conformal", "expression": expression}}
+    path = config_file(tmp_path, data)
+    assert main(["check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: manifold.expression:")
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("expression", ["1/0", "I*x"])
+def test_check_rejects_conformal_factors_it_cannot_evaluate(tmp_path, capsys, expression):
+    data = {"manifold": {"name": "conformal", "expression": expression}}
+    path = config_file(tmp_path, data)
+    assert main(["check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: manifold.expression:")
+
+
+@pytest.mark.parametrize(
+    "manifold, initial, steps, per_step",
+    [
+        ({"name": "euclidean"}, {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01}, 16, 1),
+        ({"name": "sphere"}, {"name": "sphere-loop"}, 16, 3),
+        ({"name": "hyperbolic"}, {"name": "hyperbolic-circle"}, 8, 3),
+    ],
+    ids=["euclidean", "sphere", "hyperbolic"],
+)
+def test_march_samples_each_curve_position_once(
+    tmp_path, monkeypatch, manifold, initial, steps, per_step
+):
+    # one geometry evaluation per level on flat charts; curved charts add the
+    # predicted and half-step positions.  The extra two are prepare_initial
+    # and the final level.
+    import elwire.cli
+    import elwire.dynamics
+    from elwire.geometry import sample_geometry
+
+    calls = []
+
+    def counting(model, points):
+        calls.append(1)
+        return sample_geometry(model, points)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("elwire") and hasattr(module, "sample_geometry"):
+            monkeypatch.setattr(module, "sample_geometry", counting)
+
+    # the output loop holds at most three levels between two steps
+    refs, alive = [], []
+    real_march = elwire.dynamics.march
+
+    def watched_march(*args, **kwargs):
+        for level in real_march(*args, **kwargs):
+            refs.append(weakref.ref(level))
+            yield level
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+
+    monkeypatch.setattr(elwire.cli, "march", watched_march)
+    data = {
+        "manifold": manifold,
+        "grid": {"n": 32},
+        "time": {"horizon": steps / 32},
+        "initial": initial,
+    }
+    path = config_file(tmp_path, data)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    if per_step == 1:
+        assert len(calls) == steps + 2
+    else:
+        assert len(calls) <= per_step * steps + 2
+    assert len(refs) == steps + 1
+    assert max(alive) <= 3
+
+
+def test_picard_honours_diagnostics_and_snapshot_cadence(tmp_path):
+    data = dict(
+        REST_CONFIG,
+        grid={"n": 32},
+        mode="picard",
+        picard={"window": 5},
+        diagnostics={"every": 2},
+        output={"snapshot_every": 4},
+    )
+    path = config_file(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    _header, rows = read_csv(out / "diagnostics.csv")
+    # every second level, plus the last one
+    assert [float(row[0]) for row in rows] == [m / 32 for m in (0, 2, 4, 5)]
+    transport_col = CSV_COLUMNS.index("transport_residual")
+    assert [row[transport_col] == "" for row in rows] == [True, False, False, False]
+    snapshots = sorted(p.name for p in out.glob("snapshot_*.json"))
+    assert snapshots == ["snapshot_000000.json", "snapshot_000004.json", "snapshot_000005.json"]
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["summary"]["levels_recorded"] == 4

@@ -39,12 +39,13 @@ def test_every_problem_is_collected_with_its_path():
             "time": {"horizon": -1.0, "dt": 0.5},
             "mode": "dance",
             "tolerances": {"solver": -1e-8},
-            "seed": "zero",
+            "renormalize": "yes",
         }
     )
     problems = problems_of(text)
     paths = {p.split(":")[0] for p in problems}
-    assert {"grid.n", "time.horizon", "time.dt", "mode", "tolerances.solver", "seed"} <= paths
+    expected = {"grid.n", "time.horizon", "time.dt", "mode", "tolerances.solver", "renormalize"}
+    assert expected <= paths
 
 
 def test_unknown_fields_are_rejected():
@@ -140,9 +141,9 @@ def test_velocity_rules():
 
 
 def test_booleans_are_not_accepted_as_integers():
-    problems = problems_of(json.dumps({"grid": {"n": True}, "seed": False}))
+    problems = problems_of(json.dumps({"grid": {"n": True}, "diagnostics": {"every": False}}))
     paths = {p.split(":")[0] for p in problems}
-    assert {"grid.n", "seed"} <= paths
+    assert {"grid.n", "diagnostics.every"} <= paths
 
 
 def test_picard_window_counts_steps():
@@ -168,7 +169,6 @@ def test_output_and_diagnostics_sections():
                 "output": {"directory": "runs/a", "snapshot_every": 4},
                 "diagnostics": {"every": 2, "bentness_every": 5},
                 "renormalize": True,
-                "seed": 3,
             }
         )
     )
@@ -177,9 +177,10 @@ def test_output_and_diagnostics_sections():
     assert cfg.diag_every == 2
     assert cfg.bentness_every == 5
     assert cfg.renormalize
-    assert cfg.seed == 3
     problems = problems_of(json.dumps({"output": {"snapshot_every": -1}}))
     assert any(p.startswith("output.snapshot_every") for p in problems)
+    # no generator is random, so there is no seed to set
+    assert problems_of(json.dumps({"seed": 3})) == ["seed: unknown field"]
 
 
 def test_config_round_trips_to_dict():
@@ -256,6 +257,13 @@ def test_conformal_expression_must_parse_with_chart_coordinates():
         ("x + q", "unknown symbols"),
         ("x**", "cannot parse"),
         ("[x, y]", "not a scalar expression"),
+        ("I*x", "unknown symbols"),
+        ("x^2", "not a scalar expression"),
+        ("exp(x, y)", "not a scalar expression"),
+        ("x.conjugate()", "not a scalar expression"),
+        ("1/0", "not finite and real"),
+        ("log(0) + x", "not finite and real"),
+        ("sqrt(-1)*x", "not finite and real"),
     ):
         manifold = {"name": "conformal", "expression": expression}
         problems = problems_of(json.dumps({"manifold": manifold}))

@@ -21,9 +21,8 @@ from elwire.diagnostics import (
     make_record,
     transport_check,
 )
-from elwire.dynamics import make_state, march, prepare_initial
-from elwire.elliptic import solve_theta
-from elwire.dynamics import assemble_sources
+from elwire.dynamics import Level, assemble_sources, make_state, march, prepare_initial
+from elwire.elliptic import BentnessReport, bentness, solve_theta
 from elwire.fields import Grid, m0
 from elwire.geometry import make_manifold, sample_geometry
 
@@ -42,19 +41,24 @@ def rest_state(n: int, with_theta: bool = True):
     samples = sample_geometry(manifold, state.gamma)
     if with_theta:
         solved = solve_theta(state, assemble_sources(state, samples, grid), samples, grid)
-        state = state.with_theta(solved.theta)
+        state = state.with_theta(solved.u)
     return state, manifold, grid, samples
 
 
-def marched_states(n: int, levels: int = 3):
+def rest_level(n: int, with_theta: bool = True):
+    state, manifold, grid, samples = rest_state(n, with_theta)
+    return Level(state, samples, bentness(state.xi, samples, grid)), manifold, grid
+
+
+def marched_levels(n: int, levels: int = 3):
     manifold = make_manifold("euclidean")
     grid = Grid(n)
     curve, velocity = initial.generate(
         "perturbed-circle", manifold, grid, {"mode": 2, "amplitude": 0.01}
     )
     data, _ = prepare_initial(curve, velocity, manifold, grid)
-    result = march(make_state(data), grid.dx, levels - 1, manifold, grid)
-    return result.states[:levels], manifold, grid
+    marched = list(march(make_state(data), grid.dx, levels - 1, manifold, grid))
+    return marched[:levels], manifold, grid
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +87,11 @@ def test_gamma_xi_drift_closed_form_and_convergence():
 
 
 def test_make_record_fills_every_column():
-    state, manifold, grid, _ = rest_state(64)
+    level, manifold, grid = rest_level(64)
     omega_sq = (math.sin(TWO_PI * grid.dx) / grid.dx) ** 2
-    record = make_record(state, manifold, grid, bentness_value=0.5, transport_residual=1e-9)
+    gate = BentnessReport(b_value=0.5, phi=level.state.xi, residual=0.0)
+    gated = Level(level.state, level.samples, gate)
+    record = make_record(gated, manifold, grid, transport_residual=1e-9)
     assert isinstance(record, DiagnosticsRecord)
     assert record.time == 0.0
     assert record.energy == pytest.approx(omega_sq)
@@ -95,7 +101,7 @@ def test_make_record_fills_every_column():
     assert record.mu_max == pytest.approx(omega_sq)
     assert record.transport_residual == 1e-9
 
-    plain = make_record(state.with_theta(None), manifold, grid)
+    plain = make_record(Level(level.state.with_theta(None), level.samples, None), manifold, grid)
     assert math.isnan(plain.bentness)
     assert math.isnan(plain.mu_min)
     assert plain.transport_residual is None
@@ -106,38 +112,39 @@ def test_make_record_fills_every_column():
 
 
 def test_transport_identity_holds_on_rest_window():
-    state, manifold, grid, _ = rest_state(64)
-    residual = transport_check([state, state, state], grid.dx, manifold, grid)
+    level, _, grid = rest_level(64)
+    residual = transport_check([level, level, level], grid.dx, grid)
     # roundoff in the pointwise squared norms is amplified by 1 / (2 dt)
     assert residual < 1e-9
 
 
 def test_transport_check_validates_inputs():
-    state, manifold, grid, _ = rest_state(32)
+    level, _, grid = rest_level(32)
     with pytest.raises(ValueError, match="dt == dx"):
-        transport_check([state, state, state], 0.5 * grid.dx, manifold, grid)
+        transport_check([level, level, level], 0.5 * grid.dx, grid)
     with pytest.raises(ValueError, match="3 levels"):
-        transport_check([state, state], grid.dx, manifold, grid)
-    naked = state.with_theta(None)
+        transport_check([level, level], grid.dx, grid)
+    naked = Level(level.state.with_theta(None), level.samples, level.bentness)
     with pytest.raises(ValueError, match="tension"):
-        transport_check([naked, naked, naked], grid.dx, manifold, grid)
+        transport_check([naked, naked, naked], grid.dx, grid)
 
 
 def test_transport_residual_refines_at_second_order():
     residuals = []
     for n in (32, 64, 128):
-        states, manifold, grid = marched_states(n)
-        residuals.append(transport_check(states, grid.dx, manifold, grid))
+        levels, _, grid = marched_levels(n)
+        residuals.append(transport_check(levels, grid.dx, grid))
     orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     assert min(orders) > ORDER_MIN
 
 
 def test_transport_detects_corrupted_tension():
-    states, manifold, grid = marched_states(64)
-    healthy = transport_check(states, grid.dx, manifold, grid)
+    levels, _, grid = marched_levels(64)
+    healthy = transport_check(levels, grid.dx, grid)
     corrupted = []
-    for s in states:
+    for lv in levels:
+        s = lv.state
         perp_field = np.column_stack([-s.xi[:, 1], s.xi[:, 0]])
-        corrupted.append(s.with_theta(s.theta + perp_field))
-    broken = transport_check(corrupted, grid.dx, manifold, grid)
+        corrupted.append(Level(s.with_theta(s.theta + perp_field), lv.samples, lv.bentness))
+    broken = transport_check(corrupted, grid.dx, grid)
     assert broken > 10.0 * healthy

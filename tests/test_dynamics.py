@@ -15,7 +15,7 @@ import pytest
 from elwire import initial
 from elwire.diagnostics import energy
 from elwire.dynamics import (
-    MarchResult,
+    Level,
     RunParams,
     assemble_sources,
     cov_dt_state,
@@ -144,9 +144,9 @@ def test_rest_circle_tension_and_multiplier_closed_forms():
     assert m0(sources.phi + omega_sq * state.xi) < 1e-10
 
     solved = solve_theta(state, sources, samples, grid)
-    assert m0(solved.theta + state.xi) < CLOSED_FORM_TOL
+    assert m0(solved.u + state.xi) < CLOSED_FORM_TOL
 
-    mu = reconstruct_mu(state.with_theta(solved.theta), samples, grid)
+    mu = reconstruct_mu(state.with_theta(solved.u), samples, grid)
     assert np.max(np.abs(mu - omega_sq)) < CLOSED_FORM_TOL
     with pytest.raises(ValueError, match="tension"):
         reconstruct_mu(state, samples, grid)
@@ -166,44 +166,64 @@ def test_rest_circle_is_a_discrete_equilibrium():
 
 def test_march_keeps_rest_circle_and_counts_levels():
     state, manifold, grid, _ = flat_state(64)
-    seen = []
-    result = march(
-        state,
-        grid.dx,
-        12,
-        manifold,
-        grid,
-        bentness_every=4,
-        on_level=lambda level, s, r: seen.append((level, s, r)),
-    )
-    assert isinstance(result, MarchResult)
-    assert len(result.states) == 13
-    assert result.displacements.shape == (13,)
-    assert result.max_displacement < 1e-10
-    assert [entry[0] for entry in seen] == list(range(13))
-    assert seen[-1][2] is None
-    assert all(entry[1].theta is not None for entry in seen)
-    # fresh bentness gates at the configured cadence, carried reports between
-    gate_ids = [id(entry[2].bentness) for entry in seen[:-1]]
+    levels = list(march(state, grid.dx, 12, manifold, grid, bentness_every=4))
+    assert all(isinstance(level, Level) for level in levels)
+    assert len(levels) == 13
+    displacements = [m0(lv.state.gamma - state.gamma) for lv in levels]
+    assert max(displacements) < 1e-10
+    assert [lv.state.time for lv in levels] == [k * grid.dx for k in range(13)]
+    assert all(lv.state.theta is not None for lv in levels)
+    # fresh bentness gates at the configured cadence, carried reports between;
+    # the final level carries the last report
+    gate_ids = [id(lv.bentness) for lv in levels]
     assert len(set(gate_ids[0:4])) == 1
     assert len(set(gate_ids[4:8])) == 1
-    assert len(set(gate_ids[8:12])) == 1
+    assert len(set(gate_ids[8:13])) == 1
     assert gate_ids[0] != gate_ids[4] != gate_ids[8]
+
+
+@pytest.mark.parametrize(
+    "chart, dim, init, params",
+    [
+        ("euclidean", 2, "perturbed-circle", {"mode": 2, "amplitude": 0.01}),
+        ("flat-torus", 2, "circle", {}),
+        (
+            "hyperbolic",
+            2,
+            "hyperbolic-circle",
+            {"velocity": {"name": "translate", "vector": [0.1, 0.0]}},
+        ),
+        ("sphere", 3, "sphere-loop", {}),
+        ("conformal", 2, "circle", {}),
+    ],
+)
+def test_march_levels_carry_the_geometry_of_their_curve(chart, dim, init, params):
+    extra = {"expression": "0.3*x**2 - 0.2*x*y + 0.1*sin(y)"} if chart == "conformal" else {}
+    manifold = make_manifold(chart, dim, **extra)
+    grid = Grid(32)
+    curve, velocity = initial.generate(init, manifold, grid, params)
+    data, _ = prepare_initial(curve, velocity, manifold, grid)
+    levels = list(march(make_state(data), grid.dx, 4, manifold, grid, bentness_every=2))
+    assert len(levels) == 5
+    for level in levels:
+        fresh = sample_geometry(manifold, level.state.gamma)
+        for field in ("frame", "frame_inv", "chris", "curv"):
+            assert np.array_equal(getattr(level.samples, field), getattr(fresh, field))
 
 
 def test_march_conserves_energy_on_perturbed_circle():
     state, manifold, grid, _ = flat_state(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
-    result = march(state, grid.dx, 16, manifold, grid)
-    samples0 = sample_geometry(manifold, result.states[0].gamma)
-    e0, _ = energy(result.states[0], samples0, grid)
+    states = [lv.state for lv in march(state, grid.dx, 16, manifold, grid)]
+    samples0 = sample_geometry(manifold, states[0].gamma)
+    e0, _ = energy(states[0], samples0, grid)
     worst = 0.0
-    for s in result.states:
+    for s in states:
         total, _ = energy(s, sample_geometry(manifold, s.gamma), grid)
         worst = max(worst, abs(total - e0))
     assert worst / e0 < 1e-3
-    assert constraint_drift(result.states[-1].xi) < 1e-4
+    assert constraint_drift(states[-1].xi) < 1e-4
 
 
 def test_renormalize_pins_the_unit_constraint():
@@ -211,9 +231,29 @@ def test_renormalize_pins_the_unit_constraint():
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
     params = RunParams(renormalize=True)
-    result = march(state, grid.dx, 16, manifold, grid, params)
-    for s in result.states[1:]:
-        assert constraint_drift(s.xi) < 1e-13
+    levels = list(march(state, grid.dx, 16, manifold, grid, params))
+    for lv in levels[1:]:
+        assert constraint_drift(lv.state.xi) < 1e-13
+
+
+def test_step_reads_the_previous_levels_samples():
+    # the connection-rate difference takes the samples the previous level
+    # carries; step never samples that curve again, so samples taken at a
+    # shifted position must change the result (on the sphere the frame
+    # connection varies along the chart; on the half-plane it is constant)
+    manifold = make_manifold("sphere")
+    grid = Grid(32)
+    curve, velocity = initial.generate(
+        "sphere-loop", manifold, grid, {"velocity": {"name": "translate", "vector": [0.2, 0.0]}}
+    )
+    data, _ = prepare_initial(curve, velocity, manifold, grid)
+    first, second = list(march(make_state(data), grid.dx, 1, manifold, grid))
+    state = second.state.with_theta(None)
+    shifted = sample_geometry(manifold, first.state.gamma + np.array([0.05, 0.0]))
+    carried = step(state, grid.dx, manifold, grid, prev=first)
+    moved_prev = Level(first.state, shifted, first.bentness)
+    moved = step(state, grid.dx, manifold, grid, prev=moved_prev)
+    assert m0(carried.state.xi - moved.state.xi) > 1e-9
 
 
 def test_step_rejects_drifted_tangent():
@@ -247,11 +287,15 @@ def test_picard_coupled_matches_march_on_a_short_window():
     iterate, report = picard_coupled(state, manifold, grid, n_levels=steps)
     assert iterate.gamma.shape == (steps + 1, 64, 2)
     assert report.ratios and report.ratios[0] < 1.0
-    marched = march(state, grid.dx, steps, manifold, grid)
+    marched = [lv.state for lv in march(state, grid.dx, steps, manifold, grid)]
     for m in range(steps + 1):
-        assert m0(iterate.xi[m] - marched.states[m].xi) < 1e-3
-        assert m0(iterate.gamma[m] - marched.states[m].gamma) < 1e-3
-    assert m0(iterate.theta[0] - marched.states[0].theta) < 1e-3
+        assert m0(iterate.xi[m] - marched[m].xi) < 1e-3
+        assert m0(iterate.gamma[m] - marched[m].gamma) < 1e-3
+    assert m0(iterate.theta[0] - marched[0].theta) < 1e-3
+    # the iterate carries the samples of its own curve
+    assert len(iterate.samples) == steps + 1
+    for m, samples in enumerate(iterate.samples):
+        assert np.array_equal(samples.chris, sample_geometry(manifold, iterate.gamma[m]).chris)
 
 
 def test_picard_coupled_window_validation():
@@ -268,14 +312,14 @@ def test_residual_report_on_marched_states():
     state, manifold, grid, _ = flat_state(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
-    result = march(state, grid.dx, 8, manifold, grid)
-    report = residual_base_single(result.states, grid.dx, manifold, grid)
+    levels = list(march(state, grid.dx, 8, manifold, grid))
+    report = residual_base_single(levels, grid.dx, manifold, grid)
     assert report.times.shape == (7,)
     assert report.residual.shape == (7,)
     assert np.all(np.isfinite(report.residual))
     assert np.all(report.coherence >= 0.0)
     with pytest.raises(ValueError, match="3"):
-        residual_base_single(result.states[:2], grid.dx, manifold, grid)
-    stripped = [s.with_theta(None) for s in result.states]
+        residual_base_single(levels[:2], grid.dx, manifold, grid)
+    stripped = [Level(lv.state.with_theta(None), lv.samples, lv.bentness) for lv in levels]
     with pytest.raises(ValueError, match="tension"):
         residual_base_single(stripped, grid.dx, manifold, grid)
