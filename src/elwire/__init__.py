@@ -66,7 +66,7 @@ from .geometry import (
     make_manifold,
     sample_geometry,
 )
-from .wave import leapfrog_step, picard_wave_solve, wave_integral, wave_series
+from .wave import leapfrog_step, picard_wave_solve, wave_series
 
 __all__ = [
     "__version__",
@@ -124,6 +124,5 @@ __all__ = [
     "solve_theta",
     "step",
     "transport_check",
-    "wave_integral",
     "wave_series",
 ]

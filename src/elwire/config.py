@@ -10,7 +10,8 @@ unless noted; defaults in parentheses):
     initial      {"name": "circle", ..., "velocity": {"name": "none", ...}}
     tolerances   {"solver": 1e-8, "constraint": 1e-2, "bentness_floor": 1e-3}
     picard       {"window": 16, "max_iter": 30, "tol": 1e-10}
-                 window counts steps: the solve covers [0, window * dt]
+                 window counts steps: the solve covers [0, window * dt],
+                 which may be longer than one period of the grid
     output       {"directory": null, "snapshot_every": 0}
     diagnostics  {"every": 1, "bentness_every": 10}
     renormalize  false
@@ -22,8 +23,9 @@ path, e.g. ``grid.n: must be an integer >= 8``.  It covers everything a run
 builds from the document: numbers must be finite, generator vectors (centre,
 origin, direction, velocity vector and centre) must have ``manifold.dim``
 entries, and a conformal expression must be plain arithmetic in the chart
-coordinates (checked without running it, see geometry.ConformalModel) whose
-value and first two derivatives sympy cannot show to be infinite or complex.
+coordinates with bounded powers (checked without running it, see
+geometry.ConformalModel) whose value and first two derivatives sympy cannot
+show to be infinite or complex.
 """
 
 from __future__ import annotations

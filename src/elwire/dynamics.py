@@ -34,7 +34,7 @@ import numpy as np
 
 from . import elliptic
 from .elliptic import BentnessReport
-from .errors import ConstraintDriftError, DegenerateCurveError, NonContractionError
+from .errors import ConstraintDriftError, DegenerateCurveError
 from .fields import (
     CurveState,
     Grid,
@@ -52,7 +52,7 @@ from .fields import (
     time_diff_series,
 )
 from .geometry import GeometrySamples, ManifoldModel, apply_chris, apply_curv, sample_geometry
-from .wave import ContractionReport, leapfrog_step, picard_wave_solve
+from .wave import ContractionReport, _contract, leapfrog_step, picard_wave_solve
 
 #: tangent samples shorter than this fraction of the mean abort preparation
 MIN_TANGENT_NORM = 1e-6
@@ -571,17 +571,14 @@ def picard_coupled(
     if levels < 3:
         raise ValueError("picard window needs at least 2 steps (3 levels)")
     shape = (levels,) + state.gamma.shape
-    current = WindowIterate(
+    start = WindowIterate(
         gamma=np.broadcast_to(state.gamma, shape).copy(),
         xi=np.broadcast_to(state.xi, shape).copy(),
         eta=np.broadcast_to(state.eta, shape).copy(),
         theta=np.zeros(shape),
     )
-    distances: list[float] = []
-    ratios: list[float] = []
-    converged = False
-    rising = 0
-    for _ in range(max_iter):
+
+    def sweep(current: WindowIterate) -> WindowIterate:
         theta_s, flux_s, samples_list = _theta_series(
             current.gamma, current.xi, current.eta, manifold, grid, params
         )
@@ -613,31 +610,18 @@ def picard_coupled(
             [cov_dx(xi_new[m], xi_new[m], samples_new[m], grid.dx) for m in range(levels)]
         )
         eta_new = _integrate_eta(state.eta, flux_new, dxi_new, chris_new, dt)
-        new = WindowIterate(
+        return WindowIterate(
             gamma=gamma_new, xi=xi_new, eta=eta_new, theta=theta_new, samples=samples_new
         )
-        dist = window_distance(new, current, grid.dx)
-        if distances:
-            ratio = dist / distances[-1] if distances[-1] > 0 else 0.0
-            ratios.append(ratio)
-            rising = rising + 1 if ratio >= 1.0 else 0
-            if rising >= 3:
-                raise NonContractionError(
-                    "coupled picard iteration stopped contracting: last ratios "
-                    f"{[f'{r:.3f}' for r in ratios[-3:]]}"
-                )
-        distances.append(dist)
-        current = new
-        if dist <= tol:
-            converged = True
-            break
-    report = ContractionReport(
-        distances=tuple(distances),
-        ratios=tuple(ratios),
-        converged=converged,
-        iterations=len(distances),
+
+    return _contract(
+        sweep,
+        start,
+        lambda new, current: window_distance(new, current, grid.dx),
+        max_iter=max_iter,
+        tol=tol,
+        label="coupled picard iteration",
     )
-    return current, report
 
 
 # ---------------------------------------------------------------------------

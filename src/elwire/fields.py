@@ -77,16 +77,6 @@ class CurveState:
         return replace(self, theta=theta)
 
 
-def as_field(values, grid: Grid, dim: int | None = None) -> np.ndarray:
-    """Validate and return an (N, n) float field array."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[0] != grid.n_points:
-        raise ValueError(f"expected a field of shape ({grid.n_points}, n), got {v.shape}")
-    if dim is not None and v.shape[1] != dim:
-        raise ValueError(f"expected {dim} components, got {v.shape[1]}")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # derivatives
 

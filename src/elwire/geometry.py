@@ -243,6 +243,21 @@ class SphereChartModel(_ConformalModel):
 #: chart coordinates they are all its expression may name
 CONFORMAL_FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh", "atan")
 _CONFORMAL_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+#: largest exponent of a power, counting nested powers as the product of
+#: their exponents; sympy multiplies out constant powers exactly, so this
+#: bounds the size of every number it can build to 64 times the input length
+CONFORMAL_MAX_POWER = 64
+
+
+def _signed_number(node) -> float | None:
+    """The value of an int/float literal with optional signs, else None."""
+    sign = 1
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        sign = -sign if isinstance(node.op, ast.USub) else sign
+        node = node.operand
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return sign * node.value
+    return None
 
 
 def _check_conformal_syntax(expression: str, names: list) -> None:
@@ -250,8 +265,11 @@ def _check_conformal_syntax(expression: str, names: list) -> None:
 
     The expression is parsed, never run: numbers, the coordinates, ``pi``,
     ``+ - * / **``, unary signs and one-argument calls of CONFORMAL_FUNCTIONS
-    are allowed, every other construct is rejected.  Only an expression that
-    passes is handed to sympy, whose parser evaluates its input as Python.
+    are allowed, every other construct is rejected.  A power needs a number
+    exponent, whose size times those of the powers around it is at most
+    CONFORMAL_MAX_POWER, and a base that names a coordinate or is a number
+    or ``pi``.  Only an expression that passes is handed to sympy, whose
+    parser evaluates its input as Python and its constant arithmetic exactly.
     """
     try:
         tree = ast.parse(expression, mode="eval")
@@ -265,8 +283,21 @@ def _check_conformal_syntax(expression: str, names: list) -> None:
             f"allowed (use numbers, {names}, pi, + - * / ** and {list(CONFORMAL_FUNCTIONS)})"
         )
 
-    def visit(node):
-        if isinstance(node, ast.Constant):
+    def visit(node, scale=1.0):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent, base = _signed_number(node.right), node.left
+            scale *= math.inf if exponent is None else max(1.0, abs(exponent))
+            named = {n.id for n in ast.walk(base) if isinstance(n, ast.Name)}
+            constant = _signed_number(base) is not None or ast.unparse(base) == "pi"
+            if not scale <= CONFORMAL_MAX_POWER or not (constant or named & set(names)):
+                raise ValueError(
+                    f"conformal factor {expression!r} has the power {ast.unparse(node)!r}: a "
+                    f"power needs a number exponent, at most {CONFORMAL_MAX_POWER} in size "
+                    "times the exponents around it, and a base that names a coordinate or "
+                    "is a number or pi"
+                )
+            visit(base, scale)
+        elif isinstance(node, ast.Constant):
             if type(node.value) not in (int, float):
                 refuse(f"the constant {node.value!r}")
         elif isinstance(node, ast.Name):
@@ -277,7 +308,7 @@ def _check_conformal_syntax(expression: str, names: list) -> None:
                 refuse(f"the operator {type(node.op).__name__}")
             children = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.operand,)
             for child in children:
-                visit(child)
+                visit(child, scale)
         elif isinstance(node, ast.Call):
             func = node.func
             if not (
@@ -287,7 +318,7 @@ def _check_conformal_syntax(expression: str, names: list) -> None:
                 and not node.keywords
             ):
                 refuse(f"the call {ast.unparse(node)!r}")
-            visit(node.args[0])
+            visit(node.args[0], scale)
         else:
             refuse(f"{type(node).__name__} syntax")
 
@@ -306,7 +337,8 @@ class ConformalModel(_ConformalModel):
     arithmetic that _check_conformal_syntax allows; it is differentiated
     symbolically once, then evaluated numerically.  An expression that, or
     whose first or second derivatives, is not finite and real everywhere
-    sympy can tell (``1/0``, ``sqrt(-1)``) is rejected.  ``domain``
+    sympy can tell (``1/0``, ``sqrt(-1)``) is rejected; where sympy cannot
+    tell, sample_geometry reports the first non-finite sample.  ``domain``
     optionally restricts the chart (a vectorised predicate on coordinate
     arrays).
     """
@@ -407,7 +439,7 @@ def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples
     """Evaluate frame, connection and curvature at every curve sample.
 
     Raises ChartDomainError naming the first offending grid index if any point
-    left the chart.
+    left the chart or any sample there is not finite.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.dim:
@@ -419,13 +451,18 @@ def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples
             f"curve left the chart of model {model.name!r} at grid index {k}, "
             f"coordinates {pts[k]}"
         )
-    h = model.frame(pts)
-    return GeometrySamples(
-        frame=h,
-        frame_inv=np.linalg.inv(h),
-        chris=model.christoffel(pts),
-        curv=model.curvature(pts),
-    )
+    # a factor that is complex or infinite somewhere gives NaN or inf there,
+    # reported as a chart error instead of as numpy warnings
+    with np.errstate(all="ignore"):
+        h, chris, curv = model.frame(pts), model.christoffel(pts), model.curvature(pts)
+    finite = np.isfinite(np.hstack([c.reshape(len(pts), -1) for c in (h, chris, curv)])).all(1)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        raise ChartDomainError(
+            f"frame, connection or curvature of model {model.name!r} is not finite at "
+            f"grid index {k}, coordinates {pts[k]}"
+        )
+    return GeometrySamples(frame=h, frame_inv=np.linalg.inv(h), chris=chris, curv=curv)
 
 
 def apply_chris(chris: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ form is
 with all connection and tension contributions collected in the local sources f
 and h (assemble_wave_sources).  Two routes are implemented and cross-checked:
 
-* an integral characteristic representation (wave_integral) built from the
-  classical averaging kernel, evaluated on the grid with the time step locked
-  to dx so characteristics pass exactly through grid points, plus a Picard
-  iteration (picard_wave_solve) that feeds the solution back into the sources
-  over a short time window;
+* the characteristic (d'Alembert) representation on the grid with the time
+  step locked to dx, so characteristics pass exactly through grid points.
+  Its trapezoid quadrature over the dependence triangle obeys an exact
+  three-level recurrence, which wave_series evaluates in O(N) per level
+  (the plain quadrature is kept as a test oracle in tests/wave_oracle.py).
+  A Picard iteration (picard_wave_solve) feeds the solution back into the
+  sources over a short time window;
 * an explicit three-level covariant leapfrog (leapfrog_step) used by the
   marching integrator.
 
@@ -26,7 +28,7 @@ solution, and the tests enforce it behaviourally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .geometry import GeometrySamples, apply_chris
 
 #: default number of time levels in a Picard window (t = n_levels * dx)
 DEFAULT_WINDOW_LEVELS = 16
-GRID_TIME_TOL = 1e-9
 UNIT_DATA_TOL = 1e-8
 #: sweeps and relative tolerance of the leapfrog's inner fixed-point iteration
 INNER_ITER = 8
@@ -47,12 +48,9 @@ INNER_TOL = 1e-14
 class WaveData:
     """Initial data and source series for the integral solver.
 
-    ``a`` is the initial field (unit rows), ``b`` its plain initial time
-    derivative (orthogonal to ``a`` row by row); ``f`` and ``h`` are source
-    series of shape (M+1, N, n) on the window grid with dt = dx, or None for
-    a source-free problem.  ``unit_data=False`` skips the unit/orthogonality
-    admissibility check for synthetic forcing studies where the data is not a
-    tangent field.
+    ``a`` is the initial field, ``b`` its plain initial time derivative;
+    ``f`` and ``h`` are source series of shape (M+1, N, n) on the window grid
+    with dt = dx, or None for a source-free problem.
     """
 
     a: np.ndarray
@@ -60,7 +58,6 @@ class WaveData:
     f: Optional[np.ndarray]
     h: Optional[np.ndarray]
     grid: Grid
-    unit_data: bool = True
 
     def __post_init__(self):
         npts = self.grid.n_points
@@ -68,14 +65,6 @@ class WaveData:
             raise ValueError(
                 f"initial fields must share shape ({npts}, n); got {self.a.shape} and {self.b.shape}"
             )
-        if self.unit_data:
-            unit = np.max(np.abs(np.sum(self.a * self.a, axis=-1) - 1.0))
-            ortho = np.max(np.abs(np.sum(self.a * self.b, axis=-1)))
-            if unit > UNIT_DATA_TOL or ortho > UNIT_DATA_TOL:
-                raise ValueError(
-                    f"wave data not admissible: max | ||a||^2 - 1 | = {unit:.3e}, "
-                    f"max |<a, b>| = {ortho:.3e}"
-                )
         for name, series in (("f", self.f), ("h", self.h)):
             if series is not None and (
                 series.ndim != 3 or series.shape[1:] != self.a.shape
@@ -89,6 +78,11 @@ class WaveData:
         """Highest level index covered by the source series (None if source-free)."""
         lengths = [s.shape[0] - 1 for s in (self.f, self.h) if s is not None]
         return min(lengths) if lengths else None
+
+    def _check_levels(self, n_levels: int) -> None:
+        limit = self.n_levels
+        if limit is not None and n_levels > limit:
+            raise ValueError(f"source series cover levels 0..{limit}, requested {n_levels}")
 
 
 @dataclass(frozen=True)
@@ -109,80 +103,44 @@ class ContractionReport:
     iterations: int
 
 
-def _level_of(t: float, dx: float) -> int:
-    m = int(round(t / dx))
-    if m < 0 or abs(t - m * dx) > GRID_TIME_TOL * max(1.0, abs(t)):
-        raise ValueError(
-            f"integral solver evaluates only at grid times t = m*dx >= 0; got t={t!r}"
-        )
-    return m
-
-
-def _window_weighted_sum(v: np.ndarray, half_width: int) -> np.ndarray:
-    """Trapezoid-weighted sum of v over the index window [k-m, k+m] for all k.
-
-    Returns W with W[k] = sum_{j=k-m}^{k+m} w_j v_j, endpoint weights 1/2,
-    periodic indices; W has the shape of v.  Zero for half_width 0.
-    """
-    npts = v.shape[0]
-    if half_width == 0:
-        return np.zeros_like(v)
-    if half_width > npts:
-        raise ValueError(
-            f"characteristic window half-width {half_width} exceeds one period ({npts})"
-        )
-    ext = np.concatenate([v, v, v], axis=0)
-    csum = np.concatenate([np.zeros((1,) + v.shape[1:]), np.cumsum(ext, axis=0)], axis=0)
-    centre = npts + np.arange(npts)
-    lo = centre - half_width
-    hi = centre + half_width
-    return (csum[hi + 1] - csum[lo]) - 0.5 * (ext[lo] + ext[hi])
-
-
-def _tau_weights(m: int, dt: float) -> np.ndarray:
-    """Trapezoid weights for the time integral over [0, m*dt] at levels 0..m."""
-    w = np.full(m + 1, dt)
-    w[0] = 0.5 * dt
-    w[-1] = 0.5 * dt
-    return w
-
-
-def wave_integral(data: WaveData, t: float) -> np.ndarray:
-    """Evaluate the characteristic-average representation at grid time t.
-
-    Combines the averaged initial field, the integrated initial rate over the
-    dependence interval, the source integral over the dependence triangle, and
-    the end-point characteristic values of h.  All quadrature is trapezoidal
-    on the grid; characteristics hit grid points exactly because dt = dx.
-    """
-    grid = data.grid
-    dx = grid.dx
-    m = _level_of(t, dx)
-    limit = data.n_levels
-    if limit is not None and m > limit:
-        raise ValueError(f"source series cover levels 0..{limit}, requested level {m}")
-    u = 0.5 * (np.roll(data.a, -m, axis=0) + np.roll(data.a, m, axis=0))
-    u += 0.5 * dx * _window_weighted_sum(data.b, m)
-    if m > 0 and data.f is not None:
-        wt = _tau_weights(m, dx)
-        acc = np.zeros_like(u)
-        for j in range(m):  # level m contributes a zero-width window
-            acc += wt[j] * dx * _window_weighted_sum(data.f[j], m - j)
-        u += 0.5 * acc
-    if m > 0 and data.h is not None:
-        wt = _tau_weights(m, dx)
-        acc = np.zeros_like(u)
-        for j in range(m):
-            s = m - j
-            acc += wt[j] * (np.roll(data.h[j], -s, axis=0) - np.roll(data.h[j], s, axis=0))
-        u += 0.5 * acc
-    return u
+def _neighbours(v: np.ndarray) -> np.ndarray:
+    """v[k-1] + v[k+1] along the grid axis (axis -2), periodic."""
+    return np.roll(v, 1, axis=-2) + np.roll(v, -1, axis=-2)
 
 
 def wave_series(data: WaveData, n_levels: int) -> np.ndarray:
-    """Stack wave_integral over levels 0..n_levels."""
+    """The characteristic-average representation at levels 0..n_levels.
+
+    Level m averages a at the characteristic feet k -/+ m and adds the
+    trapezoid integrals of b over [k-m, k+m], of f over the dependence
+    triangle and of the end-point differences of h.  With dt = dx those
+    integrals V obey V[m+1][k] = V[m][k-1] + V[m][k+1] - V[m-1][k] plus the
+    sources of level m over half-width 1, time-weighted dx/2 at level 0 and
+    dx after; V[1] is the quadrature itself.  The average of a is taken
+    directly, so the recurrence rounds at the size of the integrals only.
+    The periodic representation holds for windows of any length.
+    """
+    data._check_levels(n_levels)
     dx = data.grid.dx
-    return np.stack([wave_integral(data, m * dx) for m in range(n_levels + 1)])
+    a = data.a
+    npts = a.shape[0]
+    shift = np.arange(n_levels + 1)[:, None]
+    points = np.arange(npts)
+    feet = 0.5 * (a[(points + shift) % npts] + a[(points - shift) % npts])
+    if n_levels == 0:
+        return feet
+    kick = np.zeros((n_levels,) + a.shape)
+    if data.f is not None:
+        kick += dx * (data.f[:n_levels] + 0.5 * _neighbours(data.f[:n_levels]))
+    if data.h is not None:
+        kick += np.roll(data.h[:n_levels], -1, axis=1) - np.roll(data.h[:n_levels], 1, axis=1)
+    kick *= 0.5 * dx
+    kick[0] *= 0.5
+    integral = np.zeros_like(feet)
+    integral[1] = 0.5 * dx * (data.b + 0.5 * _neighbours(data.b)) + kick[0]
+    for m in range(1, n_levels):
+        integral[m + 1] = _neighbours(integral[m]) - integral[m - 1] + kick[m]
+    return feet + integral
 
 
 def characteristic_derivatives(data: WaveData, n_levels: Optional[int] = None) -> CharacteristicFields:
@@ -191,17 +149,17 @@ def characteristic_derivatives(data: WaveData, n_levels: Optional[int] = None) -
     The h-contribution is the end-point difference {h(x +/- t, 0) - h(x, t)}
     plus the time-derivative integral along the characteristic; h is never
     differentiated in space.  Time derivatives of h are centred inside the
-    window and one-sided second order at the ends.
+    window and one-sided second order at the ends.  Each characteristic
+    integral is one running trapezoid sum: a step moves the sum by one point,
+    raises its old endpoint's weight from dx/2 to dx and adds the new
+    endpoint at dx/2.
     """
-    grid = data.grid
-    dx = grid.dx
+    dx = data.grid.dx
     if n_levels is None:
         n_levels = data.n_levels
         if n_levels is None:
             raise ValueError("n_levels is required for source-free data")
-    limit = data.n_levels
-    if limit is not None and n_levels > limit:
-        raise ValueError(f"source series cover levels 0..{limit}, requested {n_levels}")
+    data._check_levels(n_levels)
     a_x = circ_diff(data.a, dx)
     h_t = None
     if data.h is not None and n_levels >= 1:
@@ -210,25 +168,60 @@ def characteristic_derivatives(data: WaveData, n_levels: Optional[int] = None) -
         h_t = time_diff_series(data.h[: n_levels + 1], dx)
     out = {}
     for sign in (+1, -1):
-        levels = []
-        for m in range(n_levels + 1):
-            u = np.roll(a_x, -sign * m, axis=0) + sign * np.roll(data.b, -sign * m, axis=0)
-            if m > 0 and data.f is not None:
-                wt = _tau_weights(m, dx)
-                acc = np.zeros_like(u)
-                for j in range(m + 1):
-                    acc += wt[j] * np.roll(data.f[j], -sign * (m - j), axis=0)
-                u += sign * acc
-            if m > 0 and data.h is not None:
-                u += np.roll(data.h[0], -sign * m, axis=0) - data.h[m]
-                wt = _tau_weights(m, dx)
-                acc = np.zeros_like(u)
-                for j in range(m + 1):
-                    acc += wt[j] * np.roll(h_t[j], -sign * (m - j), axis=0)
-                u += acc
-            levels.append(u)
-        out[sign] = np.stack(levels)
+        g = np.zeros((n_levels + 1,) + a_x.shape)
+        carried = a_x + sign * data.b
+        if data.f is not None:
+            g += sign * data.f[: n_levels + 1]
+        if h_t is not None:
+            g += h_t
+            carried += data.h[0]
+        run = np.empty_like(g)
+        run[0] = carried
+        for m in range(n_levels):
+            run[m + 1] = np.roll(run[m] + 0.5 * dx * g[m], -sign, axis=0) + 0.5 * dx * g[m + 1]
+        if h_t is not None:
+            run -= data.h[: n_levels + 1]
+        out[sign] = run
     return CharacteristicFields(u_plus=out[+1], u_minus=out[-1])
+
+
+def _contract(
+    sweep: Callable, start, distance: Callable, *, max_iter: int, tol: float, label: str
+) -> tuple:
+    """Apply ``sweep`` from ``start`` until two iterates are within ``tol``.
+
+    Returns the last iterate and its ContractionReport; three consecutive
+    distance ratios >= 1 raise NonContractionError naming ``label``.
+    """
+    current = start
+    distances: list[float] = []
+    ratios: list[float] = []
+    converged = False
+    rising = 0
+    for _ in range(max_iter):
+        new = sweep(current)
+        dist = distance(new, current)
+        if distances:
+            ratio = dist / distances[-1] if distances[-1] > 0 else 0.0
+            ratios.append(ratio)
+            rising = rising + 1 if ratio >= 1.0 else 0
+            if rising >= 3:
+                raise NonContractionError(
+                    f"{label} stopped contracting: last ratios "
+                    f"{[f'{r:.3f}' for r in ratios[-3:]]}"
+                )
+        distances.append(dist)
+        current = new
+        if dist <= tol:
+            converged = True
+            break
+    report = ContractionReport(
+        distances=tuple(distances),
+        ratios=tuple(ratios),
+        converged=converged,
+        iterations=len(distances),
+    )
+    return current, report
 
 
 def assemble_wave_sources(
@@ -295,12 +288,13 @@ def picard_wave_solve(
     """Solve the tangent wave equation over a window by source iteration.
 
     theta (and optionally eta and connection samples along the curve) are
-    frozen series on levels 0..n_levels with dt = dx.  Starting from the
-    source-free solution, each sweep reassembles (f, h) from the current
-    iterate and re-evaluates the integral representation on every level.
-    Distances between consecutive iterates are measured in the composite
-    first-order norm; three consecutive non-decreasing distances raise
-    NonContractionError.
+    frozen series on levels 0..n_levels with dt = dx.  The initial tangent
+    must be a unit field and its rate orthogonal to it, point by point.
+    Starting from the source-free solution, each sweep reassembles (f, h)
+    from the current iterate and re-evaluates the integral representation on
+    every level.  Distances between consecutive iterates are measured in the
+    composite first-order norm; three consecutive non-decreasing distances
+    raise NonContractionError.
     """
     dx = grid.dx
     if n_levels < 2:
@@ -310,42 +304,30 @@ def picard_wave_solve(
         raise ValueError(
             f"theta series covers {theta_series.shape[0]} levels, window needs {n_levels + 1}"
         )
+    unit = np.max(np.abs(np.sum(state.xi * state.xi, axis=-1) - 1.0))
+    ortho = np.max(np.abs(np.sum(state.xi * state.xi_t, axis=-1)))
+    if unit > UNIT_DATA_TOL or ortho > UNIT_DATA_TOL:
+        raise ValueError(
+            f"wave data not admissible: max | ||a||^2 - 1 | = {unit:.3e}, "
+            f"max |<a, b>| = {ortho:.3e}"
+        )
     if eta_series is None:
         eta_series = np.broadcast_to(state.eta, (n_levels + 1,) + state.eta.shape)
+    theta_series = theta_series[: n_levels + 1]
+
+    def sweep(current):
+        f, h = assemble_wave_sources(current, theta_series, eta_series, chris_series, grid)
+        return wave_series(WaveData(a=state.xi, b=state.xi_t, f=f, h=h, grid=grid), n_levels)
+
     base = WaveData(a=state.xi, b=state.xi_t, f=None, h=None, grid=grid)
-    current = wave_series(base, n_levels)
-    distances: list[float] = []
-    ratios: list[float] = []
-    converged = False
-    rising = 0
-    for _ in range(max_iter):
-        f, h = assemble_wave_sources(
-            current, theta_series[: n_levels + 1], eta_series, chris_series, grid
-        )
-        data = WaveData(a=state.xi, b=state.xi_t, f=f, h=h, grid=grid)
-        new = wave_series(data, n_levels)
-        dist = m1(new - current, dx, dx)
-        if distances:
-            ratio = dist / distances[-1] if distances[-1] > 0 else 0.0
-            ratios.append(ratio)
-            rising = rising + 1 if ratio >= 1.0 else 0
-            if rising >= 3:
-                raise NonContractionError(
-                    "picard iteration stopped contracting: last ratios "
-                    f"{[f'{r:.3f}' for r in ratios[-3:]]}"
-                )
-        distances.append(dist)
-        current = new
-        if dist <= tol:
-            converged = True
-            break
-    report = ContractionReport(
-        distances=tuple(distances),
-        ratios=tuple(ratios),
-        converged=converged,
-        iterations=len(distances),
+    return _contract(
+        sweep,
+        wave_series(base, n_levels),
+        lambda new, current: m1(new - current, dx, dx),
+        max_iter=max_iter,
+        tol=tol,
+        label="picard iteration",
     )
-    return current, report
 
 
 def leapfrog_step(

@@ -373,7 +373,7 @@ def test_07_wave_route_cross_validation(capsys):
             1.0 + tgrid,
             np.column_stack([np.cos(TWO_PI * x), np.sin(TWO_PI * x)]),
         )
-        data = WaveData(a=a, b=b, f=f, h=h, grid=grid, unit_data=False)
+        data = WaveData(a=a, b=b, f=f, h=h, grid=grid)
         levels = wave_series(data, steps)
         chars = characteristic_derivatives(data, n_levels=steps)
         mid = steps // 2

@@ -194,6 +194,23 @@ def test_solver_drift_guard_aborts_with_report(tmp_path, capsys):
     assert float(rows[-1][0]) == meta["failure"]["last_good"]["time"]
 
 
+def test_non_finite_geometry_aborts_as_a_chart_error(tmp_path, capsys):
+    # check cannot tell that this factor is complex everywhere on the curve
+    data = dict(REST_CONFIG, manifold={"name": "conformal", "expression": "sqrt(-1 - x**2)"})
+    path = config_file(tmp_path, data)
+    assert main(["check", "--config", str(path), "--quiet"]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert "aborted: ChartDomainError" in capsys.readouterr().err
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "aborted"
+    assert meta["failure"]["type"] == "ChartDomainError"
+    assert "not finite at grid index 0" in meta["failure"]["reason"]
+    header, rows = read_csv(out / "diagnostics.csv")
+    assert header == ",".join(CSV_COLUMNS)
+    assert rows == []
+
+
 def test_bad_generator_parameters_exit_code(tmp_path, capsys):
     data = {
         "manifold": {"name": "flat-torus"},
@@ -231,6 +248,23 @@ def test_picard_run_outputs(tmp_path, capsys):
     assert len(rows) == 5
     snapshots = sorted(p.name for p in out.glob("snapshot_*.json"))
     assert snapshots == ["snapshot_000000.json", "snapshot_000004.json"]
+
+
+def test_picard_window_longer_than_the_grid_aborts_with_report(tmp_path, capsys):
+    # the periodic representation holds for any window length.  At n=8 the
+    # circle's window iteration does not contract (neither does a window of
+    # one period), so the run ends as a numerical abort with its report.
+    data = {"grid": {"n": 8}, "mode": "picard", "picard": {"window": 12}}
+    path = config_file(tmp_path, data)
+    assert main(["check", "--config", str(path), "--quiet"]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert "aborted: NonContractionError" in capsys.readouterr().err
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "aborted"
+    assert meta["failure"]["type"] == "NonContractionError"
+    header, _rows = read_csv(out / "diagnostics.csv")
+    assert header == ",".join(CSV_COLUMNS)
 
 
 def test_study_outputs(tmp_path, capsys):
@@ -372,7 +406,7 @@ def test_check_never_runs_the_conformal_expression(tmp_path, capsys):
     assert not marker.exists()
 
 
-@pytest.mark.parametrize("expression", ["1/0", "I*x"])
+@pytest.mark.parametrize("expression", ["1/0", "I*x", "x**y"])
 def test_check_rejects_conformal_factors_it_cannot_evaluate(tmp_path, capsys, expression):
     data = {"manifold": {"name": "conformal", "expression": expression}}
     path = config_file(tmp_path, data)

@@ -14,7 +14,6 @@ import pytest
 from elwire.fields import (
     CurveState,
     Grid,
-    as_field,
     circ_diff,
     compact_second,
     constraint_drift,
@@ -76,16 +75,6 @@ def test_grid_validation_and_spacing():
         Grid(7)
     with pytest.raises(ValueError):
         Grid(16.5)
-
-
-def test_as_field_validates_shape():
-    grid = Grid(8)
-    field = as_field(np.zeros((8, 2)), grid)
-    assert field.shape == (8, 2)
-    with pytest.raises(ValueError):
-        as_field(np.zeros((9, 2)), grid)
-    with pytest.raises(ValueError):
-        as_field(np.zeros((8, 2)), grid, dim=3)
 
 
 def test_curve_state_properties():

@@ -6,6 +6,8 @@ differences, the chart curvature tensor from first and second differences,
 both converted to frame components through the frame matrix alone.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from elwire.geometry import (
     FlatTorusModel,
     HyperbolicHalfPlaneModel,
     SphereChartModel,
+    _check_conformal_syntax,
     apply_chris,
     apply_curv,
     make_manifold,
@@ -244,6 +247,18 @@ def test_sample_geometry_reports_first_bad_index():
         sample_geometry(model, pts)
 
 
+def test_sample_geometry_reports_first_non_finite_index():
+    # sqrt(x) is real only for x >= 0; its samples at x < 0 are NaN
+    model = ConformalModel(2, "sqrt(x)")
+    pts = np.column_stack([np.linspace(0.1, 0.5, 12), np.full(12, 1.0)])
+    pts[5, 0] = -0.3
+    pts[9, 0] = -0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartDomainError, match="not finite at grid index 5"):
+            sample_geometry(model, pts)
+
+
 def test_sample_geometry_shapes_and_inverse():
     model = SphereChartModel(2)
     rng = np.random.default_rng(3)
@@ -293,6 +308,23 @@ def test_make_manifold_names_and_flags():
         ConformalModel(2, "x + q")
     with pytest.raises(ValueError):
         EuclideanModel(0)
+
+
+def test_conformal_powers_are_bounded_before_sympy_parses_them():
+    # the walk alone decides; sympy would multiply 9**9**9 out exactly
+    names = ["x", "y"]
+    for expression in (
+        "9**9**9*x",
+        "x**y",
+        "(2*pi)**2*x",
+        "x**65",
+        "((x*0 + 9)**64)**64",
+        "exp(log((x*0 + 9)**64))**2",
+    ):
+        with pytest.raises(ValueError, match="has the power"):
+            _check_conformal_syntax(expression, names)
+    for expression in ("x**-2 + (-2)**3 + pi**2", "2**64*x", "(x**8)**8", "sqrt(x**0.5)"):
+        _check_conformal_syntax(expression, names)
 
 
 def test_flat_torus_displacement_wraps():

@@ -5,7 +5,8 @@ Exact discrete identities used as oracles: the standing-mode factor
 cos(2 pi m dx) of the source-free representation, the quadratic ramp under a
 constant source, the vanishing contribution of x-uniform characteristic
 sources, exact translation transport of the leapfrog at dt = dx, and the
-resting circle as a leapfrog equilibrium.
+resting circle as a leapfrog equilibrium.  The recurrence and the running
+characteristic sums are compared with the plain quadrature of wave_oracle.
 """
 
 import math
@@ -20,9 +21,10 @@ from elwire.wave import (
     characteristic_derivatives,
     leapfrog_step,
     picard_wave_solve,
-    wave_integral,
     wave_series,
 )
+
+from wave_oracle import characteristic_quadrature, triangle_series
 
 EXACT_TOL = 1e-12
 TRANSPORT_TOL = 1e-11
@@ -50,12 +52,14 @@ def test_wave_data_validates_shapes_and_admissibility():
     zero = np.zeros_like(a)
     with pytest.raises(ValueError, match="share shape"):
         WaveData(a=a, b=np.zeros((8, 2)), f=None, h=None, grid=grid)
-    with pytest.raises(ValueError, match="admissible"):
-        WaveData(a=2.0 * a, b=zero, f=None, h=None, grid=grid)
-    with pytest.raises(ValueError, match="admissible"):
-        WaveData(a=a, b=a, f=None, h=None, grid=grid)
-    # the admissibility gate is skippable for synthetic forcing studies
-    data = WaveData(a=2.0 * a, b=a, f=None, h=None, grid=grid, unit_data=False)
+    # the window solver admits only a unit tangent with an orthogonal rate
+    theta = np.zeros((5, 16, 2))
+    for xi, xi_t in ((2.0 * a, zero), (a, a)):
+        state = CurveState(gamma=zero, xi=xi, xi_t=xi_t, eta=zero)
+        with pytest.raises(ValueError, match="admissible"):
+            picard_wave_solve(state, theta, grid, n_levels=4)
+    # the representation itself takes any data, e.g. synthetic forcing
+    data = WaveData(a=2.0 * a, b=a, f=None, h=None, grid=grid)
     assert data.n_levels is None
     with pytest.raises(ValueError, match="source series"):
         WaveData(a=a, b=zero, f=np.zeros((4, 8, 2)), h=None, grid=grid)
@@ -71,9 +75,11 @@ def test_source_free_standing_mode_is_exact():
     grid = Grid(64)
     a = rotation_field(grid)
     data = WaveData(a=a, b=np.zeros_like(a), f=None, h=None, grid=grid)
-    for m in (0, 1, 5, 16, 32):
+    series = wave_series(data, 128)
+    # the periodic representation holds past one period of the grid
+    for m in (0, 1, 5, 16, 32, 64, 80, 128):
         expected = math.cos(TWO_PI * m * grid.dx) * a
-        assert m0(wave_integral(data, m * grid.dx) - expected) < EXACT_TOL
+        assert m0(series[m] - expected) < EXACT_TOL
 
 
 def test_constant_source_gives_quadratic_ramp():
@@ -82,9 +88,10 @@ def test_constant_source_gives_quadratic_ramp():
     c = np.array([0.3, -0.2])
     f = np.broadcast_to(c, (13, 64, 2)).copy()
     data = WaveData(a=a, b=np.zeros_like(a), f=f, h=None, grid=grid)
+    series = wave_series(data, 12)
     for m in (1, 4, 12):
         t = m * grid.dx
-        assert m0(wave_integral(data, t) - (a + 0.5 * c * t * t)) < EXACT_TOL
+        assert m0(series[m] - (a + 0.5 * c * t * t)) < EXACT_TOL
 
 
 def test_x_uniform_characteristic_source_cancels():
@@ -93,8 +100,9 @@ def test_x_uniform_characteristic_source_cancels():
     h = np.zeros((13, 64, 2))
     h[:, :, 0] = np.linspace(0.0, 1.0, 13)[:, None]
     data = WaveData(a=a, b=np.zeros_like(a), f=None, h=h, grid=grid)
+    series = wave_series(data, 12)
     for m in range(13):
-        assert m0(wave_integral(data, m * grid.dx) - a) < EXACT_TOL
+        assert m0(series[m] - a) < EXACT_TOL
 
 
 def test_translation_converges_at_second_order():
@@ -103,7 +111,7 @@ def test_translation_converges_at_second_order():
         grid = Grid(n)
         data = translation_data(grid)
         m = n // 4
-        errs.append(m0(wave_integral(data, m * grid.dx) - np.roll(data.a, m, axis=0)))
+        errs.append(m0(wave_series(data, m)[m] - np.roll(data.a, m, axis=0)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > ORDER_MIN
 
@@ -111,13 +119,11 @@ def test_translation_converges_at_second_order():
 def test_integral_time_validation():
     grid = Grid(16)
     data = translation_data(grid)
-    with pytest.raises(ValueError):
-        wave_integral(data, 0.5 * grid.dx)
     sourced = WaveData(
         a=data.a, b=data.b, f=np.zeros((4, 16, 2)), h=None, grid=grid
     )
     with pytest.raises(ValueError, match="levels 0..3"):
-        wave_integral(sourced, 5 * grid.dx)
+        wave_series(sourced, 5)
 
 
 def test_wave_series_stacks_levels():
@@ -126,6 +132,27 @@ def test_wave_series_stacks_levels():
     series = wave_series(data, 4)
     assert series.shape == (5, 16, 2)
     assert m0(series[0] - data.a) < EXACT_TOL
+
+
+def random_data(npts, levels, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid(npts)
+    a, b = rng.standard_normal((2, npts, 2))
+    f, h = rng.standard_normal((2, levels + 1, npts, 2))
+    return WaveData(a=a, b=b, f=f, h=h, grid=grid)
+
+
+@pytest.mark.parametrize("npts", [8, 9, 33, 64])
+def test_recurrence_and_running_sums_match_the_quadrature(npts):
+    for seed, levels in enumerate(sorted({2, 3, npts // 2, npts})):
+        data = random_data(npts, levels, seed)
+        expected = triangle_series(data, levels)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(wave_series(data, levels) - expected)) <= EXACT_TOL * scale
+        fields = characteristic_derivatives(data, n_levels=levels)
+        oracle = characteristic_quadrature(data, levels)
+        for got, want in zip((fields.u_plus, fields.u_minus), oracle):
+            assert np.max(np.abs(got - want)) <= EXACT_TOL * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
