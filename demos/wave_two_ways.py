@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from elwire.fields import CurveState, Grid, compact_second
+from elwire.geometry import EuclideanModel, sample_geometry, stack_samples
 from elwire.wave import leapfrog_step, picard_wave_solve
 
 TWO_PI = 2.0 * math.pi
@@ -27,9 +28,17 @@ def route_gap(n: int) -> float:
     b = 0.2 * np.cos(TWO_PI * x)[:, None] * aperp
     steps = n // 4
 
+    # a resting flat curve: zero tension and velocity, flat geometry samples
     state = CurveState(gamma=np.zeros_like(a), xi=a, xi_t=b, eta=np.zeros_like(a))
+    flat = sample_geometry(EuclideanModel(2), state.gamma)
+    zero_series = np.zeros((steps + 1, n, 2))
     series, report = picard_wave_solve(
-        state, np.zeros((steps + 1, n, 2)), grid, n_levels=steps
+        state,
+        zero_series,
+        grid,
+        n_levels=steps,
+        eta_series=zero_series,
+        samples_series=stack_samples([flat] * (steps + 1)),
     )
 
     forward = (np.roll(a, -1, 0) - a) / dx
@@ -40,7 +49,7 @@ def route_gap(n: int) -> float:
     zero = np.zeros_like(a)
     gap = 0.0
     for m in range(1, steps + 1):
-        curr, prev = leapfrog_step(prev, curr, zero, zero, dx, grid), curr
+        curr, prev = leapfrog_step(prev, curr, zero, zero, dx, grid, flat), curr
         gap = max(gap, float(np.max(np.abs(series[m] - curr))))
     print(
         f"  n = {n:3d}  window sweeps = {report.iterations}  "

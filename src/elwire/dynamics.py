@@ -51,7 +51,14 @@ from .fields import (
     sided_grad_sq,
     time_diff_series,
 )
-from .geometry import GeometrySamples, ManifoldModel, apply_chris, apply_curv, sample_geometry
+from .geometry import (
+    GeometrySamples,
+    ManifoldModel,
+    apply_chris,
+    apply_curv,
+    sample_geometry,
+    stack_samples,
+)
 from .wave import ContractionReport, _contract, leapfrog_step, picard_wave_solve
 
 #: tangent samples shorter than this fraction of the mean abort preparation
@@ -462,11 +469,13 @@ def _theta_series(
     manifold: ManifoldModel,
     grid: Grid,
     params: RunParams,
-) -> tuple[np.ndarray, np.ndarray, list[GeometrySamples]]:
+) -> tuple[np.ndarray, np.ndarray, list[GeometrySamples], GeometrySamples, np.ndarray]:
     """Per-level tension solves on a frozen window iterate.
 
-    Returns (theta series, flux series, samples per level).  The plain tangent
-    rate entering the sources comes from time differences of the xi series.
+    Returns the theta and flux series, the samples per level, the same
+    samples stacked into one series, and the series of D_x xi.  The plain
+    tangent rate entering the sources comes from time differences of the xi
+    series.
     """
     levels = xi_s.shape[0]
     xi_t_s = time_diff_series(xi_s, grid.dx)
@@ -489,7 +498,9 @@ def _theta_series(
         thetas.append(solved.u)
         fluxes.append(solved.flux)
         samples_list.append(samples)
-    return np.stack(thetas), np.stack(fluxes), samples_list
+    series = stack_samples(samples_list)
+    dxi_s = cov_dx(xi_s, xi_s, series, grid.dx)
+    return np.stack(thetas), np.stack(fluxes), samples_list, series, dxi_s
 
 
 def _integrate_curve(
@@ -579,15 +590,8 @@ def picard_coupled(
     )
 
     def sweep(current: WindowIterate) -> WindowIterate:
-        theta_s, flux_s, samples_list = _theta_series(
+        theta_s, flux_s, _, series, dxi_s = _theta_series(
             current.gamma, current.xi, current.eta, manifold, grid, params
-        )
-        chris_s = np.stack([s.chris for s in samples_list])
-        dxi_s = np.stack(
-            [
-                cov_dx(current.xi[m], current.xi[m], samples_list[m], grid.dx)
-                for m in range(levels)
-            ]
         )
         gamma_new = _integrate_curve(state.gamma, current.eta, manifold, dt)
         xi_new, _ = picard_wave_solve(
@@ -595,21 +599,17 @@ def picard_coupled(
             theta_s,
             grid,
             n_levels=n_levels,
+            eta_series=current.eta,
+            samples_series=series,
             max_iter=wave_max_iter,
             tol=wave_tol,
-            eta_series=current.eta,
-            chris_series=chris_s,
         )
-        eta_mid = _integrate_eta(state.eta, flux_s, dxi_s, chris_s, dt)
+        eta_mid = _integrate_eta(state.eta, flux_s, dxi_s, series.chris, dt)
         # refresh tension and velocity on the advanced fields
-        theta_new, flux_new, samples_new = _theta_series(
+        theta_new, flux_new, samples_new, series_new, dxi_new = _theta_series(
             gamma_new, xi_new, eta_mid, manifold, grid, params
         )
-        chris_new = np.stack([s.chris for s in samples_new])
-        dxi_new = np.stack(
-            [cov_dx(xi_new[m], xi_new[m], samples_new[m], grid.dx) for m in range(levels)]
-        )
-        eta_new = _integrate_eta(state.eta, flux_new, dxi_new, chris_new, dt)
+        eta_new = _integrate_eta(state.eta, flux_new, dxi_new, series_new.chris, dt)
         return WindowIterate(
             gamma=gamma_new, xi=xi_new, eta=eta_new, theta=theta_new, samples=samples_new
         )

@@ -2,10 +2,12 @@
 
 The wire is parametrised by arc length on the unit circle R/Z, discretised by
 N equispaced samples (dx = 1/N, indices wrap mod N).  A "field" is a plain
-float array of shape (N, n) holding frame components of a vector field along
-the curve; scalar fields have shape (N,).  Derivatives are second-order
-centred differences; the covariant versions add the pointwise connection
-action with the appropriate direction vector:
+float array of shape (..., N, n), grid on axis -2, holding frame components
+of a vector field along the curve: one level (N, n) or a window series
+(M+1, N, n), on which every helper here acts level by level.  Scalar fields
+have shape (N,).  Derivatives are second-order centred differences; the
+covariant versions add the pointwise connection action with the appropriate
+direction vector:
 
     cov_dx(p) = dp/dx + Gamma(xi, p)        (xi = unit tangent, frame comps)
     cov_dt(p) = dp/dt + Gamma(eta, p)       (eta = velocity, frame comps)
@@ -82,8 +84,8 @@ class CurveState:
 
 
 def circ_diff(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order centred difference with periodic wrap (leading axis)."""
-    return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * dx)
+    """Second-order centred difference with periodic wrap (grid axis -2)."""
+    return (np.roll(values, -1, axis=-2) - np.roll(values, 1, axis=-2)) / (2.0 * dx)
 
 
 def cov_dx(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: float) -> np.ndarray:
@@ -94,7 +96,7 @@ def cov_dx(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: float) -
 def compact_second(values: np.ndarray, dx: float) -> np.ndarray:
     """Symmetric (1, -2, 1)/dx^2 second difference with periodic wrap."""
     v = np.asarray(values, dtype=float)
-    return (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / (dx * dx)
+    return (np.roll(v, -1, axis=-2) - 2.0 * v + np.roll(v, 1, axis=-2)) / (dx * dx)
 
 
 def cov_dxx(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: float) -> np.ndarray:
@@ -126,8 +128,8 @@ def sided_grad_sq(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: f
     marching; the centred form leaves an O(dx^2) remainder instead.
     """
     conn = apply_chris(samples.chris, xi, p)
-    fwd = (np.roll(p, -1, axis=0) - p) / dx + conn
-    bwd = (p - np.roll(p, 1, axis=0)) / dx + conn
+    fwd = (np.roll(p, -1, axis=-2) - p) / dx + conn
+    bwd = (p - np.roll(p, 1, axis=-2)) / dx + conn
     return 0.5 * (np.sum(fwd * fwd, axis=-1) + np.sum(bwd * bwd, axis=-1))
 
 
@@ -182,7 +184,8 @@ def row_norms(p: np.ndarray) -> np.ndarray:
 
 
 def m0(p: np.ndarray) -> float:
-    """Sup norm over samples of the pointwise Euclidean norm."""
+    """Sup norm of the pointwise Euclidean norm over the samples of a field,
+    and over its levels too for a series; max |p| for a scalar field."""
     if p.ndim == 1:
         return float(np.max(np.abs(p)))
     return float(np.max(row_norms(p)))
@@ -192,21 +195,12 @@ def m1(series: np.ndarray, dx: float, dt: float) -> float:
     """Sup over a time window of m0 of the field and of its plain x and t
     derivatives (first-order composite norm of a field series)."""
     s = np.asarray(series, dtype=float)
-    x_deriv = np.stack([circ_diff(level, dx) for level in s])
-    return sup_m0(s) + sup_m0(x_deriv) + sup_m0(time_diff_series(s, dt))
-
-
-def sup_m0(series: np.ndarray) -> float:
-    """Max of m0 over the leading (time) axis of a series (M+1, N, n)."""
-    s = np.asarray(series, dtype=float)
-    if s.ndim == 2:
-        return m0(s)
-    return float(max(m0(level) for level in s))
+    return m0(s) + m0(circ_diff(s, dx)) + m0(time_diff_series(s, dt))
 
 
 def m01(series: np.ndarray, dt: float) -> float:
     """Sup-norm of a series plus sup-norm of its plain time derivative."""
-    return sup_m0(series) + sup_m0(time_diff_series(np.asarray(series, float), dt))
+    return m0(series) + m0(time_diff_series(series, dt))
 
 
 def constraint_drift(xi: np.ndarray) -> float:

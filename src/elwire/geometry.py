@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -427,12 +427,20 @@ def make_manifold(name: str, dim: int = 2, **params) -> ManifoldModel:
 
 @dataclass(frozen=True)
 class GeometrySamples:
-    """Frame geometry sampled along a discrete curve (leading axis = grid index)."""
+    """Frame geometry sampled along a discrete curve (grid index, or level
+    and grid index for a series, see ``stack_samples``)."""
 
     frame: np.ndarray      # (N, n, n)
     frame_inv: np.ndarray  # (N, n, n)
     chris: np.ndarray      # (N, n, n, n)
     curv: np.ndarray       # (N, n, n, n, n)
+
+
+def stack_samples(levels: list) -> GeometrySamples:
+    """The samples of levels 0..M stacked into one series (M+1, N, ...)."""
+    return GeometrySamples(
+        **{f.name: np.stack([getattr(s, f.name) for s in levels]) for f in fields(GeometrySamples)}
+    )
 
 
 def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples:
@@ -466,8 +474,11 @@ def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples
 
 
 def apply_chris(chris: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise bilinear connection action Gamma(u, v) on frame components."""
-    return np.einsum("pik,pi->pk", np.einsum("pikj,pj->pik", chris, v), u)
+    """Pointwise bilinear connection action Gamma(u, v) on frame components
+    of fields (..., N, n); the leading axes fold into one point axis."""
+    n = u.shape[-1]
+    chris_v = np.einsum("pikj,pj->pik", chris.reshape(-1, n, n, n), v.reshape(-1, n))
+    return np.einsum("pik,pi->pk", chris_v, u.reshape(-1, n)).reshape(u.shape)
 
 
 def apply_curv(curv: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -33,11 +33,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CflError, NonContractionError
-from .fields import Grid, circ_diff, compact_second, m0, m1, time_diff_series
+from .fields import Grid, circ_diff, cov_dx, cov_dxx, m0, m1, perp, sided_grad_sq, time_diff_series
 from .geometry import GeometrySamples, apply_chris
 
-#: default number of time levels in a Picard window (t = n_levels * dx)
-DEFAULT_WINDOW_LEVELS = 16
 UNIT_DATA_TOL = 1e-8
 #: sweeps and relative tolerance of the leapfrog's inner fixed-point iteration
 INNER_ITER = 8
@@ -228,50 +226,33 @@ def assemble_wave_sources(
     u_series: np.ndarray,
     theta_series: np.ndarray,
     eta_series: np.ndarray,
-    chris_series: Optional[np.ndarray],
+    samples_series: GeometrySamples,
     grid: Grid,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local sources (f, h) of the tangent wave equation for a given iterate.
 
     ``u_series`` is the current tangent iterate over the window; theta, eta
-    and the connection samples along the (frozen) curve are known series.
+    and the geometry samples along the (frozen) curve are known series.
     Includes the time derivative of the connection term through differences of
     the assembled product series, so only connection values are needed.
     """
     dx = grid.dx
-    m_levels = u_series.shape[0]
-    u_t = time_diff_series(u_series, dx)
-    if chris_series is None:
-        conn = None
-    else:
-        conn = np.stack(
-            [apply_chris(chris_series[m], eta_series[m], u_series[m]) for m in range(m_levels)]
-        )
-        conn_t = time_diff_series(conn, dx)
-    f = np.empty_like(u_series)
-    h = np.zeros_like(u_series)
-    for m in range(m_levels):
-        u = u_series[m]
-        theta = theta_series[m]
-        if conn is None:
-            du = circ_diff(u, dx)
-            conn_uu = 0.0
-            dtu = u_t[m]
-        else:
-            conn_uu = apply_chris(chris_series[m], u, u)
-            du = circ_diff(u, dx) + conn_uu
-            dtu = u_t[m] + conn[m]
-        fwd = (np.roll(u, -1, axis=0) - u) / dx + conn_uu
-        bwd = (u - np.roll(u, 1, axis=0)) / dx + conn_uu
-        coeff = 0.5 * (np.sum(fwd * fwd, axis=-1) + np.sum(bwd * bwd, axis=-1))
-        coeff = coeff - np.sum(dtu * dtu, axis=-1)
-        fm = coeff[:, None] * u + theta - np.sum(theta * u, axis=-1, keepdims=True) * u
-        if conn is not None:
-            fm = fm - conn_t[m] - apply_chris(chris_series[m], eta_series[m], dtu)
-            fm = fm + apply_chris(chris_series[m], u, du)
-            h[m] = apply_chris(chris_series[m], u, u)
-        f[m] = fm
-    return f, h
+    chris = samples_series.chris
+    conn = apply_chris(chris, eta_series, u_series)
+    dtu = time_diff_series(u_series, dx) + conn
+    du = cov_dx(u_series, u_series, samples_series, dx)
+    coeff = sided_grad_sq(u_series, u_series, samples_series, dx) - np.sum(dtu * dtu, axis=-1)
+    # theta's projection off u is summed term by term: perp() groups the sum
+    # otherwise and moves the window iterates in their last digits
+    f = (
+        coeff[..., None] * u_series
+        + theta_series
+        - np.sum(theta_series * u_series, axis=-1, keepdims=True) * u_series
+        - time_diff_series(conn, dx)
+        - apply_chris(chris, eta_series, dtu)
+        + apply_chris(chris, u_series, du)
+    )
+    return f, apply_chris(chris, u_series, u_series)
 
 
 def picard_wave_solve(
@@ -279,22 +260,22 @@ def picard_wave_solve(
     theta_series: np.ndarray,
     grid: Grid,
     *,
-    n_levels: int = DEFAULT_WINDOW_LEVELS,
+    n_levels: int,
+    eta_series: np.ndarray,
+    samples_series: GeometrySamples,
     max_iter: int = 30,
     tol: float = 1e-10,
-    eta_series: Optional[np.ndarray] = None,
-    chris_series: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, ContractionReport]:
     """Solve the tangent wave equation over a window by source iteration.
 
-    theta (and optionally eta and connection samples along the curve) are
-    frozen series on levels 0..n_levels with dt = dx.  The initial tangent
-    must be a unit field and its rate orthogonal to it, point by point.
-    Starting from the source-free solution, each sweep reassembles (f, h)
-    from the current iterate and re-evaluates the integral representation on
-    every level.  Distances between consecutive iterates are measured in the
-    composite first-order norm; three consecutive non-decreasing distances
-    raise NonContractionError.
+    theta, eta and the geometry samples along the curve (``stack_samples``)
+    are frozen series on levels 0..n_levels with dt = dx.  The initial
+    tangent must be a unit field and its rate orthogonal to it, point by
+    point.  Starting from the source-free solution, each sweep reassembles
+    (f, h) from the current iterate and re-evaluates the integral
+    representation on every level.  Distances between consecutive iterates
+    are measured in the composite first-order norm; three consecutive
+    non-decreasing distances raise NonContractionError.
     """
     dx = grid.dx
     if n_levels < 2:
@@ -311,12 +292,10 @@ def picard_wave_solve(
             f"wave data not admissible: max | ||a||^2 - 1 | = {unit:.3e}, "
             f"max |<a, b>| = {ortho:.3e}"
         )
-    if eta_series is None:
-        eta_series = np.broadcast_to(state.eta, (n_levels + 1,) + state.eta.shape)
     theta_series = theta_series[: n_levels + 1]
 
     def sweep(current):
-        f, h = assemble_wave_sources(current, theta_series, eta_series, chris_series, grid)
+        f, h = assemble_wave_sources(current, theta_series, eta_series, samples_series, grid)
         return wave_series(WaveData(a=state.xi, b=state.xi_t, f=f, h=h, grid=grid), n_levels)
 
     base = WaveData(a=state.xi, b=state.xi_t, f=None, h=None, grid=grid)
@@ -337,7 +316,7 @@ def leapfrog_step(
     eta: np.ndarray,
     dt: float,
     grid: Grid,
-    samples: Optional[GeometrySamples] = None,
+    samples: GeometrySamples,
     *,
     samples_prev: Optional[GeometrySamples] = None,
     samples_next: Optional[GeometrySamples] = None,
@@ -361,34 +340,20 @@ def leapfrog_step(
     at the level seeded by the first-step bootstrap (O(dt^3)) instead of
     accumulating an O(dx^2) secular drift.
 
-    On a flat model (samples None or zero connection) only the plain terms
-    survive.  dt must satisfy the stability bound dt <= dx.
+    Without ``samples_prev``/``samples_next`` (a flat model) the connection
+    rate term is left out.  dt must satisfy the stability bound dt <= dx.
     """
     dx = grid.dx
     if dt > dx * (1.0 + 1e-12):
         raise CflError(f"leapfrog requires dt <= dx; got dt={dt!r}, dx={dx!r}")
-    chris = samples.chris if samples is not None else None
-    if chris is not None:
-        conn_xi_xi = apply_chris(chris, xi_curr, xi_curr)
-        conn_eta_xi = apply_chris(chris, eta, xi_curr)
-        d2u = (
-            compact_second(xi_curr, dx)
-            + apply_chris(chris, xi_curr, circ_diff(xi_curr, dx))
-            + circ_diff(conn_xi_xi, dx)
-            + apply_chris(chris, xi_curr, conn_xi_xi)
-        )
-        chris_rate = None
-        if samples_prev is not None and samples_next is not None:
-            chris_rate = (samples_next.chris - samples_prev.chris) / (2.0 * dt)
-    else:
-        conn_xi_xi = np.zeros_like(xi_curr)
-        conn_eta_xi = np.zeros_like(xi_curr)
-        d2u = compact_second(xi_curr, dx)
-        chris_rate = None
-    theta_perp = theta - np.sum(theta * xi_curr, axis=-1, keepdims=True) * xi_curr
-    fwd = (np.roll(xi_curr, -1, axis=0) - xi_curr) / dx + conn_xi_xi
-    bwd = (xi_curr - np.roll(xi_curr, 1, axis=0)) / dx + conn_xi_xi
-    du_sq = 0.5 * (np.sum(fwd * fwd, axis=-1) + np.sum(bwd * bwd, axis=-1))
+    chris = samples.chris
+    conn_eta_xi = apply_chris(chris, eta, xi_curr)
+    d2u = cov_dxx(xi_curr, xi_curr, samples, dx)
+    du_sq = sided_grad_sq(xi_curr, xi_curr, samples, dx)
+    theta_perp = perp(theta, xi_curr)
+    chris_rate = None
+    if samples_prev is not None and samples_next is not None:
+        chris_rate = (samples_next.chris - samples_prev.chris) / (2.0 * dt)
     xi_t = (xi_curr - xi_prev) / dt  # first guess, refined below
     xi_next = xi_curr
     bwd_t = (xi_curr - xi_prev) / dt + conn_eta_xi
@@ -398,13 +363,12 @@ def leapfrog_step(
         fwd_t = (xi_next - xi_curr) / dt + conn_eta_xi
         coeff = du_sq - 0.5 * (np.sum(fwd_t * fwd_t, axis=-1) + bwd_t_sq)
         accel = d2u + coeff[:, None] * xi_curr + theta_perp
-        if chris is not None:
-            correction = apply_chris(chris, eta, xi_t) + apply_chris(chris, eta, dtu)
-            if eta_rate is not None:
-                correction += apply_chris(chris, eta_rate, xi_curr)
-            if chris_rate is not None:
-                correction += apply_chris(chris_rate, eta, xi_curr)
-            accel = accel - correction
+        correction = apply_chris(chris, eta, xi_t) + apply_chris(chris, eta, dtu)
+        if eta_rate is not None:
+            correction += apply_chris(chris, eta_rate, xi_curr)
+        if chris_rate is not None:
+            correction += apply_chris(chris_rate, eta, xi_curr)
+        accel = accel - correction
         xi_next = 2.0 * xi_curr - xi_prev + dt * dt * accel
         new_t = (xi_next - xi_prev) / (2.0 * dt)
         if m0(new_t - xi_t) <= INNER_TOL * (1.0 + m0(new_t)):

@@ -48,6 +48,7 @@ from elwire.geometry import (
     apply_curv,
     make_manifold,
     sample_geometry,
+    stack_samples,
 )
 from elwire.wave import (
     WaveData,
@@ -338,8 +339,14 @@ def test_07_wave_route_cross_validation(capsys):
         b = 0.2 * np.cos(TWO_PI * x)[:, None] * aperp
         state = CurveState(gamma=np.zeros_like(a), xi=a, xi_t=b, eta=np.zeros_like(a))
         steps = n // 4
+        flat = _flat_samples(n)
         series, _ = picard_wave_solve(
-            state, np.zeros((steps + 1, n, 2)), grid, n_levels=steps
+            state,
+            np.zeros((steps + 1, n, 2)),
+            grid,
+            n_levels=steps,
+            eta_series=np.zeros((steps + 1, n, 2)),
+            samples_series=stack_samples([flat] * (steps + 1)),
         )
         forward = (np.roll(a, -1, 0) - a) / dx
         backward = (a - np.roll(a, 1, 0)) / dx
@@ -349,7 +356,7 @@ def test_07_wave_route_cross_validation(capsys):
         zero = np.zeros_like(a)
         sup = 0.0
         for m in range(1, steps + 1):
-            curr, prev = leapfrog_step(prev, curr, zero, zero, dx, grid), curr
+            curr, prev = leapfrog_step(prev, curr, zero, zero, dx, grid, flat), curr
             sup = max(sup, np.max(np.abs(series[m] - curr)))
         route_sups.append(sup)
     route_orders = _orders(route_sups)

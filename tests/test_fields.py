@@ -28,7 +28,6 @@ from elwire.fields import (
     perp,
     row_norms,
     sided_grad_sq,
-    sup_m0,
     time_diff_series,
 )
 from elwire.geometry import (
@@ -285,6 +284,6 @@ def test_composite_norms_on_constant_series():
     grid = Grid(16)
     dt = grid.dx
     series = np.broadcast_to(np.ones((16, 2)), (4, 16, 2)).copy()
-    assert sup_m0(series) == pytest.approx(math.sqrt(2.0))
+    assert m0(series) == pytest.approx(math.sqrt(2.0))
     assert m01(series, dt) == pytest.approx(math.sqrt(2.0))
     assert m1(series, grid.dx, dt) == pytest.approx(math.sqrt(2.0))

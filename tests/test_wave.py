@@ -16,6 +16,7 @@ import pytest
 
 from elwire.errors import CflError, NonContractionError
 from elwire.fields import CurveState, Grid, circ_diff, m0
+from elwire.geometry import EuclideanModel, sample_geometry, stack_samples
 from elwire.wave import (
     WaveData,
     characteristic_derivatives,
@@ -35,6 +36,18 @@ TWO_PI = 2.0 * math.pi
 def rotation_field(grid: Grid) -> np.ndarray:
     x = grid.points()
     return np.column_stack([np.cos(TWO_PI * x), np.sin(TWO_PI * x)])
+
+
+def flat_samples(npts: int):
+    return sample_geometry(EuclideanModel(2), np.zeros((npts, 2)))
+
+
+def frozen_flat(npts: int, steps: int) -> dict:
+    """Resting flat curve over a window: zero velocity and flat samples series."""
+    return {
+        "eta_series": np.zeros((steps + 1, npts, 2)),
+        "samples_series": stack_samples([flat_samples(npts)] * (steps + 1)),
+    }
 
 
 def translation_data(grid: Grid) -> WaveData:
@@ -57,7 +70,7 @@ def test_wave_data_validates_shapes_and_admissibility():
     for xi, xi_t in ((2.0 * a, zero), (a, a)):
         state = CurveState(gamma=zero, xi=xi, xi_t=xi_t, eta=zero)
         with pytest.raises(ValueError, match="admissible"):
-            picard_wave_solve(state, theta, grid, n_levels=4)
+            picard_wave_solve(state, theta, grid, n_levels=4, **frozen_flat(16, 4))
     # the representation itself takes any data, e.g. synthetic forcing
     data = WaveData(a=2.0 * a, b=a, f=None, h=None, grid=grid)
     assert data.n_levels is None
@@ -207,7 +220,7 @@ def test_picard_contracts_near_the_resting_circle():
     )
     steps = 8
     theta = np.tile(-tangent, (steps + 1, 1, 1))
-    series, report = picard_wave_solve(state, theta, grid, n_levels=steps)
+    series, report = picard_wave_solve(state, theta, grid, n_levels=steps, **frozen_flat(64, steps))
     assert report.converged
     assert report.ratios and max(report.ratios) < 1.0
     deviation = max(m0(series[m] - tangent) for m in range(steps + 1))
@@ -221,10 +234,10 @@ def test_picard_window_validation():
         gamma=np.zeros((16, 2)), xi=xi, xi_t=np.zeros((16, 2)), eta=np.zeros((16, 2))
     )
     with pytest.raises(ValueError, match="at least 2"):
-        picard_wave_solve(state, np.zeros((2, 16, 2)), grid, n_levels=1)
+        picard_wave_solve(state, np.zeros((2, 16, 2)), grid, n_levels=1, **frozen_flat(16, 1))
     # a window of k steps spans k + 1 levels of the frozen tension series
     with pytest.raises(ValueError, match="covers 4 levels, window needs 5"):
-        picard_wave_solve(state, np.zeros((4, 16, 2)), grid, n_levels=4)
+        picard_wave_solve(state, np.zeros((4, 16, 2)), grid, n_levels=4, **frozen_flat(16, 4))
 
 
 def test_picard_reports_non_contraction():
@@ -235,7 +248,9 @@ def test_picard_reports_non_contraction():
         gamma=np.zeros((32, 2)), xi=xi, xi_t=runaway, eta=np.zeros((32, 2))
     )
     with pytest.raises(NonContractionError):
-        picard_wave_solve(state, np.zeros((17, 32, 2)), grid, n_levels=16)
+        picard_wave_solve(
+            state, np.zeros((17, 32, 2)), grid, n_levels=16, **frozen_flat(32, 16)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +263,9 @@ def test_leapfrog_transports_translation_data_exactly():
     prev = np.roll(a, -1, axis=0)
     curr = a
     zero = np.zeros_like(a)
+    flat = flat_samples(32)
     for m in range(1, 9):
-        curr, prev = leapfrog_step(prev, curr, zero, zero, grid.dx, grid), curr
+        curr, prev = leapfrog_step(prev, curr, zero, zero, grid.dx, grid, flat), curr
         assert m0(curr - np.roll(a, m, axis=0)) < TRANSPORT_TOL
 
 
@@ -259,8 +275,9 @@ def test_leapfrog_keeps_the_resting_circle():
     xi = np.column_stack([-np.sin(TWO_PI * x), np.cos(TWO_PI * x)])
     prev = curr = xi
     zero = np.zeros_like(xi)
+    flat = flat_samples(64)
     for _ in range(16):
-        curr, prev = leapfrog_step(prev, curr, -xi, zero, grid.dx, grid), curr
+        curr, prev = leapfrog_step(prev, curr, -xi, zero, grid.dx, grid, flat), curr
     assert m0(curr - xi) < EXACT_TOL
 
 
@@ -268,4 +285,6 @@ def test_leapfrog_rejects_unstable_step():
     grid = Grid(16)
     a = rotation_field(grid)
     with pytest.raises(CflError):
-        leapfrog_step(a, a, np.zeros_like(a), np.zeros_like(a), 2.0 * grid.dx, grid)
+        leapfrog_step(
+            a, a, np.zeros_like(a), np.zeros_like(a), 2.0 * grid.dx, grid, flat_samples(16)
+        )
