@@ -5,13 +5,15 @@ moving in a Riemannian manifold presented by a single coordinate chart with
 a conformal (or flat) metric.  Modules:
 
 * ``geometry``     chart models, orthonormal frames, connection and
-                   curvature coefficients;
+                   curvature coefficients, sampled along a curve or a
+                   window series of curves;
 * ``fields``       periodic grids, curve states, covariant differences and
-                   the discrete norms;
+                   the discrete norms, acting on one level (N, n) or a
+                   window series (M+1, N, n) alike;
 * ``elliptic``     the periodic second-order solves (tension field and
                    bentness gate);
-* ``wave``         the semilinear wave level: integral-formula solver and
-                   leapfrog step;
+* ``wave``         the semilinear wave level: window solve by the
+                   d'Alembert recurrence and the marching leapfrog;
 * ``dynamics``     source assembly, initial-data preparation, the time
                    marcher (a generator of levels) and the coupled window
                    iteration;
@@ -19,110 +21,53 @@ a conformal (or flat) metric.  Modules:
                    residual;
 * ``initial``      closed-form starting curves and velocity fields;
 * ``config``/``cli``  JSON run configs and the ``elwire`` command.
+
+The names below are what the command line, the demos and a script driving
+a run use; everything else is imported from its module.  Second routes that
+only verify production (dense and CG elliptic solves, the triangle
+quadrature, characteristic derivatives, the single-equation residual) live
+in ``tests/``.
 """
 
 __version__ = "0.1.0"
 
 from .config import RunConfig, parse_config
-from .diagnostics import DiagnosticsRecord, energy, make_record, transport_check
-from .dynamics import (
-    InitialData,
-    Level,
-    RunParams,
-    SourceTerms,
-    StepResult,
-    WindowIterate,
-    assemble_sources,
-    make_state,
-    march,
-    picard_coupled,
-    prepare_initial,
-    reconstruct_mu,
-    residual_base_single,
-    step,
-)
-from .elliptic import BentnessReport, bentness, solve_flux_form, solve_theta
-from .errors import (
-    CflError,
-    ChartDomainError,
-    ConfigError,
-    ConstraintDriftError,
-    DegenerateCurveError,
-    ElwireError,
-    NearGeodesicError,
-    NonContractionError,
-    NumericalAbort,
-    NumericalSolveError,
-)
-from .fields import CurveState, Grid, circ_diff, cov_dt, cov_dx, m0, m01, m1, perp
-from .geometry import (
-    ConformalModel,
-    EuclideanModel,
-    FlatTorusModel,
-    GeometrySamples,
-    HyperbolicHalfPlaneModel,
-    ManifoldModel,
-    SphereChartModel,
-    make_manifold,
-    sample_geometry,
-)
-from .wave import leapfrog_step, picard_wave_solve, wave_series
+from .diagnostics import energy, make_record
+from .dynamics import Level, RunParams, make_state, march, picard_coupled, prepare_initial
+from .elliptic import bentness, solve_flux_form
+from .errors import ConfigError, ElwireError, NearGeodesicError, NonContractionError, NumericalAbort
+from .fields import CurveState, Grid, compact_second, constraint_drift, m0
+from .geometry import EuclideanModel, make_manifold, sample_geometry, stack_samples
+from .wave import leapfrog_step, picard_wave_solve
 
 __all__ = [
     "__version__",
-    "BentnessReport",
-    "CflError",
-    "ChartDomainError",
     "ConfigError",
-    "ConformalModel",
-    "ConstraintDriftError",
     "CurveState",
-    "DegenerateCurveError",
-    "DiagnosticsRecord",
     "ElwireError",
     "EuclideanModel",
-    "FlatTorusModel",
-    "GeometrySamples",
     "Grid",
-    "HyperbolicHalfPlaneModel",
-    "InitialData",
     "Level",
-    "ManifoldModel",
     "NearGeodesicError",
     "NonContractionError",
     "NumericalAbort",
-    "NumericalSolveError",
     "RunConfig",
     "RunParams",
-    "SourceTerms",
-    "SphereChartModel",
-    "StepResult",
-    "WindowIterate",
-    "assemble_sources",
     "bentness",
-    "circ_diff",
-    "cov_dt",
-    "cov_dx",
+    "compact_second",
+    "constraint_drift",
     "energy",
     "leapfrog_step",
     "m0",
-    "m01",
-    "m1",
     "make_manifold",
     "make_record",
     "make_state",
     "march",
     "parse_config",
-    "perp",
     "picard_coupled",
     "picard_wave_solve",
     "prepare_initial",
-    "reconstruct_mu",
-    "residual_base_single",
     "sample_geometry",
     "solve_flux_form",
-    "solve_theta",
-    "step",
-    "transport_check",
-    "wave_series",
+    "stack_samples",
 ]

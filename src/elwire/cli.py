@@ -43,7 +43,7 @@ from . import __version__
 from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsRecord, make_record, transport_check
 from .dynamics import Level, RunParams, make_state, march, picard_coupled, prepare_initial
-from .errors import ConfigError, ElwireError, NumericalAbort
+from .errors import ConfigError, ElwireError, NonContractionError, NumericalAbort
 from .fields import CurveState, Grid, m0, time_diff_series
 from .geometry import make_manifold
 from . import elliptic, initial
@@ -177,21 +177,24 @@ def _march_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[
 def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
     meta["window_steps"] = cfg.picard_window
     state, _ = build_initial_state(cfg, manifold, grid)
-    iterate, report = picard_coupled(
-        state,
-        manifold,
-        grid,
-        run_params(cfg),
-        n_levels=cfg.picard_window,
-        max_iter=cfg.picard_max_iter,
-        tol=cfg.picard_tol,
-    )
-    meta["contraction"] = {
-        "distances": list(report.distances),
-        "ratios": list(report.ratios),
-        "converged": report.converged,
-        "iterations": report.iterations,
-    }
+    try:
+        iterate, report = picard_coupled(
+            state,
+            manifold,
+            grid,
+            run_params(cfg),
+            n_levels=cfg.picard_window,
+            max_iter=cfg.picard_max_iter,
+            tol=cfg.picard_tol,
+        )
+    except NonContractionError as exc:
+        # the sweeps up to the failure, and those of a failed inner wave
+        # solve, are part of the abort report
+        meta["contraction"] = dataclasses.asdict(exc.report)
+        if isinstance(exc.__cause__, NonContractionError):
+            meta["contraction"]["inner"] = dataclasses.asdict(exc.__cause__.report)
+        raise
+    meta["contraction"] = dataclasses.asdict(report)
     xi_t = time_diff_series(iterate.xi, grid.dx)
     gate = None
     for m, samples in enumerate(iterate.samples):

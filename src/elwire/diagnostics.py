@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Level, cov_dt_state, reconstruct_mu
+from .dynamics import Level, cov_dt_state, frame_tangent, reconstruct_mu
 from .fields import CurveState, Grid, constraint_drift, cov_dx, l2_norm, m0, perp
 from .geometry import GeometrySamples, ManifoldModel
 
@@ -58,11 +58,7 @@ def energy(state: CurveState, samples: GeometrySamples, grid: Grid) -> tuple[flo
 
 def gamma_xi_drift(state: CurveState, manifold: ManifoldModel, samples: GeometrySamples, grid: Grid) -> float:
     """Sup distance between the discrete curve tangent and the stored xi."""
-    tangent_chart = manifold.displacement(
-        np.roll(state.gamma, 1, axis=0), np.roll(state.gamma, -1, axis=0)
-    ) / (2.0 * grid.dx)
-    frame_tangent = np.einsum("pij,pj->pi", samples.frame_inv, tangent_chart)
-    return m0(frame_tangent - state.xi)
+    return m0(frame_tangent(state.gamma, manifold, samples, grid) - state.xi)
 
 
 def transport_check(levels: list, dt: float, grid: Grid) -> float:

@@ -12,8 +12,10 @@ velocity.  This module provides
                      generator that yields each time level with its geometry
                      and the bentness gate in force,
 * picard_coupled     the contraction-map alternative on a short time window,
-* reconstruct_mu     the pointwise multiplier of the single-equation form,
-* residual_base_single  defect of a computed trajectory in the single equation.
+* reconstruct_mu     the pointwise multiplier of the single-equation form.
+
+The defect of a computed trajectory in the single equation is a test
+oracle (tests/residual_oracle.py).
 
 The marching step keeps xi, eta and gamma each second-order accurate: the
 tangent uses the three-level wave leapfrog, the velocity a midpoint rule whose
@@ -42,8 +44,6 @@ from .fields import (
     constraint_drift,
     cov_dx,
     cov_dxx,
-    cov_dt,
-    m0,
     m01,
     m1,
     perp,
@@ -180,6 +180,17 @@ def reconstruct_mu(state: CurveState, samples: GeometrySamples, grid: Grid) -> n
 # initial data
 
 
+def frame_tangent(
+    gamma: np.ndarray, manifold: ManifoldModel, samples: GeometrySamples, grid: Grid
+) -> np.ndarray:
+    """Frame components of the curve's centred chart difference, taken with
+    the model's wrap-around displacement (not normalised)."""
+    tangent_chart = manifold.displacement(
+        np.roll(gamma, 1, axis=0), np.roll(gamma, -1, axis=0)
+    ) / (2.0 * grid.dx)
+    return np.einsum("pij,pj->pi", samples.frame_inv, tangent_chart)
+
+
 def prepare_initial(
     curve: np.ndarray,
     velocity_chart: np.ndarray,
@@ -204,10 +215,7 @@ def prepare_initial(
             f"got {pts.shape} and {vel.shape}"
         )
     samples = sample_geometry(manifold, pts)
-    tangent_chart = manifold.displacement(np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)) / (
-        2.0 * grid.dx
-    )
-    a_raw = np.einsum("pij,pj->pi", samples.frame_inv, tangent_chart)
+    a_raw = frame_tangent(pts, manifold, samples, grid)
     norms = row_norms(a_raw)
     min_norm = float(np.min(norms))
     if min_norm < MIN_TANGENT_NORM:
@@ -621,74 +629,4 @@ def picard_coupled(
         max_iter=max_iter,
         tol=tol,
         label="coupled picard iteration",
-    )
-
-
-# ---------------------------------------------------------------------------
-# single-equation residual
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Interior-level defect of a trajectory in the single-equation form."""
-
-    times: np.ndarray
-    residual: np.ndarray       # m0 of the defect per interior level
-    coherence: np.ndarray      # m0 of (frame^-1 gamma_x - xi) per interior level
-
-
-def residual_base_single(
-    levels: list,
-    dt: float,
-    manifold: ManifoldModel,
-    grid: Grid,
-) -> ResidualReport:
-    """Defect of computed levels in the single governing equation.
-
-    Uses three consecutive levels for every covariant time derivative, the
-    composed covariant difference for all spatial derivatives, and the
-    reconstructed multiplier on the right-hand side.  ``levels`` are
-    ``Level`` objects as march yields them: states carrying their tension
-    fields plus the geometry samples of their curves.  Needs at least three
-    levels.
-    """
-    if len(levels) < 3:
-        raise ValueError("residual evaluation needs at least 3 consecutive levels")
-    dx = grid.dx
-    times, defects, coherences = [], [], []
-    for i in range(1, len(levels) - 1):
-        lp, lc, ln = levels[i - 1], levels[i], levels[i + 1]
-        sp, sc, sn = lp.state, lc.state, ln.state
-        samples_c = lc.samples
-        if sc.theta is None:
-            raise ValueError("states must carry tension fields (run march or solve theta)")
-        # covariant velocity rate
-        dteta = cov_dt(sp.eta, sn.eta, sc.eta, dt, samples_c)
-        # covariant second time rate of the tangent
-        conn_p = apply_chris(lp.samples.chris, sp.eta, sp.xi)
-        conn_n = apply_chris(ln.samples.chris, sn.eta, sn.xi)
-        conn_rate = (conn_n - conn_p) / (2.0 * dt)
-        dtxi = (sn.xi - sp.xi) / (2.0 * dt) + apply_chris(samples_c.chris, sc.eta, sc.xi)
-        dt2xi = (sn.xi - 2.0 * sc.xi + sp.xi) / (dt * dt) + conn_rate + apply_chris(
-            samples_c.chris, sc.eta, dtxi
-        )
-        # spatial pieces at the centre
-        dxi = cov_dx(sc.xi, sc.xi, samples_c, dx)
-        d2xi = cov_dx(dxi, sc.xi, samples_c, dx)
-        d3xi = cov_dx(d2xi, sc.xi, samples_c, dx)
-        sources = assemble_sources(sc, samples_c, grid)
-        mu = reconstruct_mu(sc, samples_c, grid)
-        lhs = -dteta + cov_dx(dt2xi, sc.xi, samples_c, dx) - d3xi + sources.psi
-        rhs = cov_dx(mu[:, None] * sc.xi, sc.xi, samples_c, dx)
-        defects.append(m0(lhs - rhs))
-        tangent_chart = manifold.displacement(
-            np.roll(sc.gamma, 1, axis=0), np.roll(sc.gamma, -1, axis=0)
-        ) / (2.0 * dx)
-        frame_tangent = np.einsum("pij,pj->pi", samples_c.frame_inv, tangent_chart)
-        coherences.append(m0(frame_tangent - sc.xi))
-        times.append(sc.time)
-    return ResidualReport(
-        times=np.asarray(times),
-        residual=np.asarray(defects),
-        coherence=np.asarray(coherences),
     )

@@ -53,7 +53,15 @@ class ConstraintDriftError(NumericalAbort):
 
 
 class NonContractionError(NumericalAbort):
-    """Picard iteration stopped contracting (three consecutive ratios >= 1)."""
+    """Picard iteration stopped contracting (three consecutive ratios >= 1).
+
+    ``report`` is the ContractionReport of the iteration that raised, up to
+    the failing sweep.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class CflError(NumericalAbort):

@@ -10,7 +10,7 @@ covariant versions add the pointwise connection action with the appropriate
 direction vector:
 
     cov_dx(p) = dp/dx + Gamma(xi, p)        (xi = unit tangent, frame comps)
-    cov_dt(p) = dp/dt + Gamma(eta, p)       (eta = velocity, frame comps)
+    D_t p     = dp/dt + Gamma(eta, p)       (eta = velocity, frame comps)
 
 Because the centred difference matrix is antisymmetric and Gamma(v, .) is
 pointwise antisymmetric, cov_dx satisfies exact discrete summation by parts:
@@ -131,22 +131,6 @@ def sided_grad_sq(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: f
     fwd = (np.roll(p, -1, axis=-2) - p) / dx + conn
     bwd = (p - np.roll(p, 1, axis=-2)) / dx + conn
     return 0.5 * (np.sum(fwd * fwd, axis=-1) + np.sum(bwd * bwd, axis=-1))
-
-
-def cov_dt(
-    p_prev: np.ndarray,
-    p_next: np.ndarray,
-    eta: np.ndarray,
-    dt: float,
-    samples: GeometrySamples,
-) -> np.ndarray:
-    """Covariant time derivative from two bracketing levels.
-
-    Centred difference in time plus Gamma(eta, .) acting on the level average;
-    ``samples`` and ``eta`` belong to the central level.
-    """
-    mid = 0.5 * (p_prev + p_next)
-    return (p_next - p_prev) / (2.0 * dt) + apply_chris(samples.chris, eta, mid)
 
 
 def time_diff_series(series: np.ndarray, dt: float) -> np.ndarray:

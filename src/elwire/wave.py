@@ -1,4 +1,4 @@
-"""Two independent solvers for the tangent wave equation on the periodic wire.
+"""The tangent wave equation on the periodic wire: window solve and leapfrog.
 
 The unit tangent field obeys a semilinear wave equation whose plain-coordinate
 form is
@@ -6,23 +6,22 @@ form is
     u_tt - u_xx = f(u, u_x, u_t, x, t) + d/dx h(u, x, t),
 
 with all connection and tension contributions collected in the local sources f
-and h (assemble_wave_sources).  Two routes are implemented and cross-checked:
+and h (assemble_wave_sources, whole window series at once).  Production uses
+one route per job:
 
-* the characteristic (d'Alembert) representation on the grid with the time
-  step locked to dx, so characteristics pass exactly through grid points.
-  Its trapezoid quadrature over the dependence triangle obeys an exact
-  three-level recurrence, which wave_series evaluates in O(N) per level
-  (the plain quadrature is kept as a test oracle in tests/wave_oracle.py).
-  A Picard iteration (picard_wave_solve) feeds the solution back into the
-  sources over a short time window;
-* an explicit three-level covariant leapfrog (leapfrog_step) used by the
-  marching integrator.
+* the Picard window (picard_wave_solve) evaluates the characteristic
+  (d'Alembert) representation with the time step locked to dx, so
+  characteristics pass exactly through grid points.  Its trapezoid
+  quadrature over the dependence triangle obeys an exact three-level
+  recurrence, which wave_series evaluates in O(N) per level, and a source
+  iteration feeds the solution back into the sources over the window;
+* the marching integrator takes the explicit three-level covariant leapfrog
+  (leapfrog_step).
 
-First derivatives along characteristics (characteristic_derivatives) come from
-a closed formula that never differentiates h in space: the h-contribution uses
-only h values and time differences of h.  That structure is what makes the
-representation usable when h carries one derivative less smoothness than the
-solution, and the tests enforce it behaviourally.
+The other routes are oracles under tests/: the plain triangle quadrature
+and the characteristic derivatives, whose h-contribution never
+differentiates h in space, are in tests/wave_oracle.py, and the tests check
+the window solve against the leapfrog.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CflError, NonContractionError
-from .fields import Grid, circ_diff, cov_dx, cov_dxx, m0, m1, perp, sided_grad_sq, time_diff_series
+from .fields import Grid, cov_dx, cov_dxx, m0, m1, perp, sided_grad_sq, time_diff_series
 from .geometry import GeometrySamples, apply_chris
 
 UNIT_DATA_TOL = 1e-8
@@ -71,24 +70,10 @@ class WaveData:
                     f"source series {name} must have shape (M+1, {npts}, n); got {series.shape}"
                 )
 
-    @property
-    def n_levels(self) -> Optional[int]:
-        """Highest level index covered by the source series (None if source-free)."""
-        lengths = [s.shape[0] - 1 for s in (self.f, self.h) if s is not None]
-        return min(lengths) if lengths else None
-
     def _check_levels(self, n_levels: int) -> None:
-        limit = self.n_levels
-        if limit is not None and n_levels > limit:
+        limit = min((s.shape[0] - 1 for s in (self.f, self.h) if s is not None), default=n_levels)
+        if n_levels > limit:
             raise ValueError(f"source series cover levels 0..{limit}, requested {n_levels}")
-
-
-@dataclass(frozen=True)
-class CharacteristicFields:
-    """Characteristic first derivatives u_x + u_t and u_x - u_t as series."""
-
-    u_plus: np.ndarray   # (M+1, N, n)
-    u_minus: np.ndarray  # (M+1, N, n)
 
 
 @dataclass(frozen=True)
@@ -141,85 +126,53 @@ def wave_series(data: WaveData, n_levels: int) -> np.ndarray:
     return feet + integral
 
 
-def characteristic_derivatives(data: WaveData, n_levels: Optional[int] = None) -> CharacteristicFields:
-    """Closed-form characteristic derivatives u_x +/- u_t of the representation.
-
-    The h-contribution is the end-point difference {h(x +/- t, 0) - h(x, t)}
-    plus the time-derivative integral along the characteristic; h is never
-    differentiated in space.  Time derivatives of h are centred inside the
-    window and one-sided second order at the ends.  Each characteristic
-    integral is one running trapezoid sum: a step moves the sum by one point,
-    raises its old endpoint's weight from dx/2 to dx and adds the new
-    endpoint at dx/2.
-    """
-    dx = data.grid.dx
-    if n_levels is None:
-        n_levels = data.n_levels
-        if n_levels is None:
-            raise ValueError("n_levels is required for source-free data")
-    data._check_levels(n_levels)
-    a_x = circ_diff(data.a, dx)
-    h_t = None
-    if data.h is not None and n_levels >= 1:
-        if n_levels < 2:
-            raise ValueError("need at least 3 levels of h to form its time derivative")
-        h_t = time_diff_series(data.h[: n_levels + 1], dx)
-    out = {}
-    for sign in (+1, -1):
-        g = np.zeros((n_levels + 1,) + a_x.shape)
-        carried = a_x + sign * data.b
-        if data.f is not None:
-            g += sign * data.f[: n_levels + 1]
-        if h_t is not None:
-            g += h_t
-            carried += data.h[0]
-        run = np.empty_like(g)
-        run[0] = carried
-        for m in range(n_levels):
-            run[m + 1] = np.roll(run[m] + 0.5 * dx * g[m], -sign, axis=0) + 0.5 * dx * g[m + 1]
-        if h_t is not None:
-            run -= data.h[: n_levels + 1]
-        out[sign] = run
-    return CharacteristicFields(u_plus=out[+1], u_minus=out[-1])
-
-
 def _contract(
     sweep: Callable, start, distance: Callable, *, max_iter: int, tol: float, label: str
 ) -> tuple:
     """Apply ``sweep`` from ``start`` until two iterates are within ``tol``.
 
-    Returns the last iterate and its ContractionReport; three consecutive
-    distance ratios >= 1 raise NonContractionError naming ``label``.
+    Returns the last iterate and its ContractionReport.  Three consecutive
+    distance ratios >= 1 raise NonContractionError naming ``label``; one
+    raised inside a sweep (an inner iteration) is raised again with the
+    sweep's number in front.  Either carries the report up to the failure.
     """
     current = start
     distances: list[float] = []
     ratios: list[float] = []
     converged = False
     rising = 0
-    for _ in range(max_iter):
-        new = sweep(current)
+
+    def report() -> ContractionReport:
+        return ContractionReport(
+            distances=tuple(distances),
+            ratios=tuple(ratios),
+            converged=converged,
+            iterations=len(distances),
+        )
+
+    for index in range(max_iter):
+        try:
+            new = sweep(current)
+        except NonContractionError as exc:
+            raise NonContractionError(f"{label} sweep {index + 1}: {exc}", report()) from exc
         dist = distance(new, current)
         if distances:
             ratio = dist / distances[-1] if distances[-1] > 0 else 0.0
             ratios.append(ratio)
             rising = rising + 1 if ratio >= 1.0 else 0
             if rising >= 3:
+                distances.append(dist)
                 raise NonContractionError(
                     f"{label} stopped contracting: last ratios "
-                    f"{[f'{r:.3f}' for r in ratios[-3:]]}"
+                    f"{[f'{r:.3f}' for r in ratios[-3:]]}",
+                    report(),
                 )
         distances.append(dist)
         current = new
         if dist <= tol:
             converged = True
             break
-    report = ContractionReport(
-        distances=tuple(distances),
-        ratios=tuple(ratios),
-        converged=converged,
-        iterations=len(distances),
-    )
-    return current, report
+    return current, report()
 
 
 def assemble_wave_sources(

@@ -25,7 +25,6 @@ from elwire.dynamics import (
     picard_coupled,
     prepare_initial,
     reconstruct_mu,
-    residual_base_single,
 )
 from elwire.elliptic import _banded_operator, bentness, solve_flux_form
 from elwire.fields import (
@@ -50,13 +49,9 @@ from elwire.geometry import (
     sample_geometry,
     stack_samples,
 )
-from elwire.wave import (
-    WaveData,
-    characteristic_derivatives,
-    leapfrog_step,
-    picard_wave_solve,
-    wave_series,
-)
+from elwire.wave import WaveData, leapfrog_step, picard_wave_solve, wave_series
+from residual_oracle import residual_base_single
+from wave_oracle import characteristic_derivatives
 
 TWO_PI = 2.0 * math.pi
 RESOLUTIONS = (64, 128, 256)

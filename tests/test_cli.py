@@ -267,6 +267,23 @@ def test_picard_window_longer_than_the_grid_aborts_with_report(tmp_path, capsys)
     assert header == ",".join(CSV_COLUMNS)
 
 
+def test_picard_abort_keeps_the_sweep_record(tmp_path):
+    # the first coupled sweep's inner wave solve stops contracting; the abort
+    # names that sweep and keeps the distances of both iterations
+    data = {"grid": {"n": 8}, "mode": "picard", "picard": {"window": 12}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 3
+    meta = json.loads((out / "metadata.json").read_text())
+    reason = meta["failure"]["reason"]
+    assert reason.startswith("coupled picard iteration sweep 1: picard iteration stopped")
+    contraction = meta["contraction"]
+    assert contraction["distances"] == [] and contraction["converged"] is False
+    inner = contraction["inner"]
+    assert len(inner["distances"]) == len(inner["ratios"]) + 1 == 4
+    assert [f"{r:.3f}" for r in inner["ratios"]] == ["4.130", "95.556", "1982.623"]
+    assert "'4.130', '95.556', '1982.623'" in reason
+
+
 def test_study_outputs(tmp_path, capsys):
     data = {
         "grid": {"n": 16},

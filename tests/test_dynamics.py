@@ -24,7 +24,6 @@ from elwire.dynamics import (
     picard_coupled,
     prepare_initial,
     reconstruct_mu,
-    residual_base_single,
     step,
 )
 from elwire.elliptic import solve_theta
@@ -36,6 +35,7 @@ from elwire.geometry import (
     make_manifold,
     sample_geometry,
 )
+from residual_oracle import residual_base_single
 
 EXACT_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-10

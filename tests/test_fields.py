@@ -17,7 +17,6 @@ from elwire.fields import (
     circ_diff,
     compact_second,
     constraint_drift,
-    cov_dt,
     cov_dx,
     cov_dxx,
     l2_inner,
@@ -38,6 +37,7 @@ from elwire.geometry import (
     apply_curv,
     sample_geometry,
 )
+from residual_oracle import cov_dt
 
 EXACT_TOL = 1e-12
 SYMBOL_TOL = 1e-11

@@ -1,16 +1,29 @@
-"""Reference quadrature of the characteristic (d'Alembert) representation.
+"""Reference routes of the characteristic (d'Alembert) representation.
 
 Production evaluates the representation level by level through its exact
-three-level recurrence and the characteristic derivatives as running
-trapezoid sums.  The tests check both against the plain quadrature here,
-which redoes the whole dependence triangle (or characteristic) at every
-level: trapezoid weights in space over [k - s, k + s] and in time over
-[0, m * dt], with dt = dx so that characteristics hit grid points exactly.
+three-level recurrence (``wave.wave_series``).  The tests check it against
+the plain quadrature here, which redoes the whole dependence triangle at
+every level: trapezoid weights in space over [k - s, k + s] and in time
+over [0, m * dt], with dt = dx so that characteristics hit grid points
+exactly.  The characteristic derivatives u_x +/- u_t of the representation
+come two ways, as running trapezoid sums and as sums redone afresh at every
+level; the tests compare them with each other and with centred differences
+of wave_series.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from elwire.fields import circ_diff, time_diff_series
+
+
+@dataclass(frozen=True)
+class CharacteristicFields:
+    """Characteristic first derivatives u_x + u_t and u_x - u_t as series."""
+
+    u_plus: np.ndarray   # (M+1, N, n)
+    u_minus: np.ndarray  # (M+1, N, n)
 
 
 def window_weighted_sum(v, half_width):
@@ -85,3 +98,46 @@ def characteristic_quadrature(data, n_levels):
             levels.append(u)
         out.append(np.stack(levels))
     return out[0], out[1]
+
+
+def characteristic_derivatives(data, n_levels=None):
+    """Closed-form characteristic derivatives u_x +/- u_t of the representation.
+
+    The h-contribution is the end-point difference {h(x +/- t, 0) - h(x, t)}
+    plus the time-derivative integral along the characteristic; h is never
+    differentiated in space.  Time derivatives of h are centred inside the
+    window and one-sided second order at the ends.  Each characteristic
+    integral is one running trapezoid sum: a step moves the sum by one point,
+    raises its old endpoint's weight from dx/2 to dx and adds the new
+    endpoint at dx/2.
+    """
+    dx = data.grid.dx
+    if n_levels is None:
+        lengths = [s.shape[0] - 1 for s in (data.f, data.h) if s is not None]
+        if not lengths:
+            raise ValueError("n_levels is required for source-free data")
+        n_levels = min(lengths)
+    data._check_levels(n_levels)
+    a_x = circ_diff(data.a, dx)
+    h_t = None
+    if data.h is not None and n_levels >= 1:
+        if n_levels < 2:
+            raise ValueError("need at least 3 levels of h to form its time derivative")
+        h_t = time_diff_series(data.h[: n_levels + 1], dx)
+    out = {}
+    for sign in (+1, -1):
+        g = np.zeros((n_levels + 1,) + a_x.shape)
+        carried = a_x + sign * data.b
+        if data.f is not None:
+            g += sign * data.f[: n_levels + 1]
+        if h_t is not None:
+            g += h_t
+            carried += data.h[0]
+        run = np.empty_like(g)
+        run[0] = carried
+        for m in range(n_levels):
+            run[m + 1] = np.roll(run[m] + 0.5 * dx * g[m], -sign, axis=0) + 0.5 * dx * g[m + 1]
+        if h_t is not None:
+            run -= data.h[: n_levels + 1]
+        out[sign] = run
+    return CharacteristicFields(u_plus=out[+1], u_minus=out[-1])
