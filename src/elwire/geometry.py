@@ -475,10 +475,12 @@ def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples
 
 def apply_chris(chris: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise bilinear connection action Gamma(u, v) on frame components
-    of fields (..., N, n); the leading axes fold into one point axis."""
-    n = u.shape[-1]
-    chris_v = np.einsum("pikj,pj->pik", chris.reshape(-1, n, n, n), v.reshape(-1, n))
-    return np.einsum("pik,pi->pk", chris_v, u.reshape(-1, n)).reshape(u.shape)
+    of fields (..., N, n)."""
+    shape = u.shape
+    if u.ndim > 2:  # a window series: fold its level axis into the point axis
+        n = shape[-1]
+        chris, u, v = chris.reshape(-1, n, n, n), u.reshape(-1, n), v.reshape(-1, n)
+    return np.einsum("pik,pi->pk", np.einsum("pikj,pj->pik", chris, v), u).reshape(shape)
 
 
 def apply_curv(curv: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
