@@ -16,18 +16,23 @@ degeneracy and gates the solve.
 
 D couples each point to its two neighbours, so -D o D + Z is
 block-pentadiagonal with periodic corners.  Taking the points in the folded
-order 0, N-1, 1, N-2, ... turns it into an ordinary band matrix of
-half-bandwidth 5n - 1, which is assembled block by block from the connection
-blocks Gamma(xi_k, .) and solved by banded LU at every grid size.
+order 0, N-1, 1, N-2, ... puts points two apart on the circle at most four
+places apart, so grouping four consecutive places into one block row of
+size 4n gives a block-tridiagonal matrix with ceil(N/4) block rows (the
+unused places of the last one are identity rows).  It is assembled from the
+connection blocks Gamma(xi_k, .), keeping the diagonal and upper blocks of
+the symmetric matrix, and solved at every grid size by block odd-even
+(cyclic) reduction in numpy: batched inverses of the eliminated diagonal
+blocks, level by level, down to one small dense solve.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
 from .fields import Grid, constraint_drift, cov_dx, l2_norm, m0, perp
@@ -61,16 +66,6 @@ class FluxSolveResult:
     bentness: Optional[BentnessReport]
 
 
-def _zeroth_blocks(xi: np.ndarray, kind: str) -> np.ndarray:
-    npts, n = xi.shape
-    eye = np.broadcast_to(np.eye(n), (npts, n, n))
-    if kind == "identity":
-        return eye.copy()
-    if kind == "perp":
-        return eye - xi[:, :, None] * xi[:, None, :]
-    raise ValueError(f"unknown zeroth-order kind {kind!r}")
-
-
 def _fold_order(npts: int) -> np.ndarray:
     """Points in the order 0, N-1, 1, N-2, 2, ...
 
@@ -83,51 +78,165 @@ def _fold_order(npts: int) -> np.ndarray:
     return order
 
 
-def _banded_operator(xi, samples, grid, kind: str):
-    """-D o D + Z in fold order, in the band storage of solve_banded.
+#: grid points per block row.  In fold order, points two apart on the circle
+#: sit at most four slots apart, so four slots per block row make the folded
+#: system block tridiagonal.
+SLOTS = 4
+#: largest order of the dense system that finishes the reduction
+DENSE_SIZE = 64
 
-    Returns ``(ab, order)``: row ``bw + i - j`` of ``ab`` holds entry (i, j)
-    of the folded matrix, whose half-bandwidth is bw = 5n - 1, and ``order``
-    lists the grid point behind each block row.
+
+@functools.lru_cache(maxsize=16)
+def _layout(npts: int, n: int):
+    """Where the couplings of -D o D + Z go among the block rows; grid only.
+
+    Slot s of the fold order holds rows n*s ... n*s + n - 1 of the folded
+    system, and block row b the SLOTS slots from SLOTS * b on.  The operator
+    is symmetric, so only its diagonal and upper blocks are stored, as
+    ``system`` (2, B, m, m), m = SLOTS * n.  Returns ``(order, source,
+    scatter, padding, place)``: coupling ``source[i]`` of the stack [far,
+    edge, -edge, centre] (see _block_operator) goes to the flat indices
+    ``scatter[i]`` (n, n) of ``system``, ``padding`` indexes the unit
+    diagonal of the unused slots of the last block row, and ``place`` (N, n)
+    the folded row of each grid component.
     """
+    order = _fold_order(npts)
+    slot = np.empty(npts, dtype=int)
+    slot[order] = np.arange(npts)
+    n_rows = -(-npts // SLOTS)
+    m = SLOTS * n
+    comp = np.arange(n)
+    place = n * slot[:, None] + comp
+    points = np.arange(npts)
+    # coupling of point k to point k + d, d = -2 ... 2, as an index into the stack
+    source = np.stack(
+        [
+            np.zeros(npts, dtype=int),
+            1 + (points - 1) % npts,
+            1 + 2 * npts + points,
+            1 + npts + points,
+            np.zeros(npts, dtype=int),
+        ]
+    )
+    row_block = slot // SLOTS
+    col_slot = slot[(points + np.arange(-2, 3)[:, None]) % npts]
+    band = col_slot // SLOTS - row_block  # 0 diagonal, 1 upper, -1 lower
+    keep = band >= 0
+    row = place - m * row_block[:, None]
+    col = (n * (col_slot % SLOTS))[:, :, None] + comp
+    base = (band * n_rows + row_block) * m * m
+    scatter = base[:, :, None, None] + row[None, :, :, None] * m + col[:, :, None, :]
+    spare = (n * np.arange(npts, SLOTS * n_rows)[:, None] + comp).reshape(-1) % m
+    padding = (n_rows - 1) * m * m + spare * (m + 1)
+    layout = (order, source[keep], scatter[keep], padding, place)
+    for index in layout:  # shared by every later call
+        index.setflags(write=False)
+    return layout
+
+
+def _block_operator(xi, samples, grid, kind: str):
+    """-D o D + Z in fold order, as the blocks of a block-tridiagonal matrix.
+
+    Returns ``(system, order)``: ``system[0]`` (B, m, m), B = ceil(N / SLOTS),
+    m = SLOTS * n, holds the diagonal blocks and ``system[1]`` the blocks
+    coupling block row b to block row b + 1 (the last one is zero); the
+    blocks below the diagonal are their transposes.  ``order`` lists the grid
+    point behind each slot.
+    """
+    if kind not in ("perp", "identity"):
+        raise ValueError(f"unknown zeroth-order kind {kind!r}")
     npts, n = xi.shape
     dx = grid.dx
     conn = np.einsum("pikj,pi->pkj", samples.chris, xi)  # B_k = Gamma(xi_k, .)
     eye = np.eye(n)
-    # blocks[2 + d, k] couples point k to point k + d
-    blocks = np.empty((5, npts, n, n))
-    blocks[0] = blocks[4] = -eye / (4.0 * dx * dx)
-    blocks[1] = (conn + np.roll(conn, 1, axis=0)) / (2.0 * dx)
-    blocks[3] = -(conn + np.roll(conn, -1, axis=0)) / (2.0 * dx)
-    blocks[2] = eye / (2.0 * dx * dx) - conn @ conn + _zeroth_blocks(xi, kind)
+    # couplings: far (k to k +- 2), edge_k (k + 1 to k; k to k + 1 is -edge_k)
+    # and centre_k (k to k)
+    far = -eye / (4.0 * dx * dx)
+    edge = (conn + np.roll(conn, -1, axis=0)) / (2.0 * dx)
+    centre = (0.5 / (dx * dx) + 1.0) * eye - conn @ conn
+    if kind == "perp":
+        centre -= xi[:, :, None] * xi[:, None, :]
+    stack = np.concatenate([far[None], edge, -edge, centre])
 
-    # folded row and column of entry (i, j) of blocks[2 + d, k]
-    order = _fold_order(npts)
-    slot = np.empty(npts, dtype=int)
-    slot[order] = np.arange(npts)
-    neighbour = (np.arange(npts) + np.arange(-2, 3)[:, None]) % npts
-    comp = np.arange(n)
-    rows = (n * slot)[None, :, None, None] + comp[:, None]
-    cols = (n * slot[neighbour])[:, :, None, None] + comp
-    bw = 5 * n - 1
-    ab = np.zeros((2 * bw + 1, npts * n))
-    ab[bw + rows - cols, cols] = blocks
-    return ab, order
+    order, source, scatter, padding, _ = _layout(npts, n)
+    m = SLOTS * n
+    system = np.zeros((2, -(-npts // SLOTS), m, m))
+    flat = system.reshape(-1)
+    flat[scatter] = stack[source]
+    flat[padding] = 1.0
+    return system, order
+
+
+def _cyclic_reduction(diag, upper, rhs):
+    """Solve the symmetric block-tridiagonal system with diagonal blocks
+    ``diag`` (B, m, m) and upper blocks ``upper`` (row b to row b + 1; the
+    last is zero) for x (B, m), by odd-even reduction.
+
+    Each level inverts the diagonal blocks of the odd rows in one batched
+    call, expresses their unknowns through their even neighbours, and
+    substitutes that into the even rows, which make the next level's system
+    of half the size; a level with an odd row count first gains an identity
+    row.  Once the system has order DENSE_SIZE or less (or one row) a dense
+    solve finishes it, and back substitution recovers the odd unknowns level
+    by level.  The system is symmetric positive definite, so eliminating
+    whole rows needs no pivoting between them.
+    """
+    m = diag.shape[1]
+    state = np.concatenate([diag, rhs[:, :, None]], axis=2)  # [diagonal | rhs]
+    levels = []
+    while len(state) > max(1, DENSE_SIZE // m):
+        count = len(state)
+        if count % 2:
+            pad = np.zeros((1, m, m + 1))
+            pad[0, :, :m] = np.eye(m)
+            state = np.concatenate([state, pad])
+            upper = np.concatenate([upper, np.zeros((1, m, m))])
+        up_even, up_odd = upper[0::2], upper[1::2]
+        rhs_odd = state[1::2, :, m:]
+        # odd row j couples to even row j by up_even[j]^T and to even row
+        # j + 1 by up_odd[j]; with solved = diag^-1 [up_even^T | rhs | up_odd | rhs]
+        # its unknown is solved[rhs] - solved[:m] x_even[j] - solved[m+1 : 2m+1] x_even[j+1].
+        # Repeating the rhs column lines both products up with [diagonal | rhs].
+        solved = np.linalg.inv(state[1::2, :, :m]) @ np.concatenate(
+            [up_even.transpose(0, 2, 1), rhs_odd, up_odd, rhs_odd], axis=2
+        )
+        through_right = up_even @ solved
+        through_left = up_odd[:-1].transpose(0, 2, 1) @ solved[:-1, :, m + 1 :]
+        state = state[0::2] - through_right[:, :, : m + 1]
+        state[1:] -= through_left
+        upper = -through_right[:, :, m + 1 : 2 * m + 1]
+        levels.append((count, solved))
+
+    count = len(state)
+    rows = np.arange(count)
+    dense = np.zeros((count, m, count, m))
+    dense[rows, :, rows, :] = state[:, :, :m]
+    dense[rows[:-1], :, rows[1:], :] = upper[:-1]
+    dense[rows[1:], :, rows[:-1], :] = upper[:-1].transpose(0, 2, 1)
+    x = np.linalg.solve(dense.reshape(count * m, count * m), state[:, :, m].reshape(-1))
+    x = x.reshape(count, m)
+    for count, solved in reversed(levels):
+        neighbours = np.zeros((len(x), 2 * m + 1, 1))
+        neighbours[:, :m, 0] = x
+        neighbours[:-1, m + 1 :, 0] = x[1:]
+        merged = np.empty((2 * len(x), m))
+        merged[0::2] = x
+        merged[1::2] = solved[:, :, m] - (solved[:, :, : 2 * m + 1] @ neighbours)[:, :, 0]
+        x = merged[:count]
+    return x
 
 
 def _solve_system(xi, samples, grid, kind, rhs_field):
-    """Solve (-D o D + Z) u = rhs by banded LU in fold order."""
-    ab, order = _banded_operator(xi, samples, grid, kind)
-    bw = (ab.shape[0] - 1) // 2
+    """Solve (-D o D + Z) u = rhs by block cyclic reduction in fold order."""
+    system, _ = _block_operator(xi, samples, grid, kind)
+    place = _layout(*xi.shape)[-1]
+    rhs = np.zeros(system.shape[1:3])
+    rhs.reshape(-1)[place] = rhs_field
     try:
-        folded = scipy.linalg.solve_banded(
-            (bw, bw), ab, rhs_field[order].reshape(-1), overwrite_ab=True, check_finite=False
-        )
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalSolveError(f"banded elliptic solve failed ({exc})") from exc
-    u = np.empty_like(rhs_field)
-    u[order] = folded.reshape(rhs_field.shape)
-    return u
+        x = _cyclic_reduction(system[0], system[1], rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalSolveError(f"elliptic solve met a singular block ({exc})") from exc
+    return x.reshape(-1)[place]
 
 
 def bentness(xi: np.ndarray, samples: GeometrySamples, grid: Grid) -> BentnessReport:

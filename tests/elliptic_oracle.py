@@ -1,9 +1,9 @@
 """Reference routes for the elliptic operators -D o D + Z (D = cov_dx).
 
-Production solves one banded system in fold order.  The tests check it
-against two routes that share none of its assembly: a dense (N*n, N*n)
-matrix multiplied out from the dense difference matrix, and conjugate
-gradients on an operator that applies ``cov_dx`` twice.
+Production solves one block-tridiagonal system in fold order by cyclic
+reduction.  The tests check it against two routes that share none of its
+assembly: a dense (N*n, N*n) matrix multiplied out from the dense difference
+matrix, and conjugate gradients on an operator that applies ``cov_dx`` twice.
 """
 
 import numpy as np
@@ -71,15 +71,29 @@ def cg_solve(xi, samples, grid, kind, rhs, rtol=1e-10):
     return flat.reshape(npts, n)
 
 
-def band_to_dense(ab, order, n):
-    """Unfold band storage in fold order into the dense matrix in grid order."""
-    size = ab.shape[1]
-    bw = (ab.shape[0] - 1) // 2
-    folded = np.zeros((size, size))
-    for offset in range(-bw, bw + 1):
-        i = np.arange(max(0, -offset), min(size, size - offset))
-        folded[i, i + offset] = ab[bw - offset, i + offset]
+def block_tridiagonal_to_dense(system, order, n):
+    """Unfold the production blocks in fold order into the dense matrix in
+    grid order.
+
+    ``system`` holds the diagonal blocks and the blocks coupling each block
+    row to the next; the blocks below the diagonal are their transposes.
+    Asserts that the last block row couples to nothing further and that the
+    slots past the grid are identity rows coupled to nothing.
+    """
+    diag, upper = system
+    count, m = diag.shape[:2]
+    assert not upper[-1].any()
+    folded = np.zeros((count * m, count * m))
+    for b in range(count):
+        rows = slice(b * m, (b + 1) * m)
+        folded[rows, rows] = diag[b]
+        if b + 1 < count:
+            below = slice((b + 1) * m, (b + 2) * m)
+            folded[rows, below] = upper[b]
+            folded[below, rows] = upper[b].T
+    size = len(order) * n
+    assert np.array_equal(folded[size:], np.eye(count * m)[size:])
     scalar_order = (order[:, None] * n + np.arange(n)).reshape(-1)
-    dense = np.empty_like(folded)
-    dense[np.ix_(scalar_order, scalar_order)] = folded
+    dense = np.empty((size, size))
+    dense[np.ix_(scalar_order, scalar_order)] = folded[:size, :size]
     return dense

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from elliptic_oracle import band_to_dense, cg_solve, dense_solve
+from elliptic_oracle import block_tridiagonal_to_dense, cg_solve, dense_solve
 from elwire import initial
 from elwire.cli import main
 from elwire.diagnostics import energy
@@ -26,7 +26,7 @@ from elwire.dynamics import (
     prepare_initial,
     reconstruct_mu,
 )
-from elwire.elliptic import _banded_operator, bentness, solve_flux_form
+from elwire.elliptic import _block_operator, bentness, solve_flux_form
 from elwire.fields import (
     CurveState,
     Grid,
@@ -272,8 +272,8 @@ def test_05_bentness_lipschitz(capsys):
 
 def test_06_tension_solver_oracles(capsys):
     def symmetry_gap(xi, samples, grid):
-        ab, order = _banded_operator(xi, samples, grid, "perp")
-        matrix = band_to_dense(ab, order, xi.shape[1])
+        system, order = _block_operator(xi, samples, grid, "perp")
+        matrix = block_tridiagonal_to_dense(system, order, xi.shape[1])
         return np.max(np.abs(matrix - matrix.T))
 
     grid = Grid(256)
@@ -292,13 +292,14 @@ def test_06_tension_solver_oracles(capsys):
     negated = solve_flux_form(zero, -omega_sq * xi, xi, flat, grid).u
     err_neg = m0(negated + xi) / m0(xi)
 
-    # the banded production solve against two routes that share none of its
-    # assembly: a dense matrix and conjugate gradients on cov_dx applied twice
+    # the production solve (block cyclic reduction) against two routes that
+    # share none of its assembly: a dense matrix and conjugate gradients on
+    # cov_dx applied twice
     rng = np.random.default_rng(3)
     source = rng.standard_normal(xi_h.shape)
-    banded = solve_flux_form(np.zeros_like(xi_h), source, xi_h, samples_h, grid_h).u
-    dense_gap = m0(banded - dense_solve(xi_h, samples_h, grid_h, "perp", source))
-    cg_gap = m0(banded - cg_solve(xi_h, samples_h, grid_h, "perp", source))
+    reduced = solve_flux_form(np.zeros_like(xi_h), source, xi_h, samples_h, grid_h).u
+    dense_gap = m0(reduced - dense_solve(xi_h, samples_h, grid_h, "perp", source))
+    cg_gap = m0(reduced - cg_solve(xi_h, samples_h, grid_h, "perp", source))
     path_gap = max(dense_gap, cg_gap)
 
     ok = (
@@ -311,7 +312,8 @@ def test_06_tension_solver_oracles(capsys):
         ok,
         "tension solver oracles",
         f"symmetry {max(sym_flat, sym_hyp):.2e}, closed forms "
-        f"{err_pull:.2e}/{err_neg:.2e}, banded vs dense/cg {dense_gap:.2e}/{cg_gap:.2e}",
+        f"{err_pull:.2e}/{err_neg:.2e}, cyclic reduction vs dense/cg "
+        f"{dense_gap:.2e}/{cg_gap:.2e}",
     )
     assert sym_flat <= 1e-10
     assert sym_hyp <= 1e-10

@@ -2,12 +2,16 @@
 
 import gc
 import json
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import elwire
 from elwire.cli import CSV_COLUMNS, main
 
 REST_CONFIG = {
@@ -323,6 +327,74 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out_b), "--quiet"]) == 0
     for name in ("diagnostics.csv", "metadata.json", "snapshot_000000.json", "snapshot_000008.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def run_in_subprocess(code, **env):
+    """Run Python ``code`` in a fresh interpreter that imports elwire from
+    this tree; return its standard output."""
+    src = str(Path(elwire.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    # importing scipy.linalg once cost more start-up time than a short run
+    path = config_file(tmp_path, {"grid": {"n": 16}, "time": {"horizon": 2 / 16}})
+    out = tmp_path / "out"
+    code = f"""
+import json, sys
+import elwire.cli
+exit_code = elwire.cli.main(["run", "--config", {str(path)!r}, "--out", {str(out)!r}, "--quiet"])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({{"exit": exit_code, "scipy": loaded}}))
+"""
+    report = json.loads(run_in_subprocess(code).splitlines()[-1])
+    assert report == {"exit": 0, "scipy": []}
+    assert len(read_csv(out / "diagnostics.csv")[1]) == 3
+
+
+BLAS_THREAD_CONFIGS = {
+    # N = 256: three reduction levels of the elliptic solve before its dense solve
+    "flat": {
+        "grid": {"n": 256},
+        "time": {"horizon": 3 / 256},
+        "initial": {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01},
+        "output": {"snapshot_every": 1},
+    },
+    "sphere": {
+        "manifold": {"name": "sphere"},
+        "grid": {"n": 64},
+        "time": {"horizon": 4 / 64},
+        "initial": {"name": "sphere-loop"},
+        "output": {"snapshot_every": 2},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLAS_THREAD_CONFIGS))
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, name):
+    path = config_file(tmp_path, BLAS_THREAD_CONFIGS[name])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        code = (
+            "import sys, elwire.cli; "
+            f"sys.exit(elwire.cli.main(['run', '--config', {str(path)!r}, "
+            f"'--out', {str(out)!r}, '--quiet']))"
+        )
+        run_in_subprocess(code, OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert "diagnostics.csv" in outputs["1"]
+    assert sum(name.startswith("snapshot_") for name in outputs["1"]) >= 3
+    assert outputs["1"] == outputs["2"]
 
 
 def test_out_flag_overrides_config_directory(tmp_path):

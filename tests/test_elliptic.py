@@ -1,7 +1,8 @@
 """Tests for the tension and bentness solves.
 
 The dense oracle is checked against an index-by-index loop construction; the
-banded operator and solve against the dense oracle and against conjugate
+block-tridiagonal operator and its cyclic-reduction solve against the dense
+oracle and against conjugate
 gradients on the unassembled operator, on every chart; and the solver
 against closed-form solutions on the resting circle, where the wide composed
 stencil has the exact symbol sin(2 pi dx) / dx on the lowest mode.
@@ -11,10 +12,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from elliptic_oracle import band_to_dense, cg_solve, dense_operator, dense_solve
-from elwire.elliptic import BentnessReport, _banded_operator, bentness, solve_flux_form
+from elliptic_oracle import block_tridiagonal_to_dense, cg_solve, dense_operator, dense_solve
+from elwire.elliptic import BentnessReport, _block_operator, bentness, solve_flux_form
 from elwire.errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
 from elwire.fields import MIN_POINTS, Grid, circ_diff, cov_dx, l2_norm, m0, perp, row_norms
 from elwire.geometry import (
@@ -80,9 +80,9 @@ def chart_setup(name: str, n: int):
 
 
 def production_matrix(xi, samples, grid, kind):
-    """The banded operator of the production solve, unfolded to a dense matrix."""
-    ab, order = _banded_operator(xi, samples, grid, kind)
-    return band_to_dense(ab, order, xi.shape[1])
+    """The block operator of the production solve, unfolded to a dense matrix."""
+    system, order = _block_operator(xi, samples, grid, kind)
+    return block_tridiagonal_to_dense(system, order, xi.shape[1])
 
 
 def random_unit_field(grid: Grid, rng) -> np.ndarray:
@@ -140,8 +140,8 @@ def test_dense_matrices_match_naive_loops(chart, n_points):
     for kind, naive in expected.items():
         oracle = dense_operator(xi, samples, grid, kind)
         assert np.max(np.abs(oracle - naive)) < ORACLE_TOL
-        banded = production_matrix(xi, samples, grid, kind)
-        assert np.max(np.abs(banded - oracle)) < ORACLE_TOL
+        production = production_matrix(xi, samples, grid, kind)
+        assert np.max(np.abs(production - oracle)) < ORACLE_TOL
 
 
 def test_assembled_system_solves_like_flux_form():
@@ -180,12 +180,12 @@ def test_dense_and_cg_paths_agree(chart, n_points, kind):
     grid, samples, xi = chart_setup(chart, n_points)
     if kind == "perp":
         rhs = np.random.default_rng(3).standard_normal(xi.shape)
-        banded = solve_flux_form(np.zeros_like(xi), rhs, xi, samples, grid).u
+        reduced = solve_flux_form(np.zeros_like(xi), rhs, xi, samples, grid).u
     else:
         rhs = xi
-        banded = bentness(xi, samples, grid).phi
-    assert m0(banded - dense_solve(xi, samples, grid, kind, rhs)) < DENSE_CG_TOL
-    assert m0(banded - cg_solve(xi, samples, grid, kind, rhs)) < DENSE_CG_TOL
+        reduced = bentness(xi, samples, grid).phi
+    assert m0(reduced - dense_solve(xi, samples, grid, kind, rhs)) < DENSE_CG_TOL
+    assert m0(reduced - cg_solve(xi, samples, grid, kind, rhs)) < DENSE_CG_TOL
 
 
 def test_solver_is_linear():
@@ -296,12 +296,16 @@ def test_nan_source_raises_solve_error():
 
 def test_factorisation_failure_raises_solve_error(monkeypatch):
     def singular(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
-    grid, samples, xi = hyperbolic_setup(32)
-    with pytest.raises(NumericalSolveError, match="singular"):
-        solve_flux_form(np.zeros_like(xi), np.ones_like(xi), xi, samples, grid)
+    # N = 64 reduces once, inverting blocks, before the dense solve of the
+    # last rows; N = 32 goes to the dense solve at once
+    for routine, n_points in (("inv", 64), ("solve", 32)):
+        grid, samples, xi = hyperbolic_setup(n_points)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, routine, singular)
+            with pytest.raises(NumericalSolveError, match="singular"):
+                solve_flux_form(np.zeros_like(xi), np.ones_like(xi), xi, samples, grid)
 
 
 def test_residual_is_checked_against_defect():

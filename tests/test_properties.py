@@ -6,8 +6,10 @@
   charts both are exactly +0.0.
 * Sampled connection and curvature coefficients keep their antisymmetries.
 * Along random closed curves in every chart: cov_dx sums by parts, the
-  unfolded production band of the elliptic operator is symmetric, and the
-  banded solve leaves a residual at rounding level.
+  unfolded production blocks of the elliptic operator are symmetric and
+  equal the dense oracle, the production solve leaves a residual at rounding
+  level, and the block cyclic reduction agrees with a dense solve of the
+  oracle matrix.
 * Every series-shaped helper gives on a random window series (M+1, N, n)
   exactly (==) the stack of its calls on the levels.
 * ``write_snapshot`` writes the bytes of ``json.dumps(indent=2,
@@ -23,10 +25,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from elliptic_oracle import band_to_dense
+from elliptic_oracle import block_tridiagonal_to_dense, dense_operator
 from elwire.cli import write_snapshot
 from elwire.dynamics import frame_tangent
-from elwire.elliptic import _banded_operator, solve_flux_form
+from elwire.elliptic import _block_operator, _solve_system, solve_flux_form
 from elwire.fields import (
     CurveState,
     Grid,
@@ -57,7 +59,7 @@ from geometry_oracle import apply_chris_einsum, apply_curv_einsum, chris_scale, 
 #: relative to the sum of the absolute products, the scale of any rounding
 REL_TOL = 1e-14
 EXACT_TOL = 1e-12
-#: banded solve defect relative to m0(u)/dx^2 + m0(f)/dx + m0(h); at most
+#: elliptic solve defect relative to m0(u)/dx^2 + m0(f)/dx + m0(h); at most
 #: 3e-16 was seen over 1000 random curves
 RESIDUAL_TOL = 1e-13
 
@@ -178,9 +180,13 @@ def test_cov_dx_sums_by_parts(chart, n_points, seed):
 @given(kind=st.sampled_from(["perp", "identity"]), **curves)
 def test_production_band_is_symmetric(kind, chart, n_points, seed):
     grid, samples, xi, _ = curve_setup(chart, n_points, seed)
-    ab, order = _banded_operator(xi, samples, grid, kind)
-    matrix = band_to_dense(ab, order, xi.shape[1])
-    assert np.max(np.abs(matrix - matrix.T)) <= REL_TOL * np.max(np.abs(matrix))
+    system, order = _block_operator(xi, samples, grid, kind)
+    matrix = block_tridiagonal_to_dense(system, order, xi.shape[1])
+    scale = REL_TOL * np.max(np.abs(matrix))
+    assert np.max(np.abs(matrix - matrix.T)) <= scale
+    # the blocks below the diagonal are stored as transposes; the oracle
+    # multiplies out the full matrix
+    assert np.max(np.abs(matrix - dense_operator(xi, samples, grid, kind))) <= scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,6 +198,22 @@ def test_banded_solve_residual(chart, n_points, seed):
     defect = -cov_dx(solved.flux, xi, samples, grid.dx) + perp(solved.u, xi) - h
     scale = m0(solved.u) / grid.dx**2 + m0(f) / grid.dx + m0(h)
     assert m0(defect) <= RESIDUAL_TOL * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["perp", "identity"]), **curves)
+def test_cyclic_reduction_matches_dense_solve(kind, chart, n_points, seed):
+    # N = 8 ... 64 gives 2 ... 16 block rows: odd and even row counts at
+    # every level, a padded last block row when N % 4 != 0, and zero to two
+    # reduction levels before the dense solve
+    grid, samples, xi, rng = curve_setup(chart, n_points, seed)
+    rhs = rng.standard_normal(xi.shape)
+    matrix = dense_operator(xi, samples, grid, kind)
+    dense = np.linalg.solve(matrix, rhs.reshape(-1)).reshape(xi.shape)
+    reduced = _solve_system(xi, samples, grid, kind, rhs)
+    gap = (matrix @ (reduced - dense).reshape(-1)).reshape(xi.shape)
+    scale = m0(dense) / grid.dx**2 + m0(rhs)
+    assert m0(gap) <= RESIDUAL_TOL * scale
 
 
 @settings(max_examples=40, deadline=None)
