@@ -107,12 +107,38 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _number_tokens(flat: np.ndarray) -> list[str]:
+    """The spellings ``json.dumps`` gives the float64 values of ``flat``.
+
+    orjson prints the shortest round-trip digits, the digits of ``repr``,
+    without a Python call per number; only its layout of some magnitudes
+    differs, and those tokens are respelled.
+    """
+    # imported here: its own imports cost start-up time that a run which
+    # writes no snapshot would pay for nothing
+    import orjson
+
+    tokens = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(flat)
+    # "9.9e-6" -> "9.9e-06"
+    for i in np.flatnonzero((magnitude >= 1e-9) & (magnitude < 1e-5)).tolist():
+        token = tokens[i]
+        tokens[i] = token[:-1] + "0" + token[-1]
+    # "-0.0000123" -> "-1.23e-05"
+    for i in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
+        sign, _, digits = tokens[i].partition("0.0000")
+        tokens[i] = f"{sign}{digits[0]}.{digits[1:]}".rstrip(".") + "e-05"
+    # "1e16" and "null" -> "1e+16" and "NaN"; NaN compares false, so it is selected
+    for i in np.flatnonzero(~(magnitude < 1e16)).tolist():
+        tokens[i] = json.dumps(float(flat[i]))
+    return tokens
+
+
 def _array_json(arr: np.ndarray) -> str:
     """An (N, n) array laid out as ``json.dumps(indent=2)`` lays out a top-level value."""
     rows, cols = arr.shape
-    # the C encoder spells the numbers (repr digits, NaN, Infinity) without
-    # the per-item Python work that any indent costs
-    tokens = json.dumps(arr.ravel().tolist())[1:-1].split(", ")
+    # orjson encodes only C-contiguous arrays
+    tokens = _number_tokens(np.ascontiguousarray(arr, dtype=np.float64).ravel())
     row = "    [\n" + ",\n".join(["      {}"] * cols) + "\n    ]"
     return ("[\n" + ",\n".join([row] * rows) + "\n  ]").format(*tokens)
 

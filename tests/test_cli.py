@@ -346,19 +346,27 @@ def run_in_subprocess(code, **env):
 
 
 def test_run_path_loads_no_scipy(tmp_path):
-    # importing scipy.linalg once cost more start-up time than a short run
+    # importing scipy.linalg once cost more start-up time than a short run;
+    # orjson (the snapshot number encoder) is loaded by the first snapshot,
+    # not by the import of the CLI
     path = config_file(tmp_path, {"grid": {"n": 16}, "time": {"horizon": 2 / 16}})
     out = tmp_path / "out"
     code = f"""
 import json, sys
 import elwire.cli
+orjson = ["orjson" in sys.modules]
 exit_code = elwire.cli.main(["run", "--config", {str(path)!r}, "--out", {str(out)!r}, "--quiet"])
+orjson.append("orjson" in sys.modules)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({{"exit": exit_code, "scipy": loaded}}))
+print(json.dumps({{"exit": exit_code, "scipy": loaded, "orjson": orjson}}))
 """
     report = json.loads(run_in_subprocess(code).splitlines()[-1])
-    assert report == {"exit": 0, "scipy": []}
+    assert report == {"exit": 0, "scipy": [], "orjson": [False, True]}
     assert len(read_csv(out / "diagnostics.csv")[1]) == 3
+    assert sorted(p.name for p in out.glob("snapshot_*.json")) == [
+        "snapshot_000000.json",
+        "snapshot_000002.json",
+    ]
 
 
 BLAS_THREAD_CONFIGS = {

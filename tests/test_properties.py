@@ -13,7 +13,9 @@
 * Every series-shaped helper gives on a random window series (M+1, N, n)
   exactly (==) the stack of its calls on the levels.
 * ``write_snapshot`` writes the bytes of ``json.dumps(indent=2,
-  sort_keys=True)`` for any state, special floats included.
+  sort_keys=True)`` for any state, special floats, raw 64-bit patterns and
+  both neighbours of every magnitude where a float's spelling changes form
+  included.
 """
 
 import functools
@@ -269,17 +271,40 @@ def written(path, state):
 any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
+def spelling_edges() -> list[float]:
+    """Every magnitude where a JSON float token changes form (exponent width,
+    positional or exponent form, exponent sign) with both its neighbours,
+    plus the zeros, the extreme magnitudes and the non-finite values."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max, np.nan, np.inf, -np.inf]
+    for size in (1e-9, 1e-5, 1e-4, 1e16):
+        for value in (size, -size):
+            edges += [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+    return [float(value) for value in edges]
+
+
+def bit_pattern_arrays(shape):
+    """Arrays of doubles drawn as raw 64-bit patterns (one draw per array:
+    element-wise integer draws would make the test ten times slower)."""
+    size = shape[0] * shape[1]
+    return st.binary(min_size=8 * size, max_size=8 * size).map(
+        lambda raw: np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    )
+
+
+snapshot_float = any_float | st.sampled_from(spelling_edges())
+
+
 @st.composite
 def states(draw):
-    shape = (draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3])))
-    field = hnp.arrays(np.float64, shape, elements=any_float)
+    shape = (draw(st.integers(1, 64)), draw(st.sampled_from([1, 2, 3])))
+    field = hnp.arrays(np.float64, shape, elements=snapshot_float) | bit_pattern_arrays(shape)
     return CurveState(
         gamma=draw(field),
         xi=draw(field),
         xi_t=draw(field),
         eta=draw(field),
         theta=draw(st.none() | field),
-        time=draw(any_float),
+        time=draw(snapshot_float),
     )
 
 
