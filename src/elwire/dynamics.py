@@ -8,9 +8,12 @@ velocity.  This module provides
 
 * assemble_sources   curvature source terms (psi, phi) of a state,
 * prepare_initial    admissible discrete data from raw curve + velocity samples,
-* step / march       one covariant leapfrog step of the full system, and the
-                     generator that yields each time level with its geometry
-                     and the bentness gate in force,
+* march              the generator that solves each time level's tension once
+                     (sources, then the gated flux-form solve; the window
+                     shares this level solve) and yields the level with its
+                     geometry and the bentness gate in force,
+* step               the advance of a solved level: tangent leapfrog, velocity
+                     and curve updates, returning the next state,
 * picard_coupled     the contraction-map alternative on a short time window,
 * reconstruct_mu     the pointwise multiplier of the single-equation form.
 
@@ -63,14 +66,9 @@ from .wave import ContractionReport, _contract, leapfrog_step, picard_wave_solve
 
 #: tangent samples shorter than this fraction of the mean abort preparation
 MIN_TANGENT_NORM = 1e-6
-
-
-@dataclass(frozen=True)
-class SourceTerms:
-    """Curvature sources of a state: psi (flux source) and phi (load)."""
-
-    psi: np.ndarray
-    phi: np.ndarray
+#: sweep cap and tolerance of the inner wave solve in a coupled Picard sweep
+WAVE_MAX_ITER = 30
+WAVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -107,17 +105,6 @@ class RunParams:
 
 
 @dataclass(frozen=True)
-class StepResult:
-    """Next state plus what was solved and sampled at the departing level."""
-
-    state: CurveState
-    theta: np.ndarray
-    flux: np.ndarray
-    samples: GeometrySamples
-    bentness: BentnessReport
-
-
-@dataclass(frozen=True)
 class Level:
     """One time level: the state with its tension attached, the geometry
     samples of its curve, and the bentness report in force there."""
@@ -147,8 +134,10 @@ def cov_dt_state(state: CurveState, samples: GeometrySamples) -> np.ndarray:
     return state.xi_t + apply_chris(samples.chris, state.eta, state.xi)
 
 
-def assemble_sources(state: CurveState, samples: GeometrySamples, grid: Grid) -> SourceTerms:
-    """Curvature sources: psi feeds the tension flux, phi the tension load."""
+def assemble_sources(
+    state: CurveState, samples: GeometrySamples, grid: Grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature sources (psi, phi): psi feeds the tension flux, phi the tension load."""
     dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
     dtxi = cov_dt_state(state, samples)
     psi = apply_curv(samples.curv, state.xi, dxi, state.xi) - apply_curv(
@@ -156,7 +145,17 @@ def assemble_sources(state: CurveState, samples: GeometrySamples, grid: Grid) ->
     )
     speed_gap = np.sum(dtxi * dtxi, axis=-1) - np.sum(dxi * dxi, axis=-1)
     phi = speed_gap[:, None] * state.xi - apply_curv(samples.curv, state.xi, state.eta, state.eta)
-    return SourceTerms(psi=psi, phi=phi)
+    return psi, phi
+
+
+def _solve_level(state, samples, grid, params: RunParams, gate) -> elliptic.FluxSolveResult:
+    """Tension theta (as ``u``) and flux D theta + psi of one level, gated by
+    the bentness report ``gate``, or by a fresh one when ``gate`` is None."""
+    psi, phi = assemble_sources(state, samples, grid)
+    return elliptic.solve_flux_form(
+        psi, phi, state.xi, samples, grid,
+        tol=params.solver_tol, b_floor=params.b_floor, bentness_report=gate,
+    )
 
 
 def reconstruct_mu(state: CurveState, samples: GeometrySamples, grid: Grid) -> np.ndarray:
@@ -263,7 +262,6 @@ def _chart_velocity(frame: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 def _bootstrap_prev(
     state: CurveState,
-    theta: np.ndarray,
     rate: np.ndarray,
     dt: float,
     samples: GeometrySamples,
@@ -280,7 +278,7 @@ def _bootstrap_prev(
     d2xi = cov_dxx(xi, xi, samples, dx)
     dtxi = cov_dt_state(state, samples)
     coeff = sided_grad_sq(xi, xi, samples, dx) - np.sum(dtxi * dtxi, axis=-1)
-    accel = d2xi + coeff[:, None] * xi + perp(theta, xi)
+    accel = d2xi + coeff[:, None] * xi + perp(state.theta, xi)
     if samples_next is not None:
         # forward-difference estimate of the connection rate along the motion
         chris_rate = (samples_next.chris - samples.chris) / dt
@@ -308,7 +306,8 @@ def _predict_position(
 
 
 def step(
-    state: CurveState,
+    level: Level,
+    flux: np.ndarray,
     dt: float,
     manifold: ManifoldModel,
     grid: Grid,
@@ -316,36 +315,16 @@ def step(
     *,
     prev: Optional[Level] = None,
     flux_prev: Optional[np.ndarray] = None,
-    bentness_report: Optional[BentnessReport] = None,
-) -> StepResult:
-    """Advance the full wire state by one step of size dt.
+) -> CurveState:
+    """Advance a solved level, with its tension flux, by dt; returns the next state.
 
-    Order of operations: tension solve at the current level, tangent leapfrog
-    (bootstrapping a virtual previous level on the first step), velocity
-    midpoint update with the extrapolated half-time flux, curve midpoint
-    update.  ``prev`` is the previous level, whose samples are reused; the
-    samples of the current curve are returned for the next step.  Aborts
-    with the dedicated error types on chart exit, constraint drift,
-    near-geodesic tangents, or a failed linear solve.
+    Order of operations: tangent leapfrog (bootstrapping a virtual previous
+    level on the first step), velocity midpoint update with the half-time
+    flux extrapolated from ``flux_prev``, curve midpoint update.  ``prev`` is
+    the previous level, whose samples are reused.
     """
+    state, samples = level.state, level.samples
     dx = grid.dx
-    drift = constraint_drift(state.xi)
-    if drift > params.constraint_tol:
-        raise ConstraintDriftError(
-            f"unit-tangent defect {drift:.3e} exceeds tolerance {params.constraint_tol:.1e} "
-            f"at t={state.time:.6f}"
-        )
-    samples = sample_geometry(manifold, state.gamma)
-    solved = elliptic.solve_theta(
-        state,
-        assemble_sources(state, samples, grid),
-        samples,
-        grid,
-        tol=params.solver_tol,
-        b_floor=params.b_floor,
-        bentness_report=bentness_report,
-    )
-    theta, flux = solved.u, solved.flux
     rate = _eta_rate(flux, state, samples, grid)
 
     flat = getattr(manifold, "is_flat", False)
@@ -354,7 +333,7 @@ def step(
         gamma_pred = _predict_position(state, rate, dt, manifold, samples)
         samples_next = sample_geometry(manifold, gamma_pred)
     if prev is None:
-        xi_prev = _bootstrap_prev(state, theta, rate, dt, samples, samples_next, grid)
+        xi_prev = _bootstrap_prev(state, rate, dt, samples, samples_next, grid)
         if not flat:
             # first step: no previous level, so doctor the pair handed to the
             # centred connection-rate difference into the forward rate
@@ -373,7 +352,7 @@ def step(
     xi_next = leapfrog_step(
         xi_prev,
         state.xi,
-        theta,
+        state.theta,
         state.eta,
         dt,
         grid,
@@ -399,16 +378,13 @@ def step(
     # curve: midpoint through the predicted half-step position
     gamma_next = state.gamma + dt * _chart_velocity(samples_mid.frame, eta_half)
 
-    next_state = CurveState(
+    return CurveState(
         gamma=gamma_next,
         xi=xi_next,
         xi_t=xi_t_next,
         eta=eta_next,
         theta=None,
         time=state.time + dt,
-    )
-    return StepResult(
-        state=next_state, theta=theta, flux=flux, samples=samples, bentness=solved.bentness
     )
 
 
@@ -424,46 +400,39 @@ def march(
 ) -> Iterator[Level]:
     """Run the marching integrator, yielding the levels 0..n_steps one by one.
 
-    Each level is yielded once its tension is solved, before the next step
-    runs, so a consumer holds only the levels it keeps.  The bentness gate is
+    Each level's tension is solved once, and a level is yielded once the
+    step from it has succeeded, so a consumer holds only the levels it keeps
+    and never sees a level whose step failed.  Before each step the unit
+    tangent is held to ``params.constraint_tol``.  The bentness gate is
     re-evaluated every ``bentness_every`` steps (and always at the first);
-    between gates the most recent report is reused and carried by the
-    levels.  The final level gets a tension field too, so diagnostics cover
-    [0, T].
+    between gates, and at the final level, the most recent report is reused
+    and carried by the levels.  The final level gets a tension field too, so
+    diagnostics cover [0, T].
     """
     current = initial
     prev: Optional[Level] = None
     flux_prev: Optional[np.ndarray] = None
-    carried: Optional[BentnessReport] = None
-    for k in range(n_steps):
-        fresh_gate = k % max(1, bentness_every) == 0
-        result = step(
-            current,
-            dt,
-            manifold,
-            grid,
-            params,
-            prev=prev,
-            flux_prev=flux_prev,
-            bentness_report=None if fresh_gate else carried,
-        )
-        carried = result.bentness
-        prev = Level(current.with_theta(result.theta), result.samples, carried)
-        yield prev
-        flux_prev = result.flux
-        current = result.state
-    samples = sample_geometry(manifold, current.gamma)
-    solved = elliptic.solve_theta(
-        current,
-        assemble_sources(current, samples, grid),
-        samples,
-        grid,
-        tol=params.solver_tol,
-        b_floor=params.b_floor,
-        bentness_report=carried,
-        check_bentness=False,
-    )
-    yield Level(current.with_theta(solved.u), samples, carried)
+    gate: Optional[BentnessReport] = None
+    for k in range(n_steps + 1):
+        final = k == n_steps
+        if not final:
+            drift = constraint_drift(current.xi)
+            if drift > params.constraint_tol:
+                raise ConstraintDriftError(
+                    f"unit-tangent defect {drift:.3e} exceeds tolerance "
+                    f"{params.constraint_tol:.1e} at t={current.time:.6f}"
+                )
+        samples = sample_geometry(manifold, current.gamma)
+        fresh = not final and k % max(1, bentness_every) == 0
+        solved = _solve_level(current, samples, grid, params, None if fresh else gate)
+        gate = solved.bentness
+        level = Level(current.with_theta(solved.u), samples, gate)
+        if not final:
+            current = step(
+                level, solved.flux, dt, manifold, grid, params, prev=prev, flux_prev=flux_prev
+            )
+        yield level
+        prev, flux_prev = level, solved.flux
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +457,15 @@ def _theta_series(
     levels = xi_s.shape[0]
     xi_t_s = time_diff_series(xi_s, grid.dx)
     thetas, fluxes, samples_list = [], [], []
+    gate: Optional[BentnessReport] = None
     for m in range(levels):
         samples = sample_geometry(manifold, gamma_s[m])
         level_state = CurveState(
             gamma=gamma_s[m], xi=xi_s[m], xi_t=xi_t_s[m], eta=eta_s[m], theta=None, time=m * grid.dx
         )
-        sources = assemble_sources(level_state, samples, grid)
-        solved = elliptic.solve_theta(
-            level_state,
-            sources,
-            samples,
-            grid,
-            tol=params.solver_tol,
-            b_floor=params.b_floor,
-            check_bentness=(m == 0),
-        )
+        # level 0's bentness gate stands for the whole window
+        solved = _solve_level(level_state, samples, grid, params, gate)
+        gate = solved.bentness
         thetas.append(solved.u)
         fluxes.append(solved.flux)
         samples_list.append(samples)
@@ -572,8 +535,6 @@ def picard_coupled(
     n_levels: int,
     max_iter: int = 30,
     tol: float = 1e-10,
-    wave_max_iter: int = 30,
-    wave_tol: float = 1e-11,
 ) -> tuple[WindowIterate, ContractionReport]:
     """Solve the coupled system on a window [0, n_levels * dx] by contraction.
 
@@ -609,8 +570,8 @@ def picard_coupled(
             n_levels=n_levels,
             eta_series=current.eta,
             samples_series=series,
-            max_iter=wave_max_iter,
-            tol=wave_tol,
+            max_iter=WAVE_MAX_ITER,
+            tol=WAVE_TOL,
         )
         eta_mid = _integrate_eta(state.eta, flux_s, dxi_s, series.chris, dt)
         # refresh tension and velocity on the advanced fields

@@ -60,10 +60,10 @@ class BentnessReport:
 
 @dataclass(frozen=True)
 class FluxSolveResult:
-    u: np.ndarray          # the solution; the tension theta for solve_theta
+    u: np.ndarray          # the solution; the tension theta of a wire level
     flux: np.ndarray       # D u + f, reused by the velocity update
     residual: float
-    bentness: Optional[BentnessReport]
+    bentness: BentnessReport
 
 
 def _fold_order(npts: int) -> np.ndarray:
@@ -267,7 +267,6 @@ def solve_flux_form(
     tol: float = DEFAULT_TOL,
     b_floor: float = DEFAULT_B_FLOOR,
     bentness_report: Optional[BentnessReport] = None,
-    check_bentness: bool = True,
 ) -> FluxSolveResult:
     """Solve -D(Du + f) + perp(u) = h along the current curve.
 
@@ -281,15 +280,12 @@ def solve_flux_form(
         raise ConstraintDriftError(
             f"unit-tangent defect {drift:.3e} exceeds 0.1; refusing tension solve"
         )
-    report = bentness_report
-    if check_bentness:
-        if report is None:
-            report = bentness(xi, samples, grid)
-        if report.b_value < b_floor:
-            raise NearGeodesicError(
-                f"bentness {report.b_value:.3e} below floor {b_floor:.3e}; "
-                "tension operator is (near) singular"
-            )
+    report = bentness(xi, samples, grid) if bentness_report is None else bentness_report
+    if report.b_value < b_floor:
+        raise NearGeodesicError(
+            f"bentness {report.b_value:.3e} below floor {b_floor:.3e}; "
+            "tension operator is (near) singular"
+        )
     rhs = h + cov_dx(f, xi, samples, grid.dx)
     u = _solve_system(xi, samples, grid, "perp", rhs)
     flux = cov_dx(u, xi, samples, grid.dx) + f
@@ -302,19 +298,3 @@ def solve_flux_form(
             f"{tol:.1e} * {scale:.3e}"
         )
     return FluxSolveResult(u=u, flux=flux, residual=residual, bentness=report)
-
-
-def solve_theta(
-    state,
-    sources,
-    samples: GeometrySamples,
-    grid: Grid,
-    **kwargs,
-) -> FluxSolveResult:
-    """Tension field of a wire state: flux form with f = psi, h = phi.
-
-    ``sources`` carries the curvature source terms of the state (see
-    dynamics.assemble_sources).  Returns the tension theta as ``u`` together
-    with the flux D theta + psi consumed by the velocity update.
-    """
-    return solve_flux_form(sources.psi, sources.phi, state.xi, samples, grid, **kwargs)

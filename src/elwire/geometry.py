@@ -338,14 +338,12 @@ class ConformalModel(_ConformalModel):
     symbolically once, then evaluated numerically.  An expression that, or
     whose first or second derivatives, is not finite and real everywhere
     sympy can tell (``1/0``, ``sqrt(-1)``) is rejected; where sympy cannot
-    tell, sample_geometry reports the first non-finite sample.  ``domain``
-    optionally restricts the chart (a vectorised predicate on coordinate
-    arrays).
+    tell, sample_geometry reports the first non-finite sample.
     """
 
     name = "conformal"
 
-    def __init__(self, dim: int, expression: str, domain=None):
+    def __init__(self, dim: int, expression: str):
         super().__init__(dim)
         import sympy
 
@@ -368,16 +366,9 @@ class ConformalModel(_ConformalModel):
                         f"one of its first two derivatives contains {bad}"
                     )
         self.expression = str(expr)
-        self._domain = domain
         self._lam_fn = sympy.lambdify(syms, expr, "numpy")
         self._grad_fns = [sympy.lambdify(syms, g, "numpy") for g in grads]
         self._hess_fns = [[sympy.lambdify(syms, h, "numpy") for h in row] for row in hessian]
-
-    def contains(self, coords):
-        base = super().contains(coords)
-        if self._domain is None:
-            return base
-        return base & np.asarray(self._domain(np.asarray(coords, dtype=float)), bool)
 
     def _eval(self, fn, coords):
         args = [coords[..., i] for i in range(self.dim)]
@@ -404,9 +395,7 @@ _BUILTIN = {
     "flat-torus": lambda dim, params: FlatTorusModel(dim),
     "hyperbolic": lambda dim, params: HyperbolicHalfPlaneModel(),
     "sphere": lambda dim, params: SphereChartModel(dim),
-    "conformal": lambda dim, params: ConformalModel(
-        dim, params["expression"], params.get("domain")
-    ),
+    "conformal": lambda dim, params: ConformalModel(dim, params["expression"]),
 }
 
 

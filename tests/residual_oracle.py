@@ -73,9 +73,9 @@ def residual_base_single(levels, dt, manifold, grid):
         dxi = cov_dx(sc.xi, sc.xi, samples_c, dx)
         d2xi = cov_dx(dxi, sc.xi, samples_c, dx)
         d3xi = cov_dx(d2xi, sc.xi, samples_c, dx)
-        sources = assemble_sources(sc, samples_c, grid)
+        psi, _ = assemble_sources(sc, samples_c, grid)
         mu = reconstruct_mu(sc, samples_c, grid)
-        lhs = -dteta + cov_dx(dt2xi, sc.xi, samples_c, dx) - d3xi + sources.psi
+        lhs = -dteta + cov_dx(dt2xi, sc.xi, samples_c, dx) - d3xi + psi
         rhs = cov_dx(mu[:, None] * sc.xi, sc.xi, samples_c, dx)
         defects.append(m0(lhs - rhs))
         coherences.append(m0(frame_tangent(sc.gamma, manifold, samples_c, grid) - sc.xi))

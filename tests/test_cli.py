@@ -525,9 +525,12 @@ def test_march_samples_each_curve_position_once(
 ):
     # one geometry evaluation per level on flat charts; curved charts add the
     # predicted and half-step positions.  The extra two are prepare_initial
-    # and the final level.
+    # and the final level.  Each level's tension is solved once, and the
+    # bentness gate is fresh every bentness_every steps; the final level,
+    # here a multiple of it, carries the last gate.
     import elwire.cli
     import elwire.dynamics
+    import elwire.elliptic
     from elwire.geometry import sample_geometry
 
     calls = []
@@ -539,6 +542,18 @@ def test_march_samples_each_curve_position_once(
     for name, module in list(sys.modules.items()):
         if name.startswith("elwire") and hasattr(module, "sample_geometry"):
             monkeypatch.setattr(module, "sample_geometry", counting)
+
+    solves = {"solve_flux_form": 0, "bentness": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            solves[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in solves:
+        monkeypatch.setattr(elwire.elliptic, name, counted(name, getattr(elwire.elliptic, name)))
 
     # the output loop holds at most three levels between two steps
     refs, alive = [], []
@@ -557,6 +572,7 @@ def test_march_samples_each_curve_position_once(
         "grid": {"n": 32},
         "time": {"horizon": steps / 32},
         "initial": initial,
+        "diagnostics": {"bentness_every": 4},
     }
     path = config_file(tmp_path, data)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
@@ -566,6 +582,7 @@ def test_march_samples_each_curve_position_once(
         assert len(calls) <= per_step * steps + 2
     assert len(refs) == steps + 1
     assert max(alive) <= 3
+    assert solves == {"solve_flux_form": steps + 1, "bentness": -(-steps // 4)}
 
 
 def test_picard_honours_diagnostics_and_snapshot_cadence(tmp_path):

@@ -22,7 +22,7 @@ from elwire.diagnostics import (
     transport_check,
 )
 from elwire.dynamics import Level, assemble_sources, make_state, march, prepare_initial
-from elwire.elliptic import BentnessReport, bentness, solve_theta
+from elwire.elliptic import BentnessReport, bentness, solve_flux_form
 from elwire.fields import Grid, m0
 from elwire.geometry import make_manifold, sample_geometry
 
@@ -40,7 +40,8 @@ def rest_state(n: int, with_theta: bool = True):
     state = make_state(data)
     samples = sample_geometry(manifold, state.gamma)
     if with_theta:
-        solved = solve_theta(state, assemble_sources(state, samples, grid), samples, grid)
+        psi, phi = assemble_sources(state, samples, grid)
+        solved = solve_flux_form(psi, phi, state.xi, samples, grid)
         state = state.with_theta(solved.u)
     return state, manifold, grid, samples
 

@@ -26,8 +26,8 @@ from elwire.dynamics import (
     reconstruct_mu,
     step,
 )
-from elwire.elliptic import solve_theta
-from elwire.errors import ConstraintDriftError, DegenerateCurveError, NearGeodesicError
+from elwire.elliptic import solve_flux_form
+from elwire.errors import CflError, ConstraintDriftError, DegenerateCurveError, NearGeodesicError
 from elwire.fields import Grid, constraint_drift, cov_dx, m0, row_norms
 from elwire.geometry import (
     HyperbolicHalfPlaneModel,
@@ -53,6 +53,14 @@ def flat_state(n: int, name: str = "circle", params: dict | None = None):
 
 def wide_symbol(grid: Grid) -> float:
     return math.sin(TWO_PI * grid.dx) / grid.dx
+
+
+def solved_level(state, manifold, grid):
+    """The level of ``state`` with its tension solved, and the tension flux."""
+    samples = sample_geometry(manifold, state.gamma)
+    psi, phi = assemble_sources(state, samples, grid)
+    solved = solve_flux_form(psi, phi, state.xi, samples, grid)
+    return Level(state.with_theta(solved.u), samples, solved.bentness), solved.flux
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +123,7 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
     rng = np.random.default_rng(17)
     data, _ = prepare_initial(curve, 0.1 * rng.standard_normal((24, 2)), manifold, grid)
     state = make_state(data)
-    sources = assemble_sources(state, samples, grid)
+    sources_psi, sources_phi = assemble_sources(state, samples, grid)
 
     dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
     dtxi = cov_dt_state(state, samples)
@@ -131,19 +139,19 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
                     phi[p] -= r * state.xi[p, i] * state.eta[p, j] * state.eta[p, k]
         gap = dtxi[p] @ dtxi[p] - dxi[p] @ dxi[p]
         phi[p] += gap * state.xi[p]
-    assert m0(sources.psi - psi) < ORACLE_TOL
-    assert m0(sources.phi - phi) < ORACLE_TOL
+    assert m0(sources_psi - psi) < ORACLE_TOL
+    assert m0(sources_phi - phi) < ORACLE_TOL
 
 
 def test_rest_circle_tension_and_multiplier_closed_forms():
     state, manifold, grid, _ = flat_state(128)
     samples = sample_geometry(manifold, state.gamma)
-    sources = assemble_sources(state, samples, grid)
+    psi, phi = assemble_sources(state, samples, grid)
     omega_sq = wide_symbol(grid) ** 2
-    assert m0(sources.psi) < EXACT_TOL
-    assert m0(sources.phi + omega_sq * state.xi) < 1e-10
+    assert m0(psi) < EXACT_TOL
+    assert m0(phi + omega_sq * state.xi) < 1e-10
 
-    solved = solve_theta(state, sources, samples, grid)
+    solved = solve_flux_form(psi, phi, state.xi, samples, grid)
     assert m0(solved.u + state.xi) < CLOSED_FORM_TOL
 
     mu = reconstruct_mu(state.with_theta(solved.u), samples, grid)
@@ -158,10 +166,11 @@ def test_rest_circle_tension_and_multiplier_closed_forms():
 
 def test_rest_circle_is_a_discrete_equilibrium():
     state, manifold, grid, _ = flat_state(64)
-    result = step(state, grid.dx, manifold, grid)
-    assert m0(result.state.xi - state.xi) < EXACT_TOL
-    assert m0(result.state.eta) < EXACT_TOL
-    assert m0(result.state.gamma - state.gamma) < EXACT_TOL
+    level, flux = solved_level(state, manifold, grid)
+    advanced = step(level, flux, grid.dx, manifold, grid)
+    assert m0(advanced.xi - state.xi) < EXACT_TOL
+    assert m0(advanced.eta) < EXACT_TOL
+    assert m0(advanced.gamma - state.gamma) < EXACT_TOL
 
 
 def test_march_keeps_rest_circle_and_counts_levels():
@@ -248,22 +257,22 @@ def test_step_reads_the_previous_levels_samples():
     )
     data, _ = prepare_initial(curve, velocity, manifold, grid)
     first, second = list(march(make_state(data), grid.dx, 1, manifold, grid))
-    state = second.state.with_theta(None)
+    level, flux = solved_level(second.state.with_theta(None), manifold, grid)
     shifted = sample_geometry(manifold, first.state.gamma + np.array([0.05, 0.0]))
-    carried = step(state, grid.dx, manifold, grid, prev=first)
+    carried = step(level, flux, grid.dx, manifold, grid, prev=first)
     moved_prev = Level(first.state, shifted, first.bentness)
-    moved = step(state, grid.dx, manifold, grid, prev=moved_prev)
-    assert m0(carried.state.xi - moved.state.xi) > 1e-9
+    moved = step(level, flux, grid.dx, manifold, grid, prev=moved_prev)
+    assert m0(carried.xi - moved.xi) > 1e-9
 
 
 def test_step_rejects_drifted_tangent():
+    # the march holds the unit tangent to constraint_tol before each step
     state, manifold, grid, _ = flat_state(32)
-    bad = state.with_theta(None)
     bad = type(state)(
         gamma=state.gamma, xi=1.02 * state.xi, xi_t=state.xi_t, eta=state.eta
     )
-    with pytest.raises(ConstraintDriftError):
-        step(bad, grid.dx, manifold, grid)
+    with pytest.raises(ConstraintDriftError, match="exceeds tolerance"):
+        next(march(bad, grid.dx, 1, manifold, grid))
 
 
 def test_step_refuses_geodesic_data():
@@ -272,7 +281,16 @@ def test_step_refuses_geodesic_data():
     curve, velocity = initial.generate("torus-geodesic", manifold, grid, {})
     data, _ = prepare_initial(curve, velocity, manifold, grid)
     with pytest.raises(NearGeodesicError):
-        step(make_state(data), grid.dx, manifold, grid)
+        next(march(make_state(data), grid.dx, 1, manifold, grid))
+
+
+def test_march_yields_a_level_only_after_its_step():
+    # dt > dx breaks the leapfrog's CFL limit in the first step, so level 0,
+    # though solved, is never yielded
+    state, manifold, grid, _ = flat_state(32)
+    levels = march(state, 2.0 * grid.dx, 3, manifold, grid)
+    with pytest.raises(CflError):
+        next(levels)
 
 
 # ---------------------------------------------------------------------------

@@ -331,11 +331,3 @@ def test_flat_torus_displacement_wraps():
     torus = FlatTorusModel(2)
     d = torus.displacement(np.array([0.9, 0.1]), np.array([0.1, 0.9]))
     assert np.allclose(d, [0.2, -0.2], atol=EXACT_TOL)
-
-
-def test_conformal_domain_predicate_restricts_chart():
-    model = ConformalModel(2, "-log(y)", domain=lambda c: c[..., 1] > 0.0)
-    assert bool(model.contains(np.array([0.0, 1.0])))
-    assert not bool(model.contains(np.array([0.0, -1.0])))
-    with pytest.raises(ChartDomainError):
-        sample_geometry(model, [[0.0, -1.0]])
