@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from elwire.config import RunConfig
 from elwire.elliptic import bentness, solve_flux_form
 from elwire.errors import NearGeodesicError
 from elwire.fields import Grid
@@ -47,7 +48,10 @@ def main() -> None:
     geodesic = np.tile([1.0, 0.0], (grid.n_points, 1))
     zero = np.zeros_like(geodesic)
     try:
-        solve_flux_form(zero, geodesic, geodesic, samples, grid)
+        cfg = RunConfig()
+        solve_flux_form(
+            zero, geodesic, geodesic, samples, grid, tol=cfg.solver_tol, b_floor=cfg.b_floor
+        )
     except NearGeodesicError as exc:
         print(f"tension solve on the geodesic refuses, as it must: {exc}")
 

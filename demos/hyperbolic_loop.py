@@ -7,8 +7,9 @@ drift of the curved scheme sits comfortably inside the abort gate.
 """
 
 from elwire import initial
+from elwire.config import RunConfig
 from elwire.diagnostics import energy
-from elwire.dynamics import RunParams, make_state, march, prepare_initial
+from elwire.dynamics import make_state, march, prepare_initial
 from elwire.elliptic import bentness
 from elwire.fields import Grid, constraint_drift
 from elwire.geometry import make_manifold
@@ -25,12 +26,13 @@ def main() -> None:
     print(f"prepared: projection magnitude {report.projection_magnitude:.2e}, "
           f"min tangent norm {report.min_tangent_norm:.4f}")
 
-    print(f"marching {steps} steps to t = {steps * grid.dx:.2f}")
+    cfg = RunConfig(grid_n=n, dt=grid.dx, horizon=steps * grid.dx)
+    print(f"marching {steps} steps to t = {cfg.horizon:.2f}")
     print()
     print("  time    energy      |norm^2-1|  bentness")
     e0 = None
     drift = 0.0
-    for k, level in enumerate(march(state, grid.dx, steps, manifold, grid, RunParams())):
+    for k, level in enumerate(march(state, manifold, grid, cfg)):
         s = level.state
         total, _ = energy(s, level.samples, grid)
         e0 = total if e0 is None else e0

@@ -6,8 +6,9 @@ unit-tangent drift of the scheme with renormalization off.
 """
 
 from elwire import initial
+from elwire.config import RunConfig
 from elwire.diagnostics import energy
-from elwire.dynamics import RunParams, make_state, march, prepare_initial
+from elwire.dynamics import make_state, march, prepare_initial
 from elwire.fields import Grid, constraint_drift, m0
 from elwire.geometry import make_manifold
 
@@ -23,12 +24,14 @@ def main() -> None:
     state = make_state(data)
     print(f"prepared: projection magnitude {report.projection_magnitude:.2e}")
 
-    print(f"marching {n} steps to t = 1 (dt = dx = 1/{n})")
+    # the default run settings at this grid: dt = dx, horizon 1
+    cfg = RunConfig(grid_n=n, dt=grid.dx)
+    print(f"marching {cfg.n_steps} steps to t = 1 (dt = dx = 1/{n})")
     print()
     print("  time    energy      rate      velocity  bending   |norm^2-1|")
     e0 = None
     drift = displacement = 0.0
-    for k, level in enumerate(march(state, grid.dx, n, manifold, grid, RunParams())):
+    for k, level in enumerate(march(state, manifold, grid, cfg)):
         s = level.state
         total, (rate, vel, bend) = energy(s, level.samples, grid)
         e0 = total if e0 is None else e0

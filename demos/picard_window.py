@@ -9,6 +9,7 @@ converged window agrees with the marching integrator to discretization level.
 import numpy as np
 
 from elwire import initial
+from elwire.config import RunConfig
 from elwire.dynamics import make_state, march, picard_coupled, prepare_initial
 from elwire.fields import Grid
 from elwire.geometry import make_manifold
@@ -25,9 +26,10 @@ def main() -> None:
     data, _ = prepare_initial(curve, velocity, manifold, grid)
     state = make_state(data)
 
-    iterate, report = picard_coupled(state, manifold, grid, n_levels=steps)
-    print(f"window of {steps} steps at n = {n}: converged = {report.converged} "
-          f"in {report.iterations} sweeps")
+    # a window of `steps` steps, and a march over the same time
+    cfg = RunConfig(grid_n=n, dt=grid.dx, horizon=steps * grid.dx, picard_window=steps)
+    iterate, report = picard_coupled(state, manifold, grid, cfg)
+    print(f"window of {steps} steps at n = {n}: converged in {report.iterations} sweeps")
     print("  sweep   distance    ratio")
     for k, distance in enumerate(report.distances):
         ratio = f"{report.ratios[k - 1]:.4f}" if k >= 1 else "     -"
@@ -35,7 +37,7 @@ def main() -> None:
 
     gap = max(
         float(np.max(np.abs(iterate.xi[m] - level.state.xi)))
-        for m, level in enumerate(march(state, grid.dx, steps, manifold, grid))
+        for m, level in enumerate(march(state, manifold, grid, cfg))
     )
     print()
     print(f"sup gap between window fixed point and march: {gap:.3e}")

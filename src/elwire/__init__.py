@@ -23,7 +23,10 @@ a conformal (or flat) metric.  Modules:
 * ``config``/``cli``  JSON run configs and the ``elwire`` command.
 
 The names below are what the command line, the demos and a script driving
-a run use; everything else is imported from its module.  Second routes that
+a run use; everything else is imported from its module.  A ``RunConfig``
+(built directly or by ``parse_config``) holds every run setting: ``march``,
+``picard_coupled`` and the level solves read their tolerances, caps and
+cadences from it, and its field defaults are the only ones.  Second routes that
 only verify production (dense and CG elliptic solves, the triangle
 quadrature, characteristic derivatives, the single-equation residual) live
 in ``tests/``.
@@ -33,7 +36,7 @@ __version__ = "0.1.0"
 
 from .config import RunConfig, parse_config
 from .diagnostics import energy, make_record
-from .dynamics import Level, RunParams, make_state, march, picard_coupled, prepare_initial
+from .dynamics import Level, make_state, march, picard_coupled, prepare_initial
 from .elliptic import bentness, solve_flux_form
 from .errors import ConfigError, ElwireError, NearGeodesicError, NonContractionError, NumericalAbort
 from .fields import CurveState, Grid, compact_second, constraint_drift, m0
@@ -52,7 +55,6 @@ __all__ = [
     "NonContractionError",
     "NumericalAbort",
     "RunConfig",
-    "RunParams",
     "bentness",
     "compact_second",
     "constraint_drift",

@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsRecord, make_record, transport_check
-from .dynamics import Level, RunParams, make_state, march, picard_coupled, prepare_initial
+from .dynamics import Level, make_state, march, picard_coupled, prepare_initial
 from .errors import ConfigError, ElwireError, NonContractionError, NumericalAbort
 from .fields import CurveState, Grid, m0, time_diff_series
 from .geometry import make_manifold
@@ -74,15 +74,6 @@ def build_initial_state(cfg: RunConfig, manifold, grid: Grid):
     curve, velocity = initial.generate(cfg.initial_name, manifold, grid, cfg.initial_params)
     data, report = prepare_initial(curve, velocity, manifold, grid)
     return make_state(data), report
-
-
-def run_params(cfg: RunConfig) -> RunParams:
-    return RunParams(
-        solver_tol=cfg.solver_tol,
-        constraint_tol=cfg.constraint_tol,
-        b_floor=cfg.b_floor,
-        renormalize=cfg.renormalize,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +174,7 @@ def _march_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[
     meta["effective_horizon"] = cfg.n_steps * cfg.dt
     state, prep = build_initial_state(cfg, manifold, grid)
     max_displacement = 0.0
-    for level in march(
-        state,
-        cfg.dt,
-        cfg.n_steps,
-        manifold,
-        grid,
-        run_params(cfg),
-        bentness_every=cfg.bentness_every,
-    ):
+    for level in march(state, manifold, grid, cfg):
         max_displacement = max(
             max_displacement, m0(manifold.displacement(state.gamma, level.state.gamma))
         )
@@ -204,15 +187,7 @@ def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator
     meta["window_steps"] = cfg.picard_window
     state, _ = build_initial_state(cfg, manifold, grid)
     try:
-        iterate, report = picard_coupled(
-            state,
-            manifold,
-            grid,
-            run_params(cfg),
-            n_levels=cfg.picard_window,
-            max_iter=cfg.picard_max_iter,
-            tol=cfg.picard_tol,
-        )
+        iterate, report = picard_coupled(state, manifold, grid, cfg)
     except NonContractionError as exc:
         # the sweeps up to the failure, and those of a failed inner wave
         # solve, are part of the abort report
@@ -222,7 +197,7 @@ def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator
         raise
     meta["contraction"] = dataclasses.asdict(report)
     xi_t = time_diff_series(iterate.xi, grid.dx)
-    gate = None
+    gate = iterate.bentness  # level 0's, solved once by picard_coupled
     for m, samples in enumerate(iterate.samples):
         level_state = CurveState(
             gamma=iterate.gamma[m],
@@ -232,7 +207,7 @@ def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator
             theta=iterate.theta[m],
             time=m * grid.dx,
         )
-        if m % cfg.bentness_every == 0:
+        if m > 0 and m % cfg.bentness_every == 0:
             gate = elliptic.bentness(level_state.xi, samples, grid)
         yield Level(level_state, samples, gate)
 
@@ -285,8 +260,8 @@ def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
         contraction = meta["contraction"]
         ratios = ", ".join(f"{r:.3f}" for r in contraction["ratios"][:6])
         print(
-            f"picard window of {cfg.picard_window} steps converged="
-            f"{contraction['converged']} in {contraction['iterations']} sweeps "
+            f"picard window of {cfg.picard_window} steps converged "
+            f"in {contraction['iterations']} sweeps "
             f"(ratios: {ratios}) -> {out}"
         )
     else:

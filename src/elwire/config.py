@@ -71,7 +71,12 @@ _TOP_KEYS = set(_SECTION_KEYS) | {"mode", "renormalize"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with every default resolved."""
+    """Validated run configuration.
+
+    The field defaults are the one home of the run settings' defaults: an
+    empty config document parses to ``RunConfig()``, and the solvers read
+    their tolerances, caps and cadences from the instance they are given.
+    """
 
     manifold_name: str = "euclidean"
     dim: int = 2
@@ -82,7 +87,7 @@ class RunConfig:
     horizon: float = 1.0
     mode: str = "march"
     initial_name: str = "circle"
-    initial_params: dict = field(default_factory=dict)
+    initial_params: dict = field(default_factory=lambda: {"velocity": {"name": "none"}})
     solver_tol: float = 1e-8
     constraint_tol: float = 1e-2
     b_floor: float = 1e-3
@@ -123,9 +128,15 @@ def _vector(value, length: int) -> bool:
     )
 
 
+def _integer(value, least: int) -> bool:
+    """Whether the value is a JSON integer (not a boolean) >= ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document; raises ConfigError."""
     problems: list[str] = []
+    default = RunConfig()
 
     def err(path: str, msg: str):
         problems.append(f"{path}: {msg}")
@@ -151,14 +162,14 @@ def parse_config(text: str) -> RunConfig:
             err(f"{section}.{key}", "unknown field")
 
     man = data.get("manifold", {})
-    manifold_name = man.get("name", "euclidean")
+    manifold_name = man.get("name", default.manifold_name)
     if manifold_name not in MANIFOLDS:
         err("manifold.name", f"must be one of {list(MANIFOLDS)}, got {manifold_name!r}")
-        manifold_name = "euclidean"
-    dim = man.get("dim", 2)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        manifold_name = default.manifold_name
+    dim = man.get("dim", default.dim)
+    if not _integer(dim, 1):
         err("manifold.dim", f"must be a positive integer, got {dim!r}")
-        dim = 2
+        dim = default.dim
     if manifold_name == "hyperbolic" and dim != 2:
         err("manifold.dim", "hyperbolic model is two-dimensional")
         dim = 2
@@ -173,16 +184,15 @@ def parse_config(text: str) -> RunConfig:
             err("manifold.expression", str(exc))
 
     grid = data.get("grid", {})
-    n = grid.get("n", 64)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 8:
+    n = grid.get("n", default.grid_n)
+    if not _integer(n, 8):
         err("grid.n", f"must be an integer >= 8, got {n!r}")
-        n = 64
+        n = default.grid_n
 
     time_block = data.get("time", {})
-    horizon = _number(time_block.get("horizon", 1.0))
+    horizon = _number(time_block.get("horizon", default.horizon))
     if horizon is None or horizon <= 0.0:
         err("time.horizon", f"must be a positive number, got {time_block.get('horizon')!r}")
-        horizon = 1.0
     raw_dt = time_block.get("dt", "characteristic")
     if raw_dt == "characteristic":
         dt = 1.0 / n
@@ -192,24 +202,22 @@ def parse_config(text: str) -> RunConfig:
         dt_characteristic = False
         if dt is None or dt <= 0.0:
             err("time.dt", f'must be a positive number or "characteristic", got {raw_dt!r}')
-            dt = 1.0 / n
         elif dt > 1.0 / n + 1e-12:
             err("time.dt", f"violates the stability bound dt <= 1/n = {1.0 / n:.6g}, got {dt!r}")
         else:
             dt_characteristic = abs(dt - 1.0 / n) <= 1e-12
 
-    mode = data.get("mode", "march")
+    mode = data.get("mode", default.mode)
     if mode not in MODES:
         err("mode", f"must be one of {list(MODES)}, got {mode!r}")
-        mode = "march"
     if mode == "picard" and not dt_characteristic:
         err("time.dt", 'picard mode requires the characteristic step (dt = 1/n or "characteristic")')
 
     init = data.get("initial", {})
-    initial_name = init.get("name", "circle")
+    initial_name = init.get("name", default.initial_name)
     if initial_name not in INITIALS:
         err("initial.name", f"must be one of {list(INITIALS)}, got {initial_name!r}")
-        initial_name = "circle"
+        initial_name = default.initial_name
     allowed_manifolds = _INITIAL_REQUIRES[initial_name]
     if manifold_name not in allowed_manifolds:
         err(
@@ -219,14 +227,14 @@ def parse_config(text: str) -> RunConfig:
         )
     if initial_name in _PLANAR_INITIALS and dim < 2:
         err("manifold.dim", f"{initial_name!r} lies in the first two coordinates, needs dim >= 2")
-    if initial_name == "hyperbolic-circle":
-        center = init.get("center", (0.0, 1.0))
-        if not _vector(center, 2) or center[1] <= 0.0:
+    # generator parameters left out take the generator's defaults (initial.generate)
+    if "center" in init and initial_name == "hyperbolic-circle":
+        if not _vector(init["center"], 2) or init["center"][1] <= 0.0:
             err(
                 "initial.center",
-                f"hyperbolic circle centre must lie in the chart (y > 0), got {center!r}",
+                f"hyperbolic circle centre must lie in the chart (y > 0), got {init['center']!r}",
             )
-    elif initial_name in ("circle", "perturbed-circle") and "center" in init:
+    elif "center" in init and initial_name in ("circle", "perturbed-circle"):
         if not _vector(init["center"], dim):
             err("initial.center", f"must be a list of {dim} numbers, got {init['center']!r}")
     if initial_name == "torus-geodesic":
@@ -242,18 +250,17 @@ def parse_config(text: str) -> RunConfig:
                 f"got {direction!r}",
             )
     if initial_name == "perturbed-circle":
-        fmode = init.get("mode", 2)
-        if not isinstance(fmode, int) or isinstance(fmode, bool) or fmode < 1:
-            err("initial.mode", f"perturbation mode must be a positive integer, got {fmode!r}")
-        amp = _number(init.get("amplitude", 0.01))
-        if amp is None:
-            err("initial.amplitude", f"must be a number, got {init.get('amplitude')!r}")
-    velocity = init.get("velocity", {"name": "none"})
+        if "mode" in init and not _integer(init["mode"], 1):
+            err(
+                "initial.mode",
+                f"perturbation mode must be a positive integer, got {init['mode']!r}",
+            )
+        if "amplitude" in init and _number(init["amplitude"]) is None:
+            err("initial.amplitude", f"must be a number, got {init['amplitude']!r}")
+    velocity = init.get("velocity", default.initial_params["velocity"])
     if not isinstance(velocity, dict):
         err("initial.velocity", "must be an object")
-        velocity = {"name": "none"}
-    vname = velocity.get("name", "none")
-    if vname not in VELOCITIES:
+    elif (vname := velocity.get("name", "none")) not in VELOCITIES:
         err("initial.velocity.name", f"must be one of {list(VELOCITIES)}, got {vname!r}")
     elif vname == "translate" and not _vector(velocity.get("vector"), dim):
         err(
@@ -274,9 +281,9 @@ def parse_config(text: str) -> RunConfig:
     initial_params["velocity"] = velocity
 
     tols = data.get("tolerances", {})
-    solver_tol = _number(tols.get("solver", 1e-8))
-    constraint_tol = _number(tols.get("constraint", 1e-2))
-    b_floor = _number(tols.get("bentness_floor", 1e-3))
+    solver_tol = _number(tols.get("solver", default.solver_tol))
+    constraint_tol = _number(tols.get("constraint", default.constraint_tol))
+    b_floor = _number(tols.get("bentness_floor", default.b_floor))
     for label, value in (
         ("tolerances.solver", solver_tol),
         ("tolerances.constraint", constraint_tol),
@@ -284,48 +291,37 @@ def parse_config(text: str) -> RunConfig:
     ):
         if value is None or value <= 0.0:
             err(label, "must be a positive number")
-    solver_tol = solver_tol if solver_tol and solver_tol > 0 else 1e-8
-    constraint_tol = constraint_tol if constraint_tol and constraint_tol > 0 else 1e-2
-    b_floor = b_floor if b_floor and b_floor > 0 else 1e-3
 
     pic = data.get("picard", {})
-    window = pic.get("window", 16)
-    if not isinstance(window, int) or isinstance(window, bool) or window < 2:
+    window = pic.get("window", default.picard_window)
+    if not _integer(window, 2):
         err("picard.window", f"must be an integer >= 2 (time steps), got {window!r}")
-        window = 16
-    max_iter = pic.get("max_iter", 30)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
+    max_iter = pic.get("max_iter", default.picard_max_iter)
+    if not _integer(max_iter, 1):
         err("picard.max_iter", f"must be a positive integer, got {max_iter!r}")
-        max_iter = 30
-    picard_tol = _number(pic.get("tol", 1e-10))
+    picard_tol = _number(pic.get("tol", default.picard_tol))
     if picard_tol is None or picard_tol <= 0:
         err("picard.tol", "must be a positive number")
-        picard_tol = 1e-10
 
     out = data.get("output", {})
-    out_dir = out.get("directory")
+    out_dir = out.get("directory", default.out_dir)
     if out_dir is not None and not isinstance(out_dir, str):
         err("output.directory", f"must be a string path, got {out_dir!r}")
-        out_dir = None
-    snapshot_every = out.get("snapshot_every", 0)
-    if not isinstance(snapshot_every, int) or isinstance(snapshot_every, bool) or snapshot_every < 0:
+    snapshot_every = out.get("snapshot_every", default.snapshot_every)
+    if not _integer(snapshot_every, 0):
         err("output.snapshot_every", f"must be an integer >= 0, got {snapshot_every!r}")
-        snapshot_every = 0
 
     diag = data.get("diagnostics", {})
-    diag_every = diag.get("every", 1)
-    if not isinstance(diag_every, int) or isinstance(diag_every, bool) or diag_every < 1:
+    diag_every = diag.get("every", default.diag_every)
+    if not _integer(diag_every, 1):
         err("diagnostics.every", f"must be a positive integer, got {diag_every!r}")
-        diag_every = 1
-    bentness_every = diag.get("bentness_every", 10)
-    if not isinstance(bentness_every, int) or isinstance(bentness_every, bool) or bentness_every < 1:
+    bentness_every = diag.get("bentness_every", default.bentness_every)
+    if not _integer(bentness_every, 1):
         err("diagnostics.bentness_every", f"must be a positive integer, got {bentness_every!r}")
-        bentness_every = 10
 
-    renormalize = data.get("renormalize", False)
+    renormalize = data.get("renormalize", default.renormalize)
     if not isinstance(renormalize, bool):
         err("renormalize", f"must be a boolean, got {renormalize!r}")
-        renormalize = False
 
     if problems:
         raise ConfigError(problems)

@@ -38,6 +38,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import elliptic
+from .config import RunConfig
 from .elliptic import BentnessReport
 from .errors import ConstraintDriftError, DegenerateCurveError
 from .fields import (
@@ -66,9 +67,6 @@ from .wave import ContractionReport, _contract, leapfrog_step, picard_wave_solve
 
 #: tangent samples shorter than this fraction of the mean abort preparation
 MIN_TANGENT_NORM = 1e-6
-#: sweep cap and tolerance of the inner wave solve in a coupled Picard sweep
-WAVE_MAX_ITER = 30
-WAVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -95,16 +93,6 @@ class PreparationReport:
 
 
 @dataclass(frozen=True)
-class RunParams:
-    """Numerical knobs shared by the stepper and the window solver."""
-
-    solver_tol: float = 1e-8
-    constraint_tol: float = 1e-2
-    b_floor: float = 1e-3
-    renormalize: bool = False
-
-
-@dataclass(frozen=True)
 class Level:
     """One time level: the state with its tension attached, the geometry
     samples of its curve, and the bentness report in force there."""
@@ -123,6 +111,7 @@ class WindowIterate:
     eta: np.ndarray
     theta: np.ndarray
     samples: Optional[list] = None  # GeometrySamples of gamma per level, once solved
+    bentness: Optional[BentnessReport] = None  # level 0's, gating every level, once solved
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +137,13 @@ def assemble_sources(
     return psi, phi
 
 
-def _solve_level(state, samples, grid, params: RunParams, gate) -> elliptic.FluxSolveResult:
+def _solve_level(state, samples, grid, cfg: RunConfig, gate) -> elliptic.FluxSolveResult:
     """Tension theta (as ``u``) and flux D theta + psi of one level, gated by
     the bentness report ``gate``, or by a fresh one when ``gate`` is None."""
     psi, phi = assemble_sources(state, samples, grid)
     return elliptic.solve_flux_form(
         psi, phi, state.xi, samples, grid,
-        tol=params.solver_tol, b_floor=params.b_floor, bentness_report=gate,
+        tol=cfg.solver_tol, b_floor=cfg.b_floor, bentness_report=gate,
     )
 
 
@@ -308,23 +297,24 @@ def _predict_position(
 def step(
     level: Level,
     flux: np.ndarray,
-    dt: float,
     manifold: ManifoldModel,
     grid: Grid,
-    params: RunParams = RunParams(),
+    cfg: RunConfig,
     *,
     prev: Optional[Level] = None,
     flux_prev: Optional[np.ndarray] = None,
 ) -> CurveState:
-    """Advance a solved level, with its tension flux, by dt; returns the next state.
+    """Advance a solved level, with its tension flux, by ``cfg.dt``; returns
+    the next state.
 
     Order of operations: tangent leapfrog (bootstrapping a virtual previous
-    level on the first step), velocity midpoint update with the half-time
-    flux extrapolated from ``flux_prev``, curve midpoint update.  ``prev`` is
-    the previous level, whose samples are reused.
+    level on the first step; rescaled to unit rows with ``cfg.renormalize``),
+    velocity midpoint update with the half-time flux extrapolated from
+    ``flux_prev``, curve midpoint update.  ``prev`` is the previous level,
+    whose samples are reused.
     """
     state, samples = level.state, level.samples
-    dx = grid.dx
+    dt, dx = cfg.dt, grid.dx
     rate = _eta_rate(flux, state, samples, grid)
 
     flat = getattr(manifold, "is_flat", False)
@@ -361,7 +351,7 @@ def step(
         samples_next=samples_next,
         eta_rate=rate,
     )
-    if params.renormalize:
+    if cfg.renormalize:
         xi_next = xi_next / row_norms(xi_next)[:, None]
     xi_t_next = (3.0 * xi_next - 4.0 * state.xi + xi_prev) / (2.0 * dt)
 
@@ -389,47 +379,40 @@ def step(
 
 
 def march(
-    initial: CurveState,
-    dt: float,
-    n_steps: int,
-    manifold: ManifoldModel,
-    grid: Grid,
-    params: RunParams = RunParams(),
-    *,
-    bentness_every: int = 10,
+    initial: CurveState, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
 ) -> Iterator[Level]:
-    """Run the marching integrator, yielding the levels 0..n_steps one by one.
+    """Run the marching integrator, yielding the levels 0..cfg.n_steps one by one.
 
     Each level's tension is solved once, and a level is yielded once the
     step from it has succeeded, so a consumer holds only the levels it keeps
     and never sees a level whose step failed.  Before each step the unit
-    tangent is held to ``params.constraint_tol``.  The bentness gate is
-    re-evaluated every ``bentness_every`` steps (and always at the first);
-    between gates, and at the final level, the most recent report is reused
-    and carried by the levels.  The final level gets a tension field too, so
-    diagnostics cover [0, T].
+    tangent is held to ``cfg.constraint_tol``.  The bentness gate is
+    re-evaluated every ``cfg.bentness_every`` steps (and always at the
+    first); between gates, and at the final level, the most recent report is
+    reused and carried by the levels.  The final level gets a tension field
+    too, so diagnostics cover [0, T].
     """
     current = initial
     prev: Optional[Level] = None
     flux_prev: Optional[np.ndarray] = None
     gate: Optional[BentnessReport] = None
-    for k in range(n_steps + 1):
-        final = k == n_steps
+    for k in range(cfg.n_steps + 1):
+        final = k == cfg.n_steps
         if not final:
             drift = constraint_drift(current.xi)
-            if drift > params.constraint_tol:
+            if drift > cfg.constraint_tol:
                 raise ConstraintDriftError(
                     f"unit-tangent defect {drift:.3e} exceeds tolerance "
-                    f"{params.constraint_tol:.1e} at t={current.time:.6f}"
+                    f"{cfg.constraint_tol:.1e} at t={current.time:.6f}"
                 )
         samples = sample_geometry(manifold, current.gamma)
-        fresh = not final and k % max(1, bentness_every) == 0
-        solved = _solve_level(current, samples, grid, params, None if fresh else gate)
+        fresh = not final and k % cfg.bentness_every == 0
+        solved = _solve_level(current, samples, grid, cfg, None if fresh else gate)
         gate = solved.bentness
         level = Level(current.with_theta(solved.u), samples, gate)
         if not final:
             current = step(
-                level, solved.flux, dt, manifold, grid, params, prev=prev, flux_prev=flux_prev
+                level, solved.flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev
             )
         yield level
         prev, flux_prev = level, solved.flux
@@ -445,9 +428,11 @@ def _theta_series(
     eta_s: np.ndarray,
     manifold: ManifoldModel,
     grid: Grid,
-    params: RunParams,
+    cfg: RunConfig,
+    gate: BentnessReport,
 ) -> tuple[np.ndarray, np.ndarray, list[GeometrySamples], GeometrySamples, np.ndarray]:
-    """Per-level tension solves on a frozen window iterate.
+    """Per-level tension solves on a frozen window iterate, each gated by
+    ``gate``, the bentness report of the window's fixed level 0.
 
     Returns the theta and flux series, the samples per level, the same
     samples stacked into one series, and the series of D_x xi.  The plain
@@ -457,15 +442,12 @@ def _theta_series(
     levels = xi_s.shape[0]
     xi_t_s = time_diff_series(xi_s, grid.dx)
     thetas, fluxes, samples_list = [], [], []
-    gate: Optional[BentnessReport] = None
     for m in range(levels):
         samples = sample_geometry(manifold, gamma_s[m])
         level_state = CurveState(
             gamma=gamma_s[m], xi=xi_s[m], xi_t=xi_t_s[m], eta=eta_s[m], theta=None, time=m * grid.dx
         )
-        # level 0's bentness gate stands for the whole window
-        solved = _solve_level(level_state, samples, grid, params, gate)
-        gate = solved.bentness
+        solved = _solve_level(level_state, samples, grid, cfg, gate)
         thetas.append(solved.u)
         fluxes.append(solved.flux)
         samples_list.append(samples)
@@ -527,29 +509,29 @@ def window_distance(a: WindowIterate, b: WindowIterate, dx: float) -> float:
 
 
 def picard_coupled(
-    state: CurveState,
-    manifold: ManifoldModel,
-    grid: Grid,
-    params: RunParams = RunParams(),
-    *,
-    n_levels: int,
-    max_iter: int = 30,
-    tol: float = 1e-10,
+    state: CurveState, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
 ) -> tuple[WindowIterate, ContractionReport]:
-    """Solve the coupled system on a window [0, n_levels * dx] by contraction.
+    """Solve the coupled system on a window [0, cfg.picard_window * dx] by
+    contraction.
 
     One sweep: solve the tension on the frozen iterate, advance the curve from
     the frozen velocity, run the full inner wave solve for the tangent, update
     the velocity from the frozen flux, then refresh tension and velocity once
     more on the new fields.  Distances between sweeps use the composite norm
-    of window_distance; three consecutive non-decreasing distances raise
-    NonContractionError.  The returned iterate carries the geometry samples
-    of its curve, taken by that last tension refresh.
+    of window_distance; sweeps stop once one is within ``cfg.picard_tol``,
+    and three consecutive non-decreasing distances, or
+    ``cfg.picard_max_iter`` sweeps without reaching the tolerance, raise
+    NonContractionError.  Level 0 is the fixed initial state, so its
+    bentness is solved once and gates every level's tension solve.  The
+    returned iterate carries that report and the geometry samples of its
+    curve, taken by the last tension refresh.
     """
     dt = grid.dx
+    n_levels = cfg.picard_window
     levels = n_levels + 1
     if levels < 3:
         raise ValueError("picard window needs at least 2 steps (3 levels)")
+    gate = elliptic.bentness(state.xi, sample_geometry(manifold, state.gamma), grid)
     shape = (levels,) + state.gamma.shape
     start = WindowIterate(
         gamma=np.broadcast_to(state.gamma, shape).copy(),
@@ -560,7 +542,7 @@ def picard_coupled(
 
     def sweep(current: WindowIterate) -> WindowIterate:
         theta_s, flux_s, _, series, dxi_s = _theta_series(
-            current.gamma, current.xi, current.eta, manifold, grid, params
+            current.gamma, current.xi, current.eta, manifold, grid, cfg, gate
         )
         gamma_new = _integrate_curve(state.gamma, current.eta, manifold, dt)
         xi_new, _ = picard_wave_solve(
@@ -570,24 +552,27 @@ def picard_coupled(
             n_levels=n_levels,
             eta_series=current.eta,
             samples_series=series,
-            max_iter=WAVE_MAX_ITER,
-            tol=WAVE_TOL,
         )
         eta_mid = _integrate_eta(state.eta, flux_s, dxi_s, series.chris, dt)
         # refresh tension and velocity on the advanced fields
         theta_new, flux_new, samples_new, series_new, dxi_new = _theta_series(
-            gamma_new, xi_new, eta_mid, manifold, grid, params
+            gamma_new, xi_new, eta_mid, manifold, grid, cfg, gate
         )
         eta_new = _integrate_eta(state.eta, flux_new, dxi_new, series_new.chris, dt)
         return WindowIterate(
-            gamma=gamma_new, xi=xi_new, eta=eta_new, theta=theta_new, samples=samples_new
+            gamma=gamma_new,
+            xi=xi_new,
+            eta=eta_new,
+            theta=theta_new,
+            samples=samples_new,
+            bentness=gate,
         )
 
     return _contract(
         sweep,
         start,
         lambda new, current: window_distance(new, current, grid.dx),
-        max_iter=max_iter,
-        tol=tol,
+        max_iter=cfg.picard_max_iter,
+        tol=cfg.picard_tol,
         label="coupled picard iteration",
     )

@@ -38,11 +38,6 @@ from .errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
 from .fields import Grid, constraint_drift, cov_dx, l2_norm, m0, perp
 from .geometry import GeometrySamples
 
-#: default residual tolerance (infinity norm, relative to the data scale)
-DEFAULT_TOL = 1e-8
-#: default bentness floor below which the tension solve refuses to run
-DEFAULT_B_FLOOR = 1e-3
-
 
 @dataclass(frozen=True)
 class BentnessReport:
@@ -264,14 +259,16 @@ def solve_flux_form(
     samples: GeometrySamples,
     grid: Grid,
     *,
-    tol: float = DEFAULT_TOL,
-    b_floor: float = DEFAULT_B_FLOOR,
+    tol: float,
+    b_floor: float,
     bentness_report: Optional[BentnessReport] = None,
 ) -> FluxSolveResult:
     """Solve -D(Du + f) + perp(u) = h along the current curve.
 
     Refuses to run (NearGeodesicError) when the bentness of ``xi`` is below
     ``b_floor``; a precomputed ``bentness_report`` is reused when supplied.
+    The residual (infinity norm) must stay within ``tol`` times the data
+    scale, or NumericalSolveError is raised.
     The returned flux D u + f is the quantity downstream consumers need, so
     it is formed here rather than re-differenced.
     """

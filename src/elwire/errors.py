@@ -53,7 +53,8 @@ class ConstraintDriftError(NumericalAbort):
 
 
 class NonContractionError(NumericalAbort):
-    """Picard iteration stopped contracting (three consecutive ratios >= 1).
+    """Picard iteration failed: it stopped contracting (three consecutive
+    ratios >= 1) or used up its sweep cap above its tolerance.
 
     ``report`` is the ContractionReport of the iteration that raised, up to
     the failing sweep.

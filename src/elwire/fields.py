@@ -67,14 +67,6 @@ class CurveState:
     theta: Optional[np.ndarray] = None
     time: float = 0.0
 
-    @property
-    def n_points(self) -> int:
-        return self.gamma.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[1]
-
     def with_theta(self, theta: np.ndarray) -> "CurveState":
         return replace(self, theta=theta)
 

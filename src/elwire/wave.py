@@ -39,6 +39,9 @@ UNIT_DATA_TOL = 1e-8
 #: sweeps and relative tolerance of the leapfrog's inner fixed-point iteration
 INNER_ITER = 8
 INNER_TOL = 1e-14
+#: sweep cap and tolerance of the window's source iteration (picard_wave_solve)
+WAVE_MAX_ITER = 30
+WAVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,11 @@ class WaveData:
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Per-iteration distances and ratios of a Picard iteration."""
+    """Per-iteration distances and ratios of a Picard iteration.
+
+    ``converged`` is True on the report of an iteration that returned, False
+    on the one a NonContractionError carries.
+    """
 
     distances: tuple
     ratios: tuple
@@ -132,17 +139,17 @@ def _contract(
     """Apply ``sweep`` from ``start`` until two iterates are within ``tol``.
 
     Returns the last iterate and its ContractionReport.  Three consecutive
-    distance ratios >= 1 raise NonContractionError naming ``label``; one
-    raised inside a sweep (an inner iteration) is raised again with the
-    sweep's number in front.  Either carries the report up to the failure.
+    distance ratios >= 1, or ``max_iter`` sweeps that end above ``tol``,
+    raise NonContractionError naming ``label``; one raised inside a sweep
+    (an inner iteration) is raised again with the sweep's number in front.
+    Each carries the report up to the failure.
     """
     current = start
     distances: list[float] = []
     ratios: list[float] = []
-    converged = False
     rising = 0
 
-    def report() -> ContractionReport:
+    def report(converged: bool = False) -> ContractionReport:
         return ContractionReport(
             distances=tuple(distances),
             ratios=tuple(ratios),
@@ -170,9 +177,12 @@ def _contract(
         distances.append(dist)
         current = new
         if dist <= tol:
-            converged = True
-            break
-    return current, report()
+            return current, report(converged=True)
+    raise NonContractionError(
+        f"{label} did not converge: distance {distances[-1]:.3e} after {max_iter} sweeps, "
+        f"tolerance {tol:.1e}",
+        report(),
+    )
 
 
 def assemble_wave_sources(
@@ -216,8 +226,6 @@ def picard_wave_solve(
     n_levels: int,
     eta_series: np.ndarray,
     samples_series: GeometrySamples,
-    max_iter: int = 30,
-    tol: float = 1e-10,
 ) -> tuple[np.ndarray, ContractionReport]:
     """Solve the tangent wave equation over a window by source iteration.
 
@@ -227,8 +235,9 @@ def picard_wave_solve(
     point.  Starting from the source-free solution, each sweep reassembles
     (f, h) from the current iterate and re-evaluates the integral
     representation on every level.  Distances between consecutive iterates
-    are measured in the composite first-order norm; three consecutive
-    non-decreasing distances raise NonContractionError.
+    are measured in the composite first-order norm; the iteration stops at
+    WAVE_TOL, and three consecutive non-decreasing distances or WAVE_MAX_ITER
+    sweeps without reaching it raise NonContractionError.
     """
     dx = grid.dx
     if n_levels < 2:
@@ -256,8 +265,8 @@ def picard_wave_solve(
         sweep,
         wave_series(base, n_levels),
         lambda new, current: m1(new - current, dx, dx),
-        max_iter=max_iter,
-        tol=tol,
+        max_iter=WAVE_MAX_ITER,
+        tol=WAVE_TOL,
         label="picard iteration",
     )
 

@@ -19,7 +19,6 @@ from elwire import initial
 from elwire.cli import main
 from elwire.diagnostics import energy
 from elwire.dynamics import (
-    RunParams,
     make_state,
     march,
     picard_coupled,
@@ -51,6 +50,7 @@ from elwire.geometry import (
 )
 from elwire.wave import WaveData, leapfrog_step, picard_wave_solve, wave_series
 from residual_oracle import residual_base_single
+from run_config import SOLVE_DEFAULTS, run_config
 from wave_oracle import characteristic_derivatives
 
 TWO_PI = 2.0 * math.pi
@@ -133,7 +133,7 @@ def _prepared_state(n, name, params):
 def _march_summary(n, name, params):
     state, manifold, grid = _prepared_state(n, name, params)
     box = {"drift": 0.0, "constraint": 0.0, "displacement": 0.0}
-    for level in march(state, grid.dx, n, manifold, grid, RunParams()):
+    for level in march(state, manifold, grid, run_config(grid, n)):
         solved = level.state
         total, _ = energy(solved, level.samples, grid)
         box.setdefault("e0", total)
@@ -194,7 +194,7 @@ def test_02_energy_conservation(perturbed_runs, capsys):
 
 
 def test_03_unit_tangent_preservation(perturbed_runs, capsys):
-    # renormalization is off in RunParams(), so this measures the scheme itself
+    # renormalization is off by default, so this measures the scheme itself
     drift = [perturbed_runs[n]["constraint"] for n in RESOLUTIONS]
     orders = _orders(drift)
     ok = drift[-1] <= 1e-4 and min(orders) >= ORDER_MIN
@@ -299,9 +299,9 @@ def test_06_tension_solver_oracles(capsys):
     # the stencil symbol stands in for the continuum 4 pi^2 of the two
     # closed-form solutions xi / (4 pi^2) and -xi
     omega_sq = (math.sin(TWO_PI * grid.dx) / grid.dx) ** 2
-    pulled = solve_flux_form(zero, xi, xi, flat, grid).u
+    pulled = solve_flux_form(zero, xi, xi, flat, grid, **SOLVE_DEFAULTS).u
     err_pull = m0(pulled - xi / omega_sq) / m0(xi / omega_sq)
-    negated = solve_flux_form(zero, -omega_sq * xi, xi, flat, grid).u
+    negated = solve_flux_form(zero, -omega_sq * xi, xi, flat, grid, **SOLVE_DEFAULTS).u
     err_neg = m0(negated + xi) / m0(xi)
 
     # the production solve (block cyclic reduction) against two routes that
@@ -309,7 +309,9 @@ def test_06_tension_solver_oracles(capsys):
     # cov_dx applied twice
     rng = np.random.default_rng(3)
     source = rng.standard_normal(xi_h.shape)
-    reduced = solve_flux_form(np.zeros_like(xi_h), source, xi_h, samples_h, grid_h).u
+    reduced = solve_flux_form(
+        np.zeros_like(xi_h), source, xi_h, samples_h, grid_h, **SOLVE_DEFAULTS
+    ).u
     dense_gap = m0(reduced - dense_solve(xi_h, samples_h, grid_h, "perp", source))
     cg_gap = m0(reduced - cg_solve(xi_h, samples_h, grid_h, "perp", source))
     path_gap = max(dense_gap, cg_gap)
@@ -414,15 +416,15 @@ def test_07_wave_route_cross_validation(capsys):
 
 def test_08_window_iteration_contraction(capsys):
     state, manifold, grid = _prepared_state(128, "perturbed-circle", PERTURBATION)
-    _, report = picard_coupled(state, manifold, grid, n_levels=8)
+    _, report = picard_coupled(state, manifold, grid, run_config(grid, 8))
     ratios_ok = report.converged and all(r < 1.0 for r in report.ratios)
 
     errs = []
     for n in RESOLUTIONS:
         st, manifold, g = _prepared_state(n, "perturbed-circle", PERTURBATION)
         steps = n // 16
-        iterate, _ = picard_coupled(st, manifold, g, n_levels=steps + 1)
-        states = [lv.state for lv in march(st, g.dx, steps, manifold, g, RunParams())]
+        iterate, _ = picard_coupled(st, manifold, g, run_config(g, steps + 1))
+        states = [lv.state for lv in march(st, manifold, g, run_config(g, steps))]
         errs.append(max(np.max(np.abs(states[m].xi - iterate.xi[m])) for m in range(steps + 1)))
     orders = _orders(errs)
 
@@ -441,7 +443,7 @@ def test_08_window_iteration_contraction(capsys):
 
 def test_09_multiplier_and_residual(capsys):
     state, manifold, grid = _prepared_state(256, "circle", {})
-    rest = list(march(state, grid.dx, 2, manifold, grid, RunParams()))
+    rest = list(march(state, manifold, grid, run_config(grid, 2)))
     samples = sample_geometry(manifold, rest[0].state.gamma)
     mu = reconstruct_mu(rest[0].state, samples, grid)
     mu_err = float(np.max(np.abs(mu - 4.0 * math.pi**2)))
@@ -449,7 +451,7 @@ def test_09_multiplier_and_residual(capsys):
     sups = []
     for n in RESOLUTIONS:
         st, manifold, g = _prepared_state(n, "perturbed-circle", PERTURBATION)
-        marched = list(march(st, g.dx, n // 8, manifold, g, RunParams()))
+        marched = list(march(st, manifold, g, run_config(g, n // 8)))
         report = residual_base_single(marched, g.dx, manifold, g)
         sups.append(float(np.max(report.residual)))
     orders = _orders(sups)

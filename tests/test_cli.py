@@ -288,6 +288,57 @@ def test_picard_abort_keeps_the_sweep_record(tmp_path):
     assert "'4.130', '95.556', '1982.623'" in reason
 
 
+def test_unconverged_picard_run_aborts_with_its_sweeps(tmp_path, capsys):
+    # two sweeps end far above picard.tol: the run is a numerical abort, not
+    # a completed run of the unconverged iterate
+    data = {
+        "mode": "picard",
+        "grid": {"n": 128},
+        "picard": {"window": 32, "max_iter": 2},
+        "initial": {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01},
+    }
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 3
+    assert "aborted: NonContractionError" in capsys.readouterr().err
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "aborted"
+    assert meta["failure"]["type"] == "NonContractionError"
+    assert "did not converge" in meta["failure"]["reason"]
+    contraction = meta["contraction"]
+    assert contraction["iterations"] == 2
+    assert contraction["converged"] is False
+    assert "inner" not in contraction
+    assert not list(out.glob("snapshot_*.json"))
+
+
+def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
+    # level 0 of the window is the fixed initial state: its bentness gates
+    # every sweep's tension solves and is the first level's gate in the
+    # output; the output loop adds a fresh gate every bentness_every levels
+    import elwire.elliptic
+
+    calls = []
+    real = elwire.elliptic.bentness
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(elwire.elliptic, "bentness", counting)
+    window, every = 5, 2
+    data = dict(
+        REST_CONFIG,
+        grid={"n": 32},
+        mode="picard",
+        picard={"window": window},
+        diagnostics={"bentness_every": every},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 0
+    assert json.loads((out / "metadata.json").read_text())["contraction"]["iterations"] > 1
+    assert len(calls) == 1 + window // every
+
+
 def test_study_outputs(tmp_path, capsys):
     data = {
         "grid": {"n": 16},

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from elwire.config import parse_config
+from elwire.config import RunConfig, parse_config
 from elwire.errors import ConfigError
 
 
@@ -25,6 +25,10 @@ def test_empty_document_yields_defaults():
     assert cfg.initial_name == "circle"
     assert cfg.picard_window == 16
     assert not cfg.renormalize
+
+
+def test_empty_document_parses_to_the_field_defaults():
+    assert parse_config("{}") == RunConfig()
 
 
 def test_invalid_json_and_wrong_top_level():

@@ -25,6 +25,7 @@ from elwire.dynamics import Level, assemble_sources, make_state, march, prepare_
 from elwire.elliptic import BentnessReport, bentness, solve_flux_form
 from elwire.fields import Grid, m0
 from elwire.geometry import make_manifold, sample_geometry
+from run_config import SOLVE_DEFAULTS, run_config
 
 EXACT_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-10
@@ -41,7 +42,7 @@ def rest_state(n: int, with_theta: bool = True):
     samples = sample_geometry(manifold, state.gamma)
     if with_theta:
         psi, phi = assemble_sources(state, samples, grid)
-        solved = solve_flux_form(psi, phi, state.xi, samples, grid)
+        solved = solve_flux_form(psi, phi, state.xi, samples, grid, **SOLVE_DEFAULTS)
         state = state.with_theta(solved.u)
     return state, manifold, grid, samples
 
@@ -58,7 +59,7 @@ def marched_levels(n: int, levels: int = 3):
         "perturbed-circle", manifold, grid, {"mode": 2, "amplitude": 0.01}
     )
     data, _ = prepare_initial(curve, velocity, manifold, grid)
-    marched = list(march(make_state(data), grid.dx, levels - 1, manifold, grid))
+    marched = list(march(make_state(data), manifold, grid, run_config(grid, levels - 1)))
     return marched[:levels], manifold, grid
 
 

@@ -16,7 +16,6 @@ from elwire import initial
 from elwire.diagnostics import energy
 from elwire.dynamics import (
     Level,
-    RunParams,
     assemble_sources,
     cov_dt_state,
     make_state,
@@ -36,6 +35,7 @@ from elwire.geometry import (
     sample_geometry,
 )
 from residual_oracle import residual_base_single
+from run_config import SOLVE_DEFAULTS, run_config
 
 EXACT_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-10
@@ -59,7 +59,7 @@ def solved_level(state, manifold, grid):
     """The level of ``state`` with its tension solved, and the tension flux."""
     samples = sample_geometry(manifold, state.gamma)
     psi, phi = assemble_sources(state, samples, grid)
-    solved = solve_flux_form(psi, phi, state.xi, samples, grid)
+    solved = solve_flux_form(psi, phi, state.xi, samples, grid, **SOLVE_DEFAULTS)
     return Level(state.with_theta(solved.u), samples, solved.bentness), solved.flux
 
 
@@ -151,7 +151,7 @@ def test_rest_circle_tension_and_multiplier_closed_forms():
     assert m0(psi) < EXACT_TOL
     assert m0(phi + omega_sq * state.xi) < 1e-10
 
-    solved = solve_flux_form(psi, phi, state.xi, samples, grid)
+    solved = solve_flux_form(psi, phi, state.xi, samples, grid, **SOLVE_DEFAULTS)
     assert m0(solved.u + state.xi) < CLOSED_FORM_TOL
 
     mu = reconstruct_mu(state.with_theta(solved.u), samples, grid)
@@ -167,7 +167,7 @@ def test_rest_circle_tension_and_multiplier_closed_forms():
 def test_rest_circle_is_a_discrete_equilibrium():
     state, manifold, grid, _ = flat_state(64)
     level, flux = solved_level(state, manifold, grid)
-    advanced = step(level, flux, grid.dx, manifold, grid)
+    advanced = step(level, flux, manifold, grid, run_config(grid, 1))
     assert m0(advanced.xi - state.xi) < EXACT_TOL
     assert m0(advanced.eta) < EXACT_TOL
     assert m0(advanced.gamma - state.gamma) < EXACT_TOL
@@ -175,7 +175,7 @@ def test_rest_circle_is_a_discrete_equilibrium():
 
 def test_march_keeps_rest_circle_and_counts_levels():
     state, manifold, grid, _ = flat_state(64)
-    levels = list(march(state, grid.dx, 12, manifold, grid, bentness_every=4))
+    levels = list(march(state, manifold, grid, run_config(grid, 12, bentness_every=4)))
     assert all(isinstance(level, Level) for level in levels)
     assert len(levels) == 13
     displacements = [m0(lv.state.gamma - state.gamma) for lv in levels]
@@ -212,7 +212,7 @@ def test_march_levels_carry_the_geometry_of_their_curve(chart, dim, init, params
     grid = Grid(32)
     curve, velocity = initial.generate(init, manifold, grid, params)
     data, _ = prepare_initial(curve, velocity, manifold, grid)
-    levels = list(march(make_state(data), grid.dx, 4, manifold, grid, bentness_every=2))
+    levels = list(march(make_state(data), manifold, grid, run_config(grid, 4, bentness_every=2)))
     assert len(levels) == 5
     for level in levels:
         fresh = sample_geometry(manifold, level.state.gamma)
@@ -224,7 +224,7 @@ def test_march_conserves_energy_on_perturbed_circle():
     state, manifold, grid, _ = flat_state(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
-    states = [lv.state for lv in march(state, grid.dx, 16, manifold, grid)]
+    states = [lv.state for lv in march(state, manifold, grid, run_config(grid, 16))]
     samples0 = sample_geometry(manifold, states[0].gamma)
     e0, _ = energy(states[0], samples0, grid)
     worst = 0.0
@@ -239,8 +239,7 @@ def test_renormalize_pins_the_unit_constraint():
     state, manifold, grid, _ = flat_state(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
-    params = RunParams(renormalize=True)
-    levels = list(march(state, grid.dx, 16, manifold, grid, params))
+    levels = list(march(state, manifold, grid, run_config(grid, 16, renormalize=True)))
     for lv in levels[1:]:
         assert constraint_drift(lv.state.xi) < 1e-13
 
@@ -256,12 +255,13 @@ def test_step_reads_the_previous_levels_samples():
         "sphere-loop", manifold, grid, {"velocity": {"name": "translate", "vector": [0.2, 0.0]}}
     )
     data, _ = prepare_initial(curve, velocity, manifold, grid)
-    first, second = list(march(make_state(data), grid.dx, 1, manifold, grid))
+    cfg = run_config(grid, 1)
+    first, second = list(march(make_state(data), manifold, grid, cfg))
     level, flux = solved_level(second.state.with_theta(None), manifold, grid)
     shifted = sample_geometry(manifold, first.state.gamma + np.array([0.05, 0.0]))
-    carried = step(level, flux, grid.dx, manifold, grid, prev=first)
+    carried = step(level, flux, manifold, grid, cfg, prev=first)
     moved_prev = Level(first.state, shifted, first.bentness)
-    moved = step(level, flux, grid.dx, manifold, grid, prev=moved_prev)
+    moved = step(level, flux, manifold, grid, cfg, prev=moved_prev)
     assert m0(carried.xi - moved.xi) > 1e-9
 
 
@@ -272,7 +272,7 @@ def test_step_rejects_drifted_tangent():
         gamma=state.gamma, xi=1.02 * state.xi, xi_t=state.xi_t, eta=state.eta
     )
     with pytest.raises(ConstraintDriftError, match="exceeds tolerance"):
-        next(march(bad, grid.dx, 1, manifold, grid))
+        next(march(bad, manifold, grid, run_config(grid, 1)))
 
 
 def test_step_refuses_geodesic_data():
@@ -281,14 +281,14 @@ def test_step_refuses_geodesic_data():
     curve, velocity = initial.generate("torus-geodesic", manifold, grid, {})
     data, _ = prepare_initial(curve, velocity, manifold, grid)
     with pytest.raises(NearGeodesicError):
-        next(march(make_state(data), grid.dx, 1, manifold, grid))
+        next(march(make_state(data), manifold, grid, run_config(grid, 1)))
 
 
 def test_march_yields_a_level_only_after_its_step():
     # dt > dx breaks the leapfrog's CFL limit in the first step, so level 0,
     # though solved, is never yielded
     state, manifold, grid, _ = flat_state(32)
-    levels = march(state, 2.0 * grid.dx, 3, manifold, grid)
+    levels = march(state, manifold, grid, run_config(grid, 3, dt=2.0 * grid.dx))
     with pytest.raises(CflError):
         next(levels)
 
@@ -302,10 +302,11 @@ def test_picard_coupled_matches_march_on_a_short_window():
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
     steps = 4
-    iterate, report = picard_coupled(state, manifold, grid, n_levels=steps)
+    cfg = run_config(grid, steps)
+    iterate, report = picard_coupled(state, manifold, grid, cfg)
     assert iterate.gamma.shape == (steps + 1, 64, 2)
     assert report.ratios and report.ratios[0] < 1.0
-    marched = [lv.state for lv in march(state, grid.dx, steps, manifold, grid)]
+    marched = [lv.state for lv in march(state, manifold, grid, cfg)]
     for m in range(steps + 1):
         assert m0(iterate.xi[m] - marched[m].xi) < 1e-3
         assert m0(iterate.gamma[m] - marched[m].gamma) < 1e-3
@@ -319,7 +320,7 @@ def test_picard_coupled_matches_march_on_a_short_window():
 def test_picard_coupled_window_validation():
     state, manifold, grid, _ = flat_state(32)
     with pytest.raises(ValueError, match="at least 2 steps"):
-        picard_coupled(state, manifold, grid, n_levels=1)
+        picard_coupled(state, manifold, grid, run_config(grid, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,7 @@ def test_residual_report_on_marched_states():
     state, manifold, grid, _ = flat_state(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
-    levels = list(march(state, grid.dx, 8, manifold, grid))
+    levels = list(march(state, manifold, grid, run_config(grid, 8)))
     report = residual_base_single(levels, grid.dx, manifold, grid)
     assert report.times.shape == (7,)
     assert report.residual.shape == (7,)

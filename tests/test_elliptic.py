@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from elliptic_oracle import block_tridiagonal_to_dense, cg_solve, dense_operator, dense_solve
+from run_config import SOLVE_DEFAULTS
 from elwire.elliptic import BentnessReport, _block_operator, bentness, solve_flux_form
 from elwire.errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
 from elwire.fields import MIN_POINTS, Grid, circ_diff, cov_dx, l2_norm, m0, perp, row_norms
@@ -150,7 +151,7 @@ def test_assembled_system_solves_like_flux_form():
     f = 0.1 * rng.standard_normal(xi.shape)
     h = rng.standard_normal(xi.shape)
     direct = dense_solve(xi, samples, grid, "perp", h + cov_dx(f, xi, samples, grid.dx))
-    result = solve_flux_form(f, h, xi, samples, grid)
+    result = solve_flux_form(f, h, xi, samples, grid, **SOLVE_DEFAULTS)
     assert m0(result.u - direct) < 1e-9
     assert m0(result.flux - (cov_dx(result.u, xi, samples, grid.dx) + f)) < EXACT_TOL
 
@@ -165,10 +166,10 @@ def test_closed_forms_on_rest_circle():
     omega = math.sin(TWO_PI * grid.dx) / grid.dx
     zero = np.zeros_like(xi)
 
-    result = solve_flux_form(zero, -omega * omega * xi, xi, samples, grid)
+    result = solve_flux_form(zero, -omega * omega * xi, xi, samples, grid, **SOLVE_DEFAULTS)
     assert m0(result.u + xi) / m0(xi) < CLOSED_FORM_TOL
 
-    result = solve_flux_form(zero, xi, xi, samples, grid)
+    result = solve_flux_form(zero, xi, xi, samples, grid, **SOLVE_DEFAULTS)
     assert m0(result.u - xi / omega**2) / m0(xi / omega**2) < CLOSED_FORM_TOL
     assert result.residual < 1e-8
 
@@ -180,7 +181,7 @@ def test_dense_and_cg_paths_agree(chart, n_points, kind):
     grid, samples, xi = chart_setup(chart, n_points)
     if kind == "perp":
         rhs = np.random.default_rng(3).standard_normal(xi.shape)
-        reduced = solve_flux_form(np.zeros_like(xi), rhs, xi, samples, grid).u
+        reduced = solve_flux_form(np.zeros_like(xi), rhs, xi, samples, grid, **SOLVE_DEFAULTS).u
     else:
         rhs = xi
         reduced = bentness(xi, samples, grid).phi
@@ -194,10 +195,10 @@ def test_solver_is_linear():
     h1 = rng.standard_normal(xi.shape)
     h2 = rng.standard_normal(xi.shape)
     zero = np.zeros_like(xi)
-    report = bentness(xi, samples, grid)
-    u1 = solve_flux_form(zero, h1, xi, samples, grid, bentness_report=report).u
-    u2 = solve_flux_form(zero, h2, xi, samples, grid, bentness_report=report).u
-    u12 = solve_flux_form(zero, h1 + 0.5 * h2, xi, samples, grid, bentness_report=report).u
+    settings = dict(SOLVE_DEFAULTS, bentness_report=bentness(xi, samples, grid))
+    u1 = solve_flux_form(zero, h1, xi, samples, grid, **settings).u
+    u2 = solve_flux_form(zero, h2, xi, samples, grid, **settings).u
+    u12 = solve_flux_form(zero, h1 + 0.5 * h2, xi, samples, grid, **settings).u
     assert m0(u12 - (u1 + 0.5 * u2)) < 1e-9
 
 
@@ -253,14 +254,14 @@ def test_near_geodesic_refusal_and_report_reuse():
     xi = np.broadcast_to(np.array([1.0, 0.0]), (32, 2)).copy()
     h = np.ones_like(xi)
     with pytest.raises(NearGeodesicError):
-        solve_flux_form(np.zeros_like(xi), h, xi, samples, grid)
+        solve_flux_form(np.zeros_like(xi), h, xi, samples, grid, **SOLVE_DEFAULTS)
 
     # a healthy field passes the gate, and a precomputed report is honoured
     bent_xi = circle_tangent(grid)
     report = bentness(bent_xi, samples, grid)
-    fresh = solve_flux_form(np.zeros_like(xi), h, bent_xi, samples, grid)
+    fresh = solve_flux_form(np.zeros_like(xi), h, bent_xi, samples, grid, **SOLVE_DEFAULTS)
     reused = solve_flux_form(
-        np.zeros_like(xi), h, bent_xi, samples, grid, bentness_report=report
+        np.zeros_like(xi), h, bent_xi, samples, grid, bentness_report=report, **SOLVE_DEFAULTS
     )
     assert isinstance(fresh.bentness, BentnessReport)
     assert reused.bentness is report
@@ -271,14 +272,22 @@ def test_unit_drift_guard():
     grid, samples = flat_setup(32)
     xi = 2.0 * circle_tangent(grid)
     with pytest.raises(ConstraintDriftError, match="unit"):
-        solve_flux_form(np.zeros_like(xi), np.ones_like(xi), xi, samples, grid)
+        solve_flux_form(np.zeros_like(xi), np.ones_like(xi), xi, samples, grid, **SOLVE_DEFAULTS)
 
 
 def test_unreachable_tolerance_raises():
     grid, samples = flat_setup(32)
     xi = circle_tangent(grid)
     with pytest.raises(NumericalSolveError):
-        solve_flux_form(np.zeros_like(xi), np.ones_like(xi), xi, samples, grid, tol=1e-30)
+        solve_flux_form(
+            np.zeros_like(xi),
+            np.ones_like(xi),
+            xi,
+            samples,
+            grid,
+            tol=1e-30,
+            b_floor=SOLVE_DEFAULTS["b_floor"],
+        )
 
 
 def test_nan_source_raises_solve_error():
@@ -286,7 +295,7 @@ def test_nan_source_raises_solve_error():
     h = np.ones_like(xi)
     h[5, 1] = np.nan
     with pytest.raises(NumericalSolveError):
-        solve_flux_form(np.zeros_like(xi), h, xi, samples, grid)
+        solve_flux_form(np.zeros_like(xi), h, xi, samples, grid, **SOLVE_DEFAULTS)
 
 
 def test_factorisation_failure_raises_solve_error(monkeypatch):
@@ -300,14 +309,16 @@ def test_factorisation_failure_raises_solve_error(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, routine, singular)
             with pytest.raises(NumericalSolveError, match="singular"):
-                solve_flux_form(np.zeros_like(xi), np.ones_like(xi), xi, samples, grid)
+                solve_flux_form(
+                    np.zeros_like(xi), np.ones_like(xi), xi, samples, grid, **SOLVE_DEFAULTS
+                )
 
 
 def test_residual_is_checked_against_defect():
     grid, samples, xi = hyperbolic_setup(32)
     rng = np.random.default_rng(14)
     h = rng.standard_normal(xi.shape)
-    result = solve_flux_form(np.zeros_like(xi), h, xi, samples, grid)
+    result = solve_flux_form(np.zeros_like(xi), h, xi, samples, grid, **SOLVE_DEFAULTS)
     defect = (
         -cov_dx(result.flux, xi, samples, grid.dx) + perp(result.u, xi) - h
     )

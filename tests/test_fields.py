@@ -80,8 +80,6 @@ def test_curve_state_properties():
     grid = Grid(8)
     xi = unit_field(grid)
     state = CurveState(gamma=np.zeros((8, 2)), xi=xi, xi_t=np.zeros((8, 2)), eta=np.zeros((8, 2)))
-    assert state.n_points == 8
-    assert state.dim == 2
     assert state.theta is None
     withered = state.with_theta(xi)
     assert withered.theta is xi

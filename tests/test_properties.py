@@ -57,6 +57,7 @@ from elwire.geometry import (
     stack_samples,
 )
 from geometry_oracle import apply_chris_einsum, apply_curv_einsum, chris_scale, curv_scale
+from run_config import SOLVE_DEFAULTS
 
 #: relative to the sum of the absolute products, the scale of any rounding
 REL_TOL = 1e-14
@@ -196,7 +197,7 @@ def test_production_band_is_symmetric(kind, chart, n_points, seed):
 def test_banded_solve_residual(chart, n_points, seed):
     grid, samples, xi, rng = curve_setup(chart, n_points, seed)
     f, h = rng.standard_normal((2,) + xi.shape)
-    solved = solve_flux_form(f, h, xi, samples, grid, b_floor=0.0)
+    solved = solve_flux_form(f, h, xi, samples, grid, tol=SOLVE_DEFAULTS["tol"], b_floor=0.0)
     defect = -cov_dx(solved.flux, xi, samples, grid.dx) + perp(solved.u, xi) - h
     scale = m0(solved.u) / grid.dx**2 + m0(f) / grid.dx + m0(h)
     assert m0(defect) <= RESIDUAL_TOL * scale

@@ -17,7 +17,7 @@ import pytest
 from elwire.errors import CflError, NonContractionError
 from elwire.fields import CurveState, Grid, circ_diff, m0
 from elwire.geometry import EuclideanModel, sample_geometry, stack_samples
-from elwire.wave import WaveData, leapfrog_step, picard_wave_solve, wave_series
+from elwire.wave import WaveData, _contract, leapfrog_step, picard_wave_solve, wave_series
 
 from wave_oracle import characteristic_derivatives, characteristic_quadrature, triangle_series
 
@@ -243,6 +243,19 @@ def test_picard_reports_non_contraction():
         picard_wave_solve(
             state, np.zeros((17, 32, 2)), grid, n_levels=16, **frozen_flat(32, 16)
         )
+
+
+def test_contraction_that_runs_out_of_sweeps_raises_with_its_report():
+    # halving contracts, but three sweeps do not reach the tolerance
+    halve = dict(distance=lambda new, old: abs(new - old), label="halving")
+    with pytest.raises(NonContractionError, match="halving did not converge") as excinfo:
+        _contract(lambda x: 0.5 * x, 1.0, max_iter=3, tol=1e-3, **halve)
+    report = excinfo.value.report
+    assert report.distances == (0.5, 0.25, 0.125)
+    assert report.ratios == (0.5, 0.5)
+    assert report.iterations == 3 and not report.converged
+    value, report = _contract(lambda x: 0.5 * x, 1.0, max_iter=12, tol=1e-3, **halve)
+    assert value == 0.5**10 and report.iterations == 10 and report.converged
 
 
 # ---------------------------------------------------------------------------
