@@ -34,7 +34,7 @@ def main() -> None:
     drift = 0.0
     for k, level in enumerate(march(state, manifold, grid, cfg)):
         s = level.state
-        total, _ = energy(s, level.samples, grid)
+        total, _ = energy(level, grid)
         e0 = total if e0 is None else e0
         drift = max(drift, abs(total - e0))
         if k % (steps // 8) == 0:

@@ -33,7 +33,7 @@ def main() -> None:
     drift = displacement = 0.0
     for k, level in enumerate(march(state, manifold, grid, cfg)):
         s = level.state
-        total, (rate, vel, bend) = energy(s, level.samples, grid)
+        total, (rate, vel, bend) = energy(level, grid)
         e0 = total if e0 is None else e0
         drift = max(drift, abs(total - e0))
         displacement = max(displacement, m0(manifold.displacement(state.gamma, s.gamma)))

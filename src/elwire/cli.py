@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsRecord, make_record, transport_check
-from .dynamics import Level, make_state, march, picard_coupled, prepare_initial
+from .dynamics import Level, make_state, march, picard_coupled, prepare_initial, tangent_derivatives
 from .errors import ConfigError, ElwireError, NonContractionError, NumericalAbort
 from .fields import CurveState, Grid, m0, time_diff_series
 from .geometry import make_manifold
@@ -209,7 +209,7 @@ def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator
         )
         if m > 0 and m % cfg.bentness_every == 0:
             gate = elliptic.bentness(level_state.xi, samples, grid)
-        yield Level(level_state, samples, gate)
+        yield Level(level_state, samples, *tangent_derivatives(level_state, samples, grid.dx), gate)
 
 
 def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:

@@ -1,10 +1,11 @@
 """Pure run diagnostics: energy split, drifts, bentness, transport identity.
 
 Every quantity here is a pure function of the supplied levels (states with
-their geometry samples, see dynamics.Level), so recomputing a record from a
-stored trajectory is bit-identical to the one produced during the run.
-Nothing here samples the geometry again, and nothing renders plots; the
-command line writes the records to CSV and leaves presentation to the caller.
+their geometry samples, D_x xi and D_t xi, see dynamics.Level), so
+recomputing a record from a stored trajectory is bit-identical to the one
+produced during the run.  Nothing here samples the geometry or derives those
+derivatives again, and nothing renders plots; the command line writes the
+records to CSV and leaves presentation to the caller.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Level, cov_dt_state, frame_tangent, reconstruct_mu
-from .fields import CurveState, Grid, constraint_drift, cov_dx, l2_norm, m0, perp
+from .dynamics import Level, frame_tangent, reconstruct_mu
+from .fields import CurveState, Grid, constraint_drift, l2_norm, m0, perp
 from .geometry import GeometrySamples, ManifoldModel
 
 
@@ -44,14 +45,12 @@ class DiagnosticsRecord:
     transport_residual: Optional[float]
 
 
-def energy(state: CurveState, samples: GeometrySamples, grid: Grid) -> tuple[float, tuple[float, float, float]]:
+def energy(level: Level, grid: Grid) -> tuple[float, tuple[float, float, float]]:
     """Total conserved energy and its three squared-L2 parts."""
-    dtxi = cov_dt_state(state, samples)
-    dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
     parts = (
-        l2_norm(dtxi, grid.dx) ** 2,
-        l2_norm(state.eta, grid.dx) ** 2,
-        l2_norm(dxi, grid.dx) ** 2,
+        l2_norm(level.dtxi, grid.dx) ** 2,
+        l2_norm(level.state.eta, grid.dx) ** 2,
+        l2_norm(level.dxi, grid.dx) ** 2,
     )
     return parts[0] + parts[1] + parts[2], parts
 
@@ -68,34 +67,26 @@ def transport_check(levels: list, dt: float, grid: Grid) -> float:
     (D_x xi +/- D_t xi)(x -/+ t, t) change their squared length at the rate
     +/- 2 <combo, perp(theta)> evaluated at the same shifted point.  Requires
     dt == dx (characteristics through grid points) and at least three levels
-    whose states carry tension fields; returns the sup residual over interior
-    levels.
+    whose states carry tension fields, of which it shifts and differences the
+    stored D_x xi and D_t xi; returns the sup residual over interior levels.
     """
     if abs(dt - grid.dx) > 1e-12 * max(1.0, dt):
         raise ValueError("transport identity check requires dt == dx")
     if len(levels) < 3:
         raise ValueError("transport identity check needs at least 3 levels")
-    combos = {+1: [], -1: []}
-    targets = {+1: [], -1: []}
-    for m, level in enumerate(levels):
-        state, samples = level.state, level.samples
-        if state.theta is None:
-            raise ValueError("states must carry tension fields")
-        dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
-        dtxi = cov_dt_state(state, samples)
-        theta_perp = perp(state.theta, state.xi)
-        for sign in (+1, -1):
-            combo = dxi + sign * dtxi
-            hat = np.roll(combo, sign * m, axis=0)
-            hat_theta = np.roll(theta_perp, sign * m, axis=0)
-            combos[sign].append(np.sum(hat * hat, axis=-1))
-            targets[sign].append(2.0 * sign * np.sum(hat * hat_theta, axis=-1))
+    if any(level.state.theta is None for level in levels):
+        raise ValueError("states must carry tension fields")
+    theta_perp = [perp(level.state.theta, level.state.xi) for level in levels]
     worst = 0.0
     for sign in (+1, -1):
-        sq = np.stack(combos[sign])
-        tg = np.stack(targets[sign])
-        rate = (sq[2:] - sq[:-2]) / (2.0 * dt)
-        worst = max(worst, float(np.max(np.abs(rate - tg[1:-1]))))
+        sq, tg = [], []
+        for m, level in enumerate(levels):
+            hat = np.roll(level.dxi + sign * level.dtxi, sign * m, axis=0)
+            hat_theta = np.roll(theta_perp[m], sign * m, axis=0)
+            sq.append(np.sum(hat * hat, axis=-1))
+            tg.append(2.0 * sign * np.sum(hat * hat_theta, axis=-1))
+        rate = (np.stack(sq[2:]) - np.stack(sq[:-2])) / (2.0 * dt)
+        worst = max(worst, float(np.max(np.abs(rate - np.stack(tg[1:-1])))))
     return worst
 
 
@@ -107,10 +98,10 @@ def make_record(
     transport_residual: Optional[float] = None,
 ) -> DiagnosticsRecord:
     """Assemble one diagnostics row for a level (state, samples, bentness)."""
-    state, samples = level.state, level.samples
-    total, parts = energy(state, samples, grid)
+    state = level.state
+    total, parts = energy(level, grid)
     if state.theta is not None:
-        mu = reconstruct_mu(state, samples, grid)
+        mu = reconstruct_mu(level)
         mu_min, mu_max = float(np.min(mu)), float(np.max(mu))
     else:
         mu_min = mu_max = math.nan
@@ -124,6 +115,6 @@ def make_record(
         bentness=math.nan if level.bentness is None else float(level.bentness.b_value),
         mu_min=mu_min,
         mu_max=mu_max,
-        gamma_xi_drift=gamma_xi_drift(state, manifold, samples, grid),
+        gamma_xi_drift=gamma_xi_drift(state, manifold, level.samples, grid),
         transport_residual=transport_residual,
     )

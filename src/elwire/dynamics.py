@@ -6,12 +6,13 @@ the unit tangent xi obeys a semilinear wave equation driven by theta, the
 velocity eta advances with the tension flux, and the curve integrates its
 velocity.  This module provides
 
-* assemble_sources   curvature source terms (psi, phi) of a state,
+* tangent_derivatives D_x xi and D_t xi of a state or a window series,
+* assemble_sources   curvature source terms (psi, phi) of a level,
 * prepare_initial    admissible discrete data from raw curve + velocity samples,
 * march              the generator that solves each time level's tension once
                      (sources, then the gated flux-form solve; the window
                      shares this level solve) and yields the level with its
-                     geometry and the bentness gate in force,
+                     geometry, D_x xi, D_t xi and the bentness gate in force,
 * step               the advance of a solved level: tangent leapfrog, velocity
                      and curve updates, returning the next state,
 * picard_coupled     the contraction-map alternative on a short time window,
@@ -26,13 +27,14 @@ half-time flux is extrapolated from the two most recent tension solves, and
 the curve a midpoint rule through a predicted half-step position.
 
 The frame, connection and curvature at a level depend only on the curve
-there, so each curve position is sampled once: a ``Level`` carries the
-samples of its ``gamma`` to the next step and to every diagnostic.
+there, and D_x xi and D_t xi only on the state and those samples, so each is
+formed once: a ``Level`` carries the samples of its ``gamma`` and both
+derivatives (see tangent_derivatives) to the next step and every diagnostic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -94,12 +96,15 @@ class PreparationReport:
 
 @dataclass(frozen=True)
 class Level:
-    """One time level: the state with its tension attached, the geometry
-    samples of its curve, and the bentness report in force there."""
+    """One time level: the state (with its tension once solved), the geometry
+    samples of its curve, D_x xi and D_t xi from ``tangent_derivatives``, and
+    the bentness report in force there (None before the level is solved)."""
 
     state: CurveState
     samples: GeometrySamples
-    bentness: Optional[BentnessReport]
+    dxi: np.ndarray
+    dtxi: np.ndarray
+    bentness: Optional[BentnessReport] = None
 
 
 @dataclass(frozen=True)
@@ -110,52 +115,55 @@ class WindowIterate:
     xi: np.ndarray
     eta: np.ndarray
     theta: np.ndarray
-    samples: Optional[list] = None  # GeometrySamples of gamma per level, once solved
-    bentness: Optional[BentnessReport] = None  # level 0's, gating every level, once solved
+    samples: list  # GeometrySamples of gamma per level
+    bentness: BentnessReport  # level 0's, gating every level
 
 
 # ---------------------------------------------------------------------------
-# sources and derived fields
+# derived fields and sources
 
 
-def cov_dt_state(state: CurveState, samples: GeometrySamples) -> np.ndarray:
-    """Covariant time rate of the tangent from the stored plain rate."""
-    return state.xi_t + apply_chris(samples.chris, state.eta, state.xi)
-
-
-def assemble_sources(
-    state: CurveState, samples: GeometrySamples, grid: Grid
+def tangent_derivatives(
+    state: CurveState, samples: GeometrySamples, dx: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature sources (psi, phi): psi feeds the tension flux, phi the tension load."""
-    dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
-    dtxi = cov_dt_state(state, samples)
-    psi = apply_curv(samples.curv, state.xi, dxi, state.xi) - apply_curv(
-        samples.curv, state.xi, dtxi, state.eta
+    """D_x xi and D_t xi = xi_t + Gamma(eta, xi) of a state, from the samples
+    of its curve; the fields of ``state`` may also be window series."""
+    return (
+        cov_dx(state.xi, state.xi, samples, dx),
+        state.xi_t + apply_chris(samples.chris, state.eta, state.xi),
     )
+
+
+def assemble_sources(level: Level) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature sources (psi, phi): psi feeds the tension flux, phi the tension load."""
+    state, curv, dxi, dtxi = level.state, level.samples.curv, level.dxi, level.dtxi
+    psi = apply_curv(curv, state.xi, dxi, state.xi) - apply_curv(curv, state.xi, dtxi, state.eta)
     speed_gap = np.sum(dtxi * dtxi, axis=-1) - np.sum(dxi * dxi, axis=-1)
-    phi = speed_gap[:, None] * state.xi - apply_curv(samples.curv, state.xi, state.eta, state.eta)
+    phi = speed_gap[:, None] * state.xi - apply_curv(curv, state.xi, state.eta, state.eta)
     return psi, phi
 
 
-def _solve_level(state, samples, grid, cfg: RunConfig, gate) -> elliptic.FluxSolveResult:
-    """Tension theta (as ``u``) and flux D theta + psi of one level, gated by
-    the bentness report ``gate``, or by a fresh one when ``gate`` is None."""
-    psi, phi = assemble_sources(state, samples, grid)
-    return elliptic.solve_flux_form(
-        psi, phi, state.xi, samples, grid,
+def _solve_level(level: Level, grid: Grid, cfg: RunConfig, gate) -> tuple[Level, np.ndarray]:
+    """The level with its tension theta and the bentness report in force
+    attached, and its flux D theta + psi.  The solve is gated by the report
+    ``gate``, or by a fresh one when ``gate`` is None."""
+    psi, phi = assemble_sources(level)
+    solved = elliptic.solve_flux_form(
+        psi, phi, level.state.xi, level.samples, grid,
         tol=cfg.solver_tol, b_floor=cfg.b_floor, bentness_report=gate,
     )
+    solved_state = level.state.with_theta(solved.u)
+    return replace(level, state=solved_state, bentness=solved.bentness), solved.flux
 
 
-def reconstruct_mu(state: CurveState, samples: GeometrySamples, grid: Grid) -> np.ndarray:
+def reconstruct_mu(level: Level) -> np.ndarray:
     """Pointwise multiplier ||D_x xi||^2 - ||D_t xi||^2 - <theta, xi> - 1.
 
     This is the multiplier of the single-equation form of the motion.
     """
+    state, dxi, dtxi = level.state, level.dxi, level.dtxi
     if state.theta is None:
         raise ValueError("state carries no tension field; solve theta first")
-    dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
-    dtxi = cov_dt_state(state, samples)
     return (
         np.sum(dxi * dxi, axis=-1)
         - np.sum(dtxi * dtxi, axis=-1)
@@ -239,10 +247,10 @@ def make_state(data: InitialData) -> CurveState:
 # marching
 
 
-def _eta_rate(flux: np.ndarray, state: CurveState, samples: GeometrySamples, grid: Grid) -> np.ndarray:
+def _eta_rate(flux: np.ndarray, level: Level) -> np.ndarray:
     """Plain time rate of eta: -Gamma(eta, eta) + flux + D_x xi."""
-    dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
-    return -apply_chris(samples.chris, state.eta, state.eta) + flux + dxi
+    eta = level.state.eta
+    return -apply_chris(level.samples.chris, eta, eta) + flux + level.dxi
 
 
 def _chart_velocity(frame: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -250,10 +258,9 @@ def _chart_velocity(frame: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 
 def _bootstrap_prev(
-    state: CurveState,
+    level: Level,
     rate: np.ndarray,
     dt: float,
-    samples: GeometrySamples,
     samples_next: Optional[GeometrySamples],
     grid: Grid,
 ) -> np.ndarray:
@@ -263,9 +270,9 @@ def _bootstrap_prev(
     a flat model, where the connection terms vanish.
     """
     dx = grid.dx
+    state, samples, dtxi = level.state, level.samples, level.dtxi
     xi, eta = state.xi, state.eta
     d2xi = cov_dxx(xi, xi, samples, dx)
-    dtxi = cov_dt_state(state, samples)
     coeff = sided_grad_sq(xi, xi, samples, dx) - np.sum(dtxi * dtxi, axis=-1)
     accel = d2xi + coeff[:, None] * xi + perp(state.theta, xi)
     if samples_next is not None:
@@ -315,7 +322,7 @@ def step(
     """
     state, samples = level.state, level.samples
     dt, dx = cfg.dt, grid.dx
-    rate = _eta_rate(flux, state, samples, grid)
+    rate = _eta_rate(flux, level)
 
     flat = getattr(manifold, "is_flat", False)
     samples_prev = samples_next = None
@@ -323,7 +330,7 @@ def step(
         gamma_pred = _predict_position(state, rate, dt, manifold, samples)
         samples_next = sample_geometry(manifold, gamma_pred)
     if prev is None:
-        xi_prev = _bootstrap_prev(state, rate, dt, samples, samples_next, grid)
+        xi_prev = _bootstrap_prev(level, rate, dt, samples_next, grid)
         if not flat:
             # first step: no previous level, so doctor the pair handed to the
             # centred connection-rate difference into the forward rate
@@ -406,16 +413,14 @@ def march(
                     f"{cfg.constraint_tol:.1e} at t={current.time:.6f}"
                 )
         samples = sample_geometry(manifold, current.gamma)
+        level = Level(current, samples, *tangent_derivatives(current, samples, grid.dx))
         fresh = not final and k % cfg.bentness_every == 0
-        solved = _solve_level(current, samples, grid, cfg, None if fresh else gate)
-        gate = solved.bentness
-        level = Level(current.with_theta(solved.u), samples, gate)
+        level, flux = _solve_level(level, grid, cfg, None if fresh else gate)
+        gate = level.bentness
         if not final:
-            current = step(
-                level, solved.flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev
-            )
+            current = step(level, flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev)
         yield level
-        prev, flux_prev = level, solved.flux
+        prev, flux_prev = level, flux
 
 
 # ---------------------------------------------------------------------------
@@ -426,34 +431,31 @@ def _theta_series(
     gamma_s: np.ndarray,
     xi_s: np.ndarray,
     eta_s: np.ndarray,
-    manifold: ManifoldModel,
+    samples: list[GeometrySamples],
     grid: Grid,
     cfg: RunConfig,
     gate: BentnessReport,
-) -> tuple[np.ndarray, np.ndarray, list[GeometrySamples], GeometrySamples, np.ndarray]:
-    """Per-level tension solves on a frozen window iterate, each gated by
-    ``gate``, the bentness report of the window's fixed level 0.
+) -> tuple[np.ndarray, np.ndarray, GeometrySamples, np.ndarray]:
+    """Per-level tension solves on a frozen window iterate with the geometry
+    ``samples`` of its curve, each gated by ``gate``, the bentness report of
+    the window's fixed level 0.
 
-    Returns the theta and flux series, the samples per level, the same
-    samples stacked into one series, and the series of D_x xi.  The plain
-    tangent rate entering the sources comes from time differences of the xi
-    series.
+    Returns the theta and flux series, the samples stacked into one series,
+    and the series of D_x xi.  D_x xi and D_t xi are derived once on the
+    whole series, D_t xi from time differences of the xi series.
     """
-    levels = xi_s.shape[0]
     xi_t_s = time_diff_series(xi_s, grid.dx)
-    thetas, fluxes, samples_list = [], [], []
-    for m in range(levels):
-        samples = sample_geometry(manifold, gamma_s[m])
-        level_state = CurveState(
-            gamma=gamma_s[m], xi=xi_s[m], xi_t=xi_t_s[m], eta=eta_s[m], theta=None, time=m * grid.dx
-        )
-        solved = _solve_level(level_state, samples, grid, cfg, gate)
-        thetas.append(solved.u)
-        fluxes.append(solved.flux)
-        samples_list.append(samples)
-    series = stack_samples(samples_list)
-    dxi_s = cov_dx(xi_s, xi_s, series, grid.dx)
-    return np.stack(thetas), np.stack(fluxes), samples_list, series, dxi_s
+    series = stack_samples(samples)
+    window = CurveState(gamma=gamma_s, xi=xi_s, xi_t=xi_t_s, eta=eta_s)
+    dxi_s, dtxi_s = tangent_derivatives(window, series, grid.dx)
+    thetas, fluxes = [], []
+    for m, samples_m in enumerate(samples):
+        level_state = CurveState(gamma=gamma_s[m], xi=xi_s[m], xi_t=xi_t_s[m], eta=eta_s[m])
+        level = Level(level_state, samples_m, dxi_s[m], dtxi_s[m])
+        solved, flux = _solve_level(level, grid, cfg, gate)
+        thetas.append(solved.state.theta)
+        fluxes.append(flux)
+    return np.stack(thetas), np.stack(fluxes), series, dxi_s
 
 
 def _integrate_curve(
@@ -521,28 +523,31 @@ def picard_coupled(
     of window_distance; sweeps stop once one is within ``cfg.picard_tol``,
     and three consecutive non-decreasing distances, or
     ``cfg.picard_max_iter`` sweeps without reaching the tolerance, raise
-    NonContractionError.  Level 0 is the fixed initial state, so its
-    bentness is solved once and gates every level's tension solve.  The
-    returned iterate carries that report and the geometry samples of its
-    curve, taken by the last tension refresh.
+    NonContractionError.  Level 0 is the fixed initial state, so its curve
+    is sampled once, for all the start iterate's levels, and its bentness is
+    solved once and gates every level's tension solve.  A sweep samples only
+    its new curve; the returned iterate carries both.
     """
     dt = grid.dx
     n_levels = cfg.picard_window
     levels = n_levels + 1
     if levels < 3:
         raise ValueError("picard window needs at least 2 steps (3 levels)")
-    gate = elliptic.bentness(state.xi, sample_geometry(manifold, state.gamma), grid)
+    samples0 = sample_geometry(manifold, state.gamma)
+    gate = elliptic.bentness(state.xi, samples0, grid)
     shape = (levels,) + state.gamma.shape
     start = WindowIterate(
         gamma=np.broadcast_to(state.gamma, shape).copy(),
         xi=np.broadcast_to(state.xi, shape).copy(),
         eta=np.broadcast_to(state.eta, shape).copy(),
         theta=np.zeros(shape),
+        samples=[samples0] * levels,
+        bentness=gate,
     )
 
     def sweep(current: WindowIterate) -> WindowIterate:
-        theta_s, flux_s, _, series, dxi_s = _theta_series(
-            current.gamma, current.xi, current.eta, manifold, grid, cfg, gate
+        theta_s, flux_s, series, dxi_s = _theta_series(
+            current.gamma, current.xi, current.eta, current.samples, grid, cfg, gate
         )
         gamma_new = _integrate_curve(state.gamma, current.eta, manifold, dt)
         xi_new, _ = picard_wave_solve(
@@ -555,8 +560,9 @@ def picard_coupled(
         )
         eta_mid = _integrate_eta(state.eta, flux_s, dxi_s, series.chris, dt)
         # refresh tension and velocity on the advanced fields
-        theta_new, flux_new, samples_new, series_new, dxi_new = _theta_series(
-            gamma_new, xi_new, eta_mid, manifold, grid, cfg, gate
+        samples_new = [sample_geometry(manifold, g) for g in gamma_new]
+        theta_new, flux_new, series_new, dxi_new = _theta_series(
+            gamma_new, xi_new, eta_mid, samples_new, grid, cfg, gate
         )
         eta_new = _integrate_eta(state.eta, flux_new, dxi_new, series_new.chris, dt)
         return WindowIterate(

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from elwire.dynamics import assemble_sources, frame_tangent, reconstruct_mu
+from elwire.dynamics import (
+    Level,
+    assemble_sources,
+    frame_tangent,
+    reconstruct_mu,
+    tangent_derivatives,
+)
 from elwire.fields import cov_dx, m0
 from elwire.geometry import apply_chris
 
@@ -46,8 +52,9 @@ def residual_base_single(levels, dt, manifold, grid):
     composed covariant difference for all spatial derivatives, and the
     reconstructed multiplier on the right-hand side.  ``levels`` are
     ``Level`` objects as march yields them: states carrying their tension
-    fields plus the geometry samples of their curves.  Needs at least three
-    levels.
+    fields plus the geometry samples of their curves; the tangent
+    derivatives entering psi and mu are derived afresh from each state, not
+    read from the level.  Needs at least three levels.
     """
     if len(levels) < 3:
         raise ValueError("residual evaluation needs at least 3 consecutive levels")
@@ -73,8 +80,9 @@ def residual_base_single(levels, dt, manifold, grid):
         dxi = cov_dx(sc.xi, sc.xi, samples_c, dx)
         d2xi = cov_dx(dxi, sc.xi, samples_c, dx)
         d3xi = cov_dx(d2xi, sc.xi, samples_c, dx)
-        psi, _ = assemble_sources(sc, samples_c, grid)
-        mu = reconstruct_mu(sc, samples_c, grid)
+        centre = Level(sc, samples_c, *tangent_derivatives(sc, samples_c, dx))
+        psi, _ = assemble_sources(centre)
+        mu = reconstruct_mu(centre)
         lhs = -dteta + cov_dx(dt2xi, sc.xi, samples_c, dx) - d3xi + psi
         rhs = cov_dx(mu[:, None] * sc.xi, sc.xi, samples_c, dx)
         defects.append(m0(lhs - rhs))

@@ -135,7 +135,7 @@ def _march_summary(n, name, params):
     box = {"drift": 0.0, "constraint": 0.0, "displacement": 0.0}
     for level in march(state, manifold, grid, run_config(grid, n)):
         solved = level.state
-        total, _ = energy(solved, level.samples, grid)
+        total, _ = energy(level, grid)
         box.setdefault("e0", total)
         box["drift"] = max(box["drift"], abs(total - box["e0"]))
         box["constraint"] = max(box["constraint"], constraint_drift(solved.xi))
@@ -444,8 +444,7 @@ def test_08_window_iteration_contraction(capsys):
 def test_09_multiplier_and_residual(capsys):
     state, manifold, grid = _prepared_state(256, "circle", {})
     rest = list(march(state, manifold, grid, run_config(grid, 2)))
-    samples = sample_geometry(manifold, rest[0].state.gamma)
-    mu = reconstruct_mu(rest[0].state, samples, grid)
+    mu = reconstruct_mu(rest[0])
     mu_err = float(np.max(np.abs(mu - 4.0 * math.pi**2)))
 
     sups = []

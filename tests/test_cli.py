@@ -1,5 +1,6 @@
 """Tests for the command line driver: exit codes, output files, determinism."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -314,8 +315,11 @@ def test_unconverged_picard_run_aborts_with_its_sweeps(tmp_path, capsys):
 def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
     # level 0 of the window is the fixed initial state: its bentness gates
     # every sweep's tension solves and is the first level's gate in the
-    # output; the output loop adds a fresh gate every bentness_every levels
+    # output; the output loop adds a fresh gate every bentness_every levels.
+    # Each window curve is sampled once: prepare_initial and the start
+    # iterate sample the initial curve, each sweep its new curve.
     import elwire.elliptic
+    from elwire.geometry import sample_geometry
 
     calls = []
     real = elwire.elliptic.bentness
@@ -325,6 +329,15 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(elwire.elliptic, "bentness", counting)
+    sampled = []
+
+    def counting_samples(model, points):
+        sampled.append(1)
+        return sample_geometry(model, points)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("elwire") and hasattr(module, "sample_geometry"):
+            monkeypatch.setattr(module, "sample_geometry", counting_samples)
     window, every = 5, 2
     data = dict(
         REST_CONFIG,
@@ -335,8 +348,10 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
     )
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 0
-    assert json.loads((out / "metadata.json").read_text())["contraction"]["iterations"] > 1
+    sweeps = json.loads((out / "metadata.json").read_text())["contraction"]["iterations"]
+    assert sweeps > 1
     assert len(calls) == 1 + window // every
+    assert len(sampled) == 2 + (window + 1) * sweeps
 
 
 def test_study_outputs(tmp_path, capsys):
@@ -578,10 +593,12 @@ def test_march_samples_each_curve_position_once(
     # predicted and half-step positions.  The extra two are prepare_initial
     # and the final level.  Each level's tension is solved once, and the
     # bentness gate is fresh every bentness_every steps; the final level,
-    # here a multiple of it, carries the last gate.
+    # here a multiple of it, carries the last gate.  D_x xi and D_t xi are
+    # derived once per level; the diagnostics and the velocity rate read them.
     import elwire.cli
     import elwire.dynamics
     import elwire.elliptic
+    import elwire.fields
     from elwire.geometry import sample_geometry
 
     calls = []
@@ -590,9 +607,41 @@ def test_march_samples_each_curve_position_once(
         calls.append(1)
         return sample_geometry(model, points)
 
+    readers = ("energy", "reconstruct_mu", "transport_check", "_eta_rate")
+    inside, stray = [0], []
+    real_cov_dx = elwire.fields.cov_dx
+
+    def watched_cov_dx(*args, **kwargs):
+        stray.extend([1] if inside[0] else [])
+        return real_cov_dx(*args, **kwargs)
+
+    def reading(real):
+        def wrapper(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
     for name, module in list(sys.modules.items()):
         if name.startswith("elwire") and hasattr(module, "sample_geometry"):
             monkeypatch.setattr(module, "sample_geometry", counting)
+        if name.startswith("elwire") and hasattr(module, "cov_dx"):
+            monkeypatch.setattr(module, "cov_dx", watched_cov_dx)
+        for reader in readers:
+            if name.startswith("elwire") and hasattr(module, reader):
+                monkeypatch.setattr(module, reader, reading(getattr(module, reader)))
+
+    derived = []
+    real_derive = elwire.dynamics.tangent_derivatives
+
+    def counting_derive(*args, **kwargs):
+        derived.append(1)
+        return real_derive(*args, **kwargs)
+
+    monkeypatch.setattr(elwire.dynamics, "tangent_derivatives", counting_derive)
 
     solves = {"solve_flux_form": 0, "bentness": 0}
 
@@ -634,6 +683,68 @@ def test_march_samples_each_curve_position_once(
     assert len(refs) == steps + 1
     assert max(alive) <= 3
     assert solves == {"solve_flux_form": steps + 1, "bentness": -(-steps // 4)}
+    assert len(derived) == steps + 1
+    assert stray == []
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {
+            "grid": {"n": 1024},
+            "time": {"horizon": 8 / 1024},
+            "initial": {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01},
+        },
+        {
+            "manifold": {"name": "sphere"},
+            "grid": {"n": 64},
+            "time": {"horizon": 16 / 64},
+            "initial": {"name": "sphere-loop"},
+            "diagnostics": {"bentness_every": 3},
+        },
+    ],
+    ids=["flat", "sphere"],
+)
+def test_diagnostics_rows_recompute_from_the_marched_states(tmp_path, monkeypatch, data):
+    # a row is a pure function of its level's state, the geometry of its
+    # curve and the bentness gate in force, with the two levels before it for
+    # the transport check: rebuilt from the kept states, with samples and
+    # tangent derivatives derived afresh, every row repeats the written one
+    import elwire.cli
+    import elwire.dynamics
+    from elwire.config import parse_config
+    from elwire.diagnostics import make_record, transport_check
+    from elwire.dynamics import Level, tangent_derivatives
+    from elwire.fields import Grid
+    from elwire.geometry import sample_geometry
+
+    kept = []
+    real_march = elwire.dynamics.march
+
+    def keeping(*args, **kwargs):
+        for level in real_march(*args, **kwargs):
+            kept.append(level)
+            yield level
+
+    monkeypatch.setattr(elwire.cli, "march", keeping)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 0
+
+    cfg = parse_config(json.dumps(data))
+    manifold, grid = elwire.cli.build_manifold(cfg), Grid(cfg.grid_n)
+    rebuilt = []
+    for level in kept:
+        samples = sample_geometry(manifold, level.state.gamma)
+        derivatives = tangent_derivatives(level.state, samples, grid.dx)
+        rebuilt.append(Level(level.state, samples, *derivatives, level.bentness))
+    rows = []
+    for k, level in enumerate(rebuilt):
+        residual = transport_check(rebuilt[k - 2 : k + 1], cfg.dt, grid) if k >= 2 else None
+        record = dataclasses.asdict(make_record(level, manifold, grid, transport_residual=residual))
+        rows.append(["" if record[c] is None else repr(float(record[c])) for c in CSV_COLUMNS])
+    _header, written = read_csv(out / "diagnostics.csv")
+    assert len(rows) == cfg.n_steps + 1
+    assert written == rows
 
 
 def test_picard_honours_diagnostics_and_snapshot_cadence(tmp_path):

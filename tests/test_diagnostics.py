@@ -9,6 +9,7 @@ and must blow up under a deliberate corruption of the tension field.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from elwire.diagnostics import (
     make_record,
     transport_check,
 )
-from elwire.dynamics import Level, assemble_sources, make_state, march, prepare_initial
+from elwire.dynamics import (
+    Level,
+    assemble_sources,
+    make_state,
+    march,
+    prepare_initial,
+    tangent_derivatives,
+)
 from elwire.elliptic import BentnessReport, bentness, solve_flux_form
 from elwire.fields import Grid, m0
 from elwire.geometry import make_manifold, sample_geometry
@@ -33,23 +41,19 @@ ORDER_MIN = 1.5
 TWO_PI = 2.0 * math.pi
 
 
-def rest_state(n: int, with_theta: bool = True):
+def rest_level(n: int, with_theta: bool = True):
     manifold = make_manifold("euclidean")
     grid = Grid(n)
     curve, velocity = initial.generate("circle", manifold, grid, {})
     data, _ = prepare_initial(curve, velocity, manifold, grid)
     state = make_state(data)
     samples = sample_geometry(manifold, state.gamma)
+    level = Level(state, samples, *tangent_derivatives(state, samples, grid.dx))
     if with_theta:
-        psi, phi = assemble_sources(state, samples, grid)
+        psi, phi = assemble_sources(level)
         solved = solve_flux_form(psi, phi, state.xi, samples, grid, **SOLVE_DEFAULTS)
-        state = state.with_theta(solved.u)
-    return state, manifold, grid, samples
-
-
-def rest_level(n: int, with_theta: bool = True):
-    state, manifold, grid, samples = rest_state(n, with_theta)
-    return Level(state, samples, bentness(state.xi, samples, grid)), manifold, grid
+        level = replace(level, state=state.with_theta(solved.u))
+    return replace(level, bentness=bentness(state.xi, samples, grid)), manifold, grid
 
 
 def marched_levels(n: int, levels: int = 3):
@@ -68,9 +72,9 @@ def marched_levels(n: int, levels: int = 3):
 
 
 def test_rest_energy_is_pure_bending():
-    state, _, grid, samples = rest_state(64, with_theta=False)
+    level, _, grid = rest_level(64, with_theta=False)
     omega_sq = (math.sin(TWO_PI * grid.dx) / grid.dx) ** 2
-    total, parts = energy(state, samples, grid)
+    total, parts = energy(level, grid)
     assert parts[0] < EXACT_TOL
     assert parts[1] < EXACT_TOL
     assert abs(parts[2] - omega_sq) < CLOSED_FORM_TOL
@@ -80,8 +84,8 @@ def test_rest_energy_is_pure_bending():
 def test_gamma_xi_drift_closed_form_and_convergence():
     values = []
     for n in (64, 128):
-        state, manifold, grid, samples = rest_state(n, with_theta=False)
-        drift = gamma_xi_drift(state, manifold, samples, grid)
+        level, manifold, grid = rest_level(n, with_theta=False)
+        drift = gamma_xi_drift(level.state, manifold, level.samples, grid)
         expected = abs(1.0 - math.sin(TWO_PI * grid.dx) / (TWO_PI * grid.dx))
         assert abs(drift - expected) < CLOSED_FORM_TOL
         values.append(drift)
@@ -92,7 +96,7 @@ def test_make_record_fills_every_column():
     level, manifold, grid = rest_level(64)
     omega_sq = (math.sin(TWO_PI * grid.dx) / grid.dx) ** 2
     gate = BentnessReport(b_value=0.5, phi=level.state.xi, residual=0.0)
-    gated = Level(level.state, level.samples, gate)
+    gated = replace(level, bentness=gate)
     record = make_record(gated, manifold, grid, transport_residual=1e-9)
     assert isinstance(record, DiagnosticsRecord)
     assert record.time == 0.0
@@ -103,7 +107,9 @@ def test_make_record_fills_every_column():
     assert record.mu_max == pytest.approx(omega_sq)
     assert record.transport_residual == 1e-9
 
-    plain = make_record(Level(level.state.with_theta(None), level.samples, None), manifold, grid)
+    plain = make_record(
+        replace(level, state=level.state.with_theta(None), bentness=None), manifold, grid
+    )
     assert math.isnan(plain.bentness)
     assert math.isnan(plain.mu_min)
     assert plain.transport_residual is None
@@ -126,7 +132,7 @@ def test_transport_check_validates_inputs():
         transport_check([level, level, level], 0.5 * grid.dx, grid)
     with pytest.raises(ValueError, match="3 levels"):
         transport_check([level, level], grid.dx, grid)
-    naked = Level(level.state.with_theta(None), level.samples, level.bentness)
+    naked = replace(level, state=level.state.with_theta(None))
     with pytest.raises(ValueError, match="tension"):
         transport_check([naked, naked, naked], grid.dx, grid)
 
@@ -147,6 +153,6 @@ def test_transport_detects_corrupted_tension():
     for lv in levels:
         s = lv.state
         perp_field = np.column_stack([-s.xi[:, 1], s.xi[:, 0]])
-        corrupted.append(Level(s.with_theta(s.theta + perp_field), lv.samples, lv.bentness))
+        corrupted.append(replace(lv, state=s.with_theta(s.theta + perp_field)))
     broken = transport_check(corrupted, grid.dx, grid)
     assert broken > 10.0 * healthy

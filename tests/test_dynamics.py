@@ -8,6 +8,7 @@ are checked against an index-loop oracle on the hyperbolic plane.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +18,13 @@ from elwire.diagnostics import energy
 from elwire.dynamics import (
     Level,
     assemble_sources,
-    cov_dt_state,
     make_state,
     march,
     picard_coupled,
     prepare_initial,
     reconstruct_mu,
     step,
+    tangent_derivatives,
 )
 from elwire.elliptic import solve_flux_form
 from elwire.errors import CflError, ConstraintDriftError, DegenerateCurveError, NearGeodesicError
@@ -55,12 +56,19 @@ def wide_symbol(grid: Grid) -> float:
     return math.sin(TWO_PI * grid.dx) / grid.dx
 
 
+def unsolved_level(state, manifold, grid):
+    """The level of ``state``: its samples and tangent derivatives, no tension."""
+    samples = sample_geometry(manifold, state.gamma)
+    return Level(state, samples, *tangent_derivatives(state, samples, grid.dx))
+
+
 def solved_level(state, manifold, grid):
     """The level of ``state`` with its tension solved, and the tension flux."""
-    samples = sample_geometry(manifold, state.gamma)
-    psi, phi = assemble_sources(state, samples, grid)
-    solved = solve_flux_form(psi, phi, state.xi, samples, grid, **SOLVE_DEFAULTS)
-    return Level(state.with_theta(solved.u), samples, solved.bentness), solved.flux
+    level = unsolved_level(state, manifold, grid)
+    psi, phi = assemble_sources(level)
+    solved = solve_flux_form(psi, phi, state.xi, level.samples, grid, **SOLVE_DEFAULTS)
+    solved_state = state.with_theta(solved.u)
+    return replace(level, state=solved_state, bentness=solved.bentness), solved.flux
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +131,10 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
     rng = np.random.default_rng(17)
     data, _ = prepare_initial(curve, 0.1 * rng.standard_normal((24, 2)), manifold, grid)
     state = make_state(data)
-    sources_psi, sources_phi = assemble_sources(state, samples, grid)
+    sources_psi, sources_phi = assemble_sources(unsolved_level(state, manifold, grid))
 
     dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
-    dtxi = cov_dt_state(state, samples)
+    dtxi = state.xi_t + apply_chris(samples.chris, state.eta, state.xi)
     psi = np.zeros_like(state.xi)
     phi = np.zeros_like(state.xi)
     for p in range(24):
@@ -145,19 +153,19 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
 
 def test_rest_circle_tension_and_multiplier_closed_forms():
     state, manifold, grid, _ = flat_state(128)
-    samples = sample_geometry(manifold, state.gamma)
-    psi, phi = assemble_sources(state, samples, grid)
+    level = unsolved_level(state, manifold, grid)
+    psi, phi = assemble_sources(level)
     omega_sq = wide_symbol(grid) ** 2
     assert m0(psi) < EXACT_TOL
     assert m0(phi + omega_sq * state.xi) < 1e-10
 
-    solved = solve_flux_form(psi, phi, state.xi, samples, grid, **SOLVE_DEFAULTS)
+    solved = solve_flux_form(psi, phi, state.xi, level.samples, grid, **SOLVE_DEFAULTS)
     assert m0(solved.u + state.xi) < CLOSED_FORM_TOL
 
-    mu = reconstruct_mu(state.with_theta(solved.u), samples, grid)
+    mu = reconstruct_mu(replace(level, state=state.with_theta(solved.u)))
     assert np.max(np.abs(mu - omega_sq)) < CLOSED_FORM_TOL
     with pytest.raises(ValueError, match="tension"):
-        reconstruct_mu(state, samples, grid)
+        reconstruct_mu(level)
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +226,24 @@ def test_march_levels_carry_the_geometry_of_their_curve(chart, dim, init, params
         fresh = sample_geometry(manifold, level.state.gamma)
         for field in ("frame", "frame_inv", "chris", "curv"):
             assert np.array_equal(getattr(level.samples, field), getattr(fresh, field))
+        # and the tangent derivatives of its state on that curve
+        dxi, dtxi = tangent_derivatives(level.state, fresh, grid.dx)
+        assert np.array_equal(level.dxi, dxi)
+        assert np.array_equal(level.dtxi, dtxi)
 
 
 def test_march_conserves_energy_on_perturbed_circle():
     state, manifold, grid, _ = flat_state(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
-    states = [lv.state for lv in march(state, manifold, grid, run_config(grid, 16))]
-    samples0 = sample_geometry(manifold, states[0].gamma)
-    e0, _ = energy(states[0], samples0, grid)
+    levels = list(march(state, manifold, grid, run_config(grid, 16)))
+    e0, _ = energy(levels[0], grid)
     worst = 0.0
-    for s in states:
-        total, _ = energy(s, sample_geometry(manifold, s.gamma), grid)
+    for level in levels:
+        total, _ = energy(level, grid)
         worst = max(worst, abs(total - e0))
     assert worst / e0 < 1e-3
-    assert constraint_drift(states[-1].xi) < 1e-4
+    assert constraint_drift(levels[-1].state.xi) < 1e-4
 
 
 def test_renormalize_pins_the_unit_constraint():
@@ -260,7 +271,7 @@ def test_step_reads_the_previous_levels_samples():
     level, flux = solved_level(second.state.with_theta(None), manifold, grid)
     shifted = sample_geometry(manifold, first.state.gamma + np.array([0.05, 0.0]))
     carried = step(level, flux, manifold, grid, cfg, prev=first)
-    moved_prev = Level(first.state, shifted, first.bentness)
+    moved_prev = replace(first, samples=shifted)
     moved = step(level, flux, manifold, grid, cfg, prev=moved_prev)
     assert m0(carried.xi - moved.xi) > 1e-9
 
@@ -339,6 +350,6 @@ def test_residual_report_on_marched_states():
     assert np.all(report.coherence >= 0.0)
     with pytest.raises(ValueError, match="3"):
         residual_base_single(levels[:2], grid.dx, manifold, grid)
-    stripped = [Level(lv.state.with_theta(None), lv.samples, lv.bentness) for lv in levels]
+    stripped = [replace(lv, state=lv.state.with_theta(None)) for lv in levels]
     with pytest.raises(ValueError, match="tension"):
         residual_base_single(stripped, grid.dx, manifold, grid)
