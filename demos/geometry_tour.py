@@ -4,6 +4,7 @@ Walks a closed loop through each built-in chart and prints the identities the
 rest of the package relies on: the frame diagonalizes the metric, the sampled
 connection is antisymmetric, and the sectional curvature comes out constant
 where the model is a space form (-1 on the half-plane, +1 on the sphere).
+A flat chart samples no connection or curvature: both vanish.
 """
 
 import numpy as np
@@ -46,16 +47,19 @@ def main() -> None:
                 - np.eye(2)
             )
         )
+        print(f"{name:12s} frame^T G frame - I : {orthonormality:.2e}")
+        if samples.chris is None:
+            print(f"{'':12s} flat chart          : no connection or curvature sampled")
+            continue
         antisymmetry = np.max(np.abs(samples.chris + samples.chris.swapaxes(-1, -2)))
         kappa = sectional_curvature(samples)
-        print(f"{name:12s} frame^T G frame - I : {orthonormality:.2e}")
         print(f"{'':12s} connection antisym  : {antisymmetry:.2e}")
         print(
             f"{'':12s} sectional curvature : "
             f"min {kappa.min():+.6f}  max {kappa.max():+.6f}"
         )
     print()
-    print("flat charts carry zero curvature; the space forms are exactly +-1,")
+    print("flat charts sample no connection or curvature; the space forms are exactly +-1,")
     print("and the generic conformal chart varies along the loop.")
 
 

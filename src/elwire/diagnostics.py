@@ -66,27 +66,27 @@ def transport_check(levels: list, dt: float, grid: Grid) -> float:
     Along left/right characteristics the shifted combinations
     (D_x xi +/- D_t xi)(x -/+ t, t) change their squared length at the rate
     +/- 2 <combo, perp(theta)> evaluated at the same shifted point.  Requires
-    dt == dx (characteristics through grid points) and at least three levels
-    whose states carry tension fields, of which it shifts and differences the
-    stored D_x xi and D_t xi; returns the sup residual over interior levels.
+    dt == dx (characteristics through grid points) and three consecutive
+    levels whose states carry tension fields: the centred difference of the
+    outer two levels' squared lengths meets the rate at the middle one.
+    Returns the sup residual.
     """
     if abs(dt - grid.dx) > 1e-12 * max(1.0, dt):
         raise ValueError("transport identity check requires dt == dx")
-    if len(levels) < 3:
-        raise ValueError("transport identity check needs at least 3 levels")
+    if len(levels) != 3:
+        raise ValueError("transport identity check needs exactly 3 levels")
     if any(level.state.theta is None for level in levels):
         raise ValueError("states must carry tension fields")
-    theta_perp = [perp(level.state.theta, level.state.xi) for level in levels]
+    theta_perp = perp(levels[1].state.theta, levels[1].state.xi)
     worst = 0.0
     for sign in (+1, -1):
-        sq, tg = [], []
-        for m, level in enumerate(levels):
-            hat = np.roll(level.dxi + sign * level.dtxi, sign * m, axis=0)
-            hat_theta = np.roll(theta_perp[m], sign * m, axis=0)
-            sq.append(np.sum(hat * hat, axis=-1))
-            tg.append(2.0 * sign * np.sum(hat * hat_theta, axis=-1))
-        rate = (np.stack(sq[2:]) - np.stack(sq[:-2])) / (2.0 * dt)
-        worst = max(worst, float(np.max(np.abs(rate - np.stack(tg[1:-1])))))
+        before, hat, after = (
+            np.roll(level.dxi + sign * level.dtxi, sign * m, axis=0)
+            for m, level in enumerate(levels)
+        )
+        rate = (np.sum(after * after, axis=-1) - np.sum(before * before, axis=-1)) / (2.0 * dt)
+        target = 2.0 * sign * np.sum(hat * np.roll(theta_perp, sign, axis=0), axis=-1)
+        worst = max(worst, float(np.max(np.abs(rate - target))))
     return worst
 
 

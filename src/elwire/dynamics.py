@@ -116,6 +116,7 @@ class WindowIterate:
     eta: np.ndarray
     theta: np.ndarray
     samples: list  # GeometrySamples of gamma per level
+    series: GeometrySamples  # the same, stacked (stack_samples)
     bentness: BentnessReport  # level 0's, gating every level
 
 
@@ -324,7 +325,7 @@ def step(
     dt, dx = cfg.dt, grid.dx
     rate = _eta_rate(flux, level)
 
-    flat = getattr(manifold, "is_flat", False)
+    flat = samples.chris is None
     samples_prev = samples_next = None
     if not flat:
         gamma_pred = _predict_position(state, rate, dt, manifold, samples)
@@ -432,20 +433,20 @@ def _theta_series(
     xi_s: np.ndarray,
     eta_s: np.ndarray,
     samples: list[GeometrySamples],
+    series: GeometrySamples,
     grid: Grid,
     cfg: RunConfig,
     gate: BentnessReport,
-) -> tuple[np.ndarray, np.ndarray, GeometrySamples, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-level tension solves on a frozen window iterate with the geometry
-    ``samples`` of its curve, each gated by ``gate``, the bentness report of
-    the window's fixed level 0.
+    ``samples`` of its curve (stacked: ``series``), each gated by ``gate``,
+    the bentness report of the window's fixed level 0.
 
-    Returns the theta and flux series, the samples stacked into one series,
-    and the series of D_x xi.  D_x xi and D_t xi are derived once on the
-    whole series, D_t xi from time differences of the xi series.
+    Returns the theta and flux series and the series of D_x xi.  D_x xi and
+    D_t xi are derived once on the whole series, D_t xi from time differences
+    of the xi series.
     """
     xi_t_s = time_diff_series(xi_s, grid.dx)
-    series = stack_samples(samples)
     window = CurveState(gamma=gamma_s, xi=xi_s, xi_t=xi_t_s, eta=eta_s)
     dxi_s, dtxi_s = tangent_derivatives(window, series, grid.dx)
     thetas, fluxes = [], []
@@ -455,7 +456,7 @@ def _theta_series(
         solved, flux = _solve_level(level, grid, cfg, gate)
         thetas.append(solved.state.theta)
         fluxes.append(flux)
-    return np.stack(thetas), np.stack(fluxes), series, dxi_s
+    return np.stack(thetas), np.stack(fluxes), dxi_s
 
 
 def _integrate_curve(
@@ -481,18 +482,21 @@ def _integrate_eta(
     eta0: np.ndarray,
     flux_s: np.ndarray,
     dxi_s: np.ndarray,
-    chris_s: np.ndarray,
+    chris_s: Optional[np.ndarray],
     dt: float,
 ) -> np.ndarray:
     """Midpoint integration of eta_t = -Gamma(eta, eta) + flux + D_x xi with
-    frozen flux, tangent-derivative and connection series."""
+    frozen flux, tangent-derivative and connection series (None on a flat
+    chart)."""
     levels = flux_s.shape[0]
     out = [eta0]
     v = eta0
+    chris_m = chris_half = None
     for m in range(levels - 1):
-        chris_half = 0.5 * (chris_s[m] + chris_s[m + 1])
+        if chris_s is not None:
+            chris_m, chris_half = chris_s[m], 0.5 * (chris_s[m] + chris_s[m + 1])
         force_half = 0.5 * (flux_s[m] + dxi_s[m] + flux_s[m + 1] + dxi_s[m + 1])
-        k1 = -apply_chris(chris_s[m], v, v) + flux_s[m] + dxi_s[m]
+        k1 = -apply_chris(chris_m, v, v) + flux_s[m] + dxi_s[m]
         v_half = v + 0.5 * dt * k1
         k2 = -apply_chris(chris_half, v_half, v_half) + force_half
         v = v + dt * k2
@@ -524,9 +528,10 @@ def picard_coupled(
     and three consecutive non-decreasing distances, or
     ``cfg.picard_max_iter`` sweeps without reaching the tolerance, raise
     NonContractionError.  Level 0 is the fixed initial state, so its curve
-    is sampled once, for all the start iterate's levels, and its bentness is
-    solved once and gates every level's tension solve.  A sweep samples only
-    its new curve; the returned iterate carries both.
+    is sampled once, for all the start iterate's levels and every sweep's
+    level 0, and its bentness is solved once and gates every level's tension
+    solve.  A sweep samples only the later levels of its new curve and stacks
+    them once; the returned iterate carries both.
     """
     dt = grid.dx
     n_levels = cfg.picard_window
@@ -542,12 +547,13 @@ def picard_coupled(
         eta=np.broadcast_to(state.eta, shape).copy(),
         theta=np.zeros(shape),
         samples=[samples0] * levels,
+        series=stack_samples([samples0] * levels),
         bentness=gate,
     )
 
     def sweep(current: WindowIterate) -> WindowIterate:
-        theta_s, flux_s, series, dxi_s = _theta_series(
-            current.gamma, current.xi, current.eta, current.samples, grid, cfg, gate
+        theta_s, flux_s, dxi_s = _theta_series(
+            current.gamma, current.xi, current.eta, current.samples, current.series, grid, cfg, gate
         )
         gamma_new = _integrate_curve(state.gamma, current.eta, manifold, dt)
         xi_new, _ = picard_wave_solve(
@@ -556,13 +562,15 @@ def picard_coupled(
             grid,
             n_levels=n_levels,
             eta_series=current.eta,
-            samples_series=series,
+            samples_series=current.series,
         )
-        eta_mid = _integrate_eta(state.eta, flux_s, dxi_s, series.chris, dt)
-        # refresh tension and velocity on the advanced fields
-        samples_new = [sample_geometry(manifold, g) for g in gamma_new]
-        theta_new, flux_new, series_new, dxi_new = _theta_series(
-            gamma_new, xi_new, eta_mid, samples_new, grid, cfg, gate
+        eta_mid = _integrate_eta(state.eta, flux_s, dxi_s, current.series.chris, dt)
+        # refresh tension and velocity on the advanced fields; level 0 of the
+        # new curve is the initial one
+        samples_new = [samples0] + [sample_geometry(manifold, g) for g in gamma_new[1:]]
+        series_new = stack_samples(samples_new)
+        theta_new, flux_new, dxi_new = _theta_series(
+            gamma_new, xi_new, eta_mid, samples_new, series_new, grid, cfg, gate
         )
         eta_new = _integrate_eta(state.eta, flux_new, dxi_new, series_new.chris, dt)
         return WindowIterate(
@@ -571,6 +579,7 @@ def picard_coupled(
             eta=eta_new,
             theta=theta_new,
             samples=samples_new,
+            series=series_new,
             bentness=gate,
         )
 

@@ -142,16 +142,17 @@ def _block_operator(xi, samples, grid, kind: str):
         raise ValueError(f"unknown zeroth-order kind {kind!r}")
     npts, n = xi.shape
     dx = grid.dx
-    conn = np.einsum("pikj,pi->pkj", samples.chris, xi)  # B_k = Gamma(xi_k, .)
+    flat = samples.chris is None  # a flat chart has no connection blocks B_k = Gamma(xi_k, .)
+    conn = np.zeros((npts, n, n)) if flat else np.einsum("pikj,pi->pkj", samples.chris, xi)
     eye = np.eye(n)
     # couplings: far (k to k +- 2), edge_k (k + 1 to k; k to k + 1 is -edge_k)
     # and centre_k (k to k)
     far = -eye / (4.0 * dx * dx)
     edge = (conn + np.roll(conn, -1, axis=0)) / (2.0 * dx)
-    centre = (0.5 / (dx * dx) + 1.0) * eye - conn @ conn
+    centre = (0.5 / (dx * dx) + 1.0) * eye - (0.0 if flat else conn @ conn)
     if kind == "perp":
-        centre -= xi[:, :, None] * xi[:, None, :]
-    stack = np.concatenate([far[None], edge, -edge, centre])
+        centre = centre - xi[:, :, None] * xi[:, None, :]
+    stack = np.concatenate([far[None], edge, -edge, np.broadcast_to(centre, conn.shape)])
 
     order, source, scatter, padding, _ = _layout(npts, n)
     m = SLOTS * n

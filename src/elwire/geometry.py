@@ -25,7 +25,8 @@ discrete curve, and every use of the connection and the curvature goes
 through the two pointwise actions ``apply_chris`` (Gamma(u, v)) and
 ``apply_curv`` (R(u, v) w).  Each is a chain of two-operand contractions,
 one vector at a time, so no step runs numpy's generic multi-operand loop.
-On the flat charts the coefficients are zero and so are both actions.
+On the flat charts the coefficients are zero: ``sample_geometry`` leaves
+them out (None), and both actions of None return exact zeros.
 """
 
 from __future__ import annotations
@@ -417,23 +418,25 @@ def make_manifold(name: str, dim: int = 2, **params) -> ManifoldModel:
 @dataclass(frozen=True)
 class GeometrySamples:
     """Frame geometry sampled along a discrete curve (grid index, or level
-    and grid index for a series, see ``stack_samples``)."""
+    and grid index for a series, see ``stack_samples``).  On a flat chart
+    ``chris`` and ``curv`` are None: the connection and the curvature vanish,
+    and the identity frame is its own inverse."""
 
-    frame: np.ndarray      # (N, n, n)
-    frame_inv: np.ndarray  # (N, n, n)
-    chris: np.ndarray      # (N, n, n, n)
-    curv: np.ndarray       # (N, n, n, n, n)
+    frame: np.ndarray            # (N, n, n)
+    frame_inv: np.ndarray        # (N, n, n)
+    chris: np.ndarray | None     # (N, n, n, n)
+    curv: np.ndarray | None      # (N, n, n, n, n)
 
 
 def stack_samples(levels: list) -> GeometrySamples:
-    """The samples of levels 0..M stacked into one series (M+1, N, ...)."""
-    return GeometrySamples(
-        **{f.name: np.stack([getattr(s, f.name) for s in levels]) for f in fields(GeometrySamples)}
-    )
+    """The samples of levels 0..M stacked into one series (M+1, N, ...); None stays None."""
+    series = {f.name: [getattr(s, f.name) for s in levels] for f in fields(GeometrySamples)}
+    return GeometrySamples(**{k: None if v[0] is None else np.stack(v) for k, v in series.items()})
 
 
 def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples:
-    """Evaluate frame, connection and curvature at every curve sample.
+    """Evaluate frame, connection and curvature at every curve sample; a flat
+    model (``is_flat``) samples only its identity frame.
 
     Raises ChartDomainError naming the first offending grid index if any point
     left the chart or any sample there is not finite.
@@ -448,6 +451,9 @@ def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples
             f"curve left the chart of model {model.name!r} at grid index {k}, "
             f"coordinates {pts[k]}"
         )
+    if model.is_flat:
+        h = model.frame(pts)
+        return GeometrySamples(frame=h, frame_inv=h, chris=None, curv=None)
     # a factor that is complex or infinite somewhere gives NaN or inf there,
     # reported as a chart error instead of as numpy warnings
     with np.errstate(all="ignore"):
@@ -462,17 +468,22 @@ def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples
     return GeometrySamples(frame=h, frame_inv=np.linalg.inv(h), chris=chris, curv=curv)
 
 
-def apply_chris(chris: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def apply_chris(chris: np.ndarray | None, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise bilinear connection action Gamma(u, v) on frame components
-    of fields (..., N, n)."""
+    of fields (..., N, n); zero for a flat chart's None connection."""
     shape = u.shape
+    if chris is None:
+        return np.zeros(shape)
     if u.ndim > 2:  # a window series: fold its level axis into the point axis
         n = shape[-1]
         chris, u, v = chris.reshape(-1, n, n, n), u.reshape(-1, n), v.reshape(-1, n)
     return np.einsum("pik,pi->pk", np.einsum("pikj,pj->pik", chris, v), u).reshape(shape)
 
 
-def apply_curv(curv: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pointwise trilinear curvature action R(u, v) w on frame components."""
+def apply_curv(curv: np.ndarray | None, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise trilinear curvature action R(u, v) w on frame components;
+    zero for a flat chart's None curvature."""
+    if curv is None:
+        return np.zeros(u.shape)
     r_u = np.einsum("pijkl,pi->pjkl", curv, u)
     return np.einsum("pkl,pk->pl", np.einsum("pjkl,pj->pkl", r_u, v), w)

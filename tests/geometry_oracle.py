@@ -3,9 +3,24 @@
 Production contracts the connection and curvature coefficients with one
 vector at a time (chained two-operand einsums).  The tests compare that
 with a single multi-operand einsum, which sums every product in one loop.
+A flat chart's samples leave both coefficients out (None); an oracle that
+contracts them itself takes the explicit zeros of ``with_connection``.
 """
 
+import dataclasses
+
 import numpy as np
+
+
+def with_connection(samples):
+    """``samples`` with a flat chart's left-out connection and curvature
+    spelled out as the zero arrays the model evaluates there."""
+    if samples.chris is not None:
+        return samples
+    lead, n = samples.frame.shape[:-2], samples.frame.shape[-1]
+    return dataclasses.replace(
+        samples, chris=np.zeros(lead + (n,) * 3), curv=np.zeros(lead + (n,) * 4)
+    )
 
 
 def apply_chris_einsum(chris, u, v):

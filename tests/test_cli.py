@@ -317,7 +317,8 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
     # every sweep's tension solves and is the first level's gate in the
     # output; the output loop adds a fresh gate every bentness_every levels.
     # Each window curve is sampled once: prepare_initial and the start
-    # iterate sample the initial curve, each sweep its new curve.
+    # iterate sample the initial curve, which is level 0 of every sweep's
+    # new curve, and each sweep samples the later levels of its new curve.
     import elwire.elliptic
     from elwire.geometry import sample_geometry
 
@@ -351,7 +352,7 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
     sweeps = json.loads((out / "metadata.json").read_text())["contraction"]["iterations"]
     assert sweeps > 1
     assert len(calls) == 1 + window // every
-    assert len(sampled) == 2 + (window + 1) * sweeps
+    assert len(sampled) == 2 + window * sweeps
 
 
 def test_study_outputs(tmp_path, capsys):
@@ -685,6 +686,68 @@ def test_march_samples_each_curve_position_once(
     assert solves == {"solve_flux_form": steps + 1, "bentness": -(-steps // 4)}
     assert len(derived) == steps + 1
     assert stray == []
+
+
+def test_flat_march_contracts_no_connection(tmp_path, monkeypatch):
+    # a flat chart samples only its identity frame: no connection or
+    # curvature coefficients are contracted (geometry, elliptic) and the
+    # frame is not inverted
+    calls = {"einsum": [], "inv": []}
+    real = {"einsum": np.einsum, "inv": np.linalg.inv}
+
+    def counted(name, caller):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            calls[name].append(caller(frame))
+            return real[name](*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np, "einsum", counted("einsum", lambda f: f.f_globals["__name__"]))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", lambda f: f.f_code.co_name))
+    data = {
+        "grid": {"n": 128},
+        "time": {"horizon": 4 / 128},
+        "initial": {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01},
+    }
+    path = config_file(tmp_path, data)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    # the counters see the run: frame_tangent's einsum, the block reduction's inverses
+    assert "elwire.dynamics" in calls["einsum"] and "_cyclic_reduction" in calls["inv"]
+    assert [c for c in calls["einsum"] if c in ("elwire.geometry", "elwire.elliptic")] == []
+    assert "sample_geometry" not in calls["inv"]
+
+
+@pytest.mark.parametrize(
+    "mode, section",
+    [
+        ("march", {"grid": {"n": 256}, "time": {"horizon": 16 / 256}}),
+        ("picard", {"grid": {"n": 64}, "picard": {"window": 12}}),
+    ],
+)
+def test_flat_fast_path_matches_the_general_path(tmp_path, mode, section):
+    # the conformal metric exp(2 * 0) * delta is flat but takes the general
+    # path, which samples and contracts the zero connection and curvature;
+    # the euclidean chart leaves them out.  Both write the same bytes.
+    outputs = {}
+    for name, manifold in [
+        ("general", {"name": "conformal", "expression": "0"}),
+        ("flat", {"name": "euclidean"}),
+    ]:
+        data = dict(
+            section,
+            mode=mode,
+            manifold=manifold,
+            initial={"name": "perturbed-circle", "mode": 2, "amplitude": 0.01},
+            output={"snapshot_every": 4},
+        )
+        out = tmp_path / name
+        path = config_file(tmp_path, data, name=f"{name}.json")
+        assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        files = sorted(out.glob("snapshot_*.json")) + [out / "diagnostics.csv"]
+        outputs[name] = {f.name: f.read_bytes() for f in files}
+    assert len(outputs["flat"]) == (6 if mode == "march" else 5)
+    assert outputs["general"] == outputs["flat"]
 
 
 @pytest.mark.parametrize(

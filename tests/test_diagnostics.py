@@ -132,6 +132,8 @@ def test_transport_check_validates_inputs():
         transport_check([level, level, level], 0.5 * grid.dx, grid)
     with pytest.raises(ValueError, match="3 levels"):
         transport_check([level, level], grid.dx, grid)
+    with pytest.raises(ValueError, match="3 levels"):
+        transport_check([level] * 4, grid.dx, grid)
     naked = replace(level, state=level.state.with_theta(None))
     with pytest.raises(ValueError, match="tension"):
         transport_check([naked, naked, naked], grid.dx, grid)

@@ -34,6 +34,7 @@ from elwire.geometry import (
     apply_chris,
     make_manifold,
     sample_geometry,
+    stack_samples,
 )
 from residual_oracle import residual_base_single
 from run_config import SOLVE_DEFAULTS, run_config
@@ -322,10 +323,13 @@ def test_picard_coupled_matches_march_on_a_short_window():
         assert m0(iterate.xi[m] - marched[m].xi) < 1e-3
         assert m0(iterate.gamma[m] - marched[m].gamma) < 1e-3
     assert m0(iterate.theta[0] - marched[0].theta) < 1e-3
-    # the iterate carries the samples of its own curve
+    # the iterate carries the samples of its own curve, one by one and stacked
     assert len(iterate.samples) == steps + 1
-    for m, samples in enumerate(iterate.samples):
-        assert np.array_equal(samples.chris, sample_geometry(manifold, iterate.gamma[m]).chris)
+    fresh = [sample_geometry(manifold, gamma) for gamma in iterate.gamma]
+    for name in ("frame", "frame_inv", "chris", "curv"):
+        for m, samples in enumerate(iterate.samples):
+            assert np.array_equal(getattr(samples, name), getattr(fresh[m], name)), name
+        assert np.array_equal(getattr(iterate.series, name), getattr(stack_samples(fresh), name))
 
 
 def test_picard_coupled_window_validation():

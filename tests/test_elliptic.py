@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from elliptic_oracle import block_tridiagonal_to_dense, cg_solve, dense_operator, dense_solve
+from geometry_oracle import with_connection
 from run_config import SOLVE_DEFAULTS
 from elwire.elliptic import BentnessReport, _block_operator, bentness, solve_flux_form
 from elwire.errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
@@ -97,6 +98,7 @@ def random_unit_field(grid: Grid, rng) -> np.ndarray:
 def naive_first_derivative_matrix(xi, samples, grid) -> np.ndarray:
     """Loop construction of the dense covariant difference matrix."""
     npts, n = xi.shape
+    chris = with_connection(samples).chris
     d = np.zeros((npts * n, npts * n))
     for k in range(npts):
         up = (k + 1) % npts
@@ -107,7 +109,7 @@ def naive_first_derivative_matrix(xi, samples, grid) -> np.ndarray:
         for a in range(n):
             for i in range(n):
                 for j in range(n):
-                    d[k * n + i, k * n + j] += samples.chris[k, a, i, j] * xi[k, a]
+                    d[k * n + i, k * n + j] += chris[k, a, i, j] * xi[k, a]
     return d
 
 

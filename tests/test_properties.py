@@ -3,8 +3,10 @@
 * The pointwise actions Gamma(u, v) and R(u, v) w agree with the single
   multi-operand einsum of ``geometry_oracle`` on random tensors and on the
   geometry sampled along random closed curves in every chart; on the flat
-  charts both are exactly +0.0.
-* Sampled connection and curvature coefficients keep their antisymmetries.
+  charts both are exactly +0.0, with the coefficients left out (None) as
+  with their explicit zeros.
+* Sampled connection and curvature coefficients keep their antisymmetries;
+  flat charts sample none.
 * Along random closed curves in every chart: cov_dx sums by parts, the
   unfolded production blocks of the elliptic operator are symmetric and
   equal the dense oracle, the production solve leaves a residual at rounding
@@ -56,7 +58,13 @@ from elwire.geometry import (
     sample_geometry,
     stack_samples,
 )
-from geometry_oracle import apply_chris_einsum, apply_curv_einsum, chris_scale, curv_scale
+from geometry_oracle import (
+    apply_chris_einsum,
+    apply_curv_einsum,
+    chris_scale,
+    curv_scale,
+    with_connection,
+)
 from run_config import SOLVE_DEFAULTS
 
 #: relative to the sum of the absolute products, the scale of any rounding
@@ -126,12 +134,15 @@ def test_actions_match_einsum_oracle_on_sampled_geometry(chart, n_points, seed):
     model = chart_model(chart)
     rng = np.random.default_rng(seed)
     samples = sample_geometry(model, closed_curve(CHARTS[chart][1], n_points, rng))
+    explicit = with_connection(samples)
     u, v, w = rng.standard_normal((3, n_points, model.dim))
-    assert_actions_match_oracle(samples.chris, samples.curv, u, v, w)
+    assert_actions_match_oracle(explicit.chris, explicit.curv, u, v, w)
     if model.is_flat:
+        # the left-out coefficients act as the contraction of their zeros does
         zeros = np.zeros((n_points, model.dim)).tobytes()
-        assert apply_chris(samples.chris, u, v).tobytes() == zeros
-        assert apply_curv(samples.curv, u, v, w).tobytes() == zeros
+        for sampled in (samples, explicit):
+            assert apply_chris(sampled.chris, u, v).tobytes() == zeros
+            assert apply_curv(sampled.curv, u, v, w).tobytes() == zeros
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,6 +152,9 @@ def test_sampled_geometry_keeps_antisymmetries(chart, n_points, seed):
     rng = np.random.default_rng(seed)
     samples = sample_geometry(model, closed_curve(CHARTS[chart][1], n_points, rng))
     chris, curv = samples.chris, samples.curv
+    if model.is_flat:
+        assert chris is None and curv is None
+        return
     assert np.max(np.abs(chris + np.swapaxes(chris, -2, -1))) < EXACT_TOL
     assert np.max(np.abs(curv + np.swapaxes(curv, -4, -3))) < EXACT_TOL
     assert np.max(np.abs(curv + np.swapaxes(curv, -2, -1))) < EXACT_TOL
