@@ -13,8 +13,9 @@ velocity.  This module provides
                      (sources, then the gated flux-form solve; the window
                      shares this level solve) and yields the level with its
                      geometry, D_x xi, D_t xi and the bentness gate in force,
-* step               the advance of a solved level: tangent leapfrog, velocity
-                     and curve updates, returning the next state,
+* step               the advance of a solved level: curve, tangent leapfrog and
+                     velocity updates, returning the next state with the
+                     samples of its curve,
 * picard_coupled     the contraction-map alternative on a short time window,
 * reconstruct_mu     the pointwise multiplier of the single-equation form.
 
@@ -24,7 +25,9 @@ oracle (tests/residual_oracle.py).
 The marching step keeps xi, eta and gamma each second-order accurate: the
 tangent uses the three-level wave leapfrog, the velocity a midpoint rule whose
 half-time flux is extrapolated from the two most recent tension solves, and
-the curve a midpoint rule through a predicted half-step position.
+the curve a midpoint rule through the half-step position.  The curve's update
+never reads the tangent, so a step moves it first; the leapfrog's connection
+rate and the next level share the next curve's samples.
 
 The frame, connection and curvature at a level depend only on the curve
 there, and D_x xi and D_t xi only on the state and those samples, so each is
@@ -262,13 +265,13 @@ def _bootstrap_prev(
     level: Level,
     rate: np.ndarray,
     dt: float,
-    samples_next: Optional[GeometrySamples],
+    samples_next: GeometrySamples,
     grid: Grid,
 ) -> np.ndarray:
     """Second-order backward level xi(t - dt) for the first leapfrog step.
 
-    ``samples_next`` samples the predicted next curve position; it is None on
-    a flat model, where the connection terms vanish.
+    ``samples_next`` samples the next curve; on a flat model, where the
+    connection terms vanish, they are not read.
     """
     dx = grid.dx
     state, samples, dtxi = level.state, level.samples, level.dtxi
@@ -276,7 +279,7 @@ def _bootstrap_prev(
     d2xi = cov_dxx(xi, xi, samples, dx)
     coeff = sided_grad_sq(xi, xi, samples, dx) - np.sum(dtxi * dtxi, axis=-1)
     accel = d2xi + coeff[:, None] * xi + perp(state.theta, xi)
-    if samples_next is not None:
+    if samples.chris is not None:
         # forward-difference estimate of the connection rate along the motion
         chris_rate = (samples_next.chris - samples.chris) / dt
         accel = accel - (
@@ -288,20 +291,6 @@ def _bootstrap_prev(
     return xi - dt * state.xi_t + 0.5 * dt * dt * accel
 
 
-def _predict_position(
-    state: CurveState,
-    rate: np.ndarray,
-    dt: float,
-    manifold: ManifoldModel,
-    samples: GeometrySamples,
-) -> np.ndarray:
-    """Midpoint predictor of the curve one step ahead (third-order accurate)."""
-    gamma_mid = state.gamma + 0.5 * dt * _chart_velocity(samples.frame, state.eta)
-    frame_mid = manifold.frame(gamma_mid)
-    eta_mid = state.eta + 0.5 * dt * rate
-    return state.gamma + dt * _chart_velocity(frame_mid, eta_mid)
-
-
 def step(
     level: Level,
     flux: np.ndarray,
@@ -311,42 +300,41 @@ def step(
     *,
     prev: Optional[Level] = None,
     flux_prev: Optional[np.ndarray] = None,
-) -> CurveState:
+) -> tuple[CurveState, GeometrySamples]:
     """Advance a solved level, with its tension flux, by ``cfg.dt``; returns
-    the next state.
+    the next state and the geometry samples of its curve.
 
-    Order of operations: tangent leapfrog (bootstrapping a virtual previous
-    level on the first step; rescaled to unit rows with ``cfg.renormalize``),
-    velocity midpoint update with the half-time flux extrapolated from
-    ``flux_prev``, curve midpoint update.  ``prev`` is the previous level,
-    whose samples are reused.
+    Order of operations: curve midpoint update (gamma_t = h eta never reads
+    the tangent, so the half-step and next curves are sampled first, each
+    once), tangent leapfrog (bootstrapping a virtual previous level on the
+    first step; rescaled to unit rows with ``cfg.renormalize``), velocity
+    midpoint update with the half-time flux extrapolated from ``flux_prev``.
+    ``prev`` is the previous level, whose samples are reused.
     """
     state, samples = level.state, level.samples
     dt, dx = cfg.dt, grid.dx
+    flat = samples.chris is None
     rate = _eta_rate(flux, level)
 
-    flat = samples.chris is None
-    samples_prev = samples_next = None
-    if not flat:
-        gamma_pred = _predict_position(state, rate, dt, manifold, samples)
-        samples_next = sample_geometry(manifold, gamma_pred)
+    # curve: midpoint through the half-step position
+    eta_half = state.eta + 0.5 * dt * rate
+    gamma_mid = state.gamma + 0.5 * dt * _chart_velocity(samples.frame, state.eta)
+    samples_mid = samples if flat else sample_geometry(manifold, gamma_mid)
+    gamma_next = state.gamma + dt * _chart_velocity(samples_mid.frame, eta_half)
+    samples_next = sample_geometry(manifold, gamma_next)
+
+    chris_rate = None
     if prev is None:
         xi_prev = _bootstrap_prev(level, rate, dt, samples_next, grid)
         if not flat:
-            # first step: no previous level, so doctor the pair handed to the
-            # centred connection-rate difference into the forward rate
-            # (2*next - curr - curr) / (2 dt) = (next - curr) / dt
-            samples_prev = samples
-            samples_next = GeometrySamples(
-                frame=samples_next.frame,
-                frame_inv=samples_next.frame_inv,
-                chris=2.0 * samples_next.chris - samples.chris,
-                curv=samples_next.curv,
-            )
+            # first step: the forward rate (next - curr) / dt, spelt as the
+            # centred difference of curr and 2*next - curr, whose rounding
+            # the outputs keep
+            chris_rate = (2.0 * samples_next.chris - samples.chris - samples.chris) / (2.0 * dt)
     else:
         xi_prev = prev.state.xi
         if not flat:
-            samples_prev = prev.samples
+            chris_rate = (samples_next.chris - prev.samples.chris) / (2.0 * dt)
     xi_next = leapfrog_step(
         xi_prev,
         state.xi,
@@ -355,8 +343,7 @@ def step(
         dt,
         grid,
         samples,
-        samples_prev=samples_prev,
-        samples_next=samples_next,
+        chris_rate=chris_rate,
         eta_rate=rate,
     )
     if cfg.renormalize:
@@ -364,26 +351,16 @@ def step(
     xi_t_next = (3.0 * xi_next - 4.0 * state.xi + xi_prev) / (2.0 * dt)
 
     # velocity: midpoint with flux extrapolated to the half step
-    eta_half = state.eta + 0.5 * dt * rate
-    gamma_mid = state.gamma + 0.5 * dt * _chart_velocity(samples.frame, state.eta)
-    samples_mid = samples if flat else sample_geometry(manifold, gamma_mid)
     xi_half = 0.5 * (state.xi + xi_next)
     flux_half = flux if flux_prev is None else 1.5 * flux - 0.5 * flux_prev
     dxi_half = cov_dx(xi_half, xi_half, samples_mid, dx)
     k2 = -apply_chris(samples_mid.chris, eta_half, eta_half) + flux_half + dxi_half
     eta_next = state.eta + dt * k2
 
-    # curve: midpoint through the predicted half-step position
-    gamma_next = state.gamma + dt * _chart_velocity(samples_mid.frame, eta_half)
-
-    return CurveState(
-        gamma=gamma_next,
-        xi=xi_next,
-        xi_t=xi_t_next,
-        eta=eta_next,
-        theta=None,
-        time=state.time + dt,
+    next_state = CurveState(
+        gamma=gamma_next, xi=xi_next, xi_t=xi_t_next, eta=eta_next, time=state.time + dt
     )
+    return next_state, samples_next
 
 
 def march(
@@ -398,9 +375,10 @@ def march(
     re-evaluated every ``cfg.bentness_every`` steps (and always at the
     first); between gates, and at the final level, the most recent report is
     reused and carried by the levels.  The final level gets a tension field
-    too, so diagnostics cover [0, T].
+    too, so diagnostics cover [0, T].  Only the initial curve is sampled
+    here; every later level takes the samples its step returned.
     """
-    current = initial
+    current, samples = initial, sample_geometry(manifold, initial.gamma)
     prev: Optional[Level] = None
     flux_prev: Optional[np.ndarray] = None
     gate: Optional[BentnessReport] = None
@@ -413,13 +391,14 @@ def march(
                     f"unit-tangent defect {drift:.3e} exceeds tolerance "
                     f"{cfg.constraint_tol:.1e} at t={current.time:.6f}"
                 )
-        samples = sample_geometry(manifold, current.gamma)
         level = Level(current, samples, *tangent_derivatives(current, samples, grid.dx))
         fresh = not final and k % cfg.bentness_every == 0
         level, flux = _solve_level(level, grid, cfg, None if fresh else gate)
         gate = level.bentness
         if not final:
-            current = step(level, flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev)
+            current, samples = step(
+                level, flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev
+            )
         yield level
         prev, flux_prev = level, flux
 

@@ -280,8 +280,7 @@ def leapfrog_step(
     grid: Grid,
     samples: GeometrySamples,
     *,
-    samples_prev: Optional[GeometrySamples] = None,
-    samples_next: Optional[GeometrySamples] = None,
+    chris_rate: Optional[np.ndarray] = None,
     eta_rate: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One explicit three-level step of the covariant tangent wave equation.
@@ -289,11 +288,12 @@ def leapfrog_step(
     The covariant second time difference is expanded around the central level:
     plain second difference plus the connection terms G(eta, D_t xi) and the
     time derivative of G(eta, xi).  The latter splits into a connection-rate
-    part (centred difference of the samples at the previous and predicted next
-    curve positions), a G(eta_t, xi) part using the supplied velocity rate,
-    and a G(eta, xi_t) part.  Because xi_t at the centre is itself centred
-    over the unknown next level, a short inner fixed-point iteration resolves
-    the implicitness (the quadratic speed term converges at rate O(dt)).
+    part using the supplied ``chris_rate`` (the caller's difference of the
+    connection samples along the curve's motion), a G(eta_t, xi) part using
+    the supplied velocity rate, and a G(eta, xi_t) part.  Because xi_t at the
+    centre is itself centred over the unknown next level, a short inner
+    fixed-point iteration resolves the implicitness (the quadratic speed term
+    converges at rate O(dt)).
 
     The plain spatial part uses the compact (1, -2, 1) stencil, and the speed
     coefficient averages the squared one-sided differences in both space and
@@ -302,8 +302,8 @@ def leapfrog_step(
     at the level seeded by the first-step bootstrap (O(dt^3)) instead of
     accumulating an O(dx^2) secular drift.
 
-    Without ``samples_prev``/``samples_next`` (a flat model) the connection
-    rate term is left out.  dt must satisfy the stability bound dt <= dx.
+    Without ``chris_rate`` (a flat model) the connection rate term is left
+    out.  dt must satisfy the stability bound dt <= dx.
     """
     dx = grid.dx
     if dt > dx * (1.0 + 1e-12):
@@ -313,9 +313,6 @@ def leapfrog_step(
     d2u = cov_dxx(xi_curr, xi_curr, samples, dx)
     du_sq = sided_grad_sq(xi_curr, xi_curr, samples, dx)
     theta_perp = perp(theta, xi_curr)
-    chris_rate = None
-    if samples_prev is not None and samples_next is not None:
-        chris_rate = (samples_next.chris - samples_prev.chris) / (2.0 * dt)
     xi_t = (xi_curr - xi_prev) / dt  # first guess, refined below
     xi_next = xi_curr
     bwd_t = (xi_curr - xi_prev) / dt + conn_eta_xi

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -214,6 +215,35 @@ def test_non_finite_geometry_aborts_as_a_chart_error(tmp_path, capsys):
     header, rows = read_csv(out / "diagnostics.csv")
     assert header == ",".join(CSV_COLUMNS)
     assert rows == []
+
+
+def test_chart_exit_at_the_half_step_names_the_point(tmp_path, capsys):
+    # the half-step curve of the first step leaves the half-plane; it is
+    # sampled, and so checked, before the curve update evaluates its frame
+    data = {
+        "manifold": {"name": "hyperbolic"},
+        "grid": {"n": 32},
+        "time": {"horizon": 1},
+        "initial": {
+            "name": "hyperbolic-circle",
+            "center": [0, 0.1],
+            "velocity": {"name": "translate", "vector": [0, -10]},
+        },
+        "tolerances": {"constraint": 0.9, "bentness_floor": 1e-9},
+    }
+    path = config_file(tmp_path, data)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert "aborted: ChartDomainError" in capsys.readouterr().err
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["failure"]["type"] == "ChartDomainError"
+    reason = meta["failure"]["reason"]
+    assert "curve left the chart" in reason
+    coords = reason.rsplit("coordinates", 1)[1].strip(" []").split()
+    assert len(coords) == 2 and all(np.isfinite(float(c)) for c in coords)
+    assert "nan" not in reason
 
 
 def test_bad_generator_parameters_exit_code(tmp_path, capsys):
@@ -582,20 +612,21 @@ def test_check_rejects_conformal_factors_it_cannot_evaluate(tmp_path, capsys, ex
     "manifold, initial, steps, per_step",
     [
         ({"name": "euclidean"}, {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01}, 16, 1),
-        ({"name": "sphere"}, {"name": "sphere-loop"}, 16, 3),
-        ({"name": "hyperbolic"}, {"name": "hyperbolic-circle"}, 8, 3),
+        ({"name": "sphere"}, {"name": "sphere-loop"}, 16, 2),
+        ({"name": "hyperbolic"}, {"name": "hyperbolic-circle"}, 8, 2),
     ],
     ids=["euclidean", "sphere", "hyperbolic"],
 )
 def test_march_samples_each_curve_position_once(
     tmp_path, monkeypatch, manifold, initial, steps, per_step
 ):
-    # one geometry evaluation per level on flat charts; curved charts add the
-    # predicted and half-step positions.  The extra two are prepare_initial
-    # and the final level.  Each level's tension is solved once, and the
-    # bentness gate is fresh every bentness_every steps; the final level,
-    # here a multiple of it, carries the last gate.  D_x xi and D_t xi are
-    # derived once per level; the diagnostics and the velocity rate read them.
+    # a step samples the curve it moves to, which the next level takes over;
+    # curved charts also sample the half-step position.  The extra two are
+    # prepare_initial and the march's initial level.  Each level's tension
+    # is solved once, and the bentness gate is fresh every bentness_every
+    # steps; the final level, here a multiple of it, carries the last gate.
+    # D_x xi and D_t xi are derived once per level; the diagnostics and the
+    # velocity rate read them.
     import elwire.cli
     import elwire.dynamics
     import elwire.elliptic
@@ -677,10 +708,7 @@ def test_march_samples_each_curve_position_once(
     }
     path = config_file(tmp_path, data)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    if per_step == 1:
-        assert len(calls) == steps + 2
-    else:
-        assert len(calls) <= per_step * steps + 2
+    assert len(calls) == per_step * steps + 2
     assert len(refs) == steps + 1
     assert max(alive) <= 3
     assert solves == {"solve_flux_form": steps + 1, "bentness": -(-steps // 4)}
