@@ -9,7 +9,7 @@ drift of the curved scheme sits comfortably inside the abort gate.
 from elwire import initial
 from elwire.config import RunConfig
 from elwire.diagnostics import energy
-from elwire.dynamics import make_state, march, prepare_initial
+from elwire.dynamics import march, prepare_initial
 from elwire.elliptic import bentness
 from elwire.fields import Grid, constraint_drift
 from elwire.geometry import make_manifold
@@ -21,8 +21,7 @@ def main() -> None:
     manifold = make_manifold("hyperbolic")
     grid = Grid(n)
     curve, velocity = initial.generate("hyperbolic-circle", manifold, grid, {})
-    data, report = prepare_initial(curve, velocity, manifold, grid)
-    state = make_state(data)
+    state, report = prepare_initial(curve, velocity, manifold, grid)
     print(f"prepared: projection magnitude {report.projection_magnitude:.2e}, "
           f"min tangent norm {report.min_tangent_norm:.4f}")
 

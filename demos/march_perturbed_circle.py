@@ -8,7 +8,7 @@ unit-tangent drift of the scheme with renormalization off.
 from elwire import initial
 from elwire.config import RunConfig
 from elwire.diagnostics import energy
-from elwire.dynamics import make_state, march, prepare_initial
+from elwire.dynamics import march, prepare_initial
 from elwire.fields import Grid, constraint_drift, m0
 from elwire.geometry import make_manifold
 
@@ -20,8 +20,7 @@ def main() -> None:
     curve, velocity = initial.generate(
         "perturbed-circle", manifold, grid, {"mode": 2, "amplitude": 0.01}
     )
-    data, report = prepare_initial(curve, velocity, manifold, grid)
-    state = make_state(data)
+    state, report = prepare_initial(curve, velocity, manifold, grid)
     print(f"prepared: projection magnitude {report.projection_magnitude:.2e}")
 
     # the default run settings at this grid: dt = dx, horizon 1

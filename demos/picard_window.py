@@ -10,7 +10,7 @@ import numpy as np
 
 from elwire import initial
 from elwire.config import RunConfig
-from elwire.dynamics import make_state, march, picard_coupled, prepare_initial
+from elwire.dynamics import march, picard_coupled, prepare_initial
 from elwire.fields import Grid
 from elwire.geometry import make_manifold
 
@@ -23,8 +23,7 @@ def main() -> None:
     curve, velocity = initial.generate(
         "perturbed-circle", manifold, grid, {"mode": 2, "amplitude": 0.01}
     )
-    data, _ = prepare_initial(curve, velocity, manifold, grid)
-    state = make_state(data)
+    state, _ = prepare_initial(curve, velocity, manifold, grid)
 
     # a window of `steps` steps, and a march over the same time
     cfg = RunConfig(grid_n=n, dt=grid.dx, horizon=steps * grid.dx, picard_window=steps)
@@ -36,7 +35,7 @@ def main() -> None:
         print(f"  {k + 1:5d}   {distance:.3e}  {ratio}")
 
     gap = max(
-        float(np.max(np.abs(iterate.xi[m] - level.state.xi)))
+        float(np.max(np.abs(iterate.state.xi[m] - level.state.xi)))
         for m, level in enumerate(march(state, manifold, grid, cfg))
     )
     print()

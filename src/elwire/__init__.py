@@ -22,54 +22,13 @@ a conformal (or flat) metric.  Modules:
 * ``initial``      closed-form starting curves and velocity fields;
 * ``config``/``cli``  JSON run configs and the ``elwire`` command.
 
-The names below are what the command line, the demos and a script driving
-a run use; everything else is imported from its module.  A ``RunConfig``
-(built directly or by ``parse_config``) holds every run setting: ``march``,
-``picard_coupled`` and the level solves read their tolerances, caps and
-cadences from it, and its field defaults are the only ones.  Second routes that
-only verify production (dense and CG elliptic solves, the triangle
-quadrature, characteristic derivatives, the single-equation residual) live
-in ``tests/``.
+Every name is imported from its module; the package itself defines only
+``__version__``.  A ``RunConfig`` (built directly or by ``parse_config``)
+holds every run setting: ``march``, ``picard_coupled`` and the level solves
+read their tolerances, caps and cadences from it, and its field defaults are
+the only ones.  Second routes that only verify production (dense and CG
+elliptic solves, the triangle quadrature, characteristic derivatives, the
+single-equation residual) live in ``tests/``.
 """
 
 __version__ = "0.1.0"
-
-from .config import RunConfig, parse_config
-from .diagnostics import energy, make_record
-from .dynamics import Level, make_state, march, picard_coupled, prepare_initial
-from .elliptic import bentness, solve_flux_form
-from .errors import ConfigError, ElwireError, NearGeodesicError, NonContractionError, NumericalAbort
-from .fields import CurveState, Grid, compact_second, constraint_drift, m0
-from .geometry import EuclideanModel, make_manifold, sample_geometry, stack_samples
-from .wave import leapfrog_step, picard_wave_solve
-
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "CurveState",
-    "ElwireError",
-    "EuclideanModel",
-    "Grid",
-    "Level",
-    "NearGeodesicError",
-    "NonContractionError",
-    "NumericalAbort",
-    "RunConfig",
-    "bentness",
-    "compact_second",
-    "constraint_drift",
-    "energy",
-    "leapfrog_step",
-    "m0",
-    "make_manifold",
-    "make_record",
-    "make_state",
-    "march",
-    "parse_config",
-    "picard_coupled",
-    "picard_wave_solve",
-    "prepare_initial",
-    "sample_geometry",
-    "solve_flux_form",
-    "stack_samples",
-]

@@ -42,9 +42,9 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsRecord, make_record, transport_check
-from .dynamics import Level, make_state, march, picard_coupled, prepare_initial, tangent_derivatives
+from .dynamics import Level, march, picard_coupled, prepare_initial
 from .errors import ConfigError, ElwireError, NonContractionError, NumericalAbort
-from .fields import CurveState, Grid, m0, time_diff_series
+from .fields import CurveState, Grid, m0
 from .geometry import make_manifold
 from . import elliptic, initial
 
@@ -72,8 +72,7 @@ def build_manifold(cfg: RunConfig):
 
 def build_initial_state(cfg: RunConfig, manifold, grid: Grid):
     curve, velocity = initial.generate(cfg.initial_name, manifold, grid, cfg.initial_params)
-    data, report = prepare_initial(curve, velocity, manifold, grid)
-    return make_state(data), report
+    return prepare_initial(curve, velocity, manifold, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +182,14 @@ def _march_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[
     meta["prepared"] = {"projection_magnitude": prep.projection_magnitude}
 
 
+def _level_of(series, m: int):
+    """Level m of a dataclass of window series; None and scalars are kept."""
+    arrays = {f.name: getattr(series, f.name) for f in dataclasses.fields(series)}
+    return dataclasses.replace(
+        series, **{k: v[m] for k, v in arrays.items() if isinstance(v, np.ndarray)}
+    )
+
+
 def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
     meta["window_steps"] = cfg.picard_window
     state, _ = build_initial_state(cfg, manifold, grid)
@@ -196,20 +203,13 @@ def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator
             meta["contraction"]["inner"] = dataclasses.asdict(exc.__cause__.report)
         raise
     meta["contraction"] = dataclasses.asdict(report)
-    xi_t = time_diff_series(iterate.xi, grid.dx)
     gate = iterate.bentness  # level 0's, solved once by picard_coupled
-    for m, samples in enumerate(iterate.samples):
-        level_state = CurveState(
-            gamma=iterate.gamma[m],
-            xi=iterate.xi[m],
-            xi_t=xi_t[m],
-            eta=iterate.eta[m],
-            theta=iterate.theta[m],
-            time=m * grid.dx,
-        )
+    for m in range(cfg.picard_window + 1):
+        state = dataclasses.replace(_level_of(iterate.state, m), time=m * grid.dx)
+        samples = _level_of(iterate.samples, m)
         if m > 0 and m % cfg.bentness_every == 0:
-            gate = elliptic.bentness(level_state.xi, samples, grid)
-        yield Level(level_state, samples, *tangent_derivatives(level_state, samples, grid.dx), gate)
+            gate = elliptic.bentness(state.xi, samples, grid)
+        yield Level(state, samples, iterate.dxi[m], iterate.dtxi[m], gate)
 
 
 def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:

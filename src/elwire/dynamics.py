@@ -7,8 +7,9 @@ velocity eta advances with the tension flux, and the curve integrates its
 velocity.  This module provides
 
 * tangent_derivatives D_x xi and D_t xi of a state or a window series,
-* assemble_sources   curvature source terms (psi, phi) of a level,
-* prepare_initial    admissible discrete data from raw curve + velocity samples,
+* assemble_sources   curvature source terms (psi, phi) of a level or a series,
+* prepare_initial    the initial state, admissible discrete data from raw
+                     curve + velocity samples,
 * march              the generator that solves each time level's tension once
                      (sources, then the gated flux-form solve; the window
                      shares this level solve) and yields the level with its
@@ -17,6 +18,9 @@ velocity.  This module provides
                      velocity updates, returning the next state with the
                      samples of its curve,
 * picard_coupled     the contraction-map alternative on a short time window,
+                     whose iterate is a Level of series: each sweep solves
+                     the tension of the whole window in one call, twice,
+                     and moves its curves by the march's curve update,
 * reconstruct_mu     the pointwise multiplier of the single-equation form.
 
 The defect of a computed trajectory in the single equation is a test
@@ -33,6 +37,7 @@ The frame, connection and curvature at a level depend only on the curve
 there, and D_x xi and D_t xi only on the state and those samples, so each is
 formed once: a ``Level`` carries the samples of its ``gamma`` and both
 derivatives (see tangent_derivatives) to the next step and every diagnostic.
+A window iterate carries them as series, derived once per iterate.
 """
 
 from __future__ import annotations
@@ -75,21 +80,6 @@ MIN_TANGENT_NORM = 1e-6
 
 
 @dataclass(frozen=True)
-class InitialData:
-    """Admissible discrete initial data.
-
-    ``a`` curve samples (chart), ``b`` frame components of the velocity,
-    ``a_tilde`` the exactly unit discrete tangent, ``b_tilde`` the plain
-    initial rate of the tangent, exactly orthogonal to ``a_tilde``.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    a_tilde: np.ndarray
-    b_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class PreparationReport:
     """How much prepare_initial had to adjust the raw data."""
 
@@ -101,26 +91,18 @@ class PreparationReport:
 class Level:
     """One time level: the state (with its tension once solved), the geometry
     samples of its curve, D_x xi and D_t xi from ``tangent_derivatives``, and
-    the bentness report in force there (None before the level is solved)."""
+    the bentness report in force there (None before the level is solved).
+
+    A Picard window iterate is a Level whose fields and samples are series
+    over the window's levels 0..M (see _window_level); its bentness report
+    is level 0's, which gates every level.
+    """
 
     state: CurveState
     samples: GeometrySamples
     dxi: np.ndarray
     dtxi: np.ndarray
     bentness: Optional[BentnessReport] = None
-
-
-@dataclass(frozen=True)
-class WindowIterate:
-    """Field series over a Picard window (levels 0..M, dt = dx)."""
-
-    gamma: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-    theta: np.ndarray
-    samples: list  # GeometrySamples of gamma per level
-    series: GeometrySamples  # the same, stacked (stack_samples)
-    bentness: BentnessReport  # level 0's, gating every level
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +121,20 @@ def tangent_derivatives(
 
 
 def assemble_sources(level: Level) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature sources (psi, phi): psi feeds the tension flux, phi the tension load."""
+    """Curvature sources (psi, phi) of a level or a window series: psi feeds
+    the tension flux, phi the tension load."""
     state, curv, dxi, dtxi = level.state, level.samples.curv, level.dxi, level.dtxi
     psi = apply_curv(curv, state.xi, dxi, state.xi) - apply_curv(curv, state.xi, dtxi, state.eta)
     speed_gap = np.sum(dtxi * dtxi, axis=-1) - np.sum(dxi * dxi, axis=-1)
-    phi = speed_gap[:, None] * state.xi - apply_curv(curv, state.xi, state.eta, state.eta)
+    phi = speed_gap[..., None] * state.xi - apply_curv(curv, state.xi, state.eta, state.eta)
     return psi, phi
 
 
 def _solve_level(level: Level, grid: Grid, cfg: RunConfig, gate) -> tuple[Level, np.ndarray]:
     """The level with its tension theta and the bentness report in force
     attached, and its flux D theta + psi.  The solve is gated by the report
-    ``gate``, or by a fresh one when ``gate`` is None."""
+    ``gate``, or by a fresh one when ``gate`` is None; a window series is
+    solved in one call and needs its gate."""
     psi, phi = assemble_sources(level)
     solved = elliptic.solve_flux_form(
         psi, phi, level.state.xi, level.samples, grid,
@@ -196,12 +180,13 @@ def prepare_initial(
     velocity_chart: np.ndarray,
     manifold: ManifoldModel,
     grid: Grid,
-) -> tuple[InitialData, PreparationReport]:
-    """Build admissible discrete data from raw curve and chart-velocity samples.
+) -> tuple[CurveState, PreparationReport]:
+    """The initial state (tension unsolved, time 0) built as admissible
+    discrete data from raw curve and chart-velocity samples.
 
     The discrete tangent is the centred chart difference (respecting the
     model's wrap-around displacement), converted to frame components and
-    normalised to exactly unit rows.  The tangent rate b_tilde follows from
+    normalised to exactly unit rows (xi).  The tangent rate xi_t follows from
     differentiating the velocity along the curve with the connection
     correction for the moving frame, then an exact projection orthogonal to
     the tangent; the projection magnitude is reported, as it measures how
@@ -224,27 +209,19 @@ def prepare_initial(
             f"discrete tangent (nearly) vanishes at sample {k} (norm {min_norm:.3e}); "
             "the curve is not an admissible closed wire"
         )
-    a_tilde = a_raw / norms[:, None]
-    b = np.einsum("pij,pj->pi", samples.frame_inv, vel)
-    b_raw = (
-        circ_diff(b, grid.dx)
-        + apply_chris(samples.chris, a_tilde, b)
-        - apply_chris(samples.chris, b, a_tilde)
+    xi = a_raw / norms[:, None]
+    eta = np.einsum("pij,pj->pi", samples.frame_inv, vel)
+    xi_t_raw = (
+        circ_diff(eta, grid.dx)
+        + apply_chris(samples.chris, xi, eta)
+        - apply_chris(samples.chris, eta, xi)
     )
-    proj = np.sum(b_raw * a_tilde, axis=-1)
-    b_tilde = b_raw - proj[:, None] * a_tilde
-    data = InitialData(a=pts, b=b, a_tilde=a_tilde, b_tilde=b_tilde)
+    proj = np.sum(xi_t_raw * xi, axis=-1)
+    xi_t = xi_t_raw - proj[:, None] * xi
     report = PreparationReport(
         projection_magnitude=float(np.max(np.abs(proj))), min_tangent_norm=min_norm
     )
-    return data, report
-
-
-def make_state(data: InitialData) -> CurveState:
-    """Initial wire state from prepared data (tension left unsolved)."""
-    return CurveState(
-        gamma=data.a, xi=data.a_tilde, xi_t=data.b_tilde, eta=data.b, theta=None, time=0.0
-    )
+    return CurveState(gamma=pts, xi=xi, xi_t=xi_t, eta=eta), report
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +236,28 @@ def _eta_rate(flux: np.ndarray, level: Level) -> np.ndarray:
 
 def _chart_velocity(frame: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.einsum("pij,pj->pi", frame, eta)
+
+
+def _advance_curve(
+    gamma: np.ndarray,
+    samples: GeometrySamples,
+    eta: np.ndarray,
+    eta_half: np.ndarray,
+    manifold: ManifoldModel,
+    dt: float,
+) -> tuple[GeometrySamples, np.ndarray, GeometrySamples]:
+    """Midpoint update of gamma_t = frame * eta through the half-step curve.
+
+    ``samples`` are those of ``gamma``, and ``eta_half`` is the velocity at
+    the half step.  Returns the samples of the half-step curve (on a flat
+    chart, whose frame does not vary, ``samples`` themselves), the next
+    curve and its samples.  Each curve is sampled, and so checked against
+    the chart, before its frame is used.
+    """
+    gamma_mid = gamma + 0.5 * dt * _chart_velocity(samples.frame, eta)
+    samples_mid = samples if samples.chris is None else sample_geometry(manifold, gamma_mid)
+    gamma_next = gamma + dt * _chart_velocity(samples_mid.frame, eta_half)
+    return samples_mid, gamma_next, sample_geometry(manifold, gamma_next)
 
 
 def _bootstrap_prev(
@@ -318,10 +317,9 @@ def step(
 
     # curve: midpoint through the half-step position
     eta_half = state.eta + 0.5 * dt * rate
-    gamma_mid = state.gamma + 0.5 * dt * _chart_velocity(samples.frame, state.eta)
-    samples_mid = samples if flat else sample_geometry(manifold, gamma_mid)
-    gamma_next = state.gamma + dt * _chart_velocity(samples_mid.frame, eta_half)
-    samples_next = sample_geometry(manifold, gamma_next)
+    samples_mid, gamma_next, samples_next = _advance_curve(
+        state.gamma, samples, state.eta, eta_half, manifold, dt
+    )
 
     chris_rate = None
     if prev is None:
@@ -407,54 +405,39 @@ def march(
 # window Picard solver
 
 
-def _theta_series(
-    gamma_s: np.ndarray,
-    xi_s: np.ndarray,
-    eta_s: np.ndarray,
-    samples: list[GeometrySamples],
-    series: GeometrySamples,
+def _window_level(
+    gamma: np.ndarray,
+    xi: np.ndarray,
+    eta: np.ndarray,
+    samples: GeometrySamples,
     grid: Grid,
-    cfg: RunConfig,
-    gate: BentnessReport,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-level tension solves on a frozen window iterate with the geometry
-    ``samples`` of its curve (stacked: ``series``), each gated by ``gate``,
-    the bentness report of the window's fixed level 0.
-
-    Returns the theta and flux series and the series of D_x xi.  D_x xi and
-    D_t xi are derived once on the whole series, D_t xi from time differences
-    of the xi series.
-    """
-    xi_t_s = time_diff_series(xi_s, grid.dx)
-    window = CurveState(gamma=gamma_s, xi=xi_s, xi_t=xi_t_s, eta=eta_s)
-    dxi_s, dtxi_s = tangent_derivatives(window, series, grid.dx)
-    thetas, fluxes = [], []
-    for m, samples_m in enumerate(samples):
-        level_state = CurveState(gamma=gamma_s[m], xi=xi_s[m], xi_t=xi_t_s[m], eta=eta_s[m])
-        level = Level(level_state, samples_m, dxi_s[m], dtxi_s[m])
-        solved, flux = _solve_level(level, grid, cfg, gate)
-        thetas.append(solved.state.theta)
-        fluxes.append(flux)
-    return np.stack(thetas), np.stack(fluxes), dxi_s
+    theta: Optional[np.ndarray] = None,
+    gate: Optional[BentnessReport] = None,
+) -> Level:
+    """A window iterate: the Level of the series over levels 0..M (dt = dx)
+    with the stacked ``samples`` of its curves.  xi_t comes from time
+    differences of the xi series, and D_x xi and D_t xi are derived once."""
+    state = CurveState(gamma=gamma, xi=xi, xi_t=time_diff_series(xi, grid.dx), eta=eta, theta=theta)
+    return Level(state, samples, *tangent_derivatives(state, samples, grid.dx), gate)
 
 
-def _integrate_curve(
+def _window_curve(
     gamma0: np.ndarray,
+    samples0: GeometrySamples,
     eta_s: np.ndarray,
     manifold: ManifoldModel,
     dt: float,
-) -> np.ndarray:
-    """Midpoint integration of gamma_t = frame * eta with a frozen eta series."""
-    levels = eta_s.shape[0]
-    out = [gamma0]
-    g = gamma0
-    for m in range(levels - 1):
-        frame = manifold.frame(g)
-        g_mid = g + 0.5 * dt * _chart_velocity(frame, eta_s[m])
-        eta_mid = 0.5 * (eta_s[m] + eta_s[m + 1])
-        g = g + dt * _chart_velocity(manifold.frame(g_mid), eta_mid)
-        out.append(g)
-    return np.stack(out)
+) -> tuple[np.ndarray, GeometrySamples]:
+    """The curve series of gamma_t = frame * eta with a frozen eta series, by
+    the march's curve update (the half-step velocity is the mean of two
+    levels'), with the stacked samples of its curves."""
+    gammas, samples = [gamma0], [samples0]
+    for m in range(len(eta_s) - 1):
+        eta_half = 0.5 * (eta_s[m] + eta_s[m + 1])
+        _, gamma, sampled = _advance_curve(gammas[-1], samples[-1], eta_s[m], eta_half, manifold, dt)
+        gammas.append(gamma)
+        samples.append(sampled)
+    return np.stack(gammas), stack_samples(samples)
 
 
 def _integrate_eta(
@@ -483,9 +466,10 @@ def _integrate_eta(
     return np.stack(out)
 
 
-def window_distance(a: WindowIterate, b: WindowIterate, dx: float) -> float:
+def window_distance(a: Level, b: Level, dx: float) -> float:
     """Composite distance between window iterates: sup norms of the curve and
     velocity with their time rates, plus the full first-order tangent norm."""
+    a, b = a.state, b.state
     return (
         m01(a.gamma - b.gamma, dx)
         + m1(a.xi - b.xi, dx, dx)
@@ -495,22 +479,23 @@ def window_distance(a: WindowIterate, b: WindowIterate, dx: float) -> float:
 
 def picard_coupled(
     state: CurveState, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
-) -> tuple[WindowIterate, ContractionReport]:
+) -> tuple[Level, ContractionReport]:
     """Solve the coupled system on a window [0, cfg.picard_window * dx] by
-    contraction.
+    contraction; the iterate is a Level of series (see _window_level).
 
     One sweep: solve the tension on the frozen iterate, advance the curve from
     the frozen velocity, run the full inner wave solve for the tangent, update
     the velocity from the frozen flux, then refresh tension and velocity once
-    more on the new fields.  Distances between sweeps use the composite norm
-    of window_distance; sweeps stop once one is within ``cfg.picard_tol``,
-    and three consecutive non-decreasing distances, or
-    ``cfg.picard_max_iter`` sweeps without reaching the tolerance, raise
-    NonContractionError.  Level 0 is the fixed initial state, so its curve
-    is sampled once, for all the start iterate's levels and every sweep's
-    level 0, and its bentness is solved once and gates every level's tension
-    solve.  A sweep samples only the later levels of its new curve and stacks
-    them once; the returned iterate carries both.
+    more on the new fields.  Each tension solve is one call on the whole
+    series.  Distances between sweeps use the composite norm of
+    window_distance; sweeps stop once one is within ``cfg.picard_tol``, and
+    three consecutive non-decreasing distances, or ``cfg.picard_max_iter``
+    sweeps without reaching the tolerance, raise NonContractionError.  Level
+    0 is the fixed initial state, so its curve is sampled once, for all the
+    start iterate's levels and every sweep's level 0, and its bentness is
+    solved once and gates every level's tension solve.  A sweep's curve
+    update samples each later curve of the window as it builds it, with the
+    half-step curves on a curved chart, as the march does.
     """
     dt = grid.dx
     n_levels = cfg.picard_window
@@ -520,46 +505,35 @@ def picard_coupled(
     samples0 = sample_geometry(manifold, state.gamma)
     gate = elliptic.bentness(state.xi, samples0, grid)
     shape = (levels,) + state.gamma.shape
-    start = WindowIterate(
-        gamma=np.broadcast_to(state.gamma, shape).copy(),
-        xi=np.broadcast_to(state.xi, shape).copy(),
-        eta=np.broadcast_to(state.eta, shape).copy(),
-        theta=np.zeros(shape),
-        samples=[samples0] * levels,
-        series=stack_samples([samples0] * levels),
-        bentness=gate,
+    start = _window_level(
+        np.broadcast_to(state.gamma, shape).copy(),
+        np.broadcast_to(state.xi, shape).copy(),
+        np.broadcast_to(state.eta, shape).copy(),
+        stack_samples([samples0] * levels),
+        grid,
+        gate=gate,
     )
 
-    def sweep(current: WindowIterate) -> WindowIterate:
-        theta_s, flux_s, dxi_s = _theta_series(
-            current.gamma, current.xi, current.eta, current.samples, current.series, grid, cfg, gate
-        )
-        gamma_new = _integrate_curve(state.gamma, current.eta, manifold, dt)
+    def sweep(current: Level) -> Level:
+        solved, flux = _solve_level(current, grid, cfg, gate)
+        eta = current.state.eta
+        gamma_new, samples_new = _window_curve(state.gamma, samples0, eta, manifold, dt)
         xi_new, _ = picard_wave_solve(
             state,
-            theta_s,
+            solved.state.theta,
             grid,
             n_levels=n_levels,
-            eta_series=current.eta,
-            samples_series=current.series,
+            eta_series=eta,
+            samples_series=current.samples,
         )
-        eta_mid = _integrate_eta(state.eta, flux_s, dxi_s, current.series.chris, dt)
-        # refresh tension and velocity on the advanced fields; level 0 of the
-        # new curve is the initial one
-        samples_new = [samples0] + [sample_geometry(manifold, g) for g in gamma_new[1:]]
-        series_new = stack_samples(samples_new)
-        theta_new, flux_new, dxi_new = _theta_series(
-            gamma_new, xi_new, eta_mid, samples_new, series_new, grid, cfg, gate
+        eta_mid = _integrate_eta(state.eta, flux, current.dxi, current.samples.chris, dt)
+        # refresh tension and velocity on the advanced fields
+        refreshed, flux_new = _solve_level(
+            _window_level(gamma_new, xi_new, eta_mid, samples_new, grid), grid, cfg, gate
         )
-        eta_new = _integrate_eta(state.eta, flux_new, dxi_new, series_new.chris, dt)
-        return WindowIterate(
-            gamma=gamma_new,
-            xi=xi_new,
-            eta=eta_new,
-            theta=theta_new,
-            samples=samples_new,
-            series=series_new,
-            bentness=gate,
+        eta_new = _integrate_eta(state.eta, flux_new, refreshed.dxi, samples_new.chris, dt)
+        return _window_level(
+            gamma_new, xi_new, eta_new, samples_new, grid, refreshed.state.theta, gate
         )
 
     return _contract(

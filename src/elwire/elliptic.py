@@ -23,19 +23,24 @@ unused places of the last one are identity rows).  It is assembled from the
 connection blocks Gamma(xi_k, .), keeping the diagonal and upper blocks of
 the symmetric matrix, and solved at every grid size by block odd-even
 (cyclic) reduction in numpy: batched inverses of the eliminated diagonal
-blocks, level by level, down to one small dense solve.
+blocks, stage by stage, down to one small dense solve.
+
+The tension solve takes a level (N, n) or a window series (L, N, n), as the
+field helpers do: every step batches over a leading level axis and solves
+each level on its own, with the bytes of a lone solve of it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
-from .fields import Grid, constraint_drift, cov_dx, l2_norm, m0, perp
+from .fields import Grid, cov_dx, l2_norm, m0, perp, row_norms
 from .geometry import GeometrySamples
 
 
@@ -55,9 +60,9 @@ class BentnessReport:
 
 @dataclass(frozen=True)
 class FluxSolveResult:
-    u: np.ndarray          # the solution; the tension theta of a wire level
+    u: np.ndarray          # the solution; the tension theta of a wire level or series
     flux: np.ndarray       # D u + f, reused by the velocity update
-    residual: float
+    residual: float | np.ndarray  # per level for a series
     bentness: BentnessReport
 
 
@@ -82,19 +87,23 @@ DENSE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(npts: int, n: int):
+def _layout(shape: tuple):
     """Where the couplings of -D o D + Z go among the block rows; grid only.
 
-    Slot s of the fold order holds rows n*s ... n*s + n - 1 of the folded
-    system, and block row b the SLOTS slots from SLOTS * b on.  The operator
-    is symmetric, so only its diagonal and upper blocks are stored, as
-    ``system`` (2, B, m, m), m = SLOTS * n.  Returns ``(order, source,
-    scatter, padding, place)``: coupling ``source[i]`` of the stack [far,
-    edge, -edge, centre] (see _block_operator) goes to the flat indices
-    ``scatter[i]`` (n, n) of ``system``, ``padding`` indexes the unit
-    diagonal of the unused slots of the last block row, and ``place`` (N, n)
-    the folded row of each grid component.
+    ``shape`` is that of the tangent field, (N, n) for a level or (L, N, n)
+    for a window series.  Slot s of the fold order holds rows n*s ... n*s +
+    n - 1 of a level's folded system, and block row b the SLOTS slots from
+    SLOTS * b on.  The operator is symmetric, so only its diagonal and upper
+    blocks are stored, as ``system`` (2, L, B, m, m), m = SLOTS * n (the
+    level axis is left out for a level).  Returns ``(order, source,
+    scatter, padding, place)``: coupling ``source[l, i]`` of the stacks
+    [far, edge, -edge, centre] of the levels (see _block_operator) goes to
+    the flat indices ``scatter[l, i]`` (n, n) of ``system``, ``padding``
+    indexes the unit diagonal of the unused slots of each level's last block
+    row, and ``place`` (..., N, n) the folded row of each grid component.
     """
+    *lead, npts, n = shape
+    levels = math.prod(lead)
     order = _fold_order(npts)
     slot = np.empty(npts, dtype=int)
     slot[order] = np.arange(npts)
@@ -119,11 +128,19 @@ def _layout(npts: int, n: int):
     keep = band >= 0
     row = place - m * row_block[:, None]
     col = (n * (col_slot % SLOTS))[:, :, None] + comp
-    base = (band * n_rows + row_block) * m * m
-    scatter = base[:, :, None, None] + row[None, :, :, None] * m + col[:, :, None, :]
+    # each level's blocks follow the previous level's in both halves of system
+    level = np.arange(levels)[:, None, None]
+    base = ((band * levels + level) * n_rows + row_block) * m * m
+    scatter = base[..., None, None] + row[:, :, None] * m + col[:, :, None, :]
     spare = (n * np.arange(npts, SLOTS * n_rows)[:, None] + comp).reshape(-1) % m
-    padding = (n_rows - 1) * m * m + spare * (m + 1)
-    layout = (order, source[keep], scatter[keep], padding, place)
+    padding = ((level[:, 0] + 1) * n_rows - 1) * m * m + spare * (m + 1)
+    layout = (
+        order,
+        (source + (1 + 3 * npts) * level)[:, keep],
+        scatter[:, keep],
+        padding,
+        place + n_rows * m * level.reshape(lead + [1, 1]),
+    )
     for index in layout:  # shared by every later call
         index.setflags(write=False)
     return layout
@@ -132,104 +149,119 @@ def _layout(npts: int, n: int):
 def _block_operator(xi, samples, grid, kind: str):
     """-D o D + Z in fold order, as the blocks of a block-tridiagonal matrix.
 
-    Returns ``(system, order)``: ``system[0]`` (B, m, m), B = ceil(N / SLOTS),
-    m = SLOTS * n, holds the diagonal blocks and ``system[1]`` the blocks
-    coupling block row b to block row b + 1 (the last one is zero); the
-    blocks below the diagonal are their transposes.  ``order`` lists the grid
-    point behind each slot.
+    ``xi`` is a level (N, n) or a window series (L, N, n) with the samples of
+    its curves.  Returns ``(system, order)``: ``system[0]`` (..., B, m, m),
+    B = ceil(N / SLOTS), m = SLOTS * n, holds each level's diagonal blocks
+    and ``system[1]`` the blocks coupling block row b to block row b + 1
+    (the last one is zero); the blocks below the diagonal are their
+    transposes.  ``order`` lists the grid point behind each slot.
     """
     if kind not in ("perp", "identity"):
         raise ValueError(f"unknown zeroth-order kind {kind!r}")
-    npts, n = xi.shape
+    npts, n = xi.shape[-2:]
     dx = grid.dx
     flat = samples.chris is None  # a flat chart has no connection blocks B_k = Gamma(xi_k, .)
-    conn = np.zeros((npts, n, n)) if flat else np.einsum("pikj,pi->pkj", samples.chris, xi)
+    conn = (
+        np.zeros(xi.shape + (n,))
+        if flat
+        else np.einsum("...pikj,...pi->...pkj", samples.chris, xi)
+    )
     eye = np.eye(n)
     # couplings: far (k to k +- 2), edge_k (k + 1 to k; k to k + 1 is -edge_k)
-    # and centre_k (k to k)
-    far = -eye / (4.0 * dx * dx)
-    edge = (conn + np.roll(conn, -1, axis=0)) / (2.0 * dx)
+    # and centre_k (k to k), stacked per level as [far, edge, -edge, centre]
+    edge = (conn + np.roll(conn, -1, axis=-3)) / (2.0 * dx)
     centre = (0.5 / (dx * dx) + 1.0) * eye - (0.0 if flat else conn @ conn)
     if kind == "perp":
-        centre = centre - xi[:, :, None] * xi[:, None, :]
-    stack = np.concatenate([far[None], edge, -edge, np.broadcast_to(centre, conn.shape)])
+        centre = centre - xi[..., :, None] * xi[..., None, :]
+    stack = np.empty(xi.shape[:-2] + (1 + 3 * npts, n, n))
+    stack[..., 0, :, :] = -eye / (4.0 * dx * dx)
+    stack[..., 1 : npts + 1, :, :] = edge
+    stack[..., npts + 1 : 2 * npts + 1, :, :] = -edge
+    stack[..., 2 * npts + 1 :, :, :] = centre
 
-    order, source, scatter, padding, _ = _layout(npts, n)
+    order, source, scatter, padding, _ = _layout(xi.shape)
     m = SLOTS * n
-    system = np.zeros((2, -(-npts // SLOTS), m, m))
-    flat = system.reshape(-1)
-    flat[scatter] = stack[source]
-    flat[padding] = 1.0
+    system = np.zeros((2,) + xi.shape[:-2] + (-(-npts // SLOTS), m, m))
+    entries = system.reshape(-1)
+    entries[scatter] = stack.reshape(-1, n, n)[source]
+    entries[padding] = 1.0
     return system, order
 
 
 def _cyclic_reduction(diag, upper, rhs):
-    """Solve the symmetric block-tridiagonal system with diagonal blocks
-    ``diag`` (B, m, m) and upper blocks ``upper`` (row b to row b + 1; the
-    last is zero) for x (B, m), by odd-even reduction.
+    """Solve the symmetric block-tridiagonal systems of L levels, with
+    diagonal blocks ``diag`` (L, B, m, m) and upper blocks ``upper`` (row b
+    to row b + 1; the last is zero), for x (L, B, m), by odd-even reduction.
 
-    Each level inverts the diagonal blocks of the odd rows in one batched
+    Each stage inverts the diagonal blocks of the odd rows in one batched
     call, expresses their unknowns through their even neighbours, and
-    substitutes that into the even rows, which make the next level's system
-    of half the size; a level with an odd row count first gains an identity
+    substitutes that into the even rows, which make the next stage's system
+    of half the size; a stage with an odd row count first gains an identity
     row.  Once the system has order DENSE_SIZE or less (or one row) a dense
-    solve finishes it, and back substitution recovers the odd unknowns level
-    by level.  The system is symmetric positive definite, so eliminating
-    whole rows needs no pivoting between them.
+    solve finishes it, and back substitution recovers the odd unknowns stage
+    by stage.  The system is symmetric positive definite, so eliminating
+    whole rows needs no pivoting between them.  Every step batches over the
+    levels and treats each level's blocks alone, so a level's solution does
+    not depend on the others.
     """
-    m = diag.shape[1]
-    state = np.concatenate([diag, rhs[:, :, None]], axis=2)  # [diagonal | rhs]
-    levels = []
-    while len(state) > max(1, DENSE_SIZE // m):
-        count = len(state)
+    levels, _, m = rhs.shape
+    state = np.concatenate([diag, rhs[:, :, :, None]], axis=3)  # [diagonal | rhs]
+    stages = []
+    while state.shape[1] > max(1, DENSE_SIZE // m):
+        count = state.shape[1]
         if count % 2:
-            pad = np.zeros((1, m, m + 1))
-            pad[0, :, :m] = np.eye(m)
-            state = np.concatenate([state, pad])
-            upper = np.concatenate([upper, np.zeros((1, m, m))])
-        up_even, up_odd = upper[0::2], upper[1::2]
-        rhs_odd = state[1::2, :, m:]
+            pad = np.zeros((levels, 1, m, m + 1))
+            pad[:, 0, :, :m] = np.eye(m)
+            state = np.concatenate([state, pad], axis=1)
+            upper = np.concatenate([upper, np.zeros((levels, 1, m, m))], axis=1)
+        up_even, up_odd = upper[:, 0::2], upper[:, 1::2]
+        rhs_odd = state[:, 1::2, :, m:]
         # odd row j couples to even row j by up_even[j]^T and to even row
         # j + 1 by up_odd[j]; with solved = diag^-1 [up_even^T | rhs | up_odd | rhs]
         # its unknown is solved[rhs] - solved[:m] x_even[j] - solved[m+1 : 2m+1] x_even[j+1].
         # Repeating the rhs column lines both products up with [diagonal | rhs].
-        solved = np.linalg.inv(state[1::2, :, :m]) @ np.concatenate(
-            [up_even.transpose(0, 2, 1), rhs_odd, up_odd, rhs_odd], axis=2
+        solved = np.linalg.inv(state[:, 1::2, :, :m]) @ np.concatenate(
+            [up_even.transpose(0, 1, 3, 2), rhs_odd, up_odd, rhs_odd], axis=3
         )
         through_right = up_even @ solved
-        through_left = up_odd[:-1].transpose(0, 2, 1) @ solved[:-1, :, m + 1 :]
-        state = state[0::2] - through_right[:, :, : m + 1]
-        state[1:] -= through_left
-        upper = -through_right[:, :, m + 1 : 2 * m + 1]
-        levels.append((count, solved))
+        through_left = up_odd[:, :-1].transpose(0, 1, 3, 2) @ solved[:, :-1, :, m + 1 :]
+        state = state[:, 0::2] - through_right[:, :, :, : m + 1]
+        state[:, 1:] -= through_left
+        upper = -through_right[:, :, :, m + 1 : 2 * m + 1]
+        stages.append((count, solved))
 
-    count = len(state)
+    count = state.shape[1]
     rows = np.arange(count)
-    dense = np.zeros((count, m, count, m))
-    dense[rows, :, rows, :] = state[:, :, :m]
-    dense[rows[:-1], :, rows[1:], :] = upper[:-1]
-    dense[rows[1:], :, rows[:-1], :] = upper[:-1].transpose(0, 2, 1)
-    x = np.linalg.solve(dense.reshape(count * m, count * m), state[:, :, m].reshape(-1))
-    x = x.reshape(count, m)
-    for count, solved in reversed(levels):
-        neighbours = np.zeros((len(x), 2 * m + 1, 1))
-        neighbours[:, :m, 0] = x
-        neighbours[:-1, m + 1 :, 0] = x[1:]
-        merged = np.empty((2 * len(x), m))
-        merged[0::2] = x
-        merged[1::2] = solved[:, :, m] - (solved[:, :, : 2 * m + 1] @ neighbours)[:, :, 0]
-        x = merged[:count]
+    # indexing two axes apart puts the row axis first: (count, L, m, m)
+    dense = np.zeros((levels, count, m, count, m))
+    dense[:, rows, :, rows, :] = state[:, :, :, :m].transpose(1, 0, 2, 3)
+    dense[:, rows[:-1], :, rows[1:], :] = upper[:, :-1].transpose(1, 0, 2, 3)
+    dense[:, rows[1:], :, rows[:-1], :] = upper[:, :-1].transpose(1, 0, 3, 2)
+    size = count * m
+    rhs = state[:, :, :, m:].reshape(levels, size, 1)
+    x = np.linalg.solve(dense.reshape(levels, size, size), rhs).reshape(levels, count, m)
+    for count, solved in reversed(stages):
+        half = x.shape[1]
+        neighbours = np.zeros((levels, half, 2 * m + 1, 1))
+        neighbours[:, :, :m, 0] = x
+        neighbours[:, :-1, m + 1 :, 0] = x[:, 1:]
+        merged = np.empty((levels, 2 * half, m))
+        merged[:, 0::2] = x
+        merged[:, 1::2] = solved[:, :, :, m] - (solved[:, :, :, : 2 * m + 1] @ neighbours)[:, :, :, 0]
+        x = merged[:, :count]
     return x
 
 
 def _solve_system(xi, samples, grid, kind, rhs_field):
-    """Solve (-D o D + Z) u = rhs by block cyclic reduction in fold order."""
+    """Solve (-D o D + Z) u = rhs by block cyclic reduction in fold order, for
+    a level (N, n) or each level of a window series (L, N, n)."""
     system, _ = _block_operator(xi, samples, grid, kind)
-    place = _layout(*xi.shape)[-1]
-    rhs = np.zeros(system.shape[1:3])
+    place = _layout(xi.shape)[-1]
+    blocks = system.reshape((2, -1) + system.shape[-3:])
+    rhs = np.zeros(blocks.shape[1:4])
     rhs.reshape(-1)[place] = rhs_field
     try:
-        x = _cyclic_reduction(system[0], system[1], rhs)
+        x = _cyclic_reduction(blocks[0], blocks[1], rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalSolveError(f"elliptic solve met a singular block ({exc})") from exc
     return x.reshape(-1)[place]
@@ -253,6 +285,16 @@ def bentness(xi: np.ndarray, samples: GeometrySamples, grid: Grid) -> BentnessRe
     )
 
 
+def _refuse_first_failure(passed, error, text: str, *values) -> None:
+    """Raise ``error`` for the first level whose check did not pass, with
+    ``text`` formatted by that level's ``values``; a series names the level."""
+    if passed.all():
+        return
+    at = () if passed.ndim == 0 else int(np.argmin(passed))
+    where = "" if at == () else f" at window level {at}"
+    raise error(text.format(*(value[at] for value in values)) + where)
+
+
 def solve_flux_form(
     f: np.ndarray,
     h: np.ndarray,
@@ -266,18 +308,22 @@ def solve_flux_form(
 ) -> FluxSolveResult:
     """Solve -D(Du + f) + perp(u) = h along the current curve.
 
-    Refuses to run (NearGeodesicError) when the bentness of ``xi`` is below
-    ``b_floor``; a precomputed ``bentness_report`` is reused when supplied.
-    The residual (infinity norm) must stay within ``tol`` times the data
-    scale, or NumericalSolveError is raised.
+    The fields are a level (N, n) or a window series (L, N, n), each of
+    whose levels is solved alone.  Refuses to run (NearGeodesicError) when
+    the bentness of ``xi`` is below ``b_floor``; a precomputed
+    ``bentness_report`` is reused when supplied, and a series is gated by
+    the one it is given.  Each level's unit-tangent defect must stay within
+    0.1 (ConstraintDriftError), and its residual (infinity norm) within
+    ``tol`` times that level's data scale (NumericalSolveError); the
+    residual is a number for a level and one per level for a series.
     The returned flux D u + f is the quantity downstream consumers need, so
     it is formed here rather than re-differenced.
     """
-    drift = constraint_drift(xi)
-    if not drift <= 0.1:
-        raise ConstraintDriftError(
-            f"unit-tangent defect {drift:.3e} exceeds 0.1; refusing tension solve"
-        )
+    drift = np.max(np.abs(np.sum(xi * xi, axis=-1) - 1.0), axis=-1)
+    text = "unit-tangent defect {:.3e} exceeds 0.1; refusing tension solve"
+    _refuse_first_failure(drift <= 0.1, ConstraintDriftError, text, drift)
+    if bentness_report is None and xi.ndim > 2:
+        raise ValueError("a series solve needs the bentness report that gates it")
     report = bentness(xi, samples, grid) if bentness_report is None else bentness_report
     if report.b_value < b_floor:
         raise NearGeodesicError(
@@ -288,11 +334,9 @@ def solve_flux_form(
     u = _solve_system(xi, samples, grid, "perp", rhs)
     flux = cov_dx(u, xi, samples, grid.dx) + f
     defect = -cov_dx(flux, xi, samples, grid.dx) + perp(u, xi) - h
-    residual = m0(defect)
-    scale = max(1.0, m0(h) + m0(f))
-    if not residual <= tol * scale:
-        raise NumericalSolveError(
-            f"tension solve residual {residual:.3e} exceeds tolerance "
-            f"{tol:.1e} * {scale:.3e}"
-        )
-    return FluxSolveResult(u=u, flux=flux, residual=residual, bentness=report)
+    # sup norms over each level's grid
+    residual = np.max(row_norms(defect), axis=-1)
+    scale = np.fmax(1.0, np.max(row_norms(h), axis=-1) + np.max(row_norms(f), axis=-1))
+    text = f"tension solve residual {{:.3e}} exceeds tolerance {tol:.1e} * {{:.3e}}"
+    _refuse_first_failure(residual <= tol * scale, NumericalSolveError, text, residual, scale)
+    return FluxSolveResult(u=u, flux=flux, residual=residual[()], bentness=report)

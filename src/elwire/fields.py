@@ -53,7 +53,8 @@ class Grid:
 @dataclass(frozen=True)
 class CurveState:
     """Wire state at one time: positions, unit tangent, its plain time rate,
-    velocity, and (once solved) the tension field.
+    velocity, and (once solved) the tension field; a Picard window iterate
+    holds the series (M+1, N, n) of each.
 
     ``xi_t`` stores the plain coordinate time derivative of ``xi``; the
     covariant rate is recovered on demand as xi_t + Gamma(eta, xi).  ``theta``

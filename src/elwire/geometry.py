@@ -21,10 +21,12 @@ path.  The test suite keeps an independent finite-difference oracle.
 
 Evaluators are vectorised: coordinates of shape ``(..., n)`` yield outputs with
 the same leading shape.  ``sample_geometry`` evaluates all three along a
-discrete curve, and every use of the connection and the curvature goes
+discrete curve, ``stack_samples`` stacks the samples of a window's curves
+into a series, and every use of the connection and the curvature goes
 through the two pointwise actions ``apply_chris`` (Gamma(u, v)) and
-``apply_curv`` (R(u, v) w).  Each is a chain of two-operand contractions,
-one vector at a time, so no step runs numpy's generic multi-operand loop.
+``apply_curv`` (R(u, v) w), which act on a level or fold a series' levels
+into its points.  Each is a chain of two-operand contractions, one vector
+at a time, so no step runs numpy's generic multi-operand loop.
 On the flat charts the coefficients are zero: ``sample_geometry`` leaves
 them out (None), and both actions of None return exact zeros.
 """
@@ -481,9 +483,13 @@ def apply_chris(chris: np.ndarray | None, u: np.ndarray, v: np.ndarray) -> np.nd
 
 
 def apply_curv(curv: np.ndarray | None, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pointwise trilinear curvature action R(u, v) w on frame components;
-    zero for a flat chart's None curvature."""
+    """Pointwise trilinear curvature action R(u, v) w on frame components of
+    fields (..., N, n); zero for a flat chart's None curvature."""
+    shape = u.shape
     if curv is None:
-        return np.zeros(u.shape)
+        return np.zeros(shape)
+    if u.ndim > 2:  # a window series: fold its level axis into the point axis
+        n = shape[-1]
+        curv, u, v, w = curv.reshape(-1, n, n, n, n), u.reshape(-1, n), v.reshape(-1, n), w.reshape(-1, n)
     r_u = np.einsum("pijkl,pi->pjkl", curv, u)
-    return np.einsum("pkl,pk->pl", np.einsum("pjkl,pj->pkl", r_u, v), w)
+    return np.einsum("pkl,pk->pl", np.einsum("pjkl,pj->pkl", r_u, v), w).reshape(shape)

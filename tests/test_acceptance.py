@@ -19,7 +19,6 @@ from elwire import initial
 from elwire.cli import main
 from elwire.diagnostics import energy
 from elwire.dynamics import (
-    make_state,
     march,
     picard_coupled,
     prepare_initial,
@@ -126,8 +125,8 @@ def _prepared_state(n, name, params):
     manifold = make_manifold("euclidean")
     grid = Grid(n)
     curve, velocity = initial.generate(name, manifold, grid, params)
-    data, _ = prepare_initial(curve, velocity, manifold, grid)
-    return make_state(data), manifold, grid
+    state, _ = prepare_initial(curve, velocity, manifold, grid)
+    return state, manifold, grid
 
 
 def _march_summary(n, name, params):
@@ -425,7 +424,7 @@ def test_08_window_iteration_contraction(capsys):
         steps = n // 16
         iterate, _ = picard_coupled(st, manifold, g, run_config(g, steps + 1))
         states = [lv.state for lv in march(st, manifold, g, run_config(g, steps))]
-        errs.append(max(np.max(np.abs(states[m].xi - iterate.xi[m])) for m in range(steps + 1)))
+        errs.append(max(np.max(np.abs(states[m].xi - iterate.state.xi[m])) for m in range(steps + 1)))
     orders = _orders(errs)
 
     ok = ratios_ok and min(orders) >= ORDER_MIN

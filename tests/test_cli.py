@@ -246,6 +246,35 @@ def test_chart_exit_at_the_half_step_names_the_point(tmp_path, capsys):
     assert "nan" not in reason
 
 
+def test_window_chart_exit_names_the_point(tmp_path, capsys):
+    # the window's curve update samples each curve, half steps included,
+    # before it evaluates its frame, so a window whose half-step curve
+    # leaves the half-plane aborts as a chart error naming a finite point
+    data = {
+        "mode": "picard",
+        "manifold": {"name": "hyperbolic"},
+        "grid": {"n": 32},
+        "picard": {"window": 8},
+        "initial": {
+            "name": "hyperbolic-circle",
+            "center": [0, 0.1],
+            "velocity": {"name": "translate", "vector": [0, -10]},
+        },
+    }
+    path = config_file(tmp_path, data)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert "aborted: ChartDomainError" in capsys.readouterr().err
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["failure"]["type"] == "ChartDomainError"
+    reason = meta["failure"]["reason"]
+    assert "curve left the chart" in reason
+    coords = reason.rsplit("coordinates", 1)[1].strip(" []").split()
+    assert len(coords) == 2 and all(np.isfinite(float(c)) for c in coords)
+
+
 def test_bad_generator_parameters_exit_code(tmp_path, capsys):
     data = {
         "manifold": {"name": "flat-torus"},
@@ -346,43 +375,53 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
     # level 0 of the window is the fixed initial state: its bentness gates
     # every sweep's tension solves and is the first level's gate in the
     # output; the output loop adds a fresh gate every bentness_every levels.
-    # Each window curve is sampled once: prepare_initial and the start
-    # iterate sample the initial curve, which is level 0 of every sweep's
-    # new curve, and each sweep samples the later levels of its new curve.
+    # A sweep solves the tension twice, each time on the whole window series.
+    # Each window curve is sampled once, as it is built: prepare_initial and
+    # the start iterate sample the initial curve, which is level 0 of every
+    # sweep's new curve, and each sweep samples the later levels of its new
+    # curve and, on a curved chart, the half-step curves between them, as the
+    # march does.
     import elwire.elliptic
     from elwire.geometry import sample_geometry
 
-    calls = []
-    real = elwire.elliptic.bentness
+    calls = {"bentness": 0, "solve_flux_form": 0, "sample_geometry": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(elwire.elliptic, "bentness", counting)
-    sampled = []
+        return wrapper
 
-    def counting_samples(model, points):
-        sampled.append(1)
-        return sample_geometry(model, points)
-
+    for name in ("bentness", "solve_flux_form"):
+        monkeypatch.setattr(elwire.elliptic, name, counted(name, getattr(elwire.elliptic, name)))
     for name, module in list(sys.modules.items()):
         if name.startswith("elwire") and hasattr(module, "sample_geometry"):
-            monkeypatch.setattr(module, "sample_geometry", counting_samples)
-    window, every = 5, 2
-    data = dict(
-        REST_CONFIG,
-        grid={"n": 32},
-        mode="picard",
-        picard={"window": window},
-        diagnostics={"bentness_every": every},
-    )
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 0
-    sweeps = json.loads((out / "metadata.json").read_text())["contraction"]["iterations"]
-    assert sweeps > 1
-    assert len(calls) == 1 + window // every
-    assert len(sampled) == 2 + window * sweeps
+            monkeypatch.setattr(module, "sample_geometry", counted("sample_geometry", sample_geometry))
+    every = 2
+    cases = [
+        ({"name": "euclidean"}, {"name": "circle"}, 5, 1),
+        ({"name": "sphere"}, {"name": "sphere-loop"}, 8, 2),
+    ]
+    for index, (manifold, initial, window, per_step) in enumerate(cases):
+        calls.update(dict.fromkeys(calls, 0))
+        data = dict(
+            REST_CONFIG,
+            manifold=manifold,
+            initial=initial,
+            grid={"n": 32},
+            mode="picard",
+            picard={"window": window},
+            diagnostics={"bentness_every": every},
+        )
+        out = tmp_path / f"out{index}"
+        path = config_file(tmp_path, data, name=f"config{index}.json")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        sweeps = json.loads((out / "metadata.json").read_text())["contraction"]["iterations"]
+        assert sweeps > 1
+        assert calls["bentness"] == 1 + window // every
+        assert calls["solve_flux_form"] == 2 * sweeps
+        assert calls["sample_geometry"] == 2 + per_step * window * sweeps
 
 
 def test_study_outputs(tmp_path, capsys):

@@ -25,7 +25,6 @@ from elwire.diagnostics import (
 from elwire.dynamics import (
     Level,
     assemble_sources,
-    make_state,
     march,
     prepare_initial,
     tangent_derivatives,
@@ -45,8 +44,7 @@ def rest_level(n: int, with_theta: bool = True):
     manifold = make_manifold("euclidean")
     grid = Grid(n)
     curve, velocity = initial.generate("circle", manifold, grid, {})
-    data, _ = prepare_initial(curve, velocity, manifold, grid)
-    state = make_state(data)
+    state, _ = prepare_initial(curve, velocity, manifold, grid)
     samples = sample_geometry(manifold, state.gamma)
     level = Level(state, samples, *tangent_derivatives(state, samples, grid.dx))
     if with_theta:
@@ -62,8 +60,8 @@ def marched_levels(n: int, levels: int = 3):
     curve, velocity = initial.generate(
         "perturbed-circle", manifold, grid, {"mode": 2, "amplitude": 0.01}
     )
-    data, _ = prepare_initial(curve, velocity, manifold, grid)
-    marched = list(march(make_state(data), manifold, grid, run_config(grid, levels - 1)))
+    state, _ = prepare_initial(curve, velocity, manifold, grid)
+    marched = list(march(state, manifold, grid, run_config(grid, levels - 1)))
     return marched[:levels], manifold, grid
 
 

@@ -18,7 +18,6 @@ from elwire.diagnostics import energy
 from elwire.dynamics import (
     Level,
     assemble_sources,
-    make_state,
     march,
     picard_coupled,
     prepare_initial,
@@ -49,8 +48,8 @@ def flat_state(n: int, name: str = "circle", params: dict | None = None):
     manifold = make_manifold("euclidean")
     grid = Grid(n)
     curve, velocity = initial.generate(name, manifold, grid, params or {})
-    data, report = prepare_initial(curve, velocity, manifold, grid)
-    return make_state(data), manifold, grid, report
+    state, report = prepare_initial(curve, velocity, manifold, grid)
+    return state, manifold, grid, report
 
 
 def wide_symbol(grid: Grid) -> float:
@@ -90,8 +89,8 @@ def test_prepare_initial_orthogonalises_moving_data():
     curve, velocity = initial.generate(
         "circle", manifold, grid, {"velocity": {"name": "rotate", "omega": 1.0}}
     )
-    data, report = prepare_initial(curve, velocity, manifold, grid)
-    assert np.max(np.abs(np.sum(data.a_tilde * data.b_tilde, axis=-1))) < EXACT_TOL
+    state, report = prepare_initial(curve, velocity, manifold, grid)
+    assert np.max(np.abs(np.sum(state.xi * state.xi_t, axis=-1))) < EXACT_TOL
     assert report.projection_magnitude >= 0.0
 
 
@@ -130,8 +129,7 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
     manifold = HyperbolicHalfPlaneModel()
     samples = sample_geometry(manifold, curve)
     rng = np.random.default_rng(17)
-    data, _ = prepare_initial(curve, 0.1 * rng.standard_normal((24, 2)), manifold, grid)
-    state = make_state(data)
+    state, _ = prepare_initial(curve, 0.1 * rng.standard_normal((24, 2)), manifold, grid)
     sources_psi, sources_phi = assemble_sources(unsolved_level(state, manifold, grid))
 
     dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
@@ -220,8 +218,8 @@ def test_march_levels_carry_the_geometry_of_their_curve(chart, dim, init, params
     manifold = make_manifold(chart, dim, **extra)
     grid = Grid(32)
     curve, velocity = initial.generate(init, manifold, grid, params)
-    data, _ = prepare_initial(curve, velocity, manifold, grid)
-    levels = list(march(make_state(data), manifold, grid, run_config(grid, 4, bentness_every=2)))
+    state, _ = prepare_initial(curve, velocity, manifold, grid)
+    levels = list(march(state, manifold, grid, run_config(grid, 4, bentness_every=2)))
     assert len(levels) == 5
     for level in levels:
         fresh = sample_geometry(manifold, level.state.gamma)
@@ -270,9 +268,9 @@ def test_step_reads_the_previous_levels_samples():
     curve, velocity = initial.generate(
         "sphere-loop", manifold, grid, {"velocity": {"name": "translate", "vector": [0.2, 0.0]}}
     )
-    data, _ = prepare_initial(curve, velocity, manifold, grid)
+    state, _ = prepare_initial(curve, velocity, manifold, grid)
     cfg = run_config(grid, 1)
-    first, second = list(march(make_state(data), manifold, grid, cfg))
+    first, second = list(march(state, manifold, grid, cfg))
     level, flux = solved_level(second.state.with_theta(None), manifold, grid)
     shifted = sample_geometry(manifold, first.state.gamma + np.array([0.05, 0.0]))
     carried, _ = step(level, flux, manifold, grid, cfg, prev=first)
@@ -295,9 +293,9 @@ def test_step_refuses_geodesic_data():
     manifold = make_manifold("flat-torus")
     grid = Grid(32)
     curve, velocity = initial.generate("torus-geodesic", manifold, grid, {})
-    data, _ = prepare_initial(curve, velocity, manifold, grid)
+    state, _ = prepare_initial(curve, velocity, manifold, grid)
     with pytest.raises(NearGeodesicError):
-        next(march(make_state(data), manifold, grid, run_config(grid, 1)))
+        next(march(state, manifold, grid, run_config(grid, 1)))
 
 
 def test_march_yields_a_level_only_after_its_step():
@@ -320,20 +318,18 @@ def test_picard_coupled_matches_march_on_a_short_window():
     steps = 4
     cfg = run_config(grid, steps)
     iterate, report = picard_coupled(state, manifold, grid, cfg)
-    assert iterate.gamma.shape == (steps + 1, 64, 2)
+    assert iterate.state.gamma.shape == (steps + 1, 64, 2)
     assert report.ratios and report.ratios[0] < 1.0
     marched = [lv.state for lv in march(state, manifold, grid, cfg)]
     for m in range(steps + 1):
-        assert m0(iterate.xi[m] - marched[m].xi) < 1e-3
-        assert m0(iterate.gamma[m] - marched[m].gamma) < 1e-3
-    assert m0(iterate.theta[0] - marched[0].theta) < 1e-3
-    # the iterate carries the samples of its own curve, one by one and stacked
-    assert len(iterate.samples) == steps + 1
-    fresh = [sample_geometry(manifold, gamma) for gamma in iterate.gamma]
+        assert m0(iterate.state.xi[m] - marched[m].xi) < 1e-3
+        assert m0(iterate.state.gamma[m] - marched[m].gamma) < 1e-3
+    assert m0(iterate.state.theta[0] - marched[0].theta) < 1e-3
+    # the iterate carries the samples of its own curves, stacked
+    assert len(iterate.samples.frame) == steps + 1
+    fresh = [sample_geometry(manifold, gamma) for gamma in iterate.state.gamma]
     for name in ("frame", "frame_inv", "chris", "curv"):
-        for m, samples in enumerate(iterate.samples):
-            assert np.array_equal(getattr(samples, name), getattr(fresh[m], name)), name
-        assert np.array_equal(getattr(iterate.series, name), getattr(stack_samples(fresh), name))
+        assert np.array_equal(getattr(iterate.samples, name), getattr(stack_samples(fresh), name))
 
 
 def test_picard_coupled_window_validation():

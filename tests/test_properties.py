@@ -11,7 +11,9 @@
   unfolded production blocks of the elliptic operator are symmetric and
   equal the dense oracle, the production solve leaves a residual at rounding
   level, and the block cyclic reduction agrees with a dense solve of the
-  oracle matrix.
+  oracle matrix.  A tension solve on a window series of such curves gives
+  each level exactly the bytes of that level's own solve, and its drift and
+  residual gates refuse the series as they refuse its first failing level.
 * Every series-shaped helper gives on a random window series (M+1, N, n)
   exactly (==) the stack of its calls on the levels.
 * ``write_snapshot`` writes the bytes of ``json.dumps(indent=2,
@@ -32,7 +34,8 @@ from hypothesis.extra import numpy as hnp
 from elliptic_oracle import block_tridiagonal_to_dense, dense_operator
 from elwire.cli import write_snapshot
 from elwire.dynamics import frame_tangent
-from elwire.elliptic import _block_operator, _solve_system, solve_flux_form
+from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
+from elwire.errors import ConstraintDriftError, NumericalSolveError
 from elwire.fields import (
     CurveState,
     Grid,
@@ -234,6 +237,53 @@ def test_cyclic_reduction_matches_dense_solve(kind, chart, n_points, seed):
 
 
 @settings(max_examples=40, deadline=None)
+@given(levels=st.integers(1, 4), **curves)
+def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
+    setups = [curve_setup(chart, n_points, seed + m) for m in range(levels)]
+    grid, rng = setups[0][0], setups[0][3]
+    per_level = [samples for _, samples, _, _ in setups]
+    xi = np.stack([tangent for _, _, tangent, _ in setups])
+    series_samples = stack_samples(per_level)
+    f, h = rng.standard_normal((2,) + xi.shape)
+    gate = bentness(xi[0], per_level[0], grid)
+    gated = {"b_floor": 0.0, "bentness_report": gate}
+    tol = SOLVE_DEFAULTS["tol"]
+    series = solve_flux_form(f, h, xi, series_samples, grid, tol=tol, **gated)
+    assert series.residual.shape == (levels,) and series.bentness is gate
+    for m in range(levels):
+        level = solve_flux_form(f[m], h[m], xi[m], per_level[m], grid, tol=tol, **gated)
+        assert series.u[m].tobytes() == level.u.tobytes()
+        assert series.flux[m].tobytes() == level.flux.tobytes()
+        assert series.residual[m].tobytes() == np.float64(level.residual).tobytes()
+    with pytest.raises(ValueError, match="bentness report"):
+        solve_flux_form(f, h, xi, series_samples, grid, tol=tol, b_floor=0.0)
+
+    # each gate refuses the series at its first failing level, with the
+    # message a lone solve of that level gives, followed by the level
+    last = levels - 1
+    drifted = xi.copy()
+    drifted[last] *= 1.2
+    defect = float(np.max(np.abs(np.sum(drifted[last] ** 2, axis=-1) - 1.0)))
+    message = f"unit-tangent defect {defect:.3e} exceeds 0.1; refusing tension solve"
+    with pytest.raises(ConstraintDriftError) as single:
+        solve_flux_form(f[last], h[last], drifted[last], per_level[last], grid, tol=tol, **gated)
+    assert str(single.value) == message
+    with pytest.raises(ConstraintDriftError) as whole:
+        solve_flux_form(f, h, drifted, series_samples, grid, tol=tol, **gated)
+    assert str(whole.value) == message + f" at window level {last}"
+
+    level = solve_flux_form(f[0], h[0], xi[0], per_level[0], grid, tol=tol, **gated)
+    scale = max(1.0, m0(h[0]) + m0(f[0]))
+    message = f"tension solve residual {level.residual:.3e} exceeds tolerance 1.0e-30 * {scale:.3e}"
+    with pytest.raises(NumericalSolveError) as single:
+        solve_flux_form(f[0], h[0], xi[0], per_level[0], grid, tol=1e-30, **gated)
+    assert str(single.value) == message
+    with pytest.raises(NumericalSolveError) as whole:
+        solve_flux_form(f, h, xi, series_samples, grid, tol=1e-30, **gated)
+    assert str(whole.value) == message + " at window level 0"
+
+
+@settings(max_examples=40, deadline=None)
 @given(levels=st.integers(1, 5), **curves)
 def test_series_helpers_equal_their_stacked_levels(levels, chart, n_points, seed):
     model = chart_model(chart)
@@ -253,6 +303,7 @@ def test_series_helpers_equal_their_stacked_levels(levels, chart, n_points, seed
         "sided_grad_sq": lambda p, xi, s: sided_grad_sq(p, xi, s, dx),
         "perp": lambda p, xi, s: perp(p, xi),
         "apply_chris": lambda p, xi, s: apply_chris(s.chris, xi, p),
+        "apply_curv": lambda p, xi, s: apply_curv(s.curv, xi, p, xi),
     }
     for name, call in calls.items():
         stacked = np.stack([call(p[m], xi[m], per_level[m]) for m in range(levels)])
