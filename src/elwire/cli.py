@@ -12,8 +12,9 @@ and writes:
 * ``diagnostics.csv``   one row every ``diagnostics.every`` levels plus the
                         last level (see diagnostics module);
 * ``snapshot_*.json``   full state dumps (first, last, every
-                        ``output.snapshot_every`` levels), with the bytes of
-                        ``json.dumps(indent=2, sort_keys=True)``;
+                        ``output.snapshot_every`` levels) in orjson's
+                        indented layout; every double reads back bit for
+                        bit, and a non-finite value aborts the run;
 * ``metadata.json``     config echo, status, summary, failure report if any;
 * ``study.json``        resolutions, drift measures and observed orders
                         (convergence-study only).
@@ -48,19 +49,7 @@ from .fields import CurveState, Grid, m0
 from .geometry import make_manifold
 from . import elliptic, initial
 
-CSV_COLUMNS = (
-    "time",
-    "energy",
-    "energy_tangent_rate",
-    "energy_velocity",
-    "energy_bending",
-    "constraint_drift",
-    "bentness",
-    "mu_min",
-    "mu_max",
-    "gamma_xi_drift",
-    "transport_residual",
-)
+CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(DiagnosticsRecord))
 
 
 def build_manifold(cfg: RunConfig):
@@ -88,8 +77,7 @@ def _cell(value) -> str:
 def write_csv(path: Path, records: list[DiagnosticsRecord]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        row = dataclasses.asdict(rec)
-        lines.append(",".join(_cell(row[col]) for col in CSV_COLUMNS))
+        lines.append(",".join(_cell(value) for value in dataclasses.astuple(rec)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -97,55 +85,40 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _number_tokens(flat: np.ndarray) -> list[str]:
-    """The spellings ``json.dumps`` gives the float64 values of ``flat``.
+def write_snapshot(path: Path, state: CurveState) -> None:
+    """Dump a state as indented JSON from which ``json.loads`` reads every
+    double back bit for bit.
 
-    orjson prints the shortest round-trip digits, the digits of ``repr``,
-    without a Python call per number; only its layout of some magnitudes
-    differs, and those tokens are respelled.
+    orjson lays it out as ``json.dumps(indent=2, sort_keys=True)`` does
+    (sorted keys, two-space nesting, one number per line) and writes each
+    float's shortest round-trip digits in its own spelling (``6e-8``,
+    ``0.000015``, ``4e16``).  JSON has no NaN or infinity, so a non-finite
+    value raises ``NumericalAbort`` before any byte is written.
     """
     # imported here: its own imports cost start-up time that a run which
     # writes no snapshot would pay for nothing
     import orjson
 
-    tokens = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    magnitude = np.abs(flat)
-    # "9.9e-6" -> "9.9e-06"
-    for i in np.flatnonzero((magnitude >= 1e-9) & (magnitude < 1e-5)).tolist():
-        token = tokens[i]
-        tokens[i] = token[:-1] + "0" + token[-1]
-    # "-0.0000123" -> "-1.23e-05"
-    for i in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
-        sign, _, digits = tokens[i].partition("0.0000")
-        tokens[i] = f"{sign}{digits[0]}.{digits[1:]}".rstrip(".") + "e-05"
-    # "1e16" and "null" -> "1e+16" and "NaN"; NaN compares false, so it is selected
-    for i in np.flatnonzero(~(magnitude < 1e16)).tolist():
-        tokens[i] = json.dumps(float(flat[i]))
-    return tokens
-
-
-def _array_json(arr: np.ndarray) -> str:
-    """An (N, n) array laid out as ``json.dumps(indent=2)`` lays out a top-level value."""
-    rows, cols = arr.shape
-    # orjson encodes only C-contiguous arrays
-    tokens = _number_tokens(np.ascontiguousarray(arr, dtype=np.float64).ravel())
-    row = "    [\n" + ",\n".join(["      {}"] * cols) + "\n    ]"
-    return ("[\n" + ",\n".join([row] * rows) + "\n  ]").format(*tokens)
-
-
-def write_snapshot(path: Path, state: CurveState) -> None:
-    """Dump a state with the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
-    arrays = {
-        "gamma": state.gamma,
-        "xi": state.xi,
-        "xi_t": state.xi_t,
-        "eta": state.eta,
-        "theta": state.theta,
-    }
-    texts = {key: _array_json(value) for key, value in arrays.items() if value is not None}
-    texts["time"] = json.dumps(state.time)
-    body = ",\n".join(f'  "{key}": {texts[key]}' for key in sorted(texts))
-    path.write_text("{\n" + body + "\n}\n")
+    if not math.isfinite(state.time):
+        raise NumericalAbort(f"snapshot time {state.time} is not finite")
+    payload = {"time": state.time}
+    for key in ("gamma", "xi", "xi_t", "eta", "theta"):
+        value = getattr(state, key)
+        if value is None:
+            continue
+        # orjson encodes only C-contiguous arrays
+        value = np.ascontiguousarray(value, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(value).all(axis=-1))
+        if bad.size:
+            raise NumericalAbort(f"snapshot field {key} is not finite at grid index {bad[0]}")
+        payload[key] = value
+    options = (
+        orjson.OPT_INDENT_2
+        | orjson.OPT_SORT_KEYS
+        | orjson.OPT_SERIALIZE_NUMPY
+        | orjson.OPT_APPEND_NEWLINE
+    )
+    path.write_bytes(orjson.dumps(payload, option=options))
 
 
 def _record_summary(records: list[DiagnosticsRecord]) -> dict:
@@ -172,14 +145,12 @@ def _march_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[
     meta["n_steps"] = cfg.n_steps
     meta["effective_horizon"] = cfg.n_steps * cfg.dt
     state, prep = build_initial_state(cfg, manifold, grid)
-    max_displacement = 0.0
-    for level in march(state, manifold, grid, cfg):
-        max_displacement = max(
-            max_displacement, m0(manifold.displacement(state.gamma, level.state.gamma))
-        )
-        yield level
-    meta["summary"]["max_displacement"] = max_displacement
     meta["prepared"] = {"projection_magnitude": prep.projection_magnitude}
+    summary = meta["summary"]
+    for level in march(state, manifold, grid, cfg):
+        displacement = m0(manifold.displacement(state.gamma, level.state.gamma))
+        summary["max_displacement"] = max(summary.get("max_displacement", 0.0), displacement)
+        yield level
 
 
 def _level_of(series, m: int):
@@ -192,7 +163,8 @@ def _level_of(series, m: int):
 
 def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
     meta["window_steps"] = cfg.picard_window
-    state, _ = build_initial_state(cfg, manifold, grid)
+    state, prep = build_initial_state(cfg, manifold, grid)
+    meta["prepared"] = {"projection_magnitude": prep.projection_magnitude}
     try:
         iterate, report = picard_coupled(state, manifold, grid, cfg)
     except NonContractionError as exc:
@@ -234,13 +206,14 @@ def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
         for index, level in enumerate(levels):
             window.append(level)
             final = index == last
+            # the snapshot first: a level it refuses is not recorded as good
+            if final or index == 0 or (cfg.snapshot_every and index % cfg.snapshot_every == 0):
+                write_snapshot(out / f"snapshot_{index:06d}.json", level.state)
             if final or index % cfg.diag_every == 0:
                 residual = None
                 if cfg.dt_characteristic and len(window) == 3:
                     residual = transport_check(list(window), cfg.dt, grid)
                 records.append(make_record(level, manifold, grid, transport_residual=residual))
-            if final or index == 0 or (cfg.snapshot_every and index % cfg.snapshot_every == 0):
-                write_snapshot(out / f"snapshot_{index:06d}.json", level.state)
     except NumericalAbort as exc:
         failure = {"type": type(exc).__name__, "reason": str(exc)}
     write_csv(out / "diagnostics.csv", records)

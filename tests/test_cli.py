@@ -111,6 +111,37 @@ def test_march_outputs(tmp_path, capsys):
     assert payload["time"] == 0.25
 
 
+def test_non_finite_snapshot_aborts_with_report(tmp_path, monkeypatch, capsys):
+    # JSON has no NaN: a non-finite value due in a snapshot is a numerical
+    # abort, the snapshot is not written and the level is not recorded, so
+    # the last good row is level 2's
+    real_march = elwire.cli.march
+
+    def march_with_nan(*args, **kwargs):
+        for index, level in enumerate(real_march(*args, **kwargs)):
+            if index == 3:
+                theta = level.state.theta.copy()
+                theta[5, 0] = np.nan
+                state = dataclasses.replace(level.state, theta=theta)
+                level = dataclasses.replace(level, state=state)
+            yield level
+
+    monkeypatch.setattr("elwire.cli.march", march_with_nan)
+    data = dict(REST_CONFIG, output={"snapshot_every": 3})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 3
+    reason = "snapshot field theta is not finite at grid index 5"
+    assert capsys.readouterr().err == f"aborted: NumericalAbort: {reason}\n"
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "aborted"
+    assert meta["failure"]["reason"] == reason
+    assert meta["failure"]["last_good"]["time"] == 2 / 16
+    _header, rows = read_csv(out / "diagnostics.csv")
+    assert [float(row[0]) for row in rows] == [0.0, 1 / 16, 2 / 16]
+    assert "NaN" not in (out / "metadata.json").read_text()
+    assert sorted(p.name for p in out.glob("snapshot_*.json")) == ["snapshot_000000.json"]
+
+
 def test_march_snapshot_cadence(tmp_path):
     data = dict(REST_CONFIG)
     data["output"] = {"snapshot_every": 2}
@@ -174,6 +205,10 @@ def test_constraint_gate_abort_keeps_last_good(tmp_path, capsys):
     _header, rows = read_csv(out / "diagnostics.csv")
     assert len(rows) >= 1
     assert float(rows[-1][0]) == last_good["time"]
+    # what was known before the abort is kept: the initial projection and
+    # the displacement of the levels marched
+    assert meta["prepared"]["projection_magnitude"] >= 0.0
+    assert 0.0 < meta["summary"]["max_displacement"] < 1.0
 
 
 def test_solver_drift_guard_aborts_with_report(tmp_path, capsys):
@@ -305,6 +340,7 @@ def test_picard_run_outputs(tmp_path, capsys):
     assert meta["mode"] == "picard"
     assert meta["window_steps"] == 4
     assert meta["status"] == "completed"
+    assert meta["prepared"]["projection_magnitude"] < 1e-12
     assert meta["contraction"]["converged"] is True
     assert len(meta["contraction"]["ratios"]) >= 1
     header, rows = read_csv(out / "diagnostics.csv")
@@ -603,8 +639,17 @@ def test_runtime_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("mode", ["march", "picard"])
 def test_json_outputs_are_canonical_indented_json(tmp_path, mode):
-    # the snapshot writer lays out json by hand; repr floats round-trip, so
-    # re-encoding what it wrote must give the same bytes
+    # shortest round-trip floats read back exactly, so re-encoding what was
+    # written must give the same bytes: orjson's indented layout for the
+    # snapshots, json.dumps's for metadata.json
+    import orjson
+
+    snapshot_options = (
+        orjson.OPT_INDENT_2
+        | orjson.OPT_SORT_KEYS
+        | orjson.OPT_SERIALIZE_NUMPY
+        | orjson.OPT_APPEND_NEWLINE
+    )
     data = {
         "manifold": {"name": "hyperbolic"},
         "grid": {"n": 32},
@@ -620,11 +665,13 @@ def test_json_outputs_are_canonical_indented_json(tmp_path, mode):
     path = config_file(tmp_path, data)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
-    files = sorted(out.glob("snapshot_*.json")) + [out / "metadata.json"]
-    assert len(files) == (5 if mode == "march" else 3)
-    for file in files:
-        text = file.read_text()
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    snapshots = sorted(out.glob("snapshot_*.json"))
+    assert len(snapshots) == (4 if mode == "march" else 2)
+    for file in snapshots:
+        text = file.read_bytes()
+        assert orjson.dumps(json.loads(text), option=snapshot_options) == text
+    text = (out / "metadata.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_check_never_runs_the_conformal_expression(tmp_path, capsys):

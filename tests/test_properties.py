@@ -16,16 +16,20 @@
   residual gates refuse the series as they refuse its first failing level.
 * Every series-shaped helper gives on a random window series (M+1, N, n)
   exactly (==) the stack of its calls on the levels.
-* ``write_snapshot`` writes the bytes of ``json.dumps(indent=2,
-  sort_keys=True)`` for any state, special floats, raw 64-bit patterns and
-  both neighbours of every magnitude where a float's spelling changes form
-  included.
+* ``write_snapshot`` writes any finite state in orjson's indented layout,
+  from which ``json.loads`` reads every double back bit for bit: signed
+  zeros, subnormals, the largest double, raw 64-bit patterns, non-contiguous
+  fields and both neighbours of every magnitude where a float's spelling
+  changes form included.  NaN or an infinity in any field or in the time
+  aborts before a byte is written.
 """
 
+import dataclasses
 import functools
 import json
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -35,7 +39,7 @@ from elliptic_oracle import block_tridiagonal_to_dense, dense_operator
 from elwire.cli import write_snapshot
 from elwire.dynamics import frame_tangent
 from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
-from elwire.errors import ConstraintDriftError, NumericalSolveError
+from elwire.errors import ConstraintDriftError, NumericalAbort, NumericalSolveError
 from elwire.fields import (
     CurveState,
     Grid,
@@ -315,55 +319,78 @@ def test_series_helpers_equal_their_stacked_levels(levels, chart, n_points, seed
 # snapshot writer
 
 
-def indented_json(state):
-    """The snapshot as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
-    payload = {
-        "time": state.time,
-        "gamma": state.gamma.tolist(),
-        "xi": state.xi.tolist(),
-        "xi_t": state.xi_t.tolist(),
-        "eta": state.eta.tolist(),
-    }
-    if state.theta is not None:
-        payload["theta"] = state.theta.tolist()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+#: the options ``write_snapshot`` passes to orjson
+SNAPSHOT_OPTIONS = (
+    orjson.OPT_INDENT_2
+    | orjson.OPT_SORT_KEYS
+    | orjson.OPT_SERIALIZE_NUMPY
+    | orjson.OPT_APPEND_NEWLINE
+)
+FIELDS = ("gamma", "xi", "xi_t", "eta", "theta")
 
 
 def written(path, state):
     write_snapshot(path, state)
-    return path.read_text()
+    return path.read_bytes()
 
 
-any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+def assert_reads_back(text, state):
+    """``json.loads`` gives back every array and the time bit for bit, and
+    orjson re-encodes what it read to the same bytes."""
+    loaded = json.loads(text)
+    present = {key for key in FIELDS if getattr(state, key) is not None}
+    assert set(loaded) == present | {"time"}
+    for key in present:
+        expected = np.ascontiguousarray(getattr(state, key)).tobytes()
+        assert np.array(loaded[key], dtype=np.float64).tobytes() == expected, key
+    assert np.float64(loaded["time"]).tobytes() == np.float64(state.time).tobytes()
+    assert orjson.dumps(loaded, option=SNAPSHOT_OPTIONS) == text
+
+
+finite_float = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
 def spelling_edges() -> list[float]:
     """Every magnitude where a JSON float token changes form (exponent width,
     positional or exponent form, exponent sign) with both its neighbours,
-    plus the zeros, the extreme magnitudes and the non-finite values."""
-    edges = [0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max, np.nan, np.inf, -np.inf]
+    plus the zeros and the extreme finite magnitudes."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max]
     for size in (1e-9, 1e-5, 1e-4, 1e16):
         for value in (size, -size):
             edges += [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
     return [float(value) for value in edges]
 
 
+def finite_bits(raw: bytes, shape) -> np.ndarray:
+    """Doubles from raw 64-bit patterns; a NaN or infinity pattern has its
+    lowest exponent bit cleared, which leaves a finite double with the same
+    sign and mantissa."""
+    bits = np.frombuffer(raw, dtype="<u8").reshape(shape).copy()
+    exponent = np.uint64(0x7FF << 52)
+    bits[(bits & exponent) == exponent] ^= np.uint64(1 << 52)
+    return bits.view("<f8")
+
+
 def bit_pattern_arrays(shape):
     """Arrays of doubles drawn as raw 64-bit patterns (one draw per array:
     element-wise integer draws would make the test ten times slower)."""
     size = shape[0] * shape[1]
-    return st.binary(min_size=8 * size, max_size=8 * size).map(
-        lambda raw: np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    )
+    return st.binary(min_size=8 * size, max_size=8 * size).map(lambda raw: finite_bits(raw, shape))
 
 
-snapshot_float = any_float | st.sampled_from(spelling_edges())
+def strided(arr):
+    """The same values as a view that is not C-contiguous (every second column)."""
+    return np.repeat(arr, 2, axis=1)[:, ::2]
+
+
+snapshot_float = finite_float | st.sampled_from(spelling_edges())
 
 
 @st.composite
 def states(draw):
     shape = (draw(st.integers(1, 64)), draw(st.sampled_from([1, 2, 3])))
-    field = hnp.arrays(np.float64, shape, elements=snapshot_float) | bit_pattern_arrays(shape)
+    values = hnp.arrays(np.float64, shape, elements=snapshot_float) | bit_pattern_arrays(shape)
+    field = values | values.map(strided)
     return CurveState(
         gamma=draw(field),
         xi=draw(field),
@@ -378,12 +405,12 @@ def states(draw):
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(state=states())
-def test_snapshot_writer_matches_indented_json(tmp_path, state):
-    assert written(tmp_path / "snapshot.json", state) == indented_json(state)
+def test_snapshot_round_trips_bit_for_bit(tmp_path, state):
+    assert_reads_back(written(tmp_path / "snapshot.json", state), state)
 
 
-#: NaN, infinities, signed zeros, subnormals and extreme exponents
-SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e-300, 0.1]
+#: signed zeros, subnormals, extreme exponents and a value with no exact double
+SPECIAL = [-0.0, 0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e-300, 0.1]
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -393,13 +420,31 @@ def test_snapshot_writer_special_values(tmp_path, dim, with_theta):
     for field in (values[:1], values):
         state = CurveState(
             gamma=field,
-            xi=field[::-1].copy(),
+            xi=field[::-1],
             xi_t=-field,
             eta=field * 0.5,
             theta=field + 1.0 if with_theta else None,
             time=-0.0,
         )
         text = written(tmp_path / "snapshot.json", state)
-        assert text == indented_json(state)
-    for token in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e+300"):
+        assert_reads_back(text, state)
+    for token in (b"-0.0", b"5e-324", b"1e300", b"-1e-300"):
         assert token in text
+
+    # JSON has no NaN or infinity: each aborts the run naming the field and
+    # the first grid index that holds one, and no file is written
+    row = len(SPECIAL) - 2
+    present = [key for key in FIELDS if getattr(state, key) is not None]
+    for bad in (np.nan, np.inf, -np.inf):
+        for key in present:
+            broken = getattr(state, key).copy()
+            broken[row:, -1] = bad
+            path = tmp_path / f"broken_{key}.json"
+            message = f"field {key} is not finite at grid index {row}$"
+            with pytest.raises(NumericalAbort, match=message):
+                write_snapshot(path, dataclasses.replace(state, **{key: broken}))
+            assert not path.exists()
+        path = tmp_path / "broken_time.json"
+        with pytest.raises(NumericalAbort, match="snapshot time .* is not finite"):
+            write_snapshot(path, dataclasses.replace(state, time=float(bad)))
+        assert not path.exists()
