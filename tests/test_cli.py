@@ -577,6 +577,29 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, name):
     assert outputs["1"] == outputs["2"]
 
 
+def test_outputs_match_their_digests():
+    # every output byte, exit code and stderr line of a fixed set of small
+    # runs (tests/output_digests.py, which also rewrites the digests)
+    script = Path(__file__).with_name("output_digests.py")
+    code = f"import runpy; runpy.run_path({str(script)!r}, run_name='__main__')"
+    got = json.loads(run_in_subprocess(code, OPENBLAS_NUM_THREADS="1"))
+    want = json.loads(script.with_suffix(".json").read_text())
+    changed = []
+    for name in sorted(set(want["runs"]) | set(got["runs"])):
+        old, new = want["runs"].get(name, {}), got["runs"].get(name, {})
+        changed += [f"{name}: {key}" for key in ("exit", "stderr") if old.get(key) != new.get(key)]
+        old_files, new_files = old.get("files", {}), new.get("files", {})
+        changed += [
+            f"{name}/{file}"
+            for file in sorted(set(old_files) | set(new_files))
+            if old_files.get(file) != new_files.get(file)
+        ]
+    assert not changed, (
+        f"outputs differ from their digests (made with numpy {want['numpy']}, "
+        f"running numpy {got['numpy']}): {', '.join(changed)}"
+    )
+
+
 def test_out_flag_overrides_config_directory(tmp_path):
     data = dict(REST_CONFIG)
     data["output"] = {"directory": str(tmp_path / "from_config")}
