@@ -21,7 +21,7 @@ def main() -> None:
     manifold = make_manifold("hyperbolic")
     grid = Grid(n)
     curve, velocity = initial.generate("hyperbolic-circle", manifold, grid, {})
-    state, report = prepare_initial(curve, velocity, manifold, grid)
+    start, report = prepare_initial(curve, velocity, manifold, grid)
     print(f"prepared: projection magnitude {report.projection_magnitude:.2e}, "
           f"min tangent norm {report.min_tangent_norm:.4f}")
 
@@ -31,7 +31,7 @@ def main() -> None:
     print("  time    energy      |norm^2-1|  bentness")
     e0 = None
     drift = 0.0
-    for k, level in enumerate(march(state, manifold, grid, cfg)):
+    for k, level in enumerate(march(start, manifold, grid, cfg)):
         s = level.state
         total, _ = energy(level, grid)
         e0 = total if e0 is None else e0

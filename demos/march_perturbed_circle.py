@@ -20,7 +20,7 @@ def main() -> None:
     curve, velocity = initial.generate(
         "perturbed-circle", manifold, grid, {"mode": 2, "amplitude": 0.01}
     )
-    state, report = prepare_initial(curve, velocity, manifold, grid)
+    start, report = prepare_initial(curve, velocity, manifold, grid)
     print(f"prepared: projection magnitude {report.projection_magnitude:.2e}")
 
     # the default run settings at this grid: dt = dx, horizon 1
@@ -30,12 +30,12 @@ def main() -> None:
     print("  time    energy      rate      velocity  bending   |norm^2-1|")
     e0 = None
     drift = displacement = 0.0
-    for k, level in enumerate(march(state, manifold, grid, cfg)):
+    for k, level in enumerate(march(start, manifold, grid, cfg)):
         s = level.state
         total, (rate, vel, bend) = energy(level, grid)
         e0 = total if e0 is None else e0
         drift = max(drift, abs(total - e0))
-        displacement = max(displacement, m0(manifold.displacement(state.gamma, s.gamma)))
+        displacement = max(displacement, m0(manifold.displacement(start.state.gamma, s.gamma)))
         if k % (n // 8) == 0:
             print(
                 f"  {s.time:5.3f}  {total:9.5f}  {rate:9.6f}  {vel:9.6f}  "

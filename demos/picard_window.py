@@ -23,11 +23,11 @@ def main() -> None:
     curve, velocity = initial.generate(
         "perturbed-circle", manifold, grid, {"mode": 2, "amplitude": 0.01}
     )
-    state, _ = prepare_initial(curve, velocity, manifold, grid)
+    start, _ = prepare_initial(curve, velocity, manifold, grid)
 
     # a window of `steps` steps, and a march over the same time
     cfg = RunConfig(grid_n=n, dt=grid.dx, horizon=steps * grid.dx, picard_window=steps)
-    iterate, report = picard_coupled(state, manifold, grid, cfg)
+    iterate, report = picard_coupled(start, manifold, grid, cfg)
     print(f"window of {steps} steps at n = {n}: converged in {report.iterations} sweeps")
     print("  sweep   distance    ratio")
     for k, distance in enumerate(report.distances):
@@ -36,7 +36,7 @@ def main() -> None:
 
     gap = max(
         float(np.max(np.abs(iterate.state.xi[m] - level.state.xi)))
-        for m, level in enumerate(march(state, manifold, grid, cfg))
+        for m, level in enumerate(march(start, manifold, grid, cfg))
     )
     print()
     print(f"sup gap between window fixed point and march: {gap:.3e}")

@@ -36,7 +36,6 @@ def route_gap(n: int) -> float:
         state,
         zero_series,
         grid,
-        n_levels=steps,
         eta_series=zero_series,
         samples_series=stack_samples([flat] * (steps + 1)),
     )
@@ -49,7 +48,7 @@ def route_gap(n: int) -> float:
     zero = np.zeros_like(a)
     gap = 0.0
     for m in range(1, steps + 1):
-        curr, prev = leapfrog_step(prev, curr, zero, zero, dx, grid, flat), curr
+        curr, prev = leapfrog_step(prev, curr, zero, zero, dx, grid, flat, eta_rate=zero), curr
         gap = max(gap, float(np.max(np.abs(series[m] - curr))))
     print(
         f"  n = {n:3d}  window sweeps = {report.iterations}  "

@@ -144,11 +144,11 @@ def _record_summary(records: list[DiagnosticsRecord]) -> dict:
 def _march_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
     meta["n_steps"] = cfg.n_steps
     meta["effective_horizon"] = cfg.n_steps * cfg.dt
-    state, prep = build_initial_state(cfg, manifold, grid)
+    initial, prep = build_initial_state(cfg, manifold, grid)
     meta["prepared"] = {"projection_magnitude": prep.projection_magnitude}
     summary = meta["summary"]
-    for level in march(state, manifold, grid, cfg):
-        displacement = m0(manifold.displacement(state.gamma, level.state.gamma))
+    for level in march(initial, manifold, grid, cfg):
+        displacement = m0(manifold.displacement(initial.state.gamma, level.state.gamma))
         summary["max_displacement"] = max(summary.get("max_displacement", 0.0), displacement)
         yield level
 
@@ -163,10 +163,10 @@ def _level_of(series, m: int):
 
 def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
     meta["window_steps"] = cfg.picard_window
-    state, prep = build_initial_state(cfg, manifold, grid)
+    initial, prep = build_initial_state(cfg, manifold, grid)
     meta["prepared"] = {"projection_magnitude": prep.projection_magnitude}
     try:
-        iterate, report = picard_coupled(state, manifold, grid, cfg)
+        iterate, report = picard_coupled(initial, manifold, grid, cfg)
     except NonContractionError as exc:
         # the sweeps up to the failure, and those of a failed inner wave
         # solve, are part of the abort report

@@ -10,7 +10,6 @@ records to CSV and leaves presentation to the caller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,9 +26,9 @@ class DiagnosticsRecord:
 
     ``energy`` is always the sum of the three parts (squared L2 norms of the
     covariant tangent rate, the velocity, and the covariant tangent
-    derivative).  ``bentness`` is the value of the gate in force at the level
-    (NaN if none ran); ``transport_residual`` is None when the check does not
-    apply (time step not locked to dx, or too few levels retained).
+    derivative).  ``bentness`` is the value of the gate in force at the
+    level; ``transport_residual`` is None when the check does not apply (time
+    step not locked to dx, or too few levels retained).
     """
 
     time: float
@@ -97,14 +96,11 @@ def make_record(
     *,
     transport_residual: Optional[float] = None,
 ) -> DiagnosticsRecord:
-    """Assemble one diagnostics row for a level (state, samples, bentness)."""
+    """Assemble one diagnostics row for a solved level: its state with the
+    tension, samples and the bentness report in force."""
     state = level.state
     total, parts = energy(level, grid)
-    if state.theta is not None:
-        mu = reconstruct_mu(level)
-        mu_min, mu_max = float(np.min(mu)), float(np.max(mu))
-    else:
-        mu_min = mu_max = math.nan
+    mu = reconstruct_mu(level)
     return DiagnosticsRecord(
         time=float(state.time),
         energy=total,
@@ -112,9 +108,9 @@ def make_record(
         energy_velocity=parts[1],
         energy_bending=parts[2],
         constraint_drift=constraint_drift(state.xi),
-        bentness=math.nan if level.bentness is None else float(level.bentness.b_value),
-        mu_min=mu_min,
-        mu_max=mu_max,
+        bentness=float(level.bentness.b_value),
+        mu_min=float(np.min(mu)),
+        mu_max=float(np.max(mu)),
         gamma_xi_drift=gamma_xi_drift(state, manifold, level.samples, grid),
         transport_residual=transport_residual,
     )

@@ -8,19 +8,20 @@ velocity.  This module provides
 
 * tangent_derivatives D_x xi and D_t xi of a state or a window series,
 * assemble_sources   curvature source terms (psi, phi) of a level or a series,
-* prepare_initial    the initial state, admissible discrete data from raw
-                     curve + velocity samples,
+* prepare_initial    the initial Level (tension unsolved): admissible
+                     discrete data from raw curve + velocity samples, with
+                     the samples of its curve, D_x xi and D_t xi,
 * march              the generator that solves each time level's tension once
                      (sources, then the gated flux-form solve; the window
                      shares this level solve) and yields the level with its
                      geometry, D_x xi, D_t xi and the bentness gate in force,
 * step               the advance of a solved level: curve, tangent leapfrog and
-                     velocity updates, returning the next state with the
-                     samples of its curve,
-* picard_coupled     the contraction-map alternative on a short time window,
-                     whose iterate is a Level of series: each sweep solves
-                     the tension of the whole window in one call, twice,
-                     and moves its curves by the march's curve update,
+                     velocity updates, returning the next (unsolved) Level,
+* picard_coupled     the contraction-map alternative on a short time window
+                     from the initial Level, whose iterate is a Level of
+                     series: each sweep solves the tension of the whole
+                     window in one call, twice, and moves its curves by the
+                     march's curve update,
 * reconstruct_mu     the pointwise multiplier of the single-equation form.
 
 The defect of a computed trajectory in the single equation is a test
@@ -36,8 +37,9 @@ rate and the next level share the next curve's samples.
 The frame, connection and curvature at a level depend only on the curve
 there, and D_x xi and D_t xi only on the state and those samples, so each is
 formed once: a ``Level`` carries the samples of its ``gamma`` and both
-derivatives (see tangent_derivatives) to the next step and every diagnostic.
-A window iterate carries them as series, derived once per iterate.
+derivatives (see tangent_derivatives) from prepare_initial or the step that
+built it to the next step and every diagnostic, so each curve is sampled
+once.  A window iterate carries them as series, derived once per iterate.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def _solve_level(level: Level, grid: Grid, cfg: RunConfig, gate) -> tuple[Level,
         psi, phi, level.state.xi, level.samples, grid,
         tol=cfg.solver_tol, b_floor=cfg.b_floor, bentness_report=gate,
     )
-    solved_state = level.state.with_theta(solved.u)
+    solved_state = replace(level.state, theta=solved.u)
     return replace(level, state=solved_state, bentness=solved.bentness), solved.flux
 
 
@@ -180,9 +182,10 @@ def prepare_initial(
     velocity_chart: np.ndarray,
     manifold: ManifoldModel,
     grid: Grid,
-) -> tuple[CurveState, PreparationReport]:
-    """The initial state (tension unsolved, time 0) built as admissible
-    discrete data from raw curve and chart-velocity samples.
+) -> tuple[Level, PreparationReport]:
+    """The initial Level (tension unsolved, time 0) built as admissible
+    discrete data from raw curve and chart-velocity samples, with the
+    samples of the curve and the state's D_x xi and D_t xi.
 
     The discrete tangent is the centred chart difference (respecting the
     model's wrap-around displacement), converted to frame components and
@@ -221,7 +224,8 @@ def prepare_initial(
     report = PreparationReport(
         projection_magnitude=float(np.max(np.abs(proj))), min_tangent_norm=min_norm
     )
-    return CurveState(gamma=pts, xi=xi, xi_t=xi_t, eta=eta), report
+    state = CurveState(gamma=pts, xi=xi, xi_t=xi_t, eta=eta)
+    return Level(state, samples, *tangent_derivatives(state, samples, grid.dx)), report
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +303,10 @@ def step(
     *,
     prev: Optional[Level] = None,
     flux_prev: Optional[np.ndarray] = None,
-) -> tuple[CurveState, GeometrySamples]:
+) -> Level:
     """Advance a solved level, with its tension flux, by ``cfg.dt``; returns
-    the next state and the geometry samples of its curve.
+    the next Level (tension unsolved), with the samples of its curve and its
+    D_x xi and D_t xi.
 
     Order of operations: curve midpoint update (gamma_t = h eta never reads
     the tangent, so the half-step and next curves are sampled first, each
@@ -358,13 +363,14 @@ def step(
     next_state = CurveState(
         gamma=gamma_next, xi=xi_next, xi_t=xi_t_next, eta=eta_next, time=state.time + dt
     )
-    return next_state, samples_next
+    return Level(next_state, samples_next, *tangent_derivatives(next_state, samples_next, dx))
 
 
 def march(
-    initial: CurveState, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
+    initial: Level, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
 ) -> Iterator[Level]:
-    """Run the marching integrator, yielding the levels 0..cfg.n_steps one by one.
+    """Run the marching integrator from the initial Level (see
+    prepare_initial), yielding the levels 0..cfg.n_steps one by one.
 
     Each level's tension is solved once, and a level is yielded once the
     step from it has succeeded, so a consumer holds only the levels it keeps
@@ -373,30 +379,27 @@ def march(
     re-evaluated every ``cfg.bentness_every`` steps (and always at the
     first); between gates, and at the final level, the most recent report is
     reused and carried by the levels.  The final level gets a tension field
-    too, so diagnostics cover [0, T].  Only the initial curve is sampled
-    here; every later level takes the samples its step returned.
+    too, so diagnostics cover [0, T].  Each level is the one its step
+    returned, so no curve is sampled here.
     """
-    current, samples = initial, sample_geometry(manifold, initial.gamma)
+    current = initial
     prev: Optional[Level] = None
     flux_prev: Optional[np.ndarray] = None
     gate: Optional[BentnessReport] = None
     for k in range(cfg.n_steps + 1):
         final = k == cfg.n_steps
         if not final:
-            drift = constraint_drift(current.xi)
+            drift = constraint_drift(current.state.xi)
             if drift > cfg.constraint_tol:
                 raise ConstraintDriftError(
                     f"unit-tangent defect {drift:.3e} exceeds tolerance "
-                    f"{cfg.constraint_tol:.1e} at t={current.time:.6f}"
+                    f"{cfg.constraint_tol:.1e} at t={current.state.time:.6f}"
                 )
-        level = Level(current, samples, *tangent_derivatives(current, samples, grid.dx))
         fresh = not final and k % cfg.bentness_every == 0
-        level, flux = _solve_level(level, grid, cfg, None if fresh else gate)
+        level, flux = _solve_level(current, grid, cfg, None if fresh else gate)
         gate = level.bentness
         if not final:
-            current, samples = step(
-                level, flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev
-            )
+            current = step(level, flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev)
         yield level
         prev, flux_prev = level, flux
 
@@ -478,10 +481,11 @@ def window_distance(a: Level, b: Level, dx: float) -> float:
 
 
 def picard_coupled(
-    state: CurveState, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
+    initial: Level, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
 ) -> tuple[Level, ContractionReport]:
     """Solve the coupled system on a window [0, cfg.picard_window * dx] by
-    contraction; the iterate is a Level of series (see _window_level).
+    contraction from the initial Level (see prepare_initial); the iterate is
+    a Level of series (see _window_level).
 
     One sweep: solve the tension on the frozen iterate, advance the curve from
     the frozen velocity, run the full inner wave solve for the tangent, update
@@ -491,18 +495,17 @@ def picard_coupled(
     window_distance; sweeps stop once one is within ``cfg.picard_tol``, and
     three consecutive non-decreasing distances, or ``cfg.picard_max_iter``
     sweeps without reaching the tolerance, raise NonContractionError.  Level
-    0 is the fixed initial state, so its curve is sampled once, for all the
-    start iterate's levels and every sweep's level 0, and its bentness is
-    solved once and gates every level's tension solve.  A sweep's curve
+    0 is the fixed initial level, so its samples serve all the start
+    iterate's levels and every sweep's level 0, and its bentness is solved
+    once and gates every level's tension solve.  A sweep's curve
     update samples each later curve of the window as it builds it, with the
     half-step curves on a curved chart, as the march does.
     """
     dt = grid.dx
-    n_levels = cfg.picard_window
-    levels = n_levels + 1
+    levels = cfg.picard_window + 1
     if levels < 3:
         raise ValueError("picard window needs at least 2 steps (3 levels)")
-    samples0 = sample_geometry(manifold, state.gamma)
+    state, samples0 = initial.state, initial.samples
     gate = elliptic.bentness(state.xi, samples0, grid)
     shape = (levels,) + state.gamma.shape
     start = _window_level(
@@ -519,12 +522,7 @@ def picard_coupled(
         eta = current.state.eta
         gamma_new, samples_new = _window_curve(state.gamma, samples0, eta, manifold, dt)
         xi_new, _ = picard_wave_solve(
-            state,
-            solved.state.theta,
-            grid,
-            n_levels=n_levels,
-            eta_series=eta,
-            samples_series=current.samples,
+            state, solved.state.theta, grid, eta_series=eta, samples_series=current.samples
         )
         eta_mid = _integrate_eta(state.eta, flux, current.dxi, current.samples.chris, dt)
         # refresh tension and velocity on the advanced fields

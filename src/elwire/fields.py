@@ -21,7 +21,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,9 +67,6 @@ class CurveState:
     eta: np.ndarray              # (N, n) frame components of the velocity
     theta: Optional[np.ndarray] = None
     time: float = 0.0
-
-    def with_theta(self, theta: np.ndarray) -> "CurveState":
-        return replace(self, theta=theta)
 
 
 # ---------------------------------------------------------------------------

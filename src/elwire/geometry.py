@@ -117,7 +117,8 @@ class FlatTorusModel(EuclideanModel):
 
 
 class _ConformalModel(ManifoldModel):
-    """Metric exp(2*lam) * delta; subclasses provide lam and its derivatives.
+    """Metric exp(2*lam) * delta; subclasses provide lam, its gradient and,
+    unless they declare a constant curvature, its Hessian.
 
     The orthonormal frame is e_j = exp(-lam) * d/dx^j.  Closed forms:
 
@@ -207,12 +208,6 @@ class HyperbolicHalfPlaneModel(_ConformalModel):
         g[..., 1] = -1.0 / coords[..., 1]
         return g
 
-    def _lam_hess(self, coords):
-        c = coords
-        h = np.zeros(c.shape[:-1] + (2, 2))
-        h[..., 1, 1] = 1.0 / c[..., 1] ** 2
-        return h
-
 
 class SphereChartModel(_ConformalModel):
     """Round unit sphere minus a pole, in a stereographic chart (curvature +1).
@@ -233,13 +228,6 @@ class SphereChartModel(_ConformalModel):
     def _lam_grad(self, coords):
         s = 1.0 + np.sum(coords * coords, axis=-1)
         return -2.0 * coords / s[..., None]
-
-    def _lam_hess(self, coords):
-        c = coords
-        n = self.dim
-        s = 1.0 + np.sum(c * c, axis=-1)
-        outer = c[..., :, None] * c[..., None, :]
-        return (-2.0 / s)[..., None, None] * np.eye(n) + (4.0 / s**2)[..., None, None] * outer
 
 
 #: the functions a conformal factor may call; with numbers, ``pi`` and the

@@ -223,14 +223,14 @@ def picard_wave_solve(
     theta_series: np.ndarray,
     grid: Grid,
     *,
-    n_levels: int,
     eta_series: np.ndarray,
     samples_series: GeometrySamples,
 ) -> tuple[np.ndarray, ContractionReport]:
     """Solve the tangent wave equation over a window by source iteration.
 
     theta, eta and the geometry samples along the curve (``stack_samples``)
-    are frozen series on levels 0..n_levels with dt = dx.  The initial
+    are frozen series on the window's levels 0..M with dt = dx; M is taken
+    from the eta series.  The initial
     tangent must be a unit field and its rate orthogonal to it, point by
     point.  Starting from the source-free solution, each sweep reassembles
     (f, h) from the current iterate and re-evaluates the integral
@@ -240,13 +240,9 @@ def picard_wave_solve(
     sweeps without reaching it raise NonContractionError.
     """
     dx = grid.dx
+    n_levels = len(eta_series) - 1
     if n_levels < 2:
         raise ValueError("picard window needs at least 2 time levels")
-    theta_series = np.asarray(theta_series, dtype=float)
-    if theta_series.shape[0] < n_levels + 1:
-        raise ValueError(
-            f"theta series covers {theta_series.shape[0]} levels, window needs {n_levels + 1}"
-        )
     unit = np.max(np.abs(np.sum(state.xi * state.xi, axis=-1) - 1.0))
     ortho = np.max(np.abs(np.sum(state.xi * state.xi_t, axis=-1)))
     if unit > UNIT_DATA_TOL or ortho > UNIT_DATA_TOL:
@@ -254,7 +250,6 @@ def picard_wave_solve(
             f"wave data not admissible: max | ||a||^2 - 1 | = {unit:.3e}, "
             f"max |<a, b>| = {ortho:.3e}"
         )
-    theta_series = theta_series[: n_levels + 1]
 
     def sweep(current):
         f, h = assemble_wave_sources(current, theta_series, eta_series, samples_series, grid)
@@ -280,8 +275,8 @@ def leapfrog_step(
     grid: Grid,
     samples: GeometrySamples,
     *,
+    eta_rate: np.ndarray,
     chris_rate: Optional[np.ndarray] = None,
-    eta_rate: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One explicit three-level step of the covariant tangent wave equation.
 
@@ -290,10 +285,10 @@ def leapfrog_step(
     time derivative of G(eta, xi).  The latter splits into a connection-rate
     part using the supplied ``chris_rate`` (the caller's difference of the
     connection samples along the curve's motion), a G(eta_t, xi) part using
-    the supplied velocity rate, and a G(eta, xi_t) part.  Because xi_t at the
-    centre is itself centred over the unknown next level, a short inner
-    fixed-point iteration resolves the implicitness (the quadratic speed term
-    converges at rate O(dt)).
+    the supplied velocity rate ``eta_rate``, and a G(eta, xi_t) part.
+    Because xi_t at the centre is itself centred over the unknown next level,
+    a short inner fixed-point iteration resolves the implicitness (the
+    quadratic speed term converges at rate O(dt)).
 
     The plain spatial part uses the compact (1, -2, 1) stencil, and the speed
     coefficient averages the squared one-sided differences in both space and
@@ -323,8 +318,7 @@ def leapfrog_step(
         coeff = du_sq - 0.5 * (np.sum(fwd_t * fwd_t, axis=-1) + bwd_t_sq)
         accel = d2u + coeff[:, None] * xi_curr + theta_perp
         correction = apply_chris(chris, eta, xi_t) + apply_chris(chris, eta, dtu)
-        if eta_rate is not None:
-            correction += apply_chris(chris, eta_rate, xi_curr)
+        correction += apply_chris(chris, eta_rate, xi_curr)
         if chris_rate is not None:
             correction += apply_chris(chris_rate, eta, xi_curr)
         accel = accel - correction

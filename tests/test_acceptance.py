@@ -121,25 +121,25 @@ def _hyperbolic_setup(n):
     return grid, samples, tangent / row_norms(tangent)[:, None]
 
 
-def _prepared_state(n, name, params):
+def _prepared_start(n, name, params):
     manifold = make_manifold("euclidean")
     grid = Grid(n)
     curve, velocity = initial.generate(name, manifold, grid, params)
-    state, _ = prepare_initial(curve, velocity, manifold, grid)
-    return state, manifold, grid
+    start, _ = prepare_initial(curve, velocity, manifold, grid)
+    return start, manifold, grid
 
 
 def _march_summary(n, name, params):
-    state, manifold, grid = _prepared_state(n, name, params)
+    start, manifold, grid = _prepared_start(n, name, params)
     box = {"drift": 0.0, "constraint": 0.0, "displacement": 0.0}
-    for level in march(state, manifold, grid, run_config(grid, n)):
+    for level in march(start, manifold, grid, run_config(grid, n)):
         solved = level.state
         total, _ = energy(level, grid)
         box.setdefault("e0", total)
         box["drift"] = max(box["drift"], abs(total - box["e0"]))
         box["constraint"] = max(box["constraint"], constraint_drift(solved.xi))
         box["displacement"] = max(
-            box["displacement"], m0(manifold.displacement(state.gamma, solved.gamma))
+            box["displacement"], m0(manifold.displacement(start.state.gamma, solved.gamma))
         )
     return {
         "displacement": box["displacement"],
@@ -354,7 +354,6 @@ def test_07_wave_route_cross_validation(capsys):
             state,
             np.zeros((steps + 1, n, 2)),
             grid,
-            n_levels=steps,
             eta_series=np.zeros((steps + 1, n, 2)),
             samples_series=stack_samples([flat] * (steps + 1)),
         )
@@ -366,7 +365,7 @@ def test_07_wave_route_cross_validation(capsys):
         zero = np.zeros_like(a)
         sup = 0.0
         for m in range(1, steps + 1):
-            curr, prev = leapfrog_step(prev, curr, zero, zero, dx, grid, flat), curr
+            curr, prev = leapfrog_step(prev, curr, zero, zero, dx, grid, flat, eta_rate=zero), curr
             sup = max(sup, np.max(np.abs(series[m] - curr)))
         route_sups.append(sup)
     route_orders = _orders(route_sups)
@@ -414,13 +413,13 @@ def test_07_wave_route_cross_validation(capsys):
 
 
 def test_08_window_iteration_contraction(capsys):
-    state, manifold, grid = _prepared_state(128, "perturbed-circle", PERTURBATION)
-    _, report = picard_coupled(state, manifold, grid, run_config(grid, 8))
+    start, manifold, grid = _prepared_start(128, "perturbed-circle", PERTURBATION)
+    _, report = picard_coupled(start, manifold, grid, run_config(grid, 8))
     ratios_ok = report.converged and all(r < 1.0 for r in report.ratios)
 
     errs = []
     for n in RESOLUTIONS:
-        st, manifold, g = _prepared_state(n, "perturbed-circle", PERTURBATION)
+        st, manifold, g = _prepared_start(n, "perturbed-circle", PERTURBATION)
         steps = n // 16
         iterate, _ = picard_coupled(st, manifold, g, run_config(g, steps + 1))
         states = [lv.state for lv in march(st, manifold, g, run_config(g, steps))]
@@ -441,14 +440,14 @@ def test_08_window_iteration_contraction(capsys):
 
 
 def test_09_multiplier_and_residual(capsys):
-    state, manifold, grid = _prepared_state(256, "circle", {})
-    rest = list(march(state, manifold, grid, run_config(grid, 2)))
+    start, manifold, grid = _prepared_start(256, "circle", {})
+    rest = list(march(start, manifold, grid, run_config(grid, 2)))
     mu = reconstruct_mu(rest[0])
     mu_err = float(np.max(np.abs(mu - 4.0 * math.pi**2)))
 
     sups = []
     for n in RESOLUTIONS:
-        st, manifold, g = _prepared_state(n, "perturbed-circle", PERTURBATION)
+        st, manifold, g = _prepared_start(n, "perturbed-circle", PERTURBATION)
         marched = list(march(st, manifold, g, run_config(g, n // 8)))
         report = residual_base_single(marched, g.dx, manifold, g)
         sups.append(float(np.max(report.residual)))

@@ -412,11 +412,11 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
     # every sweep's tension solves and is the first level's gate in the
     # output; the output loop adds a fresh gate every bentness_every levels.
     # A sweep solves the tension twice, each time on the whole window series.
-    # Each window curve is sampled once, as it is built: prepare_initial and
-    # the start iterate sample the initial curve, which is level 0 of every
-    # sweep's new curve, and each sweep samples the later levels of its new
-    # curve and, on a curved chart, the half-step curves between them, as the
-    # march does.
+    # Each window curve is sampled once, as it is built: prepare_initial
+    # samples the initial curve, whose samples serve the start iterate and
+    # level 0 of every sweep's new curve, and each sweep samples the later
+    # levels of its new curve and, on a curved chart, the half-step curves
+    # between them, as the march does.
     import elwire.elliptic
     from elwire.geometry import sample_geometry
 
@@ -457,7 +457,7 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
         assert sweeps > 1
         assert calls["bentness"] == 1 + window // every
         assert calls["solve_flux_form"] == 2 * sweeps
-        assert calls["sample_geometry"] == 2 + per_step * window * sweeps
+        assert calls["sample_geometry"] == 1 + per_step * window * sweeps
 
 
 def test_study_outputs(tmp_path, capsys):
@@ -730,8 +730,8 @@ def test_march_samples_each_curve_position_once(
     tmp_path, monkeypatch, manifold, initial, steps, per_step
 ):
     # a step samples the curve it moves to, which the next level takes over;
-    # curved charts also sample the half-step position.  The extra two are
-    # prepare_initial and the march's initial level.  Each level's tension
+    # curved charts also sample the half-step position.  The extra one is
+    # prepare_initial's, which level 0 takes over.  Each level's tension
     # is solved once, and the bentness gate is fresh every bentness_every
     # steps; the final level, here a multiple of it, carries the last gate.
     # D_x xi and D_t xi are derived once per level; the diagnostics and the
@@ -817,7 +817,7 @@ def test_march_samples_each_curve_position_once(
     }
     path = config_file(tmp_path, data)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert len(calls) == per_step * steps + 2
+    assert len(calls) == per_step * steps + 1
     assert len(refs) == steps + 1
     assert max(alive) <= 3
     assert solves == {"solve_flux_form": steps + 1, "bentness": -(-steps // 4)}

@@ -22,16 +22,10 @@ from elwire.diagnostics import (
     make_record,
     transport_check,
 )
-from elwire.dynamics import (
-    Level,
-    assemble_sources,
-    march,
-    prepare_initial,
-    tangent_derivatives,
-)
+from elwire.dynamics import assemble_sources, march, prepare_initial
 from elwire.elliptic import BentnessReport, bentness, solve_flux_form
 from elwire.fields import Grid, m0
-from elwire.geometry import make_manifold, sample_geometry
+from elwire.geometry import make_manifold
 from run_config import SOLVE_DEFAULTS, run_config
 
 EXACT_TOL = 1e-12
@@ -44,13 +38,12 @@ def rest_level(n: int, with_theta: bool = True):
     manifold = make_manifold("euclidean")
     grid = Grid(n)
     curve, velocity = initial.generate("circle", manifold, grid, {})
-    state, _ = prepare_initial(curve, velocity, manifold, grid)
-    samples = sample_geometry(manifold, state.gamma)
-    level = Level(state, samples, *tangent_derivatives(state, samples, grid.dx))
+    level, _ = prepare_initial(curve, velocity, manifold, grid)
+    state, samples = level.state, level.samples
     if with_theta:
         psi, phi = assemble_sources(level)
         solved = solve_flux_form(psi, phi, state.xi, samples, grid, **SOLVE_DEFAULTS)
-        level = replace(level, state=state.with_theta(solved.u))
+        level = replace(level, state=replace(state, theta=solved.u))
     return replace(level, bentness=bentness(state.xi, samples, grid)), manifold, grid
 
 
@@ -60,8 +53,8 @@ def marched_levels(n: int, levels: int = 3):
     curve, velocity = initial.generate(
         "perturbed-circle", manifold, grid, {"mode": 2, "amplitude": 0.01}
     )
-    state, _ = prepare_initial(curve, velocity, manifold, grid)
-    marched = list(march(state, manifold, grid, run_config(grid, levels - 1)))
+    start, _ = prepare_initial(curve, velocity, manifold, grid)
+    marched = list(march(start, manifold, grid, run_config(grid, levels - 1)))
     return marched[:levels], manifold, grid
 
 
@@ -105,12 +98,10 @@ def test_make_record_fills_every_column():
     assert record.mu_max == pytest.approx(omega_sq)
     assert record.transport_residual == 1e-9
 
-    plain = make_record(
-        replace(level, state=level.state.with_theta(None), bentness=None), manifold, grid
-    )
-    assert math.isnan(plain.bentness)
-    assert math.isnan(plain.mu_min)
-    assert plain.transport_residual is None
+    assert make_record(level, manifold, grid).transport_residual is None
+    # a row is made of a solved level only
+    with pytest.raises(ValueError, match="tension"):
+        make_record(replace(level, state=replace(level.state, theta=None)), manifold, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +123,7 @@ def test_transport_check_validates_inputs():
         transport_check([level, level], grid.dx, grid)
     with pytest.raises(ValueError, match="3 levels"):
         transport_check([level] * 4, grid.dx, grid)
-    naked = replace(level, state=level.state.with_theta(None))
+    naked = replace(level, state=replace(level.state, theta=None))
     with pytest.raises(ValueError, match="tension"):
         transport_check([naked, naked, naked], grid.dx, grid)
 
@@ -153,6 +144,6 @@ def test_transport_detects_corrupted_tension():
     for lv in levels:
         s = lv.state
         perp_field = np.column_stack([-s.xi[:, 1], s.xi[:, 0]])
-        corrupted.append(replace(lv, state=s.with_theta(s.theta + perp_field)))
+        corrupted.append(replace(lv, state=replace(s, theta=s.theta + perp_field)))
     broken = transport_check(corrupted, grid.dx, grid)
     assert broken > 10.0 * healthy

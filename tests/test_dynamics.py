@@ -44,30 +44,25 @@ ORACLE_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
-def flat_state(n: int, name: str = "circle", params: dict | None = None):
+def flat_start(n: int, name: str = "circle", params: dict | None = None):
+    """The initial level of a flat-chart wire, with its chart, grid and
+    preparation report."""
     manifold = make_manifold("euclidean")
     grid = Grid(n)
     curve, velocity = initial.generate(name, manifold, grid, params or {})
-    state, report = prepare_initial(curve, velocity, manifold, grid)
-    return state, manifold, grid, report
+    start, report = prepare_initial(curve, velocity, manifold, grid)
+    return start, manifold, grid, report
 
 
 def wide_symbol(grid: Grid) -> float:
     return math.sin(TWO_PI * grid.dx) / grid.dx
 
 
-def unsolved_level(state, manifold, grid):
-    """The level of ``state``: its samples and tangent derivatives, no tension."""
-    samples = sample_geometry(manifold, state.gamma)
-    return Level(state, samples, *tangent_derivatives(state, samples, grid.dx))
-
-
-def solved_level(state, manifold, grid):
-    """The level of ``state`` with its tension solved, and the tension flux."""
-    level = unsolved_level(state, manifold, grid)
+def solved_level(level, grid):
+    """``level`` with its tension solved afresh, and the tension flux."""
     psi, phi = assemble_sources(level)
-    solved = solve_flux_form(psi, phi, state.xi, level.samples, grid, **SOLVE_DEFAULTS)
-    solved_state = state.with_theta(solved.u)
+    solved = solve_flux_form(psi, phi, level.state.xi, level.samples, grid, **SOLVE_DEFAULTS)
+    solved_state = replace(level.state, theta=solved.u)
     return replace(level, state=solved_state, bentness=solved.bentness), solved.flux
 
 
@@ -76,7 +71,8 @@ def solved_level(state, manifold, grid):
 
 
 def test_prepare_initial_produces_admissible_data():
-    state, manifold, grid, report = flat_state(64)
+    start, manifold, grid, report = flat_start(64)
+    state = start.state
     assert constraint_drift(state.xi) < EXACT_TOL
     assert np.max(np.abs(np.sum(state.xi * state.xi_t, axis=-1))) < EXACT_TOL
     assert report.projection_magnitude == 0.0
@@ -89,7 +85,8 @@ def test_prepare_initial_orthogonalises_moving_data():
     curve, velocity = initial.generate(
         "circle", manifold, grid, {"velocity": {"name": "rotate", "omega": 1.0}}
     )
-    state, report = prepare_initial(curve, velocity, manifold, grid)
+    start, report = prepare_initial(curve, velocity, manifold, grid)
+    state = start.state
     assert np.max(np.abs(np.sum(state.xi * state.xi_t, axis=-1))) < EXACT_TOL
     assert report.projection_magnitude >= 0.0
 
@@ -129,8 +126,9 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
     manifold = HyperbolicHalfPlaneModel()
     samples = sample_geometry(manifold, curve)
     rng = np.random.default_rng(17)
-    state, _ = prepare_initial(curve, 0.1 * rng.standard_normal((24, 2)), manifold, grid)
-    sources_psi, sources_phi = assemble_sources(unsolved_level(state, manifold, grid))
+    start, _ = prepare_initial(curve, 0.1 * rng.standard_normal((24, 2)), manifold, grid)
+    state = start.state
+    sources_psi, sources_phi = assemble_sources(start)
 
     dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
     dtxi = state.xi_t + apply_chris(samples.chris, state.eta, state.xi)
@@ -151,8 +149,8 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
 
 
 def test_rest_circle_tension_and_multiplier_closed_forms():
-    state, manifold, grid, _ = flat_state(128)
-    level = unsolved_level(state, manifold, grid)
+    level, manifold, grid, _ = flat_start(128)
+    state = level.state
     psi, phi = assemble_sources(level)
     omega_sq = wide_symbol(grid) ** 2
     assert m0(psi) < EXACT_TOL
@@ -161,7 +159,7 @@ def test_rest_circle_tension_and_multiplier_closed_forms():
     solved = solve_flux_form(psi, phi, state.xi, level.samples, grid, **SOLVE_DEFAULTS)
     assert m0(solved.u + state.xi) < CLOSED_FORM_TOL
 
-    mu = reconstruct_mu(replace(level, state=state.with_theta(solved.u)))
+    mu = reconstruct_mu(replace(level, state=replace(state, theta=solved.u)))
     assert np.max(np.abs(mu - omega_sq)) < CLOSED_FORM_TOL
     with pytest.raises(ValueError, match="tension"):
         reconstruct_mu(level)
@@ -172,20 +170,21 @@ def test_rest_circle_tension_and_multiplier_closed_forms():
 
 
 def test_rest_circle_is_a_discrete_equilibrium():
-    state, manifold, grid, _ = flat_state(64)
-    level, flux = solved_level(state, manifold, grid)
-    advanced, _ = step(level, flux, manifold, grid, run_config(grid, 1))
+    start, manifold, grid, _ = flat_start(64)
+    state = start.state
+    level, flux = solved_level(start, grid)
+    advanced = step(level, flux, manifold, grid, run_config(grid, 1)).state
     assert m0(advanced.xi - state.xi) < EXACT_TOL
     assert m0(advanced.eta) < EXACT_TOL
     assert m0(advanced.gamma - state.gamma) < EXACT_TOL
 
 
 def test_march_keeps_rest_circle_and_counts_levels():
-    state, manifold, grid, _ = flat_state(64)
-    levels = list(march(state, manifold, grid, run_config(grid, 12, bentness_every=4)))
+    start, manifold, grid, _ = flat_start(64)
+    levels = list(march(start, manifold, grid, run_config(grid, 12, bentness_every=4)))
     assert all(isinstance(level, Level) for level in levels)
     assert len(levels) == 13
-    displacements = [m0(lv.state.gamma - state.gamma) for lv in levels]
+    displacements = [m0(lv.state.gamma - start.state.gamma) for lv in levels]
     assert max(displacements) < 1e-10
     assert [lv.state.time for lv in levels] == [k * grid.dx for k in range(13)]
     assert all(lv.state.theta is not None for lv in levels)
@@ -218,8 +217,8 @@ def test_march_levels_carry_the_geometry_of_their_curve(chart, dim, init, params
     manifold = make_manifold(chart, dim, **extra)
     grid = Grid(32)
     curve, velocity = initial.generate(init, manifold, grid, params)
-    state, _ = prepare_initial(curve, velocity, manifold, grid)
-    levels = list(march(state, manifold, grid, run_config(grid, 4, bentness_every=2)))
+    start, _ = prepare_initial(curve, velocity, manifold, grid)
+    levels = list(march(start, manifold, grid, run_config(grid, 4, bentness_every=2)))
     assert len(levels) == 5
     for level in levels:
         fresh = sample_geometry(manifold, level.state.gamma)
@@ -236,10 +235,10 @@ def test_march_levels_carry_the_geometry_of_their_curve(chart, dim, init, params
 
 
 def test_march_conserves_energy_on_perturbed_circle():
-    state, manifold, grid, _ = flat_state(
+    start, manifold, grid, _ = flat_start(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
-    levels = list(march(state, manifold, grid, run_config(grid, 16)))
+    levels = list(march(start, manifold, grid, run_config(grid, 16)))
     e0, _ = energy(levels[0], grid)
     worst = 0.0
     for level in levels:
@@ -250,10 +249,10 @@ def test_march_conserves_energy_on_perturbed_circle():
 
 
 def test_renormalize_pins_the_unit_constraint():
-    state, manifold, grid, _ = flat_state(
+    start, manifold, grid, _ = flat_start(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
-    levels = list(march(state, manifold, grid, run_config(grid, 16, renormalize=True)))
+    levels = list(march(start, manifold, grid, run_config(grid, 16, renormalize=True)))
     for lv in levels[1:]:
         assert constraint_drift(lv.state.xi) < 1e-13
 
@@ -268,23 +267,21 @@ def test_step_reads_the_previous_levels_samples():
     curve, velocity = initial.generate(
         "sphere-loop", manifold, grid, {"velocity": {"name": "translate", "vector": [0.2, 0.0]}}
     )
-    state, _ = prepare_initial(curve, velocity, manifold, grid)
+    start, _ = prepare_initial(curve, velocity, manifold, grid)
     cfg = run_config(grid, 1)
-    first, second = list(march(state, manifold, grid, cfg))
-    level, flux = solved_level(second.state.with_theta(None), manifold, grid)
+    first, second = list(march(start, manifold, grid, cfg))
+    level, flux = solved_level(second, grid)
     shifted = sample_geometry(manifold, first.state.gamma + np.array([0.05, 0.0]))
-    carried, _ = step(level, flux, manifold, grid, cfg, prev=first)
+    carried = step(level, flux, manifold, grid, cfg, prev=first).state
     moved_prev = replace(first, samples=shifted)
-    moved, _ = step(level, flux, manifold, grid, cfg, prev=moved_prev)
+    moved = step(level, flux, manifold, grid, cfg, prev=moved_prev).state
     assert m0(carried.xi - moved.xi) > 1e-9
 
 
 def test_step_rejects_drifted_tangent():
     # the march holds the unit tangent to constraint_tol before each step
-    state, manifold, grid, _ = flat_state(32)
-    bad = type(state)(
-        gamma=state.gamma, xi=1.02 * state.xi, xi_t=state.xi_t, eta=state.eta
-    )
+    start, manifold, grid, _ = flat_start(32)
+    bad = replace(start, state=replace(start.state, xi=1.02 * start.state.xi))
     with pytest.raises(ConstraintDriftError, match="exceeds tolerance"):
         next(march(bad, manifold, grid, run_config(grid, 1)))
 
@@ -293,16 +290,16 @@ def test_step_refuses_geodesic_data():
     manifold = make_manifold("flat-torus")
     grid = Grid(32)
     curve, velocity = initial.generate("torus-geodesic", manifold, grid, {})
-    state, _ = prepare_initial(curve, velocity, manifold, grid)
+    start, _ = prepare_initial(curve, velocity, manifold, grid)
     with pytest.raises(NearGeodesicError):
-        next(march(state, manifold, grid, run_config(grid, 1)))
+        next(march(start, manifold, grid, run_config(grid, 1)))
 
 
 def test_march_yields_a_level_only_after_its_step():
     # dt > dx breaks the leapfrog's CFL limit in the first step, so level 0,
     # though solved, is never yielded
-    state, manifold, grid, _ = flat_state(32)
-    levels = march(state, manifold, grid, run_config(grid, 3, dt=2.0 * grid.dx))
+    start, manifold, grid, _ = flat_start(32)
+    levels = march(start, manifold, grid, run_config(grid, 3, dt=2.0 * grid.dx))
     with pytest.raises(CflError):
         next(levels)
 
@@ -312,15 +309,15 @@ def test_march_yields_a_level_only_after_its_step():
 
 
 def test_picard_coupled_matches_march_on_a_short_window():
-    state, manifold, grid, _ = flat_state(
+    start, manifold, grid, _ = flat_start(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
     steps = 4
     cfg = run_config(grid, steps)
-    iterate, report = picard_coupled(state, manifold, grid, cfg)
+    iterate, report = picard_coupled(start, manifold, grid, cfg)
     assert iterate.state.gamma.shape == (steps + 1, 64, 2)
     assert report.ratios and report.ratios[0] < 1.0
-    marched = [lv.state for lv in march(state, manifold, grid, cfg)]
+    marched = [lv.state for lv in march(start, manifold, grid, cfg)]
     for m in range(steps + 1):
         assert m0(iterate.state.xi[m] - marched[m].xi) < 1e-3
         assert m0(iterate.state.gamma[m] - marched[m].gamma) < 1e-3
@@ -333,9 +330,9 @@ def test_picard_coupled_matches_march_on_a_short_window():
 
 
 def test_picard_coupled_window_validation():
-    state, manifold, grid, _ = flat_state(32)
+    start, manifold, grid, _ = flat_start(32)
     with pytest.raises(ValueError, match="at least 2 steps"):
-        picard_coupled(state, manifold, grid, run_config(grid, 1))
+        picard_coupled(start, manifold, grid, run_config(grid, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +340,10 @@ def test_picard_coupled_window_validation():
 
 
 def test_residual_report_on_marched_states():
-    state, manifold, grid, _ = flat_state(
+    start, manifold, grid, _ = flat_start(
         64, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
     )
-    levels = list(march(state, manifold, grid, run_config(grid, 8)))
+    levels = list(march(start, manifold, grid, run_config(grid, 8)))
     report = residual_base_single(levels, grid.dx, manifold, grid)
     assert report.times.shape == (7,)
     assert report.residual.shape == (7,)
@@ -354,6 +351,6 @@ def test_residual_report_on_marched_states():
     assert np.all(report.coherence >= 0.0)
     with pytest.raises(ValueError, match="3"):
         residual_base_single(levels[:2], grid.dx, manifold, grid)
-    stripped = [replace(lv, state=lv.state.with_theta(None)) for lv in levels]
+    stripped = [replace(lv, state=replace(lv.state, theta=None)) for lv in levels]
     with pytest.raises(ValueError, match="tension"):
         residual_base_single(stripped, grid.dx, manifold, grid)

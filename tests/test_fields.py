@@ -81,9 +81,7 @@ def test_curve_state_properties():
     xi = unit_field(grid)
     state = CurveState(gamma=np.zeros((8, 2)), xi=xi, xi_t=np.zeros((8, 2)), eta=np.zeros((8, 2)))
     assert state.theta is None
-    withered = state.with_theta(xi)
-    assert withered.theta is xi
-    assert withered.time == state.time
+    assert state.time == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_wave_data_validates_shapes_and_admissibility():
     for xi, xi_t in ((2.0 * a, zero), (a, a)):
         state = CurveState(gamma=zero, xi=xi, xi_t=xi_t, eta=zero)
         with pytest.raises(ValueError, match="admissible"):
-            picard_wave_solve(state, theta, grid, n_levels=4, **frozen_flat(16, 4))
+            picard_wave_solve(state, theta, grid, **frozen_flat(16, 4))
     # the representation itself takes any data, e.g. synthetic forcing
     WaveData(a=2.0 * a, b=a, f=None, h=None, grid=grid)
     with pytest.raises(ValueError, match="source series"):
@@ -212,7 +212,7 @@ def test_picard_contracts_near_the_resting_circle():
     )
     steps = 8
     theta = np.tile(-tangent, (steps + 1, 1, 1))
-    series, report = picard_wave_solve(state, theta, grid, n_levels=steps, **frozen_flat(64, steps))
+    series, report = picard_wave_solve(state, theta, grid, **frozen_flat(64, steps))
     assert report.converged
     assert report.ratios and max(report.ratios) < 1.0
     deviation = max(m0(series[m] - tangent) for m in range(steps + 1))
@@ -226,10 +226,7 @@ def test_picard_window_validation():
         gamma=np.zeros((16, 2)), xi=xi, xi_t=np.zeros((16, 2)), eta=np.zeros((16, 2))
     )
     with pytest.raises(ValueError, match="at least 2"):
-        picard_wave_solve(state, np.zeros((2, 16, 2)), grid, n_levels=1, **frozen_flat(16, 1))
-    # a window of k steps spans k + 1 levels of the frozen tension series
-    with pytest.raises(ValueError, match="covers 4 levels, window needs 5"):
-        picard_wave_solve(state, np.zeros((4, 16, 2)), grid, n_levels=4, **frozen_flat(16, 4))
+        picard_wave_solve(state, np.zeros((2, 16, 2)), grid, **frozen_flat(16, 1))
 
 
 def test_picard_reports_non_contraction():
@@ -240,9 +237,7 @@ def test_picard_reports_non_contraction():
         gamma=np.zeros((32, 2)), xi=xi, xi_t=runaway, eta=np.zeros((32, 2))
     )
     with pytest.raises(NonContractionError):
-        picard_wave_solve(
-            state, np.zeros((17, 32, 2)), grid, n_levels=16, **frozen_flat(32, 16)
-        )
+        picard_wave_solve(state, np.zeros((17, 32, 2)), grid, **frozen_flat(32, 16))
 
 
 def test_contraction_that_runs_out_of_sweeps_raises_with_its_report():
@@ -270,7 +265,7 @@ def test_leapfrog_transports_translation_data_exactly():
     zero = np.zeros_like(a)
     flat = flat_samples(32)
     for m in range(1, 9):
-        curr, prev = leapfrog_step(prev, curr, zero, zero, grid.dx, grid, flat), curr
+        curr, prev = leapfrog_step(prev, curr, zero, zero, grid.dx, grid, flat, eta_rate=zero), curr
         assert m0(curr - np.roll(a, m, axis=0)) < TRANSPORT_TOL
 
 
@@ -282,14 +277,13 @@ def test_leapfrog_keeps_the_resting_circle():
     zero = np.zeros_like(xi)
     flat = flat_samples(64)
     for _ in range(16):
-        curr, prev = leapfrog_step(prev, curr, -xi, zero, grid.dx, grid, flat), curr
+        curr, prev = leapfrog_step(prev, curr, -xi, zero, grid.dx, grid, flat, eta_rate=zero), curr
     assert m0(curr - xi) < EXACT_TOL
 
 
 def test_leapfrog_rejects_unstable_step():
     grid = Grid(16)
     a = rotation_field(grid)
+    zero = np.zeros_like(a)
     with pytest.raises(CflError):
-        leapfrog_step(
-            a, a, np.zeros_like(a), np.zeros_like(a), 2.0 * grid.dx, grid, flat_samples(16)
-        )
+        leapfrog_step(a, a, zero, zero, 2.0 * grid.dx, grid, flat_samples(16), eta_rate=zero)
