@@ -10,7 +10,8 @@ the loop streams them, keeping only the last three for the transport check,
 and writes:
 
 * ``diagnostics.csv``   one row every ``diagnostics.every`` levels plus the
-                        last level (see diagnostics module);
+                        last level (see diagnostics module); a row with a
+                        non-finite value aborts the run;
 * ``snapshot_*.json``   full state dumps (first, last, every
                         ``output.snapshot_every`` levels) in orjson's
                         indented layout; every double reads back bit for
@@ -213,7 +214,14 @@ def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
                 residual = None
                 if cfg.dt_characteristic and len(window) == 3:
                     residual = transport_check(list(window), cfg.dt, grid)
-                records.append(make_record(level, manifold, grid, transport_residual=residual))
+                record = make_record(level, manifold, grid, transport_residual=residual)
+                # refused before it is recorded: the summary's maxima skip a NaN
+                for name, value in zip(CSV_COLUMNS, dataclasses.astuple(record)):
+                    if value is not None and not math.isfinite(value):
+                        raise NumericalAbort(
+                            f"diagnostics column {name} is not finite at t={record.time:.6f}"
+                        )
+                records.append(record)
     except NumericalAbort as exc:
         failure = {"type": type(exc).__name__, "reason": str(exc)}
     write_csv(out / "diagnostics.csv", records)

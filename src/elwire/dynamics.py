@@ -8,20 +8,18 @@ velocity.  This module provides
 
 * tangent_derivatives D_x xi and D_t xi of a state or a window series,
 * assemble_sources   curvature source terms (psi, phi) of a level or a series,
-* prepare_initial    the initial Level (tension unsolved): admissible
-                     discrete data from raw curve + velocity samples, with
-                     the samples of its curve, D_x xi and D_t xi,
+* prepare_initial    the initial Level (tension unsolved), admissible
+                     discrete data from raw curve + velocity samples,
 * march              the generator that solves each time level's tension once
                      (sources, then the gated flux-form solve; the window
                      shares this level solve) and yields the level with its
                      geometry, D_x xi, D_t xi and the bentness gate in force,
 * step               the advance of a solved level: curve, tangent leapfrog and
                      velocity updates, returning the next (unsolved) Level,
-* picard_coupled     the contraction-map alternative on a short time window
-                     from the initial Level, whose iterate is a Level of
-                     series: each sweep solves the tension of the whole
-                     window in one call, twice, and moves its curves by the
-                     march's curve update,
+* picard_coupled     the contraction-map alternative on a short time window,
+                     whose iterate is a Level of series: each sweep solves
+                     the tension of the whole window in one call, twice,
+                     and moves its curves by the march's curve update,
 * reconstruct_mu     the pointwise multiplier of the single-equation form.
 
 The defect of a computed trajectory in the single equation is a test
@@ -37,9 +35,8 @@ rate and the next level share the next curve's samples.
 The frame, connection and curvature at a level depend only on the curve
 there, and D_x xi and D_t xi only on the state and those samples, so each is
 formed once: a ``Level`` carries the samples of its ``gamma`` and both
-derivatives (see tangent_derivatives) from prepare_initial or the step that
-built it to the next step and every diagnostic, so each curve is sampled
-once.  A window iterate carries them as series, derived once per iterate.
+derivatives (see tangent_derivatives) to the next step and every diagnostic.
+A window iterate carries them as series, derived once per iterate.
 """
 
 from __future__ import annotations
@@ -184,8 +181,7 @@ def prepare_initial(
     grid: Grid,
 ) -> tuple[Level, PreparationReport]:
     """The initial Level (tension unsolved, time 0) built as admissible
-    discrete data from raw curve and chart-velocity samples, with the
-    samples of the curve and the state's D_x xi and D_t xi.
+    discrete data from raw curve and chart-velocity samples.
 
     The discrete tangent is the centred chart difference (respecting the
     model's wrap-around displacement), converted to frame components and
@@ -305,8 +301,7 @@ def step(
     flux_prev: Optional[np.ndarray] = None,
 ) -> Level:
     """Advance a solved level, with its tension flux, by ``cfg.dt``; returns
-    the next Level (tension unsolved), with the samples of its curve and its
-    D_x xi and D_t xi.
+    the next Level, its tension unsolved.
 
     Order of operations: curve midpoint update (gamma_t = h eta never reads
     the tangent, so the half-step and next curves are sampled first, each
@@ -369,8 +364,7 @@ def step(
 def march(
     initial: Level, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
 ) -> Iterator[Level]:
-    """Run the marching integrator from the initial Level (see
-    prepare_initial), yielding the levels 0..cfg.n_steps one by one.
+    """Run the marching integrator, yielding the levels 0..cfg.n_steps one by one.
 
     Each level's tension is solved once, and a level is yielded once the
     step from it has succeeded, so a consumer holds only the levels it keeps
@@ -379,8 +373,8 @@ def march(
     re-evaluated every ``cfg.bentness_every`` steps (and always at the
     first); between gates, and at the final level, the most recent report is
     reused and carried by the levels.  The final level gets a tension field
-    too, so diagnostics cover [0, T].  Each level is the one its step
-    returned, so no curve is sampled here.
+    too, so diagnostics cover [0, T].  Every level after ``initial`` (see
+    prepare_initial) is the one its step returned.
     """
     current = initial
     prev: Optional[Level] = None
@@ -390,7 +384,7 @@ def march(
         final = k == cfg.n_steps
         if not final:
             drift = constraint_drift(current.state.xi)
-            if drift > cfg.constraint_tol:
+            if not drift <= cfg.constraint_tol:  # a NaN defect fails too
                 raise ConstraintDriftError(
                     f"unit-tangent defect {drift:.3e} exceeds tolerance "
                     f"{cfg.constraint_tol:.1e} at t={current.state.time:.6f}"
@@ -484,8 +478,7 @@ def picard_coupled(
     initial: Level, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
 ) -> tuple[Level, ContractionReport]:
     """Solve the coupled system on a window [0, cfg.picard_window * dx] by
-    contraction from the initial Level (see prepare_initial); the iterate is
-    a Level of series (see _window_level).
+    contraction; the iterate is a Level of series (see _window_level).
 
     One sweep: solve the tension on the frozen iterate, advance the curve from
     the frozen velocity, run the full inner wave solve for the tangent, update

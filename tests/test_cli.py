@@ -111,22 +111,28 @@ def test_march_outputs(tmp_path, capsys):
     assert payload["time"] == 0.25
 
 
-def test_non_finite_snapshot_aborts_with_report(tmp_path, monkeypatch, capsys):
-    # JSON has no NaN: a non-finite value due in a snapshot is a numerical
-    # abort, the snapshot is not written and the level is not recorded, so
-    # the last good row is level 2's
+def put_nan(monkeypatch, at_level, field):
+    """Make the march of the CLI yield level ``at_level`` with a NaN at grid
+    index 5 of its state's ``field``."""
     real_march = elwire.cli.march
 
     def march_with_nan(*args, **kwargs):
         for index, level in enumerate(real_march(*args, **kwargs)):
-            if index == 3:
-                theta = level.state.theta.copy()
-                theta[5, 0] = np.nan
-                state = dataclasses.replace(level.state, theta=theta)
+            if index == at_level:
+                values = getattr(level.state, field).copy()
+                values[5, 0] = np.nan
+                state = dataclasses.replace(level.state, **{field: values})
                 level = dataclasses.replace(level, state=state)
             yield level
 
     monkeypatch.setattr("elwire.cli.march", march_with_nan)
+
+
+def test_non_finite_snapshot_aborts_with_report(tmp_path, monkeypatch, capsys):
+    # JSON has no NaN: a non-finite value due in a snapshot is a numerical
+    # abort, the snapshot is not written and the level is not recorded, so
+    # the last good row is level 2's
+    put_nan(monkeypatch, 3, "theta")
     data = dict(REST_CONFIG, output={"snapshot_every": 3})
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 3
@@ -140,6 +146,25 @@ def test_non_finite_snapshot_aborts_with_report(tmp_path, monkeypatch, capsys):
     assert [float(row[0]) for row in rows] == [0.0, 1 / 16, 2 / 16]
     assert "NaN" not in (out / "metadata.json").read_text()
     assert sorted(p.name for p in out.glob("snapshot_*.json")) == ["snapshot_000000.json"]
+
+
+def test_non_finite_diagnostics_row_aborts_with_report(tmp_path, monkeypatch, capsys):
+    # level 2 takes no snapshot; its NaN velocity makes its energy NaN, which
+    # the summary's maxima would drop, so the row is refused and the last
+    # good row is level 1's
+    put_nan(monkeypatch, 2, "eta")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file(tmp_path, REST_CONFIG)), "--out", str(out)]) == 3
+    reason = "diagnostics column energy is not finite at t=0.125000"
+    assert capsys.readouterr().err == f"aborted: NumericalAbort: {reason}\n"
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "aborted"
+    assert meta["failure"]["reason"] == reason
+    assert meta["failure"]["last_good"]["time"] == 1 / 16
+    assert meta["summary"]["levels_recorded"] == 2
+    _header, rows = read_csv(out / "diagnostics.csv")
+    assert [float(row[0]) for row in rows] == [0.0, 1 / 16]
+    assert "NaN" not in (out / "metadata.json").read_text()
 
 
 def test_march_snapshot_cadence(tmp_path):

@@ -279,10 +279,17 @@ def test_step_reads_the_previous_levels_samples():
 
 
 def test_step_rejects_drifted_tangent():
-    # the march holds the unit tangent to constraint_tol before each step
+    # the march holds the unit tangent to constraint_tol before each step;
+    # a NaN in the tangent fails that gate too, before any solve sees it
     start, manifold, grid, _ = flat_start(32)
     bad = replace(start, state=replace(start.state, xi=1.02 * start.state.xi))
     with pytest.raises(ConstraintDriftError, match="exceeds tolerance"):
+        next(march(bad, manifold, grid, run_config(grid, 1)))
+    xi = start.state.xi.copy()
+    xi[3, 0] = np.nan
+    bad = replace(start, state=replace(start.state, xi=xi))
+    gate = "unit-tangent defect nan exceeds tolerance 1.0e-02 at t=0.000000"
+    with pytest.raises(ConstraintDriftError, match=gate):
         next(march(bad, manifold, grid, run_config(grid, 1)))
 
 
