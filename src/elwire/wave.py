@@ -229,12 +229,11 @@ def picard_wave_solve(
     """Solve the tangent wave equation over a window by source iteration.
 
     theta, eta and the geometry samples along the curve (``stack_samples``)
-    are frozen series on the window's levels 0..M with dt = dx; M is taken
-    from the eta series.  The initial
-    tangent must be a unit field and its rate orthogonal to it, point by
-    point.  Starting from the source-free solution, each sweep reassembles
-    (f, h) from the current iterate and re-evaluates the integral
-    representation on every level.  Distances between consecutive iterates
+    are frozen series on the window's levels 0..M with dt = dx, M read from
+    the eta series.  The initial tangent must be a unit field and its rate
+    orthogonal to it, point by point.  Starting from the source-free
+    solution, each sweep reassembles (f, h) from the current iterate and
+    re-evaluates the integral representation on every level.  Distances between consecutive iterates
     are measured in the composite first-order norm; the iteration stops at
     WAVE_TOL, and three consecutive non-decreasing distances or WAVE_MAX_ITER
     sweeps without reaching it raise NonContractionError.
