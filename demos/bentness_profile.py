@@ -33,14 +33,14 @@ def main() -> None:
     for s in (1.0, 0.5, 0.25, 0.1, 0.0):
         psi = s * np.sin(TWO_PI * x)
         xi = np.column_stack([np.cos(psi), np.sin(psi)])
-        value = bentness(xi, samples, grid).b_value
+        value = bentness(xi, samples, grid)
         print(f"  s = {s:4.2f}   B = {value:.6f}")
 
     euclid = make_manifold("euclidean")
     flat = sample_geometry(euclid, np.zeros((grid.n_points, 2)))
     tangent = np.column_stack([-np.sin(TWO_PI * x), np.cos(TWO_PI * x)])
     target = TWO_PI / math.sqrt(1.0 + TWO_PI**2)
-    value = bentness(tangent, flat, grid).b_value
+    value = bentness(tangent, flat, grid)
     print()
     print(f"round circle tangent: B = {value:.6f}  (closed form {target:.6f})")
 

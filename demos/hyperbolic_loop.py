@@ -21,9 +21,8 @@ def main() -> None:
     manifold = make_manifold("hyperbolic")
     grid = Grid(n)
     curve, velocity = initial.generate("hyperbolic-circle", manifold, grid, {})
-    start, report = prepare_initial(curve, velocity, manifold, grid)
-    print(f"prepared: projection magnitude {report.projection_magnitude:.2e}, "
-          f"min tangent norm {report.min_tangent_norm:.4f}")
+    start, projection = prepare_initial(curve, velocity, manifold, grid)
+    print(f"prepared: projection magnitude {projection:.2e}")
 
     cfg = RunConfig(grid_n=n, dt=grid.dx, horizon=steps * grid.dx)
     print(f"marching {steps} steps to t = {cfg.horizon:.2f}")
@@ -32,14 +31,13 @@ def main() -> None:
     e0 = None
     drift = 0.0
     for k, level in enumerate(march(start, manifold, grid, cfg)):
-        s = level.state
         total, _ = energy(level, grid)
         e0 = total if e0 is None else e0
         drift = max(drift, abs(total - e0))
         if k % (steps // 8) == 0:
-            b_value = bentness(s.xi, level.samples, grid).b_value
+            b_value = bentness(level.xi, level.samples, grid)
             print(
-                f"  {s.time:5.3f}  {total:10.5f}  {constraint_drift(s.xi):.2e}  "
+                f"  {level.time:5.3f}  {total:10.5f}  {constraint_drift(level.xi):.2e}  "
                 f"{b_value:8.5f}"
             )
     print()

@@ -20,8 +20,8 @@ def main() -> None:
     curve, velocity = initial.generate(
         "perturbed-circle", manifold, grid, {"mode": 2, "amplitude": 0.01}
     )
-    start, report = prepare_initial(curve, velocity, manifold, grid)
-    print(f"prepared: projection magnitude {report.projection_magnitude:.2e}")
+    start, projection = prepare_initial(curve, velocity, manifold, grid)
+    print(f"prepared: projection magnitude {projection:.2e}")
 
     # the default run settings at this grid: dt = dx, horizon 1
     cfg = RunConfig(grid_n=n, dt=grid.dx)
@@ -31,15 +31,14 @@ def main() -> None:
     e0 = None
     drift = displacement = 0.0
     for k, level in enumerate(march(start, manifold, grid, cfg)):
-        s = level.state
         total, (rate, vel, bend) = energy(level, grid)
         e0 = total if e0 is None else e0
         drift = max(drift, abs(total - e0))
-        displacement = max(displacement, m0(manifold.displacement(start.state.gamma, s.gamma)))
+        displacement = max(displacement, m0(manifold.displacement(start.gamma, level.gamma)))
         if k % (n // 8) == 0:
             print(
-                f"  {s.time:5.3f}  {total:9.5f}  {rate:9.6f}  {vel:9.6f}  "
-                f"{bend:8.5f}  {constraint_drift(s.xi):.2e}"
+                f"  {level.time:5.3f}  {total:9.5f}  {rate:9.6f}  {vel:9.6f}  "
+                f"{bend:8.5f}  {constraint_drift(level.xi):.2e}"
             )
     print()
     print(f"max relative energy drift : {drift / e0:.3e}")

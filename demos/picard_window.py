@@ -35,7 +35,7 @@ def main() -> None:
         print(f"  {k + 1:5d}   {distance:.3e}  {ratio}")
 
     gap = max(
-        float(np.max(np.abs(iterate.state.xi[m] - level.state.xi)))
+        float(np.max(np.abs(iterate.xi[m] - level.xi)))
         for m, level in enumerate(march(start, manifold, grid, cfg))
     )
     print()

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from elwire.fields import CurveState, Grid, compact_second
+from elwire.fields import Grid, compact_second
 from elwire.geometry import EuclideanModel, sample_geometry, stack_samples
 from elwire.wave import leapfrog_step, picard_wave_solve
 
@@ -29,11 +29,11 @@ def route_gap(n: int) -> float:
     steps = n // 4
 
     # a resting flat curve: zero tension and velocity, flat geometry samples
-    state = CurveState(gamma=np.zeros_like(a), xi=a, xi_t=b, eta=np.zeros_like(a))
-    flat = sample_geometry(EuclideanModel(2), state.gamma)
+    flat = sample_geometry(EuclideanModel(2), np.zeros_like(a))
     zero_series = np.zeros((steps + 1, n, 2))
     series, report = picard_wave_solve(
-        state,
+        a,
+        b,
         zero_series,
         grid,
         eta_series=zero_series,

@@ -7,16 +7,16 @@ a conformal (or flat) metric.  Modules:
 * ``geometry``     chart models, orthonormal frames, connection and
                    curvature coefficients, sampled along a curve or a
                    window series of curves;
-* ``fields``       periodic grids, curve states, covariant differences and
-                   the discrete norms, acting on one level (N, n) or a
-                   window series (M+1, N, n) alike;
+* ``fields``       periodic grids, covariant differences and the discrete
+                   norms, acting on one level (N, n) or a window series
+                   (M+1, N, n) alike;
 * ``elliptic``     the periodic second-order solves (tension field and
-                   bentness gate);
+                   bentness value, which gates the tension solve);
 * ``wave``         the semilinear wave level: window solve by the
                    d'Alembert recurrence and the marching leapfrog;
-* ``dynamics``     source assembly, initial-data preparation, the time
-                   marcher (a generator of levels) and the coupled window
-                   iteration;
+* ``dynamics``     the time level record ``Level``, source assembly,
+                   initial-data preparation, the time marcher (a generator
+                   of levels) and the coupled window iteration;
 * ``diagnostics``  energy split, constraint drift and the transported-frame
                    residual;
 * ``initial``      closed-form starting curves and velocity fields;

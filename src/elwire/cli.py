@@ -5,9 +5,9 @@
 the marching integrator at the configured resolution and its two refinements.
 
 March and picard runs share one output loop.  Each mode is a producer of
-time levels (state with tension, geometry samples, bentness gate in force);
-the loop streams them, keeping only the last three for the transport check,
-and writes:
+time levels (``dynamics.Level``: fields with tension, geometry samples,
+bentness value in force); the loop streams them, keeping only the last three
+for the transport check, and writes:
 
 * ``diagnostics.csv``   one row every ``diagnostics.every`` levels plus the
                         last level (see diagnostics module); a row with a
@@ -20,11 +20,11 @@ and writes:
 * ``study.json``        resolutions, drift measures and observed orders
                         (convergence-study only).
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical abort; any
-other exception is a bug and propagates with its traceback.  A run
-that aborts still writes the diagnostics gathered so far plus a failure
-report naming the reason and the last good row, so partial results remain
-inspectable.  With a fixed config the output bytes are reproducible run to
+Exit codes: 0 success, 2 configuration problem or an output directory that
+cannot be made, 3 numerical abort; any other exception is a bug and
+propagates with its traceback.  A run that aborts still writes the
+diagnostics gathered so far plus a failure report naming the reason and the
+last good row, so partial results remain inspectable.  With a fixed config the output bytes are reproducible run to
 run.
 """
 
@@ -46,7 +46,7 @@ from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsRecord, make_record, transport_check
 from .dynamics import Level, march, picard_coupled, prepare_initial
 from .errors import ConfigError, ElwireError, NonContractionError, NumericalAbort
-from .fields import CurveState, Grid, m0
+from .fields import Grid, m0
 from .geometry import make_manifold
 from . import elliptic, initial
 
@@ -83,12 +83,14 @@ def write_csv(path: Path, records: list[DiagnosticsRecord]) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write strict JSON: a NaN or infinity in ``payload`` is a bug, and
+    raises ValueError instead of writing a token JSON parsers reject."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def write_snapshot(path: Path, state: CurveState) -> None:
-    """Dump a state as indented JSON from which ``json.loads`` reads every
-    double back bit for bit.
+def write_snapshot(path: Path, level: Level) -> None:
+    """Dump a level's fields and time as indented JSON from which
+    ``json.loads`` reads every double back bit for bit.
 
     orjson lays it out as ``json.dumps(indent=2, sort_keys=True)`` does
     (sorted keys, two-space nesting, one number per line) and writes each
@@ -100,11 +102,11 @@ def write_snapshot(path: Path, state: CurveState) -> None:
     # writes no snapshot would pay for nothing
     import orjson
 
-    if not math.isfinite(state.time):
-        raise NumericalAbort(f"snapshot time {state.time} is not finite")
-    payload = {"time": state.time}
+    if not math.isfinite(level.time):
+        raise NumericalAbort(f"snapshot time {level.time} is not finite")
+    payload = {"time": level.time}
     for key in ("gamma", "xi", "xi_t", "eta", "theta"):
-        value = getattr(state, key)
+        value = getattr(level, key)
         if value is None:
             continue
         # orjson encodes only C-contiguous arrays
@@ -131,7 +133,8 @@ def _record_summary(records: list[DiagnosticsRecord]) -> dict:
         "initial_energy": e0,
         "final_energy": records[-1].energy,
         "max_energy_drift": drift,
-        "max_relative_energy_drift": drift / e0 if e0 > 0 else math.nan,
+        # JSON has no NaN: a run without energy has no relative drift
+        "max_relative_energy_drift": drift / e0 if e0 > 0 else None,
         "max_constraint_drift": max(r.constraint_drift for r in records),
         "levels_recorded": len(records),
     }
@@ -145,11 +148,11 @@ def _record_summary(records: list[DiagnosticsRecord]) -> dict:
 def _march_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
     meta["n_steps"] = cfg.n_steps
     meta["effective_horizon"] = cfg.n_steps * cfg.dt
-    initial, prep = build_initial_state(cfg, manifold, grid)
-    meta["prepared"] = {"projection_magnitude": prep.projection_magnitude}
+    initial, projection = build_initial_state(cfg, manifold, grid)
+    meta["prepared"] = {"projection_magnitude": projection}
     summary = meta["summary"]
     for level in march(initial, manifold, grid, cfg):
-        displacement = m0(manifold.displacement(initial.state.gamma, level.state.gamma))
+        displacement = m0(manifold.displacement(initial.gamma, level.gamma))
         summary["max_displacement"] = max(summary.get("max_displacement", 0.0), displacement)
         yield level
 
@@ -164,8 +167,8 @@ def _level_of(series, m: int):
 
 def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
     meta["window_steps"] = cfg.picard_window
-    initial, prep = build_initial_state(cfg, manifold, grid)
-    meta["prepared"] = {"projection_magnitude": prep.projection_magnitude}
+    initial, projection = build_initial_state(cfg, manifold, grid)
+    meta["prepared"] = {"projection_magnitude": projection}
     try:
         iterate, report = picard_coupled(initial, manifold, grid, cfg)
     except NonContractionError as exc:
@@ -178,22 +181,22 @@ def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator
     meta["contraction"] = dataclasses.asdict(report)
     gate = iterate.bentness  # level 0's, solved once by picard_coupled
     for m in range(cfg.picard_window + 1):
-        state = dataclasses.replace(_level_of(iterate.state, m), time=m * grid.dx)
+        level = _level_of(iterate, m)
         samples = _level_of(iterate.samples, m)
         if m > 0 and m % cfg.bentness_every == 0:
-            gate = elliptic.bentness(state.xi, samples, grid)
-        yield Level(state, samples, iterate.dxi[m], iterate.dtxi[m], gate)
+            gate = elliptic.bentness(level.xi, samples, grid)
+        yield dataclasses.replace(level, samples=samples, time=m * grid.dx, bentness=gate)
 
 
 def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
-    """Run the configured march or picard window, writing outputs into ``out``.
+    """Run the configured march or picard window, writing outputs into the
+    directory ``out``.
 
     One loop consumes the levels: it keeps the last three for the transport
     check, records diagnostics every ``diagnostics.every`` levels and writes
     snapshots at level 0, every ``output.snapshot_every`` levels and at the
     last level, which is always recorded too.
     """
-    out.mkdir(parents=True, exist_ok=True)
     manifold = build_manifold(cfg)
     grid = Grid(cfg.grid_n)
     picard = cfg.mode == "picard"
@@ -209,7 +212,7 @@ def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
             final = index == last
             # the snapshot first: a level it refuses is not recorded as good
             if final or index == 0 or (cfg.snapshot_every and index % cfg.snapshot_every == 0):
-                write_snapshot(out / f"snapshot_{index:06d}.json", level.state)
+                write_snapshot(out / f"snapshot_{index:06d}.json", level)
             if final or index % cfg.diag_every == 0:
                 residual = None
                 if cfg.dt_characteristic and len(window) == 3:
@@ -249,30 +252,39 @@ def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
         s = meta["summary"]
         print(
             f"marched {cfg.n_steps} steps to t={meta['effective_horizon']:.6g}; "
-            f"energy drift {s['max_relative_energy_drift']:.3e}, "
+            f"energy drift {_shown(s['max_relative_energy_drift'], '.3e')}, "
             f"constraint drift {s['max_constraint_drift']:.3e} -> {out}"
         )
     return 0, meta
 
 
-def _order(coarse: float, fine: float) -> Optional[float]:
-    if coarse <= 1e-14 or fine <= 1e-14:
+def _shown(value: Optional[float], spec: str) -> str:
+    return "-" if value is None else format(value, spec)
+
+
+def _order(coarse: Optional[float], fine: Optional[float]) -> Optional[float]:
+    if coarse is None or fine is None or coarse <= 1e-14 or fine <= 1e-14:
         return None
     return math.log2(coarse / fine)
 
 
+def _study_dirs(cfg: RunConfig, out: Path) -> dict[int, Path]:
+    """The output directory of each resolution of a convergence study."""
+    return {n: out / f"n{n:04d}" for n in (cfg.grid_n, 2 * cfg.grid_n, 4 * cfg.grid_n)}
+
+
 def _study_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
-    out.mkdir(parents=True, exist_ok=True)
-    resolutions = [cfg.grid_n, 2 * cfg.grid_n, 4 * cfg.grid_n]
+    dirs = _study_dirs(cfg, out)
+    resolutions = list(dirs)
     runs = []
-    for n in resolutions:
+    for n, sub_out in dirs.items():
         sub = dataclasses.replace(
             cfg,
             grid_n=n,
             dt=(1.0 / n) if cfg.dt_characteristic else cfg.dt * cfg.grid_n / n,
             mode="march",
         )
-        code, meta = _run_into(sub, out / f"n{n:04d}", quiet=True)
+        code, meta = _run_into(sub, sub_out, quiet=True)
         if code != 0:
             write_json(out / "study.json", {"status": "aborted", "resolution": n, "detail": meta})
             return code, meta
@@ -295,15 +307,14 @@ def _study_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
     if not quiet:
         for i, n in enumerate(resolutions):
             print(
-                f"n={n}: energy drift {energy[i]:.3e}, constraint drift {constraint[i]:.3e}"
+                f"n={n}: energy drift {_shown(energy[i], '.3e')}, "
+                f"constraint drift {constraint[i]:.3e}"
             )
         print(
             "observed orders: energy "
-            + ", ".join("-" if o is None else f"{o:.2f}" for o in study["energy_drift"]["orders"])
+            + ", ".join(_shown(o, ".2f") for o in study["energy_drift"]["orders"])
             + "; constraint "
-            + ", ".join(
-                "-" if o is None else f"{o:.2f}" for o in study["constraint_drift"]["orders"]
-            )
+            + ", ".join(_shown(o, ".2f") for o in study["constraint_drift"]["orders"])
         )
     return 0, study
 
@@ -311,7 +322,14 @@ def _study_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
 def run(cfg: RunConfig, out_dir: Optional[str] = None, quiet: bool = False) -> int:
     """Execute a validated config; returns the process exit code."""
     out = Path(out_dir or cfg.out_dir or "elwire-out")
-    if cfg.mode == "convergence-study":
+    study = cfg.mode == "convergence-study"
+    try:  # every output directory, before any computation
+        for path in [out, *(_study_dirs(cfg, out).values() if study else ())]:
+            path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path, or a parent of it, is a file
+        print(f"cannot make output directory {path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    if study:
         code, _ = _study_into(cfg, out, quiet)
     else:
         code, _ = _run_into(cfg, out, quiet)

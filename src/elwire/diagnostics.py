@@ -1,6 +1,6 @@
 """Pure run diagnostics: energy split, drifts, bentness, transport identity.
 
-Every quantity here is a pure function of the supplied levels (states with
+Every quantity here is a pure function of the supplied levels (fields with
 their geometry samples, D_x xi and D_t xi, see dynamics.Level), so
 recomputing a record from a stored trajectory is bit-identical to the one
 produced during the run.  Nothing here samples the geometry or derives those
@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import Level, frame_tangent, reconstruct_mu
-from .fields import CurveState, Grid, constraint_drift, l2_norm, m0, perp
-from .geometry import GeometrySamples, ManifoldModel
+from .fields import Grid, constraint_drift, l2_norm, m0, perp
+from .geometry import ManifoldModel
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,12 @@ class DiagnosticsRecord:
     ``energy`` is always the sum of the three parts (squared L2 norms of the
     covariant tangent rate, the velocity, and the covariant tangent
     derivative).  ``bentness`` is the value of the gate in force at the
-    level; ``transport_residual`` is None when the check does not apply (time
-    step not locked to dx, or too few levels retained).
+    level: in a march, the value last solved at a multiple of
+    ``bentness_every`` steps.  A picard window's solves are all gated by
+    level 0's value; its row m shows the value at the latest level k <= m
+    that is a multiple of ``bentness_every``, evaluated for the row only.
+    ``transport_residual`` is None when the check does not apply (time step
+    not locked to dx, or too few levels retained).
     """
 
     time: float
@@ -48,15 +52,15 @@ def energy(level: Level, grid: Grid) -> tuple[float, tuple[float, float, float]]
     """Total conserved energy and its three squared-L2 parts."""
     parts = (
         l2_norm(level.dtxi, grid.dx) ** 2,
-        l2_norm(level.state.eta, grid.dx) ** 2,
+        l2_norm(level.eta, grid.dx) ** 2,
         l2_norm(level.dxi, grid.dx) ** 2,
     )
     return parts[0] + parts[1] + parts[2], parts
 
 
-def gamma_xi_drift(state: CurveState, manifold: ManifoldModel, samples: GeometrySamples, grid: Grid) -> float:
+def gamma_xi_drift(level: Level, manifold: ManifoldModel, grid: Grid) -> float:
     """Sup distance between the discrete curve tangent and the stored xi."""
-    return m0(frame_tangent(state.gamma, manifold, samples, grid) - state.xi)
+    return m0(frame_tangent(level.gamma, manifold, level.samples, grid) - level.xi)
 
 
 def transport_check(levels: list, dt: float, grid: Grid) -> float:
@@ -66,7 +70,7 @@ def transport_check(levels: list, dt: float, grid: Grid) -> float:
     (D_x xi +/- D_t xi)(x -/+ t, t) change their squared length at the rate
     +/- 2 <combo, perp(theta)> evaluated at the same shifted point.  Requires
     dt == dx (characteristics through grid points) and three consecutive
-    levels whose states carry tension fields: the centred difference of the
+    levels that carry tension fields: the centred difference of the
     outer two levels' squared lengths meets the rate at the middle one.
     Returns the sup residual.
     """
@@ -74,9 +78,9 @@ def transport_check(levels: list, dt: float, grid: Grid) -> float:
         raise ValueError("transport identity check requires dt == dx")
     if len(levels) != 3:
         raise ValueError("transport identity check needs exactly 3 levels")
-    if any(level.state.theta is None for level in levels):
-        raise ValueError("states must carry tension fields")
-    theta_perp = perp(levels[1].state.theta, levels[1].state.xi)
+    if any(level.theta is None for level in levels):
+        raise ValueError("levels must carry tension fields")
+    theta_perp = perp(levels[1].theta, levels[1].xi)
     worst = 0.0
     for sign in (+1, -1):
         before, hat, after = (
@@ -96,21 +100,20 @@ def make_record(
     *,
     transport_residual: Optional[float] = None,
 ) -> DiagnosticsRecord:
-    """Assemble one diagnostics row for a solved level: its state with the
-    tension, samples and the bentness report in force."""
-    state = level.state
+    """Assemble one diagnostics row for a solved level: its fields with the
+    tension, samples and the bentness value in force."""
     total, parts = energy(level, grid)
     mu = reconstruct_mu(level)
     return DiagnosticsRecord(
-        time=float(state.time),
+        time=float(level.time),
         energy=total,
         energy_tangent_rate=parts[0],
         energy_velocity=parts[1],
         energy_bending=parts[2],
-        constraint_drift=constraint_drift(state.xi),
-        bentness=float(level.bentness.b_value),
+        constraint_drift=constraint_drift(level.xi),
+        bentness=float(level.bentness),
         mu_min=float(np.min(mu)),
         mu_max=float(np.max(mu)),
-        gamma_xi_drift=gamma_xi_drift(state, manifold, level.samples, grid),
+        gamma_xi_drift=gamma_xi_drift(level, manifold, grid),
         transport_residual=transport_residual,
     )

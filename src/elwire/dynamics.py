@@ -6,7 +6,9 @@ the unit tangent xi obeys a semilinear wave equation driven by theta, the
 velocity eta advances with the tension flux, and the curve integrates its
 velocity.  This module provides
 
-* tangent_derivatives D_x xi and D_t xi of a state or a window series,
+* Level              one time level: the unknowns (gamma, xi, xi_t, eta) with
+                     the geometry samples of gamma, D_x xi and D_t xi, and
+                     once solved the tension and the bentness value in force,
 * assemble_sources   curvature source terms (psi, phi) of a level or a series,
 * prepare_initial    the initial Level (tension unsolved), admissible
                      discrete data from raw curve + velocity samples,
@@ -33,9 +35,9 @@ never reads the tangent, so a step moves it first; the leapfrog's connection
 rate and the next level share the next curve's samples.
 
 The frame, connection and curvature at a level depend only on the curve
-there, and D_x xi and D_t xi only on the state and those samples, so each is
-formed once: a ``Level`` carries the samples of its ``gamma`` and both
-derivatives (see tangent_derivatives) to the next step and every diagnostic.
+there, and D_x xi and D_t xi only on the level's fields and those samples,
+so each is formed once: a ``Level`` carries the samples of its ``gamma`` and
+both derivatives (see Level.derive) to the next step and every diagnostic.
 A window iterate carries them as series, derived once per iterate.
 """
 
@@ -48,10 +50,8 @@ import numpy as np
 
 from . import elliptic
 from .config import RunConfig
-from .elliptic import BentnessReport
 from .errors import ConstraintDriftError, DegenerateCurveError
 from .fields import (
-    CurveState,
     Grid,
     circ_diff,
     constraint_drift,
@@ -79,68 +79,73 @@ MIN_TANGENT_NORM = 1e-6
 
 
 @dataclass(frozen=True)
-class PreparationReport:
-    """How much prepare_initial had to adjust the raw data."""
-
-    projection_magnitude: float
-    min_tangent_norm: float
-
-
-@dataclass(frozen=True)
 class Level:
-    """One time level: the state (with its tension once solved), the geometry
-    samples of its curve, D_x xi and D_t xi from ``tangent_derivatives``, and
-    the bentness report in force there (None before the level is solved).
+    """One time level of the wire: chart positions ``gamma``, the unit
+    tangent ``xi`` (frame components), its plain time rate ``xi_t`` and the
+    velocity ``eta``, each (N, n); the geometry samples of ``gamma``; D_x xi
+    and D_t xi = xi_t + Gamma(eta, xi) (see derive); and, once the level is
+    solved, the tension ``theta`` and the bentness value in force there.
 
     A Picard window iterate is a Level whose fields and samples are series
-    over the window's levels 0..M (see _window_level); its bentness report
-    is level 0's, which gates every level.
+    over the window's levels 0..M (see _window_level); its bentness is level
+    0's, which gates every level.
     """
 
-    state: CurveState
+    gamma: np.ndarray
+    xi: np.ndarray
+    xi_t: np.ndarray
+    eta: np.ndarray
     samples: GeometrySamples
     dxi: np.ndarray
     dtxi: np.ndarray
-    bentness: Optional[BentnessReport] = None
+    theta: Optional[np.ndarray] = None
+    time: float = 0.0
+    bentness: Optional[float] = None
+
+    @classmethod
+    def derive(
+        cls,
+        gamma: np.ndarray,
+        xi: np.ndarray,
+        xi_t: np.ndarray,
+        eta: np.ndarray,
+        samples: GeometrySamples,
+        dx: float,
+        **rest,
+    ) -> "Level":
+        """The Level of these fields, with D_x xi and D_t xi derived from the
+        samples of ``gamma``; the fields may also be window series.  ``rest``
+        sets the fields that follow (theta, time, bentness)."""
+        dxi = cov_dx(xi, xi, samples, dx)
+        dtxi = xi_t + apply_chris(samples.chris, eta, xi)
+        return cls(gamma, xi, xi_t, eta, samples, dxi, dtxi, **rest)
 
 
 # ---------------------------------------------------------------------------
-# derived fields and sources
-
-
-def tangent_derivatives(
-    state: CurveState, samples: GeometrySamples, dx: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """D_x xi and D_t xi = xi_t + Gamma(eta, xi) of a state, from the samples
-    of its curve; the fields of ``state`` may also be window series."""
-    return (
-        cov_dx(state.xi, state.xi, samples, dx),
-        state.xi_t + apply_chris(samples.chris, state.eta, state.xi),
-    )
+# sources
 
 
 def assemble_sources(level: Level) -> tuple[np.ndarray, np.ndarray]:
     """Curvature sources (psi, phi) of a level or a window series: psi feeds
     the tension flux, phi the tension load."""
-    state, curv, dxi, dtxi = level.state, level.samples.curv, level.dxi, level.dtxi
-    psi = apply_curv(curv, state.xi, dxi, state.xi) - apply_curv(curv, state.xi, dtxi, state.eta)
+    xi, eta, curv, dxi, dtxi = level.xi, level.eta, level.samples.curv, level.dxi, level.dtxi
+    psi = apply_curv(curv, xi, dxi, xi) - apply_curv(curv, xi, dtxi, eta)
     speed_gap = np.sum(dtxi * dtxi, axis=-1) - np.sum(dxi * dxi, axis=-1)
-    phi = speed_gap[..., None] * state.xi - apply_curv(curv, state.xi, state.eta, state.eta)
+    phi = speed_gap[..., None] * xi - apply_curv(curv, xi, eta, eta)
     return psi, phi
 
 
 def _solve_level(level: Level, grid: Grid, cfg: RunConfig, gate) -> tuple[Level, np.ndarray]:
-    """The level with its tension theta and the bentness report in force
-    attached, and its flux D theta + psi.  The solve is gated by the report
-    ``gate``, or by a fresh one when ``gate`` is None; a window series is
-    solved in one call and needs its gate."""
+    """The level with its tension theta and the bentness value in force
+    attached, and its flux D theta + psi.  The solve is gated by ``gate``,
+    or by a fresh value when ``gate`` is None; a window series is solved in
+    one call and needs its gate."""
     psi, phi = assemble_sources(level)
     solved = elliptic.solve_flux_form(
-        psi, phi, level.state.xi, level.samples, grid,
-        tol=cfg.solver_tol, b_floor=cfg.b_floor, bentness_report=gate,
+        psi, phi, level.xi, level.samples, grid,
+        tol=cfg.solver_tol, b_floor=cfg.b_floor, gate=gate,
     )
-    solved_state = replace(level.state, theta=solved.u)
-    return replace(level, state=solved_state, bentness=solved.bentness), solved.flux
+    return replace(level, theta=solved.u, bentness=solved.bentness), solved.flux
 
 
 def reconstruct_mu(level: Level) -> np.ndarray:
@@ -148,13 +153,13 @@ def reconstruct_mu(level: Level) -> np.ndarray:
 
     This is the multiplier of the single-equation form of the motion.
     """
-    state, dxi, dtxi = level.state, level.dxi, level.dtxi
-    if state.theta is None:
-        raise ValueError("state carries no tension field; solve theta first")
+    dxi, dtxi = level.dxi, level.dtxi
+    if level.theta is None:
+        raise ValueError("level carries no tension field; solve theta first")
     return (
         np.sum(dxi * dxi, axis=-1)
         - np.sum(dtxi * dtxi, axis=-1)
-        - np.sum(state.theta * state.xi, axis=-1)
+        - np.sum(level.theta * level.xi, axis=-1)
         - 1.0
     )
 
@@ -179,16 +184,17 @@ def prepare_initial(
     velocity_chart: np.ndarray,
     manifold: ManifoldModel,
     grid: Grid,
-) -> tuple[Level, PreparationReport]:
+) -> tuple[Level, float]:
     """The initial Level (tension unsolved, time 0) built as admissible
-    discrete data from raw curve and chart-velocity samples.
+    discrete data from raw curve and chart-velocity samples, and the
+    magnitude of the projection that made its tangent rate admissible.
 
     The discrete tangent is the centred chart difference (respecting the
     model's wrap-around displacement), converted to frame components and
     normalised to exactly unit rows (xi).  The tangent rate xi_t follows from
     differentiating the velocity along the curve with the connection
     correction for the moving frame, then an exact projection orthogonal to
-    the tangent; the projection magnitude is reported, as it measures how
+    the tangent; the projection magnitude is returned, as it measures how
     compatible the supplied velocity was.
     """
     pts = np.asarray(curve, dtype=float)
@@ -217,11 +223,8 @@ def prepare_initial(
     )
     proj = np.sum(xi_t_raw * xi, axis=-1)
     xi_t = xi_t_raw - proj[:, None] * xi
-    report = PreparationReport(
-        projection_magnitude=float(np.max(np.abs(proj))), min_tangent_norm=min_norm
-    )
-    state = CurveState(gamma=pts, xi=xi, xi_t=xi_t, eta=eta)
-    return Level(state, samples, *tangent_derivatives(state, samples, grid.dx)), report
+    level = Level.derive(pts, xi, xi_t, eta, samples, grid.dx)
+    return level, float(np.max(np.abs(proj)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,7 @@ def prepare_initial(
 
 def _eta_rate(flux: np.ndarray, level: Level) -> np.ndarray:
     """Plain time rate of eta: -Gamma(eta, eta) + flux + D_x xi."""
-    eta = level.state.eta
+    eta = level.eta
     return -apply_chris(level.samples.chris, eta, eta) + flux + level.dxi
 
 
@@ -273,21 +276,21 @@ def _bootstrap_prev(
     connection terms vanish, they are not read.
     """
     dx = grid.dx
-    state, samples, dtxi = level.state, level.samples, level.dtxi
-    xi, eta = state.xi, state.eta
+    samples, dtxi = level.samples, level.dtxi
+    xi, eta = level.xi, level.eta
     d2xi = cov_dxx(xi, xi, samples, dx)
     coeff = sided_grad_sq(xi, xi, samples, dx) - np.sum(dtxi * dtxi, axis=-1)
-    accel = d2xi + coeff[:, None] * xi + perp(state.theta, xi)
+    accel = d2xi + coeff[:, None] * xi + perp(level.theta, xi)
     if samples.chris is not None:
         # forward-difference estimate of the connection rate along the motion
         chris_rate = (samples_next.chris - samples.chris) / dt
         accel = accel - (
             apply_chris(chris_rate, eta, xi)
             + apply_chris(samples.chris, rate, xi)
-            + apply_chris(samples.chris, eta, state.xi_t)
+            + apply_chris(samples.chris, eta, level.xi_t)
             + apply_chris(samples.chris, eta, dtxi)
         )
-    return xi - dt * state.xi_t + 0.5 * dt * dt * accel
+    return xi - dt * level.xi_t + 0.5 * dt * dt * accel
 
 
 def step(
@@ -310,15 +313,15 @@ def step(
     midpoint update with the half-time flux extrapolated from ``flux_prev``.
     ``prev`` is the previous level, whose samples are reused.
     """
-    state, samples = level.state, level.samples
+    samples, xi, eta = level.samples, level.xi, level.eta
     dt, dx = cfg.dt, grid.dx
     flat = samples.chris is None
     rate = _eta_rate(flux, level)
 
     # curve: midpoint through the half-step position
-    eta_half = state.eta + 0.5 * dt * rate
+    eta_half = eta + 0.5 * dt * rate
     samples_mid, gamma_next, samples_next = _advance_curve(
-        state.gamma, samples, state.eta, eta_half, manifold, dt
+        level.gamma, samples, eta, eta_half, manifold, dt
     )
 
     chris_rate = None
@@ -330,14 +333,14 @@ def step(
             # the outputs keep
             chris_rate = (2.0 * samples_next.chris - samples.chris - samples.chris) / (2.0 * dt)
     else:
-        xi_prev = prev.state.xi
+        xi_prev = prev.xi
         if not flat:
             chris_rate = (samples_next.chris - prev.samples.chris) / (2.0 * dt)
     xi_next = leapfrog_step(
         xi_prev,
-        state.xi,
-        state.theta,
-        state.eta,
+        xi,
+        level.theta,
+        eta,
         dt,
         grid,
         samples,
@@ -346,19 +349,17 @@ def step(
     )
     if cfg.renormalize:
         xi_next = xi_next / row_norms(xi_next)[:, None]
-    xi_t_next = (3.0 * xi_next - 4.0 * state.xi + xi_prev) / (2.0 * dt)
+    xi_t_next = (3.0 * xi_next - 4.0 * xi + xi_prev) / (2.0 * dt)
 
     # velocity: midpoint with flux extrapolated to the half step
-    xi_half = 0.5 * (state.xi + xi_next)
+    xi_half = 0.5 * (xi + xi_next)
     flux_half = flux if flux_prev is None else 1.5 * flux - 0.5 * flux_prev
     dxi_half = cov_dx(xi_half, xi_half, samples_mid, dx)
     k2 = -apply_chris(samples_mid.chris, eta_half, eta_half) + flux_half + dxi_half
-    eta_next = state.eta + dt * k2
-
-    next_state = CurveState(
-        gamma=gamma_next, xi=xi_next, xi_t=xi_t_next, eta=eta_next, time=state.time + dt
+    eta_next = eta + dt * k2
+    return Level.derive(
+        gamma_next, xi_next, xi_t_next, eta_next, samples_next, dx, time=level.time + dt
     )
-    return Level(next_state, samples_next, *tangent_derivatives(next_state, samples_next, dx))
 
 
 def march(
@@ -371,7 +372,7 @@ def march(
     and never sees a level whose step failed.  Before each step the unit
     tangent is held to ``cfg.constraint_tol``.  The bentness gate is
     re-evaluated every ``cfg.bentness_every`` steps (and always at the
-    first); between gates, and at the final level, the most recent report is
+    first); between gates, and at the final level, the most recent value is
     reused and carried by the levels.  The final level gets a tension field
     too, so diagnostics cover [0, T].  Every level after ``initial`` (see
     prepare_initial) is the one its step returned.
@@ -379,15 +380,15 @@ def march(
     current = initial
     prev: Optional[Level] = None
     flux_prev: Optional[np.ndarray] = None
-    gate: Optional[BentnessReport] = None
+    gate: Optional[float] = None
     for k in range(cfg.n_steps + 1):
         final = k == cfg.n_steps
         if not final:
-            drift = constraint_drift(current.state.xi)
+            drift = constraint_drift(current.xi)
             if not drift <= cfg.constraint_tol:  # a NaN defect fails too
                 raise ConstraintDriftError(
                     f"unit-tangent defect {drift:.3e} exceeds tolerance "
-                    f"{cfg.constraint_tol:.1e} at t={current.state.time:.6f}"
+                    f"{cfg.constraint_tol:.1e} at t={current.time:.6f}"
                 )
         fresh = not final and k % cfg.bentness_every == 0
         level, flux = _solve_level(current, grid, cfg, None if fresh else gate)
@@ -409,13 +410,13 @@ def _window_level(
     samples: GeometrySamples,
     grid: Grid,
     theta: Optional[np.ndarray] = None,
-    gate: Optional[BentnessReport] = None,
+    gate: Optional[float] = None,
 ) -> Level:
     """A window iterate: the Level of the series over levels 0..M (dt = dx)
     with the stacked ``samples`` of its curves.  xi_t comes from time
     differences of the xi series, and D_x xi and D_t xi are derived once."""
-    state = CurveState(gamma=gamma, xi=xi, xi_t=time_diff_series(xi, grid.dx), eta=eta, theta=theta)
-    return Level(state, samples, *tangent_derivatives(state, samples, grid.dx), gate)
+    xi_t = time_diff_series(xi, grid.dx)
+    return Level.derive(gamma, xi, xi_t, eta, samples, grid.dx, theta=theta, bentness=gate)
 
 
 def _window_curve(
@@ -466,7 +467,6 @@ def _integrate_eta(
 def window_distance(a: Level, b: Level, dx: float) -> float:
     """Composite distance between window iterates: sup norms of the curve and
     velocity with their time rates, plus the full first-order tangent norm."""
-    a, b = a.state, b.state
     return (
         m01(a.gamma - b.gamma, dx)
         + m1(a.xi - b.xi, dx, dx)
@@ -498,13 +498,13 @@ def picard_coupled(
     levels = cfg.picard_window + 1
     if levels < 3:
         raise ValueError("picard window needs at least 2 steps (3 levels)")
-    state, samples0 = initial.state, initial.samples
-    gate = elliptic.bentness(state.xi, samples0, grid)
-    shape = (levels,) + state.gamma.shape
+    samples0 = initial.samples
+    gate = elliptic.bentness(initial.xi, samples0, grid)
+    shape = (levels,) + initial.gamma.shape
     start = _window_level(
-        np.broadcast_to(state.gamma, shape).copy(),
-        np.broadcast_to(state.xi, shape).copy(),
-        np.broadcast_to(state.eta, shape).copy(),
+        np.broadcast_to(initial.gamma, shape).copy(),
+        np.broadcast_to(initial.xi, shape).copy(),
+        np.broadcast_to(initial.eta, shape).copy(),
         stack_samples([samples0] * levels),
         grid,
         gate=gate,
@@ -512,20 +512,19 @@ def picard_coupled(
 
     def sweep(current: Level) -> Level:
         solved, flux = _solve_level(current, grid, cfg, gate)
-        eta = current.state.eta
-        gamma_new, samples_new = _window_curve(state.gamma, samples0, eta, manifold, dt)
+        eta = current.eta
+        gamma_new, samples_new = _window_curve(initial.gamma, samples0, eta, manifold, dt)
         xi_new, _ = picard_wave_solve(
-            state, solved.state.theta, grid, eta_series=eta, samples_series=current.samples
+            initial.xi, initial.xi_t, solved.theta, grid,
+            eta_series=eta, samples_series=current.samples,
         )
-        eta_mid = _integrate_eta(state.eta, flux, current.dxi, current.samples.chris, dt)
+        eta_mid = _integrate_eta(initial.eta, flux, current.dxi, current.samples.chris, dt)
         # refresh tension and velocity on the advanced fields
         refreshed, flux_new = _solve_level(
             _window_level(gamma_new, xi_new, eta_mid, samples_new, grid), grid, cfg, gate
         )
-        eta_new = _integrate_eta(state.eta, flux_new, refreshed.dxi, samples_new.chris, dt)
-        return _window_level(
-            gamma_new, xi_new, eta_new, samples_new, grid, refreshed.state.theta, gate
-        )
+        eta_new = _integrate_eta(initial.eta, flux_new, refreshed.dxi, samples_new.chris, dt)
+        return _window_level(gamma_new, xi_new, eta_new, samples_new, grid, refreshed.theta, gate)
 
     return _contract(
         sweep,

@@ -40,22 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
-from .fields import Grid, cov_dx, l2_norm, m0, perp, row_norms
+from .fields import Grid, cov_dx, l2_norm, perp, row_norms
 from .geometry import GeometrySamples
-
-
-@dataclass(frozen=True)
-class BentnessReport:
-    """Result of the bentness minimisation.
-
-    ``b_value`` is the square-root of the minimal penalty, in [0, 1]; ``phi``
-    the minimiser; ``residual`` the infinity norm of the optimality system's
-    defect.
-    """
-
-    b_value: float
-    phi: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -63,7 +49,7 @@ class FluxSolveResult:
     u: np.ndarray          # the solution; the tension theta of a wire level or series
     flux: np.ndarray       # D u + f, reused by the velocity update
     residual: float | np.ndarray  # per level for a series
-    bentness: BentnessReport
+    bentness: float        # the gate value in force
 
 
 def _fold_order(npts: int) -> np.ndarray:
@@ -267,22 +253,17 @@ def _solve_system(xi, samples, grid, kind, rhs_field):
     return x.reshape(-1)[place]
 
 
-def bentness(xi: np.ndarray, samples: GeometrySamples, grid: Grid) -> BentnessReport:
+def bentness(xi: np.ndarray, samples: GeometrySamples, grid: Grid) -> float:
     """Distance of the tangent field from covariant constancy, in [0, 1].
 
-    Minimises ||phi - xi||_L2^2 + ||D phi||_L2^2 over fields phi; the minimum
-    is attained at the solution of (-DD + I) phi = xi and vanishes exactly
-    when some covariantly constant field equals xi.
+    The square root of the minimum of ||phi - xi||_L2^2 + ||D phi||_L2^2 over
+    fields phi; the minimum is attained at the solution of (-DD + I) phi = xi
+    and vanishes exactly when some covariantly constant field equals xi.
     """
     phi = _solve_system(xi, samples, grid, "identity", xi)
     dphi = cov_dx(phi, xi, samples, grid.dx)
     value_sq = l2_norm(phi - xi, grid.dx) ** 2 + l2_norm(dphi, grid.dx) ** 2
-    defect = -cov_dx(dphi, xi, samples, grid.dx) + phi - xi
-    return BentnessReport(
-        b_value=float(np.sqrt(max(value_sq, 0.0))),
-        phi=phi,
-        residual=m0(defect),
-    )
+    return float(np.sqrt(max(value_sq, 0.0)))
 
 
 def _refuse_first_failure(passed, error, text: str, *values) -> None:
@@ -304,15 +285,15 @@ def solve_flux_form(
     *,
     tol: float,
     b_floor: float,
-    bentness_report: Optional[BentnessReport] = None,
+    gate: Optional[float] = None,
 ) -> FluxSolveResult:
     """Solve -D(Du + f) + perp(u) = h along the current curve.
 
     The fields are a level (N, n) or a window series (L, N, n), each of
     whose levels is solved alone.  Refuses to run (NearGeodesicError) when
-    the bentness of ``xi`` is below ``b_floor``; a precomputed
-    ``bentness_report`` is reused when supplied, and a series is gated by
-    the one it is given.  Each level's unit-tangent defect must stay within
+    the bentness of ``xi`` is below ``b_floor``; a precomputed bentness
+    value ``gate`` is used when supplied, and a series is gated by the one
+    it is given.  Each level's unit-tangent defect must stay within
     0.1 (ConstraintDriftError), and its residual (infinity norm) within
     ``tol`` times that level's data scale (NumericalSolveError); the
     residual is a number for a level and one per level for a series.
@@ -322,12 +303,13 @@ def solve_flux_form(
     drift = np.max(np.abs(np.sum(xi * xi, axis=-1) - 1.0), axis=-1)
     text = "unit-tangent defect {:.3e} exceeds 0.1; refusing tension solve"
     _refuse_first_failure(drift <= 0.1, ConstraintDriftError, text, drift)
-    if bentness_report is None and xi.ndim > 2:
-        raise ValueError("a series solve needs the bentness report that gates it")
-    report = bentness(xi, samples, grid) if bentness_report is None else bentness_report
-    if report.b_value < b_floor:
+    if gate is None and xi.ndim > 2:
+        raise ValueError("a series solve needs the bentness value that gates it")
+    if gate is None:
+        gate = bentness(xi, samples, grid)
+    if gate < b_floor:
         raise NearGeodesicError(
-            f"bentness {report.b_value:.3e} below floor {b_floor:.3e}; "
+            f"bentness {gate:.3e} below floor {b_floor:.3e}; "
             "tension operator is (near) singular"
         )
     rhs = h + cov_dx(f, xi, samples, grid.dx)
@@ -339,4 +321,4 @@ def solve_flux_form(
     scale = np.fmax(1.0, np.max(row_norms(h), axis=-1) + np.max(row_norms(f), axis=-1))
     text = f"tension solve residual {{:.3e}} exceeds tolerance {tol:.1e} * {{:.3e}}"
     _refuse_first_failure(residual <= tol * scale, NumericalSolveError, text, residual, scale)
-    return FluxSolveResult(u=u, flux=flux, residual=residual[()], bentness=report)
+    return FluxSolveResult(u=u, flux=flux, residual=residual[()], bentness=gate)

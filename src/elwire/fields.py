@@ -22,7 +22,6 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,25 +47,6 @@ class Grid:
 
     def points(self) -> np.ndarray:
         return np.arange(self.n_points) * self.dx
-
-
-@dataclass(frozen=True)
-class CurveState:
-    """Wire state at one time: positions, unit tangent, its plain time rate,
-    velocity, and (once solved) the tension field; a Picard window iterate
-    holds the series (M+1, N, n) of each.
-
-    ``xi_t`` stores the plain coordinate time derivative of ``xi``; the
-    covariant rate is recovered on demand as xi_t + Gamma(eta, xi).  ``theta``
-    is None until a tension solve has been attached to this state.
-    """
-
-    gamma: np.ndarray            # (N, n) chart coordinates
-    xi: np.ndarray               # (N, n) frame components, unit rows
-    xi_t: np.ndarray             # (N, n) plain d(xi)/dt
-    eta: np.ndarray              # (N, n) frame components of the velocity
-    theta: Optional[np.ndarray] = None
-    time: float = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,8 @@ def assemble_wave_sources(
 
 
 def picard_wave_solve(
-    state,
+    a: np.ndarray,
+    b: np.ndarray,
     theta_series: np.ndarray,
     grid: Grid,
     *,
@@ -230,11 +231,12 @@ def picard_wave_solve(
 
     theta, eta and the geometry samples along the curve (``stack_samples``)
     are frozen series on the window's levels 0..M with dt = dx, M read from
-    the eta series.  The initial tangent must be a unit field and its rate
-    orthogonal to it, point by point.  Starting from the source-free
-    solution, each sweep reassembles (f, h) from the current iterate and
-    re-evaluates the integral representation on every level.  Distances between consecutive iterates
-    are measured in the composite first-order norm; the iteration stops at
+    the eta series.  The initial tangent ``a`` must be a unit field and its
+    plain rate ``b`` orthogonal to it, point by point.  Starting from the
+    source-free solution, each sweep reassembles (f, h) from the current
+    iterate and re-evaluates the integral representation on every level.
+    Distances between consecutive iterates are measured in the composite
+    first-order norm; the iteration stops at
     WAVE_TOL, and three consecutive non-decreasing distances or WAVE_MAX_ITER
     sweeps without reaching it raise NonContractionError.
     """
@@ -242,8 +244,8 @@ def picard_wave_solve(
     n_levels = len(eta_series) - 1
     if n_levels < 2:
         raise ValueError("picard window needs at least 2 time levels")
-    unit = np.max(np.abs(np.sum(state.xi * state.xi, axis=-1) - 1.0))
-    ortho = np.max(np.abs(np.sum(state.xi * state.xi_t, axis=-1)))
+    unit = np.max(np.abs(np.sum(a * a, axis=-1) - 1.0))
+    ortho = np.max(np.abs(np.sum(a * b, axis=-1)))
     if unit > UNIT_DATA_TOL or ortho > UNIT_DATA_TOL:
         raise ValueError(
             f"wave data not admissible: max | ||a||^2 - 1 | = {unit:.3e}, "
@@ -252,9 +254,9 @@ def picard_wave_solve(
 
     def sweep(current):
         f, h = assemble_wave_sources(current, theta_series, eta_series, samples_series, grid)
-        return wave_series(WaveData(a=state.xi, b=state.xi_t, f=f, h=h, grid=grid), n_levels)
+        return wave_series(WaveData(a=a, b=b, f=f, h=h, grid=grid), n_levels)
 
-    base = WaveData(a=state.xi, b=state.xi_t, f=None, h=None, grid=grid)
+    base = WaveData(a=a, b=b, f=None, h=None, grid=grid)
     return _contract(
         sweep,
         wave_series(base, n_levels),

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from elwire.dynamics import (
-    Level,
-    assemble_sources,
-    frame_tangent,
-    reconstruct_mu,
-    tangent_derivatives,
-)
+from elwire.dynamics import Level, assemble_sources, frame_tangent, reconstruct_mu
 from elwire.fields import cov_dx, m0
 from elwire.geometry import apply_chris
 
@@ -51,9 +45,9 @@ def residual_base_single(levels, dt, manifold, grid):
     Uses three consecutive levels for every covariant time derivative, the
     composed covariant difference for all spatial derivatives, and the
     reconstructed multiplier on the right-hand side.  ``levels`` are
-    ``Level`` objects as march yields them: states carrying their tension
-    fields plus the geometry samples of their curves; the tangent
-    derivatives entering psi and mu are derived afresh from each state, not
+    ``Level`` objects as march yields them: fields carrying their tension
+    plus the geometry samples of their curves; the tangent derivatives
+    entering psi and mu are derived afresh from each level's fields, not
     read from the level.  Needs at least three levels.
     """
     if len(levels) < 3:
@@ -62,32 +56,31 @@ def residual_base_single(levels, dt, manifold, grid):
     times, defects, coherences = [], [], []
     for i in range(1, len(levels) - 1):
         lp, lc, ln = levels[i - 1], levels[i], levels[i + 1]
-        sp, sc, sn = lp.state, lc.state, ln.state
         samples_c = lc.samples
-        if sc.theta is None:
-            raise ValueError("states must carry tension fields (run march or solve theta)")
+        if lc.theta is None:
+            raise ValueError("levels must carry tension fields (run march or solve theta)")
         # covariant velocity rate
-        dteta = cov_dt(sp.eta, sn.eta, sc.eta, dt, samples_c)
+        dteta = cov_dt(lp.eta, ln.eta, lc.eta, dt, samples_c)
         # covariant second time rate of the tangent
-        conn_p = apply_chris(lp.samples.chris, sp.eta, sp.xi)
-        conn_n = apply_chris(ln.samples.chris, sn.eta, sn.xi)
+        conn_p = apply_chris(lp.samples.chris, lp.eta, lp.xi)
+        conn_n = apply_chris(ln.samples.chris, ln.eta, ln.xi)
         conn_rate = (conn_n - conn_p) / (2.0 * dt)
-        dtxi = (sn.xi - sp.xi) / (2.0 * dt) + apply_chris(samples_c.chris, sc.eta, sc.xi)
-        dt2xi = (sn.xi - 2.0 * sc.xi + sp.xi) / (dt * dt) + conn_rate + apply_chris(
-            samples_c.chris, sc.eta, dtxi
+        dtxi = (ln.xi - lp.xi) / (2.0 * dt) + apply_chris(samples_c.chris, lc.eta, lc.xi)
+        dt2xi = (ln.xi - 2.0 * lc.xi + lp.xi) / (dt * dt) + conn_rate + apply_chris(
+            samples_c.chris, lc.eta, dtxi
         )
         # spatial pieces at the centre
-        dxi = cov_dx(sc.xi, sc.xi, samples_c, dx)
-        d2xi = cov_dx(dxi, sc.xi, samples_c, dx)
-        d3xi = cov_dx(d2xi, sc.xi, samples_c, dx)
-        centre = Level(sc, samples_c, *tangent_derivatives(sc, samples_c, dx))
+        dxi = cov_dx(lc.xi, lc.xi, samples_c, dx)
+        d2xi = cov_dx(dxi, lc.xi, samples_c, dx)
+        d3xi = cov_dx(d2xi, lc.xi, samples_c, dx)
+        centre = Level.derive(lc.gamma, lc.xi, lc.xi_t, lc.eta, samples_c, dx, theta=lc.theta)
         psi, _ = assemble_sources(centre)
         mu = reconstruct_mu(centre)
-        lhs = -dteta + cov_dx(dt2xi, sc.xi, samples_c, dx) - d3xi + psi
-        rhs = cov_dx(mu[:, None] * sc.xi, sc.xi, samples_c, dx)
+        lhs = -dteta + cov_dx(dt2xi, lc.xi, samples_c, dx) - d3xi + psi
+        rhs = cov_dx(mu[:, None] * lc.xi, lc.xi, samples_c, dx)
         defects.append(m0(lhs - rhs))
-        coherences.append(m0(frame_tangent(sc.gamma, manifold, samples_c, grid) - sc.xi))
-        times.append(sc.time)
+        coherences.append(m0(frame_tangent(lc.gamma, manifold, samples_c, grid) - lc.xi))
+        times.append(lc.time)
     return ResidualReport(
         times=np.asarray(times),
         residual=np.asarray(defects),

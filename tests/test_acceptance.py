@@ -26,7 +26,6 @@ from elwire.dynamics import (
 )
 from elwire.elliptic import _block_operator, bentness, solve_flux_form
 from elwire.fields import (
-    CurveState,
     Grid,
     circ_diff,
     compact_second,
@@ -133,13 +132,12 @@ def _march_summary(n, name, params):
     start, manifold, grid = _prepared_start(n, name, params)
     box = {"drift": 0.0, "constraint": 0.0, "displacement": 0.0}
     for level in march(start, manifold, grid, run_config(grid, n)):
-        solved = level.state
         total, _ = energy(level, grid)
         box.setdefault("e0", total)
         box["drift"] = max(box["drift"], abs(total - box["e0"]))
-        box["constraint"] = max(box["constraint"], constraint_drift(solved.xi))
+        box["constraint"] = max(box["constraint"], constraint_drift(level.xi))
         box["displacement"] = max(
-            box["displacement"], m0(manifold.displacement(start.state.gamma, solved.gamma))
+            box["displacement"], m0(manifold.displacement(start.gamma, level.gamma))
         )
     return {
         "displacement": box["displacement"],
@@ -210,18 +208,16 @@ def test_03_unit_tangent_preservation(perturbed_runs, capsys):
 def test_04_bentness_closed_form_and_range(capsys):
     grid = Grid(256)
     target = TWO_PI / math.sqrt(1.0 + TWO_PI**2)
-    closed_err = abs(bentness(_circle_tangent(grid), _flat_samples(256), grid).b_value - target)
+    closed_err = abs(bentness(_circle_tangent(grid), _flat_samples(256), grid) - target)
 
     small = Grid(64)
     flat = _flat_samples(64)
     rng = np.random.default_rng(11)
-    top = max(bentness(_random_unit_field(small, rng), flat, small).b_value for _ in range(100))
+    top = max(bentness(_random_unit_field(small, rng), flat, small) for _ in range(100))
 
     torus = make_manifold("flat-torus")
     line = small.points()[:, None] * np.array([1.0, 0.0])
-    geodesic_b = bentness(
-        np.tile([1.0, 0.0], (64, 1)), sample_geometry(torus, line), small
-    ).b_value
+    geodesic_b = bentness(np.tile([1.0, 0.0], (64, 1)), sample_geometry(torus, line), small)
 
     ok = closed_err <= 1e-4 and top <= 1.0 + 1e-12 and geodesic_b <= 1e-12
     _verdict(
@@ -244,7 +240,7 @@ def test_05_bentness_lipschitz(capsys):
     for _ in range(100):
         xi = _random_unit_field(grid, rng)
         other = _random_unit_field(grid, rng)
-        delta = abs(bentness(xi, flat, grid).b_value - bentness(other, flat, grid).b_value)
+        delta = abs(bentness(xi, flat, grid) - bentness(other, flat, grid))
         field_margin = max(field_margin, delta - l2_norm(xi - other, grid.dx))
 
     # curve clause on the sphere chart, where the sampled connection varies;
@@ -266,7 +262,7 @@ def test_05_bentness_lipschitz(capsys):
         xi = _random_unit_field(grid, rng)
         first = sample_geometry(sphere, wobbly_loop())
         second = sample_geometry(sphere, wobbly_loop())
-        delta = abs(bentness(xi, first, grid).b_value - bentness(xi, second, grid).b_value)
+        delta = abs(bentness(xi, first, grid) - bentness(xi, second, grid))
         gap = np.max(np.sqrt(np.sum((first.chris - second.chris) ** 2, axis=(1, 2, 3))))
         curve_margin = max(curve_margin, delta - 3.0 * gap)
 
@@ -347,11 +343,11 @@ def test_07_wave_route_cross_validation(capsys):
         a = np.column_stack([np.cos(psi), np.sin(psi)])
         aperp = np.column_stack([-np.sin(psi), np.cos(psi)])
         b = 0.2 * np.cos(TWO_PI * x)[:, None] * aperp
-        state = CurveState(gamma=np.zeros_like(a), xi=a, xi_t=b, eta=np.zeros_like(a))
         steps = n // 4
         flat = _flat_samples(n)
         series, _ = picard_wave_solve(
-            state,
+            a,
+            b,
             np.zeros((steps + 1, n, 2)),
             grid,
             eta_series=np.zeros((steps + 1, n, 2)),
@@ -422,8 +418,8 @@ def test_08_window_iteration_contraction(capsys):
         st, manifold, g = _prepared_start(n, "perturbed-circle", PERTURBATION)
         steps = n // 16
         iterate, _ = picard_coupled(st, manifold, g, run_config(g, steps + 1))
-        states = [lv.state for lv in march(st, manifold, g, run_config(g, steps))]
-        errs.append(max(np.max(np.abs(states[m].xi - iterate.state.xi[m])) for m in range(steps + 1)))
+        levels = list(march(st, manifold, g, run_config(g, steps)))
+        errs.append(max(np.max(np.abs(levels[m].xi - iterate.xi[m])) for m in range(steps + 1)))
     orders = _orders(errs)
 
     ok = ratios_ok and min(orders) >= ORDER_MIN
@@ -453,10 +449,7 @@ def test_09_multiplier_and_residual(capsys):
         sups.append(float(np.max(report.residual)))
     orders = _orders(sups)
 
-    scaled = [
-        dataclasses.replace(lv, state=dataclasses.replace(lv.state, xi=1.05 * lv.state.xi))
-        for lv in rest
-    ]
+    scaled = [dataclasses.replace(lv, xi=1.05 * lv.xi) for lv in rest]
     control = float(np.max(residual_base_single(scaled, grid.dx, manifold, grid).residual))
 
     ok = (

@@ -1,6 +1,7 @@
 """Tests for the command line driver: exit codes, output files, determinism."""
 
 import dataclasses
+import errno
 import gc
 import json
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import elwire
-from elwire.cli import CSV_COLUMNS, main
+from elwire.cli import CSV_COLUMNS, main, write_json
 
 REST_CONFIG = {
     "grid": {"n": 16},
@@ -113,16 +114,15 @@ def test_march_outputs(tmp_path, capsys):
 
 def put_nan(monkeypatch, at_level, field):
     """Make the march of the CLI yield level ``at_level`` with a NaN at grid
-    index 5 of its state's ``field``."""
+    index 5 of its ``field``."""
     real_march = elwire.cli.march
 
     def march_with_nan(*args, **kwargs):
         for index, level in enumerate(real_march(*args, **kwargs)):
             if index == at_level:
-                values = getattr(level.state, field).copy()
+                values = getattr(level, field).copy()
                 values[5, 0] = np.nan
-                state = dataclasses.replace(level.state, **{field: values})
-                level = dataclasses.replace(level, state=state)
+                level = dataclasses.replace(level, **{field: values})
             yield level
 
     monkeypatch.setattr("elwire.cli.march", march_with_nan)
@@ -653,6 +653,71 @@ def test_study_abort_records_resolution(tmp_path, capsys):
     assert study["resolution"] == 16
 
 
+def strict_json(path):
+    """The JSON document in ``path``, refusing the NaN and infinity tokens
+    that strict JSON parsers reject."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", ["run", "study"])
+def test_zero_energy_run_writes_strict_json(tmp_path, capsys, command):
+    # a straight geodesic at rest has no energy and so no relative energy
+    # drift: the summaries hold null there, not a bare NaN, and the printed
+    # lines and the study's orders show it as "-"
+    data = {
+        "manifold": {"name": "flat-torus"},
+        "grid": {"n": 16},
+        "time": {"horizon": 0.25},
+        "initial": {"name": "torus-geodesic"},
+        "tolerances": {"bentness_floor": 1e-300},
+    }
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 0
+    assert "energy drift -," in capsys.readouterr().out
+    metadata = [out / "metadata.json"] if command == "run" else sorted(out.glob("n*/metadata.json"))
+    assert len(metadata) == (1 if command == "run" else 3)
+    for path in metadata:
+        summary = strict_json(path)["summary"]
+        assert summary["initial_energy"] == 0.0
+        assert summary["max_relative_energy_drift"] is None
+    if command == "study":
+        study = strict_json(out / "study.json")
+        assert study["energy_drift"] == {"values": [None] * 3, "orders": [None, None]}
+    # the writer refuses a non-finite value outright
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"drift": float("nan")})
+    assert not (tmp_path / "nan.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "study"])
+def test_unusable_output_directory_exits_2_before_computing(
+    tmp_path, monkeypatch, capsys, command
+):
+    # an output path that is a file, or lies below one, is refused with one
+    # line naming it and the OS error, before the chart is even built; a
+    # study makes the directory of each resolution up front too
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run started computing")
+
+    monkeypatch.setattr("elwire.cli.build_manifold", unreached)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cases = [(blocker, blocker, errno.EEXIST), (blocker / "sub", blocker / "sub", errno.ENOTDIR)]
+    if command == "study":
+        (tmp_path / "study").mkdir()
+        (tmp_path / "study" / "n0032").write_text("")
+        cases.append((tmp_path / "study", tmp_path / "study" / "n0032", errno.EEXIST))
+    path = config_file(tmp_path, REST_CONFIG)
+    for out, named, code in cases:
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"cannot make output directory {named}: {os.strerror(code)}"]
+
+
 @pytest.mark.parametrize(
     "initial, field",
     [
@@ -801,13 +866,13 @@ def test_march_samples_each_curve_position_once(
                 monkeypatch.setattr(module, reader, reading(getattr(module, reader)))
 
     derived = []
-    real_derive = elwire.dynamics.tangent_derivatives
+    real_derive = elwire.dynamics.Level.derive
 
-    def counting_derive(*args, **kwargs):
+    def counting_derive(cls, *args, **kwargs):
         derived.append(1)
         return real_derive(*args, **kwargs)
 
-    monkeypatch.setattr(elwire.dynamics, "tangent_derivatives", counting_derive)
+    monkeypatch.setattr(elwire.dynamics.Level, "derive", classmethod(counting_derive))
 
     solves = {"solve_flux_form": 0, "bentness": 0}
 
@@ -931,15 +996,15 @@ def test_flat_fast_path_matches_the_general_path(tmp_path, mode, section):
     ids=["flat", "sphere"],
 )
 def test_diagnostics_rows_recompute_from_the_marched_states(tmp_path, monkeypatch, data):
-    # a row is a pure function of its level's state, the geometry of its
+    # a row is a pure function of its level's fields, the geometry of its
     # curve and the bentness gate in force, with the two levels before it for
-    # the transport check: rebuilt from the kept states, with samples and
+    # the transport check: rebuilt from the kept fields, with samples and
     # tangent derivatives derived afresh, every row repeats the written one
     import elwire.cli
     import elwire.dynamics
     from elwire.config import parse_config
     from elwire.diagnostics import make_record, transport_check
-    from elwire.dynamics import Level, tangent_derivatives
+    from elwire.dynamics import Level
     from elwire.fields import Grid
     from elwire.geometry import sample_geometry
 
@@ -959,9 +1024,11 @@ def test_diagnostics_rows_recompute_from_the_marched_states(tmp_path, monkeypatc
     manifold, grid = elwire.cli.build_manifold(cfg), Grid(cfg.grid_n)
     rebuilt = []
     for level in kept:
-        samples = sample_geometry(manifold, level.state.gamma)
-        derivatives = tangent_derivatives(level.state, samples, grid.dx)
-        rebuilt.append(Level(level.state, samples, *derivatives, level.bentness))
+        samples = sample_geometry(manifold, level.gamma)
+        fields = (level.gamma, level.xi, level.xi_t, level.eta, samples, grid.dx)
+        rebuilt.append(
+            Level.derive(*fields, theta=level.theta, time=level.time, bentness=level.bentness)
+        )
     rows = []
     for k, level in enumerate(rebuilt):
         residual = transport_check(rebuilt[k - 2 : k + 1], cfg.dt, grid) if k >= 2 else None

@@ -23,7 +23,7 @@ from elwire.diagnostics import (
     transport_check,
 )
 from elwire.dynamics import assemble_sources, march, prepare_initial
-from elwire.elliptic import BentnessReport, bentness, solve_flux_form
+from elwire.elliptic import bentness, solve_flux_form
 from elwire.fields import Grid, m0
 from elwire.geometry import make_manifold
 from run_config import SOLVE_DEFAULTS, run_config
@@ -39,12 +39,11 @@ def rest_level(n: int, with_theta: bool = True):
     grid = Grid(n)
     curve, velocity = initial.generate("circle", manifold, grid, {})
     level, _ = prepare_initial(curve, velocity, manifold, grid)
-    state, samples = level.state, level.samples
     if with_theta:
         psi, phi = assemble_sources(level)
-        solved = solve_flux_form(psi, phi, state.xi, samples, grid, **SOLVE_DEFAULTS)
-        level = replace(level, state=replace(state, theta=solved.u))
-    return replace(level, bentness=bentness(state.xi, samples, grid)), manifold, grid
+        solved = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
+        level = replace(level, theta=solved.u)
+    return replace(level, bentness=bentness(level.xi, level.samples, grid)), manifold, grid
 
 
 def marched_levels(n: int, levels: int = 3):
@@ -76,7 +75,7 @@ def test_gamma_xi_drift_closed_form_and_convergence():
     values = []
     for n in (64, 128):
         level, manifold, grid = rest_level(n, with_theta=False)
-        drift = gamma_xi_drift(level.state, manifold, level.samples, grid)
+        drift = gamma_xi_drift(level, manifold, grid)
         expected = abs(1.0 - math.sin(TWO_PI * grid.dx) / (TWO_PI * grid.dx))
         assert abs(drift - expected) < CLOSED_FORM_TOL
         values.append(drift)
@@ -86,8 +85,7 @@ def test_gamma_xi_drift_closed_form_and_convergence():
 def test_make_record_fills_every_column():
     level, manifold, grid = rest_level(64)
     omega_sq = (math.sin(TWO_PI * grid.dx) / grid.dx) ** 2
-    gate = BentnessReport(b_value=0.5, phi=level.state.xi, residual=0.0)
-    gated = replace(level, bentness=gate)
+    gated = replace(level, bentness=0.5)
     record = make_record(gated, manifold, grid, transport_residual=1e-9)
     assert isinstance(record, DiagnosticsRecord)
     assert record.time == 0.0
@@ -101,7 +99,7 @@ def test_make_record_fills_every_column():
     assert make_record(level, manifold, grid).transport_residual is None
     # a row is made of a solved level only
     with pytest.raises(ValueError, match="tension"):
-        make_record(replace(level, state=replace(level.state, theta=None)), manifold, grid)
+        make_record(replace(level, theta=None), manifold, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +121,7 @@ def test_transport_check_validates_inputs():
         transport_check([level, level], grid.dx, grid)
     with pytest.raises(ValueError, match="3 levels"):
         transport_check([level] * 4, grid.dx, grid)
-    naked = replace(level, state=replace(level.state, theta=None))
+    naked = replace(level, theta=None)
     with pytest.raises(ValueError, match="tension"):
         transport_check([naked, naked, naked], grid.dx, grid)
 
@@ -142,8 +140,7 @@ def test_transport_detects_corrupted_tension():
     healthy = transport_check(levels, grid.dx, grid)
     corrupted = []
     for lv in levels:
-        s = lv.state
-        perp_field = np.column_stack([-s.xi[:, 1], s.xi[:, 0]])
-        corrupted.append(replace(lv, state=replace(s, theta=s.theta + perp_field)))
+        perp_field = np.column_stack([-lv.xi[:, 1], lv.xi[:, 0]])
+        corrupted.append(replace(lv, theta=lv.theta + perp_field))
     broken = transport_check(corrupted, grid.dx, grid)
     assert broken > 10.0 * healthy

@@ -23,7 +23,6 @@ from elwire.dynamics import (
     prepare_initial,
     reconstruct_mu,
     step,
-    tangent_derivatives,
 )
 from elwire.elliptic import solve_flux_form
 from elwire.errors import CflError, ConstraintDriftError, DegenerateCurveError, NearGeodesicError
@@ -46,12 +45,12 @@ TWO_PI = 2.0 * math.pi
 
 def flat_start(n: int, name: str = "circle", params: dict | None = None):
     """The initial level of a flat-chart wire, with its chart, grid and
-    preparation report."""
+    preparation's projection magnitude."""
     manifold = make_manifold("euclidean")
     grid = Grid(n)
     curve, velocity = initial.generate(name, manifold, grid, params or {})
-    start, report = prepare_initial(curve, velocity, manifold, grid)
-    return start, manifold, grid, report
+    start, projection = prepare_initial(curve, velocity, manifold, grid)
+    return start, manifold, grid, projection
 
 
 def wide_symbol(grid: Grid) -> float:
@@ -61,9 +60,23 @@ def wide_symbol(grid: Grid) -> float:
 def solved_level(level, grid):
     """``level`` with its tension solved afresh, and the tension flux."""
     psi, phi = assemble_sources(level)
-    solved = solve_flux_form(psi, phi, level.state.xi, level.samples, grid, **SOLVE_DEFAULTS)
-    solved_state = replace(level.state, theta=solved.u)
-    return replace(level, state=solved_state, bentness=solved.bentness), solved.flux
+    solved = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
+    return replace(level, theta=solved.u, bentness=solved.bentness), solved.flux
+
+
+def test_level_derive_defaults_and_tangent_derivatives():
+    # a level built from its fields is unsolved, at time 0, and carries
+    # D_x xi and D_t xi = xi_t + Gamma(eta, xi) on the samples of its curve
+    grid = Grid(16)
+    x = grid.points()
+    curve = np.column_stack([0.3 * np.sin(TWO_PI * x), 1.0 + 0.2 * np.cos(TWO_PI * x)])
+    samples = sample_geometry(HyperbolicHalfPlaneModel(), curve)
+    rng = np.random.default_rng(5)
+    xi, xi_t, eta = rng.standard_normal((3, 16, 2))
+    level = Level.derive(curve, xi, xi_t, eta, samples, grid.dx)
+    assert level.theta is None and level.time == 0.0 and level.bentness is None
+    assert np.array_equal(level.dxi, cov_dx(xi, xi, samples, grid.dx))
+    assert np.array_equal(level.dtxi, xi_t + apply_chris(samples.chris, eta, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +84,10 @@ def solved_level(level, grid):
 
 
 def test_prepare_initial_produces_admissible_data():
-    start, manifold, grid, report = flat_start(64)
-    state = start.state
-    assert constraint_drift(state.xi) < EXACT_TOL
-    assert np.max(np.abs(np.sum(state.xi * state.xi_t, axis=-1))) < EXACT_TOL
-    assert report.projection_magnitude == 0.0
-    assert report.min_tangent_norm > 0.9
+    start, manifold, grid, projection = flat_start(64)
+    assert constraint_drift(start.xi) < EXACT_TOL
+    assert np.max(np.abs(np.sum(start.xi * start.xi_t, axis=-1))) < EXACT_TOL
+    assert projection == 0.0
 
 
 def test_prepare_initial_orthogonalises_moving_data():
@@ -85,10 +96,9 @@ def test_prepare_initial_orthogonalises_moving_data():
     curve, velocity = initial.generate(
         "circle", manifold, grid, {"velocity": {"name": "rotate", "omega": 1.0}}
     )
-    start, report = prepare_initial(curve, velocity, manifold, grid)
-    state = start.state
-    assert np.max(np.abs(np.sum(state.xi * state.xi_t, axis=-1))) < EXACT_TOL
-    assert report.projection_magnitude >= 0.0
+    start, projection = prepare_initial(curve, velocity, manifold, grid)
+    assert np.max(np.abs(np.sum(start.xi * start.xi_t, axis=-1))) < EXACT_TOL
+    assert projection >= 0.0
 
 
 def test_prepare_initial_rejects_bad_shapes_and_degenerate_curves():
@@ -126,9 +136,8 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
     manifold = HyperbolicHalfPlaneModel()
     samples = sample_geometry(manifold, curve)
     rng = np.random.default_rng(17)
-    start, _ = prepare_initial(curve, 0.1 * rng.standard_normal((24, 2)), manifold, grid)
-    state = start.state
-    sources_psi, sources_phi = assemble_sources(start)
+    state, _ = prepare_initial(curve, 0.1 * rng.standard_normal((24, 2)), manifold, grid)
+    sources_psi, sources_phi = assemble_sources(state)
 
     dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
     dtxi = state.xi_t + apply_chris(samples.chris, state.eta, state.xi)
@@ -150,16 +159,15 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
 
 def test_rest_circle_tension_and_multiplier_closed_forms():
     level, manifold, grid, _ = flat_start(128)
-    state = level.state
     psi, phi = assemble_sources(level)
     omega_sq = wide_symbol(grid) ** 2
     assert m0(psi) < EXACT_TOL
-    assert m0(phi + omega_sq * state.xi) < 1e-10
+    assert m0(phi + omega_sq * level.xi) < 1e-10
 
-    solved = solve_flux_form(psi, phi, state.xi, level.samples, grid, **SOLVE_DEFAULTS)
-    assert m0(solved.u + state.xi) < CLOSED_FORM_TOL
+    solved = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
+    assert m0(solved.u + level.xi) < CLOSED_FORM_TOL
 
-    mu = reconstruct_mu(replace(level, state=replace(state, theta=solved.u)))
+    mu = reconstruct_mu(replace(level, theta=solved.u))
     assert np.max(np.abs(mu - omega_sq)) < CLOSED_FORM_TOL
     with pytest.raises(ValueError, match="tension"):
         reconstruct_mu(level)
@@ -171,12 +179,11 @@ def test_rest_circle_tension_and_multiplier_closed_forms():
 
 def test_rest_circle_is_a_discrete_equilibrium():
     start, manifold, grid, _ = flat_start(64)
-    state = start.state
     level, flux = solved_level(start, grid)
-    advanced = step(level, flux, manifold, grid, run_config(grid, 1)).state
-    assert m0(advanced.xi - state.xi) < EXACT_TOL
+    advanced = step(level, flux, manifold, grid, run_config(grid, 1))
+    assert m0(advanced.xi - start.xi) < EXACT_TOL
     assert m0(advanced.eta) < EXACT_TOL
-    assert m0(advanced.gamma - state.gamma) < EXACT_TOL
+    assert m0(advanced.gamma - start.gamma) < EXACT_TOL
 
 
 def test_march_keeps_rest_circle_and_counts_levels():
@@ -184,12 +191,12 @@ def test_march_keeps_rest_circle_and_counts_levels():
     levels = list(march(start, manifold, grid, run_config(grid, 12, bentness_every=4)))
     assert all(isinstance(level, Level) for level in levels)
     assert len(levels) == 13
-    displacements = [m0(lv.state.gamma - start.state.gamma) for lv in levels]
+    displacements = [m0(lv.gamma - start.gamma) for lv in levels]
     assert max(displacements) < 1e-10
-    assert [lv.state.time for lv in levels] == [k * grid.dx for k in range(13)]
-    assert all(lv.state.theta is not None for lv in levels)
-    # fresh bentness gates at the configured cadence, carried reports between;
-    # the final level carries the last report
+    assert [lv.time for lv in levels] == [k * grid.dx for k in range(13)]
+    assert all(lv.theta is not None for lv in levels)
+    # fresh bentness gates at the configured cadence, carried values between
+    # (the same float object); the final level carries the last value
     gate_ids = [id(lv.bentness) for lv in levels]
     assert len(set(gate_ids[0:4])) == 1
     assert len(set(gate_ids[4:8])) == 1
@@ -221,17 +228,17 @@ def test_march_levels_carry_the_geometry_of_their_curve(chart, dim, init, params
     levels = list(march(start, manifold, grid, run_config(grid, 4, bentness_every=2)))
     assert len(levels) == 5
     for level in levels:
-        fresh = sample_geometry(manifold, level.state.gamma)
+        fresh = sample_geometry(manifold, level.gamma)
         for field in ("frame", "frame_inv", "chris", "curv"):
             carried, expected = getattr(level.samples, field), getattr(fresh, field)
             if expected is None:
                 assert carried is None
             else:
                 assert carried.tobytes() == expected.tobytes()
-        # and the tangent derivatives of its state on that curve
-        dxi, dtxi = tangent_derivatives(level.state, fresh, grid.dx)
-        assert np.array_equal(level.dxi, dxi)
-        assert np.array_equal(level.dtxi, dtxi)
+        # and the tangent derivatives of its fields on that curve
+        derived = Level.derive(level.gamma, level.xi, level.xi_t, level.eta, fresh, grid.dx)
+        assert np.array_equal(level.dxi, derived.dxi)
+        assert np.array_equal(level.dtxi, derived.dtxi)
 
 
 def test_march_conserves_energy_on_perturbed_circle():
@@ -245,7 +252,7 @@ def test_march_conserves_energy_on_perturbed_circle():
         total, _ = energy(level, grid)
         worst = max(worst, abs(total - e0))
     assert worst / e0 < 1e-3
-    assert constraint_drift(levels[-1].state.xi) < 1e-4
+    assert constraint_drift(levels[-1].xi) < 1e-4
 
 
 def test_renormalize_pins_the_unit_constraint():
@@ -254,7 +261,7 @@ def test_renormalize_pins_the_unit_constraint():
     )
     levels = list(march(start, manifold, grid, run_config(grid, 16, renormalize=True)))
     for lv in levels[1:]:
-        assert constraint_drift(lv.state.xi) < 1e-13
+        assert constraint_drift(lv.xi) < 1e-13
 
 
 def test_step_reads_the_previous_levels_samples():
@@ -271,10 +278,10 @@ def test_step_reads_the_previous_levels_samples():
     cfg = run_config(grid, 1)
     first, second = list(march(start, manifold, grid, cfg))
     level, flux = solved_level(second, grid)
-    shifted = sample_geometry(manifold, first.state.gamma + np.array([0.05, 0.0]))
-    carried = step(level, flux, manifold, grid, cfg, prev=first).state
+    shifted = sample_geometry(manifold, first.gamma + np.array([0.05, 0.0]))
+    carried = step(level, flux, manifold, grid, cfg, prev=first)
     moved_prev = replace(first, samples=shifted)
-    moved = step(level, flux, manifold, grid, cfg, prev=moved_prev).state
+    moved = step(level, flux, manifold, grid, cfg, prev=moved_prev)
     assert m0(carried.xi - moved.xi) > 1e-9
 
 
@@ -282,12 +289,12 @@ def test_step_rejects_drifted_tangent():
     # the march holds the unit tangent to constraint_tol before each step;
     # a NaN in the tangent fails that gate too, before any solve sees it
     start, manifold, grid, _ = flat_start(32)
-    bad = replace(start, state=replace(start.state, xi=1.02 * start.state.xi))
+    bad = replace(start, xi=1.02 * start.xi)
     with pytest.raises(ConstraintDriftError, match="exceeds tolerance"):
         next(march(bad, manifold, grid, run_config(grid, 1)))
-    xi = start.state.xi.copy()
+    xi = start.xi.copy()
     xi[3, 0] = np.nan
-    bad = replace(start, state=replace(start.state, xi=xi))
+    bad = replace(start, xi=xi)
     gate = "unit-tangent defect nan exceeds tolerance 1.0e-02 at t=0.000000"
     with pytest.raises(ConstraintDriftError, match=gate):
         next(march(bad, manifold, grid, run_config(grid, 1)))
@@ -322,16 +329,16 @@ def test_picard_coupled_matches_march_on_a_short_window():
     steps = 4
     cfg = run_config(grid, steps)
     iterate, report = picard_coupled(start, manifold, grid, cfg)
-    assert iterate.state.gamma.shape == (steps + 1, 64, 2)
+    assert iterate.gamma.shape == (steps + 1, 64, 2)
     assert report.ratios and report.ratios[0] < 1.0
-    marched = [lv.state for lv in march(start, manifold, grid, cfg)]
+    marched = list(march(start, manifold, grid, cfg))
     for m in range(steps + 1):
-        assert m0(iterate.state.xi[m] - marched[m].xi) < 1e-3
-        assert m0(iterate.state.gamma[m] - marched[m].gamma) < 1e-3
-    assert m0(iterate.state.theta[0] - marched[0].theta) < 1e-3
+        assert m0(iterate.xi[m] - marched[m].xi) < 1e-3
+        assert m0(iterate.gamma[m] - marched[m].gamma) < 1e-3
+    assert m0(iterate.theta[0] - marched[0].theta) < 1e-3
     # the iterate carries the samples of its own curves, stacked
     assert len(iterate.samples.frame) == steps + 1
-    fresh = [sample_geometry(manifold, gamma) for gamma in iterate.state.gamma]
+    fresh = [sample_geometry(manifold, gamma) for gamma in iterate.gamma]
     for name in ("frame", "frame_inv", "chris", "curv"):
         assert np.array_equal(getattr(iterate.samples, name), getattr(stack_samples(fresh), name))
 
@@ -358,6 +365,6 @@ def test_residual_report_on_marched_states():
     assert np.all(report.coherence >= 0.0)
     with pytest.raises(ValueError, match="3"):
         residual_base_single(levels[:2], grid.dx, manifold, grid)
-    stripped = [replace(lv, state=replace(lv.state, theta=None)) for lv in levels]
+    stripped = [replace(lv, theta=None) for lv in levels]
     with pytest.raises(ValueError, match="tension"):
         residual_base_single(stripped, grid.dx, manifold, grid)

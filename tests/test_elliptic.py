@@ -16,7 +16,7 @@ import pytest
 from elliptic_oracle import block_tridiagonal_to_dense, cg_solve, dense_operator, dense_solve
 from geometry_oracle import with_connection
 from run_config import SOLVE_DEFAULTS
-from elwire.elliptic import BentnessReport, _block_operator, bentness, solve_flux_form
+from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
 from elwire.errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
 from elwire.fields import MIN_POINTS, Grid, circ_diff, cov_dx, l2_norm, m0, perp, row_norms
 from elwire.geometry import (
@@ -186,7 +186,7 @@ def test_dense_and_cg_paths_agree(chart, n_points, kind):
         reduced = solve_flux_form(np.zeros_like(xi), rhs, xi, samples, grid, **SOLVE_DEFAULTS).u
     else:
         rhs = xi
-        reduced = bentness(xi, samples, grid).phi
+        reduced = _solve_system(xi, samples, grid, "identity", xi)
     assert m0(reduced - dense_solve(xi, samples, grid, kind, rhs)) < DENSE_CG_TOL
     assert m0(reduced - cg_solve(xi, samples, grid, kind, rhs)) < DENSE_CG_TOL
 
@@ -197,7 +197,7 @@ def test_solver_is_linear():
     h1 = rng.standard_normal(xi.shape)
     h2 = rng.standard_normal(xi.shape)
     zero = np.zeros_like(xi)
-    settings = dict(SOLVE_DEFAULTS, bentness_report=bentness(xi, samples, grid))
+    settings = dict(SOLVE_DEFAULTS, gate=bentness(xi, samples, grid))
     u1 = solve_flux_form(zero, h1, xi, samples, grid, **settings).u
     u2 = solve_flux_form(zero, h2, xi, samples, grid, **settings).u
     u12 = solve_flux_form(zero, h1 + 0.5 * h2, xi, samples, grid, **settings).u
@@ -212,13 +212,16 @@ def test_bentness_closed_form_on_circle():
     grid, samples = flat_setup(256)
     xi = circle_tangent(grid)
     omega = math.sin(TWO_PI * grid.dx) / grid.dx
-    report = bentness(xi, samples, grid)
-    assert abs(report.b_value - omega / math.sqrt(1.0 + omega * omega)) < CLOSED_FORM_TOL
-    assert m0(report.phi - xi / (1.0 + omega * omega)) < CLOSED_FORM_TOL
-    assert report.residual < 1e-8
+    value = bentness(xi, samples, grid)
+    assert abs(value - omega / math.sqrt(1.0 + omega * omega)) < CLOSED_FORM_TOL
+    # the minimiser, solved as bentness solves it, and its optimality defect
+    phi = _solve_system(xi, samples, grid, "identity", xi)
+    assert m0(phi - xi / (1.0 + omega * omega)) < CLOSED_FORM_TOL
+    dphi = cov_dx(phi, xi, samples, grid.dx)
+    assert m0(-cov_dx(dphi, xi, samples, grid.dx) + phi - xi) < 1e-8
     # close to, but distinct from, the continuum value at this resolution
     continuum = TWO_PI / math.sqrt(1.0 + TWO_PI * TWO_PI)
-    assert abs(report.b_value - continuum) < 1e-4
+    assert abs(value - continuum) < 1e-4
 
 
 def test_bentness_range_on_random_unit_fields():
@@ -226,15 +229,13 @@ def test_bentness_range_on_random_unit_fields():
     rng = np.random.default_rng(21)
     for _ in range(20):
         xi = random_unit_field(grid, rng)
-        report = bentness(xi, samples, grid)
-        assert 0.0 <= report.b_value <= 1.0 + 1e-10
+        assert 0.0 <= bentness(xi, samples, grid) <= 1.0 + 1e-10
 
 
 def test_bentness_vanishes_on_constant_field():
     grid, samples = flat_setup(32)
     xi = np.broadcast_to(np.array([1.0, 0.0]), (32, 2)).copy()
-    report = bentness(xi, samples, grid)
-    assert report.b_value < EXACT_TOL
+    assert bentness(xi, samples, grid) < EXACT_TOL
 
 
 def test_bentness_is_stable_under_field_perturbations():
@@ -243,7 +244,7 @@ def test_bentness_is_stable_under_field_perturbations():
     for _ in range(10):
         xi = random_unit_field(grid, rng)
         other = random_unit_field(grid, rng)
-        delta = abs(bentness(xi, samples, grid).b_value - bentness(other, samples, grid).b_value)
+        delta = abs(bentness(xi, samples, grid) - bentness(other, samples, grid))
         assert delta <= l2_norm(xi - other, grid.dx) + 1e-8
 
 
@@ -258,15 +259,15 @@ def test_near_geodesic_refusal_and_report_reuse():
     with pytest.raises(NearGeodesicError):
         solve_flux_form(np.zeros_like(xi), h, xi, samples, grid, **SOLVE_DEFAULTS)
 
-    # a healthy field passes the gate, and a precomputed report is honoured
+    # a healthy field passes the gate, and a precomputed value is honoured
     bent_xi = circle_tangent(grid)
-    report = bentness(bent_xi, samples, grid)
+    value = bentness(bent_xi, samples, grid)
     fresh = solve_flux_form(np.zeros_like(xi), h, bent_xi, samples, grid, **SOLVE_DEFAULTS)
     reused = solve_flux_form(
-        np.zeros_like(xi), h, bent_xi, samples, grid, bentness_report=report, **SOLVE_DEFAULTS
+        np.zeros_like(xi), h, bent_xi, samples, grid, gate=value, **SOLVE_DEFAULTS
     )
-    assert isinstance(fresh.bentness, BentnessReport)
-    assert reused.bentness is report
+    assert fresh.bentness == value
+    assert reused.bentness is value
     assert m0(fresh.u - reused.u) < EXACT_TOL
 
 

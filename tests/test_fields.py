@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from elwire.fields import (
-    CurveState,
     Grid,
     circ_diff,
     compact_second,
@@ -74,14 +73,6 @@ def test_grid_validation_and_spacing():
         Grid(7)
     with pytest.raises(ValueError):
         Grid(16.5)
-
-
-def test_curve_state_properties():
-    grid = Grid(8)
-    xi = unit_field(grid)
-    state = CurveState(gamma=np.zeros((8, 2)), xi=xi, xi_t=np.zeros((8, 2)), eta=np.zeros((8, 2)))
-    assert state.theta is None
-    assert state.time == 0.0
 
 
 # ---------------------------------------------------------------------------

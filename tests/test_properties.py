@@ -10,13 +10,15 @@
 * Along random closed curves in every chart: cov_dx sums by parts, the
   unfolded production blocks of the elliptic operator are symmetric and
   equal the dense oracle, the production solve leaves a residual at rounding
-  level, and the block cyclic reduction agrees with a dense solve of the
-  oracle matrix.  A tension solve on a window series of such curves gives
-  each level exactly the bytes of that level's own solve, and its drift and
-  residual gates refuse the series as they refuse its first failing level.
+  level, the bentness minimiser solves its optimality system and gives the
+  bentness value, and the block cyclic reduction agrees with a dense solve
+  of the oracle matrix.  A tension solve on a window series of such curves
+  gives each level exactly the bytes of that level's own solve, and its
+  drift and residual gates refuse the series as they refuse its first
+  failing level.
 * Every series-shaped helper gives on a random window series (M+1, N, n)
   exactly (==) the stack of its calls on the levels.
-* ``write_snapshot`` writes any finite state in orjson's indented layout,
+* ``write_snapshot`` writes any finite level in orjson's indented layout,
   from which ``json.loads`` reads every double back bit for bit: signed
   zeros, subnormals, the largest double, raw 64-bit patterns, non-contiguous
   fields and both neighbours of every magnitude where a float's spelling
@@ -37,11 +39,10 @@ from hypothesis.extra import numpy as hnp
 
 from elliptic_oracle import block_tridiagonal_to_dense, dense_operator
 from elwire.cli import write_snapshot
-from elwire.dynamics import frame_tangent
+from elwire.dynamics import Level, frame_tangent
 from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
 from elwire.errors import ConstraintDriftError, NumericalAbort, NumericalSolveError
 from elwire.fields import (
-    CurveState,
     Grid,
     circ_diff,
     compact_second,
@@ -224,6 +225,19 @@ def test_banded_solve_residual(chart, n_points, seed):
     assert m0(defect) <= RESIDUAL_TOL * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(**curves)
+def test_bentness_is_the_penalty_at_its_minimiser(chart, n_points, seed):
+    # the minimiser phi, solved as bentness solves it, meets the optimality
+    # system -DD phi + phi = xi, and bentness is the root of the penalty there
+    grid, samples, xi, _ = curve_setup(chart, n_points, seed)
+    phi = _solve_system(xi, samples, grid, "identity", xi)
+    dphi = cov_dx(phi, xi, samples, grid.dx)
+    assert m0(-cov_dx(dphi, xi, samples, grid.dx) + phi - xi) < 1e-8
+    penalty = l2_norm(phi - xi, grid.dx) ** 2 + l2_norm(dphi, grid.dx) ** 2
+    assert bentness(xi, samples, grid) == np.sqrt(penalty)
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["perp", "identity"]), **curves)
 def test_cyclic_reduction_matches_dense_solve(kind, chart, n_points, seed):
@@ -250,7 +264,7 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     series_samples = stack_samples(per_level)
     f, h = rng.standard_normal((2,) + xi.shape)
     gate = bentness(xi[0], per_level[0], grid)
-    gated = {"b_floor": 0.0, "bentness_report": gate}
+    gated = {"b_floor": 0.0, "gate": gate}
     tol = SOLVE_DEFAULTS["tol"]
     series = solve_flux_form(f, h, xi, series_samples, grid, tol=tol, **gated)
     assert series.residual.shape == (levels,) and series.bentness is gate
@@ -259,7 +273,7 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
         assert series.u[m].tobytes() == level.u.tobytes()
         assert series.flux[m].tobytes() == level.flux.tobytes()
         assert series.residual[m].tobytes() == np.float64(level.residual).tobytes()
-    with pytest.raises(ValueError, match="bentness report"):
+    with pytest.raises(ValueError, match="bentness value"):
         solve_flux_form(f, h, xi, series_samples, grid, tol=tol, b_floor=0.0)
 
     # each gate refuses the series at its first failing level, with the
@@ -386,12 +400,17 @@ def strided(arr):
 snapshot_float = finite_float | st.sampled_from(spelling_edges())
 
 
+def snapshot_level(**fields) -> Level:
+    """A Level of the fields a snapshot holds; the writer reads no other."""
+    return Level(samples=None, dxi=None, dtxi=None, **fields)
+
+
 @st.composite
 def states(draw):
     shape = (draw(st.integers(1, 64)), draw(st.sampled_from([1, 2, 3])))
     values = hnp.arrays(np.float64, shape, elements=snapshot_float) | bit_pattern_arrays(shape)
     field = values | values.map(strided)
-    return CurveState(
+    return snapshot_level(
         gamma=draw(field),
         xi=draw(field),
         xi_t=draw(field),
@@ -418,7 +437,7 @@ SPECIAL = [-0.0, 0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e-300, 0.1]
 def test_snapshot_writer_special_values(tmp_path, dim, with_theta):
     values = np.resize(np.array(SPECIAL), (len(SPECIAL), dim))
     for field in (values[:1], values):
-        state = CurveState(
+        state = snapshot_level(
             gamma=field,
             xi=field[::-1],
             xi_t=-field,

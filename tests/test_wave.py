@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from elwire.errors import CflError, NonContractionError
-from elwire.fields import CurveState, Grid, circ_diff, m0
+from elwire.fields import Grid, circ_diff, m0
 from elwire.geometry import EuclideanModel, sample_geometry, stack_samples
 from elwire.wave import WaveData, _contract, leapfrog_step, picard_wave_solve, wave_series
 
@@ -62,9 +62,8 @@ def test_wave_data_validates_shapes_and_admissibility():
     # the window solver admits only a unit tangent with an orthogonal rate
     theta = np.zeros((5, 16, 2))
     for xi, xi_t in ((2.0 * a, zero), (a, a)):
-        state = CurveState(gamma=zero, xi=xi, xi_t=xi_t, eta=zero)
         with pytest.raises(ValueError, match="admissible"):
-            picard_wave_solve(state, theta, grid, **frozen_flat(16, 4))
+            picard_wave_solve(xi, xi_t, theta, grid, **frozen_flat(16, 4))
     # the representation itself takes any data, e.g. synthetic forcing
     WaveData(a=2.0 * a, b=a, f=None, h=None, grid=grid)
     with pytest.raises(ValueError, match="source series"):
@@ -207,12 +206,11 @@ def test_picard_contracts_near_the_resting_circle():
     grid = Grid(64)
     xi = rotation_field(grid)
     tangent = np.column_stack([-xi[:, 1], xi[:, 0]])
-    state = CurveState(
-        gamma=np.zeros((64, 2)), xi=tangent, xi_t=np.zeros((64, 2)), eta=np.zeros((64, 2))
-    )
     steps = 8
     theta = np.tile(-tangent, (steps + 1, 1, 1))
-    series, report = picard_wave_solve(state, theta, grid, **frozen_flat(64, steps))
+    series, report = picard_wave_solve(
+        tangent, np.zeros((64, 2)), theta, grid, **frozen_flat(64, steps)
+    )
     assert report.converged
     assert report.ratios and max(report.ratios) < 1.0
     deviation = max(m0(series[m] - tangent) for m in range(steps + 1))
@@ -222,22 +220,16 @@ def test_picard_contracts_near_the_resting_circle():
 def test_picard_window_validation():
     grid = Grid(16)
     xi = rotation_field(grid)
-    state = CurveState(
-        gamma=np.zeros((16, 2)), xi=xi, xi_t=np.zeros((16, 2)), eta=np.zeros((16, 2))
-    )
     with pytest.raises(ValueError, match="at least 2"):
-        picard_wave_solve(state, np.zeros((2, 16, 2)), grid, **frozen_flat(16, 1))
+        picard_wave_solve(xi, np.zeros((16, 2)), np.zeros((2, 16, 2)), grid, **frozen_flat(16, 1))
 
 
 def test_picard_reports_non_contraction():
     grid = Grid(32)
     xi = rotation_field(grid)
     runaway = 40.0 * np.column_stack([-xi[:, 1], xi[:, 0]])
-    state = CurveState(
-        gamma=np.zeros((32, 2)), xi=xi, xi_t=runaway, eta=np.zeros((32, 2))
-    )
     with pytest.raises(NonContractionError):
-        picard_wave_solve(state, np.zeros((17, 32, 2)), grid, **frozen_flat(32, 16))
+        picard_wave_solve(xi, runaway, np.zeros((17, 32, 2)), grid, **frozen_flat(32, 16))
 
 
 def test_contraction_that_runs_out_of_sweeps_raises_with_its_report():
