@@ -24,7 +24,7 @@ def main() -> None:
     start, projection = prepare_initial(curve, velocity, manifold, grid)
     print(f"prepared: projection magnitude {projection:.2e}")
 
-    cfg = RunConfig(grid_n=n, dt=grid.dx, horizon=steps * grid.dx)
+    cfg = RunConfig(grid_n=n, horizon=steps * grid.dx)
     print(f"marching {steps} steps to t = {cfg.horizon:.2f}")
     print()
     print("  time    energy      |norm^2-1|  bentness")

@@ -24,7 +24,7 @@ def main() -> None:
     print(f"prepared: projection magnitude {projection:.2e}")
 
     # the default run settings at this grid: dt = dx, horizon 1
-    cfg = RunConfig(grid_n=n, dt=grid.dx)
+    cfg = RunConfig(grid_n=n)
     print(f"marching {cfg.n_steps} steps to t = 1 (dt = dx = 1/{n})")
     print()
     print("  time    energy      rate      velocity  bending   |norm^2-1|")

@@ -26,7 +26,7 @@ def main() -> None:
     start, _ = prepare_initial(curve, velocity, manifold, grid)
 
     # a window of `steps` steps, and a march over the same time
-    cfg = RunConfig(grid_n=n, dt=grid.dx, horizon=steps * grid.dx, picard_window=steps)
+    cfg = RunConfig(grid_n=n, horizon=steps * grid.dx, picard_window=steps)
     iterate, report = picard_coupled(start, manifold, grid, cfg)
     print(f"window of {steps} steps at n = {n}: converged in {report.iterations} sweeps")
     print("  sweep   distance    ratio")

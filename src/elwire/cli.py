@@ -200,7 +200,8 @@ def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
     manifold = build_manifold(cfg)
     grid = Grid(cfg.grid_n)
     picard = cfg.mode == "picard"
-    meta = {"version": __version__, "config": cfg.to_dict(), "mode": cfg.mode, "summary": {}}
+    config = dataclasses.asdict(cfg)
+    meta = {"version": __version__, "config": config, "mode": cfg.mode, "summary": {}}
     levels = (_picard_levels if picard else _march_levels)(cfg, manifold, grid, meta)
     last = cfg.picard_window if picard else cfg.n_steps
     window: deque[Level] = deque(maxlen=3)
@@ -321,7 +322,7 @@ def _study_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
 
 def run(cfg: RunConfig, out_dir: Optional[str] = None, quiet: bool = False) -> int:
     """Execute a validated config; returns the process exit code."""
-    out = Path(out_dir or cfg.out_dir or "elwire-out")
+    out = Path(out_dir or cfg.out_dir)
     study = cfg.mode == "convergence-study"
     try:  # every output directory, before any computation
         for path in [out, *(_study_dirs(cfg, out).values() if study else ())]:

@@ -381,7 +381,8 @@ class ConformalModel(_ConformalModel):
         return np.stack(rows, axis=-2)
 
 
-_BUILTIN = {
+#: chart name -> model factory; its keys are the charts a config may name
+BUILTIN = {
     "euclidean": lambda dim, params: EuclideanModel(dim),
     "flat-torus": lambda dim, params: FlatTorusModel(dim),
     "hyperbolic": lambda dim, params: HyperbolicHalfPlaneModel(),
@@ -393,10 +394,10 @@ _BUILTIN = {
 def make_manifold(name: str, dim: int = 2, **params) -> ManifoldModel:
     """Construct a built-in model by name."""
     try:
-        factory = _BUILTIN[name]
+        factory = BUILTIN[name]
     except KeyError:
         raise ValueError(
-            f"unknown manifold {name!r}; choose from {sorted(_BUILTIN)}"
+            f"unknown manifold {name!r}; choose from {sorted(BUILTIN)}"
         ) from None
     return factory(dim, params)
 

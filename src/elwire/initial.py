@@ -114,6 +114,10 @@ def torus_geodesic(grid: Grid, dim: int, origin: np.ndarray, direction: np.ndarr
     return origin + grid.points()[:, None] * d
 
 
+#: velocity name -> the parameters its spec may hold besides ``name``
+VELOCITIES = {"none": (), "translate": ("vector",), "rotate": ("omega", "center")}
+
+
 def velocity_field(points: np.ndarray, spec: dict) -> np.ndarray:
     """Chart velocity samples for a velocity spec dict."""
     name = spec.get("name", "none")
@@ -137,10 +141,25 @@ def velocity_field(points: np.ndarray, spec: dict) -> np.ndarray:
     raise ValueError(f"unknown velocity spec {name!r}")
 
 
+#: curve name -> (the charts it runs on, the parameters it takes besides
+#: ``velocity``); chart circles also run on conformal charts, which share the
+#: flat chart topology
+CURVES = {
+    "circle": (("euclidean", "flat-torus", "conformal"), ("center",)),
+    "perturbed-circle": (("euclidean", "flat-torus", "conformal"), ("center", "mode", "amplitude")),
+    "hyperbolic-circle": (("hyperbolic",), ("center",)),
+    "sphere-loop": (("sphere",), ()),
+    "torus-geodesic": (("flat-torus",), ("origin", "direction")),
+}
+#: curves drawn in the first two coordinates
+PLANAR_CURVES = ("circle", "perturbed-circle", "sphere-loop")
+
+
 def generate(
     name: str, manifold: ManifoldModel, grid: Grid, params: dict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build (curve samples, chart velocity samples) for a named initial condition."""
+    """Build (curve samples, chart velocity samples) for a named initial
+    condition of ``CURVES`` and the velocity spec ``params["velocity"]``."""
     dim = manifold.dim
     velocity_spec = params.get("velocity", {"name": "none"})
     if name == "circle":

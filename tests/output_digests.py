@@ -41,7 +41,8 @@ _CHART_EXIT = {
     "velocity": {"name": "translate", "vector": [0, -10]},
 }
 
-#: name -> (command, config); every run is small (n <= 64)
+#: name -> (command, config); every run is small (n <= 64), and
+#: ``config-errors`` pins the wording and order of config problems
 CONFIGS = {
     "march-flat": (
         "run",
@@ -165,6 +166,22 @@ CONFIGS = {
     "abort-unconverged-picard": (
         "run",
         {"mode": "picard", "grid": {"n": 64}, "picard": {"window": 16, "max_iter": 2}, "initial": _PERTURBED},
+    ),
+    "config-errors": (
+        "run",
+        {
+            "grid": None,
+            "time": {"horizon": 0, "dt": "fast"},
+            "initial": {
+                "name": "circle",
+                "amplitude": 0.5,
+                "velocity": {"name": "rotate", "omega": 1, "centre": [0.5, 0.5]},
+            },
+            "picard": {"window": 1},
+            "output": {"directory": ""},
+            "renormalize": "yes",
+            "seed": 3,
+        },
     ),
     "study": (
         "study",

@@ -11,7 +11,6 @@ def run_config(grid, steps, *, dt=None, **settings):
     return RunConfig(
         grid_n=grid.n_points,
         dt=dt,
-        dt_characteristic=dt == grid.dx,
         horizon=steps * dt,
         picard_window=steps,
         **settings,

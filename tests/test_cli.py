@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import elwire
-from elwire.cli import CSV_COLUMNS, main, write_json
+from elwire.cli import CSV_COLUMNS, main, run, write_json
+from elwire.config import RunConfig
 
 REST_CONFIG = {
     "grid": {"n": 16},
@@ -72,6 +73,38 @@ def test_invalid_config_lists_each_problem(tmp_path, capsys):
     assert any("grid.n" in l for l in err_lines)
     assert any("time.horizon" in l for l in err_lines)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        ({"grid": None}, "grid: must be an object"),
+        (
+            {"initial": {"velocity": {"name": "rotate", "omega": 1, "centre": [0.5, 0.5]}}},
+            "initial.velocity.centre: unknown field; velocity 'rotate' takes omega, center",
+        ),
+    ],
+    ids=["null-section", "misspelt-velocity-key"],
+)
+def test_config_problem_is_one_line_and_exit_2(tmp_path, capsys, data, problem):
+    # a null section used to end in an AttributeError traceback, and the
+    # misspelt centre to turn the curve about the origin
+    path = config_file(tmp_path, data)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_directly_built_config_runs_on_its_own_grid(tmp_path, capsys):
+    # dt follows grid_n, so the step is characteristic and the transport
+    # check runs; a dt left at the default grid's 1/64 made the check raise
+    out = tmp_path / "out"
+    assert run(RunConfig(grid_n=32, horizon=0.1, out_dir=str(out))) == 0
+    header, rows = read_csv(out / "diagnostics.csv")
+    residuals = [row[header.split(",").index("transport_residual")] for row in rows]
+    assert len(rows) == 4 and residuals[:2] == ["", ""]
+    assert all(float(r) < 1e-8 for r in residuals[2:])
+    assert f"-> {out}" in capsys.readouterr().out
 
 
 def test_march_outputs(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Tests for configuration parsing: defaults, validation paths, dt rules."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from elwire.config import RunConfig, parse_config
 from elwire.errors import ConfigError
+from elwire.initial import CURVES, VELOCITIES
 
 
 def problems_of(text: str) -> list:
@@ -29,6 +32,23 @@ def test_empty_document_yields_defaults():
 
 def test_empty_document_parses_to_the_field_defaults():
     assert parse_config("{}") == RunConfig()
+
+
+def test_a_directly_built_config_steps_with_its_grid():
+    cfg = RunConfig(grid_n=32)
+    assert cfg.dt == 1 / 32
+    assert cfg.dt_characteristic
+    assert not RunConfig(grid_n=32, dt=1 / 64).dt_characteristic
+    # replace keeps the old step: it is not characteristic on the new grid
+    assert dataclasses.replace(RunConfig(), grid_n=32).dt == 1 / 64
+
+
+def test_the_readme_example_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```json\n")[1:]]
+    assert blocks
+    for block in blocks:
+        parse_config(block)
 
 
 def test_invalid_json_and_wrong_top_level():
@@ -56,6 +76,64 @@ def test_unknown_fields_are_rejected():
     problems = problems_of(json.dumps({"gird": {}, "grid": {"m": 3}}))
     paths = {p.split(":")[0] for p in problems}
     assert {"gird", "grid.m"} <= paths
+    # a key path is not a top-level key
+    assert problems_of(json.dumps({"grid.n": 16})) == ["grid.n: unknown field"]
+
+
+SECTIONS = ("manifold", "grid", "time", "initial", "tolerances", "picard", "output", "diagnostics")
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+@pytest.mark.parametrize("value", [None, 3, [1]])
+def test_a_section_must_be_an_object(section, value):
+    assert problems_of(json.dumps({section: value})) == [f"{section}: must be an object"]
+
+
+def test_output_directory_null_is_the_default_and_empty_is_refused():
+    cfg = parse_config(json.dumps({"output": {"directory": None}}))
+    assert cfg.out_dir == RunConfig().out_dir == "elwire-out"
+    problems = problems_of(json.dumps({"output": {"directory": ""}}))
+    assert problems == ["output.directory: must be a path, got ''"]
+
+
+#: curve -> a key, with a value, that another curve takes and it does not
+STRAY_CURVE_KEY = {
+    "circle": ("amplitude", 0.5),
+    "perturbed-circle": ("origin", [0.25, 0.25]),
+    "hyperbolic-circle": ("direction", [1, 0]),
+    "sphere-loop": ("center", [0.5, 0.5]),
+    "torus-geodesic": ("mode", 3),
+}
+#: velocity -> (a valid spec, a key, with a value, that the spec does not take)
+STRAY_VELOCITY_KEY = {
+    "none": ({"name": "none"}, "vector", [1.0, 0.0]),
+    "translate": ({"name": "translate", "vector": [0.1, 0.0]}, "omega", 1.0),
+    "rotate": ({"name": "rotate", "omega": 1.0}, "centre", [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("curve", name) for name in CURVES] + [("velocity", name) for name in VELOCITIES],
+)
+def test_a_parameter_nothing_reads_is_refused(kind, name):
+    if kind == "curve":
+        chart = CURVES[name][0][0]
+        key, value = STRAY_CURVE_KEY[name]
+        block = initial = {"name": name}
+        path = f"initial.{key}"
+    else:
+        chart = "euclidean"
+        spec, key, value = STRAY_VELOCITY_KEY[name]
+        block = dict(spec)
+        initial = {"name": "circle", "velocity": block}
+        path = f"initial.velocity.{key}"
+    data = {"manifold": {"name": chart}, "initial": initial}
+    parse_config(json.dumps(data))
+    block[key] = value
+    problems = problems_of(json.dumps(data))
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{path}: unknown field; {kind} {name!r} takes ")
 
 
 def test_dt_rules():
@@ -152,7 +230,7 @@ def test_booleans_are_not_accepted_as_integers():
 
 def test_picard_window_counts_steps():
     problems = problems_of(json.dumps({"picard": {"window": 1}}))
-    assert any("time steps" in p for p in problems)
+    assert problems == ["picard.window: must be an integer >= 2, got 1"]
     cfg = parse_config(json.dumps({"picard": {"window": 8, "max_iter": 5, "tol": 1e-9}}))
     assert cfg.picard_window == 8
     assert cfg.picard_max_iter == 5
@@ -189,7 +267,7 @@ def test_output_and_diagnostics_sections():
 
 def test_config_round_trips_to_dict():
     cfg = parse_config(json.dumps({"grid": {"n": 32}}))
-    payload = cfg.to_dict()
+    payload = dataclasses.asdict(cfg)
     assert payload["grid_n"] == 32
     assert set(payload) == {f.name for f in cfg.__dataclass_fields__.values()}
 
