@@ -54,10 +54,7 @@ CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(DiagnosticsRecord
 
 
 def build_manifold(cfg: RunConfig):
-    params = {}
-    if cfg.conformal_expression is not None:
-        params["expression"] = cfg.conformal_expression
-    return make_manifold(cfg.manifold_name, cfg.dim, **params)
+    return make_manifold(cfg.manifold_name, cfg.dim, expression=cfg.conformal_expression)
 
 
 def build_initial_state(cfg: RunConfig, manifold, grid: Grid):

@@ -16,33 +16,27 @@ unless noted; defaults in parentheses):
     diagnostics  {"every": 1, "bentness_every": 10}
     renormalize  false
 
-The chart names are the keys of ``geometry.BUILTIN``; the curves, the
-charts each runs on and the parameters each takes, and the velocities with
-theirs, are declared in ``initial`` (``CURVES``, ``PLANAR_CURVES``,
-``VELOCITIES``).  ``"characteristic"`` locks the time step to the grid
-spacing, which is what the integral wave solver and the transport
-diagnostic require.  Validation collects every problem (not just the
-first) and reports each with its JSON path, e.g. ``grid.n: must be an
-integer >= 8, got 4``.  It covers everything a run builds from the
-document: a key that nothing reads is refused, in every section and in
-``initial`` and its ``velocity`` alike; numbers must be finite, generator
-vectors (centre, origin, direction, velocity vector and centre) must have
-``manifold.dim`` entries, and a conformal expression must be plain
-arithmetic in the chart coordinates with bounded powers (checked without
-running it, see geometry.ConformalModel) whose value and first two
-derivatives sympy cannot show to be infinite or complex.
+``"characteristic"`` locks the time step to the grid spacing, which is
+what the integral wave solver and the transport diagnostic require.
+Validation collects every problem (not just the first) with its JSON path,
+e.g. ``grid.n: must be an integer >= 8, got 4``: a key that nothing reads,
+in any section, and a number that is not finite are refused.  This module
+holds the document's shape, its scalar settings, ``time.dt`` and ``mode``;
+the ``manifold`` and ``initial`` sections are held to the rules declared
+beside what they describe, by the one check that ``make_manifold`` and
+``initial.generate`` run too (``geometry.build_chart``, ``initial.check``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import initial
 from .errors import ConfigError
-from .geometry import BUILTIN, ConformalModel
-from .initial import CURVES, PLANAR_CURVES, VELOCITIES
+from .geometry import build_chart
+from .initial import _integer, _number
 
 MODES = ("march", "picard", "convergence-study")
 
@@ -64,9 +58,11 @@ _SCALARS = {
     "diagnostics.bentness_every": ("bentness_every", 1),
     "renormalize": ("renormalize", None),
 }
-#: every key a document may hold outside ``initial``, by JSON path
-_PATHS = {*_SCALARS, "manifold.name", "manifold.expression", "time.dt", "mode", "output.directory"}
-#: the sections, each an object; the keys of ``initial`` are its curve's
+#: every key a document may hold outside ``initial``, by JSON path; the other
+#: keys of ``manifold`` are its chart's settings (geometry.build_chart), those
+#: of ``initial`` its curve's (initial.check)
+_PATHS = {*_SCALARS, "manifold.name", "time.dt", "mode", "output.directory"}
+#: the sections, each an object
 _SECTIONS = {path.split(".")[0] for path in _PATHS if "." in path} | {"initial"}
 
 
@@ -118,31 +114,6 @@ class RunConfig:
         return max(1, int(round(self.horizon / self.dt)))
 
 
-def _number(value) -> Optional[float]:
-    """The value as a float if it is a finite JSON number, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return None
-    return number if math.isfinite(number) else None
-
-
-def _vector(value, length: int) -> bool:
-    """Whether the value is a list of ``length`` finite numbers."""
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == length
-        and all(_number(x) is not None for x in value)
-    )
-
-
-def _integer(value, least: int) -> bool:
-    """Whether the value is a JSON integer (not a boolean) >= ``least``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
 def _kind(value, least) -> Optional[str]:
     """None if the value is a setting of the kind ``least`` gives (see
     ``_SCALARS``), else the wording of that kind."""
@@ -163,22 +134,6 @@ def parse_config(text: str) -> RunConfig:
     def err(path: str, msg: str):
         problems.append(f"{path}: {msg}")
 
-    def choose(path: str, value, options):
-        """The value if it names one of the options, else None."""
-        if isinstance(value, str) and value in options:
-            return value
-        err(path, f"must be one of {list(options)}, got {value!r}")
-        return None
-
-    def must(path: str, ok: bool, kind: str, value):
-        if not ok:
-            err(path, f"must be {kind}, got {value!r}")
-
-    def unknown(path: str, block: dict, takes, owner: str):
-        for key in sorted(set(block) - {"name", *takes}):
-            names = ", ".join(takes) or "no parameters"
-            err(f"{path}.{key}", f"unknown field; {owner} takes {names}")
-
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -193,7 +148,7 @@ def parse_config(text: str) -> RunConfig:
         elif not isinstance(data[key], dict):
             err(key, "must be an object")
             data[key] = {}
-        elif key != "initial":
+        elif key not in ("manifold", "initial"):
             for inner in sorted(data[key]):
                 if f"{key}.{inner}" not in _PATHS:
                     err(f"{key}.{inner}", "unknown field")
@@ -211,20 +166,10 @@ def parse_config(text: str) -> RunConfig:
     n = values.get("grid_n", default.grid_n)
 
     man = data.get("manifold", {})
-    manifold_name = choose("manifold.name", man.get("name", default.manifold_name), BUILTIN)
-    manifold_name = values["manifold_name"] = manifold_name or default.manifold_name
-    if manifold_name == "hyperbolic" and dim != 2:
-        err("manifold.dim", f"hyperbolic model is two-dimensional, got {dim!r}")
-        dim = 2
-    expression = man.get("expression")
-    if manifold_name == "conformal" and not isinstance(expression, str):
-        err("manifold.expression", f"conformal model needs an expression, got {expression!r}")
-    elif manifold_name == "conformal":
-        try:
-            ConformalModel(dim, expression)
-        except ValueError as exc:
-            err("manifold.expression", str(exc))
-        values["conformal_expression"] = expression
+    values["manifold_name"] = man.get("name", default.manifold_name)
+    settings = {k: v for k, v in man.items() if k not in ("name", "dim")}
+    values["conformal_expression"] = settings.get("expression")
+    problems += build_chart(values["manifold_name"], dim, settings)[1]
 
     raw_dt = data.get("time", {}).get("dt", "characteristic")
     if raw_dt != "characteristic":
@@ -236,63 +181,22 @@ def parse_config(text: str) -> RunConfig:
         else:
             values["dt"] = dt
 
-    if mode := choose("mode", data.get("mode", default.mode), MODES):
+    mode = data.get("mode", default.mode)
+    if isinstance(mode, str) and mode in MODES:
         values["mode"] = mode
+    else:
+        err("mode", f"must be one of {list(MODES)}, got {mode!r}")
 
     init = data.get("initial", {})
-    initial_name = choose("initial.name", init.get("name", default.initial_name), CURVES)
-    given = {}  # the parameters the curve takes
-    if initial_name is not None:
-        values["initial_name"] = initial_name
-        charts, takes = CURVES[initial_name]
-        unknown("initial", init, (*takes, "velocity"), f"curve {initial_name!r}")
-        given = {k: v for k, v in init.items() if k in takes}
-        if manifold_name not in charts:
-            err("initial.name", f"{initial_name!r} runs on {list(charts)}, not {manifold_name!r}")
-        if initial_name in PLANAR_CURVES and dim < 2:
-            err("manifold.dim", f"{initial_name!r} lies in the first two coordinates, got {dim}")
-    # generator parameters left out take the generator's defaults (initial.generate)
-    points = f"a list of {dim} numbers"
-    if "center" in given and initial_name == "hyperbolic-circle":
-        center = given["center"]
-        in_chart = _vector(center, 2) and center[1] > 0.0
-        must("initial.center", in_chart, "a point of the chart (y > 0)", center)
-    elif "center" in given:
-        must("initial.center", _vector(given["center"], dim), points, given["center"])
-    if "origin" in given:
-        must("initial.origin", _vector(given["origin"], dim), points, given["origin"])
-    if "direction" in given:
-        axis = given["direction"]
-        is_axis = _vector(axis, dim) and sorted(abs(x) for x in axis) == [0] * (dim - 1) + [1]
-        must("initial.direction", is_axis, f"{points}, one 1 or -1 and the rest 0", axis)
-    if "mode" in given:
-        must("initial.mode", _integer(given["mode"], 1), "a positive integer", given["mode"])
-    if "amplitude" in given:
-        amplitude = given["amplitude"]
-        must("initial.amplitude", _number(amplitude) is not None, "a number", amplitude)
-    velocity = init.get("velocity", default.initial_params["velocity"])
-    if not isinstance(velocity, dict):
-        err("initial.velocity", f"must be an object, got {velocity!r}")
-    elif vname := choose("initial.velocity.name", velocity.get("name", "none"), VELOCITIES):
-        unknown("initial.velocity", velocity, VELOCITIES[vname], f"velocity {vname!r}")
-        # translate needs its vector and rotate its omega; rotate's centre is optional
-        if vname == "translate":
-            vector = velocity.get("vector")
-            must("initial.velocity.vector", _vector(vector, dim), points, vector)
-        elif vname == "rotate":
-            omega = velocity.get("omega")
-            must("initial.velocity.omega", _number(omega) is not None, "a number", omega)
-            if dim < 2:
-                err("initial.velocity.name", f"rotate turns two coordinates, got dim {dim}")
-            if "center" in velocity:
-                center = velocity["center"]
-                must("initial.velocity.center", _vector(center, dim), points, center)
-    values["initial_params"] = {k: v for k, v in init.items() if k != "name"}
-    values["initial_params"]["velocity"] = velocity
+    values["initial_name"] = init.get("name", default.initial_name)
+    params = values["initial_params"] = {k: v for k, v in init.items() if k != "name"}
+    params.setdefault("velocity", default.initial_params["velocity"])
+    problems += initial.check(values["initial_name"], values["manifold_name"], dim, params)
 
     out_dir = data.get("output", {}).get("directory")
-    if out_dir is not None:
-        must("output.directory", isinstance(out_dir, str) and out_dir != "", "a path", out_dir)
+    if out_dir is not None and not (isinstance(out_dir, str) and out_dir != ""):
+        err("output.directory", f"must be a path, got {out_dir!r}")
+    elif out_dir is not None:
         values["out_dir"] = out_dir
 
     cfg = RunConfig(**values)

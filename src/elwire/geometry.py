@@ -18,6 +18,9 @@ conformal metric exp(2*lam)*delta with ``lam`` given in closed form.  All
 evaluators are analytic (sympy differentiates the conformal factor once at
 construction time); nothing differentiates the metric numerically on the hot
 path.  The test suite keeps an independent finite-difference oracle.
+``BUILTIN`` declares each chart's rules once (the half-plane is 2-D; only
+``conformal`` takes a setting, its ``expression``), and ``build_chart``, which
+both ``make_manifold`` and ``config.parse_config`` run, checks them.
 
 Evaluators are vectorised: coordinates of shape ``(..., n)`` yield outputs with
 the same leading shape.  ``sample_geometry`` evaluates all three along a
@@ -219,9 +222,6 @@ class SphereChartModel(_ConformalModel):
     name = "sphere"
     constant_curvature = 1.0
 
-    def __init__(self, dim: int = 2):
-        super().__init__(dim)
-
     def _lam(self, coords):
         return math.log(2.0) - np.log1p(np.sum(coords * coords, axis=-1))
 
@@ -334,8 +334,10 @@ class ConformalModel(_ConformalModel):
 
     name = "conformal"
 
-    def __init__(self, dim: int, expression: str):
+    def __init__(self, dim: int, expression: str | None = None):
         super().__init__(dim)
+        if not isinstance(expression, str):
+            raise ValueError(f"conformal model needs an expression, got {expression!r}")
         import sympy
 
         if dim <= 3:
@@ -343,9 +345,7 @@ class ConformalModel(_ConformalModel):
         else:
             names = [f"x{i}" for i in range(dim)]
         _check_conformal_syntax(expression, names)
-        syms = sympy.symbols(names)
-        if dim == 1:
-            syms = [syms]
+        syms = sympy.symbols(names)  # a list, also of one name
         expr = sympy.sympify(expression, locals=dict(zip(names, syms)))
         grads = [expr.diff(s) for s in syms]
         hessian = [[expr.diff(a, b) for b in syms] for a in syms]
@@ -381,25 +381,49 @@ class ConformalModel(_ConformalModel):
         return np.stack(rows, axis=-2)
 
 
-#: chart name -> model factory; its keys are the charts a config may name
+#: chart name -> (model factory of the dimension and the settings, whether
+#: the chart is two-dimensional only, the settings it takes besides ``dim``);
+#: its keys are the charts a config may name
 BUILTIN = {
-    "euclidean": lambda dim, params: EuclideanModel(dim),
-    "flat-torus": lambda dim, params: FlatTorusModel(dim),
-    "hyperbolic": lambda dim, params: HyperbolicHalfPlaneModel(),
-    "sphere": lambda dim, params: SphereChartModel(dim),
-    "conformal": lambda dim, params: ConformalModel(dim, params["expression"]),
+    "euclidean": (EuclideanModel, False, ()),
+    "flat-torus": (FlatTorusModel, False, ()),
+    "hyperbolic": (lambda dim: HyperbolicHalfPlaneModel(), True, ()),
+    "sphere": (SphereChartModel, False, ()),
+    "conformal": (ConformalModel, False, ("expression",)),
 }
 
 
-def make_manifold(name: str, dim: int = 2, **params) -> ManifoldModel:
-    """Construct a built-in model by name."""
+def build_chart(name, dim: int, settings: dict) -> tuple[ManifoldModel | None, list[str]]:
+    """The model of a chart of ``BUILTIN``, or None and each rule of the chart
+    that the name, ``dim`` or ``settings`` break, with its config path.  A
+    setting that is None is left out.  A setting's value is checked by
+    building the model, so a conformal expression is refused with
+    ConformalModel's reason."""
+    if not (isinstance(name, str) and name in BUILTIN):
+        return None, [f"manifold.name: must be one of {list(BUILTIN)}, got {name!r}"]
+    factory, planar, takes = BUILTIN[name]
+    settings = {key: value for key, value in settings.items() if value is not None}
+    problems = [
+        f"manifold.{key}: unknown field; chart {name!r} takes {', '.join(('dim', *takes))}"
+        for key in sorted(set(settings) - set(takes))
+    ]
+    if planar and dim != 2:
+        problems.append(f"manifold.dim: {name} model is two-dimensional, got {dim!r}")
+    if problems:
+        return None, problems
     try:
-        factory = BUILTIN[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown manifold {name!r}; choose from {sorted(BUILTIN)}"
-        ) from None
-    return factory(dim, params)
+        return factory(dim, **settings), []
+    except ValueError as exc:
+        return None, [f"manifold.{key}: {exc}" for key in takes or ("dim",)]
+
+
+def make_manifold(name: str, dim: int = 2, **settings) -> ManifoldModel:
+    """Construct a built-in model by name; raises ValueError naming each rule
+    of ``BUILTIN`` that the arguments break (see build_chart)."""
+    model, problems = build_chart(name, dim, settings)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ with samples (approximately) equidistributed by arc length:
 Velocities are prescribed in chart components: ``none``, a rigid
 ``translate`` by a fixed vector, or a rigid ``rotate`` about a centre in the
 first two coordinates.
+
+Each rule of a curve or a velocity is declared once, in ``CURVES`` and
+``VELOCITIES``: its generator, the charts it runs on, whether it needs two
+dimensions, and each parameter's kind (of ``KINDS``) and default.  ``check``
+reads them; ``config.parse_config`` and ``generate`` both run it, and the
+generators themselves check nothing.
 """
 
 from __future__ import annotations
@@ -58,9 +64,9 @@ def _resample_by_arc(u_dense: np.ndarray, speed: np.ndarray, grid: Grid) -> np.n
     return np.interp(targets, cum, u_dense), total
 
 
-def flat_circle(grid: Grid, dim: int, center: np.ndarray) -> np.ndarray:
+def flat_circle(grid: Grid, dim: int, center, radius: float = CIRCLE_RADIUS) -> np.ndarray:
     phi = TWO_PI * grid.points()
-    plane = CIRCLE_RADIUS * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    plane = radius * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     return _embed(grid, dim, plane) + center
 
 
@@ -81,11 +87,9 @@ def perturbed_circle(
     return _embed(grid, dim, plane) + center
 
 
-def hyperbolic_circle(grid: Grid, center: np.ndarray) -> np.ndarray:
+def hyperbolic_circle(grid: Grid, dim: int, center) -> np.ndarray:
     """Chart circle of hyperbolic length one, sampled by hyperbolic arc length."""
     cx, cy = float(center[0]), float(center[1])
-    if cy <= 0.0:
-        raise ValueError(f"hyperbolic circle centre must satisfy y > 0, got {cy}")
     radius = cy * HYPERBOLIC_RADIUS_FACTOR
     n_dense = _DENSE_FACTOR * grid.n_points
     phi = np.linspace(0.0, TWO_PI, n_dense + 1)
@@ -98,90 +102,157 @@ def hyperbolic_circle(grid: Grid, center: np.ndarray) -> np.ndarray:
 
 def sphere_loop(grid: Grid, dim: int) -> np.ndarray:
     """Unit-length chart circle about the stereographic origin, unit speed."""
-    phi = TWO_PI * grid.points()
-    plane = SPHERE_LOOP_RADIUS * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    return _embed(grid, dim, plane)
+    return flat_circle(grid, dim, 0.0, SPHERE_LOOP_RADIUS)
 
 
-def torus_geodesic(grid: Grid, dim: int, origin: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Straight closed unit-length loop on the unit torus."""
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (dim,) or not np.allclose(d, np.round(d)) or abs(d @ d - 1.0) > 1e-12:
-        raise ValueError(
-            "torus geodesic direction must be an integer vector of unit length "
-            f"(a coordinate direction); got {direction!r}"
-        )
-    return origin + grid.points()[:, None] * d
+def torus_geodesic(grid: Grid, dim: int, origin, direction) -> np.ndarray:
+    """Straight closed unit-length loop on the unit torus along a coordinate axis."""
+    return origin + grid.points()[:, None] * np.asarray(direction, dtype=float)
 
 
-#: velocity name -> the parameters its spec may hold besides ``name``
-VELOCITIES = {"none": (), "translate": ("vector",), "rotate": ("omega", "center")}
+def _translate(points: np.ndarray, vector) -> np.ndarray:
+    return np.broadcast_to(np.asarray(vector, dtype=float), points.shape).copy()
 
 
-def velocity_field(points: np.ndarray, spec: dict) -> np.ndarray:
-    """Chart velocity samples for a velocity spec dict."""
-    name = spec.get("name", "none")
-    if name == "none":
-        return np.zeros_like(points)
-    if name == "translate":
-        vec = np.asarray(spec["vector"], dtype=float)
-        if vec.shape != (points.shape[1],):
-            raise ValueError(
-                f"translate vector needs {points.shape[1]} components, got {vec.shape}"
-            )
-        return np.broadcast_to(vec, points.shape).copy()
-    if name == "rotate":
-        omega = float(spec["omega"])
-        center = np.asarray(spec.get("center", np.zeros(points.shape[1])), dtype=float)
-        rel = points - center
-        out = np.zeros_like(points)
-        out[:, 0] = -omega * rel[:, 1]
-        out[:, 1] = omega * rel[:, 0]
-        return out
-    raise ValueError(f"unknown velocity spec {name!r}")
+def _rotate(points: np.ndarray, omega, center) -> np.ndarray:
+    """Rigid rotation at rate ``omega`` about ``center`` in the first two coordinates."""
+    rel = points - np.asarray(center, dtype=float)
+    out = np.zeros_like(points)
+    out[:, 0] = -float(omega) * rel[:, 1]
+    out[:, 1] = float(omega) * rel[:, 0]
+    return out
 
 
-#: curve name -> (the charts it runs on, the parameters it takes besides
-#: ``velocity``); chart circles also run on conformal charts, which share the
-#: flat chart topology
-CURVES = {
-    "circle": (("euclidean", "flat-torus", "conformal"), ("center",)),
-    "perturbed-circle": (("euclidean", "flat-torus", "conformal"), ("center", "mode", "amplitude")),
-    "hyperbolic-circle": (("hyperbolic",), ("center",)),
-    "sphere-loop": (("sphere",), ()),
-    "torus-geodesic": (("flat-torus",), ("origin", "direction")),
+def _number(value) -> float | None:
+    """The value as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _vector(value, length: int) -> bool:
+    """Whether the value is a list of ``length`` finite numbers."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == length
+        and all(_number(x) is not None for x in value)
+    )
+
+
+def _integer(value, least: int) -> bool:
+    """Whether the value is a JSON integer (not a boolean) >= ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+#: parameter kind -> (whether a value is of the kind in ``dim`` dimensions,
+#: its wording)
+KINDS = {
+    "point": (_vector, "a list of {dim} numbers"),
+    "half-plane point": (lambda v, _: _vector(v, 2) and v[1] > 0.0, "a point of the chart (y > 0)"),
+    "axis": (
+        lambda v, dim: _vector(v, dim) and sorted(map(abs, v)) == [0] * (dim - 1) + [1],
+        "a list of {dim} numbers, one 1 or -1 and the rest 0",
+    ),
+    "positive integer": (lambda v, _: _integer(v, 1), "a positive integer"),
+    "number": (lambda v, _: _number(v) is not None, "a number"),
 }
-#: curves drawn in the first two coordinates
-PLANAR_CURVES = ("circle", "perturbed-circle", "sphere-loop")
+
+_CENTER = {"center": ("point", 0.0)}
+#: charts with the flat chart topology, on which chart circles run
+_PLANE_CHARTS = ("euclidean", "flat-torus", "conformal")
+
+#: curve name -> (generator of (grid, dim, **parameters), the charts it runs
+#: on, whether it needs two dimensions, {parameter: (kind of ``KINDS``,
+#: default)}); a point's default is the number in each of its coordinates,
+#: and a default that is a function takes ``dim``
+CURVES = {
+    "circle": (flat_circle, _PLANE_CHARTS, True, _CENTER),
+    "perturbed-circle": (
+        perturbed_circle,
+        _PLANE_CHARTS,
+        True,
+        {**_CENTER, "mode": ("positive integer", 2), "amplitude": ("number", 0.01)},
+    ),
+    "hyperbolic-circle": (
+        hyperbolic_circle, ("hyperbolic",), False, {"center": ("half-plane point", [0.0, 1.0])}
+    ),
+    "sphere-loop": (sphere_loop, ("sphere",), True, {}),
+    "torus-geodesic": (
+        torus_geodesic,
+        ("flat-torus",),
+        False,
+        {"origin": ("point", 0.25), "direction": ("axis", lambda dim: np.eye(dim)[0])},
+    ),
+}
+#: velocity name -> (field of (curve samples, **parameters), the charts it
+#: runs on (None: every chart), whether it needs two dimensions, parameters
+#: as in ``CURVES``); a parameter whose default is None is required
+VELOCITIES = {
+    "none": (np.zeros_like, None, False, {}),
+    "translate": (_translate, None, False, {"vector": ("point", None)}),
+    "rotate": (_rotate, None, True, {"omega": ("number", None), **_CENTER}),
+}
+
+
+def _problems(path: str, noun: str, catalogue: dict, given: dict, chart, dim, also=()):
+    """Each rule of the ``catalogue`` entry ``given["name"]`` that ``given``
+    (its name and parameters; ``also`` names keys it may hold besides) breaks
+    on the chart ``chart`` of dimension ``dim``."""
+    name = given.get("name")
+    if not (isinstance(name, str) and name in catalogue):
+        return [f"{path}.name: must be one of {list(catalogue)}, got {name!r}"]
+    _, charts, planar, takes = catalogue[name]
+    names = ", ".join((*takes, *also)) or "no parameters"
+    problems = [
+        f"{path}.{key}: unknown field; {noun} {name!r} takes {names}"
+        for key in sorted(set(given) - {"name", *takes, *also})
+    ]
+    if charts is not None and chart not in charts:
+        problems.append(f"{path}.name: {name!r} runs on {list(charts)}, not {chart!r}")
+    if planar and dim < 2:
+        problems.append(f"manifold.dim: {noun} {name!r} needs two dimensions, got {dim}")
+    for key, (kind, default) in takes.items():
+        is_kind, wording = KINDS[kind]
+        value = given.get(key)
+        if (key in given or default is None) and not is_kind(value, dim):
+            problems.append(f"{path}.{key}: must be {wording.format(dim=dim)}, got {value!r}")
+    return problems
+
+
+def check(name, chart: str, dim: int, params: dict) -> list[str]:
+    """Each rule of ``CURVES`` and ``VELOCITIES`` that the curve ``name`` with
+    ``params`` (its parameters and a ``velocity`` spec) breaks on a chart of
+    that name and dimension, with its config path; empty if it breaks none."""
+    curve = {**params, "name": name}
+    problems = _problems("initial", "curve", CURVES, curve, chart, dim, also=("velocity",))
+    spec = params.get("velocity", {})
+    if not isinstance(spec, dict):
+        return problems + [f"initial.velocity: must be an object, got {spec!r}"]
+    spec = {"name": "none", **spec}
+    return problems + _problems("initial.velocity", "velocity", VELOCITIES, spec, chart, dim)
+
+
+def _arguments(given: dict, takes: dict, dim: int) -> dict:
+    """The parameters of ``takes``: the given values, else their defaults."""
+    values = {key: given.get(key, default) for key, (_, default) in takes.items()}
+    return {key: value(dim) if callable(value) else value for key, value in values.items()}
 
 
 def generate(
     name: str, manifold: ManifoldModel, grid: Grid, params: dict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build (curve samples, chart velocity samples) for a named initial
-    condition of ``CURVES`` and the velocity spec ``params["velocity"]``."""
-    dim = manifold.dim
-    velocity_spec = params.get("velocity", {"name": "none"})
-    if name == "circle":
-        center = np.asarray(params.get("center", np.zeros(dim)), dtype=float)
-        curve = flat_circle(grid, dim, center)
-    elif name == "perturbed-circle":
-        center = np.asarray(params.get("center", np.zeros(dim)), dtype=float)
-        curve = perturbed_circle(
-            grid, dim, center, int(params.get("mode", 2)), float(params.get("amplitude", 0.01))
-        )
-    elif name == "hyperbolic-circle":
-        center = np.asarray(params.get("center", (0.0, 1.0)), dtype=float)
-        curve = hyperbolic_circle(grid, center)
-    elif name == "sphere-loop":
-        curve = sphere_loop(grid, dim)
-    elif name == "torus-geodesic":
-        origin = np.asarray(params.get("origin", np.full(dim, 0.25)), dtype=float)
-        default_dir = np.zeros(dim)
-        default_dir[0] = 1.0
-        curve = torus_geodesic(
-            grid, dim, origin, np.asarray(params.get("direction", default_dir), dtype=float)
-        )
-    else:
-        raise ValueError(f"unknown initial condition {name!r}")
-    return curve, velocity_field(curve, velocity_spec)
+    """Build (curve samples, chart velocity samples) for the curve ``name`` of
+    ``CURVES`` with its parameters and the velocity spec ``params["velocity"]``;
+    raises ValueError naming each rule of the catalogues they break (see check)."""
+    problems = check(name, manifold.name, manifold.dim, params)
+    if problems:
+        raise ValueError("; ".join(problems))
+    generator, _, _, takes = CURVES[name]
+    curve = generator(grid, manifold.dim, **_arguments(params, takes, manifold.dim))
+    spec = {"name": "none", **params.get("velocity", {})}
+    field, _, _, takes = VELOCITIES[spec["name"]]
+    return curve, field(curve, **_arguments(spec, takes, manifold.dim))

@@ -5,6 +5,7 @@ import errno
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -105,6 +106,42 @@ def test_a_directly_built_config_runs_on_its_own_grid(tmp_path, capsys):
     assert len(rows) == 4 and residuals[:2] == ["", ""]
     assert all(float(r) < 1e-8 for r in residuals[2:])
     assert f"-> {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "settings, problem",
+    [
+        ({"initial_name": "hyperbolic-circle"}, "initial.name: 'hyperbolic-circle' runs on"),
+        (
+            {"initial_params": {"centre": [1, 0], "velocity": {"name": "none"}}},
+            "initial.centre: unknown field; curve 'circle' takes center, velocity",
+        ),
+        (
+            {"manifold_name": "sphere", "dim": 1, "initial_name": "sphere-loop"},
+            "manifold.dim: curve 'sphere-loop' needs two dimensions, got 1",
+        ),
+        (
+            {"manifold_name": "hyperbolic", "dim": 3, "initial_name": "hyperbolic-circle"},
+            "manifold.dim: hyperbolic model is two-dimensional, got 3",
+        ),
+        ({"conformal_expression": "x"}, "manifold.expression: unknown field; chart 'euclidean'"),
+    ],
+    ids=[
+        "curve-off-its-chart",
+        "misspelt-centre",
+        "planar-curve-in-1d",
+        "hyperbolic-3d",
+        "stray-expression",
+    ],
+)
+def test_a_directly_built_config_is_held_to_the_catalogue_rules(tmp_path, settings, problem):
+    # a RunConfig built in code skips parse_config; its run refuses the same
+    # settings before any level is computed or any output written
+    out = tmp_path / "out"
+    cfg = RunConfig(grid_n=16, horizon=0.125, out_dir=str(out), **settings)
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        run(cfg)
+    assert list(out.iterdir()) == []
 
 
 def test_march_outputs(tmp_path, capsys):

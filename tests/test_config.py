@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,21 @@ def test_the_readme_example_config_parses():
     assert blocks
     for block in blocks:
         parse_config(block)
+
+
+def test_the_readme_curve_table_matches_the_catalogue():
+    # each row names its curve, the charts it runs on and its parameters
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    head = "| `initial.name` | charts | parameters |\n| --- | --- | --- |\n"
+    rows = readme.split(head, 1)[1].split("\n\n", 1)[0].splitlines()
+    table = {}
+    for row in rows:
+        name, charts, parameters = (cell.strip() for cell in row.strip("|").split("|"))
+        table[name.strip("`")] = (
+            tuple(re.findall(r"`([^`]+)`", charts)),
+            tuple(re.findall(r"`([^`]+)` \(", parameters)),
+        )
+    assert table == {name: (charts, tuple(takes)) for name, (_, charts, _, takes) in CURVES.items()}
 
 
 def test_invalid_json_and_wrong_top_level():
@@ -118,7 +134,7 @@ STRAY_VELOCITY_KEY = {
 )
 def test_a_parameter_nothing_reads_is_refused(kind, name):
     if kind == "curve":
-        chart = CURVES[name][0][0]
+        chart = CURVES[name][1][0]
         key, value = STRAY_CURVE_KEY[name]
         block = initial = {"name": name}
         path = f"initial.{key}"
@@ -178,9 +194,9 @@ def test_manifold_rules():
         json.dumps({"manifold": {"name": "conformal", "expression": "-log(y)"}})
     )
     assert cfg.conformal_expression == "-log(y)"
-    # the expression is dropped when another manifold is selected
-    cfg = parse_config(json.dumps({"manifold": {"name": "euclidean", "expression": "x"}}))
-    assert cfg.conformal_expression is None
+    # only a conformal chart reads an expression
+    problems = problems_of(json.dumps({"manifold": {"name": "euclidean", "expression": "x"}}))
+    assert problems == ["manifold.expression: unknown field; chart 'euclidean' takes dim"]
 
 
 def test_initial_condition_compatibility():
@@ -318,7 +334,7 @@ def test_planar_generators_need_two_dimensions():
             }
         )
     )
-    assert [p.split(":")[0] for p in problems] == ["initial.velocity.name"]
+    assert [p.split(":")[0] for p in problems] == ["manifold.dim"]
 
 
 def test_hyperbolic_centre_must_be_numeric():

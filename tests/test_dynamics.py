@@ -8,6 +8,7 @@ are checked against an index-loop oracle on the hyperbolic plane.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -112,17 +113,23 @@ def test_prepare_initial_rejects_bad_shapes_and_degenerate_curves():
 
 
 def test_initial_generators_validate_parameters():
-    manifold = make_manifold("euclidean")
+    # the generators check nothing themselves: generate runs initial.check
     grid = Grid(16)
-    with pytest.raises(ValueError, match="unknown initial"):
-        initial.generate("helix", manifold, grid, {})
-    with pytest.raises(ValueError, match="unknown velocity"):
-        initial.velocity_field(np.zeros((16, 2)), {"name": "spin"})
-    with pytest.raises(ValueError, match="components"):
-        initial.velocity_field(np.zeros((16, 2)), {"name": "translate", "vector": [1.0]})
-    torus = make_manifold("flat-torus")
-    with pytest.raises(ValueError, match="direction"):
-        initial.torus_geodesic(grid, torus.dim, np.zeros(2), np.array([1.0, 1.0]))
+    euclid, torus = make_manifold("euclidean"), make_manifold("flat-torus")
+    cases = [
+        (euclid, "helix", {}, "initial.name: must be one of"),
+        (euclid, "circle", {"velocity": {"name": "spin"}}, "initial.velocity.name: must be one of"),
+        (
+            euclid,
+            "circle",
+            {"velocity": {"name": "translate", "vector": [1.0]}},
+            "initial.velocity.vector: must be a list of 2 numbers",
+        ),
+        (torus, "torus-geodesic", {"direction": [1.0, 1.0]}, "initial.direction: must be a list"),
+    ]
+    for manifold, name, params, problem in cases:
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            initial.generate(name, manifold, grid, params)
 
 
 # ---------------------------------------------------------------------------

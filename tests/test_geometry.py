@@ -302,12 +302,28 @@ def test_make_manifold_names_and_flags():
     assert make_manifold("conformal", 2, expression="x*y").name == "conformal"
     assert make_manifold("flat-torus", 2).is_flat
     assert not make_manifold("sphere").is_flat
-    with pytest.raises(ValueError, match="unknown manifold"):
+    with pytest.raises(ValueError, match="manifold.name: must be one of"):
         make_manifold("klein-bottle")
     with pytest.raises(ValueError, match="unknown symbols"):
         ConformalModel(2, "x + q")
     with pytest.raises(ValueError):
         EuclideanModel(0)
+
+
+def test_make_manifold_holds_every_chart_to_its_declared_rules():
+    # the half-plane model is two-dimensional whatever dim it is asked for
+    for dim in (1, 3, 4):
+        with pytest.raises(ValueError, match="manifold.dim: hyperbolic model is two-dimensional"):
+            make_manifold("hyperbolic", dim)
+    with pytest.raises(ValueError, match="manifold.expression: unknown field; chart 'sphere'"):
+        make_manifold("sphere", 2, expression="x")
+    with pytest.raises(ValueError, match="manifold.expression: conformal model needs an expression"):
+        make_manifold("conformal", 2)
+    with pytest.raises(ValueError, match="manifold.expression: .*unknown symbols"):
+        make_manifold("conformal", 2, expression="x + q")
+    # a one-dimensional conformal chart has the one coordinate x
+    line = make_manifold("conformal", 1, expression="0.1*x")
+    assert np.allclose(line.frame(np.array([[2.0]])), np.exp(-0.2))
 
 
 def test_conformal_powers_are_bounded_before_sympy_parses_them():

@@ -24,6 +24,10 @@
   fields and both neighbours of every magnitude where a float's spelling
   changes form included.  NaN or an infinity in any field or in the time
   aborts before a byte is written.
+* On a drawn chart, dimension and initial section (curves, velocities,
+  parameters of every kind, valid or not, and stray keys) ``parse_config``
+  accepts the document exactly when ``make_manifold`` and
+  ``initial.generate`` build it without a ValueError.
 """
 
 import dataclasses
@@ -38,10 +42,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from elliptic_oracle import block_tridiagonal_to_dense, dense_operator
+from elwire import initial
 from elwire.cli import write_snapshot
+from elwire.config import parse_config
 from elwire.dynamics import Level, frame_tangent
 from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
-from elwire.errors import ConstraintDriftError, NumericalAbort, NumericalSolveError
+from elwire.errors import ConfigError, ConstraintDriftError, NumericalAbort, NumericalSolveError
 from elwire.fields import (
     Grid,
     circ_diff,
@@ -56,6 +62,7 @@ from elwire.fields import (
     sided_grad_sq,
 )
 from elwire.geometry import (
+    BUILTIN,
     ConformalModel,
     EuclideanModel,
     FlatTorusModel,
@@ -63,9 +70,11 @@ from elwire.geometry import (
     SphereChartModel,
     apply_chris,
     apply_curv,
+    make_manifold,
     sample_geometry,
     stack_samples,
 )
+from elwire.initial import CURVES, VELOCITIES
 from geometry_oracle import (
     apply_chris_einsum,
     apply_curv_einsum,
@@ -467,3 +476,113 @@ def test_snapshot_writer_special_values(tmp_path, dim, with_theta):
         with pytest.raises(NumericalAbort, match="snapshot time .* is not finite"):
             write_snapshot(path, dataclasses.replace(state, time=float(bad)))
         assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# the config parser and the builders hold a run to the same catalogue rules
+
+
+def valid_values(kind, dim):
+    """Values of a parameter kind of ``initial.KINDS`` in ``dim`` dimensions."""
+    axis = [0.0] * dim
+    axis[-1] = -1.0
+    return st.sampled_from(
+        {
+            "point": [[0.1] * dim, [0] * dim],
+            "half-plane point": [[0.0, 1.5], [0.2, 0.5]],
+            "axis": [axis, [1] + [0] * (dim - 1)],
+            "positive integer": [1, 3],
+            "number": [0.01, -0.3, 0],
+        }[kind]
+    )
+
+
+def any_values(dim):
+    """Values valid and invalid for each kind: points of dim and dim + 1
+    numbers, points in and out of the half-plane, axes and non-axes,
+    integers below and above 1, numbers, and values of no kind."""
+    return st.sampled_from(
+        [
+            [0.1] * dim,
+            [0.1] * (dim + 1),
+            ["a"] * dim,
+            [0.0, 1.5],
+            [0.0, -1.0],
+            [1] * dim,
+            [0.5] + [0.0] * (dim - 1),
+            0,
+            3,
+            2.0,
+            -0.3,
+            True,
+            "x",
+            None,
+        ]
+    )
+
+
+def breaks(draw) -> bool:
+    """Whether to break the rule at hand: once in seven draws, so that about
+    a third of the drawn sections break none."""
+    return draw(st.integers(0, 6)) == 0
+
+
+def entry_params(draw, takes: dict, dim: int, strays) -> dict:
+    """Each parameter of ``takes`` of its kind, or of any kind; an optional
+    one may be left out, a required one only when a rule is broken; and now
+    and then a stray key."""
+    params = {}
+    for key, (kind, default) in takes.items():
+        if draw(st.booleans()) or (default is None) != breaks(draw):
+            params[key] = draw(any_values(dim) if breaks(draw) else valid_values(kind, dim))
+    if breaks(draw):
+        params[draw(st.sampled_from(strays))] = draw(any_values(dim))
+    return params
+
+
+@st.composite
+def run_sections(draw):
+    """A chart name, a dim, the chart's settings and an initial section: a
+    curve with its parameters, and a velocity with its parameters; each rule
+    of the catalogues is broken now and then."""
+    chart = draw(st.sampled_from(list(BUILTIN)))
+    if breaks(draw):
+        chart = "klein-bottle"
+    dim = draw(st.integers(1, 3)) if breaks(draw) else 2
+    settings = {"expression": "0.1*x"} if chart == "conformal" else {}
+    if breaks(draw):
+        settings = draw(st.sampled_from([{}, {"expression": "0.1*x"}, {"expression": "x + q"}]))
+    on_chart = [name for name, entry in CURVES.items() if chart in entry[1]] or list(CURVES)
+    name = draw(st.sampled_from([*CURVES, "helix"] if breaks(draw) else on_chart))
+    takes = CURVES[name][3] if name in CURVES else {}
+    section = {"name": name, **entry_params(draw, takes, dim, ["centre", "mode", "origin"])}
+    velocity = draw(st.sampled_from([*VELOCITIES, "spin", None] if breaks(draw) else list(VELOCITIES)))
+    if velocity in VELOCITIES:
+        takes = VELOCITIES[velocity][3]
+        spec = entry_params(draw, takes, dim, ["centre", "vector", "omega"])
+        section["velocity"] = dict(spec, name=velocity)
+    elif velocity == "spin":
+        section["velocity"] = {"name": velocity}
+    elif draw(st.booleans()):
+        section["velocity"] = draw(any_values(dim))
+    return chart, dim, settings, section
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections=run_sections())
+def test_parse_config_accepts_exactly_what_the_builders_build(sections):
+    chart, dim, settings, section = sections
+    document = {"manifold": {"name": chart, "dim": dim, **settings}, "initial": section}
+    try:
+        parse_config(json.dumps(document))
+        parsed = True
+    except ConfigError:
+        parsed = False
+    params = {key: value for key, value in section.items() if key != "name"}
+    try:
+        manifold = make_manifold(chart, dim, **settings)
+        initial.generate(section["name"], manifold, Grid(8), params)
+        built = True
+    except ValueError:
+        built = False
+    assert parsed == built
