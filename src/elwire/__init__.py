@@ -4,9 +4,10 @@ The package solves the coupled tension/wave/transport system for a wire
 moving in a Riemannian manifold presented by a single coordinate chart with
 a conformal (or flat) metric.  Modules:
 
-* ``geometry``     chart models, orthonormal frames, connection and
-                   curvature coefficients, sampled along a curve or a
-                   window series of curves;
+* ``geometry``     chart models and their samples along a curve or a
+                   window series of curves: the frame scale, the
+                   connection vector and the curvature matrix of a
+                   conformal chart, with the closed-form actions on them;
 * ``fields``       periodic grids, covariant differences and the discrete
                    norms, acting on one level (N, n) or a window series
                    (M+1, N, n) alike;
@@ -27,8 +28,8 @@ Every name is imported from its module; the package itself defines only
 holds every run setting: ``march``, ``picard_coupled`` and the level solves
 read their tolerances, caps and cadences from it, and its field defaults are
 the only ones; a ``dt`` left out follows ``grid_n`` (the characteristic step
-``1 / grid_n``).  Second routes that only verify production (dense and CG
-elliptic solves, the triangle quadrature, characteristic derivatives, the
+``1 / grid_n``).  Second routes that only verify production (the dense
+connection and curvature tensors, dense and CG elliptic solves, the triangle quadrature, characteristic derivatives, the
 single-equation residual) live in ``tests/``.
 """
 

@@ -72,10 +72,15 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
+def _row(record: DiagnosticsRecord) -> tuple:
+    """The record's fields in CSV_COLUMNS order."""
+    return tuple(getattr(record, name) for name in CSV_COLUMNS)
+
+
 def write_csv(path: Path, records: list[DiagnosticsRecord]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        lines.append(",".join(_cell(value) for value in dataclasses.astuple(rec)))
+        lines.append(",".join(_cell(value) for value in _row(rec)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -217,7 +222,7 @@ def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
                     residual = transport_check(list(window), cfg.dt, grid)
                 record = make_record(level, manifold, grid, transport_residual=residual)
                 # refused before it is recorded: the summary's maxima skip a NaN
-                for name, value in zip(CSV_COLUMNS, dataclasses.astuple(record)):
+                for name, value in zip(CSV_COLUMNS, _row(record)):
                     if value is not None and not math.isfinite(value):
                         raise NumericalAbort(
                             f"diagnostics column {name} is not finite at t={record.time:.6f}"

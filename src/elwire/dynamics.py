@@ -34,7 +34,7 @@ the curve a midpoint rule through the half-step position.  The curve's update
 never reads the tangent, so a step moves it first; the leapfrog's connection
 rate and the next level share the next curve's samples.
 
-The frame, connection and curvature at a level depend only on the curve
+The frame scale, connection and curvature at a level depend only on the curve
 there, and D_x xi and D_t xi only on the level's fields and those samples,
 so each is formed once: a ``Level`` carries the samples of its ``gamma`` and
 both derivatives (see Level.derive) to the next step and every diagnostic.
@@ -69,6 +69,7 @@ from .geometry import (
     ManifoldModel,
     apply_chris,
     apply_curv,
+    frame_components,
     sample_geometry,
     stack_samples,
 )
@@ -117,7 +118,7 @@ class Level:
         samples of ``gamma``; the fields may also be window series.  ``rest``
         sets the fields that follow (theta, time, bentness)."""
         dxi = cov_dx(xi, xi, samples, dx)
-        dtxi = xi_t + apply_chris(samples.chris, eta, xi)
+        dtxi = xi_t + apply_chris(samples.conn, eta, xi)
         return cls(gamma, xi, xi_t, eta, samples, dxi, dtxi, **rest)
 
 
@@ -176,7 +177,7 @@ def frame_tangent(
     tangent_chart = manifold.displacement(
         np.roll(gamma, 1, axis=0), np.roll(gamma, -1, axis=0)
     ) / (2.0 * grid.dx)
-    return np.einsum("pij,pj->pi", samples.frame_inv, tangent_chart)
+    return frame_components(samples, tangent_chart)
 
 
 def prepare_initial(
@@ -215,11 +216,11 @@ def prepare_initial(
             "the curve is not an admissible closed wire"
         )
     xi = a_raw / norms[:, None]
-    eta = np.einsum("pij,pj->pi", samples.frame_inv, vel)
+    eta = frame_components(samples, vel)
     xi_t_raw = (
         circ_diff(eta, grid.dx)
-        + apply_chris(samples.chris, xi, eta)
-        - apply_chris(samples.chris, eta, xi)
+        + apply_chris(samples.conn, xi, eta)
+        - apply_chris(samples.conn, eta, xi)
     )
     proj = np.sum(xi_t_raw * xi, axis=-1)
     xi_t = xi_t_raw - proj[:, None] * xi
@@ -234,11 +235,13 @@ def prepare_initial(
 def _eta_rate(flux: np.ndarray, level: Level) -> np.ndarray:
     """Plain time rate of eta: -Gamma(eta, eta) + flux + D_x xi."""
     eta = level.eta
-    return -apply_chris(level.samples.chris, eta, eta) + flux + level.dxi
+    return -apply_chris(level.samples.conn, eta, eta) + flux + level.dxi
 
 
-def _chart_velocity(frame: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    return np.einsum("pij,pj->pi", frame, eta)
+def _chart_velocity(samples: GeometrySamples, eta: np.ndarray) -> np.ndarray:
+    """Chart components of the frame velocity ``eta`` at the sampled points."""
+    # + 0.0 turns -0.0 into +0.0: the flat charts' output bytes keep that sign
+    return (eta if samples.scale is None else samples.scale[:, None] * eta) + 0.0
 
 
 def _advance_curve(
@@ -257,9 +260,9 @@ def _advance_curve(
     curve and its samples.  Each curve is sampled, and so checked against
     the chart, before its frame is used.
     """
-    gamma_mid = gamma + 0.5 * dt * _chart_velocity(samples.frame, eta)
-    samples_mid = samples if samples.chris is None else sample_geometry(manifold, gamma_mid)
-    gamma_next = gamma + dt * _chart_velocity(samples_mid.frame, eta_half)
+    gamma_mid = gamma + 0.5 * dt * _chart_velocity(samples, eta)
+    samples_mid = samples if samples.scale is None else sample_geometry(manifold, gamma_mid)
+    gamma_next = gamma + dt * _chart_velocity(samples_mid, eta_half)
     return samples_mid, gamma_next, sample_geometry(manifold, gamma_next)
 
 
@@ -267,13 +270,13 @@ def _bootstrap_prev(
     level: Level,
     rate: np.ndarray,
     dt: float,
-    samples_next: GeometrySamples,
+    conn_rate: Optional[np.ndarray],
     grid: Grid,
 ) -> np.ndarray:
     """Second-order backward level xi(t - dt) for the first leapfrog step.
 
-    ``samples_next`` samples the next curve; on a flat model, where the
-    connection terms vanish, they are not read.
+    ``conn_rate`` is the forward-difference rate of the connection along the
+    motion, None on a flat model, where the connection terms vanish.
     """
     dx = grid.dx
     samples, dtxi = level.samples, level.dtxi
@@ -281,14 +284,12 @@ def _bootstrap_prev(
     d2xi = cov_dxx(xi, xi, samples, dx)
     coeff = sided_grad_sq(xi, xi, samples, dx) - np.sum(dtxi * dtxi, axis=-1)
     accel = d2xi + coeff[:, None] * xi + perp(level.theta, xi)
-    if samples.chris is not None:
-        # forward-difference estimate of the connection rate along the motion
-        chris_rate = (samples_next.chris - samples.chris) / dt
+    if conn_rate is not None:
         accel = accel - (
-            apply_chris(chris_rate, eta, xi)
-            + apply_chris(samples.chris, rate, xi)
-            + apply_chris(samples.chris, eta, level.xi_t)
-            + apply_chris(samples.chris, eta, dtxi)
+            apply_chris(conn_rate, eta, xi)
+            + apply_chris(samples.conn, rate, xi)
+            + apply_chris(samples.conn, eta, level.xi_t)
+            + apply_chris(samples.conn, eta, dtxi)
         )
     return xi - dt * level.xi_t + 0.5 * dt * dt * accel
 
@@ -315,7 +316,7 @@ def step(
     """
     samples, xi, eta = level.samples, level.xi, level.eta
     dt, dx = cfg.dt, grid.dx
-    flat = samples.chris is None
+    flat = samples.conn is None
     rate = _eta_rate(flux, level)
 
     # curve: midpoint through the half-step position
@@ -324,18 +325,13 @@ def step(
         level.gamma, samples, eta, eta_half, manifold, dt
     )
 
-    chris_rate = None
+    # the connection rate along the motion: forward on the first step, centred after
     if prev is None:
-        xi_prev = _bootstrap_prev(level, rate, dt, samples_next, grid)
-        if not flat:
-            # first step: the forward rate (next - curr) / dt, spelt as the
-            # centred difference of curr and 2*next - curr, whose rounding
-            # the outputs keep
-            chris_rate = (2.0 * samples_next.chris - samples.chris - samples.chris) / (2.0 * dt)
+        conn_rate = None if flat else (samples_next.conn - samples.conn) / dt
+        xi_prev = _bootstrap_prev(level, rate, dt, conn_rate, grid)
     else:
+        conn_rate = None if flat else (samples_next.conn - prev.samples.conn) / (2.0 * dt)
         xi_prev = prev.xi
-        if not flat:
-            chris_rate = (samples_next.chris - prev.samples.chris) / (2.0 * dt)
     xi_next = leapfrog_step(
         xi_prev,
         xi,
@@ -344,7 +340,7 @@ def step(
         dt,
         grid,
         samples,
-        chris_rate=chris_rate,
+        conn_rate=conn_rate,
         eta_rate=rate,
     )
     if cfg.renormalize:
@@ -355,7 +351,7 @@ def step(
     xi_half = 0.5 * (xi + xi_next)
     flux_half = flux if flux_prev is None else 1.5 * flux - 0.5 * flux_prev
     dxi_half = cov_dx(xi_half, xi_half, samples_mid, dx)
-    k2 = -apply_chris(samples_mid.chris, eta_half, eta_half) + flux_half + dxi_half
+    k2 = -apply_chris(samples_mid.conn, eta_half, eta_half) + flux_half + dxi_half
     eta_next = eta + dt * k2
     return Level.derive(
         gamma_next, xi_next, xi_t_next, eta_next, samples_next, dx, time=level.time + dt
@@ -442,7 +438,7 @@ def _integrate_eta(
     eta0: np.ndarray,
     flux_s: np.ndarray,
     dxi_s: np.ndarray,
-    chris_s: Optional[np.ndarray],
+    conn_s: Optional[np.ndarray],
     dt: float,
 ) -> np.ndarray:
     """Midpoint integration of eta_t = -Gamma(eta, eta) + flux + D_x xi with
@@ -451,14 +447,14 @@ def _integrate_eta(
     levels = flux_s.shape[0]
     out = [eta0]
     v = eta0
-    chris_m = chris_half = None
+    conn_m = conn_half = None
     for m in range(levels - 1):
-        if chris_s is not None:
-            chris_m, chris_half = chris_s[m], 0.5 * (chris_s[m] + chris_s[m + 1])
+        if conn_s is not None:
+            conn_m, conn_half = conn_s[m], 0.5 * (conn_s[m] + conn_s[m + 1])
         force_half = 0.5 * (flux_s[m] + dxi_s[m] + flux_s[m + 1] + dxi_s[m + 1])
-        k1 = -apply_chris(chris_m, v, v) + flux_s[m] + dxi_s[m]
+        k1 = -apply_chris(conn_m, v, v) + flux_s[m] + dxi_s[m]
         v_half = v + 0.5 * dt * k1
-        k2 = -apply_chris(chris_half, v_half, v_half) + force_half
+        k2 = -apply_chris(conn_half, v_half, v_half) + force_half
         v = v + dt * k2
         out.append(v)
     return np.stack(out)
@@ -518,12 +514,12 @@ def picard_coupled(
             initial.xi, initial.xi_t, solved.theta, grid,
             eta_series=eta, samples_series=current.samples,
         )
-        eta_mid = _integrate_eta(initial.eta, flux, current.dxi, current.samples.chris, dt)
+        eta_mid = _integrate_eta(initial.eta, flux, current.dxi, current.samples.conn, dt)
         # refresh tension and velocity on the advanced fields
         refreshed, flux_new = _solve_level(
             _window_level(gamma_new, xi_new, eta_mid, samples_new, grid), grid, cfg, gate
         )
-        eta_new = _integrate_eta(initial.eta, flux_new, refreshed.dxi, samples_new.chris, dt)
+        eta_new = _integrate_eta(initial.eta, flux_new, refreshed.dxi, samples_new.conn, dt)
         return _window_level(gamma_new, xi_new, eta_new, samples_new, grid, refreshed.theta, gate)
 
     return _contract(

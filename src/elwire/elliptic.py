@@ -146,12 +146,13 @@ def _block_operator(xi, samples, grid, kind: str):
         raise ValueError(f"unknown zeroth-order kind {kind!r}")
     npts, n = xi.shape[-2:]
     dx = grid.dx
-    flat = samples.chris is None  # a flat chart has no connection blocks B_k = Gamma(xi_k, .)
-    conn = (
-        np.zeros(xi.shape + (n,))
-        if flat
-        else np.einsum("...pikj,...pi->...pkj", samples.chris, xi)
-    )
+    # connection blocks B_k = Gamma(xi_k, .) = xi_k c_k^T - c_k xi_k^T; none on a flat chart
+    flat = samples.conn is None
+    if flat:
+        conn = np.zeros(xi.shape + (n,))
+    else:
+        conn = xi[..., :, None] * samples.conn[..., None, :]
+        conn = conn - conn.swapaxes(-1, -2)
     eye = np.eye(n)
     # couplings: far (k to k +- 2), edge_k (k + 1 to k; k to k + 1 is -edge_k)
     # and centre_k (k to k), stacked per level as [far, edge, -edge, centre]

@@ -60,7 +60,7 @@ def circ_diff(values: np.ndarray, dx: float) -> np.ndarray:
 
 def cov_dx(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: float) -> np.ndarray:
     """Covariant arc-length derivative of p along the curve with tangent xi."""
-    return circ_diff(p, dx) + apply_chris(samples.chris, xi, p)
+    return circ_diff(p, dx) + apply_chris(samples.conn, xi, p)
 
 
 def compact_second(values: np.ndarray, dx: float) -> np.ndarray:
@@ -80,12 +80,12 @@ def cov_dxx(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: float) 
     ``sided_grad_sq`` so that the unit-tangent defect produced by the wave
     step stays at the time-discretization level.
     """
-    conn = apply_chris(samples.chris, xi, p)
+    conn = apply_chris(samples.conn, xi, p)
     return (
         compact_second(p, dx)
-        + apply_chris(samples.chris, xi, circ_diff(p, dx))
+        + apply_chris(samples.conn, xi, circ_diff(p, dx))
         + circ_diff(conn, dx)
-        + apply_chris(samples.chris, xi, conn)
+        + apply_chris(samples.conn, xi, conn)
     )
 
 
@@ -97,7 +97,7 @@ def sided_grad_sq(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: f
     when the connection vanishes, which is what pins ||xi|| = 1 during
     marching; the centred form leaves an O(dx^2) remainder instead.
     """
-    conn = apply_chris(samples.chris, xi, p)
+    conn = apply_chris(samples.conn, xi, p)
     fwd = (np.roll(p, -1, axis=-2) - p) / dx + conn
     bwd = (p - np.roll(p, 1, axis=-2)) / dx + conn
     return 0.5 * (np.sum(fwd * fwd, axis=-1) + np.sum(bwd * bwd, axis=-1))

@@ -1,37 +1,41 @@
-"""Chart geometry: orthonormal frames, connection and curvature coefficients.
+"""Chart geometry: orthonormal frames, connection and curvature samples.
 
 Every manifold is presented on a single chart that carries a global orthonormal
 frame {e_1, ..., e_n}.  Fields along curves are stored as frame components, so
 downstream modules see a flat metric; position dependence enters only through
-the three ingredients supplied here:
+what ``sample_geometry`` samples along a curve.  Every curved chart here is
+conformally flat, exp(2*lam)*delta, with the frame e_j = exp(-lam) d/dx^j, so
+its samples are small (see GeometrySamples):
 
-* ``h`` frame-to-chart matrix, column j holds the chart components of e_j;
-* ``gamma[i, k, j]`` connection coefficients, the e_k-component of the
-  covariant derivative of e_j along e_i (antisymmetric in (k, j) because the
+* ``scale`` exp(-lam): the frame-to-chart matrix is scale times the identity;
+* ``conn`` the vector c = exp(-lam) grad(lam), for which the covariant
+  derivative of a frame-constant field v along u is
+  Gamma(u, v) = u <c, v> - <u, v> c (antisymmetric in the frame because the
   frame is orthonormal);
-* ``r[i, j, k, l]`` curvature coefficients, the e_l-component of R(e_i, e_j) e_k
-  with R(u, v) = [nabla_u, nabla_v] - nabla_[u,v].
+* ``curv`` the symmetric matrix P = exp(-2 lam) (hess(lam) - grad(lam)
+  grad(lam)^T + |grad lam|^2 / 2 I), for which
+  R(u, v) w = <u, Pw> v - <v, Pw> u + P(<u, w> v - <v, w> u) with
+  R(u, v) = [nabla_u, nabla_v] - nabla_[u,v]; on a chart of constant
+  sectional curvature K, P = -K/2 I.
 
 Built-in models: Euclidean space, the flat unit torus, the hyperbolic upper
 half-plane, the round unit sphere in a stereographic chart, and a generic
 conformal metric exp(2*lam)*delta with ``lam`` given in closed form.  All
 evaluators are analytic (sympy differentiates the conformal factor once at
 construction time); nothing differentiates the metric numerically on the hot
-path.  The test suite keeps an independent finite-difference oracle.
+path.  The test suite keeps an independent finite-difference oracle, and
+rebuilds the dense connection and curvature tensors from the samples there.
 ``BUILTIN`` declares each chart's rules once (the half-plane is 2-D; only
 ``conformal`` takes a setting, its ``expression``), and ``build_chart``, which
 both ``make_manifold`` and ``config.parse_config`` run, checks them.
 
-Evaluators are vectorised: coordinates of shape ``(..., n)`` yield outputs with
-the same leading shape.  ``sample_geometry`` evaluates all three along a
-discrete curve, ``stack_samples`` stacks the samples of a window's curves
-into a series, and every use of the connection and the curvature goes
-through the two pointwise actions ``apply_chris`` (Gamma(u, v)) and
-``apply_curv`` (R(u, v) w), which act on a level or fold a series' levels
-into its points.  Each is a chain of two-operand contractions, one vector
-at a time, so no step runs numpy's generic multi-operand loop.
-On the flat charts the coefficients are zero: ``sample_geometry`` leaves
-them out (None), and both actions of None return exact zeros.
+``stack_samples`` stacks the samples of a window's curves into a series, and
+every use of the connection and the curvature goes through the two pointwise
+actions ``apply_chris`` (Gamma(u, v)) and ``apply_curv`` (R(u, v) w), which
+act on a level or fold a series' levels into its points, with two-operand
+contractions only.  ``frame_components`` turns chart vectors into frame
+components.  On the flat charts every sample is left out (None): both
+actions of None return exact zeros, and the frame is the identity.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ from .errors import ChartDomainError
 class ManifoldModel:
     """Base class for single-chart models with a global orthonormal frame.
 
-    Subclasses implement the batched evaluators ``frame``, ``metric``,
-    ``christoffel`` and ``curvature`` for coordinate arrays of shape
-    ``(..., dim)``, plus the chart predicate ``contains``.
+    A curved subclass implements ``sample``, the fields of GeometrySamples at
+    coordinate arrays of shape ``(N, dim)``; every model has the chart
+    predicate ``contains``.
     """
 
     name = "abstract"
@@ -61,8 +65,6 @@ class ManifoldModel:
         if self.dim < 1:
             raise ValueError(f"manifold dimension must be >= 1, got {dim}")
 
-    # -- chart bookkeeping -------------------------------------------------
-
     def contains(self, coords: np.ndarray) -> np.ndarray:
         """Boolean mask of points lying inside the chart domain."""
         c = np.asarray(coords, dtype=float)
@@ -72,41 +74,15 @@ class ManifoldModel:
         """Chart difference end - start (overridden where the chart wraps)."""
         return np.asarray(end, dtype=float) - np.asarray(start, dtype=float)
 
-    # -- analytic evaluators ----------------------------------------------
-
-    def frame(self, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def metric(self, coords: np.ndarray) -> np.ndarray:
-        """Chart components of the metric (used by tests to check h^T G h = I)."""
-        raise NotImplementedError
-
-    def christoffel(self, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def curvature(self, coords: np.ndarray) -> np.ndarray:
+    def sample(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
 
 class EuclideanModel(ManifoldModel):
-    """Flat R^n with the identity frame; all coefficients vanish."""
+    """Flat R^n with the identity frame; the connection and curvature vanish."""
 
     name = "euclidean"
     is_flat = True
-
-    def frame(self, coords):
-        c = np.asarray(coords, dtype=float)
-        return np.broadcast_to(np.eye(self.dim), c.shape[:-1] + (self.dim, self.dim)).copy()
-
-    metric = frame
-
-    def christoffel(self, coords):
-        c = np.asarray(coords, dtype=float)
-        return np.zeros(c.shape[:-1] + (self.dim,) * 3)
-
-    def curvature(self, coords):
-        c = np.asarray(coords, dtype=float)
-        return np.zeros(c.shape[:-1] + (self.dim,) * 4)
 
 
 class FlatTorusModel(EuclideanModel):
@@ -123,16 +99,15 @@ class _ConformalModel(ManifoldModel):
     """Metric exp(2*lam) * delta; subclasses provide lam, its gradient and,
     unless they declare a constant curvature, its Hessian.
 
-    The orthonormal frame is e_j = exp(-lam) * d/dx^j.  Closed forms:
+    The orthonormal frame is e_j = exp(-lam) * d/dx^j, so the frame is the
+    scale exp(-lam) times the identity, the connection is the one vector
+    c = exp(-lam) grad(lam) and the curvature the symmetric matrix
 
-        gamma[i, k, j] = exp(-lam) * (delta_ik lam_j - delta_ij lam_k)
-        r[i, j, k, l]  = exp(-2 lam) * (d_jl S_ik - d_il S_jk + d_ik S_jl
-                          - d_jk S_il - (d_il d_jk - d_jl d_ik) |grad lam|^2)
+        P = exp(-2 lam) * (hess(lam) - grad(lam) grad(lam)^T + |grad lam|^2 / 2 I)
 
-    with S = hess(lam) - grad(lam) grad(lam)^T.  When the model declares a
-    constant sectional curvature K the simpler tensor
-    K * (d_jk d_il - d_ik d_jl) is used directly; the generic formula reduces
-    to it (checked in the tests).
+    (see apply_chris and apply_curv).  When the model declares a constant
+    sectional curvature K, P = -K/2 I is used directly; the generic formula
+    reduces to it (checked in the tests).
     """
 
     #: sectional curvature when constant, else None
@@ -147,47 +122,20 @@ class _ConformalModel(ManifoldModel):
     def _lam_hess(self, coords: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def frame(self, coords):
-        c = np.asarray(coords, dtype=float)
-        scale = np.exp(-self._lam(c))
-        return scale[..., None, None] * np.eye(self.dim)
-
-    def metric(self, coords):
-        c = np.asarray(coords, dtype=float)
-        scale = np.exp(2.0 * self._lam(c))
-        return scale[..., None, None] * np.eye(self.dim)
-
-    def christoffel(self, coords):
-        c = np.asarray(coords, dtype=float)
+    def sample(self, coords):
+        """(scale, c, P) at the points ``coords`` (N, n)."""
         n = self.dim
-        grad = self._lam_grad(c)
-        g = np.zeros(c.shape[:-1] + (n, n, n))
-        for i in range(n):
-            g[..., i, i, :] += grad
-            g[..., i, :, i] -= grad
-        return np.exp(-self._lam(c))[..., None, None, None] * g
-
-    def curvature(self, coords):
-        c = np.asarray(coords, dtype=float)
-        n = self.dim
-        eye = np.eye(n)
+        scale = np.exp(-self._lam(coords))
+        grad = self._lam_grad(coords)
         if self.constant_curvature is not None:
-            base = self.constant_curvature * (
-                np.einsum("jk,il->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
-            )
-            return np.broadcast_to(base, c.shape[:-1] + (n,) * 4).copy()
-        grad = self._lam_grad(c)
-        s = self._lam_hess(c) - grad[..., :, None] * grad[..., None, :]
-        q = np.sum(grad * grad, axis=-1)
-        r = (
-            np.einsum("jl,...ik->...ijkl", eye, s)
-            - np.einsum("il,...jk->...ijkl", eye, s)
-            + np.einsum("ik,...jl->...ijkl", eye, s)
-            - np.einsum("jk,...il->...ijkl", eye, s)
-        )
-        skew = np.einsum("il,jk->ijkl", eye, eye) - np.einsum("jl,ik->ijkl", eye, eye)
-        r = r - skew * q[..., None, None, None, None]
-        return np.exp(-2.0 * self._lam(c))[..., None, None, None, None] * r
+            # a copy, not a broadcast view: einsum rounds a view's zero strides
+            # differently, and a window series must equal its stacked levels
+            curv = np.tile(-0.5 * self.constant_curvature * np.eye(n), (len(coords), 1, 1))
+        else:
+            half_sq = 0.5 * np.einsum("pi,pi->p", grad, grad)
+            s = self._lam_hess(coords) - grad[:, :, None] * grad[:, None, :]
+            curv = (scale * scale)[:, None, None] * (s + half_sq[:, None, None] * np.eye(n))
+        return scale, scale[:, None] * grad, curv
 
 
 class HyperbolicHalfPlaneModel(_ConformalModel):
@@ -407,7 +355,9 @@ def build_chart(name, dim: int, settings: dict) -> tuple[ManifoldModel | None, l
         f"manifold.{key}: unknown field; chart {name!r} takes {', '.join(('dim', *takes))}"
         for key in sorted(set(settings) - set(takes))
     ]
-    if planar and dim != 2:
+    if dim < 1:
+        problems.append(f"manifold.dim: manifold dimension must be >= 1, got {dim!r}")
+    elif planar and dim != 2:
         problems.append(f"manifold.dim: {name} model is two-dimensional, got {dim!r}")
     if problems:
         return None, problems
@@ -433,14 +383,15 @@ def make_manifold(name: str, dim: int = 2, **settings) -> ManifoldModel:
 @dataclass(frozen=True)
 class GeometrySamples:
     """Frame geometry sampled along a discrete curve (grid index, or level
-    and grid index for a series, see ``stack_samples``).  On a flat chart
-    ``chris`` and ``curv`` are None: the connection and the curvature vanish,
-    and the identity frame is its own inverse."""
+    and grid index for a series, see ``stack_samples``) of a conformal chart:
+    the frame is ``scale`` times the identity, the connection the vector
+    ``conn`` and the curvature the symmetric matrix ``curv`` (see
+    _ConformalModel).  On a flat chart each is None: the frame is the
+    identity, and the connection and the curvature vanish."""
 
-    frame: np.ndarray            # (N, n, n)
-    frame_inv: np.ndarray        # (N, n, n)
-    chris: np.ndarray | None     # (N, n, n, n)
-    curv: np.ndarray | None      # (N, n, n, n, n)
+    scale: np.ndarray | None     # (N,)
+    conn: np.ndarray | None      # (N, n)
+    curv: np.ndarray | None      # (N, n, n)
 
 
 def stack_samples(levels: list) -> GeometrySamples:
@@ -450,8 +401,8 @@ def stack_samples(levels: list) -> GeometrySamples:
 
 
 def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples:
-    """Evaluate frame, connection and curvature at every curve sample; a flat
-    model (``is_flat``) samples only its identity frame.
+    """Evaluate frame scale, connection and curvature at every curve sample;
+    a flat model (``is_flat``) samples none of them.
 
     Raises ChartDomainError naming the first offending grid index if any point
     left the chart or any sample there is not finite.
@@ -467,42 +418,56 @@ def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples
             f"coordinates {pts[k]}"
         )
     if model.is_flat:
-        h = model.frame(pts)
-        return GeometrySamples(frame=h, frame_inv=h, chris=None, curv=None)
+        return GeometrySamples(scale=None, conn=None, curv=None)
     # a factor that is complex or infinite somewhere gives NaN or inf there,
     # reported as a chart error instead of as numpy warnings
     with np.errstate(all="ignore"):
-        h, chris, curv = model.frame(pts), model.christoffel(pts), model.curvature(pts)
-    finite = np.isfinite(np.hstack([c.reshape(len(pts), -1) for c in (h, chris, curv)])).all(1)
+        scale, conn, curv = model.sample(pts)
+    finite = np.isfinite(scale) & np.isfinite(conn).all(1) & np.isfinite(curv).all((1, 2))
     if not np.all(finite):
         k = int(np.argmin(finite))
         raise ChartDomainError(
             f"frame, connection or curvature of model {model.name!r} is not finite at "
             f"grid index {k}, coordinates {pts[k]}"
         )
-    return GeometrySamples(frame=h, frame_inv=np.linalg.inv(h), chris=chris, curv=curv)
+    return GeometrySamples(scale=scale, conn=conn, curv=curv)
 
 
-def apply_chris(chris: np.ndarray | None, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise bilinear connection action Gamma(u, v) on frame components
-    of fields (..., N, n); zero for a flat chart's None connection."""
+def frame_components(samples: GeometrySamples, chart: np.ndarray) -> np.ndarray:
+    """Frame components of chart vectors (N, n) at the sampled points."""
+    # + 0.0 turns -0.0 into +0.0: the flat charts' output bytes keep that sign
+    return (chart if samples.scale is None else chart / samples.scale[:, None]) + 0.0
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise inner products of rows (P, n), as a column (P, 1)."""
+    return np.einsum("pi,pi->p", a, b)[:, None]
+
+
+def apply_chris(conn: np.ndarray | None, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pointwise bilinear connection action Gamma(u, v) = u <c, v> - <u, v> c
+    on frame components of fields (..., N, n), with the connection samples
+    c of the same leading shape; zero for a flat chart's None."""
     shape = u.shape
-    if chris is None:
+    if conn is None:
         return np.zeros(shape)
-    if u.ndim > 2:  # a window series: fold its level axis into the point axis
-        n = shape[-1]
-        chris, u, v = chris.reshape(-1, n, n, n), u.reshape(-1, n), v.reshape(-1, n)
-    return np.einsum("pik,pi->pk", np.einsum("pikj,pj->pik", chris, v), u).reshape(shape)
+    n = shape[-1]
+    c, u, v = conn.reshape(-1, n), u.reshape(-1, n), v.reshape(-1, n)
+    return (u * _dot(c, v) - _dot(u, v) * c).reshape(shape)
 
 
 def apply_curv(curv: np.ndarray | None, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pointwise trilinear curvature action R(u, v) w on frame components of
-    fields (..., N, n); zero for a flat chart's None curvature."""
+    """Pointwise trilinear curvature action on frame components of fields
+    (..., N, n), with the curvature samples P (..., N, n, n):
+
+        R(u, v) w = <u, Pw> v - <v, Pw> u + P(<u, w> v - <v, w> u);
+
+    zero for a flat chart's None."""
     shape = u.shape
     if curv is None:
         return np.zeros(shape)
-    if u.ndim > 2:  # a window series: fold its level axis into the point axis
-        n = shape[-1]
-        curv, u, v, w = curv.reshape(-1, n, n, n, n), u.reshape(-1, n), v.reshape(-1, n), w.reshape(-1, n)
-    r_u = np.einsum("pijkl,pi->pjkl", curv, u)
-    return np.einsum("pkl,pk->pl", np.einsum("pjkl,pj->pkl", r_u, v), w).reshape(shape)
+    n = shape[-1]
+    p, u, v, w = curv.reshape(-1, n, n), u.reshape(-1, n), v.reshape(-1, n), w.reshape(-1, n)
+    pw = np.einsum("pij,pj->pi", p, w)
+    turn = _dot(u, w) * v - _dot(v, w) * u
+    return (_dot(u, pw) * v - _dot(v, pw) * u + np.einsum("pij,pj->pi", p, turn)).reshape(shape)

@@ -144,8 +144,9 @@ def _vector(value, length: int) -> bool:
 
 
 def _integer(value, least: int) -> bool:
-    """Whether the value is a JSON integer (not a boolean) >= ``least``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+    """Whether the value is a JSON integer (not a boolean) >= ``least`` that
+    a float holds, as the arithmetic on every integer setting needs."""
+    return isinstance(value, int) and _number(value) is not None and value >= least
 
 
 #: parameter kind -> (whether a value is of the kind in ``dim`` dimensions,

@@ -200,8 +200,8 @@ def assemble_wave_sources(
     the assembled product series, so only connection values are needed.
     """
     dx = grid.dx
-    chris = samples_series.chris
-    conn = apply_chris(chris, eta_series, u_series)
+    c = samples_series.conn
+    conn = apply_chris(c, eta_series, u_series)
     dtu = time_diff_series(u_series, dx) + conn
     du = cov_dx(u_series, u_series, samples_series, dx)
     coeff = sided_grad_sq(u_series, u_series, samples_series, dx) - np.sum(dtu * dtu, axis=-1)
@@ -212,10 +212,10 @@ def assemble_wave_sources(
         + theta_series
         - np.sum(theta_series * u_series, axis=-1, keepdims=True) * u_series
         - time_diff_series(conn, dx)
-        - apply_chris(chris, eta_series, dtu)
-        + apply_chris(chris, u_series, du)
+        - apply_chris(c, eta_series, dtu)
+        + apply_chris(c, u_series, du)
     )
-    return f, apply_chris(chris, u_series, u_series)
+    return f, apply_chris(c, u_series, u_series)
 
 
 def picard_wave_solve(
@@ -277,14 +277,14 @@ def leapfrog_step(
     samples: GeometrySamples,
     *,
     eta_rate: np.ndarray,
-    chris_rate: Optional[np.ndarray] = None,
+    conn_rate: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One explicit three-level step of the covariant tangent wave equation.
 
     The covariant second time difference is expanded around the central level:
     plain second difference plus the connection terms G(eta, D_t xi) and the
     time derivative of G(eta, xi).  The latter splits into a connection-rate
-    part using the supplied ``chris_rate`` (the caller's difference of the
+    part using the supplied ``conn_rate`` (the caller's difference of the
     connection samples along the curve's motion), a G(eta_t, xi) part using
     the supplied velocity rate ``eta_rate``, and a G(eta, xi_t) part.
     Because xi_t at the centre is itself centred over the unknown next level,
@@ -298,14 +298,14 @@ def leapfrog_step(
     at the level seeded by the first-step bootstrap (O(dt^3)) instead of
     accumulating an O(dx^2) secular drift.
 
-    Without ``chris_rate`` (a flat model) the connection rate term is left
+    Without ``conn_rate`` (a flat model) the connection rate term is left
     out.  dt must satisfy the stability bound dt <= dx.
     """
     dx = grid.dx
     if dt > dx * (1.0 + 1e-12):
         raise CflError(f"leapfrog requires dt <= dx; got dt={dt!r}, dx={dx!r}")
-    chris = samples.chris
-    conn_eta_xi = apply_chris(chris, eta, xi_curr)
+    conn = samples.conn
+    conn_eta_xi = apply_chris(conn, eta, xi_curr)
     d2u = cov_dxx(xi_curr, xi_curr, samples, dx)
     du_sq = sided_grad_sq(xi_curr, xi_curr, samples, dx)
     theta_perp = perp(theta, xi_curr)
@@ -318,10 +318,10 @@ def leapfrog_step(
         fwd_t = (xi_next - xi_curr) / dt + conn_eta_xi
         coeff = du_sq - 0.5 * (np.sum(fwd_t * fwd_t, axis=-1) + bwd_t_sq)
         accel = d2u + coeff[:, None] * xi_curr + theta_perp
-        correction = apply_chris(chris, eta, xi_t) + apply_chris(chris, eta, dtu)
-        correction += apply_chris(chris, eta_rate, xi_curr)
-        if chris_rate is not None:
-            correction += apply_chris(chris_rate, eta, xi_curr)
+        correction = apply_chris(conn, eta, xi_t) + apply_chris(conn, eta, dtu)
+        correction += apply_chris(conn, eta_rate, xi_curr)
+        if conn_rate is not None:
+            correction += apply_chris(conn_rate, eta, xi_curr)
         accel = accel - correction
         xi_next = 2.0 * xi_curr - xi_prev + dt * dt * accel
         new_t = (xi_next - xi_prev) / (2.0 * dt)

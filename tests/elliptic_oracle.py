@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from elwire.fields import cov_dx
-from geometry_oracle import with_connection
+from geometry_oracle import dense_chris
 
 
 def zeroth_blocks(xi, kind):
@@ -30,7 +30,7 @@ def dense_cov_dx_matrix(xi, samples, grid):
     c = (shift_up - shift_up.T) / (2.0 * grid.dx)
     d = np.kron(c, np.eye(n))
     # pointwise connection blocks Gamma(xi_k, .)
-    blocks = np.einsum("pikj,pi->pkj", with_connection(samples).chris, xi)
+    blocks = np.einsum("pikj,pi->pkj", dense_chris(samples, xi.shape), xi)
     for k in range(npts):
         d[k * n : (k + 1) * n, k * n : (k + 1) * n] += blocks[k]
     return d

@@ -27,7 +27,7 @@ def cov_dt(p_prev, p_next, eta, dt, samples):
     ``samples`` and ``eta`` belong to the central level.
     """
     mid = 0.5 * (p_prev + p_next)
-    return (p_next - p_prev) / (2.0 * dt) + apply_chris(samples.chris, eta, mid)
+    return (p_next - p_prev) / (2.0 * dt) + apply_chris(samples.conn, eta, mid)
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,12 @@ def residual_base_single(levels, dt, manifold, grid):
         # covariant velocity rate
         dteta = cov_dt(lp.eta, ln.eta, lc.eta, dt, samples_c)
         # covariant second time rate of the tangent
-        conn_p = apply_chris(lp.samples.chris, lp.eta, lp.xi)
-        conn_n = apply_chris(ln.samples.chris, ln.eta, ln.xi)
+        conn_p = apply_chris(lp.samples.conn, lp.eta, lp.xi)
+        conn_n = apply_chris(ln.samples.conn, ln.eta, ln.xi)
         conn_rate = (conn_n - conn_p) / (2.0 * dt)
-        dtxi = (ln.xi - lp.xi) / (2.0 * dt) + apply_chris(samples_c.chris, lc.eta, lc.xi)
+        dtxi = (ln.xi - lp.xi) / (2.0 * dt) + apply_chris(samples_c.conn, lc.eta, lc.xi)
         dt2xi = (ln.xi - 2.0 * lc.xi + lp.xi) / (dt * dt) + conn_rate + apply_chris(
-            samples_c.chris, lc.eta, dtxi
+            samples_c.conn, lc.eta, dtxi
         )
         # spatial pieces at the centre
         dxi = cov_dx(lc.xi, lc.xi, samples_c, dx)

@@ -42,11 +42,13 @@ from elwire.geometry import (
     SphereChartModel,
     apply_chris,
     apply_curv,
+    frame_components,
     make_manifold,
     sample_geometry,
     stack_samples,
 )
 from elwire.wave import WaveData, leapfrog_step, picard_wave_solve, wave_series
+from geometry_oracle import dense_chris
 from residual_oracle import residual_base_single
 from run_config import SOLVE_DEFAULTS, run_config
 from wave_oracle import characteristic_derivatives
@@ -116,7 +118,7 @@ def _hyperbolic_setup(n):
     x = grid.points()
     curve = np.column_stack([0.3 * np.sin(TWO_PI * x), 1.0 + 0.2 * np.cos(TWO_PI * x)])
     samples = sample_geometry(HyperbolicHalfPlaneModel(), curve)
-    tangent = np.einsum("pij,pj->pi", samples.frame_inv, circ_diff(curve, grid.dx))
+    tangent = frame_components(samples, circ_diff(curve, grid.dx))
     return grid, samples, tangent / row_norms(tangent)[:, None]
 
 
@@ -263,7 +265,7 @@ def test_05_bentness_lipschitz(capsys):
         first = sample_geometry(sphere, wobbly_loop())
         second = sample_geometry(sphere, wobbly_loop())
         delta = abs(bentness(xi, first, grid) - bentness(xi, second, grid))
-        gap = np.max(np.sqrt(np.sum((first.chris - second.chris) ** 2, axis=(1, 2, 3))))
+        gap = np.max(np.sqrt(np.sum((dense_chris(first, xi.shape) - dense_chris(second, xi.shape)) ** 2, axis=(1, 2, 3))))
         curve_margin = max(curve_margin, delta - 3.0 * gap)
 
     ok = field_margin <= LIPSCHITZ_SLACK and curve_margin <= LIPSCHITZ_SLACK
@@ -483,14 +485,14 @@ def _commutator_residual(model, curve_of, probe_of, n):
     for k, t in enumerate(times):
         tangent = circ_diff(curves[k], grid.dx)
         velocity = (curve_of(x, t + dt) - curve_of(x, t - dt)) / (2.0 * dt)
-        xis.append(np.einsum("pij,pj->pi", samples[k].frame_inv, tangent))
-        etas.append(np.einsum("pij,pj->pi", samples[k].frame_inv, velocity))
+        xis.append(frame_components(samples[k], tangent))
+        etas.append(frame_components(samples[k], velocity))
     dx_levels = [cov_dx(fields[k], xis[k], samples[k], grid.dx) for k in range(3)]
     dt_dx = (dx_levels[2] - dx_levels[0]) / (2.0 * dt) + apply_chris(
-        samples[1].chris, etas[1], dx_levels[1]
+        samples[1].conn, etas[1], dx_levels[1]
     )
     dt_p = (fields[2] - fields[0]) / (2.0 * dt) + apply_chris(
-        samples[1].chris, etas[1], fields[1]
+        samples[1].conn, etas[1], fields[1]
     )
     dx_dt = cov_dx(dt_p, xis[1], samples[1], grid.dx)
     return m0(dt_dx - dx_dt - apply_curv(samples[1].curv, etas[1], xis[1], fields[1]))
@@ -550,8 +552,9 @@ def test_11_structural_identities_and_determinism(tmp_path, capsys):
     x = grid.points()
     sphere_loop = 0.4 * np.column_stack([np.cos(TWO_PI * x), np.sin(TWO_PI * x)])
     antisymmetry = max(
-        float(np.max(np.abs(s.chris + s.chris.swapaxes(-1, -2))))
+        float(np.max(np.abs(c + c.swapaxes(-1, -2))))
         for s in (samples, sample_geometry(SphereChartModel(2), sphere_loop))
+        for c in [dense_chris(s, xi.shape)]
     )
 
     config = tmp_path / "config.json"

@@ -986,9 +986,8 @@ def test_march_samples_each_curve_position_once(
 
 
 def test_flat_march_contracts_no_connection(tmp_path, monkeypatch):
-    # a flat chart samples only its identity frame: no connection or
-    # curvature coefficients are contracted (geometry, elliptic) and the
-    # frame is not inverted
+    # a flat chart samples nothing: no connection or curvature sample is
+    # contracted (geometry, elliptic), while a curved run contracts them
     calls = {"einsum": [], "inv": []}
     real = {"einsum": np.einsum, "inv": np.linalg.inv}
 
@@ -1009,10 +1008,14 @@ def test_flat_march_contracts_no_connection(tmp_path, monkeypatch):
     }
     path = config_file(tmp_path, data)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    # the counters see the run: frame_tangent's einsum, the block reduction's inverses
-    assert "elwire.dynamics" in calls["einsum"] and "_cyclic_reduction" in calls["inv"]
+    # the counters see the run: the block reduction's inverses
+    assert "_cyclic_reduction" in calls["inv"]
     assert [c for c in calls["einsum"] if c in ("elwire.geometry", "elwire.elliptic")] == []
-    assert "sample_geometry" not in calls["inv"]
+    # and they see the contractions of a curved run
+    curved = {"manifold": {"name": "sphere"}, "grid": {"n": 16}, "time": {"horizon": 2 / 16}}
+    path = config_file(tmp_path, dict(curved, initial={"name": "sphere-loop"}), name="curved.json")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "curved"), "--quiet"]) == 0
+    assert "elwire.geometry" in calls["einsum"]
 
 
 @pytest.mark.parametrize(

@@ -368,3 +368,23 @@ def test_conformal_expression_must_parse_with_chart_coordinates():
         assert len(problems) == 1
         assert problems[0].startswith("manifold.expression:")
         assert message in problems[0]
+
+
+@pytest.mark.parametrize(
+    "template, path",
+    [
+        ('{"grid": {"n": 16}, "initial": {"name": "perturbed-circle", "mode": 1%s}}', "initial.mode"),
+        ('{"grid": {"n": 1%s}}', "grid.n"),
+    ],
+    ids=["curve-parameter", "setting"],
+)
+def test_an_integer_beyond_the_float_range_is_refused(tmp_path, capsys, template, path):
+    # an integer no float holds would overflow in the generator or in dt = 1/n
+    from elwire.cli import main
+
+    text = template % ("0" * 400)
+    assert [p.split(":")[0] for p in problems_of(text)] == [path]
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert path in capsys.readouterr().err

@@ -29,12 +29,14 @@ from elwire.elliptic import solve_flux_form
 from elwire.errors import CflError, ConstraintDriftError, DegenerateCurveError, NearGeodesicError
 from elwire.fields import Grid, constraint_drift, cov_dx, m0, row_norms
 from elwire.geometry import (
+    GeometrySamples,
     HyperbolicHalfPlaneModel,
     apply_chris,
     make_manifold,
     sample_geometry,
     stack_samples,
 )
+from geometry_oracle import dense_curv
 from residual_oracle import residual_base_single
 from run_config import SOLVE_DEFAULTS, run_config
 
@@ -77,7 +79,7 @@ def test_level_derive_defaults_and_tangent_derivatives():
     level = Level.derive(curve, xi, xi_t, eta, samples, grid.dx)
     assert level.theta is None and level.time == 0.0 and level.bentness is None
     assert np.array_equal(level.dxi, cov_dx(xi, xi, samples, grid.dx))
-    assert np.array_equal(level.dtxi, xi_t + apply_chris(samples.chris, eta, xi))
+    assert np.array_equal(level.dtxi, xi_t + apply_chris(samples.conn, eta, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +149,15 @@ def test_sources_match_index_loops_on_hyperbolic_plane():
     sources_psi, sources_phi = assemble_sources(state)
 
     dxi = cov_dx(state.xi, state.xi, samples, grid.dx)
-    dtxi = state.xi_t + apply_chris(samples.chris, state.eta, state.xi)
+    dtxi = state.xi_t + apply_chris(samples.conn, state.eta, state.xi)
+    curv = dense_curv(samples, state.xi.shape)
     psi = np.zeros_like(state.xi)
     phi = np.zeros_like(state.xi)
     for p in range(24):
         for i in range(2):
             for j in range(2):
                 for k in range(2):
-                    r = samples.curv[p, i, j, k]
+                    r = curv[p, i, j, k]
                     psi[p] += r * state.xi[p, i] * dxi[p, j] * state.xi[p, k]
                     psi[p] -= r * state.xi[p, i] * dtxi[p, j] * state.eta[p, k]
                     phi[p] -= r * state.xi[p, i] * state.eta[p, j] * state.eta[p, k]
@@ -236,7 +239,7 @@ def test_march_levels_carry_the_geometry_of_their_curve(chart, dim, init, params
     assert len(levels) == 5
     for level in levels:
         fresh = sample_geometry(manifold, level.gamma)
-        for field in ("frame", "frame_inv", "chris", "curv"):
+        for field in ("scale", "conn", "curv"):
             carried, expected = getattr(level.samples, field), getattr(fresh, field)
             if expected is None:
                 assert carried is None
@@ -343,11 +346,10 @@ def test_picard_coupled_matches_march_on_a_short_window():
         assert m0(iterate.xi[m] - marched[m].xi) < 1e-3
         assert m0(iterate.gamma[m] - marched[m].gamma) < 1e-3
     assert m0(iterate.theta[0] - marched[0].theta) < 1e-3
-    # the iterate carries the samples of its own curves, stacked
-    assert len(iterate.samples.frame) == steps + 1
-    fresh = [sample_geometry(manifold, gamma) for gamma in iterate.gamma]
-    for name in ("frame", "frame_inv", "chris", "curv"):
-        assert np.array_equal(getattr(iterate.samples, name), getattr(stack_samples(fresh), name))
+    # the iterate carries the samples of its own curves, stacked: on this
+    # flat chart, none
+    fresh = stack_samples([sample_geometry(manifold, gamma) for gamma in iterate.gamma])
+    assert iterate.samples == fresh == GeometrySamples(scale=None, conn=None, curv=None)
 
 
 def test_picard_coupled_window_validation():

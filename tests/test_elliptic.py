@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from elliptic_oracle import block_tridiagonal_to_dense, cg_solve, dense_operator, dense_solve
-from geometry_oracle import with_connection
+from geometry_oracle import dense_chris
 from run_config import SOLVE_DEFAULTS
 from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
 from elwire.errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
@@ -22,6 +22,7 @@ from elwire.fields import MIN_POINTS, Grid, circ_diff, cov_dx, l2_norm, m0, perp
 from elwire.geometry import (
     EuclideanModel,
     HyperbolicHalfPlaneModel,
+    frame_components,
     make_manifold,
     sample_geometry,
 )
@@ -51,7 +52,7 @@ def hyperbolic_setup(n: int):
     x = grid.points()
     curve = np.column_stack([0.3 * np.sin(TWO_PI * x), 1.0 + 0.2 * np.cos(TWO_PI * x)])
     samples = sample_geometry(HyperbolicHalfPlaneModel(), curve)
-    tangent = np.einsum("pij,pj->pi", samples.frame_inv, circ_diff(curve, grid.dx))
+    tangent = frame_components(samples, circ_diff(curve, grid.dx))
     xi = tangent / row_norms(tangent)[:, None]
     return grid, samples, xi
 
@@ -77,7 +78,7 @@ def chart_setup(name: str, n: int):
         [centre[0] + radii[0] * wobble * np.sin(x), centre[1] + radii[1] * wobble * np.cos(x)]
     )
     samples = sample_geometry(make_manifold(name, 2, **params), curve)
-    tangent = np.einsum("pij,pj->pi", samples.frame_inv, circ_diff(curve, grid.dx))
+    tangent = frame_components(samples, circ_diff(curve, grid.dx))
     return grid, samples, tangent / row_norms(tangent)[:, None]
 
 
@@ -98,7 +99,7 @@ def random_unit_field(grid: Grid, rng) -> np.ndarray:
 def naive_first_derivative_matrix(xi, samples, grid) -> np.ndarray:
     """Loop construction of the dense covariant difference matrix."""
     npts, n = xi.shape
-    chris = with_connection(samples).chris
+    chris = dense_chris(samples, xi.shape)
     d = np.zeros((npts * n, npts * n))
     for k in range(npts):
         up = (k + 1) % npts

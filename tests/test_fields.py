@@ -34,6 +34,7 @@ from elwire.geometry import (
     SphereChartModel,
     apply_chris,
     apply_curv,
+    frame_components,
     sample_geometry,
 )
 from residual_oracle import cov_dt
@@ -187,16 +188,16 @@ def commutator_residual(model, curve_of, p_of, n: int) -> float:
     for k, t in enumerate(times):
         tangent = circ_diff(curves[k], grid.dx)
         velocity = (curve_of(x, t + dt) - curve_of(x, t - dt)) / (2.0 * dt)
-        xis.append(np.einsum("pij,pj->pi", samples[k].frame_inv, tangent))
-        etas.append(np.einsum("pij,pj->pi", samples[k].frame_inv, velocity))
+        xis.append(frame_components(samples[k], tangent))
+        etas.append(frame_components(samples[k], velocity))
     dx_levels = [
         cov_dx(fields[k], xis[k], samples[k], grid.dx) for k in range(3)
     ]
     dt_dx = (dx_levels[2] - dx_levels[0]) / (2.0 * dt) + apply_chris(
-        samples[1].chris, etas[1], dx_levels[1]
+        samples[1].conn, etas[1], dx_levels[1]
     )
     dt_p = (fields[2] - fields[0]) / (2.0 * dt) + apply_chris(
-        samples[1].chris, etas[1], fields[1]
+        samples[1].conn, etas[1], fields[1]
     )
     dx_dt = cov_dx(dt_p, xis[1], samples[1], grid.dx)
     curv_term = apply_curv(samples[1].curv, etas[1], xis[1], fields[1])

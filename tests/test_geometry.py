@@ -1,9 +1,11 @@
-"""Tests for chart geometry: frames, connection and curvature coefficients.
+"""Tests for chart geometry: frames, connection and curvature samples.
 
-The analytic evaluators are checked against finite-difference oracles built
-from nothing but the chart metric: chart Christoffel symbols from first
-differences, the chart curvature tensor from first and second differences,
-both converted to frame components through the frame matrix alone.
+The sampled (scale, c, P) are rebuilt into dense frame coefficients
+(``geometry_oracle``) and checked against finite-difference oracles built
+from nothing but the chart metric e^{2 lam} delta: chart Christoffel symbols
+from first differences, the chart curvature tensor from first and second
+differences, both converted to frame components through the frame matrix
+e^{-lam} delta alone.
 """
 
 import warnings
@@ -21,9 +23,11 @@ from elwire.geometry import (
     _check_conformal_syntax,
     apply_chris,
     apply_curv,
+    frame_components,
     make_manifold,
     sample_geometry,
 )
+from geometry_oracle import dense_chris, dense_curv, frame, metric
 
 FRAME_TOL = 1e-10
 EXACT_TOL = 1e-12
@@ -72,14 +76,14 @@ def metric_d1(model, p, step):
     for a in range(n):
         e = np.zeros(n)
         e[a] = step
-        out[a] = (model.metric(p + e) - model.metric(p - e)) / (2.0 * step)
+        out[a] = (metric(model, p + e) - metric(model, p - e)) / (2.0 * step)
     return out
 
 
 def metric_d2(model, p, step):
     """d2g[a, b, c, d] = d_a d_b g_cd by central second differences."""
     n = model.dim
-    g0 = model.metric(p)
+    g0 = metric(model, p)
     out = np.empty((n, n, n, n))
     for a in range(n):
         ea = np.zeros(n)
@@ -88,13 +92,13 @@ def metric_d2(model, p, step):
             eb = np.zeros(n)
             eb[b] = step
             if a == b:
-                out[a, b] = (model.metric(p + ea) - 2.0 * g0 + model.metric(p - ea)) / step**2
+                out[a, b] = (metric(model, p + ea) - 2.0 * g0 + metric(model, p - ea)) / step**2
             else:
                 out[a, b] = (
-                    model.metric(p + ea + eb)
-                    - model.metric(p + ea - eb)
-                    - model.metric(p - ea + eb)
-                    + model.metric(p - ea - eb)
+                    metric(model, p + ea + eb)
+                    - metric(model, p + ea - eb)
+                    - metric(model, p - ea + eb)
+                    + metric(model, p - ea - eb)
                 ) / (4.0 * step**2)
     return out
 
@@ -112,25 +116,25 @@ def chart_christoffel(ginv, dg):
 def frame_christoffel_oracle(model, p, step=1e-6):
     """gamma[i, k, j] = g(nabla_{E_i} E_j, E_k) from finite differences."""
     n = model.dim
-    h = model.frame(p)
-    metric = model.metric(p)
-    cgam = chart_christoffel(np.linalg.inv(metric), metric_d1(model, p, step))
+    h = frame(model, p)
+    g = metric(model, p)
+    cgam = chart_christoffel(np.linalg.inv(g), metric_d1(model, p, step))
     dh = np.empty((n, n, n))
     for a in range(n):
         e = np.zeros(n)
         e[a] = step
-        dh[a] = (model.frame(p + e) - model.frame(p - e)) / (2.0 * step)
+        dh[a] = (frame(model, p + e) - frame(model, p - e)) / (2.0 * step)
     # chart components of nabla_{E_i} E_j, then inner product with E_k
     nab = np.einsum("ai,acj->icj", h, dh) + np.einsum("ai,cab,bj->icj", h, cgam, h)
-    return np.einsum("icj,cd,dk->ikj", nab, metric, h)
+    return np.einsum("icj,cd,dk->ikj", nab, g, h)
 
 
 def frame_curvature_oracle(model, p, step=1e-4):
     """r[i, j, k, l] = g(R(E_i, E_j) E_k, E_l) from metric differences only."""
     n = model.dim
-    h = model.frame(p)
-    metric = model.metric(p)
-    ginv = np.linalg.inv(metric)
+    h = frame(model, p)
+    g = metric(model, p)
+    ginv = np.linalg.inv(g)
     dg = metric_d1(model, p, step)
     d2g = metric_d2(model, p, step)
     cgam = chart_christoffel(ginv, dg)
@@ -146,48 +150,52 @@ def frame_curvature_oracle(model, p, step=1e-4):
     t3 = np.einsum("dae,ebc->abcd", cgam, cgam)
     t4 = t3.transpose(1, 0, 2, 3)
     chart_r = t1 - t2 + t3 - t4
-    return np.einsum("ai,bj,ck,abcd,de,el->ijkl", h, h, h, chart_r, metric, h)
+    return np.einsum("ai,bj,ck,abcd,de,el->ijkl", h, h, h, chart_r, g, h)
 
 
 # ---------------------------------------------------------------------------
 # frame algebra on random points
 
 
+def dense_at(model, points):
+    """Dense connection and curvature coefficients rebuilt from the samples."""
+    samples = sample_geometry(model, points)
+    return dense_chris(samples, points.shape), dense_curv(samples, points.shape)
+
+
 def test_frame_orthonormal_for_metric(model_points):
     model, pts = model_points
-    h = model.frame(pts)
-    metric = model.metric(pts)
-    gram = np.einsum("...ai,...ab,...bj->...ij", h, metric, h)
+    scale = sample_geometry(model, pts).scale
+    h = np.eye(model.dim) * (1.0 if scale is None else scale[:, None, None])
+    gram = np.einsum("...ai,...ab,...bj->...ij", h, metric(model, pts), h)
     assert np.max(np.abs(gram - np.eye(model.dim))) < FRAME_TOL
 
 
 def test_connection_antisymmetry(model_points):
     model, pts = model_points
-    gamma = model.christoffel(pts)
+    gamma, _ = dense_at(model, pts)
     assert np.max(np.abs(gamma + np.swapaxes(gamma, -2, -1))) < EXACT_TOL
 
 
 def test_curvature_antisymmetries(model_points):
     model, pts = model_points
-    r = model.curvature(pts)
+    _, r = dense_at(model, pts)
     assert np.max(np.abs(r + np.swapaxes(r, -4, -3))) < EXACT_TOL
     assert np.max(np.abs(r + np.swapaxes(r, -2, -1))) < EXACT_TOL
 
 
 def test_christoffel_matches_finite_differences(model_points):
     model, pts = model_points
-    for p in pts[:20]:
-        gamma = model.christoffel(p)
-        oracle = frame_christoffel_oracle(model, p)
-        assert np.max(np.abs(gamma - oracle)) < FD_CHRIS_TOL
+    gamma, _ = dense_at(model, pts[:20])
+    for p, g in zip(pts[:20], gamma):
+        assert np.max(np.abs(g - frame_christoffel_oracle(model, p))) < FD_CHRIS_TOL
 
 
 def test_curvature_matches_finite_differences(model_points):
     model, pts = model_points
-    for p in pts[:10]:
-        r = model.curvature(p)
-        oracle = frame_curvature_oracle(model, p)
-        assert np.max(np.abs(r - oracle)) < FD_CURV_TOL
+    _, r = dense_at(model, pts[:10])
+    for p, rp in zip(pts[:10], r):
+        assert np.max(np.abs(rp - frame_curvature_oracle(model, p))) < FD_CURV_TOL
 
 
 def test_generic_conformal_matches_constant_curvature_models():
@@ -207,15 +215,11 @@ def test_generic_conformal_matches_constant_curvature_models():
         ),
     ]
     for builtin, generic, pts in cases:
-        assert np.max(np.abs(builtin.frame(pts) - generic.frame(pts))) < CROSS_MODEL_TOL
-        assert (
-            np.max(np.abs(builtin.christoffel(pts) - generic.christoffel(pts)))
-            < CROSS_MODEL_TOL
-        )
-        assert (
-            np.max(np.abs(builtin.curvature(pts) - generic.curvature(pts)))
-            < CROSS_MODEL_TOL
-        )
+        # P = -K/2 I of the declared curvature against the generic formula
+        exact, general = sample_geometry(builtin, pts), sample_geometry(generic, pts)
+        for name in ("scale", "conn", "curv"):
+            gap = np.max(np.abs(getattr(exact, name) - getattr(general, name)))
+            assert gap < CROSS_MODEL_TOL, name
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +228,15 @@ def test_generic_conformal_matches_constant_curvature_models():
 
 def test_single_point_evaluators_and_chart_domain():
     model = HyperbolicHalfPlaneModel()
-    point = np.array([0.3, 1.2])
-    assert model.frame(point).shape == (2, 2)
-    gamma = model.christoffel(point)
-    r = model.curvature(point)
-    assert gamma.shape == (2, 2, 2)
-    assert r.shape == (2, 2, 2, 2)
+    point = np.array([[0.3, 1.2]])
+    samples = sample_geometry(model, point)
+    assert samples.scale.shape == (1,)
+    assert samples.conn.shape == (1, 2)
+    assert samples.curv.shape == (1, 2, 2)
+    gamma, r = dense_at(model, point)
     assert np.max(np.abs(gamma + np.swapaxes(gamma, -2, -1))) < EXACT_TOL
-    assert np.max(np.abs(r + np.swapaxes(r, 0, 1))) < EXACT_TOL
-    assert np.max(np.abs(r + np.swapaxes(r, 2, 3))) < EXACT_TOL
+    assert np.max(np.abs(r + np.swapaxes(r, 1, 2))) < EXACT_TOL
+    assert np.max(np.abs(r + np.swapaxes(r, 3, 4))) < EXACT_TOL
     with pytest.raises(ChartDomainError):
         sample_geometry(model, [[0.0, -1.0]])
     with pytest.raises(ValueError):
@@ -264,36 +268,41 @@ def test_sample_geometry_shapes_and_inverse():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.5, 0.5, (16, 2))
     samples = sample_geometry(model, pts)
-    assert samples.frame.shape == (16, 2, 2)
-    assert samples.chris.shape == (16, 2, 2, 2)
-    assert samples.curv.shape == (16, 2, 2, 2, 2)
-    prod = np.einsum("pij,pjk->pik", samples.frame, samples.frame_inv)
-    assert np.max(np.abs(prod - np.eye(2))) < FRAME_TOL
+    assert samples.scale.shape == (16,)
+    assert samples.conn.shape == (16, 2)
+    assert samples.curv.shape == (16, 2, 2)
+    # frame components invert the frame h = scale I of the metric's frame oracle
+    chart = rng.standard_normal((16, 2))
+    back = np.einsum("pij,pj->pi", frame(model, pts), frame_components(samples, chart))
+    assert np.max(np.abs(back - chart)) < FRAME_TOL
     with pytest.raises(ValueError):
         sample_geometry(model, rng.uniform(-0.5, 0.5, (16, 3)))
 
 
 def test_apply_helpers_match_loops():
     rng = np.random.default_rng(5)
-    model = HyperbolicHalfPlaneModel()
-    pts = np.column_stack([rng.uniform(-1.0, 1.0, 9), rng.uniform(0.5, 2.0, 9)])
-    samples = sample_geometry(model, pts)
-    u = rng.standard_normal((9, 2))
-    v = rng.standard_normal((9, 2))
-    w = rng.standard_normal((9, 2))
-    chris_loop = np.zeros_like(u)
-    curv_loop = np.zeros_like(u)
-    for p in range(9):
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    chris_loop[p, k] += samples.chris[p, i, k, j] * u[p, i] * v[p, j]
-                    for l in range(2):
-                        curv_loop[p, l] += (
-                            samples.curv[p, i, j, k, l] * u[p, i] * v[p, j] * w[p, k]
-                        )
-    assert np.max(np.abs(apply_chris(samples.chris, u, v) - chris_loop)) < EXACT_TOL
-    assert np.max(np.abs(apply_curv(samples.curv, u, v, w) - curv_loop)) < EXACT_TOL
+    for model, pts in (
+        (
+            HyperbolicHalfPlaneModel(),
+            np.column_stack([rng.uniform(-1.0, 1.0, 9), rng.uniform(0.5, 2.0, 9)]),
+        ),
+        (ConformalModel(3, "0.2*x*z - 0.3*y**2 + 0.1*cos(x + z)"), rng.uniform(-1.0, 1.0, (9, 3))),
+    ):
+        n = model.dim
+        samples = sample_geometry(model, pts)
+        chris, curv = dense_at(model, pts)
+        u, v, w = rng.standard_normal((3, 9, n))
+        chris_loop = np.zeros_like(u)
+        curv_loop = np.zeros_like(u)
+        for p in range(9):
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        chris_loop[p, k] += chris[p, i, k, j] * u[p, i] * v[p, j]
+                        for l in range(n):
+                            curv_loop[p, l] += curv[p, i, j, k, l] * u[p, i] * v[p, j] * w[p, k]
+        assert np.max(np.abs(apply_chris(samples.conn, u, v) - chris_loop)) < EXACT_TOL
+        assert np.max(np.abs(apply_curv(samples.curv, u, v, w) - curv_loop)) < EXACT_TOL
 
 
 def test_make_manifold_names_and_flags():
@@ -321,9 +330,13 @@ def test_make_manifold_holds_every_chart_to_its_declared_rules():
         make_manifold("conformal", 2)
     with pytest.raises(ValueError, match="manifold.expression: .*unknown symbols"):
         make_manifold("conformal", 2, expression="x + q")
+    # a dimension below 1 is the dimension's fault, whatever the chart takes
+    for name, settings in (("conformal", {"expression": "x"}), ("euclidean", {}), ("sphere", {})):
+        with pytest.raises(ValueError, match=r"^manifold.dim: manifold dimension must be >= 1, got 0$"):
+            make_manifold(name, 0, **settings)
     # a one-dimensional conformal chart has the one coordinate x
     line = make_manifold("conformal", 1, expression="0.1*x")
-    assert np.allclose(line.frame(np.array([[2.0]])), np.exp(-0.2))
+    assert np.allclose(sample_geometry(line, [[2.0]]).scale, np.exp(-0.2))
 
 
 def test_conformal_powers_are_bounded_before_sympy_parses_them():

@@ -1,12 +1,16 @@
 """Property tests on generated inputs (hypothesis).
 
-* The pointwise actions Gamma(u, v) and R(u, v) w agree with the single
-  multi-operand einsum of ``geometry_oracle`` on random tensors and on the
-  geometry sampled along random closed curves in every chart; on the flat
-  charts both are exactly +0.0, with the coefficients left out (None) as
-  with their explicit zeros.
-* Sampled connection and curvature coefficients keep their antisymmetries;
-  flat charts sample none.
+* The closed-form actions Gamma(u, v) and R(u, v) w agree with the single
+  multi-operand einsum of the dense tensors that ``geometry_oracle``
+  rebuilds, on random connection and curvature samples and on the geometry
+  sampled along random closed curves in every chart; on the flat charts
+  both are exactly +0.0, with the samples left out (None) as with the
+  explicit zeros of the dense tensors.
+* On random points of every curved chart in two and three dimensions the
+  actions keep the identities of a metric connection and its curvature:
+  <Gamma(u, v), w> = -<v, Gamma(u, w)>, R(u, v) w = -R(v, u) w,
+  <R(u, v) w, z> = -<R(u, v) z, w> and the first Bianchi identity; flat
+  charts sample nothing.
 * Along random closed curves in every chart: cov_dx sums by parts, the
   unfolded production blocks of the elliptic operator are symmetric and
   equal the dense oracle, the production solve leaves a residual at rounding
@@ -24,6 +28,8 @@
   fields and both neighbours of every magnitude where a float's spelling
   changes form included.  NaN or an infinity in any field or in the time
   aborts before a byte is written.
+* A failing hypothesis test fails alone under the suite's warning filters:
+  the tests after it still run.
 * On a drawn chart, dimension and initial section (curves, velocities,
   parameters of every kind, valid or not, and stray keys) ``parse_config``
   accepts the document exactly when ``make_manifold`` and
@@ -33,6 +39,9 @@
 import dataclasses
 import functools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -66,6 +75,7 @@ from elwire.geometry import (
     ConformalModel,
     EuclideanModel,
     FlatTorusModel,
+    GeometrySamples,
     HyperbolicHalfPlaneModel,
     SphereChartModel,
     apply_chris,
@@ -80,7 +90,8 @@ from geometry_oracle import (
     apply_curv_einsum,
     chris_scale,
     curv_scale,
-    with_connection,
+    dense_chris,
+    dense_curv,
 )
 from run_config import SOLVE_DEFAULTS
 
@@ -123,11 +134,14 @@ def closed_curve(center, n_points, rng):
     return pts
 
 
-def assert_actions_match_oracle(chris, curv, u, v, w):
-    gap = np.abs(apply_chris(chris, u, v) - apply_chris_einsum(chris, u, v))
-    assert np.all(gap <= REL_TOL * chris_scale(chris, u, v))
-    gap = np.abs(apply_curv(curv, u, v, w) - apply_curv_einsum(curv, u, v, w))
-    assert np.all(gap <= REL_TOL * curv_scale(curv, u, v, w))
+def assert_actions_match_oracle(samples, u, v, w):
+    chris, curv = dense_chris(samples, u.shape), dense_curv(samples, u.shape)
+    gap = np.abs(apply_chris(samples.conn, u, v) - apply_chris_einsum(chris, u, v))
+    if samples.conn is not None:
+        assert np.all(gap <= REL_TOL * chris_scale(samples.conn, u, v))
+    gap = np.abs(apply_curv(samples.curv, u, v, w) - apply_curv_einsum(curv, u, v, w))
+    if samples.curv is not None:
+        assert np.all(gap <= REL_TOL * curv_scale(samples.curv, u, v, w))
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,10 +153,11 @@ def assert_actions_match_oracle(chris, curv, u, v, w):
 )
 def test_actions_match_einsum_oracle_on_random_tensors(dim, n_points, exponent, seed):
     rng = np.random.default_rng(seed)
-    chris = 10.0**exponent * rng.standard_normal((n_points,) + (dim,) * 3)
-    curv = 10.0**exponent * rng.standard_normal((n_points,) + (dim,) * 4)
+    conn = 10.0**exponent * rng.standard_normal((n_points, dim))
+    curv = 10.0**exponent * rng.standard_normal((n_points, dim, dim))
+    samples = GeometrySamples(scale=None, conn=conn, curv=curv + curv.swapaxes(1, 2))
     u, v, w = rng.standard_normal((3, n_points, dim))
-    assert_actions_match_oracle(chris, curv, u, v, w)
+    assert_actions_match_oracle(samples, u, v, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,15 +166,15 @@ def test_actions_match_einsum_oracle_on_sampled_geometry(chart, n_points, seed):
     model = chart_model(chart)
     rng = np.random.default_rng(seed)
     samples = sample_geometry(model, closed_curve(CHARTS[chart][1], n_points, rng))
-    explicit = with_connection(samples)
     u, v, w = rng.standard_normal((3, n_points, model.dim))
-    assert_actions_match_oracle(explicit.chris, explicit.curv, u, v, w)
+    assert_actions_match_oracle(samples, u, v, w)
     if model.is_flat:
-        # the left-out coefficients act as the contraction of their zeros does
+        # the left-out samples act as the contraction of zero tensors does
         zeros = np.zeros((n_points, model.dim)).tobytes()
-        for sampled in (samples, explicit):
-            assert apply_chris(sampled.chris, u, v).tobytes() == zeros
-            assert apply_curv(sampled.curv, u, v, w).tobytes() == zeros
+        assert apply_chris(samples.conn, u, v).tobytes() == zeros
+        assert apply_curv(samples.curv, u, v, w).tobytes() == zeros
+        assert apply_chris_einsum(dense_chris(samples, u.shape), u, v).tobytes() == zeros
+        assert apply_curv_einsum(dense_curv(samples, u.shape), u, v, w).tobytes() == zeros
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,17 +183,65 @@ def test_sampled_geometry_keeps_antisymmetries(chart, n_points, seed):
     model = chart_model(chart)
     rng = np.random.default_rng(seed)
     samples = sample_geometry(model, closed_curve(CHARTS[chart][1], n_points, rng))
-    chris, curv = samples.chris, samples.curv
     if model.is_flat:
-        assert chris is None and curv is None
+        assert samples == GeometrySamples(scale=None, conn=None, curv=None)
         return
+    assert np.max(np.abs(samples.curv - samples.curv.swapaxes(-2, -1))) < EXACT_TOL
+    chris = dense_chris(samples, (n_points, model.dim))
+    curv = dense_curv(samples, (n_points, model.dim))
     assert np.max(np.abs(chris + np.swapaxes(chris, -2, -1))) < EXACT_TOL
     assert np.max(np.abs(curv + np.swapaxes(curv, -4, -3))) < EXACT_TOL
     assert np.max(np.abs(curv + np.swapaxes(curv, -2, -1))) < EXACT_TOL
 
 
-# ---------------------------------------------------------------------------
-# covariant calculus and the elliptic band along random curves
+#: chart name -> (model of each dimension, random points in its chart)
+CURVED_CHARTS = {
+    "hyperbolic": (
+        {2: HyperbolicHalfPlaneModel()},
+        lambda rng, k, n: np.column_stack([rng.uniform(-2.0, 2.0, k), rng.uniform(0.2, 3.0, k)]),
+    ),
+    "sphere": (
+        {n: SphereChartModel(n) for n in (2, 3)},
+        lambda rng, k, n: rng.uniform(-2.0, 2.0, (k, n)),
+    ),
+    "conformal": (
+        {
+            2: ConformalModel(2, "0.3*x**2 - 0.2*x*y + 0.1*sin(y)"),
+            3: ConformalModel(3, "0.2*x*z - 0.3*y**2 + 0.1*cos(x + z)"),
+        },
+        lambda rng, k, n: rng.uniform(-1.5, 1.5, (k, n)),
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chart=st.sampled_from(sorted(CURVED_CHARTS)),
+    dim=st.sampled_from([2, 3]),
+    n_points=st.integers(1, 32),
+    seed=seeds,
+)
+def test_sampled_actions_keep_the_connection_and_curvature_identities(chart, dim, n_points, seed):
+    models, draw = CURVED_CHARTS[chart]
+    model = models.get(dim, models[2])
+    rng = np.random.default_rng(seed)
+    samples = sample_geometry(model, draw(rng, n_points, model.dim))
+    c, curv = samples.conn, samples.curv
+    u, v, w, z = rng.standard_normal((4, n_points, model.dim))
+
+    def dot(a, b):
+        return np.sum(a * b, axis=-1)
+
+    # every term is bounded by |u||v||w||z| times the size of c, or of P
+    size = np.sqrt(dot(c, c)) + np.sqrt(np.sum(curv * curv, axis=(1, 2)))
+    size = size * np.prod([np.sqrt(dot(a, a)) for a in (u, v, w, z)], axis=0)
+    gamma_uv, gamma_uw = apply_chris(c, u, v), apply_chris(c, u, w)
+    assert np.all(np.abs(dot(gamma_uv, w) + dot(v, gamma_uw)) <= REL_TOL * size)
+    r_uvw = apply_curv(curv, u, v, w)
+    assert np.all(np.abs(r_uvw + apply_curv(curv, v, u, w)).max(-1) <= REL_TOL * size)
+    assert np.all(np.abs(dot(r_uvw, z) + dot(apply_curv(curv, u, v, z), w)) <= REL_TOL * size)
+    bianchi = r_uvw + apply_curv(curv, v, w, u) + apply_curv(curv, w, u, v)
+    assert np.all(np.abs(bianchi).max(-1) <= REL_TOL * size)
 
 
 def curve_setup(chart, n_points, seed):
@@ -329,7 +392,7 @@ def test_series_helpers_equal_their_stacked_levels(levels, chart, n_points, seed
         "cov_dxx": lambda p, xi, s: cov_dxx(p, xi, s, dx),
         "sided_grad_sq": lambda p, xi, s: sided_grad_sq(p, xi, s, dx),
         "perp": lambda p, xi, s: perp(p, xi),
-        "apply_chris": lambda p, xi, s: apply_chris(s.chris, xi, p),
+        "apply_chris": lambda p, xi, s: apply_chris(s.conn, xi, p),
         "apply_curv": lambda p, xi, s: apply_curv(s.curv, xi, p, xi),
     }
     for name, call in calls.items():
@@ -586,3 +649,29 @@ def test_parse_config_accepts_exactly_what_the_builders_build(sections):
     except ValueError:
         built = False
     assert parsed == built
+
+
+# ---------------------------------------------------------------------------
+# the suite's warning filters
+
+
+def test_a_failing_hypothesis_test_does_not_stop_the_session(tmp_path):
+    # hypothesis prints the patch of a failing example through libcst, whose
+    # import raises a DeprecationWarning; under "error" alone that warning
+    # was an INTERNALERROR that ended the session before the next test ran
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n"
+        "def test_runs_after():\n"
+        "    pass\n"
+    )
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         str(tmp_path / "test_probe.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
