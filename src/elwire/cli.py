@@ -1,8 +1,8 @@
-"""Command line driver: ``elwire run|check|study --config FILE [--out DIR]``.
+"""Command line driver: ``elwire run|check --config FILE [--out DIR]``.
 
-``run`` executes the configured mode (march, picard, or convergence-study),
-``check`` only validates the config, ``study`` forces a convergence study of
-the marching integrator at the configured resolution and its two refinements.
+``run`` executes the configured mode (march, picard, or convergence-study,
+which reruns the march at the configured resolution and its two
+refinements); ``check`` only validates the config.
 
 March and picard runs share one output loop.  Each mode is a producer of
 time levels (``dynamics.Level``: fields with tension, geometry samples,
@@ -332,11 +332,7 @@ def run(cfg: RunConfig, out_dir: Optional[str] = None, quiet: bool = False) -> i
     except OSError as exc:  # e.g. the path, or a parent of it, is a file
         print(f"cannot make output directory {path}: {exc.strerror}", file=sys.stderr)
         return 2
-    if study:
-        code, _ = _study_into(cfg, out, quiet)
-    else:
-        code, _ = _run_into(cfg, out, quiet)
-    return code
+    return (_study_into if study else _run_into)(cfg, out, quiet)[0]
 
 
 def main(argv=None) -> int:
@@ -348,7 +344,6 @@ def main(argv=None) -> int:
     for name, help_text in (
         ("run", "execute the mode selected in the config"),
         ("check", "validate the config and exit"),
-        ("study", "force a convergence study of the marching integrator"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
@@ -370,8 +365,6 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(f"config ok: mode={cfg.mode}, manifold={cfg.manifold_name}, n={cfg.grid_n}")
         return 0
-    if args.command == "study":
-        cfg = dataclasses.replace(cfg, mode="convergence-study")
     try:
         return run(cfg, out_dir=args.out, quiet=args.quiet)
     except ElwireError as exc:

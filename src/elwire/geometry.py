@@ -21,9 +21,10 @@ its samples are small (see GeometrySamples):
 Built-in models: Euclidean space, the flat unit torus, the hyperbolic upper
 half-plane, the round unit sphere in a stereographic chart, and a generic
 conformal metric exp(2*lam)*delta with ``lam`` given in closed form.  All
-evaluators are analytic (sympy differentiates the conformal factor once at
-construction time); nothing differentiates the metric numerically on the hot
-path.  The test suite keeps an independent finite-difference oracle, and
+evaluators are analytic: one walk of the conformal factor's syntax tree
+checks it at construction time and gives the jet (lam, grad, hess) by the
+rules of differentiation; nothing differentiates the metric numerically.
+The test suite keeps an independent finite-difference oracle, and
 rebuilds the dense connection and curvature tensors from the samples there.
 ``BUILTIN`` declares each chart's rules once (the half-plane is 2-D; only
 ``conformal`` takes a setting, its ``expression``), and ``build_chart``, which
@@ -43,6 +44,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -96,8 +98,7 @@ class FlatTorusModel(EuclideanModel):
 
 
 class _ConformalModel(ManifoldModel):
-    """Metric exp(2*lam) * delta; subclasses provide lam, its gradient and,
-    unless they declare a constant curvature, its Hessian.
+    """Metric exp(2*lam) * delta; subclasses provide the jet of lam.
 
     The orthonormal frame is e_j = exp(-lam) * d/dx^j, so the frame is the
     scale exp(-lam) times the identity, the connection is the one vector
@@ -113,27 +114,23 @@ class _ConformalModel(ManifoldModel):
     #: sectional curvature when constant, else None
     constant_curvature: float | None = None
 
-    def _lam(self, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _lam_grad(self, coords: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _lam_hess(self, coords: np.ndarray) -> np.ndarray:
+    def _jet(self, coords: np.ndarray) -> tuple:
+        """(lam, grad(lam), hess(lam)) at the points ``coords`` (N, n); the
+        Hessian is None when the model declares a constant curvature."""
         raise NotImplementedError
 
     def sample(self, coords):
         """(scale, c, P) at the points ``coords`` (N, n)."""
         n = self.dim
-        scale = np.exp(-self._lam(coords))
-        grad = self._lam_grad(coords)
+        lam, grad, hess = self._jet(coords)
+        scale = np.exp(-lam)
         if self.constant_curvature is not None:
             # a copy, not a broadcast view: einsum rounds a view's zero strides
             # differently, and a window series must equal its stacked levels
             curv = np.tile(-0.5 * self.constant_curvature * np.eye(n), (len(coords), 1, 1))
         else:
             half_sq = 0.5 * np.einsum("pi,pi->p", grad, grad)
-            s = self._lam_hess(coords) - grad[:, :, None] * grad[:, None, :]
+            s = hess - grad[:, :, None] * grad[:, None, :]
             curv = (scale * scale)[:, None, None] * (s + half_sq[:, None, None] * np.eye(n))
         return scale, scale[:, None] * grad, curv
 
@@ -151,13 +148,10 @@ class HyperbolicHalfPlaneModel(_ConformalModel):
         c = np.asarray(coords, dtype=float)
         return np.all(np.isfinite(c), axis=-1) & (c[..., 1] > 0.0)
 
-    def _lam(self, coords):
-        return -np.log(coords[..., 1])
-
-    def _lam_grad(self, coords):
+    def _jet(self, coords):
         g = np.zeros_like(coords)
         g[..., 1] = -1.0 / coords[..., 1]
-        return g
+        return -np.log(coords[..., 1]), g, None
 
 
 class SphereChartModel(_ConformalModel):
@@ -170,51 +164,77 @@ class SphereChartModel(_ConformalModel):
     name = "sphere"
     constant_curvature = 1.0
 
-    def _lam(self, coords):
-        return math.log(2.0) - np.log1p(np.sum(coords * coords, axis=-1))
-
-    def _lam_grad(self, coords):
-        s = 1.0 + np.sum(coords * coords, axis=-1)
-        return -2.0 * coords / s[..., None]
+    def _jet(self, coords):
+        sq = np.sum(coords * coords, axis=-1)
+        return math.log(2.0) - np.log1p(sq), -2.0 * coords / (1.0 + sq)[..., None], None
 
 
-#: the functions a conformal factor may call; with numbers, ``pi`` and the
-#: chart coordinates they are all its expression may name
-CONFORMAL_FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh", "atan")
-_CONFORMAL_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
-#: largest exponent of a power, counting nested powers as the product of
-#: their exponents; sympy multiplies out constant powers exactly, so this
-#: bounds the size of every number it can build to 64 times the input length
-CONFORMAL_MAX_POWER = 64
+#: the functions a conformal factor may call, each as a -> (f(a), f'(a),
+#: f''(a)); with numbers, ``pi`` and the chart coordinates they are all its
+#: expression may name
+CONFORMAL_FUNCTIONS = {
+    "exp": lambda a: (np.exp(a),) * 3,
+    "log": lambda a: (np.log(a), 1.0 / a, -1.0 / (a * a)),
+    "sqrt": lambda a: (np.sqrt(a), 0.5 / np.sqrt(a), -0.25 / (a * np.sqrt(a))),
+    "sin": lambda a: (np.sin(a), np.cos(a), -np.sin(a)),
+    "cos": lambda a: (np.cos(a), -np.sin(a), -np.cos(a)),
+    "tan": lambda a: (np.tan(a), 1.0 / np.cos(a) ** 2, 2.0 * np.tan(a) / np.cos(a) ** 2),
+    "sinh": lambda a: (np.sinh(a), np.cosh(a), np.sinh(a)),
+    "cosh": lambda a: (np.cosh(a), np.sinh(a), np.cosh(a)),
+    "tanh": lambda a: (np.tanh(a), 1.0 / np.cosh(a) ** 2, -2.0 * np.tanh(a) / np.cosh(a) ** 2),
+    "atan": lambda a: (np.arctan(a), 1.0 / (1.0 + a * a), -2.0 * a / (1.0 + a * a) ** 2),
+}
 
 
-def _signed_number(node) -> float | None:
-    """The value of an int/float literal with optional signs, else None."""
-    sign = 1
-    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        sign = -sign if isinstance(node.op, ast.USub) else sign
-        node = node.operand
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return sign * node.value
-    return None
+def _power(p: float, a):
+    """(a**p, p a**(p-1), p (p-1) a**(p-2)); a zero coefficient gives zero,
+    not 0 * inf, where a is 0."""
+    return tuple(c * a ** (p - k) if c else 0.0 * a for k, c in enumerate((1.0, p, p * (p - 1.0))))
 
 
-def _check_conformal_syntax(expression: str, names: list) -> None:
-    """Raise ValueError unless ``expression`` is plain arithmetic in ``names``.
+def _chain(f, a):
+    """The jet (value, gradient, Hessian) of f(a) from that of a; f gives
+    its value and first two derivatives, as in CONFORMAL_FUNCTIONS."""
+    (v, g, h), (f0, f1, f2) = a, f(a[0])
+    gg = g[..., :, None] * g[..., None, :]
+    return f0, f1[..., None] * g, f2[..., None, None] * gg + f1[..., None, None] * h
 
-    The expression is parsed, never run: numbers, the coordinates, ``pi``,
-    ``+ - * / **``, unary signs and one-argument calls of CONFORMAL_FUNCTIONS
-    are allowed, every other construct is rejected.  A power needs a number
-    exponent, whose size times those of the powers around it is at most
-    CONFORMAL_MAX_POWER, and a base that names a coordinate or is a number
-    or ``pi``.  Only an expression that passes is handed to sympy, whose
-    parser evaluates its input as Python and its constant arithmetic exactly.
+
+def _binary(op, a, b):
+    """The jet of ``a op b`` from those of a and b, for an ast operator
+    class ``op`` of + - * /."""
+    (va, ga, ha), (vb, gb, hb) = a, b
+    if op in (ast.Add, ast.Sub):
+        sign = 1.0 if op is ast.Add else -1.0
+        return va + sign * vb, ga + sign * gb, ha + sign * hb
+    if op is ast.Div:  # q = a / b from a = q b
+        va = va / vb
+        ga = (ga - va[..., None] * gb) / vb[..., None]
+        ha = ha - ga[..., :, None] * gb[..., None, :] - gb[..., :, None] * ga[..., None, :]
+        return va, ga, (ha - va[..., None, None] * hb) / vb[..., None, None]
+    cross = ga[..., :, None] * gb[..., None, :]
+    hess = ha * vb[..., None, None] + cross + np.swapaxes(cross, -1, -2) + va[..., None, None] * hb
+    return va * vb, ga * vb[..., None] + va[..., None] * gb, hess
+
+
+def _conformal_jet(expression: str, names: list):
+    """Check the conformal factor ``expression`` in the coordinates ``names``
+    and return the evaluator of its jet: coords (N, n) -> (lam, grad(lam),
+    hess(lam)), of shapes (N,), (N, n) and (N, n, n).
+
+    The expression is parsed, never run, and walked once: numbers, the
+    coordinates, ``pi``, ``+ - * / **``, unary signs and one-argument calls
+    of CONFORMAL_FUNCTIONS are allowed, and a power needs an exponent that
+    folds to a number; anything else raises ValueError.  The jet follows the
+    sum, product, quotient and chain rules.  Each constant subtree folds to a
+    float once, here; one that is not finite (``1/0``, ``log(0)``,
+    ``sqrt(-1)``, ``9**9**9``) and a zero divisor raise ValueError too.
     """
     try:
         tree = ast.parse(expression, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse the conformal factor {expression!r}") from exc
-    unknown = set()
+    n, unknown = len(names), set()
 
     def refuse(what: str):
         raise ValueError(
@@ -222,50 +242,75 @@ def _check_conformal_syntax(expression: str, names: list) -> None:
             f"allowed (use numbers, {names}, pi, + - * / ** and {list(CONFORMAL_FUNCTIONS)})"
         )
 
-    def visit(node, scale=1.0):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            exponent, base = _signed_number(node.right), node.left
-            scale *= math.inf if exponent is None else max(1.0, abs(exponent))
-            named = {n.id for n in ast.walk(base) if isinstance(n, ast.Name)}
-            constant = _signed_number(base) is not None or ast.unparse(base) == "pi"
-            if not scale <= CONFORMAL_MAX_POWER or not (constant or named & set(names)):
-                raise ValueError(
-                    f"conformal factor {expression!r} has the power {ast.unparse(node)!r}: a "
-                    f"power needs a number exponent, at most {CONFORMAL_MAX_POWER} in size "
-                    "times the exponents around it, and a base that names a coordinate or "
-                    "is a number or pi"
-                )
-            visit(base, scale)
-        elif isinstance(node, ast.Constant):
+    def not_finite(node, what: str):
+        raise ValueError(
+            f"conformal factor {expression!r} is not finite and real: {ast.unparse(node)!r} {what}"
+        )
+
+    def jet(part, coords):
+        return part(coords) if callable(part) else (part, np.zeros(n), np.zeros((n, n)))
+
+    def combine(node, rule, *parts):
+        """The folded value of ``rule`` on constant parts, else its evaluator."""
+        if not all(isinstance(part, float) for part in parts):
+            return lambda coords: rule(*(jet(part, coords) for part in parts))
+        value = rule(*(jet(part, None) for part in parts))[0]
+        if not np.isfinite(value):
+            not_finite(node, f"is {value}")
+        return np.float64(value)
+
+    def visit(node):
+        """A float for a constant subtree, else the evaluator of its jet."""
+        if isinstance(node, ast.Constant):
             if type(node.value) not in (int, float):
                 refuse(f"the constant {node.value!r}")
-        elif isinstance(node, ast.Name):
-            if node.id not in names and node.id != "pi":
-                unknown.add(node.id)
-        elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
-            if not isinstance(node.op, _CONFORMAL_OPERATORS):
-                refuse(f"the operator {type(node.op).__name__}")
-            children = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.operand,)
-            for child in children:
-                visit(child, scale)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if not (
-                isinstance(func, ast.Name)
-                and func.id in CONFORMAL_FUNCTIONS
-                and len(node.args) == 1
-                and not node.keywords
-            ):
+            # read through its text, an integer beyond the float range is inf
+            return combine(node, lambda a: a, float(str(node.value)))
+        if isinstance(node, ast.Name):
+            if node.id == "pi":
+                return np.float64(math.pi)
+            if node.id not in names:
+                unknown.add(node.id)  # refused after the walk
+                return None
+            i = names.index(node.id)
+            return lambda coords: (coords[..., i], np.eye(n)[i], np.zeros((n, n)))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            part = visit(node.operand)
+            if isinstance(node.op, ast.UAdd):
+                return part
+            return combine(node, lambda a: tuple(-x for x in a), part)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            p = visit(node.right)
+            if not isinstance(p, float):
+                refuse(f"the power {ast.unparse(node)!r}, whose exponent is not a number,")
+            return combine(node, partial(_chain, partial(_power, p)), visit(node.left))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+            a, b = visit(node.left), visit(node.right)
+            if isinstance(node.op, ast.Div) and isinstance(b, float) and b == 0.0:
+                not_finite(node, "divides by zero")
+            return combine(node, partial(_binary, type(node.op)), a, b)
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            refuse(f"the operator {type(node.op).__name__}")
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None)  # only a Name has an id
+            if name not in CONFORMAL_FUNCTIONS or len(node.args) != 1 or node.keywords:
                 refuse(f"the call {ast.unparse(node)!r}")
-            visit(node.args[0], scale)
-        else:
-            refuse(f"{type(node).__name__} syntax")
+            return combine(node, partial(_chain, CONFORMAL_FUNCTIONS[name]), visit(node.args[0]))
+        refuse(f"{type(node).__name__} syntax")
 
-    visit(tree.body)
+    with np.errstate(all="ignore"):
+        body = visit(tree.body)
     if unknown:
         raise ValueError(
             f"conformal factor uses unknown symbols {sorted(unknown)}; coordinates are {names}"
         )
+
+    def evaluate(coords):
+        shape = coords.shape[:-1]
+        parts = enumerate(jet(body, coords))
+        return tuple(np.broadcast_to(part, shape + (n,) * k).copy() for k, part in parts)
+
+    return evaluate
 
 
 class ConformalModel(_ConformalModel):
@@ -273,11 +318,10 @@ class ConformalModel(_ConformalModel):
 
     ``expression`` is a closed-form expression for lam in the coordinates
     ``x, y, z`` (dimensions <= 3) or ``x0, x1, ...``, built only from the
-    arithmetic that _check_conformal_syntax allows; it is differentiated
-    symbolically once, then evaluated numerically.  An expression that, or
-    whose first or second derivatives, is not finite and real everywhere
-    sympy can tell (``1/0``, ``sqrt(-1)``) is rejected; where sympy cannot
-    tell, sample_geometry reports the first non-finite sample.
+    arithmetic that _conformal_jet allows, which differentiates it; an
+    expression with a constant part that is not finite and real (``1/0``,
+    ``sqrt(-1)``) is refused.  Where the factor is not finite only at some
+    points, sample_geometry reports the first non-finite sample.
     """
 
     name = "conformal"
@@ -286,47 +330,8 @@ class ConformalModel(_ConformalModel):
         super().__init__(dim)
         if not isinstance(expression, str):
             raise ValueError(f"conformal model needs an expression, got {expression!r}")
-        import sympy
-
-        if dim <= 3:
-            names = ["x", "y", "z"][:dim]
-        else:
-            names = [f"x{i}" for i in range(dim)]
-        _check_conformal_syntax(expression, names)
-        syms = sympy.symbols(names)  # a list, also of one name
-        expr = sympy.sympify(expression, locals=dict(zip(names, syms)))
-        grads = [expr.diff(s) for s in syms]
-        hessian = [[expr.diff(a, b) for b in syms] for a in syms]
-        for part in [expr, *grads, *(h for row in hessian for h in row)]:
-            for bad in (sympy.zoo, sympy.nan, sympy.oo, -sympy.oo, sympy.I):
-                if part.has(bad):
-                    raise ValueError(
-                        f"conformal factor {expression!r} is not finite and real: it or "
-                        f"one of its first two derivatives contains {bad}"
-                    )
-        self.expression = str(expr)
-        self._lam_fn = sympy.lambdify(syms, expr, "numpy")
-        self._grad_fns = [sympy.lambdify(syms, g, "numpy") for g in grads]
-        self._hess_fns = [[sympy.lambdify(syms, h, "numpy") for h in row] for row in hessian]
-
-    def _eval(self, fn, coords):
-        args = [coords[..., i] for i in range(self.dim)]
-        out = np.asarray(fn(*args), dtype=float)
-        return np.broadcast_to(out, coords.shape[:-1]).copy()
-
-    def _lam(self, coords):
-        return self._eval(self._lam_fn, coords)
-
-    def _lam_grad(self, coords):
-        cols = [self._eval(fn, coords) for fn in self._grad_fns]
-        return np.stack(cols, axis=-1)
-
-    def _lam_hess(self, coords):
-        rows = [
-            np.stack([self._eval(fn, coords) for fn in row], axis=-1)
-            for row in self._hess_fns
-        ]
-        return np.stack(rows, axis=-2)
+        names = ["x", "y", "z"][:dim] if dim <= 3 else [f"x{i}" for i in range(dim)]
+        self._jet = _conformal_jet(expression, names)
 
 
 #: chart name -> (model factory of the dimension and the settings, whether

@@ -12,8 +12,8 @@ and contract them with a single multi-operand einsum, which sums every
 product in one loop.  A flat chart's samples are None; the dense tensors of
 ``dense_chris`` and ``dense_curv`` are then explicit zeros.  The metric
 e^{2 lam} delta and the frame e^{-lam} delta that the finite-difference
-oracle of ``test_geometry`` differentiates are built here from the model's
-``_lam`` alone (the identity on a flat chart).
+oracle of ``test_geometry`` differentiates are built here from the lam of
+the model's ``_jet`` alone (the identity on a flat chart).
 """
 
 import numpy as np
@@ -51,14 +51,14 @@ def dense_curv(samples, shape):
 def metric(model, points):
     """Chart components of the metric e^{2 lam} delta at ``points`` (..., n)."""
     pts = np.asarray(points, dtype=float)
-    factor = np.ones(pts.shape[:-1]) if model.is_flat else np.exp(2.0 * model._lam(pts))
+    factor = np.ones(pts.shape[:-1]) if model.is_flat else np.exp(2.0 * model._jet(pts)[0])
     return factor[..., None, None] * np.eye(model.dim)
 
 
 def frame(model, points):
     """Frame-to-chart matrices e^{-lam} delta at ``points`` (..., n)."""
     pts = np.asarray(points, dtype=float)
-    factor = np.ones(pts.shape[:-1]) if model.is_flat else np.exp(-model._lam(pts))
+    factor = np.ones(pts.shape[:-1]) if model.is_flat else np.exp(-model._jet(pts)[0])
     return factor[..., None, None] * np.eye(model.dim)
 
 

@@ -41,157 +41,115 @@ _CHART_EXIT = {
     "velocity": {"name": "translate", "vector": [0, -10]},
 }
 
-#: name -> (command, config); every run is small (n <= 64), and
+#: name -> config of an ``elwire run``; every run is small (n <= 64), and
 #: ``config-errors`` pins the wording and order of config problems
 CONFIGS = {
-    "march-flat": (
-        "run",
-        {"grid": {"n": 32}, "time": {"horizon": 12 / 32}, "initial": _PERTURBED, **_CADENCE},
-    ),
-    "march-sphere": (
-        "run",
-        {
-            "manifold": {"name": "sphere"},
-            "grid": {"n": 32},
-            "time": {"horizon": 12 / 32},
-            "initial": {"name": "sphere-loop"},
-            **_CADENCE,
+    "march-flat": {"grid": {"n": 32}, "time": {"horizon": 12 / 32}, "initial": _PERTURBED, **_CADENCE},
+    "march-sphere": {
+        "manifold": {"name": "sphere"},
+        "grid": {"n": 32},
+        "time": {"horizon": 12 / 32},
+        "initial": {"name": "sphere-loop"},
+        **_CADENCE,
+    },
+    "march-sphere-3d": {
+        "manifold": {"name": "sphere", "dim": 3},
+        "grid": {"n": 32},
+        "time": {"horizon": 6 / 32},
+        "initial": {"name": "sphere-loop", "velocity": {"name": "translate", "vector": [0, 0, 0.2]}},
+    },
+    "march-torus-3d": {
+        "manifold": {"name": "flat-torus", "dim": 3},
+        "grid": {"n": 32},
+        "time": {"horizon": 6 / 32},
+        "initial": {"name": "circle", "velocity": {"name": "rotate", "omega": 0.5}},
+    },
+    "march-hyperbolic-translate": {
+        "manifold": {"name": "hyperbolic"},
+        "grid": {"n": 32},
+        "time": {"horizon": 8 / 32},
+        "initial": {
+            "name": "hyperbolic-circle",
+            "velocity": {"name": "translate", "vector": [0.1, 0.0]},
         },
-    ),
-    "march-sphere-3d": (
-        "run",
-        {
-            "manifold": {"name": "sphere", "dim": 3},
-            "grid": {"n": 32},
-            "time": {"horizon": 6 / 32},
-            "initial": {"name": "sphere-loop", "velocity": {"name": "translate", "vector": [0, 0, 0.2]}},
+        "output": {"snapshot_every": 3},
+    },
+    "march-conformal-renormalized": {
+        "manifold": {"name": "conformal", "expression": "0.1*x*y"},
+        "grid": {"n": 32},
+        "time": {"horizon": 8 / 32},
+        "initial": _PERTURBED,
+        "renormalize": True,
+        "output": {"snapshot_every": 4},
+    },
+    "picard-flat": {"mode": "picard", "grid": {"n": 32}, "picard": {"window": 6}, "initial": _PERTURBED},
+    "picard-sphere": {
+        "mode": "picard",
+        "manifold": {"name": "sphere"},
+        "grid": {"n": 32},
+        "picard": {"window": 8},
+        "initial": {"name": "sphere-loop"},
+        **_CADENCE,
+    },
+    "picard-hyperbolic": {
+        "mode": "picard",
+        "manifold": {"name": "hyperbolic"},
+        "grid": {"n": 32},
+        "picard": {"window": 8},
+        "initial": {"name": "hyperbolic-circle"},
+    },
+    "picard-conformal": {
+        "mode": "picard",
+        "manifold": {"name": "conformal", "expression": "0.1*x*y"},
+        "grid": {"n": 32},
+        "picard": {"window": 8},
+        "initial": {"name": "circle"},
+    },
+    "abort-geodesic-start": {
+        "manifold": {"name": "flat-torus"},
+        "grid": {"n": 16},
+        "time": {"horizon": 0.25},
+        "initial": {"name": "torus-geodesic", "direction": [1, 0]},
+    },
+    "abort-constraint-gate": {
+        "manifold": {"name": "hyperbolic"},
+        "grid": {"n": 32},
+        "time": {"horizon": 1.0},
+        "initial": {"name": "hyperbolic-circle"},
+    },
+    "abort-chart-exit": {
+        "manifold": {"name": "hyperbolic"},
+        "grid": {"n": 32},
+        "time": {"horizon": 1.0},
+        "initial": _CHART_EXIT,
+        "tolerances": {"constraint": 0.9, "bentness_floor": 1e-9},
+    },
+    "abort-unconverged-picard": {
+        "mode": "picard",
+        "grid": {"n": 64},
+        "picard": {"window": 16, "max_iter": 2},
+        "initial": _PERTURBED,
+    },
+    "config-errors": {
+        "grid": None,
+        "time": {"horizon": 0, "dt": "fast"},
+        "initial": {
+            "name": "circle",
+            "amplitude": 0.5,
+            "velocity": {"name": "rotate", "omega": 1, "centre": [0.5, 0.5]},
         },
-    ),
-    "march-torus-3d": (
-        "run",
-        {
-            "manifold": {"name": "flat-torus", "dim": 3},
-            "grid": {"n": 32},
-            "time": {"horizon": 6 / 32},
-            "initial": {"name": "circle", "velocity": {"name": "rotate", "omega": 0.5}},
-        },
-    ),
-    "march-hyperbolic-translate": (
-        "run",
-        {
-            "manifold": {"name": "hyperbolic"},
-            "grid": {"n": 32},
-            "time": {"horizon": 8 / 32},
-            "initial": {
-                "name": "hyperbolic-circle",
-                "velocity": {"name": "translate", "vector": [0.1, 0.0]},
-            },
-            "output": {"snapshot_every": 3},
-        },
-    ),
-    "march-conformal-renormalized": (
-        "run",
-        {
-            "manifold": {"name": "conformal", "expression": "0.1*x*y"},
-            "grid": {"n": 32},
-            "time": {"horizon": 8 / 32},
-            "initial": _PERTURBED,
-            "renormalize": True,
-            "output": {"snapshot_every": 4},
-        },
-    ),
-    "picard-flat": (
-        "run",
-        {"mode": "picard", "grid": {"n": 32}, "picard": {"window": 6}, "initial": _PERTURBED},
-    ),
-    "picard-sphere": (
-        "run",
-        {
-            "mode": "picard",
-            "manifold": {"name": "sphere"},
-            "grid": {"n": 32},
-            "picard": {"window": 8},
-            "initial": {"name": "sphere-loop"},
-            **_CADENCE,
-        },
-    ),
-    "picard-hyperbolic": (
-        "run",
-        {
-            "mode": "picard",
-            "manifold": {"name": "hyperbolic"},
-            "grid": {"n": 32},
-            "picard": {"window": 8},
-            "initial": {"name": "hyperbolic-circle"},
-        },
-    ),
-    "picard-conformal": (
-        "run",
-        {
-            "mode": "picard",
-            "manifold": {"name": "conformal", "expression": "0.1*x*y"},
-            "grid": {"n": 32},
-            "picard": {"window": 8},
-            "initial": {"name": "circle"},
-        },
-    ),
-    "abort-geodesic-start": (
-        "run",
-        {
-            "manifold": {"name": "flat-torus"},
-            "grid": {"n": 16},
-            "time": {"horizon": 0.25},
-            "initial": {"name": "torus-geodesic", "direction": [1, 0]},
-        },
-    ),
-    "abort-constraint-gate": (
-        "run",
-        {
-            "manifold": {"name": "hyperbolic"},
-            "grid": {"n": 32},
-            "time": {"horizon": 1.0},
-            "initial": {"name": "hyperbolic-circle"},
-        },
-    ),
-    "abort-chart-exit": (
-        "run",
-        {
-            "manifold": {"name": "hyperbolic"},
-            "grid": {"n": 32},
-            "time": {"horizon": 1.0},
-            "initial": _CHART_EXIT,
-            "tolerances": {"constraint": 0.9, "bentness_floor": 1e-9},
-        },
-    ),
-    "abort-unconverged-picard": (
-        "run",
-        {"mode": "picard", "grid": {"n": 64}, "picard": {"window": 16, "max_iter": 2}, "initial": _PERTURBED},
-    ),
-    "config-errors": (
-        "run",
-        {
-            "grid": None,
-            "time": {"horizon": 0, "dt": "fast"},
-            "initial": {
-                "name": "circle",
-                "amplitude": 0.5,
-                "velocity": {"name": "rotate", "omega": 1, "centre": [0.5, 0.5]},
-            },
-            "picard": {"window": 1},
-            "output": {"directory": ""},
-            "renormalize": "yes",
-            "seed": 3,
-        },
-    ),
-    "study": (
-        "study",
-        {
-            "grid": {"n": 16},
-            "time": {"horizon": 0.25},
-            "initial": _PERTURBED,
-            "tolerances": {"constraint": 0.5},
-        },
-    ),
+        "picard": {"window": 1},
+        "output": {"directory": ""},
+        "renormalize": "yes",
+        "seed": 3,
+    },
+    "study": {
+        "mode": "convergence-study",
+        "grid": {"n": 16},
+        "time": {"horizon": 0.25},
+        "initial": _PERTURBED,
+        "tolerances": {"constraint": 0.5},
+    },
 }
 
 
@@ -207,13 +165,13 @@ def record() -> dict:
 
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (command, data) in CONFIGS.items():
+        for name, data in CONFIGS.items():
             config = Path(tmp) / f"{name}.json"
             config.write_text(json.dumps(data))
             out = Path(tmp) / name
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
-                code = elwire.cli.main([command, "--config", str(config), "--out", str(out), "--quiet"])
+                code = elwire.cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"])
             files = sorted(p for p in out.rglob("*") if p.is_file())
             runs[name] = {
                 "exit": code,

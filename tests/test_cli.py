@@ -557,6 +557,7 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
 
 def test_study_outputs(tmp_path, capsys):
     data = {
+        "mode": "convergence-study",
         "grid": {"n": 16},
         "time": {"horizon": 0.25},
         "initial": {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01},
@@ -564,7 +565,7 @@ def test_study_outputs(tmp_path, capsys):
     }
     path = config_file(tmp_path, data)
     out = tmp_path / "out"
-    assert main(["study", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert "observed orders" in capsys.readouterr().out
 
     study = json.loads((out / "study.json").read_text())
@@ -634,6 +635,22 @@ print(json.dumps({{"exit": exit_code, "scipy": loaded, "orjson": orjson}}))
         "snapshot_000000.json",
         "snapshot_000002.json",
     ]
+
+
+def test_conformal_charts_load_no_sympy(tmp_path):
+    # the conformal factor is checked and differentiated by one walk of its
+    # syntax tree; no symbolic algebra package is imported for it
+    manifold = {"name": "conformal", "expression": "0.1*x*y + sin(x)**2"}
+    path = config_file(tmp_path, {"manifold": manifold})
+    code = f"""
+import json, sys
+import elwire.cli
+from elwire.geometry import make_manifold
+make_manifold("conformal", 3, expression="exp(z) / (1 + x**2) - log(2 + y**2)")
+exit_code = elwire.cli.main(["check", "--config", {str(path)!r}, "--quiet"])
+print(json.dumps({{"exit": exit_code, "sympy": "sympy" in sys.modules}}))
+"""
+    assert json.loads(run_in_subprocess(code).splitlines()[-1]) == {"exit": 0, "sympy": False}
 
 
 BLAS_THREAD_CONFIGS = {
@@ -710,6 +727,7 @@ def test_out_flag_overrides_config_directory(tmp_path):
 
 def test_study_abort_records_resolution(tmp_path, capsys):
     data = {
+        "mode": "convergence-study",
         "manifold": {"name": "flat-torus"},
         "grid": {"n": 16},
         "time": {"horizon": 0.25},
@@ -717,7 +735,7 @@ def test_study_abort_records_resolution(tmp_path, capsys):
     }
     path = config_file(tmp_path, data)
     out = tmp_path / "out"
-    assert main(["study", "--config", str(path), "--out", str(out)]) == 3
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     study = json.loads((out / "study.json").read_text())
     assert study["status"] == "aborted"
     assert study["resolution"] == 16
@@ -733,8 +751,8 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
-@pytest.mark.parametrize("command", ["run", "study"])
-def test_zero_energy_run_writes_strict_json(tmp_path, capsys, command):
+@pytest.mark.parametrize("mode", ["march", "convergence-study"], ids=["run", "study"])
+def test_zero_energy_run_writes_strict_json(tmp_path, capsys, mode):
     # a straight geodesic at rest has no energy and so no relative energy
     # drift: the summaries hold null there, not a bare NaN, and the printed
     # lines and the study's orders show it as "-"
@@ -744,17 +762,18 @@ def test_zero_energy_run_writes_strict_json(tmp_path, capsys, command):
         "time": {"horizon": 0.25},
         "initial": {"name": "torus-geodesic"},
         "tolerances": {"bentness_floor": 1e-300},
+        "mode": mode,
     }
     out = tmp_path / "out"
-    assert main([command, "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 0
     assert "energy drift -," in capsys.readouterr().out
-    metadata = [out / "metadata.json"] if command == "run" else sorted(out.glob("n*/metadata.json"))
-    assert len(metadata) == (1 if command == "run" else 3)
+    metadata = [out / "metadata.json"] if mode == "march" else sorted(out.glob("n*/metadata.json"))
+    assert len(metadata) == (1 if mode == "march" else 3)
     for path in metadata:
         summary = strict_json(path)["summary"]
         assert summary["initial_energy"] == 0.0
         assert summary["max_relative_energy_drift"] is None
-    if command == "study":
+    if mode == "convergence-study":
         study = strict_json(out / "study.json")
         assert study["energy_drift"] == {"values": [None] * 3, "orders": [None, None]}
     # the writer refuses a non-finite value outright
@@ -763,10 +782,8 @@ def test_zero_energy_run_writes_strict_json(tmp_path, capsys, command):
     assert not (tmp_path / "nan.json").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "study"])
-def test_unusable_output_directory_exits_2_before_computing(
-    tmp_path, monkeypatch, capsys, command
-):
+@pytest.mark.parametrize("mode", ["march", "convergence-study"], ids=["run", "study"])
+def test_unusable_output_directory_exits_2_before_computing(tmp_path, monkeypatch, capsys, mode):
     # an output path that is a file, or lies below one, is refused with one
     # line naming it and the OS error, before the chart is even built; a
     # study makes the directory of each resolution up front too
@@ -777,13 +794,13 @@ def test_unusable_output_directory_exits_2_before_computing(
     blocker = tmp_path / "file"
     blocker.write_text("")
     cases = [(blocker, blocker, errno.EEXIST), (blocker / "sub", blocker / "sub", errno.ENOTDIR)]
-    if command == "study":
+    if mode == "convergence-study":
         (tmp_path / "study").mkdir()
         (tmp_path / "study" / "n0032").write_text("")
         cases.append((tmp_path / "study", tmp_path / "study" / "n0032", errno.EEXIST))
-    path = config_file(tmp_path, REST_CONFIG)
+    path = config_file(tmp_path, dict(REST_CONFIG, mode=mode))
     for out, named, code in cases:
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [f"cannot make output directory {named}: {os.strerror(code)}"]
 

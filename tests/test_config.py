@@ -362,6 +362,13 @@ def test_conformal_expression_must_parse_with_chart_coordinates():
         ("1/0", "not finite and real"),
         ("log(0) + x", "not finite and real"),
         ("sqrt(-1)*x", "not finite and real"),
+        ("x/0", "not finite and real"),
+        ("x/(1 - 1)", "not finite and real"),
+        ("0*log(0)*x", "not finite and real"),
+        ("9**9**9*x", "not finite and real"),
+        ("(-8)**(1/3)*x", "not finite and real"),
+        ("1" + "0" * 400 + "*x", "not finite and real"),
+        ("x**y", "whose exponent is not a number"),
     ):
         manifold = {"name": "conformal", "expression": expression}
         problems = problems_of(json.dumps({"manifold": manifold}))

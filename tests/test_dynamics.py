@@ -352,6 +352,18 @@ def test_picard_coupled_matches_march_on_a_short_window():
     assert iterate.samples == fresh == GeometrySamples(scale=None, conn=None, curv=None)
 
 
+def test_curved_picard_iterate_carries_the_samples_of_its_own_curves():
+    manifold = make_manifold("sphere")
+    grid = Grid(32)
+    curve, velocity = initial.generate("sphere-loop", manifold, grid, {})
+    start, _ = prepare_initial(curve, velocity, manifold, grid)
+    iterate, _ = picard_coupled(start, manifold, grid, run_config(grid, 8))
+    fresh = stack_samples([sample_geometry(manifold, gamma) for gamma in iterate.gamma])
+    assert fresh.scale.shape == (9, 32)
+    for name in ("scale", "conn", "curv"):
+        assert getattr(iterate.samples, name).tobytes() == getattr(fresh, name).tobytes()
+
+
 def test_picard_coupled_window_validation():
     start, manifold, grid, _ = flat_start(32)
     with pytest.raises(ValueError, match="at least 2 steps"):

@@ -20,7 +20,6 @@ from elwire.geometry import (
     FlatTorusModel,
     HyperbolicHalfPlaneModel,
     SphereChartModel,
-    _check_conformal_syntax,
     apply_chris,
     apply_curv,
     frame_components,
@@ -339,21 +338,31 @@ def test_make_manifold_holds_every_chart_to_its_declared_rules():
     assert np.allclose(sample_geometry(line, [[2.0]]).scale, np.exp(-0.2))
 
 
-def test_conformal_powers_are_bounded_before_sympy_parses_them():
-    # the walk alone decides; sympy would multiply 9**9**9 out exactly
-    names = ["x", "y"]
+def test_conformal_powers_need_an_exponent_that_folds_to_a_number():
+    # floats need no bound on the size of a power, only a number exponent
+    for expression in ("x**y", "2**x", "x**(0*y + 2)"):
+        with pytest.raises(ValueError, match="whose exponent is not a number"):
+            ConformalModel(2, expression)
     for expression in (
-        "9**9**9*x",
-        "x**y",
-        "(2*pi)**2*x",
+        "x**-2 + (-2)**3 + pi**2",
+        "2**64*x",
+        "(x**8)**8",
+        "sqrt(x**0.5)",
         "x**65",
+        "(2*pi)**2*x",
         "((x*0 + 9)**64)**64",
         "exp(log((x*0 + 9)**64))**2",
+        "x**(1/2 - 3)",
     ):
-        with pytest.raises(ValueError, match="has the power"):
-            _check_conformal_syntax(expression, names)
-    for expression in ("x**-2 + (-2)**3 + pi**2", "2**64*x", "(x**8)**8", "sqrt(x**0.5)"):
-        _check_conformal_syntax(expression, names)
+        ConformalModel(2, expression)
+
+
+def test_a_factor_that_only_simplification_shows_infinite_fails_when_sampled():
+    # the constant parts of a factor fold to floats; x - x is not one, so
+    # log(x - x) is accepted, and its first sample is refused
+    model = ConformalModel(2, "log(x - x)")
+    with pytest.raises(ChartDomainError, match="not finite at grid index 0"):
+        sample_geometry(model, np.array([[0.5, 0.5]]))
 
 
 def test_flat_torus_displacement_wraps():

@@ -11,6 +11,9 @@
   <Gamma(u, v), w> = -<v, Gamma(u, w)>, R(u, v) w = -R(v, u) w,
   <R(u, v) w, z> = -<R(u, v) z, w> and the first Bianchi identity; flat
   charts sample nothing.
+* On random conformal factors of the expression grammar, smooth by
+  construction, the gradient and Hessian of the factor's jet agree with
+  central differences of its value.
 * Along random closed curves in every chart: cov_dx sums by parts, the
   unfolded production blocks of the elliptic operator are symmetric and
   equal the dense oracle, the production solve leaves a residual at rounding
@@ -242,6 +245,69 @@ def test_sampled_actions_keep_the_connection_and_curvature_identities(chart, dim
     assert np.all(np.abs(dot(r_uvw, z) + dot(apply_curv(curv, u, v, z), w)) <= REL_TOL * size)
     bianchi = r_uvw + apply_curv(curv, v, w, u) + apply_curv(curv, w, u, v)
     assert np.all(np.abs(bianchi).max(-1) <= REL_TOL * size)
+
+
+def conformal_factors(names):
+    """Conformal factors of the grammar in the coordinates ``names`` that are
+    smooth on all of R^n: each quotient, log, sqrt and non-integer power
+    acts on 1 + a square, and tan on a tanh."""
+    number = st.floats(-2.0, 2.0).map(lambda v: f"({v!r})")
+    leaves = st.one_of(st.sampled_from([*names, "pi"]), number)
+
+    def grow(parts):
+        positive = parts.map(lambda a: f"(1 + ({a})**2)")
+        entire = st.sampled_from(["exp", "sin", "cos", "sinh", "cosh", "tanh", "atan"])
+        return st.one_of(
+            st.tuples(parts, st.sampled_from("+-*"), parts).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(parts, positive).map(lambda t: f"({t[0]} / {t[1]})"),
+            st.tuples(entire, parts).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(st.sampled_from(["log", "sqrt"]), positive).map(lambda t: f"{t[0]}({t[1]})"),
+            parts.map(lambda a: f"tan(tanh({a}))"),
+            parts.map(lambda a: f"(-{a})"),
+            st.tuples(positive, number).map(lambda t: f"{t[0]}**{t[1]}"),
+            st.tuples(parts, st.integers(0, 4)).map(lambda t: f"({t[0]})**{t[1]}"),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), seed=seeds)
+def test_conformal_jet_matches_central_differences_of_its_factor(data, dim, seed):
+    names = ["x", "y", "z"][:dim]
+    expression = data.draw(conformal_factors(names), label="expression")
+    lam = make_manifold("conformal", dim, expression=expression)._jet
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, dim))
+    value, grad, hess = lam(points)
+    # steps for the first and second differences; 3e-7 relative to the
+    # scale below is the largest hessian gap seen over 3000 factors
+    h1, h2 = 1e-5, 1e-4
+    steps = np.eye(dim)
+    fd_grad = np.stack(
+        [(lam(points + h1 * e)[0] - lam(points - h1 * e)[0]) / (2.0 * h1) for e in steps], -1
+    )
+    fd_hess = np.stack(
+        [
+            np.stack(
+                [
+                    (
+                        lam(points + h2 * (a + b))[0]
+                        - lam(points + h2 * (a - b))[0]
+                        - lam(points - h2 * (a - b))[0]
+                        + lam(points - h2 * (a + b))[0]
+                    )
+                    / (4.0 * h2 * h2)
+                    for b in steps
+                ],
+                -1,
+            )
+            for a in steps
+        ],
+        -2,
+    )
+    scale = 1.0 + np.abs(value).max() + np.abs(grad).max() + np.abs(hess).max()
+    assert np.abs(fd_grad - grad).max() <= 1e-8 * scale
+    assert np.abs(fd_hess - hess).max() <= 1e-5 * scale
 
 
 def curve_setup(chart, n_points, seed):
