@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import Level, frame_tangent, reconstruct_mu
-from .fields import Grid, constraint_drift, l2_norm, m0, perp
+from .fields import Grid, constraint_drift, l2_norm, m0, perp, shift
 from .geometry import ManifoldModel
 
 
@@ -84,11 +84,11 @@ def transport_check(levels: list, dt: float, grid: Grid) -> float:
     worst = 0.0
     for sign in (+1, -1):
         before, hat, after = (
-            np.roll(level.dxi + sign * level.dtxi, sign * m, axis=0)
+            shift(level.dxi + sign * level.dtxi, sign * m)
             for m, level in enumerate(levels)
         )
         rate = (np.sum(after * after, axis=-1) - np.sum(before * before, axis=-1)) / (2.0 * dt)
-        target = 2.0 * sign * np.sum(hat * np.roll(theta_perp, sign, axis=0), axis=-1)
+        target = 2.0 * sign * np.sum(hat * shift(theta_perp, sign), axis=-1)
         worst = max(worst, float(np.max(np.abs(rate - target))))
     return worst
 

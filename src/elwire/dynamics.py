@@ -61,6 +61,7 @@ from .fields import (
     m1,
     perp,
     row_norms,
+    shift,
     sided_grad_sq,
     time_diff_series,
 )
@@ -174,9 +175,7 @@ def frame_tangent(
 ) -> np.ndarray:
     """Frame components of the curve's centred chart difference, taken with
     the model's wrap-around displacement (not normalised)."""
-    tangent_chart = manifold.displacement(
-        np.roll(gamma, 1, axis=0), np.roll(gamma, -1, axis=0)
-    ) / (2.0 * grid.dx)
+    tangent_chart = manifold.displacement(shift(gamma, 1), shift(gamma, -1)) / (2.0 * grid.dx)
     return frame_components(samples, tangent_chart)
 
 

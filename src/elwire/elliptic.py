@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
-from .fields import Grid, cov_dx, l2_norm, perp, row_norms
+from .fields import Grid, cov_dx, l2_norm, perp, row_norms, shift
 from .geometry import GeometrySamples
 
 
@@ -156,7 +156,7 @@ def _block_operator(xi, samples, grid, kind: str):
     eye = np.eye(n)
     # couplings: far (k to k +- 2), edge_k (k + 1 to k; k to k + 1 is -edge_k)
     # and centre_k (k to k), stacked per level as [far, edge, -edge, centre]
-    edge = (conn + np.roll(conn, -1, axis=-3)) / (2.0 * dx)
+    edge = (conn + shift(conn, -1, axis=-3)) / (2.0 * dx)
     centre = (0.5 / (dx * dx) + 1.0) * eye - (0.0 if flat else conn @ conn)
     if kind == "perp":
         centre = centre - xi[..., :, None] * xi[..., None, :]

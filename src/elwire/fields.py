@@ -53,9 +53,21 @@ class Grid:
 # derivatives
 
 
+def shift(v: np.ndarray, k: int, axis: int = -2) -> np.ndarray:
+    """Periodic shift along ``axis``: out[i] = v[i - k] (indices mod the axis
+    length), the values of ``np.roll(v, k, axis)`` from two slice copies."""
+    v = np.asarray(v)
+    k %= v.shape[axis]
+    rest = (slice(None),) * (v.ndim - 1 - axis % v.ndim)
+    out = np.empty_like(v)
+    out[(..., slice(k, None), *rest)] = v[(..., slice(None, v.shape[axis] - k), *rest)]
+    out[(..., slice(None, k), *rest)] = v[(..., slice(v.shape[axis] - k, None), *rest)]
+    return out
+
+
 def circ_diff(values: np.ndarray, dx: float) -> np.ndarray:
     """Second-order centred difference with periodic wrap (grid axis -2)."""
-    return (np.roll(values, -1, axis=-2) - np.roll(values, 1, axis=-2)) / (2.0 * dx)
+    return (shift(values, -1) - shift(values, 1)) / (2.0 * dx)
 
 
 def cov_dx(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: float) -> np.ndarray:
@@ -66,7 +78,7 @@ def cov_dx(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: float) -
 def compact_second(values: np.ndarray, dx: float) -> np.ndarray:
     """Symmetric (1, -2, 1)/dx^2 second difference with periodic wrap."""
     v = np.asarray(values, dtype=float)
-    return (np.roll(v, -1, axis=-2) - 2.0 * v + np.roll(v, 1, axis=-2)) / (dx * dx)
+    return (shift(v, -1) - 2.0 * v + shift(v, 1)) / (dx * dx)
 
 
 def cov_dxx(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: float) -> np.ndarray:
@@ -98,8 +110,8 @@ def sided_grad_sq(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: f
     marching; the centred form leaves an O(dx^2) remainder instead.
     """
     conn = apply_chris(samples.conn, xi, p)
-    fwd = (np.roll(p, -1, axis=-2) - p) / dx + conn
-    bwd = (p - np.roll(p, 1, axis=-2)) / dx + conn
+    fwd = (shift(p, -1) - p) / dx + conn
+    bwd = (p - shift(p, 1)) / dx + conn
     return 0.5 * (np.sum(fwd * fwd, axis=-1) + np.sum(bwd * bwd, axis=-1))
 
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import CflError, NonContractionError
 from .fields import Grid, cov_dx, cov_dxx, m0, m1, perp, sided_grad_sq, time_diff_series
+from .fields import shift as grid_shift
 from .geometry import GeometrySamples, apply_chris
 
 UNIT_DATA_TOL = 1e-8
@@ -95,7 +96,7 @@ class ContractionReport:
 
 def _neighbours(v: np.ndarray) -> np.ndarray:
     """v[k-1] + v[k+1] along the grid axis (axis -2), periodic."""
-    return np.roll(v, 1, axis=-2) + np.roll(v, -1, axis=-2)
+    return grid_shift(v, 1) + grid_shift(v, -1)
 
 
 def wave_series(data: WaveData, n_levels: int) -> np.ndarray:
@@ -123,7 +124,7 @@ def wave_series(data: WaveData, n_levels: int) -> np.ndarray:
     if data.f is not None:
         kick += dx * (data.f[:n_levels] + 0.5 * _neighbours(data.f[:n_levels]))
     if data.h is not None:
-        kick += np.roll(data.h[:n_levels], -1, axis=1) - np.roll(data.h[:n_levels], 1, axis=1)
+        kick += grid_shift(data.h[:n_levels], -1) - grid_shift(data.h[:n_levels], 1)
     kick *= 0.5 * dx
     kick[0] *= 0.5
     integral = np.zeros_like(feet)

@@ -25,6 +25,7 @@ from elwire.fields import (
     m1,
     perp,
     row_norms,
+    shift,
     sided_grad_sq,
     time_diff_series,
 )
@@ -78,6 +79,16 @@ def test_grid_validation_and_spacing():
 
 # ---------------------------------------------------------------------------
 # difference operators
+
+
+@pytest.mark.parametrize("shape, axis", [((8, 2), -2), ((3, 9, 2), -2), ((3, 9, 2, 2), -3), ((9, 3), 0)])
+@pytest.mark.parametrize("k", [-11, -2, -1, 0, 1, 2, 9, 17])
+def test_shift_equals_roll(shape, axis, k):
+    v = np.random.default_rng(7).standard_normal(shape)
+    out = shift(v, k, axis)
+    assert out.shape == v.shape and np.array_equal(out, np.roll(v, k, axis=axis))
+    out[...] = 0.0  # a fresh array, never a view of its input
+    assert np.all(v != 0.0)
 
 
 def test_circ_diff_discrete_symbol():
