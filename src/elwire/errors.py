@@ -41,7 +41,9 @@ class NearGeodesicError(NumericalAbort):
 
 
 class DegenerateCurveError(NumericalAbort):
-    """A discrete tangent vector (nearly) vanished while preparing initial data."""
+    """The initial curve is degenerate: its samples could not be placed by
+    arc length, or a discrete tangent vector (nearly) vanished while
+    preparing initial data."""
 
 
 class NumericalSolveError(NumericalAbort):

@@ -2,19 +2,29 @@
 
 Arc length along the wire is normalised to total length one, so every
 generator here produces a curve whose length in the target geometry is one,
-with samples (approximately) equidistributed by arc length:
+with samples equidistributed by arc length:
 
 * ``circle``             flat round circle, radius 1/(2 pi), exact;
-* ``perturbed-circle``   radial Fourier perturbation, re-sampled by arc length
-                         on a dense parameter grid and rescaled to length one;
+* ``perturbed-circle``   radial Fourier perturbation, sampled by arc length
+                         and rescaled to length one;
 * ``hyperbolic-circle``  chart circle in the upper half-plane whose chart
                          radius c_y / sqrt(1 + 4 pi^2) gives hyperbolic length
-                         exactly one, re-sampled by hyperbolic arc length;
+                         exactly one, sampled by hyperbolic arc length;
 * ``sphere-loop``        chart circle of radius 2 pi - sqrt(4 pi^2 - 1) about
                          the stereographic origin, exactly unit speed;
 * ``torus-geodesic``     straight closed loop on the unit torus (a covariantly
                          constant tangent, used to exercise the near-geodesic
                          guard).
+
+The two curves sampled by arc length share ``_equal_arc``: 6-point
+Gauss-Legendre integrals of the speed over N cells (at least 64), and a few
+vectorised Newton steps that place each sample where the arc length reaches
+k/N of the total.  Measured against adaptive quadrature, max |N gap / L - 1|
+was at most 6.2e-12 at N = 4096 (the residual tolerance allows 7.3e-12),
+2.8e-13 at N = 1024 and 6e-14 at N <= 64, for modes 1-4 with
+|amplitude| <= 0.1 and for hyperbolic circles; the hyperbolic length comes
+out as 1 to 1.3e-15.  A cusp (amplitude +-1) is placed too; a speed the
+cells do not resolve raises DegenerateCurveError.
 
 Velocities are prescribed in chart components: ``none``, a rigid
 ``translate`` by a fixed vector, or a rigid ``rotate`` about a centre in the
@@ -33,6 +43,7 @@ import math
 
 import numpy as np
 
+from .errors import DegenerateCurveError
 from .fields import Grid
 from .geometry import ManifoldModel
 
@@ -45,7 +56,47 @@ SPHERE_LOOP_RADIUS = TWO_PI - math.sqrt(4.0 * math.pi**2 - 1.0)
 #: chart radius of the unit-length hyperbolic circle, per unit centre height
 HYPERBOLIC_RADIUS_FACTOR = 1.0 / math.sqrt(1.0 + 4.0 * math.pi**2)
 
-_DENSE_FACTOR = 64
+#: 6-point Gauss-Legendre nodes and weights on [0, 1]; written out, as
+#: importing numpy.polynomial to compute them costs more than the whole
+#: arc-length inversion at N = 1024
+_GL_NODES = np.array(
+    [
+        0.0337652428984239860938492,
+        0.1693953067668677431693002,
+        0.3806904069584015456847491,
+        0.6193095930415984543152509,
+        0.8306046932331322568306998,
+        0.9662347571015760139061508,
+    ]
+)
+_GL_WEIGHTS = np.array(
+    [
+        0.0856622461895851725201480,
+        0.1803807865240693037849167,
+        0.2339569672863455236949351,
+        0.2339569672863455236949351,
+        0.1803807865240693037849167,
+        0.0856622461895851725201480,
+    ]
+)
+_TINY = np.finfo(float).tiny
+#: the cell nodes and weights again, with the cell's end point (weight 0)
+#: appended: a Newton step takes the speed at the iterate with its integral
+_STEP_NODES = np.append(_GL_NODES, 1.0)
+_STEP_WEIGHTS = np.append(_GL_WEIGHTS, 0.0)
+#: weights of the speed's slope across a cell (its first Legendre moment)
+_SLOPE_WEIGHTS = 12.0 * _GL_WEIGHTS * (_GL_NODES - 0.5)
+#: arc-length residual, per unit of total length, at which a sample is
+#: placed: a few ulps, as the cumulative sums that set the targets round at
+#: one ulp of the length
+ARC_TOL = 4.0 * np.finfo(float).eps
+#: the fewest quadrature cells; a curve of fewer samples splits each
+#: sample's cell, so that it is placed as accurately as a longer one
+MIN_CELLS = 64
+#: Newton steps allowed: a resolved curve is placed in at most 4 (the last
+#: only confirms the residual); more come from a speed that (nearly)
+#: vanishes, or varies, within a cell
+NEWTON_STEPS = 16
 
 
 def _embed(grid: Grid, dim: int, plane_points: np.ndarray) -> np.ndarray:
@@ -55,13 +106,54 @@ def _embed(grid: Grid, dim: int, plane_points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resample_by_arc(u_dense: np.ndarray, speed: np.ndarray, grid: Grid) -> np.ndarray:
-    """Parameter values that equidistribute arc length (trapezoid cumulative)."""
-    du = u_dense[1] - u_dense[0]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * du)])
-    total = cum[-1]
-    targets = np.arange(grid.n_points) * (total / grid.n_points)
-    return np.interp(targets, cum, u_dense), total
+def _equal_arc(speed, n: int, curve: str) -> tuple[np.ndarray, float]:
+    """The parameters u_0 = 0 < ... < u_{n-1} < 1 at which the arc length of
+    a closed curve whose speed on [0, 1) is ``speed(u)`` (an array function)
+    reaches k L / n, and its length L.
+
+    The speed is integrated over m cells [j/m, (j+1)/m) by 6-point
+    Gauss-Legendre, with m = n (or its smallest multiple >= ``MIN_CELLS``).
+    The cumulative sum puts each target in its cell, and the speed's mean
+    and slope there give a first guess: the target of a speed linear across
+    the cell.  Newton steps on the cell's integral up to the iterate, taken
+    with the same nodes scaled to that span, then move each sample until its
+    residual is at most ``ARC_TOL`` L; a step stays inside the cell, and a
+    placed sample no longer moves.  A sample still open after
+    ``NEWTON_STEPS`` steps raises DegenerateCurveError naming the ``curve``.
+    """
+    m = n * -(-MIN_CELLS // n)
+    node_speed = speed((np.arange(m)[:, None] + _GL_NODES) / m)
+    mean = node_speed @ _GL_WEIGHTS  # of each cell, m times its arc length
+    cum = np.concatenate([[0.0], np.cumsum(mean)])
+    if not (math.isfinite(cum[-1]) and cum[-1] > 0.0):
+        raise DegenerateCurveError(f"{curve}: the curve's length is {cum[-1] / m}")
+    targets = np.arange(n) * (cum[-1] / n)
+    cell = np.minimum(np.searchsorted(cum, targets, side="right") - 1, m - 1)
+    base = targets - cum[cell]
+    # first guess t in [0, 1] across the cell: where the speed
+    # mean (1 + slope (t - 1/2)), linear and (|slope| <= 2) >= 0 on the cell,
+    # reaches the target, t + slope (t^2 - t) / 2 = frac
+    frac = base / mean[cell]
+    slope = np.clip(node_speed[cell] @ _SLOPE_WEIGHTS / mean[cell], -2.0, 2.0)
+    start = 1.0 - 0.5 * slope
+    root = np.sqrt(np.maximum(start * start + 2.0 * slope * frac, 0.0))
+    t = 2.0 * frac / np.maximum(start + root, _TINY)
+    for _ in range(NEWTON_STEPS):
+        values = speed((t[:, None] * _STEP_NODES + cell[:, None]) / m)
+        residual = t * (values @ _STEP_WEIGHTS) - base
+        placed = np.abs(residual) <= ARC_TOL * cum[-1]
+        if placed.all():
+            return (cell + t) / m, float(cum[-1] / m)
+        # a zero speed (a cusp) sends the step to the cell's edge
+        step = np.clip(t - residual / np.maximum(values[:, -1], _TINY), 0.0, 1.0)
+        t = np.where(placed, t, step)
+    worst = int(np.argmax(np.where(placed, 0.0, np.abs(residual))))
+    raise DegenerateCurveError(
+        f"{curve}: arc length not inverted in {NEWTON_STEPS} Newton steps; at "
+        f"u = {(cell[worst] + t[worst]) / m:.6f} the residual is still "
+        f"{abs(residual[worst]) / cum[-1]:.1e} of the length (the speed vanishes "
+        "there, or the grid does not resolve it)"
+    )
 
 
 def flat_circle(grid: Grid, dim: int, center, radius: float = CIRCLE_RADIUS) -> np.ndarray:
@@ -74,12 +166,14 @@ def perturbed_circle(
     grid: Grid, dim: int, center: np.ndarray, mode: int, amplitude: float
 ) -> np.ndarray:
     """Radially perturbed circle, arc-length sampled and rescaled to length one."""
-    n_dense = _DENSE_FACTOR * grid.n_points
-    u = np.linspace(0.0, 1.0, n_dense + 1)
-    rho = CIRCLE_RADIUS * (1.0 + amplitude * np.cos(TWO_PI * mode * u))
-    drho = -CIRCLE_RADIUS * amplitude * TWO_PI * mode * np.sin(TWO_PI * mode * u)
-    speed = TWO_PI * np.hypot(drho / TWO_PI, rho)
-    (u_samples, total) = _resample_by_arc(u, speed, grid)
+
+    def speed(u):
+        wave = TWO_PI * mode * u
+        return TWO_PI * CIRCLE_RADIUS * np.hypot(
+            amplitude * mode * np.sin(wave), 1.0 + amplitude * np.cos(wave)
+        )
+
+    (u_samples, total) = _equal_arc(speed, grid.n_points, "perturbed-circle")
     phi = TWO_PI * u_samples
     rho_s = CIRCLE_RADIUS * (1.0 + amplitude * np.cos(TWO_PI * mode * u_samples))
     plane = rho_s[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
@@ -91,13 +185,13 @@ def hyperbolic_circle(grid: Grid, dim: int, center) -> np.ndarray:
     """Chart circle of hyperbolic length one, sampled by hyperbolic arc length."""
     cx, cy = float(center[0]), float(center[1])
     radius = cy * HYPERBOLIC_RADIUS_FACTOR
-    n_dense = _DENSE_FACTOR * grid.n_points
-    phi = np.linspace(0.0, TWO_PI, n_dense + 1)
-    speed = radius / (cy + radius * np.sin(phi))
-    (phi_samples, _total) = _resample_by_arc(phi, speed, grid)
-    return np.stack(
-        [cx + radius * np.cos(phi_samples), cy + radius * np.sin(phi_samples)], axis=-1
-    )
+
+    def speed(u):
+        return TWO_PI * radius / (cy + radius * np.sin(TWO_PI * u))
+
+    (u_samples, _total) = _equal_arc(speed, grid.n_points, "hyperbolic-circle")
+    phi = TWO_PI * u_samples
+    return np.stack([cx + radius * np.cos(phi), cy + radius * np.sin(phi)], axis=-1)
 
 
 def sphere_loop(grid: Grid, dim: int) -> np.ndarray:

@@ -306,6 +306,33 @@ def test_constraint_gate_abort_keeps_last_good(tmp_path, capsys):
     assert 0.0 < meta["summary"]["max_displacement"] < 1.0
 
 
+@pytest.mark.parametrize(
+    "curve, failure",
+    [
+        # a cusp: the speed vanishes at a sample, which is placed; the first
+        # step then breaks the unit-tangent gate
+        ({"mode": 2, "amplitude": 1}, "ConstraintDriftError"),
+        ({"mode": 2, "amplitude": -1}, "ConstraintDriftError"),
+        # forty lobes on 64 samples: the arc length cannot be inverted
+        ({"mode": 40, "amplitude": 0.5}, "DegenerateCurveError"),
+    ],
+)
+def test_degenerate_perturbed_circle_aborts_with_report(tmp_path, capsys, curve, failure):
+    data = {
+        "grid": {"n": 64},
+        "time": {"horizon": 0.25},
+        "initial": {"name": "perturbed-circle", **curve},
+    }
+    path = config_file(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert f"aborted: {failure}" in capsys.readouterr().err
+    meta = json.loads((out / "metadata.json").read_text())
+    assert (meta["status"], meta["failure"]["type"]) == ("aborted", failure)
+    if failure == "DegenerateCurveError":
+        assert meta["failure"]["reason"].startswith("perturbed-circle: arc length not inverted")
+
+
 def test_solver_drift_guard_aborts_with_report(tmp_path, capsys):
     # a loose constraint gate lets the tangent drift until the tension solve
     # itself refuses; that is a numerical abort, not a config error
@@ -614,10 +641,12 @@ def run_in_subprocess(code, **env):
 
 
 def test_run_path_loads_no_scipy(tmp_path):
-    # importing scipy.linalg once cost more start-up time than a short run;
-    # orjson (the snapshot number encoder) is loaded by the first snapshot,
-    # not by the import of the CLI
-    path = config_file(tmp_path, {"grid": {"n": 16}, "time": {"horizon": 2 / 16}})
+    # importing scipy.linalg once cost more start-up time than a short run,
+    # and numpy.fft or numpy.polynomial costs about as much as placing a
+    # perturbed circle's samples; orjson (the snapshot number encoder) is
+    # loaded by the first snapshot, not by the import of the CLI
+    data = {"grid": {"n": 16}, "time": {"horizon": 2 / 16}, "initial": {"name": "perturbed-circle"}}
+    path = config_file(tmp_path, data)
     out = tmp_path / "out"
     code = f"""
 import json, sys
@@ -625,11 +654,12 @@ import elwire.cli
 orjson = ["orjson" in sys.modules]
 exit_code = elwire.cli.main(["run", "--config", {str(path)!r}, "--out", {str(out)!r}, "--quiet"])
 orjson.append("orjson" in sys.modules)
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({{"exit": exit_code, "scipy": loaded, "orjson": orjson}}))
+heavy = ("scipy", "numpy.fft", "numpy.polynomial")
+loaded = sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + "." for h in heavy)))
+print(json.dumps({{"exit": exit_code, "loaded": loaded, "orjson": orjson}}))
 """
     report = json.loads(run_in_subprocess(code).splitlines()[-1])
-    assert report == {"exit": 0, "scipy": [], "orjson": [False, True]}
+    assert report == {"exit": 0, "loaded": [], "orjson": [False, True]}
     assert len(read_csv(out / "diagnostics.csv")[1]) == 3
     assert sorted(p.name for p in out.glob("snapshot_*.json")) == [
         "snapshot_000000.json",

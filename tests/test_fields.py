@@ -81,7 +81,9 @@ def test_grid_validation_and_spacing():
 # difference operators
 
 
-@pytest.mark.parametrize("shape, axis", [((8, 2), -2), ((3, 9, 2), -2), ((3, 9, 2, 2), -3), ((9, 3), 0)])
+@pytest.mark.parametrize(
+    "shape, axis", [((8, 2), -2), ((3, 9, 2), -2), ((3, 9, 2, 2), -3), ((9, 3), 0)]
+)
 @pytest.mark.parametrize("k", [-11, -2, -1, 0, 1, 2, 9, 17])
 def test_shift_equals_roll(shape, axis, k):
     v = np.random.default_rng(7).standard_normal(shape)

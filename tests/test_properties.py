@@ -37,6 +37,11 @@
   parameters of every kind, valid or not, and stray keys) ``parse_config``
   accepts the document exactly when ``make_manifold`` and
   ``initial.generate`` build it without a ValueError.
+* Perturbed circles of modes 1-4 and small amplitude and hyperbolic circles,
+  with random centres, have samples equally spaced in arc length as
+  ``scipy.integrate.quad`` measures it, at N = 8 ... 4096, and length one;
+  placing them evaluates the speed at no more than a stated number of points
+  per sample, cusps and near-cusps included.
 """
 
 import dataclasses
@@ -50,6 +55,7 @@ import numpy as np
 import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
+from scipy.integrate import quad
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -59,7 +65,13 @@ from elwire.cli import write_snapshot
 from elwire.config import parse_config
 from elwire.dynamics import Level, frame_tangent
 from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
-from elwire.errors import ConfigError, ConstraintDriftError, NumericalAbort, NumericalSolveError
+from elwire.errors import (
+    ConfigError,
+    ConstraintDriftError,
+    DegenerateCurveError,
+    NumericalAbort,
+    NumericalSolveError,
+)
 from elwire.fields import (
     Grid,
     circ_diff,
@@ -605,6 +617,115 @@ def test_snapshot_writer_special_values(tmp_path, dim, with_theta):
         with pytest.raises(NumericalAbort, match="snapshot time .* is not finite"):
             write_snapshot(path, dataclasses.replace(state, time=float(bad)))
         assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# initial curves sampled by arc length
+
+TWO_PI = 2.0 * np.pi
+#: max |N gap / L - 1| over the samples; the inversion stops at a residual
+#: of 4 ulps of L, which allows 7.3e-12 at N = 4096
+GAP_TOL = 1e-11
+#: speed evaluations per sample: 6 per cell for the cell integrals, and 7
+#: per sample for each of at most 4 Newton steps on a resolved curve
+POINTS_PER_SAMPLE = 6 + 4 * 7
+sample_counts = st.sampled_from([8, 64, 1024, 4096])
+
+
+def arc_gaps(speed, u: np.ndarray) -> np.ndarray:
+    """The arc length between consecutive parameters u (the last one up to
+    u_0 + 1) of a closed curve with the given speed, by adaptive quadrature."""
+    ends = np.append(u, u[0] + 1.0)
+    return np.array(
+        [quad(speed, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in zip(ends, ends[1:])]
+    )
+
+
+def angles(points: np.ndarray, center) -> np.ndarray:
+    """The increasing polar angles, in turns, of points circling ``center``."""
+    rel = points[:, :2] - np.asarray(center)
+    return np.unwrap(np.arctan2(rel[:, 1], rel[:, 0])) / TWO_PI
+
+
+def assert_equal_gaps(gaps: np.ndarray) -> None:
+    assert np.max(np.abs(len(gaps) * gaps / gaps.sum() - 1.0)) <= GAP_TOL
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    n=sample_counts,
+    mode=st.integers(1, 4),
+    amplitude=st.floats(-0.1, 0.1),
+    center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+def test_perturbed_circle_samples_are_equally_spaced_in_arc_length(n, mode, amplitude, center):
+    points = initial.perturbed_circle(Grid(n), 2, np.array(center), mode, amplitude)
+    u = angles(points, center)
+
+    def radius(u):
+        return 1.0 + amplitude * np.cos(TWO_PI * mode * u)
+
+    def speed(u):  # of radius(u) (cos 2 pi u, sin 2 pi u)
+        return np.hypot(TWO_PI * mode * amplitude * np.sin(TWO_PI * mode * u), TWO_PI * radius(u))
+
+    gaps = arc_gaps(speed, u)
+    assert_equal_gaps(gaps)
+    # the samples' radii are radius(u) scaled to a curve of length one
+    scale = np.hypot(*(points[0] - center)) / radius(u[0])
+    assert abs(scale * gaps.sum() - 1.0) <= 1e-13
+
+
+def hyperbolic_speed(cy: float):
+    """Hyperbolic speed in u of the chart circle about height ``cy`` whose
+    chart radius makes its hyperbolic length one."""
+    r = cy / np.sqrt(1.0 + 4.0 * np.pi**2)
+    return lambda u: TWO_PI * r / (cy + r * np.sin(TWO_PI * u))
+
+
+@settings(max_examples=16, deadline=None)
+@given(n=sample_counts, cy=st.floats(0.05, 20.0), shift=st.floats(-1.0, 1.0))
+def test_hyperbolic_circle_samples_are_equally_spaced_in_arc_length(n, cy, shift):
+    center = [shift * cy, cy]
+    points = initial.hyperbolic_circle(Grid(n), 2, center)
+    gaps = arc_gaps(hyperbolic_speed(cy), angles(points, center))
+    assert_equal_gaps(gaps)
+    assert abs(gaps.sum() - 1.0) <= 1e-13
+    _, total = initial._equal_arc(hyperbolic_speed(cy), n, "hyperbolic-circle")
+    assert abs(total - 1.0) <= 1e-14
+
+
+def test_gauss_legendre_literals_are_the_6_point_rule():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(6)
+    assert np.max(np.abs(initial._GL_NODES - 0.5 * (nodes + 1.0))) <= 2e-16
+    assert np.max(np.abs(initial._GL_WEIGHTS - 0.5 * weights)) <= 2e-16
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("amplitude", [0.01, 0.5, 0.99, 1.0, -2.0])
+@pytest.mark.parametrize("mode", [1, 2, 4])
+def test_arc_length_placement_evaluates_a_bounded_number_of_points(monkeypatch, n, amplitude, mode):
+    # the production speed, counted; an inversion that refines a grid until
+    # a near-cusp is resolved would evaluate 64 points per sample or more
+    points = []
+    place = initial._equal_arc
+
+    def counted(speed, n, curve):
+        return place(lambda u: points.append(u.size) or speed(u), n, curve)
+
+    monkeypatch.setattr(initial, "_equal_arc", counted)
+    initial.perturbed_circle(Grid(n), 2, np.zeros(2), mode, amplitude)
+    assert 0 < sum(points) <= POINTS_PER_SAMPLE * n
+
+
+def test_arc_length_placement_refuses_what_it_cannot_place():
+    with pytest.raises(DegenerateCurveError, match="^perturbed-circle: the curve's length is nan$"):
+        initial._equal_arc(lambda u: np.full(u.shape, np.nan), 8, "perturbed-circle")
+    # forty lobes on 64 cells: the cell integrals do not resolve the speed
+    message = "^perturbed-circle: arc length not inverted in 16 Newton steps; at u = "
+    with pytest.raises(DegenerateCurveError, match=message):
+        initial.perturbed_circle(Grid(64), 2, np.zeros(2), 40, 0.5)
 
 
 # ---------------------------------------------------------------------------
