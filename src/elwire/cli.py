@@ -113,9 +113,10 @@ def write_snapshot(path: Path, level: Level) -> None:
             continue
         # orjson encodes only C-contiguous arrays
         value = np.ascontiguousarray(value, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(value).all(axis=-1))
-        if bad.size:
-            raise NumericalAbort(f"snapshot field {key} is not finite at grid index {bad[0]}")
+        finite = np.isfinite(value)
+        if not finite.all():  # the bad grid index is looked for only on failure
+            k = np.nonzero(~finite)[0][0]
+            raise NumericalAbort(f"snapshot field {key} is not finite at grid index {k}")
         payload[key] = value
     options = (
         orjson.OPT_INDENT_2

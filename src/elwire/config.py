@@ -30,6 +30,7 @@ beside what they describe, by the one check that ``make_manifold`` and
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -164,6 +165,9 @@ def parse_config(text: str) -> RunConfig:
                 values[name] = float(block[key]) if isinstance(least, float) else block[key]
     dim = values.get("dim", default.dim)
     n = values.get("grid_n", default.grid_n)
+    if n * dim * 8 > sys.maxsize:  # the bytes of an (n, dim) float64 field
+        err("grid.n", f"must be at most {sys.maxsize // (8 * dim)}: a ({n:.3g}, {dim}) float64 "
+            f"field exceeds the {sys.maxsize} bytes numpy can address")
 
     man = data.get("manifold", {})
     values["manifold_name"] = man.get("name", default.manifold_name)

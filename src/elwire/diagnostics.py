@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import Level, frame_tangent, reconstruct_mu
 from .fields import Grid, constraint_drift, l2_norm, m0, perp, shift
-from .geometry import ManifoldModel
+from .geometry import ManifoldModel, dot
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ def transport_check(levels: list, dt: float, grid: Grid) -> float:
             shift(level.dxi + sign * level.dtxi, sign * m)
             for m, level in enumerate(levels)
         )
-        rate = (np.sum(after * after, axis=-1) - np.sum(before * before, axis=-1)) / (2.0 * dt)
-        target = 2.0 * sign * np.sum(hat * shift(theta_perp, sign), axis=-1)
+        rate = (dot(after, after) - dot(before, before)) / (2.0 * dt)
+        target = 2.0 * sign * dot(hat, shift(theta_perp, sign))
         worst = max(worst, float(np.max(np.abs(rate - target))))
     return worst
 

@@ -70,6 +70,7 @@ from .geometry import (
     ManifoldModel,
     apply_chris,
     apply_curv,
+    dot,
     frame_components,
     sample_geometry,
     stack_samples,
@@ -132,7 +133,7 @@ def assemble_sources(level: Level) -> tuple[np.ndarray, np.ndarray]:
     the tension flux, phi the tension load."""
     xi, eta, curv, dxi, dtxi = level.xi, level.eta, level.samples.curv, level.dxi, level.dtxi
     psi = apply_curv(curv, xi, dxi, xi) - apply_curv(curv, xi, dtxi, eta)
-    speed_gap = np.sum(dtxi * dtxi, axis=-1) - np.sum(dxi * dxi, axis=-1)
+    speed_gap = dot(dtxi, dtxi) - dot(dxi, dxi)
     phi = speed_gap[..., None] * xi - apply_curv(curv, xi, eta, eta)
     return psi, phi
 
@@ -158,12 +159,7 @@ def reconstruct_mu(level: Level) -> np.ndarray:
     dxi, dtxi = level.dxi, level.dtxi
     if level.theta is None:
         raise ValueError("level carries no tension field; solve theta first")
-    return (
-        np.sum(dxi * dxi, axis=-1)
-        - np.sum(dtxi * dtxi, axis=-1)
-        - np.sum(level.theta * level.xi, axis=-1)
-        - 1.0
-    )
+    return dot(dxi, dxi) - dot(dtxi, dtxi) - dot(level.theta, level.xi) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +217,7 @@ def prepare_initial(
         + apply_chris(samples.conn, xi, eta)
         - apply_chris(samples.conn, eta, xi)
     )
-    proj = np.sum(xi_t_raw * xi, axis=-1)
+    proj = dot(xi_t_raw, xi)
     xi_t = xi_t_raw - proj[:, None] * xi
     level = Level.derive(pts, xi, xi_t, eta, samples, grid.dx)
     return level, float(np.max(np.abs(proj)))
@@ -281,7 +277,7 @@ def _bootstrap_prev(
     samples, dtxi = level.samples, level.dtxi
     xi, eta = level.xi, level.eta
     d2xi = cov_dxx(xi, xi, samples, dx)
-    coeff = sided_grad_sq(xi, xi, samples, dx) - np.sum(dtxi * dtxi, axis=-1)
+    coeff = sided_grad_sq(xi, xi, samples, dx) - dot(dtxi, dtxi)
     accel = d2xi + coeff[:, None] * xi + perp(level.theta, xi)
     if conn_rate is not None:
         accel = accel - (
@@ -483,9 +479,10 @@ def picard_coupled(
     window_distance; sweeps stop once one is within ``cfg.picard_tol``, and
     three consecutive non-decreasing distances, or ``cfg.picard_max_iter``
     sweeps without reaching the tolerance, raise NonContractionError.  Level
-    0 is the fixed initial level, so its samples serve all the start
-    iterate's levels and every sweep's level 0, and its bentness is solved
-    once and gates every level's tension solve.  A sweep's curve
+    0 is the fixed initial level, so its samples serve every level of the
+    start iterate and every sweep's level 0, its D_x xi every level of the
+    start iterate, and its bentness is solved once and gates every level's
+    tension solve.  A sweep's curve
     update samples each later curve of the window as it builds it, with the
     half-step curves on a curved chart, as the march does.
     """
@@ -495,14 +492,18 @@ def picard_coupled(
         raise ValueError("picard window needs at least 2 steps (3 levels)")
     samples0 = initial.samples
     gate = elliptic.bentness(initial.xi, samples0, grid)
-    shape = (levels,) + initial.gamma.shape
-    start = _window_level(
-        np.broadcast_to(initial.gamma, shape).copy(),
-        np.broadcast_to(initial.xi, shape).copy(),
-        np.broadcast_to(initial.eta, shape).copy(),
-        stack_samples([samples0] * levels),
-        grid,
-        gate=gate,
+
+    def constant(field: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(field, (levels,) + field.shape).copy()
+
+    # every level of the start iterate is level 0, whose D_x xi is known; its
+    # xi_t is the time difference of that constant series, not level 0's
+    xi, eta = constant(initial.xi), constant(initial.eta)
+    samples = stack_samples([samples0] * levels)
+    xi_t = time_diff_series(xi, dt)
+    dtxi = xi_t + apply_chris(samples.conn, eta, xi)
+    start = Level(
+        constant(initial.gamma), xi, xi_t, eta, samples, constant(initial.dxi), dtxi, bentness=gate
     )
 
     def sweep(current: Level) -> Level:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
 from .fields import Grid, cov_dx, l2_norm, perp, row_norms, shift
-from .geometry import GeometrySamples
+from .geometry import GeometrySamples, dot
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,7 @@ def solve_flux_form(
     The returned flux D u + f is the quantity downstream consumers need, so
     it is formed here rather than re-differenced.
     """
-    drift = np.max(np.abs(np.sum(xi * xi, axis=-1) - 1.0), axis=-1)
+    drift = np.max(np.abs(dot(xi, xi) - 1.0), axis=-1)
     text = "unit-tangent defect {:.3e} exceeds 0.1; refusing tension solve"
     _refuse_first_failure(drift <= 0.1, ConstraintDriftError, text, drift)
     if gate is None and xi.ndim > 2:

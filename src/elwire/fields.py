@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometrySamples, apply_chris
+from .geometry import GeometrySamples, apply_chris, dot
 
 MIN_POINTS = 8
 
@@ -112,7 +112,7 @@ def sided_grad_sq(p: np.ndarray, xi: np.ndarray, samples: GeometrySamples, dx: f
     conn = apply_chris(samples.conn, xi, p)
     fwd = (shift(p, -1) - p) / dx + conn
     bwd = (p - shift(p, 1)) / dx + conn
-    return 0.5 * (np.sum(fwd * fwd, axis=-1) + np.sum(bwd * bwd, axis=-1))
+    return 0.5 * (dot(fwd, fwd) + dot(bwd, bwd))
 
 
 def time_diff_series(series: np.ndarray, dt: float) -> np.ndarray:
@@ -134,7 +134,7 @@ def time_diff_series(series: np.ndarray, dt: float) -> np.ndarray:
 
 def perp(v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Component of v orthogonal to xi at each sample: v - <v, xi> xi."""
-    return v - np.sum(v * xi, axis=-1, keepdims=True) * xi
+    return v - dot(v, xi)[..., None] * xi
 
 
 def l2_inner(p: np.ndarray, q: np.ndarray, dx: float) -> float:
@@ -146,7 +146,7 @@ def l2_norm(p: np.ndarray, dx: float) -> float:
 
 
 def row_norms(p: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(p * p, axis=-1))
+    return np.sqrt(dot(p, p))
 
 
 def m0(p: np.ndarray) -> float:
@@ -171,4 +171,4 @@ def m01(series: np.ndarray, dt: float) -> float:
 
 def constraint_drift(xi: np.ndarray) -> float:
     """max_k | ||xi_k||^2 - 1 |, the discrete unit-tangent defect."""
-    return float(np.max(np.abs(np.sum(xi * xi, axis=-1) - 1.0)))
+    return float(np.max(np.abs(dot(xi, xi) - 1.0)))

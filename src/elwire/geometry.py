@@ -34,9 +34,11 @@ both ``make_manifold`` and ``config.parse_config`` run, checks them.
 every use of the connection and the curvature goes through the two pointwise
 actions ``apply_chris`` (Gamma(u, v)) and ``apply_curv`` (R(u, v) w), which
 act on a level or fold a series' levels into its points, with two-operand
-contractions only.  ``frame_components`` turns chart vectors into frame
-components.  On the flat charts every sample is left out (None): both
-actions of None return exact zeros, and the frame is the identity.
+contractions only.  ``dot`` is the one pointwise inner product over the
+component axis: every module forms <p, q> with it, never with a numpy
+reduction.  ``frame_components`` turns chart vectors into frame components.
+On the flat charts every sample is left out (None): both actions of None
+return exact zeros, and the frame is the identity.
 """
 
 from __future__ import annotations
@@ -68,9 +70,15 @@ class ManifoldModel:
             raise ValueError(f"manifold dimension must be >= 1, got {dim}")
 
     def contains(self, coords: np.ndarray) -> np.ndarray:
-        """Boolean mask of points lying inside the chart domain."""
+        """Boolean mask of points lying inside the chart domain: here those
+        whose coordinates are all finite.  The whole array is checked at once,
+        and the points of its non-finite entries marked only when it fails."""
         c = np.asarray(coords, dtype=float)
-        return np.all(np.isfinite(c), axis=-1)
+        inside = np.ones(c.shape[:-1], dtype=bool)
+        finite = np.isfinite(c)
+        if not finite.all():
+            inside[np.nonzero(~finite)[:-1]] = False
+        return inside
 
     def displacement(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         """Chart difference end - start (overridden where the chart wraps)."""
@@ -129,7 +137,7 @@ class _ConformalModel(ManifoldModel):
             # differently, and a window series must equal its stacked levels
             curv = np.tile(-0.5 * self.constant_curvature * np.eye(n), (len(coords), 1, 1))
         else:
-            half_sq = 0.5 * np.einsum("pi,pi->p", grad, grad)
+            half_sq = 0.5 * dot(grad, grad)
             s = hess - grad[:, :, None] * grad[:, None, :]
             curv = (scale * scale)[:, None, None] * (s + half_sq[:, None, None] * np.eye(n))
         return scale, scale[:, None] * grad, curv
@@ -145,8 +153,7 @@ class HyperbolicHalfPlaneModel(_ConformalModel):
         super().__init__(2)
 
     def contains(self, coords):
-        c = np.asarray(coords, dtype=float)
-        return np.all(np.isfinite(c), axis=-1) & (c[..., 1] > 0.0)
+        return super().contains(coords) & (np.asarray(coords, dtype=float)[..., 1] > 0.0)
 
     def _jet(self, coords):
         g = np.zeros_like(coords)
@@ -165,7 +172,7 @@ class SphereChartModel(_ConformalModel):
     constant_curvature = 1.0
 
     def _jet(self, coords):
-        sq = np.sum(coords * coords, axis=-1)
+        sq = dot(coords, coords)
         return math.log(2.0) - np.log1p(sq), -2.0 * coords / (1.0 + sq)[..., None], None
 
 
@@ -428,9 +435,12 @@ def sample_geometry(model: ManifoldModel, points: np.ndarray) -> GeometrySamples
     # reported as a chart error instead of as numpy warnings
     with np.errstate(all="ignore"):
         scale, conn, curv = model.sample(pts)
-    finite = np.isfinite(scale) & np.isfinite(conn).all(1) & np.isfinite(curv).all((1, 2))
-    if not np.all(finite):
-        k = int(np.argmin(finite))
+    # one check of each whole array; the first bad sample is looked for only
+    # when one fails
+    parts = (scale, conn, curv)
+    bad = [np.nonzero(~np.isfinite(x))[0][0] for x in parts if not np.isfinite(x).all()]
+    if bad:
+        k = int(min(bad))
         raise ChartDomainError(
             f"frame, connection or curvature of model {model.name!r} is not finite at "
             f"grid index {k}, coordinates {pts[k]}"
@@ -444,21 +454,25 @@ def frame_components(samples: GeometrySamples, chart: np.ndarray) -> np.ndarray:
     return (chart if samples.scale is None else chart / samples.scale[:, None]) + 0.0
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise inner products of rows (P, n), as a column (P, 1)."""
-    return np.einsum("pi,pi->p", a, b)[:, None]
+def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Pointwise inner products of fields (..., n), of shape (...): the
+    component products summed left to right.  For n <= 7 that equals
+    ``np.sum(p * q, axis=-1)`` bit for bit (signed zeros and infinities
+    included, NaN where it is NaN) without numpy's per-row reduction cost;
+    for n >= 8 numpy sums pairwise, and the two differ by rounding."""
+    out = 0.0 + p[..., 0] * q[..., 0]  # 0.0 + turns -0.0 into 0.0, as np.sum does
+    for i in range(1, p.shape[-1]):
+        out += p[..., i] * q[..., i]
+    return out
 
 
 def apply_chris(conn: np.ndarray | None, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise bilinear connection action Gamma(u, v) = u <c, v> - <u, v> c
     on frame components of fields (..., N, n), with the connection samples
     c of the same leading shape; zero for a flat chart's None."""
-    shape = u.shape
     if conn is None:
-        return np.zeros(shape)
-    n = shape[-1]
-    c, u, v = conn.reshape(-1, n), u.reshape(-1, n), v.reshape(-1, n)
-    return (u * _dot(c, v) - _dot(u, v) * c).reshape(shape)
+        return np.zeros(u.shape)
+    return u * dot(conn, v)[..., None] - dot(u, v)[..., None] * conn
 
 
 def apply_curv(curv: np.ndarray | None, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -474,5 +488,6 @@ def apply_curv(curv: np.ndarray | None, u: np.ndarray, v: np.ndarray, w: np.ndar
     n = shape[-1]
     p, u, v, w = curv.reshape(-1, n, n), u.reshape(-1, n), v.reshape(-1, n), w.reshape(-1, n)
     pw = np.einsum("pij,pj->pi", p, w)
-    turn = _dot(u, w) * v - _dot(v, w) * u
-    return (_dot(u, pw) * v - _dot(v, pw) * u + np.einsum("pij,pj->pi", p, turn)).reshape(shape)
+    turn = dot(u, w)[:, None] * v - dot(v, w)[:, None] * u
+    out = dot(u, pw)[:, None] * v - dot(v, pw)[:, None] * u + np.einsum("pij,pj->pi", p, turn)
+    return out.reshape(shape)

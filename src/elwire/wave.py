@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CflError, NonContractionError
 from .fields import Grid, cov_dx, cov_dxx, m0, m1, perp, sided_grad_sq, time_diff_series
 from .fields import shift as grid_shift
-from .geometry import GeometrySamples, apply_chris
+from .geometry import GeometrySamples, apply_chris, dot
 
 UNIT_DATA_TOL = 1e-8
 #: sweeps and relative tolerance of the leapfrog's inner fixed-point iteration
@@ -205,13 +205,13 @@ def assemble_wave_sources(
     conn = apply_chris(c, eta_series, u_series)
     dtu = time_diff_series(u_series, dx) + conn
     du = cov_dx(u_series, u_series, samples_series, dx)
-    coeff = sided_grad_sq(u_series, u_series, samples_series, dx) - np.sum(dtu * dtu, axis=-1)
+    coeff = sided_grad_sq(u_series, u_series, samples_series, dx) - dot(dtu, dtu)
     # theta's projection off u is summed term by term: perp() groups the sum
     # otherwise and moves the window iterates in their last digits
     f = (
         coeff[..., None] * u_series
         + theta_series
-        - np.sum(theta_series * u_series, axis=-1, keepdims=True) * u_series
+        - dot(theta_series, u_series)[..., None] * u_series
         - time_diff_series(conn, dx)
         - apply_chris(c, eta_series, dtu)
         + apply_chris(c, u_series, du)
@@ -245,8 +245,8 @@ def picard_wave_solve(
     n_levels = len(eta_series) - 1
     if n_levels < 2:
         raise ValueError("picard window needs at least 2 time levels")
-    unit = np.max(np.abs(np.sum(a * a, axis=-1) - 1.0))
-    ortho = np.max(np.abs(np.sum(a * b, axis=-1)))
+    unit = np.max(np.abs(dot(a, a) - 1.0))
+    ortho = np.max(np.abs(dot(a, b)))
     if unit > UNIT_DATA_TOL or ortho > UNIT_DATA_TOL:
         raise ValueError(
             f"wave data not admissible: max | ||a||^2 - 1 | = {unit:.3e}, "
@@ -313,11 +313,11 @@ def leapfrog_step(
     xi_t = (xi_curr - xi_prev) / dt  # first guess, refined below
     xi_next = xi_curr
     bwd_t = (xi_curr - xi_prev) / dt + conn_eta_xi
-    bwd_t_sq = np.sum(bwd_t * bwd_t, axis=-1)
+    bwd_t_sq = dot(bwd_t, bwd_t)
     for _ in range(INNER_ITER):
         dtu = xi_t + conn_eta_xi
         fwd_t = (xi_next - xi_curr) / dt + conn_eta_xi
-        coeff = du_sq - 0.5 * (np.sum(fwd_t * fwd_t, axis=-1) + bwd_t_sq)
+        coeff = du_sq - 0.5 * (dot(fwd_t, fwd_t) + bwd_t_sq)
         accel = d2u + coeff[:, None] * xi_curr + theta_perp
         correction = apply_chris(conn, eta, xi_t) + apply_chris(conn, eta, dtu)
         correction += apply_chris(conn, eta_rate, xi_curr)

@@ -667,6 +667,73 @@ print(json.dumps({{"exit": exit_code, "loaded": loaded, "orjson": orjson}}))
     ]
 
 
+def component_reductions(source: str) -> list[str]:
+    """The component-axis reductions in Python source: a sum, any or all
+    with axis -1 (keyword or positional) and an einsum of two operands with
+    the same subscripts whose output drops their last index, such as
+    ``"pi,pi->p"``; reductions over other axes, and einsums that keep the
+    last index or drop another (``"pij,pj->pi"``), are not counted."""
+    import ast
+
+    def minus_one(node):
+        return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) and (
+            isinstance(node.operand, ast.Constant) and node.operand.value == 1
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("sum", "any", "all"):
+            # np.sum(x, axis) has the axis second, x.sum(axis) first
+            method = isinstance(node.func, ast.Attribute) and getattr(
+                node.func.value, "id", None
+            ) not in ("np", "numpy")
+            axes = [k.value for k in node.keywords if k.arg == "axis"]
+            axes += node.args[:1] if method else node.args[1:2]
+            if any(minus_one(axis) for axis in axes):
+                found.append(ast.unparse(node))
+        elif name == "einsum" and node.args and isinstance(node.args[0], ast.Constant):
+            inputs, _, output = str(node.args[0].value).replace(" ", "").partition("->")
+            operands = inputs.split(",")
+            if len(set(operands)) == 1 and output == operands[0][:-1]:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_run_path_has_no_component_axis_reduction():
+    # a numpy reduction over a length-2 or 3 component axis costs about
+    # 25 ns per row; every pointwise inner product is geometry.dot instead
+    caught = component_reductions(
+        "np.sum(p * q, axis=-1)\n"
+        "np.sum(v * xi, axis=-1, keepdims=True)\n"
+        "np.all(np.isfinite(c), axis=-1)\n"
+        "np.isfinite(c).all(axis=-1)\n"
+        "x.sum(-1)\n"
+        "np.any(x, -1)\n"
+        'np.einsum("pi,pi->p", a, b)\n'
+        'np.einsum("...i,...i->...", a, b)\n'
+    )
+    assert len(caught) == 8
+    allowed = (
+        "np.max(np.abs(drift), axis=-1)\n"
+        "np.sum(p * q)\n"
+        "np.isfinite(x).all()\n"
+        "x.all(1)\n"
+        "np.sum(x, axis=0)\n"
+        'np.einsum("pij,pj->pi", p, w)\n'
+    )
+    assert component_reductions(allowed) == []
+    source = Path(elwire.__file__).parent
+    found = {
+        path.name: hits
+        for path in sorted(source.glob("*.py"))
+        if (hits := component_reductions(path.read_text()))
+    }
+    assert found == {}
+
+
 def test_conformal_charts_load_no_sympy(tmp_path):
     # the conformal factor is checked and differentiated by one walk of its
     # syntax tree; no symbolic algebra package is imported for it

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -395,3 +396,24 @@ def test_an_integer_beyond_the_float_range_is_refused(tmp_path, capsys, template
     config.write_text(text)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_grid_no_numpy_array_can_hold_is_refused(tmp_path, capsys, dim):
+    # a float holds 1e300, but no (n, dim) float64 field of that many rows
+    # can be addressed; the largest n whose field can be is accepted
+    from elwire.cli import main
+
+    largest = sys.maxsize // (8 * dim)
+    for n in (10**300, largest + 1):
+        text = json.dumps({"manifold": {"dim": dim}, "grid": {"n": n}})
+        problems = problems_of(text)
+        assert len(problems) == 1 and problems[0].startswith("grid.n: must be at most")
+    text = json.dumps({"manifold": {"dim": dim}, "grid": {"n": largest}})
+    assert parse_config(text).grid_n == largest
+    config = tmp_path / "config.json"
+    config.write_text('{"grid": {"n": 1%s}}' % ("0" * 300))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: grid.n: must be at most")
+    assert not (tmp_path / "out").exists()

@@ -262,6 +262,45 @@ def test_sample_geometry_reports_first_non_finite_index():
             sample_geometry(model, pts)
 
 
+@pytest.mark.parametrize("k", [0, 5, 11])
+def test_the_first_bad_point_is_named_by_its_grid_index(k):
+    # finiteness is checked over whole arrays at once; the index named is
+    # still that of the first bad point, whichever array or component holds
+    # it, with more bad points at ``later`` (k itself for the last point)
+    later = min(k + 3, 11)
+
+    def points():
+        return np.column_stack([np.linspace(0.1, 0.5, 12), np.full(12, 1.0)])
+
+    for model in (make_manifold("euclidean", 2), HyperbolicHalfPlaneModel()):
+        for j in range(2):
+            pts = points()
+            pts[k, j] = np.nan
+            pts[later:, 1 - j] = np.inf
+            inside = np.arange(12) < later
+            inside[k] = False
+            assert np.array_equal(model.contains(pts), inside)
+            with pytest.raises(ChartDomainError, match=f"left the chart .* at grid index {k},"):
+                sample_geometry(model, pts)
+    pts = points()
+    pts[k, 1] = -0.5
+    pts[later:, 0] = np.nan
+    with pytest.raises(ChartDomainError, match=f"left the chart .* at grid index {k},"):
+        sample_geometry(HyperbolicHalfPlaneModel(), pts)
+
+    # sqrt(x) at x = 0 leaves the scale finite and the connection infinite;
+    # log(y) at y = 0 makes the scale infinite
+    model = ConformalModel(2, "sqrt(x) + log(y)")
+    for first, second in ((0, 1), (1, 0)):
+        pts = points()
+        pts[k, first] = 0.0
+        pts[later, second] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChartDomainError, match=f"not finite at grid index {k},"):
+                sample_geometry(model, pts)
+
+
 def test_sample_geometry_shapes_and_inverse():
     model = SphereChartModel(2)
     rng = np.random.default_rng(3)

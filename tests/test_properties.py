@@ -25,12 +25,17 @@
   failing level.
 * Every series-shaped helper gives on a random window series (M+1, N, n)
   exactly (==) the stack of its calls on the levels.
+* ``dot`` equals ``np.sum(p * q, axis=-1)`` bit for bit (signed zeros too) on
+  levels and window series of n = 1 ... 7 components with signed zeros,
+  infinities and NaN among the values, and so do ``perp``, ``row_norms``
+  and ``constraint_drift`` their ``np.sum`` forms.
 * ``write_snapshot`` writes any finite level in orjson's indented layout,
   from which ``json.loads`` reads every double back bit for bit: signed
   zeros, subnormals, the largest double, raw 64-bit patterns, non-contiguous
   fields and both neighbours of every magnitude where a float's spelling
   changes form included.  NaN or an infinity in any field or in the time
-  aborts before a byte is written.
+  aborts before a byte is written, naming the first grid index that holds
+  one, whichever component holds it.
 * A failing hypothesis test fails alone under the suite's warning filters:
   the tests after it still run.
 * On a drawn chart, dimension and initial section (curves, velocities,
@@ -76,6 +81,7 @@ from elwire.fields import (
     Grid,
     circ_diff,
     compact_second,
+    constraint_drift,
     cov_dx,
     cov_dxx,
     l2_inner,
@@ -95,6 +101,7 @@ from elwire.geometry import (
     SphereChartModel,
     apply_chris,
     apply_curv,
+    dot,
     make_manifold,
     sample_geometry,
     stack_samples,
@@ -479,6 +486,42 @@ def test_series_helpers_equal_their_stacked_levels(levels, chart, n_points, seed
     assert m0(p) == max(m0(level) for level in p)
 
 
+#: values of every class a component may hold: signed zeros, subnormals,
+#: the extremes, infinities and NaN
+dot_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan, 1.0, -1.0]
+)
+
+
+@st.composite
+def field_pairs(draw):
+    """Two fields of one shape, a level (N, n) or a window series (M+1, N, n)
+    with n = 1 ... 7."""
+    shape = draw(st.sampled_from([(), (draw(st.integers(1, 4)),)]))
+    shape += (draw(st.integers(1, 16)), draw(st.integers(1, 7)))
+    return tuple(draw(hnp.arrays(np.float64, shape, elements=dot_float)) for _ in range(2))
+
+
+def assert_same_bits(a, b):
+    """Equal values, NaN where NaN, and equal signs elsewhere (-0.0 is not
+    0.0); the sign of a NaN sum of NaNs follows no rule of IEEE 754."""
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=field_pairs())
+def test_dot_equals_the_numpy_sum_bit_for_bit(pair):
+    p, q = pair
+    with np.errstate(all="ignore"):
+        assert_same_bits(dot(p, q), np.sum(p * q, axis=-1))
+        assert_same_bits(dot(p, p), np.sum(p * p, axis=-1))
+        assert_same_bits(perp(p, q), p - np.sum(p * q, axis=-1, keepdims=True) * q)
+        assert_same_bits(row_norms(p), np.sqrt(np.sum(p * p, axis=-1)))
+        drift = np.max(np.abs(np.sum(p * p, axis=-1) - 1.0))
+        assert_same_bits(np.float64(constraint_drift(p)), drift)
+
+
 # ---------------------------------------------------------------------------
 # snapshot writer
 
@@ -617,6 +660,24 @@ def test_snapshot_writer_special_values(tmp_path, dim, with_theta):
         with pytest.raises(NumericalAbort, match="snapshot time .* is not finite"):
             write_snapshot(path, dataclasses.replace(state, time=float(bad)))
         assert not path.exists()
+
+
+@pytest.mark.parametrize("k", [0, 5, 11])
+def test_snapshot_names_the_first_non_finite_grid_index(tmp_path, k):
+    # each field is checked whole at once; the index named is still that of
+    # the first bad row, whichever component holds it, with later rows bad too
+    rng = np.random.default_rng(k)
+    state = snapshot_level(time=0.5, **{key: rng.standard_normal((12, 3)) for key in FIELDS})
+    for key in FIELDS:
+        for j in range(3):
+            broken = getattr(state, key).copy()
+            broken[k, j] = np.nan
+            broken[k + 1 :, (j + 1) % 3] = -np.inf
+            path = tmp_path / f"{key}_{j}.json"
+            message = f"^snapshot field {key} is not finite at grid index {k}$"
+            with pytest.raises(NumericalAbort, match=message):
+                write_snapshot(path, dataclasses.replace(state, **{key: broken}))
+            assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
