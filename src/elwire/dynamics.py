@@ -400,14 +400,12 @@ def _window_level(
     eta: np.ndarray,
     samples: GeometrySamples,
     grid: Grid,
-    theta: Optional[np.ndarray] = None,
-    gate: Optional[float] = None,
 ) -> Level:
     """A window iterate: the Level of the series over levels 0..M (dt = dx)
     with the stacked ``samples`` of its curves.  xi_t comes from time
     differences of the xi series, and D_x xi and D_t xi are derived once."""
     xi_t = time_diff_series(xi, grid.dx)
-    return Level.derive(gamma, xi, xi_t, eta, samples, grid.dx, theta=theta, bentness=gate)
+    return Level.derive(gamma, xi, xi_t, eta, samples, grid.dx)
 
 
 def _window_curve(
@@ -520,7 +518,9 @@ def picard_coupled(
             _window_level(gamma_new, xi_new, eta_mid, samples_new, grid), grid, cfg, gate
         )
         eta_new = _integrate_eta(initial.eta, flux_new, refreshed.dxi, samples_new.conn, dt)
-        return _window_level(gamma_new, xi_new, eta_new, samples_new, grid, refreshed.theta, gate)
+        # the refreshed level's xi_t and D_x xi stand; only D_t xi reads the new eta
+        dtxi = refreshed.xi_t + apply_chris(samples_new.conn, eta_new, xi_new)
+        return replace(refreshed, eta=eta_new, dtxi=dtxi)
 
     return _contract(
         sweep,

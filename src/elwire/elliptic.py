@@ -19,21 +19,21 @@ block-pentadiagonal with periodic corners.  Taking the points in the folded
 order 0, N-1, 1, N-2, ... puts points two apart on the circle at most four
 places apart, so grouping four consecutive places into one block row of
 size 4n gives a block-tridiagonal matrix with ceil(N/4) block rows (the
-unused places of the last one are identity rows).  It is assembled from the
-connection blocks Gamma(xi_k, .), keeping the diagonal and upper blocks of
-the symmetric matrix, and solved at every grid size by block odd-even
-(cyclic) reduction in numpy: batched inverses of the eliminated diagonal
-blocks, stage by stage, down to one small dense solve.
+unused places of the last one are identity rows).  One indexing step
+gathers its diagonal and upper blocks from a stack of couplings built from
+the connection blocks Gamma(xi_k, .), through an entry map that depends on
+the grid alone; block odd-even (cyclic) reduction in numpy solves it at
+every grid size: batched inverses of the eliminated diagonal blocks, stage
+by stage, down to one small dense solve.
 
 The tension solve takes a level (N, n) or a window series (L, N, n), as the
-field helpers do: every step batches over a leading level axis and solves
-each level on its own, with the bytes of a lone solve of it.
+field helpers do: the levels lead the gathered system, and every step
+batches over them yet solves each alone, to the bytes of a lone solve.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,23 +73,18 @@ DENSE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(shape: tuple):
-    """Where the couplings of -D o D + Z go among the block rows; grid only.
+def _layout(npts: int, n: int):
+    """Where each entry of a level's folded system comes from; grid only.
 
-    ``shape`` is that of the tangent field, (N, n) for a level or (L, N, n)
-    for a window series.  Slot s of the fold order holds rows n*s ... n*s +
-    n - 1 of a level's folded system, and block row b the SLOTS slots from
-    SLOTS * b on.  The operator is symmetric, so only its diagonal and upper
-    blocks are stored, as ``system`` (2, L, B, m, m), m = SLOTS * n (the
-    level axis is left out for a level).  Returns ``(order, source,
-    scatter, padding, place)``: coupling ``source[l, i]`` of the stacks
-    [far, edge, -edge, centre] of the levels (see _block_operator) goes to
-    the flat indices ``scatter[l, i]`` (n, n) of ``system``, ``padding``
-    indexes the unit diagonal of the unused slots of each level's last block
-    row, and ``place`` (..., N, n) the folded row of each grid component.
+    Slot s of the fold order holds rows n*s ... n*s + n - 1 of the folded
+    system, and block row b the SLOTS slots from SLOTS * b on.  Only the
+    diagonal and upper blocks of the symmetric system are kept, as
+    (2, B, m, m), m = SLOTS * n.  Returns ``(order, place, entries)``:
+    ``place`` (N, n) is the folded row of each grid component, and
+    ``entries`` (2, B, m, m) the element of the level's flattened stack
+    [far, edge, -edge, centre, zero, identity] (see _block_operator) that
+    each entry holds; the unused slots of the last block row are unit rows.
     """
-    *lead, npts, n = shape
-    levels = math.prod(lead)
     order = _fold_order(npts)
     slot = np.empty(npts, dtype=int)
     slot[order] = np.arange(npts)
@@ -98,35 +93,21 @@ def _layout(shape: tuple):
     comp = np.arange(n)
     place = n * slot[:, None] + comp
     points = np.arange(npts)
-    # coupling of point k to point k + d, d = -2 ... 2, as an index into the stack
-    source = np.stack(
-        [
-            np.zeros(npts, dtype=int),
-            1 + (points - 1) % npts,
-            1 + 2 * npts + points,
-            1 + npts + points,
-            np.zeros(npts, dtype=int),
-        ]
-    )
-    row_block = slot // SLOTS
+    # coupling of point k to point k + d, d = -2 ... 2, as a block of the stack
+    far = np.zeros(npts, dtype=int)
+    source = np.stack([far, 1 + (points - 1) % npts, 1 + 2 * npts + points, 1 + npts + points, far])
+    held = (n * n * source)[..., None, None] + n * comp[:, None] + comp
     col_slot = slot[(points + np.arange(-2, 3)[:, None]) % npts]
-    band = col_slot // SLOTS - row_block  # 0 diagonal, 1 upper, -1 lower
+    band = col_slot // SLOTS - slot // SLOTS  # 0 diagonal, 1 upper, -1 lower
     keep = band >= 0
-    row = place - m * row_block[:, None]
-    col = (n * (col_slot % SLOTS))[:, :, None] + comp
-    # each level's blocks follow the previous level's in both halves of system
-    level = np.arange(levels)[:, None, None]
-    base = ((band * levels + level) * n_rows + row_block) * m * m
-    scatter = base[..., None, None] + row[:, :, None] * m + col[:, :, None, :]
-    spare = (n * np.arange(npts, SLOTS * n_rows)[:, None] + comp).reshape(-1) % m
-    padding = ((level[:, 0] + 1) * n_rows - 1) * m * m + spare * (m + 1)
-    layout = (
-        order,
-        (source + (1 + 3 * npts) * level)[:, keep],
-        scatter[:, keep],
-        padding,
-        place + n_rows * m * level.reshape(lead + [1, 1]),
-    )
+    # each coupling's n x n entries, as flat indices of entries seen as (2 * B * m, m)
+    row = m * n_rows * band[..., None] + place
+    at = m * row[..., None] + (n * (col_slot % SLOTS))[..., None, None] + comp
+    entries = np.full((2, n_rows, m, m), (1 + 3 * npts) * n * n)
+    # a unit diagonal, which the centre couplings overwrite in the used slots
+    entries[0].reshape(n_rows, m * m)[:, :: m + 1] = (2 + 3 * npts) * n * n
+    entries.reshape(-1)[at[keep]] = held[keep]
+    layout = (order, place, entries)
     for index in layout:  # shared by every later call
         index.setflags(write=False)
     return layout
@@ -136,15 +117,15 @@ def _block_operator(xi, samples, grid, kind: str):
     """-D o D + Z in fold order, as the blocks of a block-tridiagonal matrix.
 
     ``xi`` is a level (N, n) or a window series (L, N, n) with the samples of
-    its curves.  Returns ``(system, order)``: ``system[0]`` (..., B, m, m),
-    B = ceil(N / SLOTS), m = SLOTS * n, holds each level's diagonal blocks
-    and ``system[1]`` the blocks coupling block row b to block row b + 1
-    (the last one is zero); the blocks below the diagonal are their
-    transposes.  ``order`` lists the grid point behind each slot.
+    its curves.  Returns ``(system, order)``: ``system`` (..., 2, B, m, m),
+    B = ceil(N / SLOTS), m = SLOTS * n, gathered per level through the grid's
+    entry map (see _layout), holds the diagonal blocks and the blocks
+    coupling block row b to b + 1 (the last is zero); the blocks below the
+    diagonal are their transposes.  ``order`` lists the point in each slot.
     """
     if kind not in ("perp", "identity"):
         raise ValueError(f"unknown zeroth-order kind {kind!r}")
-    npts, n = xi.shape[-2:]
+    *lead, npts, n = xi.shape
     dx = grid.dx
     # connection blocks B_k = Gamma(xi_k, .) = xi_k c_k^T - c_k xi_k^T; none on a flat chart
     flat = samples.conn is None
@@ -156,23 +137,20 @@ def _block_operator(xi, samples, grid, kind: str):
     eye = np.eye(n)
     # couplings: far (k to k +- 2), edge_k (k + 1 to k; k to k + 1 is -edge_k)
     # and centre_k (k to k), stacked per level as [far, edge, -edge, centre]
+    # with a zero and an identity block for the entries no coupling fills
     edge = (conn + shift(conn, -1, axis=-3)) / (2.0 * dx)
     centre = (0.5 / (dx * dx) + 1.0) * eye - (0.0 if flat else conn @ conn)
     if kind == "perp":
         centre = centre - xi[..., :, None] * xi[..., None, :]
-    stack = np.empty(xi.shape[:-2] + (1 + 3 * npts, n, n))
+    stack = np.empty((*lead, 3 + 3 * npts, n, n))
     stack[..., 0, :, :] = -eye / (4.0 * dx * dx)
     stack[..., 1 : npts + 1, :, :] = edge
     stack[..., npts + 1 : 2 * npts + 1, :, :] = -edge
-    stack[..., 2 * npts + 1 :, :, :] = centre
-
-    order, source, scatter, padding, _ = _layout(xi.shape)
-    m = SLOTS * n
-    system = np.zeros((2,) + xi.shape[:-2] + (-(-npts // SLOTS), m, m))
-    entries = system.reshape(-1)
-    entries[scatter] = stack.reshape(-1, n, n)[source]
-    entries[padding] = 1.0
-    return system, order
+    stack[..., 2 * npts + 1 : -2, :, :] = centre
+    stack[..., -2, :, :] = 0.0
+    stack[..., -1, :, :] = eye
+    order, _, entries = _layout(npts, n)
+    return stack.reshape(*lead, -1)[..., entries], order
 
 
 def _cyclic_reduction(diag, upper, rhs):
@@ -241,17 +219,19 @@ def _cyclic_reduction(diag, upper, rhs):
 
 def _solve_system(xi, samples, grid, kind, rhs_field):
     """Solve (-D o D + Z) u = rhs by block cyclic reduction in fold order, for
-    a level (N, n) or each level of a window series (L, N, n)."""
+    a level (N, n) or each level of a window series (L, N, n); ``place``
+    folds each level's right-hand side and unfolds its solution."""
     system, _ = _block_operator(xi, samples, grid, kind)
-    place = _layout(xi.shape)[-1]
-    blocks = system.reshape((2, -1) + system.shape[-3:])
-    rhs = np.zeros(blocks.shape[1:4])
-    rhs.reshape(-1)[place] = rhs_field
+    place = _layout(*xi.shape[-2:])[1]
+    blocks = system.reshape((-1,) + system.shape[-4:])
+    levels, _, count, m = blocks.shape[:4]
+    rhs = np.zeros((levels, count * m))
+    rhs[:, place] = rhs_field.reshape((levels,) + place.shape)
     try:
-        x = _cyclic_reduction(blocks[0], blocks[1], rhs)
+        x = _cyclic_reduction(blocks[:, 0], blocks[:, 1], rhs.reshape(levels, count, m))
     except np.linalg.LinAlgError as exc:
         raise NumericalSolveError(f"elliptic solve met a singular block ({exc})") from exc
-    return x.reshape(-1)[place]
+    return x.reshape(levels, -1)[:, place].reshape(xi.shape)
 
 
 def bentness(xi: np.ndarray, samples: GeometrySamples, grid: Grid) -> float:

@@ -65,7 +65,8 @@ CHART_CURVES = {
     "sphere": ({}, (0.1, 0.2), (0.6, 0.4)),
     "conformal": ({"expression": "0.3*x**2 - 0.2*x*y + 0.1*sin(y)"}, (0.1, 0.0), (0.5, 0.4)),
 }
-ORACLE_SIZES = (MIN_POINTS, 9, 33, 64)
+# N % 4 = 0, 1, 2 and 3: the last block row holds 4, 1, 2 and 3 slots
+ORACLE_SIZES = (MIN_POINTS, 9, 10, 11, 33, 64)
 
 
 def chart_setup(name: str, n: int):

@@ -425,6 +425,13 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     tol = SOLVE_DEFAULTS["tol"]
     series = solve_flux_form(f, h, xi, series_samples, grid, tol=tol, **gated)
     assert series.residual.shape == (levels,) and series.bentness is gate
+    # the gathered series system is each level's own system, stacked
+    for kind in ("perp", "identity"):
+        system, _ = _block_operator(xi, series_samples, grid, kind)
+        assert system.shape[0] == levels
+        for m in range(levels):
+            alone, _ = _block_operator(xi[m], per_level[m], grid, kind)
+            assert system[m].shape == alone.shape and system[m].tobytes() == alone.tobytes()
     for m in range(levels):
         level = solve_flux_form(f[m], h[m], xi[m], per_level[m], grid, tol=tol, **gated)
         assert series.u[m].tobytes() == level.u.tobytes()
