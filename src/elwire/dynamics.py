@@ -400,12 +400,14 @@ def _window_level(
     eta: np.ndarray,
     samples: GeometrySamples,
     grid: Grid,
+    **rest,
 ) -> Level:
     """A window iterate: the Level of the series over levels 0..M (dt = dx)
     with the stacked ``samples`` of its curves.  xi_t comes from time
-    differences of the xi series, and D_x xi and D_t xi are derived once."""
+    differences of the xi series, and D_x xi and D_t xi are derived once;
+    ``rest`` goes on to Level.derive."""
     xi_t = time_diff_series(xi, grid.dx)
-    return Level.derive(gamma, xi, xi_t, eta, samples, grid.dx)
+    return Level.derive(gamma, xi, xi_t, eta, samples, grid.dx, **rest)
 
 
 def _window_curve(
@@ -477,10 +479,9 @@ def picard_coupled(
     window_distance; sweeps stop once one is within ``cfg.picard_tol``, and
     three consecutive non-decreasing distances, or ``cfg.picard_max_iter``
     sweeps without reaching the tolerance, raise NonContractionError.  Level
-    0 is the fixed initial level, so its samples serve every level of the
-    start iterate and every sweep's level 0, its D_x xi every level of the
-    start iterate, and its bentness is solved once and gates every level's
-    tension solve.  A sweep's curve
+    0 is the fixed initial level: the start iterate repeats it on every
+    level, its samples serve every sweep's level 0, and its bentness is
+    solved once and gates every level's tension solve.  A sweep's curve
     update samples each later curve of the window as it builds it, with the
     half-step curves on a curved chart, as the march does.
     """
@@ -494,14 +495,11 @@ def picard_coupled(
     def constant(field: np.ndarray) -> np.ndarray:
         return np.broadcast_to(field, (levels,) + field.shape).copy()
 
-    # every level of the start iterate is level 0, whose D_x xi is known; its
-    # xi_t is the time difference of that constant series, not level 0's
-    xi, eta = constant(initial.xi), constant(initial.eta)
-    samples = stack_samples([samples0] * levels)
-    xi_t = time_diff_series(xi, dt)
-    dtxi = xi_t + apply_chris(samples.conn, eta, xi)
-    start = Level(
-        constant(initial.gamma), xi, xi_t, eta, samples, constant(initial.dxi), dtxi, bentness=gate
+    # every level of the start iterate is level 0; its xi_t is the time
+    # difference of that constant series, not level 0's
+    start = _window_level(
+        constant(initial.gamma), constant(initial.xi), constant(initial.eta),
+        stack_samples([samples0] * levels), grid, bentness=gate,
     )
 
     def sweep(current: Level) -> Level:

@@ -46,41 +46,6 @@ WAVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
-class WaveData:
-    """Initial data and source series for the integral solver.
-
-    ``a`` is the initial field, ``b`` its plain initial time derivative;
-    ``f`` and ``h`` are source series of shape (M+1, N, n) on the window grid
-    with dt = dx, or None for a source-free problem.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    f: Optional[np.ndarray]
-    h: Optional[np.ndarray]
-    grid: Grid
-
-    def __post_init__(self):
-        npts = self.grid.n_points
-        if self.a.shape != self.b.shape or self.a.ndim != 2 or self.a.shape[0] != npts:
-            raise ValueError(
-                f"initial fields must share shape ({npts}, n); got {self.a.shape} and {self.b.shape}"
-            )
-        for name, series in (("f", self.f), ("h", self.h)):
-            if series is not None and (
-                series.ndim != 3 or series.shape[1:] != self.a.shape
-            ):
-                raise ValueError(
-                    f"source series {name} must have shape (M+1, {npts}, n); got {series.shape}"
-                )
-
-    def _check_levels(self, n_levels: int) -> None:
-        limit = min((s.shape[0] - 1 for s in (self.f, self.h) if s is not None), default=n_levels)
-        if n_levels > limit:
-            raise ValueError(f"source series cover levels 0..{limit}, requested {n_levels}")
-
-
-@dataclass(frozen=True)
 class ContractionReport:
     """Per-iteration distances and ratios of a Picard iteration.
 
@@ -99,9 +64,19 @@ def _neighbours(v: np.ndarray) -> np.ndarray:
     return grid_shift(v, 1) + grid_shift(v, -1)
 
 
-def wave_series(data: WaveData, n_levels: int) -> np.ndarray:
+def wave_series(
+    a: np.ndarray,
+    b: np.ndarray,
+    f: Optional[np.ndarray],
+    h: Optional[np.ndarray],
+    dx: float,
+    n_levels: int,
+) -> np.ndarray:
     """The characteristic-average representation at levels 0..n_levels.
 
+    ``a`` is the initial field and ``b`` its plain initial rate, both (N, n);
+    ``f`` and ``h`` are source series on the window grid with dt = dx, or None
+    for a source-free problem, of which only levels 0..n_levels-1 are read.
     Level m averages a at the characteristic feet k -/+ m and adds the
     trapezoid integrals of b over [k-m, k+m], of f over the dependence
     triangle and of the end-point differences of h.  With dt = dx those
@@ -111,9 +86,6 @@ def wave_series(data: WaveData, n_levels: int) -> np.ndarray:
     directly, so the recurrence rounds at the size of the integrals only.
     The periodic representation holds for windows of any length.
     """
-    data._check_levels(n_levels)
-    dx = data.grid.dx
-    a = data.a
     npts = a.shape[0]
     shift = np.arange(n_levels + 1)[:, None]
     points = np.arange(npts)
@@ -121,14 +93,14 @@ def wave_series(data: WaveData, n_levels: int) -> np.ndarray:
     if n_levels == 0:
         return feet
     kick = np.zeros((n_levels,) + a.shape)
-    if data.f is not None:
-        kick += dx * (data.f[:n_levels] + 0.5 * _neighbours(data.f[:n_levels]))
-    if data.h is not None:
-        kick += grid_shift(data.h[:n_levels], -1) - grid_shift(data.h[:n_levels], 1)
+    if f is not None:
+        kick += dx * (f[:n_levels] + 0.5 * _neighbours(f[:n_levels]))
+    if h is not None:
+        kick += grid_shift(h[:n_levels], -1) - grid_shift(h[:n_levels], 1)
     kick *= 0.5 * dx
     kick[0] *= 0.5
     integral = np.zeros_like(feet)
-    integral[1] = 0.5 * dx * (data.b + 0.5 * _neighbours(data.b)) + kick[0]
+    integral[1] = 0.5 * dx * (b + 0.5 * _neighbours(b)) + kick[0]
     for m in range(1, n_levels):
         integral[m + 1] = _neighbours(integral[m]) - integral[m - 1] + kick[m]
     return feet + integral
@@ -234,10 +206,10 @@ def picard_wave_solve(
     are frozen series on the window's levels 0..M with dt = dx, M read from
     the eta series.  The initial tangent ``a`` must be a unit field and its
     plain rate ``b`` orthogonal to it, point by point.  Starting from the
-    source-free solution, each sweep reassembles (f, h) from the current
-    iterate and re-evaluates the integral representation on every level.
-    Distances between consecutive iterates are measured in the composite
-    first-order norm; the iteration stops at
+    source-free series wave_series(a, b, None, None, dx, M), each sweep
+    reassembles (f, h) from the current iterate and returns
+    wave_series(a, b, f, h, dx, M).  Distances between consecutive iterates
+    are measured in the composite first-order norm; the iteration stops at
     WAVE_TOL, and three consecutive non-decreasing distances or WAVE_MAX_ITER
     sweeps without reaching it raise NonContractionError.
     """
@@ -255,12 +227,11 @@ def picard_wave_solve(
 
     def sweep(current):
         f, h = assemble_wave_sources(current, theta_series, eta_series, samples_series, grid)
-        return wave_series(WaveData(a=a, b=b, f=f, h=h, grid=grid), n_levels)
+        return wave_series(a, b, f, h, dx, n_levels)
 
-    base = WaveData(a=a, b=b, f=None, h=None, grid=grid)
     return _contract(
         sweep,
-        wave_series(base, n_levels),
+        wave_series(a, b, None, None, dx, n_levels),
         lambda new, current: m1(new - current, dx, dx),
         max_iter=WAVE_MAX_ITER,
         tol=WAVE_TOL,
@@ -312,17 +283,21 @@ def leapfrog_step(
     theta_perp = perp(theta, xi_curr)
     xi_t = (xi_curr - xi_prev) / dt  # first guess, refined below
     xi_next = xi_curr
-    bwd_t = (xi_curr - xi_prev) / dt + conn_eta_xi
+    bwd_t = xi_t + conn_eta_xi
     bwd_t_sq = dot(bwd_t, bwd_t)
+    # the rate terms do not read the iterate; the loop adds them one at a time,
+    # since their pre-summed array would round differently
+    eta_rate_term = apply_chris(conn, eta_rate, xi_curr)
+    conn_rate_term = None if conn_rate is None else apply_chris(conn_rate, eta, xi_curr)
     for _ in range(INNER_ITER):
         dtu = xi_t + conn_eta_xi
         fwd_t = (xi_next - xi_curr) / dt + conn_eta_xi
         coeff = du_sq - 0.5 * (dot(fwd_t, fwd_t) + bwd_t_sq)
         accel = d2u + coeff[:, None] * xi_curr + theta_perp
         correction = apply_chris(conn, eta, xi_t) + apply_chris(conn, eta, dtu)
-        correction += apply_chris(conn, eta_rate, xi_curr)
-        if conn_rate is not None:
-            correction += apply_chris(conn_rate, eta, xi_curr)
+        correction += eta_rate_term
+        if conn_rate_term is not None:
+            correction += conn_rate_term
         accel = accel - correction
         xi_next = 2.0 * xi_curr - xi_prev + dt * dt * accel
         new_t = (xi_next - xi_prev) / (2.0 * dt)

@@ -47,7 +47,7 @@ from elwire.geometry import (
     sample_geometry,
     stack_samples,
 )
-from elwire.wave import WaveData, leapfrog_step, picard_wave_solve, wave_series
+from elwire.wave import leapfrog_step, picard_wave_solve, wave_series
 from geometry_oracle import dense_chris
 from residual_oracle import residual_base_single
 from run_config import SOLVE_DEFAULTS, run_config
@@ -387,9 +387,8 @@ def test_07_wave_route_cross_validation(capsys):
             1.0 + tgrid,
             np.column_stack([np.cos(TWO_PI * x), np.sin(TWO_PI * x)]),
         )
-        data = WaveData(a=a, b=b, f=f, h=h, grid=grid)
-        levels = wave_series(data, steps)
-        chars = characteristic_derivatives(data, n_levels=steps)
+        levels = wave_series(a, b, f, h, grid.dx, steps)
+        chars = characteristic_derivatives(a, b, f, h, grid.dx, n_levels=steps)
         mid = steps // 2
         u_x = circ_diff(levels[mid], grid.dx)
         u_t = (levels[mid + 1] - levels[mid - 1]) / (2.0 * grid.dx)

@@ -17,7 +17,7 @@ import pytest
 from elwire.errors import CflError, NonContractionError
 from elwire.fields import Grid, circ_diff, m0
 from elwire.geometry import EuclideanModel, sample_geometry, stack_samples
-from elwire.wave import WaveData, _contract, leapfrog_step, picard_wave_solve, wave_series
+from elwire.wave import _contract, leapfrog_step, picard_wave_solve, wave_series
 
 from wave_oracle import characteristic_derivatives, characteristic_quadrature, triangle_series
 
@@ -44,31 +44,10 @@ def frozen_flat(npts: int, steps: int) -> dict:
     }
 
 
-def translation_data(grid: Grid) -> WaveData:
+def translation_data(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Initial field and rate of a right-moving wave: (a, -a_x)."""
     a = rotation_field(grid)
-    return WaveData(a=a, b=-circ_diff(a, grid.dx), f=None, h=None, grid=grid)
-
-
-# ---------------------------------------------------------------------------
-# data container
-
-
-def test_wave_data_validates_shapes_and_admissibility():
-    grid = Grid(16)
-    a = rotation_field(grid)
-    zero = np.zeros_like(a)
-    with pytest.raises(ValueError, match="share shape"):
-        WaveData(a=a, b=np.zeros((8, 2)), f=None, h=None, grid=grid)
-    # the window solver admits only a unit tangent with an orthogonal rate
-    theta = np.zeros((5, 16, 2))
-    for xi, xi_t in ((2.0 * a, zero), (a, a)):
-        with pytest.raises(ValueError, match="admissible"):
-            picard_wave_solve(xi, xi_t, theta, grid, **frozen_flat(16, 4))
-    # the representation itself takes any data, e.g. synthetic forcing
-    WaveData(a=2.0 * a, b=a, f=None, h=None, grid=grid)
-    with pytest.raises(ValueError, match="source series"):
-        WaveData(a=a, b=zero, f=np.zeros((4, 8, 2)), h=None, grid=grid)
-    WaveData(a=a, b=zero, f=np.zeros((5, 16, 2)), h=np.zeros((3, 16, 2)), grid=grid)
+    return a, -circ_diff(a, grid.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +57,15 @@ def test_wave_data_validates_shapes_and_admissibility():
 def test_source_free_standing_mode_is_exact():
     grid = Grid(64)
     a = rotation_field(grid)
-    data = WaveData(a=a, b=np.zeros_like(a), f=None, h=None, grid=grid)
-    series = wave_series(data, 128)
+    zero = np.zeros_like(a)
+    series = wave_series(a, zero, None, None, grid.dx, 128)
     # the periodic representation holds past one period of the grid
     for m in (0, 1, 5, 16, 32, 64, 80, 128):
         expected = math.cos(TWO_PI * m * grid.dx) * a
         assert m0(series[m] - expected) < EXACT_TOL
+    # zero source series take both source branches and change no bit
+    sources = np.zeros((129, 64, 2))
+    assert np.array_equal(wave_series(a, zero, sources, sources, grid.dx, 128), series)
 
 
 def test_constant_source_gives_quadratic_ramp():
@@ -91,8 +73,7 @@ def test_constant_source_gives_quadratic_ramp():
     a = np.broadcast_to(np.array([1.0, 0.0]), (64, 2)).copy()
     c = np.array([0.3, -0.2])
     f = np.broadcast_to(c, (13, 64, 2)).copy()
-    data = WaveData(a=a, b=np.zeros_like(a), f=f, h=None, grid=grid)
-    series = wave_series(data, 12)
+    series = wave_series(a, np.zeros_like(a), f, None, grid.dx, 12)
     for m in (1, 4, 12):
         t = m * grid.dx
         assert m0(series[m] - (a + 0.5 * c * t * t)) < EXACT_TOL
@@ -103,8 +84,7 @@ def test_x_uniform_characteristic_source_cancels():
     a = np.broadcast_to(np.array([1.0, 0.0]), (64, 2)).copy()
     h = np.zeros((13, 64, 2))
     h[:, :, 0] = np.linspace(0.0, 1.0, 13)[:, None]
-    data = WaveData(a=a, b=np.zeros_like(a), f=None, h=h, grid=grid)
-    series = wave_series(data, 12)
+    series = wave_series(a, np.zeros_like(a), None, h, grid.dx, 12)
     for m in range(13):
         assert m0(series[m] - a) < EXACT_TOL
 
@@ -113,48 +93,38 @@ def test_translation_converges_at_second_order():
     errs = []
     for n in (64, 128, 256):
         grid = Grid(n)
-        data = translation_data(grid)
+        a, b = translation_data(grid)
         m = n // 4
-        errs.append(m0(wave_series(data, m)[m] - np.roll(data.a, m, axis=0)))
+        errs.append(m0(wave_series(a, b, None, None, grid.dx, m)[m] - np.roll(a, m, axis=0)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > ORDER_MIN
 
 
-def test_integral_time_validation():
-    grid = Grid(16)
-    data = translation_data(grid)
-    sourced = WaveData(
-        a=data.a, b=data.b, f=np.zeros((4, 16, 2)), h=None, grid=grid
-    )
-    with pytest.raises(ValueError, match="levels 0..3"):
-        wave_series(sourced, 5)
-
-
 def test_wave_series_stacks_levels():
     grid = Grid(16)
-    data = translation_data(grid)
-    series = wave_series(data, 4)
+    a, b = translation_data(grid)
+    series = wave_series(a, b, None, None, grid.dx, 4)
     assert series.shape == (5, 16, 2)
-    assert m0(series[0] - data.a) < EXACT_TOL
+    assert m0(series[0] - a) < EXACT_TOL
 
 
 def random_data(npts, levels, seed):
+    """Random (a, b, f, h, dx) with source series on levels 0..levels."""
     rng = np.random.default_rng(seed)
-    grid = Grid(npts)
     a, b = rng.standard_normal((2, npts, 2))
     f, h = rng.standard_normal((2, levels + 1, npts, 2))
-    return WaveData(a=a, b=b, f=f, h=h, grid=grid)
+    return a, b, f, h, Grid(npts).dx
 
 
 @pytest.mark.parametrize("npts", [8, 9, 33, 64])
 def test_recurrence_and_running_sums_match_the_quadrature(npts):
     for seed, levels in enumerate(sorted({2, 3, npts // 2, npts})):
         data = random_data(npts, levels, seed)
-        expected = triangle_series(data, levels)
+        expected = triangle_series(*data, levels)
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(wave_series(data, levels) - expected)) <= EXACT_TOL * scale
-        fields = characteristic_derivatives(data, n_levels=levels)
-        oracle = characteristic_quadrature(data, levels)
+        assert np.max(np.abs(wave_series(*data, levels) - expected)) <= EXACT_TOL * scale
+        fields = characteristic_derivatives(*data, n_levels=levels)
+        oracle = characteristic_quadrature(*data, levels)
         for got, want in zip((fields.u_plus, fields.u_minus), oracle):
             assert np.max(np.abs(got - want)) <= EXACT_TOL * np.max(np.abs(want))
 
@@ -165,9 +135,9 @@ def test_recurrence_and_running_sums_match_the_quadrature(npts):
 
 def test_characteristic_derivatives_on_translation_data():
     grid = Grid(64)
-    data = translation_data(grid)
-    fields = characteristic_derivatives(data, n_levels=8)
-    a_x = circ_diff(data.a, grid.dx)
+    a, b = translation_data(grid)
+    fields = characteristic_derivatives(a, b, None, None, grid.dx, n_levels=8)
+    a_x = circ_diff(a, grid.dx)
     assert np.max(np.abs(fields.u_plus)) < EXACT_TOL
     for m in range(9):
         assert m0(fields.u_minus[m] - np.roll(2.0 * a_x, m, axis=0)) < EXACT_TOL
@@ -175,27 +145,24 @@ def test_characteristic_derivatives_on_translation_data():
 
 def test_linear_in_time_uniform_h_contribution_cancels():
     grid = Grid(64)
-    base = translation_data(grid)
+    a, b = translation_data(grid)
     h = np.zeros((9, 64, 2))
     for m in range(9):
         h[m] = m * grid.dx * np.array([0.4, 0.1])
-    sourced = WaveData(a=base.a, b=base.b, f=None, h=h, grid=grid)
-    fields = characteristic_derivatives(sourced)
+    fields = characteristic_derivatives(a, b, None, h, grid.dx)
     assert np.max(np.abs(fields.u_plus)) < EXACT_TOL
 
 
 def test_characteristic_derivatives_validation():
     grid = Grid(16)
-    data = translation_data(grid)
+    a, b = translation_data(grid)
     with pytest.raises(ValueError, match="n_levels"):
-        characteristic_derivatives(data)
-    sourced = WaveData(
-        a=data.a, b=data.b, f=None, h=np.zeros((2, 16, 2)), grid=grid
-    )
+        characteristic_derivatives(a, b, None, None, grid.dx)
+    h = np.zeros((2, 16, 2))
     with pytest.raises(ValueError, match="at least 3 levels"):
-        characteristic_derivatives(sourced, n_levels=1)
+        characteristic_derivatives(a, b, None, h, grid.dx, n_levels=1)
     with pytest.raises(ValueError, match="cover levels"):
-        characteristic_derivatives(sourced, n_levels=4)
+        characteristic_derivatives(a, b, None, h, grid.dx, n_levels=4)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +189,16 @@ def test_picard_window_validation():
     xi = rotation_field(grid)
     with pytest.raises(ValueError, match="at least 2"):
         picard_wave_solve(xi, np.zeros((16, 2)), np.zeros((2, 16, 2)), grid, **frozen_flat(16, 1))
+
+
+def test_picard_admits_only_unit_data_with_orthogonal_rate():
+    grid = Grid(16)
+    a = rotation_field(grid)
+    zero = np.zeros_like(a)
+    theta = np.zeros((5, 16, 2))
+    for xi, xi_t in ((2.0 * a, zero), (a, a)):
+        with pytest.raises(ValueError, match="admissible"):
+            picard_wave_solve(xi, xi_t, theta, grid, **frozen_flat(16, 4))
 
 
 def test_picard_reports_non_contraction():

@@ -53,46 +53,44 @@ def tau_weights(m, dt):
     return w
 
 
-def triangle_level(data, m):
+def triangle_level(a, b, f, h, dx, m):
     """The representation at level m: averaged initial field, integrated
     initial rate, source integral over the dependence triangle and the
     end-point characteristic values of h."""
-    dx = data.grid.dx
-    u = 0.5 * (np.roll(data.a, -m, axis=0) + np.roll(data.a, m, axis=0))
-    u += 0.5 * dx * window_weighted_sum(data.b, m)
+    u = 0.5 * (np.roll(a, -m, axis=0) + np.roll(a, m, axis=0))
+    u += 0.5 * dx * window_weighted_sum(b, m)
     wt = tau_weights(m, dx)
     for j in range(m):  # level m contributes a zero-width window
-        if data.f is not None:
-            u += 0.5 * wt[j] * dx * window_weighted_sum(data.f[j], m - j)
-        if data.h is not None:
+        if f is not None:
+            u += 0.5 * wt[j] * dx * window_weighted_sum(f[j], m - j)
+        if h is not None:
             s = m - j
-            u += 0.5 * wt[j] * (np.roll(data.h[j], -s, axis=0) - np.roll(data.h[j], s, axis=0))
+            u += 0.5 * wt[j] * (np.roll(h[j], -s, axis=0) - np.roll(h[j], s, axis=0))
     return u
 
 
-def triangle_series(data, n_levels):
+def triangle_series(a, b, f, h, dx, n_levels):
     """triangle_level stacked over levels 0..n_levels."""
-    return np.stack([triangle_level(data, m) for m in range(n_levels + 1)])
+    return np.stack([triangle_level(a, b, f, h, dx, m) for m in range(n_levels + 1)])
 
 
-def characteristic_quadrature(data, n_levels):
+def characteristic_quadrature(a, b, f, h, dx, n_levels):
     """u_x + u_t and u_x - u_t at levels 0..n_levels, each level summed
     afresh along its characteristic (h differentiated in time only)."""
-    dx = data.grid.dx
-    a_x = circ_diff(data.a, dx)
-    h_t = None if data.h is None else time_diff_series(data.h[: n_levels + 1], dx)
+    a_x = circ_diff(a, dx)
+    h_t = None if h is None else time_diff_series(h[: n_levels + 1], dx)
     out = []
     for sign in (+1, -1):
         levels = []
         for m in range(n_levels + 1):
-            u = np.roll(a_x, -sign * m, axis=0) + sign * np.roll(data.b, -sign * m, axis=0)
+            u = np.roll(a_x, -sign * m, axis=0) + sign * np.roll(b, -sign * m, axis=0)
             if m > 0:
                 wt = tau_weights(m, dx)
-                if data.f is not None:
+                if f is not None:
                     for j in range(m + 1):
-                        u += sign * wt[j] * np.roll(data.f[j], -sign * (m - j), axis=0)
-                if data.h is not None:
-                    u += np.roll(data.h[0], -sign * m, axis=0) - data.h[m]
+                        u += sign * wt[j] * np.roll(f[j], -sign * (m - j), axis=0)
+                if h is not None:
+                    u += np.roll(h[0], -sign * m, axis=0) - h[m]
                     for j in range(m + 1):
                         u += wt[j] * np.roll(h_t[j], -sign * (m - j), axis=0)
             levels.append(u)
@@ -100,9 +98,11 @@ def characteristic_quadrature(data, n_levels):
     return out[0], out[1]
 
 
-def characteristic_derivatives(data, n_levels=None):
+def characteristic_derivatives(a, b, f, h, dx, n_levels=None):
     """Closed-form characteristic derivatives u_x +/- u_t of the representation.
 
+    ``f`` and ``h`` are source series, or None, read at levels 0..n_levels;
+    n_levels defaults to the last level they both cover.
     The h-contribution is the end-point difference {h(x +/- t, 0) - h(x, t)}
     plus the time-derivative integral along the characteristic; h is never
     differentiated in space.  Time derivatives of h are centred inside the
@@ -111,33 +111,33 @@ def characteristic_derivatives(data, n_levels=None):
     raises its old endpoint's weight from dx/2 to dx and adds the new
     endpoint at dx/2.
     """
-    dx = data.grid.dx
+    lengths = [s.shape[0] - 1 for s in (f, h) if s is not None]
     if n_levels is None:
-        lengths = [s.shape[0] - 1 for s in (data.f, data.h) if s is not None]
         if not lengths:
             raise ValueError("n_levels is required for source-free data")
         n_levels = min(lengths)
-    data._check_levels(n_levels)
-    a_x = circ_diff(data.a, dx)
+    if lengths and n_levels > min(lengths):
+        raise ValueError(f"source series cover levels 0..{min(lengths)}, requested {n_levels}")
+    a_x = circ_diff(a, dx)
     h_t = None
-    if data.h is not None and n_levels >= 1:
+    if h is not None and n_levels >= 1:
         if n_levels < 2:
             raise ValueError("need at least 3 levels of h to form its time derivative")
-        h_t = time_diff_series(data.h[: n_levels + 1], dx)
+        h_t = time_diff_series(h[: n_levels + 1], dx)
     out = {}
     for sign in (+1, -1):
         g = np.zeros((n_levels + 1,) + a_x.shape)
-        carried = a_x + sign * data.b
-        if data.f is not None:
-            g += sign * data.f[: n_levels + 1]
+        carried = a_x + sign * b
+        if f is not None:
+            g += sign * f[: n_levels + 1]
         if h_t is not None:
             g += h_t
-            carried += data.h[0]
+            carried += h[0]
         run = np.empty_like(g)
         run[0] = carried
         for m in range(n_levels):
             run[m + 1] = np.roll(run[m] + 0.5 * dx * g[m], -sign, axis=0) + 0.5 * dx * g[m + 1]
         if h_t is not None:
-            run -= data.h[: n_levels + 1]
+            run -= h[: n_levels + 1]
         out[sign] = run
     return CharacteristicFields(u_plus=out[+1], u_minus=out[-1])
