@@ -3,17 +3,19 @@
 Bentness measures how far a unit tangent field is from covariant constancy,
 normalized to [0, 1].  The demo evaluates it on the flat torus for a family
 of fields that relaxes toward the constant field of a closed geodesic, shows
-the closed-form value of the round circle, and demonstrates that the tension
-solver refuses the degenerate geodesic limit where the equation loses
-solvability.
+the closed-form value of the round circle, and demonstrates that a march
+refuses to start from the degenerate geodesic limit, where the tension
+equation loses solvability.
 """
 
 import math
 
 import numpy as np
 
+from elwire import initial
 from elwire.config import RunConfig
-from elwire.elliptic import bentness, solve_flux_form
+from elwire.dynamics import march, prepare_initial
+from elwire.elliptic import bentness
 from elwire.errors import NearGeodesicError
 from elwire.fields import Grid
 from elwire.geometry import make_manifold, sample_geometry
@@ -45,15 +47,12 @@ def main() -> None:
     print(f"round circle tangent: B = {value:.6f}  (closed form {target:.6f})")
 
     print()
-    geodesic = np.tile([1.0, 0.0], (grid.n_points, 1))
-    zero = np.zeros_like(geodesic)
+    curve, velocity = initial.generate("torus-geodesic", torus, grid, {})
+    start, _ = prepare_initial(curve, velocity, torus, grid)
     try:
-        cfg = RunConfig()
-        solve_flux_form(
-            zero, geodesic, geodesic, samples, grid, tol=cfg.solver_tol, b_floor=cfg.b_floor
-        )
+        next(march(start, torus, grid, RunConfig(grid_n=grid.n_points)))
     except NearGeodesicError as exc:
-        print(f"tension solve on the geodesic refuses, as it must: {exc}")
+        print(f"a march from the geodesic refuses, as it must: {exc}")
 
 
 if __name__ == "__main__":

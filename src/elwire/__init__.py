@@ -12,12 +12,13 @@ a conformal (or flat) metric.  Modules:
                    norms, acting on one level (N, n) or a window series
                    (M+1, N, n) alike;
 * ``elliptic``     the periodic second-order solves (tension field and
-                   bentness value, which gates the tension solve);
+                   bentness value);
 * ``wave``         the semilinear wave level: window solve by the
                    d'Alembert recurrence and the marching leapfrog;
 * ``dynamics``     the time level record ``Level``, source assembly,
-                   initial-data preparation, the time marcher (a generator
-                   of levels) and the coupled window iteration;
+                   initial-data preparation, the run's gates (``_gate``),
+                   the time marcher (a generator of levels) and the
+                   coupled window iteration;
 * ``diagnostics``  energy split, constraint drift and the transported-frame
                    residual;
 * ``initial``      closed-form starting curves and velocity fields;

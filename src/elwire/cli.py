@@ -182,7 +182,7 @@ def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator
             meta["contraction"]["inner"] = dataclasses.asdict(exc.__cause__.report)
         raise
     meta["contraction"] = dataclasses.asdict(report)
-    gate = iterate.bentness  # level 0's, solved once by picard_coupled
+    gate = iterate.bentness  # level 0's, from picard_coupled's one _gate call
     for m in range(cfg.picard_window + 1):
         level = _level_of(iterate, m)
         samples = _level_of(iterate.samples, m)

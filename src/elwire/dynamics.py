@@ -12,10 +12,10 @@ velocity.  This module provides
 * assemble_sources   curvature source terms (psi, phi) of a level or a series,
 * prepare_initial    the initial Level (tension unsolved), admissible
                      discrete data from raw curve + velocity samples,
-* march              the generator that solves each time level's tension once
-                     (sources, then the gated flux-form solve; the window
-                     shares this level solve) and yields the level with its
-                     geometry, D_x xi, D_t xi and the bentness gate in force,
+* march              the generator that gates each time level (_gate: unit
+                     tangent, bentness floor) and solves its tension once,
+                     and yields the level with its geometry, D_x xi, D_t xi
+                     and the bentness gate in force,
 * step               the advance of a solved level: curve, tangent leapfrog and
                      velocity updates, returning the next (unsolved) Level,
 * picard_coupled     the contraction-map alternative on a short time window,
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import elliptic
 from .config import RunConfig
-from .errors import ConstraintDriftError, DegenerateCurveError
+from .errors import ConstraintDriftError, DegenerateCurveError, NearGeodesicError
 from .fields import (
     Grid,
     circ_diff,
@@ -138,17 +138,33 @@ def assemble_sources(level: Level) -> tuple[np.ndarray, np.ndarray]:
     return psi, phi
 
 
-def _solve_level(level: Level, grid: Grid, cfg: RunConfig, gate) -> tuple[Level, np.ndarray]:
-    """The level with its tension theta and the bentness value in force
-    attached, and its flux D theta + psi.  The solve is gated by ``gate``,
-    or by a fresh value when ``gate`` is None; a window series is solved in
-    one call and needs its gate."""
+def _gate(level: Level, grid: Grid, cfg: RunConfig, gate: Optional[float] = None) -> float:
+    """The bentness value that gates ``level``'s tension solve: ``gate`` if
+    one is carried, else a fresh value held to ``cfg.b_floor``
+    (NearGeodesicError), once the unit-tangent defect is held to
+    ``cfg.constraint_tol`` (ConstraintDriftError; a NaN defect fails too)."""
+    drift = constraint_drift(level.xi)
+    if not drift <= cfg.constraint_tol:
+        raise ConstraintDriftError(
+            f"unit-tangent defect {drift:.3e} exceeds tolerance "
+            f"{cfg.constraint_tol:.1e} at t={level.time:.6f}"
+        )
+    if gate is None:
+        gate = elliptic.bentness(level.xi, level.samples, grid)
+        if gate < cfg.b_floor:
+            raise NearGeodesicError(
+                f"bentness {gate:.3e} below floor {cfg.b_floor:.3e}; "
+                "tension operator is (near) singular"
+            )
+    return gate
+
+
+def _solve_level(level: Level, grid: Grid, cfg: RunConfig, gate: float) -> tuple[Level, np.ndarray]:
+    """The level, or window series, with its tension theta and the bentness
+    value ``gate`` (see _gate) attached, and its flux D theta + psi."""
     psi, phi = assemble_sources(level)
-    solved = elliptic.solve_flux_form(
-        psi, phi, level.xi, level.samples, grid,
-        tol=cfg.solver_tol, b_floor=cfg.b_floor, gate=gate,
-    )
-    return replace(level, theta=solved.u, bentness=solved.bentness), solved.flux
+    solved = elliptic.solve_flux_form(psi, phi, level.xi, level.samples, grid, tol=cfg.solver_tol)
+    return replace(level, theta=solved.u, bentness=gate), solved.flux
 
 
 def reconstruct_mu(level: Level) -> np.ndarray:
@@ -271,21 +287,19 @@ def _bootstrap_prev(
     """Second-order backward level xi(t - dt) for the first leapfrog step.
 
     ``conn_rate`` is the forward-difference rate of the connection along the
-    motion, None on a flat model, where the connection terms vanish.
+    motion, None on a flat model, where the connection terms are exact zeros.
     """
     dx = grid.dx
     samples, dtxi = level.samples, level.dtxi
     xi, eta = level.xi, level.eta
     d2xi = cov_dxx(xi, xi, samples, dx)
     coeff = sided_grad_sq(xi, xi, samples, dx) - dot(dtxi, dtxi)
-    accel = d2xi + coeff[:, None] * xi + perp(level.theta, xi)
-    if conn_rate is not None:
-        accel = accel - (
-            apply_chris(conn_rate, eta, xi)
-            + apply_chris(samples.conn, rate, xi)
-            + apply_chris(samples.conn, eta, level.xi_t)
-            + apply_chris(samples.conn, eta, dtxi)
-        )
+    accel = d2xi + coeff[:, None] * xi + perp(level.theta, xi) - (
+        apply_chris(conn_rate, eta, xi)
+        + apply_chris(samples.conn, rate, xi)
+        + apply_chris(samples.conn, eta, level.xi_t)
+        + apply_chris(samples.conn, eta, dtxi)
+    )
     return xi - dt * level.xi_t + 0.5 * dt * dt * accel
 
 
@@ -360,12 +374,13 @@ def march(
 
     Each level's tension is solved once, and a level is yielded once the
     step from it has succeeded, so a consumer holds only the levels it keeps
-    and never sees a level whose step failed.  Before each step the unit
-    tangent is held to ``cfg.constraint_tol``.  The bentness gate is
-    re-evaluated every ``cfg.bentness_every`` steps (and always at the
-    first); between gates, and at the final level, the most recent value is
-    reused and carried by the levels.  The final level gets a tension field
-    too, so diagnostics cover [0, T].  Every level after ``initial`` (see
+    and never sees a level whose step failed.  Every level before a step
+    passes _gate first: its unit tangent is held to ``cfg.constraint_tol``,
+    and its bentness is solved afresh every ``cfg.bentness_every`` steps
+    (and always at the first) and held to ``cfg.b_floor``; between fresh
+    values, and at the final level, the most recent value is reused and
+    carried by the levels.  The final level gets a tension field too, so
+    diagnostics cover [0, T].  Every level after ``initial`` (see
     prepare_initial) is the one its step returned.
     """
     current = initial
@@ -375,15 +390,8 @@ def march(
     for k in range(cfg.n_steps + 1):
         final = k == cfg.n_steps
         if not final:
-            drift = constraint_drift(current.xi)
-            if not drift <= cfg.constraint_tol:  # a NaN defect fails too
-                raise ConstraintDriftError(
-                    f"unit-tangent defect {drift:.3e} exceeds tolerance "
-                    f"{cfg.constraint_tol:.1e} at t={current.time:.6f}"
-                )
-        fresh = not final and k % cfg.bentness_every == 0
-        level, flux = _solve_level(current, grid, cfg, None if fresh else gate)
-        gate = level.bentness
+            gate = _gate(current, grid, cfg, None if k % cfg.bentness_every == 0 else gate)
+        level, flux = _solve_level(current, grid, cfg, gate)
         if not final:
             current = step(level, flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev)
         yield level
@@ -480,17 +488,18 @@ def picard_coupled(
     three consecutive non-decreasing distances, or ``cfg.picard_max_iter``
     sweeps without reaching the tolerance, raise NonContractionError.  Level
     0 is the fixed initial level: the start iterate repeats it on every
-    level, its samples serve every sweep's level 0, and its bentness is
-    solved once and gates every level's tension solve.  A sweep's curve
-    update samples each later curve of the window as it builds it, with the
-    half-step curves on a curved chart, as the march does.
+    level, its samples serve every sweep's level 0, and it passes _gate
+    once, before any sweep: its fresh bentness gates every level's tension
+    solve.  A sweep's curve update samples each later curve of the window
+    as it builds it, with the half-step curves on a curved chart, as the
+    march does.
     """
     dt = grid.dx
     levels = cfg.picard_window + 1
     if levels < 3:
         raise ValueError("picard window needs at least 2 steps (3 levels)")
     samples0 = initial.samples
-    gate = elliptic.bentness(initial.xi, samples0, grid)
+    gate = _gate(initial, grid, cfg)
 
     def constant(field: np.ndarray) -> np.ndarray:
         return np.broadcast_to(field, (levels,) + field.shape).copy()

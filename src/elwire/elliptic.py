@@ -12,7 +12,8 @@ antisymmetric, so D^T = -D exactly and both operators are symmetric positive
 (semi)definite by construction, with no extra symmetrisation step.  The
 tension operator loses definiteness exactly when the tangent field is
 covariantly constant; the bentness value measures the distance from that
-degeneracy and gates the solve.
+degeneracy.  The run's gates on it and on the unit tangent live in
+dynamics (``_gate``); the tension solve keeps only its own guards.
 
 D couples each point to its two neighbours, so -D o D + Z is
 block-pentadiagonal with periodic corners.  Taking the points in the folded
@@ -35,11 +36,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
+from .errors import ConstraintDriftError, NumericalSolveError
 from .fields import Grid, cov_dx, l2_norm, perp, row_norms, shift
 from .geometry import GeometrySamples, dot
 
@@ -49,7 +49,6 @@ class FluxSolveResult:
     u: np.ndarray          # the solution; the tension theta of a wire level or series
     flux: np.ndarray       # D u + f, reused by the velocity update
     residual: float | np.ndarray  # per level for a series
-    bentness: float        # the gate value in force
 
 
 def _fold_order(npts: int) -> np.ndarray:
@@ -265,18 +264,16 @@ def solve_flux_form(
     grid: Grid,
     *,
     tol: float,
-    b_floor: float,
-    gate: Optional[float] = None,
 ) -> FluxSolveResult:
-    """Solve -D(Du + f) + perp(u) = h along the current curve.
+    """Solve -D(Du + f) + perp(u) = h along the current curve, in one
+    _solve_system call.
 
     The fields are a level (N, n) or a window series (L, N, n), each of
-    whose levels is solved alone.  Refuses to run (NearGeodesicError) when
-    the bentness of ``xi`` is below ``b_floor``; a precomputed bentness
-    value ``gate`` is used when supplied, and a series is gated by the one
-    it is given.  Each level's unit-tangent defect must stay within
-    0.1 (ConstraintDriftError), and its residual (infinity norm) within
-    ``tol`` times that level's data scale (NumericalSolveError); the
+    whose levels is solved alone.  The caller gates the solve (see
+    dynamics._gate); this keeps only the solver's own guards: each level's
+    unit-tangent defect must stay within 0.1 (ConstraintDriftError), a
+    singular block raises NumericalSolveError, and so does a residual
+    (infinity norm) above ``tol`` times that level's data scale; the
     residual is a number for a level and one per level for a series.
     The returned flux D u + f is the quantity downstream consumers need, so
     it is formed here rather than re-differenced.
@@ -284,15 +281,6 @@ def solve_flux_form(
     drift = np.max(np.abs(dot(xi, xi) - 1.0), axis=-1)
     text = "unit-tangent defect {:.3e} exceeds 0.1; refusing tension solve"
     _refuse_first_failure(drift <= 0.1, ConstraintDriftError, text, drift)
-    if gate is None and xi.ndim > 2:
-        raise ValueError("a series solve needs the bentness value that gates it")
-    if gate is None:
-        gate = bentness(xi, samples, grid)
-    if gate < b_floor:
-        raise NearGeodesicError(
-            f"bentness {gate:.3e} below floor {b_floor:.3e}; "
-            "tension operator is (near) singular"
-        )
     rhs = h + cov_dx(f, xi, samples, grid.dx)
     u = _solve_system(xi, samples, grid, "perp", rhs)
     flux = cov_dx(u, xi, samples, grid.dx) + f
@@ -302,4 +290,4 @@ def solve_flux_form(
     scale = np.fmax(1.0, np.max(row_norms(h), axis=-1) + np.max(row_norms(f), axis=-1))
     text = f"tension solve residual {{:.3e}} exceeds tolerance {tol:.1e} * {{:.3e}}"
     _refuse_first_failure(residual <= tol * scale, NumericalSolveError, text, residual, scale)
-    return FluxSolveResult(u=u, flux=flux, residual=residual[()], bentness=gate)
+    return FluxSolveResult(u=u, flux=flux, residual=residual[()])

@@ -270,8 +270,9 @@ def leapfrog_step(
     at the level seeded by the first-step bootstrap (O(dt^3)) instead of
     accumulating an O(dx^2) secular drift.
 
-    Without ``conn_rate`` (a flat model) the connection rate term is left
-    out.  dt must satisfy the stability bound dt <= dx.
+    On a flat model ``conn_rate`` is None and, like every connection term
+    there, the connection rate term is an exact +0.0 field.  dt must satisfy
+    the stability bound dt <= dx.
     """
     dx = grid.dx
     if dt > dx * (1.0 + 1e-12):
@@ -288,7 +289,7 @@ def leapfrog_step(
     # the rate terms do not read the iterate; the loop adds them one at a time,
     # since their pre-summed array would round differently
     eta_rate_term = apply_chris(conn, eta_rate, xi_curr)
-    conn_rate_term = None if conn_rate is None else apply_chris(conn_rate, eta, xi_curr)
+    conn_rate_term = apply_chris(conn_rate, eta, xi_curr)
     for _ in range(INNER_ITER):
         dtu = xi_t + conn_eta_xi
         fwd_t = (xi_next - xi_curr) / dt + conn_eta_xi
@@ -296,8 +297,7 @@ def leapfrog_step(
         accel = d2u + coeff[:, None] * xi_curr + theta_perp
         correction = apply_chris(conn, eta, xi_t) + apply_chris(conn, eta, dtu)
         correction += eta_rate_term
-        if conn_rate_term is not None:
-            correction += conn_rate_term
+        correction += conn_rate_term
         accel = accel - correction
         xi_next = 2.0 * xi_curr - xi_prev + dt * dt * accel
         new_t = (xi_next - xi_prev) / (2.0 * dt)

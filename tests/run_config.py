@@ -19,4 +19,4 @@ def run_config(grid, steps, *, dt=None, **settings):
 
 _DEFAULT = RunConfig()
 #: the tension solve's keyword settings in a default run
-SOLVE_DEFAULTS = {"tol": _DEFAULT.solver_tol, "b_floor": _DEFAULT.b_floor}
+SOLVE_DEFAULTS = {"tol": _DEFAULT.solver_tol}

@@ -64,7 +64,7 @@ def solved_level(level, grid):
     """``level`` with its tension solved afresh, and the tension flux."""
     psi, phi = assemble_sources(level)
     solved = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
-    return replace(level, theta=solved.u, bentness=solved.bentness), solved.flux
+    return replace(level, theta=solved.u), solved.flux
 
 
 def test_level_derive_defaults_and_tangent_derivatives():
@@ -317,6 +317,63 @@ def test_step_refuses_geodesic_data():
     start, _ = prepare_initial(curve, velocity, manifold, grid)
     with pytest.raises(NearGeodesicError):
         next(march(start, manifold, grid, run_config(grid, 1)))
+
+
+def test_picard_window_refuses_a_geodesic_before_any_solve(monkeypatch):
+    # level 0 passes the run's gate once, before the first sweep
+    import elwire.dynamics
+
+    solves = []
+    real = elwire.dynamics._solve_level
+
+    def counted(*args):
+        solves.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(elwire.dynamics, "_solve_level", counted)
+    manifold = make_manifold("flat-torus")
+    grid = Grid(32)
+    curve, velocity = initial.generate("torus-geodesic", manifold, grid, {})
+    start, _ = prepare_initial(curve, velocity, manifold, grid)
+    with pytest.raises(NearGeodesicError, match="below floor"):
+        picard_coupled(start, manifold, grid, run_config(grid, 4))
+    assert solves == []
+
+
+def test_march_solves_the_bentness_on_its_fresh_levels_only(monkeypatch):
+    # with bentness_every = 3 over 7 steps the gate solves the bentness of
+    # levels 0, 3 and 6 and carries each value on; the tension solve never
+    # solves one of its own
+    import elwire.elliptic
+
+    solved, depth = [], [0]
+    real_bentness, real_solve = elwire.elliptic.bentness, elwire.elliptic.solve_flux_form
+
+    def counted_bentness(xi, samples, grid):
+        solved.append((xi, depth[0]))
+        return real_bentness(xi, samples, grid)
+
+    def watched_solve(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(elwire.elliptic, "bentness", counted_bentness)
+    monkeypatch.setattr(elwire.elliptic, "solve_flux_form", watched_solve)
+    start, manifold, grid, _ = flat_start(
+        32, "perturbed-circle", {"mode": 2, "amplitude": 0.01}
+    )
+    levels = list(march(start, manifold, grid, run_config(grid, 7, bentness_every=3)))
+    assert len(levels) == 8
+    assert [inside for _, inside in solved] == [0, 0, 0]
+    fresh = [k for xi, _ in solved for k, lv in enumerate(levels) if np.array_equal(xi, lv.xi)]
+    assert fresh == [0, 3, 6]
+    gate_ids = [id(lv.bentness) for lv in levels]
+    assert gate_ids == [gate_ids[0]] * 3 + [gate_ids[3]] * 3 + [gate_ids[6]] * 2
+    for k in fresh:
+        assert levels[k].bentness == real_bentness(levels[k].xi, levels[k].samples, grid)
 
 
 def test_march_yields_a_level_only_after_its_step():

@@ -1,11 +1,13 @@
-"""Tests for the tension and bentness solves.
+"""Tests for the tension and bentness solves, and the bentness gate.
 
 The dense oracle is checked against an index-by-index loop construction; the
 block-tridiagonal operator and its cyclic-reduction solve against the dense
 oracle and against conjugate
 gradients on the unassembled operator, on every chart; and the solver
 against closed-form solutions on the resting circle, where the wide composed
-stencil has the exact symbol sin(2 pi dx) / dx on the lowest mode.
+stencil has the exact symbol sin(2 pi dx) / dx on the lowest mode.  The
+tension solve keeps only its own guards; the run gates it through
+dynamics._gate, whose refusals are checked here too.
 """
 
 import math
@@ -15,16 +17,29 @@ import pytest
 
 from elliptic_oracle import block_tridiagonal_to_dense, cg_solve, dense_operator, dense_solve
 from geometry_oracle import dense_chris
-from run_config import SOLVE_DEFAULTS
+from run_config import SOLVE_DEFAULTS, run_config
+from elwire import elliptic
+from elwire.dynamics import Level, _gate
 from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
 from elwire.errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
-from elwire.fields import MIN_POINTS, Grid, circ_diff, cov_dx, l2_norm, m0, perp, row_norms
+from elwire.fields import (
+    MIN_POINTS,
+    Grid,
+    circ_diff,
+    constraint_drift,
+    cov_dx,
+    l2_norm,
+    m0,
+    perp,
+    row_norms,
+)
 from elwire.geometry import (
     EuclideanModel,
     HyperbolicHalfPlaneModel,
     frame_components,
     make_manifold,
     sample_geometry,
+    stack_samples,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -160,6 +175,26 @@ def test_assembled_system_solves_like_flux_form():
     assert m0(result.flux - (cov_dx(result.u, xi, samples, grid.dx) + f)) < EXACT_TOL
 
 
+def test_flux_form_solves_one_system(monkeypatch):
+    # the tension solve takes no gate, so it solves no bentness system of
+    # its own: one system per call, for a level and for a window series
+    kinds = []
+    real = elliptic._solve_system
+
+    def counted(xi, samples, grid, kind, rhs):
+        kinds.append(kind)
+        return real(xi, samples, grid, kind, rhs)
+
+    monkeypatch.setattr(elliptic, "_solve_system", counted)
+    grid, samples, xi = hyperbolic_setup(32)
+    h = np.ones_like(xi)
+    solve_flux_form(np.zeros_like(xi), h, xi, samples, grid, **SOLVE_DEFAULTS)
+    assert kinds == ["perp"]
+    series, stacked = np.stack([xi, xi]), stack_samples([samples, samples])
+    solve_flux_form(np.zeros_like(series), np.stack([h, h]), series, stacked, grid, **SOLVE_DEFAULTS)
+    assert kinds == ["perp", "perp"]
+
+
 # ---------------------------------------------------------------------------
 # closed forms and solve paths
 
@@ -199,10 +234,9 @@ def test_solver_is_linear():
     h1 = rng.standard_normal(xi.shape)
     h2 = rng.standard_normal(xi.shape)
     zero = np.zeros_like(xi)
-    settings = dict(SOLVE_DEFAULTS, gate=bentness(xi, samples, grid))
-    u1 = solve_flux_form(zero, h1, xi, samples, grid, **settings).u
-    u2 = solve_flux_form(zero, h2, xi, samples, grid, **settings).u
-    u12 = solve_flux_form(zero, h1 + 0.5 * h2, xi, samples, grid, **settings).u
+    u1 = solve_flux_form(zero, h1, xi, samples, grid, **SOLVE_DEFAULTS).u
+    u2 = solve_flux_form(zero, h2, xi, samples, grid, **SOLVE_DEFAULTS).u
+    u12 = solve_flux_form(zero, h1 + 0.5 * h2, xi, samples, grid, **SOLVE_DEFAULTS).u
     assert m0(u12 - (u1 + 0.5 * u2)) < 1e-9
 
 
@@ -255,22 +289,41 @@ def test_bentness_is_stable_under_field_perturbations():
 
 
 def test_near_geodesic_refusal_and_report_reuse():
+    # the run's gate (dynamics._gate) refuses a constant field below the
+    # bentness floor; a healthy field passes with its fresh value, and a
+    # carried value is returned as the same float object, unsolved
     grid, samples = flat_setup(32)
-    xi = np.broadcast_to(np.array([1.0, 0.0]), (32, 2)).copy()
-    h = np.ones_like(xi)
-    with pytest.raises(NearGeodesicError):
-        solve_flux_form(np.zeros_like(xi), h, xi, samples, grid, **SOLVE_DEFAULTS)
+    cfg = run_config(grid, 1)
 
-    # a healthy field passes the gate, and a precomputed value is honoured
-    bent_xi = circle_tangent(grid)
-    value = bentness(bent_xi, samples, grid)
-    fresh = solve_flux_form(np.zeros_like(xi), h, bent_xi, samples, grid, **SOLVE_DEFAULTS)
-    reused = solve_flux_form(
-        np.zeros_like(xi), h, bent_xi, samples, grid, gate=value, **SOLVE_DEFAULTS
+    def level_of(xi, time=0.0):
+        zero = np.zeros_like(xi)
+        return Level.derive(zero, xi, zero, zero, samples, grid.dx, time=time)
+
+    geodesic = level_of(np.broadcast_to(np.array([1.0, 0.0]), (32, 2)).copy())
+    low = bentness(geodesic.xi, samples, grid)
+    with pytest.raises(NearGeodesicError) as refused:
+        _gate(geodesic, grid, cfg)
+    assert str(refused.value) == (
+        f"bentness {low:.3e} below floor 1.000e-03; tension operator is (near) singular"
     )
-    assert fresh.bentness == value
-    assert reused.bentness is value
-    assert m0(fresh.u - reused.u) < EXACT_TOL
+
+    bent = level_of(circle_tangent(grid))
+    value = bentness(bent.xi, samples, grid)
+    assert _gate(bent, grid, cfg) == value
+    assert _gate(bent, grid, cfg, value) is value
+    assert _gate(geodesic, grid, cfg, value) is value
+
+    # the unit tangent is held to constraint_tol whether the gate is fresh
+    # or carried
+    drifted = level_of(1.1 * bent.xi, time=0.25)
+    message = (
+        f"unit-tangent defect {constraint_drift(drifted.xi):.3e} exceeds tolerance "
+        "1.0e-02 at t=0.250000"
+    )
+    for carried in (None, value):
+        with pytest.raises(ConstraintDriftError) as refused:
+            _gate(drifted, grid, cfg, carried)
+        assert str(refused.value) == message
 
 
 def test_unit_drift_guard():
@@ -291,7 +344,6 @@ def test_unreachable_tolerance_raises():
             samples,
             grid,
             tol=1e-30,
-            b_floor=SOLVE_DEFAULTS["b_floor"],
         )
 
 

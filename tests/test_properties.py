@@ -22,7 +22,7 @@
   of the oracle matrix.  A tension solve on a window series of such curves
   gives each level exactly the bytes of that level's own solve, and its
   drift and residual gates refuse the series as they refuse its first
-  failing level.
+  failing level; the series carries level 0's fresh bentness gate.
 * Every series-shaped helper gives on a random window series (M+1, N, n)
   exactly (==) the stack of its calls on the levels.
 * ``dot`` equals ``np.sum(p * q, axis=-1)`` bit for bit (signed zeros too) on
@@ -68,7 +68,7 @@ from elliptic_oracle import block_tridiagonal_to_dense, dense_operator
 from elwire import initial
 from elwire.cli import write_snapshot
 from elwire.config import parse_config
-from elwire.dynamics import Level, frame_tangent
+from elwire.dynamics import Level, _gate, _solve_level, frame_tangent
 from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
 from elwire.errors import (
     ConfigError,
@@ -115,7 +115,7 @@ from geometry_oracle import (
     dense_chris,
     dense_curv,
 )
-from run_config import SOLVE_DEFAULTS
+from run_config import SOLVE_DEFAULTS, run_config
 
 #: relative to the sum of the absolute products, the scale of any rounding
 REL_TOL = 1e-14
@@ -376,7 +376,7 @@ def test_production_band_is_symmetric(kind, chart, n_points, seed):
 def test_banded_solve_residual(chart, n_points, seed):
     grid, samples, xi, rng = curve_setup(chart, n_points, seed)
     f, h = rng.standard_normal((2,) + xi.shape)
-    solved = solve_flux_form(f, h, xi, samples, grid, tol=SOLVE_DEFAULTS["tol"], b_floor=0.0)
+    solved = solve_flux_form(f, h, xi, samples, grid, **SOLVE_DEFAULTS)
     defect = -cov_dx(solved.flux, xi, samples, grid.dx) + perp(solved.u, xi) - h
     scale = m0(solved.u) / grid.dx**2 + m0(f) / grid.dx + m0(h)
     assert m0(defect) <= RESIDUAL_TOL * scale
@@ -420,11 +420,9 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     xi = np.stack([tangent for _, _, tangent, _ in setups])
     series_samples = stack_samples(per_level)
     f, h = rng.standard_normal((2,) + xi.shape)
-    gate = bentness(xi[0], per_level[0], grid)
-    gated = {"b_floor": 0.0, "gate": gate}
     tol = SOLVE_DEFAULTS["tol"]
-    series = solve_flux_form(f, h, xi, series_samples, grid, tol=tol, **gated)
-    assert series.residual.shape == (levels,) and series.bentness is gate
+    series = solve_flux_form(f, h, xi, series_samples, grid, tol=tol)
+    assert series.residual.shape == (levels,)
     # the gathered series system is each level's own system, stacked
     for kind in ("perp", "identity"):
         system, _ = _block_operator(xi, series_samples, grid, kind)
@@ -433,12 +431,21 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
             alone, _ = _block_operator(xi[m], per_level[m], grid, kind)
             assert system[m].shape == alone.shape and system[m].tobytes() == alone.tobytes()
     for m in range(levels):
-        level = solve_flux_form(f[m], h[m], xi[m], per_level[m], grid, tol=tol, **gated)
+        level = solve_flux_form(f[m], h[m], xi[m], per_level[m], grid, tol=tol)
         assert series.u[m].tobytes() == level.u.tobytes()
         assert series.flux[m].tobytes() == level.flux.tobytes()
         assert series.residual[m].tobytes() == np.float64(level.residual).tobytes()
-    with pytest.raises(ValueError, match="bentness value"):
-        solve_flux_form(f, h, xi, series_samples, grid, tol=tol, b_floor=0.0)
+
+    # level 0's gate, solved fresh by _gate, is carried by the whole series
+    # as the same float object
+    cfg = run_config(grid, levels, b_floor=0.0)
+    zero = np.zeros_like(xi)
+    start = Level.derive(zero[0], xi[0], zero[0], zero[0], per_level[0], grid.dx)
+    gate = _gate(start, grid, cfg)
+    assert gate == bentness(xi[0], per_level[0], grid)
+    assert _gate(start, grid, cfg, gate) is gate
+    window = Level.derive(zero, xi, zero, zero, series_samples, grid.dx)
+    assert _solve_level(window, grid, cfg, gate)[0].bentness is gate
 
     # each gate refuses the series at its first failing level, with the
     # message a lone solve of that level gives, followed by the level
@@ -448,20 +455,20 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     defect = float(np.max(np.abs(np.sum(drifted[last] ** 2, axis=-1) - 1.0)))
     message = f"unit-tangent defect {defect:.3e} exceeds 0.1; refusing tension solve"
     with pytest.raises(ConstraintDriftError) as single:
-        solve_flux_form(f[last], h[last], drifted[last], per_level[last], grid, tol=tol, **gated)
+        solve_flux_form(f[last], h[last], drifted[last], per_level[last], grid, tol=tol)
     assert str(single.value) == message
     with pytest.raises(ConstraintDriftError) as whole:
-        solve_flux_form(f, h, drifted, series_samples, grid, tol=tol, **gated)
+        solve_flux_form(f, h, drifted, series_samples, grid, tol=tol)
     assert str(whole.value) == message + f" at window level {last}"
 
-    level = solve_flux_form(f[0], h[0], xi[0], per_level[0], grid, tol=tol, **gated)
+    level = solve_flux_form(f[0], h[0], xi[0], per_level[0], grid, tol=tol)
     scale = max(1.0, m0(h[0]) + m0(f[0]))
     message = f"tension solve residual {level.residual:.3e} exceeds tolerance 1.0e-30 * {scale:.3e}"
     with pytest.raises(NumericalSolveError) as single:
-        solve_flux_form(f[0], h[0], xi[0], per_level[0], grid, tol=1e-30, **gated)
+        solve_flux_form(f[0], h[0], xi[0], per_level[0], grid, tol=1e-30)
     assert str(single.value) == message
     with pytest.raises(NumericalSolveError) as whole:
-        solve_flux_form(f, h, xi, series_samples, grid, tol=1e-30, **gated)
+        solve_flux_form(f, h, xi, series_samples, grid, tol=1e-30)
     assert str(whole.value) == message + " at window level 0"
 
 
