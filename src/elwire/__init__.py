@@ -16,7 +16,7 @@ a conformal (or flat) metric.  Modules:
 * ``wave``         the semilinear wave level: window solve by the
                    d'Alembert recurrence and the marching leapfrog;
 * ``dynamics``     the time level record ``Level``, source assembly,
-                   initial-data preparation, the run's gates (``_gate``),
+                   initial-data preparation, the run's one gate (``_gate``),
                    the time marcher (a generator of levels) and the
                    coupled window iteration;
 * ``diagnostics``  energy split, constraint drift and the transported-frame

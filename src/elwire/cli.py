@@ -44,11 +44,11 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsRecord, make_record, transport_check
-from .dynamics import Level, march, picard_coupled, prepare_initial
+from .dynamics import Level, march, picard_coupled, prepare_initial, window_rows
 from .errors import ConfigError, ElwireError, NonContractionError, NumericalAbort
 from .fields import Grid, m0
 from .geometry import make_manifold
-from . import elliptic, initial
+from . import initial
 
 CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(DiagnosticsRecord))
 
@@ -160,15 +160,9 @@ def _march_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[
         yield level
 
 
-def _level_of(series, m: int):
-    """Level m of a dataclass of window series; None and scalars are kept."""
-    arrays = {f.name: getattr(series, f.name) for f in dataclasses.fields(series)}
-    return dataclasses.replace(
-        series, **{k: v[m] for k, v in arrays.items() if isinstance(v, np.ndarray)}
-    )
-
-
 def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
+    """A converged window's levels, each held to dynamics._gate (see
+    window_rows): a level that fails aborts the run after those before it."""
     meta["window_steps"] = cfg.picard_window
     initial, projection = build_initial_state(cfg, manifold, grid)
     meta["prepared"] = {"projection_magnitude": projection}
@@ -182,18 +176,11 @@ def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator
             meta["contraction"]["inner"] = dataclasses.asdict(exc.__cause__.report)
         raise
     meta["contraction"] = dataclasses.asdict(report)
-    gate = iterate.bentness  # level 0's, from picard_coupled's one _gate call
-    for m in range(cfg.picard_window + 1):
-        level = _level_of(iterate, m)
-        samples = _level_of(iterate.samples, m)
-        if m > 0 and m % cfg.bentness_every == 0:
-            gate = elliptic.bentness(level.xi, samples, grid)
-        yield dataclasses.replace(level, samples=samples, time=m * grid.dx, bentness=gate)
+    yield from window_rows(iterate, grid, cfg)
 
 
 def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
-    """Run the configured march or picard window, writing outputs into the
-    directory ``out``.
+    """Run the configured march or picard window into the directory ``out``.
 
     One loop consumes the levels: it keeps the last three for the transport
     check, records diagnostics every ``diagnostics.every`` levels and writes

@@ -17,7 +17,10 @@ unless noted; defaults in parentheses):
     renormalize  false
 
 ``"characteristic"`` locks the time step to the grid spacing, which is
-what the integral wave solver and the transport diagnostic require.
+what the integral wave solver and the transport diagnostic require.  Both
+tolerances of the run hold every level that a march or a picard window
+records: ``constraint`` its unit-tangent defect, ``bentness_floor`` the
+bentness solved every ``bentness_every`` levels (see dynamics._gate).
 Validation collects every problem (not just the first) with its JSON path,
 e.g. ``grid.n: must be an integer >= 8, got 4``: a key that nothing reads,
 in any section, and a number that is not finite are refused.  This module

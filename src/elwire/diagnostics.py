@@ -26,11 +26,9 @@ class DiagnosticsRecord:
 
     ``energy`` is always the sum of the three parts (squared L2 norms of the
     covariant tangent rate, the velocity, and the covariant tangent
-    derivative).  ``bentness`` is the value of the gate in force at the
-    level: in a march, the value last solved at a multiple of
-    ``bentness_every`` steps.  A picard window's solves are all gated by
-    level 0's value; its row m shows the value at the latest level k <= m
-    that is a multiple of ``bentness_every``, evaluated for the row only.
+    derivative).  ``bentness`` is the value in force at the level, in a
+    march and a window alike: the one solved at the latest multiple of
+    ``bentness_every`` levels before the run's last (see dynamics._gate).
     ``transport_residual`` is None when the check does not apply (time step
     not locked to dx, or too few levels retained).
     """

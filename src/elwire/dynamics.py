@@ -12,16 +12,15 @@ velocity.  This module provides
 * assemble_sources   curvature source terms (psi, phi) of a level or a series,
 * prepare_initial    the initial Level (tension unsolved), admissible
                      discrete data from raw curve + velocity samples,
-* march              the generator that gates each time level (_gate: unit
-                     tangent, bentness floor) and solves its tension once,
-                     and yields the level with its geometry, D_x xi, D_t xi
-                     and the bentness gate in force,
+* march              the generator of a run's levels, each held to the run's
+                     one gate (_gate) and its tension solved once,
 * step               the advance of a solved level: curve, tangent leapfrog and
                      velocity updates, returning the next (unsolved) Level,
 * picard_coupled     the contraction-map alternative on a short time window,
                      whose iterate is a Level of series: each sweep solves
                      the tension of the whole window in one call, twice,
                      and moves its curves by the march's curve update,
+* window_rows        the generator of a converged window's levels, each gated,
 * reconstruct_mu     the pointwise multiplier of the single-equation form.
 
 The defect of a computed trajectory in the single equation is a test
@@ -89,9 +88,8 @@ class Level:
     and D_t xi = xi_t + Gamma(eta, xi) (see derive); and, once the level is
     solved, the tension ``theta`` and the bentness value in force there.
 
-    A Picard window iterate is a Level whose fields and samples are series
-    over the window's levels 0..M (see _window_level); its bentness is level
-    0's, which gates every level.
+    A Picard window iterate is a Level of series over the window's levels
+    0..M (see _window_level) that carries level 0's bentness.
     """
 
     gamma: np.ndarray
@@ -138,24 +136,29 @@ def assemble_sources(level: Level) -> tuple[np.ndarray, np.ndarray]:
     return psi, phi
 
 
-def _gate(level: Level, grid: Grid, cfg: RunConfig, gate: Optional[float] = None) -> float:
-    """The bentness value that gates ``level``'s tension solve: ``gate`` if
-    one is carried, else a fresh value held to ``cfg.b_floor``
-    (NearGeodesicError), once the unit-tangent defect is held to
-    ``cfg.constraint_tol`` (ConstraintDriftError; a NaN defect fails too)."""
+def _gate(
+    level: Level, grid: Grid, cfg: RunConfig, k: int, last: int, gate: Optional[float] = None
+) -> float:
+    """The one gate of every level a run records, here level ``k`` of a run
+    whose last level is ``last``: the unit-tangent defect is held to
+    ``cfg.constraint_tol`` (ConstraintDriftError; a NaN defect fails too).
+    Returns the bentness value in force by the run's one cadence: fresh at a
+    multiple of ``cfg.bentness_every`` before ``last``, and held to
+    ``cfg.b_floor`` (NearGeodesicError); else the carried ``gate`` itself."""
     drift = constraint_drift(level.xi)
     if not drift <= cfg.constraint_tol:
         raise ConstraintDriftError(
             f"unit-tangent defect {drift:.3e} exceeds tolerance "
             f"{cfg.constraint_tol:.1e} at t={level.time:.6f}"
         )
-    if gate is None:
-        gate = elliptic.bentness(level.xi, level.samples, grid)
-        if gate < cfg.b_floor:
-            raise NearGeodesicError(
-                f"bentness {gate:.3e} below floor {cfg.b_floor:.3e}; "
-                "tension operator is (near) singular"
-            )
+    if k % cfg.bentness_every or k == last:
+        return gate
+    gate = elliptic.bentness(level.xi, level.samples, grid)
+    if gate < cfg.b_floor:
+        raise NearGeodesicError(
+            f"bentness {gate:.3e} below floor {cfg.b_floor:.3e}; "
+            "tension operator is (near) singular"
+        )
     return gate
 
 
@@ -372,27 +375,20 @@ def march(
 ) -> Iterator[Level]:
     """Run the marching integrator, yielding the levels 0..cfg.n_steps one by one.
 
-    Each level's tension is solved once, and a level is yielded once the
-    step from it has succeeded, so a consumer holds only the levels it keeps
-    and never sees a level whose step failed.  Every level before a step
-    passes _gate first: its unit tangent is held to ``cfg.constraint_tol``,
-    and its bentness is solved afresh every ``cfg.bentness_every`` steps
-    (and always at the first) and held to ``cfg.b_floor``; between fresh
-    values, and at the final level, the most recent value is reused and
-    carried by the levels.  The final level gets a tension field too, so
-    diagnostics cover [0, T].  Every level after ``initial`` (see
-    prepare_initial) is the one its step returned.
+    Every level, the final one included, passes _gate and then has its
+    tension solved once, so diagnostics cover [0, T]; a level is yielded once
+    the step from it has succeeded, so a consumer holds only the levels it
+    keeps and never sees a level whose step failed.  Every level after
+    ``initial`` (see prepare_initial) is the one its step returned.
     """
     current = initial
     prev: Optional[Level] = None
     flux_prev: Optional[np.ndarray] = None
     gate: Optional[float] = None
     for k in range(cfg.n_steps + 1):
-        final = k == cfg.n_steps
-        if not final:
-            gate = _gate(current, grid, cfg, None if k % cfg.bentness_every == 0 else gate)
+        gate = _gate(current, grid, cfg, k, cfg.n_steps, gate)
         level, flux = _solve_level(current, grid, cfg, gate)
-        if not final:
+        if k < cfg.n_steps:
             current = step(level, flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev)
         yield level
         prev, flux_prev = level, flux
@@ -489,17 +485,17 @@ def picard_coupled(
     sweeps without reaching the tolerance, raise NonContractionError.  Level
     0 is the fixed initial level: the start iterate repeats it on every
     level, its samples serve every sweep's level 0, and it passes _gate
-    once, before any sweep: its fresh bentness gates every level's tension
-    solve.  A sweep's curve update samples each later curve of the window
-    as it builds it, with the half-step curves on a curved chart, as the
-    march does.
+    before any sweep, whose tension solves all carry its bentness; the later
+    levels pass _gate in window_rows.  A sweep's curve update samples each
+    later curve as it builds it, with the half-step curves on a curved
+    chart, as the march does.
     """
     dt = grid.dx
     levels = cfg.picard_window + 1
     if levels < 3:
         raise ValueError("picard window needs at least 2 steps (3 levels)")
     samples0 = initial.samples
-    gate = _gate(initial, grid, cfg)
+    gate = _gate(initial, grid, cfg, 0, cfg.picard_window)
 
     def constant(field: np.ndarray) -> np.ndarray:
         return np.broadcast_to(field, (levels,) + field.shape).copy()
@@ -537,3 +533,19 @@ def picard_coupled(
         tol=cfg.picard_tol,
         label="coupled picard iteration",
     )
+
+
+def window_rows(iterate: Level, grid: Grid, cfg: RunConfig) -> Iterator[Level]:
+    """Yield the levels 0..cfg.picard_window of a converged window iterate,
+    each with its own samples and time m * dx; every level after 0 passes
+    _gate first, so a level that fails raises after those before it."""
+
+    def at(series, m: int):  # level m of a dataclass of series; None and scalars stay
+        arrays = {k: v[m] for k, v in vars(series).items() if isinstance(v, np.ndarray)}
+        return replace(series, **arrays)
+
+    gate = iterate.bentness
+    for m in range(cfg.picard_window + 1):
+        level = replace(at(iterate, m), samples=at(iterate.samples, m), time=m * grid.dx)
+        gate = _gate(level, grid, cfg, m, cfg.picard_window, gate) if m else gate
+        yield replace(level, bentness=gate)

@@ -130,6 +130,17 @@ CONFIGS = {
         "picard": {"window": 16, "max_iter": 2},
         "initial": _PERTURBED,
     },
+    # level 0 passes; level 3 drifts 4.46e-3 past the tolerance, after the
+    # fresh bentness of level 2 and the snapshots of levels 0-2
+    "abort-window-gate": {
+        "mode": "picard",
+        "grid": {"n": 32},
+        "picard": {"window": 4},
+        "initial": _PERTURBED,
+        "tolerances": {"constraint": 3e-3},
+        "output": {"snapshot_every": 1},
+        "diagnostics": {"bentness_every": 2},
+    },
     "config-errors": {
         "grid": None,
         "time": {"horizon": 0, "dt": "fast"},

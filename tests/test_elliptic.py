@@ -291,7 +291,8 @@ def test_bentness_is_stable_under_field_perturbations():
 def test_near_geodesic_refusal_and_report_reuse():
     # the run's gate (dynamics._gate) refuses a constant field below the
     # bentness floor; a healthy field passes with its fresh value, and a
-    # carried value is returned as the same float object, unsolved
+    # carried value is returned as the same float object, unsolved, between
+    # multiples of bentness_every and at the run's last level
     grid, samples = flat_setup(32)
     cfg = run_config(grid, 1)
 
@@ -302,16 +303,19 @@ def test_near_geodesic_refusal_and_report_reuse():
     geodesic = level_of(np.broadcast_to(np.array([1.0, 0.0]), (32, 2)).copy())
     low = bentness(geodesic.xi, samples, grid)
     with pytest.raises(NearGeodesicError) as refused:
-        _gate(geodesic, grid, cfg)
+        _gate(geodesic, grid, cfg, 0, 1)
     assert str(refused.value) == (
         f"bentness {low:.3e} below floor 1.000e-03; tension operator is (near) singular"
     )
 
     bent = level_of(circle_tangent(grid))
     value = bentness(bent.xi, samples, grid)
-    assert _gate(bent, grid, cfg) == value
-    assert _gate(bent, grid, cfg, value) is value
-    assert _gate(geodesic, grid, cfg, value) is value
+    assert _gate(bent, grid, cfg, 0, 1) == value
+    assert _gate(bent, grid, cfg, 1, 20, value) is value
+    assert _gate(geodesic, grid, cfg, 1, 20, value) is value
+    assert _gate(geodesic, grid, cfg, 10, 10, value) is value
+    with pytest.raises(NearGeodesicError):
+        _gate(geodesic, grid, cfg, 10, 20, value)
 
     # the unit tangent is held to constraint_tol whether the gate is fresh
     # or carried
@@ -320,9 +324,9 @@ def test_near_geodesic_refusal_and_report_reuse():
         f"unit-tangent defect {constraint_drift(drifted.xi):.3e} exceeds tolerance "
         "1.0e-02 at t=0.250000"
     )
-    for carried in (None, value):
+    for k, carried in ((0, None), (1, value), (1, None)):
         with pytest.raises(ConstraintDriftError) as refused:
-            _gate(drifted, grid, cfg, carried)
+            _gate(drifted, grid, cfg, k, 1, carried)
         assert str(refused.value) == message
 
 

@@ -36,6 +36,11 @@
   changes form included.  NaN or an infinity in any field or in the time
   aborts before a byte is written, naming the first grid index that holds
   one, whichever component holds it.
+* Every level a run records passes the run's one gate: on drawn window
+  lengths, bentness cadences and tolerances, a window level past the
+  constraint tolerance or below the bentness floor, and a march's last
+  level alone past the constraint tolerance, abort the run with exit 3
+  after the levels before it, which metadata.json reports as the last good.
 * A failing hypothesis test fails alone under the suite's warning filters:
   the tests after it still run.
 * On a drawn chart, dimension and initial section (curves, velocities,
@@ -49,11 +54,14 @@
   per sample, cusps and near-cusps included.
 """
 
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +74,7 @@ from hypothesis.extra import numpy as hnp
 
 from elliptic_oracle import block_tridiagonal_to_dense, dense_operator
 from elwire import initial
-from elwire.cli import write_snapshot
+from elwire.cli import main, write_snapshot
 from elwire.config import parse_config
 from elwire.dynamics import Level, _gate, _solve_level, frame_tangent
 from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
@@ -436,14 +444,14 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
         assert series.flux[m].tobytes() == level.flux.tobytes()
         assert series.residual[m].tobytes() == np.float64(level.residual).tobytes()
 
-    # level 0's gate, solved fresh by _gate, is carried by the whole series
-    # as the same float object
+    # level 0's gate, solved fresh by _gate, is carried by the whole series,
+    # and by a run's last level, as the same float object
     cfg = run_config(grid, levels, b_floor=0.0)
     zero = np.zeros_like(xi)
     start = Level.derive(zero[0], xi[0], zero[0], zero[0], per_level[0], grid.dx)
-    gate = _gate(start, grid, cfg)
+    gate = _gate(start, grid, cfg, 0, levels)
     assert gate == bentness(xi[0], per_level[0], grid)
-    assert _gate(start, grid, cfg, gate) is gate
+    assert _gate(start, grid, cfg, levels, levels, gate) is gate
     window = Level.derive(zero, xi, zero, zero, series_samples, grid.dx)
     assert _solve_level(window, grid, cfg, gate)[0].bentness is gate
 
@@ -911,6 +919,122 @@ def test_parse_config_accepts_exactly_what_the_builders_build(sections):
     except ValueError:
         built = False
     assert parsed == built
+
+
+# ---------------------------------------------------------------------------
+# every level a run records passes the run's one gate
+
+#: runs at N = 32 whose unit-tangent defect grows from level to level (a
+#: perturbed-circle window, a hyperbolic-circle march), and the window's
+#: bentness falls; ``level_profile`` measures both
+GATED_RUNS = {
+    "picard": {
+        "mode": "picard",
+        "grid": {"n": 32},
+        "initial": {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01},
+    },
+    "march": {
+        "manifold": {"name": "hyperbolic"},
+        "grid": {"n": 32},
+        "initial": {"name": "hyperbolic-circle"},
+    },
+}
+
+
+def gated_run(mode, steps, every, tolerances):
+    """``elwire run`` of GATED_RUNS[mode] over ``steps`` steps, every level
+    recorded and a fresh bentness every ``every`` levels: its exit code,
+    standard-error lines, metadata and diagnostics rows (column -> float)."""
+    span = {"picard": {"window": steps}} if mode == "picard" else {"time": {"horizon": steps / 32}}
+    diagnostics = {"every": 1, "bentness_every": every}
+    data = dict(GATED_RUNS[mode], **span, diagnostics=diagnostics, tolerances=tolerances)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", "--config", str(path), "--out", f"{tmp}/out", "--quiet"])
+        meta = json.loads(Path(tmp, "out", "metadata.json").read_text())
+        header, *lines = Path(tmp, "out", "diagnostics.csv").read_text().splitlines()
+    names = header.split(",")
+    rows = [{k: float(v) if v else None for k, v in zip(names, line.split(","))} for line in lines]
+    return code, stderr.getvalue().splitlines(), meta, rows
+
+
+@functools.lru_cache(maxsize=None)
+def level_profile(mode, steps):
+    """The unit-tangent defect and the fresh bentness of levels 0..steps of a
+    run that no gate refuses (the last level's bentness is carried)."""
+    code, _, _, rows = gated_run(mode, steps, 1, {"constraint": 0.5})
+    assert code == 0
+    return [r["constraint_drift"] for r in rows], [r["bentness"] for r in rows]
+
+
+def assert_aborted_after(meta, rows, failure, m):
+    """The run aborted with ``failure`` at level m, after recording 0..m-1."""
+    assert meta["status"] == "aborted" and meta["failure"]["type"] == failure
+    assert [row["time"] for row in rows] == [k / 32 for k in range(m)]
+    assert meta["failure"]["last_good"] == rows[-1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(), window=st.integers(2, 6), every=st.integers(1, 7), where=st.floats(0.0, 0.99)
+)
+def test_window_level_past_the_constraint_tolerance_aborts_the_run(data, window, every, where):
+    # a tolerance from level m - 1's defect up to level m's passes the window
+    # and its levels 0..m-1, and refuses level m, as the march's gate does
+    drift, _ = level_profile("picard", window)
+    m = data.draw(st.integers(1, window), label="m")
+    assert drift[m] > drift[m - 1] > 0.0
+    tol = drift[m - 1] + where * (drift[m] - drift[m - 1])
+    code, err, meta, rows = gated_run("picard", window, every, {"constraint": tol})
+    assert code == 3
+    assert err == [
+        f"aborted: ConstraintDriftError: unit-tangent defect {drift[m]:.3e} exceeds "
+        f"tolerance {tol:.1e} at t={m / 32:.6f}"
+    ]
+    assert_aborted_after(meta, rows, "ConstraintDriftError", m)
+    assert rows[-1]["constraint_drift"] == drift[m - 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), window=st.integers(3, 6), where=st.floats(0.01, 0.99))
+def test_window_level_below_the_bentness_floor_aborts_the_run(data, window, where):
+    # a floor between a fresh level's bentness and every earlier fresh value
+    # refuses that level; the last level carries its value and is never solved
+    _, bent = level_profile("picard", window)
+    every = data.draw(st.integers(1, window - 1), label="every")
+    m = data.draw(st.sampled_from(range(every, window, every)), label="m")
+    earlier = min(bent[:m:every])
+    assert bent[m] < earlier
+    floor = bent[m] + where * (earlier - bent[m])
+    tolerances = {"constraint": 0.05, "bentness_floor": floor}
+    code, err, meta, rows = gated_run("picard", window, every, tolerances)
+    assert code == 3
+    assert err == [
+        f"aborted: NearGeodesicError: bentness {bent[m]:.3e} below floor {floor:.3e}; "
+        "tension operator is (near) singular"
+    ]
+    assert_aborted_after(meta, rows, "NearGeodesicError", m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps=st.integers(2, 10), every=st.integers(1, 10), where=st.floats(0.01, 0.99))
+def test_march_whose_last_level_alone_breaks_the_constraint_aborts(steps, every, where):
+    # a march's levels do not depend on its horizon; a tolerance above the
+    # defect of every earlier level and below the last one's refuses the last
+    drift, _ = level_profile("march", 10)
+    before = max(drift[:steps])
+    assert drift[steps] > before
+    tol = before + where * (drift[steps] - before)
+    code, err, meta, rows = gated_run("march", steps, every, {"constraint": tol})
+    assert code == 3
+    assert err == [
+        f"aborted: ConstraintDriftError: unit-tangent defect {drift[steps]:.3e} exceeds "
+        f"tolerance {tol:.1e} at t={steps / 32:.6f}"
+    ]
+    assert_aborted_after(meta, rows, "ConstraintDriftError", steps)
 
 
 # ---------------------------------------------------------------------------
