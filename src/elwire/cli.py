@@ -161,7 +161,7 @@ def _march_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[
 
 
 def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator[Level]:
-    """A converged window's levels, each held to dynamics._gate (see
+    """A converged window's levels, each passed through dynamics._gate (see
     window_rows): a level that fails aborts the run after those before it."""
     meta["window_steps"] = cfg.picard_window
     initial, projection = build_initial_state(cfg, manifold, grid)

@@ -18,9 +18,10 @@ unless noted; defaults in parentheses):
 
 ``"characteristic"`` locks the time step to the grid spacing, which is
 what the integral wave solver and the transport diagnostic require.  Both
-tolerances of the run hold every level that a march or a picard window
-records: ``constraint`` its unit-tangent defect, ``bentness_floor`` the
-bentness solved every ``bentness_every`` levels (see dynamics._gate).
+modes read the tolerances alike (see dynamics._gate): ``constraint`` holds
+the unit-tangent defect of each level a step is taken from (a march level
+before its last, a window's level 0), not of one that only ends a step;
+``bentness_floor`` holds the bentness solved every ``bentness_every`` levels.
 Validation collects every problem (not just the first) with its JSON path,
 e.g. ``grid.n: must be an integer >= 8, got 4``: a key that nothing reads,
 in any section, and a number that is not finite are refused.  This module

@@ -137,15 +137,17 @@ def assemble_sources(level: Level) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gate(
-    level: Level, grid: Grid, cfg: RunConfig, k: int, last: int, gate: Optional[float] = None
+    level: Level, grid: Grid, cfg: RunConfig, k: int, last: int, gate: Optional[float] = None,
+    *, steps_from: bool = True,
 ) -> float:
     """The one gate of every level a run records, here level ``k`` of a run
-    whose last level is ``last``: the unit-tangent defect is held to
-    ``cfg.constraint_tol`` (ConstraintDriftError; a NaN defect fails too).
-    Returns the bentness value in force by the run's one cadence: fresh at a
-    multiple of ``cfg.bentness_every`` before ``last``, and held to
-    ``cfg.b_floor`` (NearGeodesicError); else the carried ``gate`` itself."""
-    drift = constraint_drift(level.xi)
+    whose last level is ``last``.  A level the run ``steps_from`` (a march
+    level before its last, a window's level 0) has its unit-tangent defect
+    held to ``cfg.constraint_tol`` (ConstraintDriftError; a NaN defect fails
+    too); other levels only report it.  Returns the bentness in force by the
+    run's one cadence: fresh at a multiple of ``cfg.bentness_every`` before
+    ``last``, held to ``cfg.b_floor`` (NearGeodesicError); else ``gate``."""
+    drift = constraint_drift(level.xi) if steps_from else 0.0
     if not drift <= cfg.constraint_tol:
         raise ConstraintDriftError(
             f"unit-tangent defect {drift:.3e} exceeds tolerance "
@@ -345,15 +347,7 @@ def step(
         conn_rate = None if flat else (samples_next.conn - prev.samples.conn) / (2.0 * dt)
         xi_prev = prev.xi
     xi_next = leapfrog_step(
-        xi_prev,
-        xi,
-        level.theta,
-        eta,
-        dt,
-        grid,
-        samples,
-        conn_rate=conn_rate,
-        eta_rate=rate,
+        xi_prev, xi, level.theta, eta, dt, grid, samples, conn_rate=conn_rate, eta_rate=rate
     )
     if cfg.renormalize:
         xi_next = xi_next / row_norms(xi_next)[:, None]
@@ -375,18 +369,19 @@ def march(
 ) -> Iterator[Level]:
     """Run the marching integrator, yielding the levels 0..cfg.n_steps one by one.
 
-    Every level, the final one included, passes _gate and then has its
-    tension solved once, so diagnostics cover [0, T]; a level is yielded once
-    the step from it has succeeded, so a consumer holds only the levels it
-    keeps and never sees a level whose step failed.  Every level after
-    ``initial`` (see prepare_initial) is the one its step returned.
+    Every level passes _gate, which holds the unit tangent of each level a
+    step is taken from, and then has its tension solved once, so diagnostics
+    cover [0, T]; a level is yielded once the step from it has succeeded, so
+    a consumer holds only the levels it keeps and never sees a level whose
+    step failed.  Every level after ``initial`` (see prepare_initial) is the
+    one its step returned.
     """
     current = initial
     prev: Optional[Level] = None
     flux_prev: Optional[np.ndarray] = None
     gate: Optional[float] = None
     for k in range(cfg.n_steps + 1):
-        gate = _gate(current, grid, cfg, k, cfg.n_steps, gate)
+        gate = _gate(current, grid, cfg, k, cfg.n_steps, gate, steps_from=k < cfg.n_steps)
         level, flux = _solve_level(current, grid, cfg, gate)
         if k < cfg.n_steps:
             current = step(level, flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev)
@@ -537,8 +532,8 @@ def picard_coupled(
 
 def window_rows(iterate: Level, grid: Grid, cfg: RunConfig) -> Iterator[Level]:
     """Yield the levels 0..cfg.picard_window of a converged window iterate,
-    each with its own samples and time m * dx; every level after 0 passes
-    _gate first, so a level that fails raises after those before it."""
+    each with its samples and time m * dx; each level after 0 passes _gate
+    for its bentness, so a level below the floor raises after those before."""
 
     def at(series, m: int):  # level m of a dataclass of series; None and scalars stay
         arrays = {k: v[m] for k, v in vars(series).items() if isinstance(v, np.ndarray)}
@@ -547,5 +542,6 @@ def window_rows(iterate: Level, grid: Grid, cfg: RunConfig) -> Iterator[Level]:
     gate = iterate.bentness
     for m in range(cfg.picard_window + 1):
         level = replace(at(iterate, m), samples=at(iterate.samples, m), time=m * grid.dx)
-        gate = _gate(level, grid, cfg, m, cfg.picard_window, gate) if m else gate
+        if m:
+            gate = _gate(level, grid, cfg, m, cfg.picard_window, gate, steps_from=False)
         yield replace(level, bentness=gate)

@@ -130,14 +130,15 @@ CONFIGS = {
         "picard": {"window": 16, "max_iter": 2},
         "initial": _PERTURBED,
     },
-    # level 0 passes; level 3 drifts 4.46e-3 past the tolerance, after the
-    # fresh bentness of level 2 and the snapshots of levels 0-2
+    # level 0 passes (bentness 0.98741); level 1 ends a step and is recorded
+    # with its defect 4.9e-4 past the tolerance; level 2's fresh bentness
+    # 0.98667 falls below the floor, after the snapshots of levels 0-1
     "abort-window-gate": {
         "mode": "picard",
         "grid": {"n": 32},
         "picard": {"window": 4},
         "initial": _PERTURBED,
-        "tolerances": {"constraint": 3e-3},
+        "tolerances": {"constraint": 3e-4, "bentness_floor": 0.987},
         "output": {"snapshot_every": 1},
         "diagnostics": {"bentness_every": 2},
     },

@@ -572,9 +572,6 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
             mode="picard",
             picard={"window": window},
             diagnostics={"bentness_every": every},
-            # the last levels drift 1.07e-2 (circle) and 3.36e-2 (sphere),
-            # past the default tolerance; the counts are of a whole window
-            tolerances={"constraint": 0.05},
         )
         out = tmp_path / f"out{index}"
         path = config_file(tmp_path, data, name=f"config{index}.json")
@@ -1017,8 +1014,6 @@ def test_json_outputs_are_canonical_indented_json(tmp_path, mode):
             "velocity": {"name": "translate", "vector": [0.1, 0.0]},
         },
         "output": {"snapshot_every": 3},
-        # the last level drifts 1.16e-2, past the default tolerance
-        "tolerances": {"constraint": 0.05},
     }
     if mode == "picard":
         data = dict(REST_CONFIG, grid={"n": 32}, mode="picard", picard={"window": 4})
@@ -1151,8 +1146,6 @@ def test_march_samples_each_curve_position_once(
         "time": {"horizon": steps / 32},
         "initial": initial,
         "diagnostics": {"bentness_every": 4},
-        # the hyperbolic circle's last level drifts 1.16e-2, past the default
-        "tolerances": {"constraint": 0.05},
     }
     path = config_file(tmp_path, data)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
@@ -1299,8 +1292,6 @@ def test_picard_honours_diagnostics_and_snapshot_cadence(tmp_path):
         picard={"window": 5},
         diagnostics={"every": 2},
         output={"snapshot_every": 4},
-        # the last level drifts 1.07e-2, past the default tolerance
-        tolerances={"constraint": 0.05},
     )
     path = config_file(tmp_path, data)
     out = tmp_path / "out"

@@ -317,8 +317,9 @@ def test_near_geodesic_refusal_and_report_reuse():
     with pytest.raises(NearGeodesicError):
         _gate(geodesic, grid, cfg, 10, 20, value)
 
-    # the unit tangent is held to constraint_tol whether the gate is fresh
-    # or carried
+    # the unit tangent of a level a step is taken from is held to
+    # constraint_tol whether the gate is fresh or carried; a level that only
+    # ends a step passes with its defect, and its bentness is still held
     drifted = level_of(1.1 * bent.xi, time=0.25)
     message = (
         f"unit-tangent defect {constraint_drift(drifted.xi):.3e} exceeds tolerance "
@@ -328,6 +329,10 @@ def test_near_geodesic_refusal_and_report_reuse():
         with pytest.raises(ConstraintDriftError) as refused:
             _gate(drifted, grid, cfg, k, 1, carried)
         assert str(refused.value) == message
+    assert _gate(drifted, grid, cfg, 1, 1, value, steps_from=False) is value
+    assert _gate(drifted, grid, cfg, 0, 1, steps_from=False) == bentness(drifted.xi, samples, grid)
+    with pytest.raises(NearGeodesicError):
+        _gate(level_of(1.1 * geodesic.xi), grid, cfg, 0, 1, steps_from=False)
 
 
 def test_unit_drift_guard():
