@@ -24,8 +24,10 @@ unused places of the last one are identity rows).  One indexing step
 gathers its diagonal and upper blocks from a stack of couplings built from
 the connection blocks Gamma(xi_k, .), through an entry map that depends on
 the grid alone; block odd-even (cyclic) reduction in numpy solves it at
-every grid size: batched inverses of the eliminated diagonal blocks, stage
-by stage, down to one small dense solve.
+every grid size.  Each stage eliminates the odd block rows through one
+batched inverse of their diagonal blocks and leaves the even rows, updated
+by their Schur complements, as the next stage's system, down to one small
+dense solve; two block products per stage then recover the odd rows.
 
 The tension solve takes a level (N, n) or a window series (L, N, n), as the
 field helpers do: the levels lead the gathered system, and every step
@@ -78,7 +80,7 @@ def _layout(npts: int, n: int):
     Slot s of the fold order holds rows n*s ... n*s + n - 1 of the folded
     system, and block row b the SLOTS slots from SLOTS * b on.  Only the
     diagonal and upper blocks of the symmetric system are kept, as
-    (2, B, m, m), m = SLOTS * n.  Returns ``(order, place, entries)``:
+    (2, B, m, m), m = SLOTS * n.  Returns ``(place, entries)``:
     ``place`` (N, n) is the folded row of each grid component, and
     ``entries`` (2, B, m, m) the element of the level's flattened stack
     [far, edge, -edge, centre, zero, identity] (see _block_operator) that
@@ -106,7 +108,7 @@ def _layout(npts: int, n: int):
     # a unit diagonal, which the centre couplings overwrite in the used slots
     entries[0].reshape(n_rows, m * m)[:, :: m + 1] = (2 + 3 * npts) * n * n
     entries.reshape(-1)[at[keep]] = held[keep]
-    layout = (order, place, entries)
+    layout = (place, entries)
     for index in layout:  # shared by every later call
         index.setflags(write=False)
     return layout
@@ -116,11 +118,11 @@ def _block_operator(xi, samples, grid, kind: str):
     """-D o D + Z in fold order, as the blocks of a block-tridiagonal matrix.
 
     ``xi`` is a level (N, n) or a window series (L, N, n) with the samples of
-    its curves.  Returns ``(system, order)``: ``system`` (..., 2, B, m, m),
-    B = ceil(N / SLOTS), m = SLOTS * n, gathered per level through the grid's
-    entry map (see _layout), holds the diagonal blocks and the blocks
-    coupling block row b to b + 1 (the last is zero); the blocks below the
-    diagonal are their transposes.  ``order`` lists the point in each slot.
+    its curves.  Returns the system (..., 2, B, m, m), B = ceil(N / SLOTS),
+    m = SLOTS * n, gathered per level through the grid's entry map (see
+    _layout): the diagonal blocks and the blocks coupling block row b to
+    b + 1 (the last is zero); the blocks below the diagonal are their
+    transposes.
     """
     if kind not in ("perp", "identity"):
         raise ValueError(f"unknown zeroth-order kind {kind!r}")
@@ -148,8 +150,7 @@ def _block_operator(xi, samples, grid, kind: str):
     stack[..., 2 * npts + 1 : -2, :, :] = centre
     stack[..., -2, :, :] = 0.0
     stack[..., -1, :, :] = eye
-    order, _, entries = _layout(npts, n)
-    return stack.reshape(*lead, -1)[..., entries], order
+    return stack.reshape(*lead, -1)[..., _layout(npts, n)[1]]
 
 
 def _cyclic_reduction(diag, upper, rhs):
@@ -157,71 +158,66 @@ def _cyclic_reduction(diag, upper, rhs):
     diagonal blocks ``diag`` (L, B, m, m) and upper blocks ``upper`` (row b
     to row b + 1; the last is zero), for x (L, B, m), by odd-even reduction.
 
-    Each stage inverts the diagonal blocks of the odd rows in one batched
-    call, expresses their unknowns through their even neighbours, and
-    substitutes that into the even rows, which make the next stage's system
-    of half the size; a stage with an odd row count first gains an identity
-    row.  Once the system has order DENSE_SIZE or less (or one row) a dense
-    solve finishes it, and back substitution recovers the odd unknowns stage
-    by stage.  The system is symmetric positive definite, so eliminating
-    whole rows needs no pivoting between them.  Every step batches over the
-    levels and treats each level's blocks alone, so a level's solution does
-    not depend on the others.
+    Odd row j reads U_{2j}^T x_{2j} + D x_{2j+1} + U_{2j+1} x_{2j+2} = r, so
+    a stage inverts the odd rows' diagonal blocks D in one batched call and
+    forms left = D^-1 U_{2j}^T, right = D^-1 U_{2j+1} and solved = D^-1 r:
+    x_{2j+1} = solved - left x_{2j} - right x_{2j+2}.  The even rows' Schur
+    updates, D_{2j} -= U_{2j} left_j + U_{2j-1}^T right_{j-1} (r likewise
+    with solved) and the coupling -U_{2j} right_j of row 2j to row 2j + 2,
+    make the next stage's system.  A dense solve finishes a system of order
+    DENSE_SIZE or less (or of one row), and two block products per stage
+    recover the odd rows.  The system is symmetric positive definite, so no
+    pivoting between rows is needed.  Each level is solved alone: the blocks
+    are made C-contiguous on entry, since a gathered series holds its level
+    axis innermost and matmul rounds strided blocks differently from the
+    contiguous blocks of a lone level.
     """
-    levels, _, m = rhs.shape
-    state = np.concatenate([diag, rhs[:, :, :, None]], axis=3)  # [diagonal | rhs]
+    # upper[b] couples row b to b + 1, b < B - 1
+    diag, upper = np.ascontiguousarray(diag), np.ascontiguousarray(upper[:, :-1])
+    rhs = rhs[..., None]  # one-column blocks
+    levels, _, m = rhs.shape[:3]
     stages = []
-    while state.shape[1] > max(1, DENSE_SIZE // m):
-        count = state.shape[1]
-        if count % 2:
-            pad = np.zeros((levels, 1, m, m + 1))
-            pad[:, 0, :, :m] = np.eye(m)
-            state = np.concatenate([state, pad], axis=1)
-            upper = np.concatenate([upper, np.zeros((levels, 1, m, m))], axis=1)
+    while diag.shape[1] > max(1, DENSE_SIZE // m):
+        odds, evens = diag.shape[1] // 2, (diag.shape[1] + 1) // 2
+        # odd row j couples to even row j by up_even[j]^T and to even row j + 1 by up_odd[j]
         up_even, up_odd = upper[:, 0::2], upper[:, 1::2]
-        rhs_odd = state[:, 1::2, :, m:]
-        # odd row j couples to even row j by up_even[j]^T and to even row
-        # j + 1 by up_odd[j]; with solved = diag^-1 [up_even^T | rhs | up_odd | rhs]
-        # its unknown is solved[rhs] - solved[:m] x_even[j] - solved[m+1 : 2m+1] x_even[j+1].
-        # Repeating the rhs column lines both products up with [diagonal | rhs].
-        solved = np.linalg.inv(state[:, 1::2, :, :m]) @ np.concatenate(
-            [up_even.transpose(0, 1, 3, 2), rhs_odd, up_odd, rhs_odd], axis=3
-        )
-        through_right = up_even @ solved
-        through_left = up_odd[:, :-1].transpose(0, 1, 3, 2) @ solved[:, :-1, :, m + 1 :]
-        state = state[:, 0::2] - through_right[:, :, :, : m + 1]
-        state[:, 1:] -= through_left
-        upper = -through_right[:, :, :, m + 1 : 2 * m + 1]
-        stages.append((count, solved))
+        inv = np.linalg.inv(diag[:, 1::2])
+        left = inv @ up_even.swapaxes(-1, -2)
+        right = inv[:, : evens - 1] @ up_odd
+        solved = inv @ rhs[:, 1::2]
+        diag, rhs = diag[:, 0::2].copy(), rhs[:, 0::2].copy()
+        diag[:, :odds] -= up_even @ left
+        rhs[:, :odds] -= up_even @ solved
+        diag[:, 1:] -= up_odd.swapaxes(-1, -2) @ right
+        rhs[:, 1:] -= up_odd.swapaxes(-1, -2) @ solved[:, : evens - 1]
+        upper = -(up_even[:, : evens - 1] @ right)
+        stages.append((left, right, solved))
 
-    count = state.shape[1]
+    count = diag.shape[1]
     rows = np.arange(count)
     # indexing two axes apart puts the row axis first: (count, L, m, m)
     dense = np.zeros((levels, count, m, count, m))
-    dense[:, rows, :, rows, :] = state[:, :, :, :m].transpose(1, 0, 2, 3)
-    dense[:, rows[:-1], :, rows[1:], :] = upper[:, :-1].transpose(1, 0, 2, 3)
-    dense[:, rows[1:], :, rows[:-1], :] = upper[:, :-1].transpose(1, 0, 3, 2)
+    dense[:, rows, :, rows, :] = diag.transpose(1, 0, 2, 3)
+    dense[:, rows[:-1], :, rows[1:], :] = upper.transpose(1, 0, 2, 3)
+    dense[:, rows[1:], :, rows[:-1], :] = upper.transpose(1, 0, 3, 2)
     size = count * m
-    rhs = state[:, :, :, m:].reshape(levels, size, 1)
-    x = np.linalg.solve(dense.reshape(levels, size, size), rhs).reshape(levels, count, m)
-    for count, solved in reversed(stages):
-        half = x.shape[1]
-        neighbours = np.zeros((levels, half, 2 * m + 1, 1))
-        neighbours[:, :, :m, 0] = x
-        neighbours[:, :-1, m + 1 :, 0] = x[:, 1:]
-        merged = np.empty((levels, 2 * half, m))
-        merged[:, 0::2] = x
-        merged[:, 1::2] = solved[:, :, :, m] - (solved[:, :, :, : 2 * m + 1] @ neighbours)[:, :, :, 0]
-        x = merged[:, :count]
-    return x
+    x = np.linalg.solve(dense.reshape(levels, size, size), rhs.reshape(levels, size, 1))
+    x = x.reshape(levels, count, m, 1)
+    for left, right, solved in reversed(stages):
+        odd = solved - left @ x[:, : left.shape[1]]
+        odd[:, : right.shape[1]] -= right @ x[:, 1:]
+        merged = np.empty((levels, x.shape[1] + odd.shape[1], m, 1))
+        merged[:, 0::2], merged[:, 1::2] = x, odd
+        x = merged
+    return x[..., 0]
 
 
 def _solve_system(xi, samples, grid, kind, rhs_field):
     """Solve (-D o D + Z) u = rhs by block cyclic reduction in fold order, for
     a level (N, n) or each level of a window series (L, N, n); ``place``
     folds each level's right-hand side and unfolds its solution."""
-    system, _ = _block_operator(xi, samples, grid, kind)
-    place = _layout(*xi.shape[-2:])[1]
+    system = _block_operator(xi, samples, grid, kind)
+    place = _layout(*xi.shape[-2:])[0]
     blocks = system.reshape((-1,) + system.shape[-4:])
     levels, _, count, m = blocks.shape[:4]
     rhs = np.zeros((levels, count * m))

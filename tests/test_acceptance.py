@@ -24,7 +24,7 @@ from elwire.dynamics import (
     prepare_initial,
     reconstruct_mu,
 )
-from elwire.elliptic import _block_operator, bentness, solve_flux_form
+from elwire.elliptic import _block_operator, _fold_order, bentness, solve_flux_form
 from elwire.fields import (
     Grid,
     circ_diff,
@@ -281,8 +281,8 @@ def test_05_bentness_lipschitz(capsys):
 
 def test_06_tension_solver_oracles(capsys):
     def symmetry_gap(xi, samples, grid):
-        system, order = _block_operator(xi, samples, grid, "perp")
-        matrix = block_tridiagonal_to_dense(system, order, xi.shape[1])
+        system = _block_operator(xi, samples, grid, "perp")
+        matrix = block_tridiagonal_to_dense(system, _fold_order(len(xi)), xi.shape[1])
         return np.max(np.abs(matrix - matrix.T))
 
     grid = Grid(256)

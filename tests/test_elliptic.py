@@ -20,7 +20,7 @@ from geometry_oracle import dense_chris
 from run_config import SOLVE_DEFAULTS, run_config
 from elwire import elliptic
 from elwire.dynamics import Level, _gate
-from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
+from elwire.elliptic import _block_operator, _fold_order, _solve_system, bentness, solve_flux_form
 from elwire.errors import ConstraintDriftError, NearGeodesicError, NumericalSolveError
 from elwire.fields import (
     MIN_POINTS,
@@ -80,8 +80,9 @@ CHART_CURVES = {
     "sphere": ({}, (0.1, 0.2), (0.6, 0.4)),
     "conformal": ({"expression": "0.3*x**2 - 0.2*x*y + 0.1*sin(y)"}, (0.1, 0.0), (0.5, 0.4)),
 }
-# N % 4 = 0, 1, 2 and 3: the last block row holds 4, 1, 2 and 3 slots
-ORACLE_SIZES = (MIN_POINTS, 9, 10, 11, 33, 64)
+# N % 4 = 0, 1, 2 and 3: the last block row holds 4, 1, 2 and 3 slots; at
+# n = 2, N = 180 reduces 45 -> 23 -> 12 -> 6 block rows, two stages of them odd
+ORACLE_SIZES = (MIN_POINTS, 9, 10, 11, 33, 64, 180)
 
 
 def chart_setup(name: str, n: int):
@@ -100,8 +101,8 @@ def chart_setup(name: str, n: int):
 
 def production_matrix(xi, samples, grid, kind):
     """The block operator of the production solve, unfolded to a dense matrix."""
-    system, order = _block_operator(xi, samples, grid, kind)
-    return block_tridiagonal_to_dense(system, order, xi.shape[1])
+    system = _block_operator(xi, samples, grid, kind)
+    return block_tridiagonal_to_dense(system, _fold_order(len(xi)), xi.shape[1])
 
 
 def random_unit_field(grid: Grid, rng) -> np.ndarray:

@@ -68,7 +68,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from scipy.integrate import quad
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -78,7 +78,7 @@ from elwire import initial
 from elwire.cli import main, write_snapshot
 from elwire.config import parse_config
 from elwire.dynamics import Level, _gate, _solve_level, frame_tangent
-from elwire.elliptic import _block_operator, _solve_system, bentness, solve_flux_form
+from elwire.elliptic import _block_operator, _fold_order, _solve_system, bentness, solve_flux_form
 from elwire.errors import (
     ConfigError,
     ConstraintDriftError,
@@ -371,8 +371,8 @@ def test_cov_dx_sums_by_parts(chart, n_points, seed):
 @given(kind=st.sampled_from(["perp", "identity"]), **curves)
 def test_production_band_is_symmetric(kind, chart, n_points, seed):
     grid, samples, xi, _ = curve_setup(chart, n_points, seed)
-    system, order = _block_operator(xi, samples, grid, kind)
-    matrix = block_tridiagonal_to_dense(system, order, xi.shape[1])
+    system = _block_operator(xi, samples, grid, kind)
+    matrix = block_tridiagonal_to_dense(system, _fold_order(len(xi)), xi.shape[1])
     scale = REL_TOL * np.max(np.abs(matrix))
     assert np.max(np.abs(matrix - matrix.T)) <= scale
     # the blocks below the diagonal are stored as transposes; the oracle
@@ -422,6 +422,9 @@ def test_cyclic_reduction_matches_dense_solve(kind, chart, n_points, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(levels=st.integers(1, 4), **curves)
+# 3-D blocks of 12 x 12 and one reduction stage: the gathered series holds
+# its level axis innermost, so the reduction must not read it strided
+@example(levels=2, chart="sphere", n_points=29, seed=0)
 def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     setups = [curve_setup(chart, n_points, seed + m) for m in range(levels)]
     grid, rng = setups[0][0], setups[0][3]
@@ -434,10 +437,10 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     assert series.residual.shape == (levels,)
     # the gathered series system is each level's own system, stacked
     for kind in ("perp", "identity"):
-        system, _ = _block_operator(xi, series_samples, grid, kind)
+        system = _block_operator(xi, series_samples, grid, kind)
         assert system.shape[0] == levels
         for m in range(levels):
-            alone, _ = _block_operator(xi[m], per_level[m], grid, kind)
+            alone = _block_operator(xi[m], per_level[m], grid, kind)
             assert system[m].shape == alone.shape and system[m].tobytes() == alone.tobytes()
     for m in range(levels):
         level = solve_flux_form(f[m], h[m], xi[m], per_level[m], grid, tol=tol)
