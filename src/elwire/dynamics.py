@@ -19,7 +19,8 @@ velocity.  This module provides
 * picard_coupled     the contraction-map alternative on a short time window,
                      whose iterate is a Level of series: each sweep solves
                      the tension of the whole window in one call, twice,
-                     and moves its curves by the march's curve update,
+                     and moves its curves and velocities by the march's
+                     half-step updates,
 * window_rows        the generator of a converged window's levels, each gated,
 * reconstruct_mu     the pointwise multiplier of the single-equation form.
 
@@ -27,11 +28,16 @@ The defect of a computed trajectory in the single equation is a test
 oracle (tests/residual_oracle.py).
 
 The marching step keeps xi, eta and gamma each second-order accurate: the
-tangent uses the three-level wave leapfrog, the velocity a midpoint rule whose
-half-time flux is extrapolated from the two most recent tension solves, and
-the curve a midpoint rule through the half-step position.  The curve's update
-never reads the tangent, so a step moves it first; the leapfrog's connection
-rate and the next level share the next curve's samples.
+tangent uses the three-level wave leapfrog, the curve a midpoint rule through
+the half-step curve.  The curve's update never reads the tangent, so a step
+moves it first; the leapfrog's connection rate and the next level share the
+next curve's samples.  The march and the window advance the velocity by one
+half-step rule, eta_next = eta + dt R(c_half, eta + dt/2 R(c, eta, F), F_half)
+with R(c, v, F) = -Gamma_c(v, v) + F (_eta_rate), F = flux + D_x xi, and c,
+c_half the connections of the curve and of the half-step curve its update
+samples.  Only F_half differs: the march extrapolates the flux from its two
+latest tension solves and forms D_x xi at the half step; the window takes the
+mean of two levels' flux and the mean of their D_x xi.
 
 The frame scale, connection and curvature at a level depend only on the curve
 there, and D_x xi and D_t xi only on the level's fields and those samples,
@@ -89,7 +95,8 @@ class Level:
     solved, the tension ``theta`` and the bentness value in force there.
 
     A Picard window iterate is a Level of series over the window's levels
-    0..M (see _window_level) that carries level 0's bentness.
+    0..M (dt = dx), with the stacked samples of its curves, xi_t the time
+    difference of its xi series, and level 0's bentness.
     """
 
     gamma: np.ndarray
@@ -248,10 +255,12 @@ def prepare_initial(
 # marching
 
 
-def _eta_rate(flux: np.ndarray, level: Level) -> np.ndarray:
-    """Plain time rate of eta: -Gamma(eta, eta) + flux + D_x xi."""
-    eta = level.eta
-    return -apply_chris(level.samples.conn, eta, eta) + flux + level.dxi
+def _eta_rate(
+    conn: Optional[np.ndarray], eta: np.ndarray, flux: np.ndarray, dxi: np.ndarray
+) -> np.ndarray:
+    """Plain time rate of eta: -Gamma(eta, eta) + flux + D_x xi, with the
+    connection ``conn`` of eta's points (None on a flat chart)."""
+    return -apply_chris(conn, eta, eta) + flux + dxi
 
 
 def _chart_velocity(samples: GeometrySamples, eta: np.ndarray) -> np.ndarray:
@@ -331,7 +340,7 @@ def step(
     samples, xi, eta = level.samples, level.xi, level.eta
     dt, dx = cfg.dt, grid.dx
     flat = samples.conn is None
-    rate = _eta_rate(flux, level)
+    rate = _eta_rate(samples.conn, eta, flux, level.dxi)
 
     # curve: midpoint through the half-step position
     eta_half = eta + 0.5 * dt * rate
@@ -357,8 +366,7 @@ def step(
     xi_half = 0.5 * (xi + xi_next)
     flux_half = flux if flux_prev is None else 1.5 * flux - 0.5 * flux_prev
     dxi_half = cov_dx(xi_half, xi_half, samples_mid, dx)
-    k2 = -apply_chris(samples_mid.conn, eta_half, eta_half) + flux_half + dxi_half
-    eta_next = eta + dt * k2
+    eta_next = eta + dt * _eta_rate(samples_mid.conn, eta_half, flux_half, dxi_half)
     return Level.derive(
         gamma_next, xi_next, xi_t_next, eta_next, samples_next, dx, time=level.time + dt
     )
@@ -393,64 +401,53 @@ def march(
 # window Picard solver
 
 
-def _window_level(
-    gamma: np.ndarray,
-    xi: np.ndarray,
-    eta: np.ndarray,
-    samples: GeometrySamples,
-    grid: Grid,
-    **rest,
-) -> Level:
-    """A window iterate: the Level of the series over levels 0..M (dt = dx)
-    with the stacked ``samples`` of its curves.  xi_t comes from time
-    differences of the xi series, and D_x xi and D_t xi are derived once;
-    ``rest`` goes on to Level.derive."""
-    xi_t = time_diff_series(xi, grid.dx)
-    return Level.derive(gamma, xi, xi_t, eta, samples, grid.dx, **rest)
-
-
 def _window_curve(
     gamma0: np.ndarray,
     samples0: GeometrySamples,
     eta_s: np.ndarray,
     manifold: ManifoldModel,
     dt: float,
-) -> tuple[np.ndarray, GeometrySamples]:
+) -> tuple[np.ndarray, GeometrySamples, GeometrySamples]:
     """The curve series of gamma_t = frame * eta with a frozen eta series, by
     the march's curve update (the half-step velocity is the mean of two
-    levels'), with the stacked samples of its curves."""
-    gammas, samples = [gamma0], [samples0]
+    levels'), with the stacked samples of its curves and its half-step curves."""
+    gammas, samples, halves = [gamma0], [samples0], []
     for m in range(len(eta_s) - 1):
         eta_half = 0.5 * (eta_s[m] + eta_s[m + 1])
-        _, gamma, sampled = _advance_curve(gammas[-1], samples[-1], eta_s[m], eta_half, manifold, dt)
+        half, gamma, sampled = _advance_curve(gammas[-1], samples[-1], eta_s[m], eta_half, manifold, dt)
         gammas.append(gamma)
         samples.append(sampled)
-    return np.stack(gammas), stack_samples(samples)
+        halves.append(half)
+    return np.stack(gammas), stack_samples(samples), stack_samples(halves)
+
+
+def _at(series, m: int):
+    """Level m of a dataclass of series; None and scalars stay."""
+    arrays = {k: v[m] for k, v in vars(series).items() if isinstance(v, np.ndarray)}
+    return replace(series, **arrays)
 
 
 def _integrate_eta(
     eta0: np.ndarray,
     flux_s: np.ndarray,
     dxi_s: np.ndarray,
-    conn_s: Optional[np.ndarray],
+    samples: GeometrySamples,
+    halves: GeometrySamples,
     dt: float,
 ) -> np.ndarray:
-    """Midpoint integration of eta_t = -Gamma(eta, eta) + flux + D_x xi with
-    frozen flux, tangent-derivative and connection series (None on a flat
-    chart)."""
-    levels = flux_s.shape[0]
+    """Integrate eta_t = R(c, eta, flux + D_x xi) (R = _eta_rate) over the
+    window with frozen flux and D_x xi series by the march's half-step rule,
+    v_next = v + dt R(c_half, v + dt/2 R(c, v, F), F_half): c is read from
+    the ``samples`` of the window's curves, c_half from the ``halves`` of its
+    half-step curves (see _window_curve), and F_half is the mean of two
+    levels' flux plus the mean of their D_x xi."""
+    flux_half = 0.5 * (flux_s[:-1] + flux_s[1:])
+    dxi_half = 0.5 * (dxi_s[:-1] + dxi_s[1:])
     out = [eta0]
-    v = eta0
-    conn_m = conn_half = None
-    for m in range(levels - 1):
-        if conn_s is not None:
-            conn_m, conn_half = conn_s[m], 0.5 * (conn_s[m] + conn_s[m + 1])
-        force_half = 0.5 * (flux_s[m] + dxi_s[m] + flux_s[m + 1] + dxi_s[m + 1])
-        k1 = -apply_chris(conn_m, v, v) + flux_s[m] + dxi_s[m]
-        v_half = v + 0.5 * dt * k1
-        k2 = -apply_chris(conn_half, v_half, v_half) + force_half
-        v = v + dt * k2
-        out.append(v)
+    for m in range(len(flux_half)):
+        v = out[-1]
+        v_half = v + 0.5 * dt * _eta_rate(_at(samples, m).conn, v, flux_s[m], dxi_s[m])
+        out.append(v + dt * _eta_rate(_at(halves, m).conn, v_half, flux_half[m], dxi_half[m]))
     return np.stack(out)
 
 
@@ -468,7 +465,7 @@ def picard_coupled(
     initial: Level, manifold: ManifoldModel, grid: Grid, cfg: RunConfig
 ) -> tuple[Level, ContractionReport]:
     """Solve the coupled system on a window [0, cfg.picard_window * dx] by
-    contraction; the iterate is a Level of series (see _window_level).
+    contraction; the iterate is a Level of series (see Level).
 
     One sweep: solve the tension on the frozen iterate, advance the curve from
     the frozen velocity, run the full inner wave solve for the tangent, update
@@ -482,14 +479,15 @@ def picard_coupled(
     level, its samples serve every sweep's level 0, and it passes _gate
     before any sweep, whose tension solves all carry its bentness; the later
     levels pass _gate in window_rows.  A sweep's curve update samples each
-    later curve as it builds it, with the half-step curves on a curved
-    chart, as the march does.
+    later curve and each half-step curve once, as the march does, and both
+    velocity updates run on those samples by the march's half-step rule
+    eta_next = eta + dt R(c_half, eta + dt/2 R(c, eta, F), F_half), with
+    F_half the mean of two levels' force (see _integrate_eta).
     """
     dt = grid.dx
     levels = cfg.picard_window + 1
     if levels < 3:
         raise ValueError("picard window needs at least 2 steps (3 levels)")
-    samples0 = initial.samples
     gate = _gate(initial, grid, cfg, 0, cfg.picard_window)
 
     def constant(field: np.ndarray) -> np.ndarray:
@@ -497,28 +495,32 @@ def picard_coupled(
 
     # every level of the start iterate is level 0; its xi_t is the time
     # difference of that constant series, not level 0's
-    start = _window_level(
-        constant(initial.gamma), constant(initial.xi), constant(initial.eta),
-        stack_samples([samples0] * levels), grid, bentness=gate,
+    xi0 = constant(initial.xi)
+    start = Level.derive(
+        constant(initial.gamma), xi0, time_diff_series(xi0, dt), constant(initial.eta),
+        stack_samples([initial.samples] * levels), dt, bentness=gate,
     )
 
     def sweep(current: Level) -> Level:
         solved, flux = _solve_level(current, grid, cfg, gate)
         eta = current.eta
-        gamma_new, samples_new = _window_curve(initial.gamma, samples0, eta, manifold, dt)
+        gamma_new, samples_new, halves = _window_curve(
+            initial.gamma, initial.samples, eta, manifold, dt
+        )
         xi_new, _ = picard_wave_solve(
             initial.xi, initial.xi_t, solved.theta, grid,
             eta_series=eta, samples_series=current.samples,
         )
-        eta_mid = _integrate_eta(initial.eta, flux, current.dxi, current.samples.conn, dt)
+        eta_mid = _integrate_eta(initial.eta, flux, current.dxi, samples_new, halves, dt)
         # refresh tension and velocity on the advanced fields
+        xi_t = time_diff_series(xi_new, dt)
         refreshed, flux_new = _solve_level(
-            _window_level(gamma_new, xi_new, eta_mid, samples_new, grid), grid, cfg, gate
+            Level.derive(gamma_new, xi_new, xi_t, eta_mid, samples_new, dt), grid, cfg, gate
         )
-        eta_new = _integrate_eta(initial.eta, flux_new, refreshed.dxi, samples_new.conn, dt)
-        # the refreshed level's xi_t and D_x xi stand; only D_t xi reads the new eta
-        dtxi = refreshed.xi_t + apply_chris(samples_new.conn, eta_new, xi_new)
-        return replace(refreshed, eta=eta_new, dtxi=dtxi)
+        eta_new = _integrate_eta(initial.eta, flux_new, refreshed.dxi, samples_new, halves, dt)
+        return Level.derive(
+            gamma_new, xi_new, xi_t, eta_new, samples_new, dt, theta=refreshed.theta, bentness=gate
+        )
 
     return _contract(
         sweep,
@@ -535,13 +537,9 @@ def window_rows(iterate: Level, grid: Grid, cfg: RunConfig) -> Iterator[Level]:
     each with its samples and time m * dx; each level after 0 passes _gate
     for its bentness, so a level below the floor raises after those before."""
 
-    def at(series, m: int):  # level m of a dataclass of series; None and scalars stay
-        arrays = {k: v[m] for k, v in vars(series).items() if isinstance(v, np.ndarray)}
-        return replace(series, **arrays)
-
     gate = iterate.bentness
     for m in range(cfg.picard_window + 1):
-        level = replace(at(iterate, m), samples=at(iterate.samples, m), time=m * grid.dx)
+        level = replace(_at(iterate, m), samples=_at(iterate.samples, m), time=m * grid.dx)
         if m:
             gate = _gate(level, grid, cfg, m, cfg.picard_window, gate, steps_from=False)
         yield replace(level, bentness=gate)

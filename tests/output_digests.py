@@ -4,28 +4,41 @@ Usage, from the root of a checkout:
 
     PYTHONPATH=src python tests/output_digests.py          # print them as JSON
     PYTHONPATH=src python tests/output_digests.py --write  # rewrite output_digests.json
+    PYTHONPATH=src python tests/output_digests.py --compare OTHER/src
 
 Every config of CONFIGS runs once, in this one process, through
-``elwire.cli.main`` into a temporary directory.  The record of a run is its
-exit code, its standard-error lines and the sha256 of each file it wrote,
-keyed by the file's path under the run's output directory.  OpenBLAS is
-pinned to one thread, as the outputs are compared byte for byte.  The numpy
-version is recorded beside the digests, since another numpy may round
-differently.
+``elwire.cli.main`` into a temporary directory (``--out DIR`` keeps the
+outputs under DIR/<config>).  The record of a run is its exit code, its
+standard-error lines and the sha256 of each file it wrote, keyed by the
+file's path under the run's output directory.  OpenBLAS is pinned to one
+thread, as the outputs are compared byte for byte.  The numpy version is
+recorded beside the digests, since another numpy may round differently.
 
 ``tests/test_cli.py::test_outputs_match_their_digests`` compares a fresh
 record with ``output_digests.json``.  A change that means to move outputs
 regenerates that file with ``--write`` and lists the files that changed.
+
+``--compare SRC`` makes that list: it runs every config under this tree
+and, in a child process, under the ``src`` directory SRC of another
+checkout, then prints one line per difference.  A file whose bytes moved
+gets the largest absolute difference of its numbers and where it is: the
+snapshot key or metadata path (``xi[12][0]``, ``contraction.ratios[4]``)
+or the CSV column and row; a changed text value is named too.  Changed
+exit codes and standard-error lines, and files written by one side only,
+are listed as such.  It exits 1 if anything moved, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -169,37 +182,129 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def record() -> dict:
-    """Run every config and return the record of each, with numpy's version."""
+def record(root: Path) -> dict:
+    """Run every config, each into ``root/<name>``, and return the record of
+    each, with numpy's version."""
     import numpy
 
     import elwire.cli
 
     runs = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, data in CONFIGS.items():
-            config = Path(tmp) / f"{name}.json"
-            config.write_text(json.dumps(data))
-            out = Path(tmp) / name
-            stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr):
-                code = elwire.cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"])
-            files = sorted(p for p in out.rglob("*") if p.is_file())
-            runs[name] = {
-                "exit": code,
-                "stderr": stderr.getvalue().splitlines(),
-                "files": {p.relative_to(out).as_posix(): _sha256(p) for p in files},
-            }
+    root.mkdir(parents=True, exist_ok=True)
+    for name, data in CONFIGS.items():
+        config = root / f"{name}.json"
+        config.write_text(json.dumps(data))
+        out = root / name
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = elwire.cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"])
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        runs[name] = {
+            "exit": code,
+            "stderr": stderr.getvalue().splitlines(),
+            "files": {p.relative_to(out).as_posix(): _sha256(p) for p in files},
+        }
     return {"numpy": numpy.__version__, "runs": runs}
+
+
+def _leaves(path: Path):
+    """(location, value) of every value of an output file: each number or
+    string of a JSON file by its key path, each CSV cell by column and row."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        for r, row in enumerate(rows):
+            for column, cell in zip(header, row):
+                yield f"{column} (row {r})", cell
+        return
+    stack = [("", json.loads(text))]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, dict):
+            stack += [(f"{where}.{k}" if where else k, v) for k, v in value.items()]
+        elif isinstance(value, list):
+            stack += [(f"{where}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            yield where, value
+
+
+def _number(value):
+    """The value as a float, or None if it is not a number."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def _difference(old: Path, new: Path) -> str:
+    """Where two versions of an output file differ, and by how much."""
+    a, b = dict(_leaves(old)), dict(_leaves(new))
+    if a.keys() != b.keys():
+        return f"layout differs at {sorted(a.keys() ^ b.keys())[0]}"
+    worst, where, texts = 0.0, None, []
+    for key, x in a.items():
+        y = b[key]
+        if x == y:
+            continue
+        fx, fy = _number(x), _number(y)
+        if fx is None or fy is None:
+            texts.append(f"{key}: {x!r} -> {y!r}")
+            continue
+        gap = abs(fx - fy)
+        gap = math.inf if math.isnan(gap) and not (math.isnan(fx) and math.isnan(fy)) else gap
+        if where is None or gap > worst:
+            worst, where = gap, key
+    parts = [] if where is None else [f"{worst:.2g} at {where}"]
+    parts += texts[:1] + ([f"and {len(texts) - 1} more text values"] if len(texts) > 1 else [])
+    return "; ".join(parts) or "bytes differ, values equal"
+
+
+def compare(src: Path, root: Path) -> list:
+    """Run every config under this tree and under ``src``; the lines of
+    their differences."""
+    here = record(root / "here")
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    child = subprocess.run(
+        [sys.executable, __file__, "--out", str(root / "there")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    there = json.loads(child.stdout)
+    lines = []
+    for name, new in here["runs"].items():
+        old = there["runs"][name]
+        for key in ("exit", "stderr"):
+            if old[key] != new[key]:
+                lines.append(f"{name}: {key} {old[key]!r} -> {new[key]!r}")
+        for file in sorted(set(old["files"]) | set(new["files"])):
+            if file not in new["files"] or file not in old["files"]:
+                side = "other tree" if file in old["files"] else "this tree"
+                lines.append(f"{name}/{file}: written by the {side} only")
+            elif old["files"][file] != new["files"][file]:
+                diff = _difference(root / "there" / name / file, root / "here" / name / file)
+                lines.append(f"{name}/{file}: {diff}")
+    return lines
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true", help=f"rewrite {DIGESTS.name}")
+    parser.add_argument("--out", type=Path, help="keep every run's outputs under this directory")
+    parser.add_argument(
+        "--compare", type=Path, metavar="SRC",
+        help="list the outputs that differ from those of the elwire package under SRC",
+    )
     args = parser.parse_args(argv)
     # before numpy loads its BLAS
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    text = json.dumps(record(), indent=2, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        root = args.out or Path(tmp)
+        if args.compare:
+            lines = compare(args.compare, root)
+            sys.stdout.write("".join(line + "\n" for line in lines) or "no output moved\n")
+            return 1 if lines else 0
+        text = json.dumps(record(root), indent=2, sort_keys=True) + "\n"
     if args.write:
         DIGESTS.write_text(text)
     else:

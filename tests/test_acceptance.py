@@ -323,8 +323,8 @@ def test_06_tension_solver_oracles(capsys):
         ok,
         "tension solver oracles",
         f"symmetry {max(sym_flat, sym_hyp):.2e}, closed forms "
-        f"{err_pull:.2e}/{err_neg:.2e}, cyclic reduction vs dense/cg "
-        f"{dense_gap:.2e}/{cg_gap:.2e}",
+        f"{_fmt_floored([err_pull, err_neg])}, cyclic reduction vs dense/cg "
+        f"{_fmt_floored([dense_gap, cg_gap])}",
     )
     assert sym_flat <= 1e-10
     assert sym_hyp <= 1e-10

@@ -18,6 +18,8 @@ from elwire import initial
 from elwire.diagnostics import energy
 from elwire.dynamics import (
     Level,
+    _integrate_eta,
+    _window_curve,
     assemble_sources,
     march,
     picard_coupled,
@@ -36,13 +38,14 @@ from elwire.geometry import (
     sample_geometry,
     stack_samples,
 )
-from geometry_oracle import dense_curv
+from geometry_oracle import apply_chris_einsum, dense_chris, dense_curv
 from residual_oracle import residual_base_single
 from run_config import SOLVE_DEFAULTS, run_config
 
 EXACT_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-10
 ORACLE_TOL = 1e-12
+ORDER_MIN = 1.8
 TWO_PI = 2.0 * math.pi
 
 
@@ -419,6 +422,66 @@ def test_curved_picard_iterate_carries_the_samples_of_its_own_curves():
     assert fresh.scale.shape == (9, 32)
     for name in ("scale", "conn", "curv"):
         assert getattr(iterate.samples, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def _translated_start(chart: str, curve: str, n: int):
+    """The initial level of ``curve`` on ``chart``, translated at 0.1 along
+    the first chart axis, with its chart and grid."""
+    manifold = make_manifold(chart)
+    grid = Grid(n)
+    params = {"velocity": {"name": "translate", "vector": [0.1, 0.0]}}
+    data, velocity = initial.generate(curve, manifold, grid, params)
+    start, _ = prepare_initial(data, velocity, manifold, grid)
+    return start, manifold, grid
+
+
+def test_window_velocity_reads_the_connection_of_the_half_step_curve():
+    # the window's velocity update is the march's midpoint rule: k1 with the
+    # connection of the level's curve, k2 with that of the half-step curve
+    # gamma_m + dt/2 e^{-lambda} eta_m that the curve update builds, and the
+    # half-step force the mean of the two levels' flux plus D_x xi
+    start, manifold, grid = _translated_start("sphere", "sphere-loop", 32)
+    dt, shape = grid.dx, start.eta.shape
+    rng = np.random.default_rng(0)
+    eta_s = start.eta + 0.05 * rng.standard_normal((3,) + shape)
+    flux_s, dxi_s = rng.standard_normal((2, 3) + shape)
+    gammas, samples, halves = _window_curve(start.gamma, start.samples, eta_s, manifold, dt)
+    got = _integrate_eta(start.eta, flux_s, dxi_s, samples, halves, dt)
+
+    def rate(level_samples, v, force):
+        return -apply_chris_einsum(dense_chris(level_samples, shape), v, v) + force
+
+    v = start.eta
+    for m in range(2):
+        at_curve = sample_geometry(manifold, gammas[m])
+        half_curve = gammas[m] + 0.5 * dt * at_curve.scale[:, None] * eta_s[m]
+        k1 = rate(at_curve, v, flux_s[m] + dxi_s[m])
+        force_half = 0.5 * (flux_s[m] + flux_s[m + 1] + dxi_s[m] + dxi_s[m + 1])
+        v = v + dt * rate(sample_geometry(manifold, half_curve), v + 0.5 * dt * k1, force_half)
+        assert m0(got[m + 1] - v) < ORACLE_TOL
+
+
+@pytest.mark.parametrize(
+    "chart, curve", [("sphere", "sphere-loop"), ("hyperbolic", "hyperbolic-circle")]
+)
+def test_curved_window_matches_the_march_at_second_order(chart, curve):
+    # acceptance item 8 off the flat chart: the gap between a window of
+    # N/16 + 1 steps and the march over its first N/16 steps, the largest
+    # over gamma, xi and eta, falls at second order
+    gaps = []
+    for n in (64, 128, 256):
+        start, manifold, grid = _translated_start(chart, curve, n)
+        steps = n // 16
+        iterate, report = picard_coupled(start, manifold, grid, run_config(grid, steps + 1))
+        assert report.converged
+        marched = list(march(start, manifold, grid, run_config(grid, steps)))
+        gaps.append(max(
+            m0(getattr(marched[m], name) - getattr(iterate, name)[m])
+            for m in range(steps + 1)
+            for name in ("gamma", "xi", "eta")
+        ))
+    orders = [math.log2(gaps[i] / gaps[i + 1]) for i in range(2)]
+    assert min(orders) >= ORDER_MIN, (gaps, orders)
 
 
 def test_picard_coupled_window_validation():
