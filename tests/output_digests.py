@@ -252,8 +252,8 @@ def _difference(old: Path, new: Path) -> str:
         if fx is None or fy is None:
             texts.append(f"{key}: {x!r} -> {y!r}")
             continue
-        gap = abs(fx - fy)
-        gap = math.inf if math.isnan(gap) and not (math.isnan(fx) and math.isnan(fy)) else gap
+        gap = abs(fx - fy)  # NaN only where one side is not finite: the values differ
+        gap = math.inf if math.isnan(gap) else gap
         if where is None or gap > worst:
             worst, where = gap, key
     parts = [] if where is None else [f"{worst:.2g} at {where}"]
@@ -268,8 +268,10 @@ def compare(src: Path, root: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     child = subprocess.run(
         [sys.executable, __file__, "--out", str(root / "there")],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True,
     )
+    if child.returncode:
+        sys.exit(f"the runs under {src} failed:\n{child.stderr}")
     there = json.loads(child.stdout)
     lines = []
     for name, new in here["runs"].items():
@@ -290,7 +292,7 @@ def compare(src: Path, root: Path) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true", help=f"rewrite {DIGESTS.name}")
-    parser.add_argument("--out", type=Path, help="keep every run's outputs under this directory")
+    parser.add_argument("--out", type=Path, help="keep every run's outputs under this new directory")
     parser.add_argument(
         "--compare", type=Path, metavar="SRC",
         help="list the outputs that differ from those of the elwire package under SRC",
