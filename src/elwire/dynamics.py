@@ -48,6 +48,7 @@ A window iterate carries them as series, derived once per iterate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
@@ -119,12 +120,13 @@ class Level:
         eta: np.ndarray,
         samples: GeometrySamples,
         dx: float,
+        dxi: Optional[np.ndarray] = None,
         **rest,
     ) -> "Level":
-        """The Level of these fields, with D_x xi and D_t xi derived from the
-        samples of ``gamma``; the fields may also be window series.  ``rest``
-        sets the fields that follow (theta, time, bentness)."""
-        dxi = cov_dx(xi, xi, samples, dx)
+        """The Level of these fields, with D_t xi and, unless ``dxi`` holds it
+        already, D_x xi derived from the samples of ``gamma``; the fields may
+        also be window series.  ``rest`` sets theta, time and bentness."""
+        dxi = cov_dx(xi, xi, samples, dx) if dxi is None else dxi
         dtxi = xi_t + apply_chris(samples.conn, eta, xi)
         return cls(gamma, xi, xi_t, eta, samples, dxi, dtxi, **rest)
 
@@ -175,8 +177,8 @@ def _solve_level(level: Level, grid: Grid, cfg: RunConfig, gate: float) -> tuple
     """The level, or window series, with its tension theta and the bentness
     value ``gate`` (see _gate) attached, and its flux D theta + psi."""
     psi, phi = assemble_sources(level)
-    solved = elliptic.solve_flux_form(psi, phi, level.xi, level.samples, grid, tol=cfg.solver_tol)
-    return replace(level, theta=solved.u, bentness=gate), solved.flux
+    theta, flux = elliptic.solve_flux_form(psi, phi, level.xi, level.samples, grid, tol=cfg.solver_tol)
+    return replace(level, theta=theta, bentness=gate), flux
 
 
 def reconstruct_mu(level: Level) -> np.ndarray:
@@ -421,12 +423,6 @@ def _window_curve(
     return np.stack(gammas), stack_samples(samples), stack_samples(halves)
 
 
-def _at(series, m: int):
-    """Level m of a dataclass of series; None and scalars stay."""
-    arrays = {k: v[m] for k, v in vars(series).items() if isinstance(v, np.ndarray)}
-    return replace(series, **arrays)
-
-
 def _integrate_eta(
     eta0: np.ndarray,
     flux_s: np.ndarray,
@@ -437,17 +433,19 @@ def _integrate_eta(
 ) -> np.ndarray:
     """Integrate eta_t = R(c, eta, flux + D_x xi) (R = _eta_rate) over the
     window with frozen flux and D_x xi series by the march's half-step rule,
-    v_next = v + dt R(c_half, v + dt/2 R(c, v, F), F_half): c is read from
-    the ``samples`` of the window's curves, c_half from the ``halves`` of its
-    half-step curves (see _window_curve), and F_half is the mean of two
-    levels' flux plus the mean of their D_x xi."""
+    v_next = v + dt R(c_half, v + dt/2 R(c, v, F), F_half): c is level m of
+    the connection series of the window's curves (``samples``), c_half of
+    that of its half-step curves (``halves``, see _window_curve), both None
+    on a flat chart, and F_half is the mean of two levels' flux plus the
+    mean of their D_x xi."""
     flux_half = 0.5 * (flux_s[:-1] + flux_s[1:])
     dxi_half = 0.5 * (dxi_s[:-1] + dxi_s[1:])
     out = [eta0]
     for m in range(len(flux_half)):
         v = out[-1]
-        v_half = v + 0.5 * dt * _eta_rate(_at(samples, m).conn, v, flux_s[m], dxi_s[m])
-        out.append(v + dt * _eta_rate(_at(halves, m).conn, v_half, flux_half[m], dxi_half[m]))
+        c, c_half = (None, None) if samples.conn is None else (samples.conn[m], halves.conn[m])
+        v_half = v + 0.5 * dt * _eta_rate(c, v, flux_s[m], dxi_s[m])
+        out.append(v + dt * _eta_rate(c_half, v_half, flux_half[m], dxi_half[m]))
     return np.stack(out)
 
 
@@ -470,8 +468,10 @@ def picard_coupled(
     One sweep: solve the tension on the frozen iterate, advance the curve from
     the frozen velocity, run the full inner wave solve for the tangent, update
     the velocity from the frozen flux, then refresh tension and velocity once
-    more on the new fields.  Each tension solve is one call on the whole
-    series.  Distances between sweeps use the composite norm of
+    more on the new fields.  The sweep returns the refreshed level with the
+    refreshed velocity, derived anew in D_t xi only: it keeps that level's
+    D_x xi, of the same xi and samples.  Each tension solve is one call on
+    the whole series.  Distances between sweeps use the composite norm of
     window_distance; sweeps stop once one is within ``cfg.picard_tol``, and
     three consecutive non-decreasing distances, or ``cfg.picard_max_iter``
     sweeps without reaching the tolerance, raise NonContractionError.  Level
@@ -512,15 +512,13 @@ def picard_coupled(
             eta_series=eta, samples_series=current.samples,
         )
         eta_mid = _integrate_eta(initial.eta, flux, current.dxi, samples_new, halves, dt)
-        # refresh tension and velocity on the advanced fields
+        # refresh tension and velocity on the advanced fields; the refreshed
+        # and the returned level differ in eta alone, so they share D_x xi
         xi_t = time_diff_series(xi_new, dt)
-        refreshed, flux_new = _solve_level(
-            Level.derive(gamma_new, xi_new, xi_t, eta_mid, samples_new, dt), grid, cfg, gate
-        )
+        with_eta = functools.partial(Level.derive, gamma_new, xi_new, xi_t, samples=samples_new, dx=dt)
+        refreshed, flux_new = _solve_level(with_eta(eta_mid), grid, cfg, gate)
         eta_new = _integrate_eta(initial.eta, flux_new, refreshed.dxi, samples_new, halves, dt)
-        return Level.derive(
-            gamma_new, xi_new, xi_t, eta_new, samples_new, dt, theta=refreshed.theta, bentness=gate
-        )
+        return with_eta(eta_new, dxi=refreshed.dxi, theta=refreshed.theta, bentness=gate)
 
     return _contract(
         sweep,
@@ -530,6 +528,12 @@ def picard_coupled(
         tol=cfg.picard_tol,
         label="coupled picard iteration",
     )
+
+
+def _at(series, m: int):
+    """Level m of a dataclass of series; None and scalars stay."""
+    arrays = {k: v[m] for k, v in vars(series).items() if isinstance(v, np.ndarray)}
+    return replace(series, **arrays)
 
 
 def window_rows(iterate: Level, grid: Grid, cfg: RunConfig) -> Iterator[Level]:

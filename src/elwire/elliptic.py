@@ -37,20 +37,12 @@ batches over them yet solves each alone, to the bytes of a lone solve.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintDriftError, NumericalSolveError
 from .fields import Grid, cov_dx, l2_norm, perp, row_norms, shift
 from .geometry import GeometrySamples, dot
-
-
-@dataclass(frozen=True)
-class FluxSolveResult:
-    u: np.ndarray          # the solution; the tension theta of a wire level or series
-    flux: np.ndarray       # D u + f, reused by the velocity update
-    residual: float | np.ndarray  # per level for a series
 
 
 def _fold_order(npts: int) -> np.ndarray:
@@ -260,18 +252,17 @@ def solve_flux_form(
     grid: Grid,
     *,
     tol: float,
-) -> FluxSolveResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve -D(Du + f) + perp(u) = h along the current curve, in one
-    _solve_system call.
+    _solve_system call, and return ``(u, flux)``.
 
     The fields are a level (N, n) or a window series (L, N, n), each of
     whose levels is solved alone.  The caller gates the solve (see
     dynamics._gate); this keeps only the solver's own guards: each level's
     unit-tangent defect must stay within 0.1 (ConstraintDriftError), a
-    singular block raises NumericalSolveError, and so does a residual
-    (infinity norm) above ``tol`` times that level's data scale; the
-    residual is a number for a level and one per level for a series.
-    The returned flux D u + f is the quantity downstream consumers need, so
+    singular block raises NumericalSolveError, and so does a level whose
+    residual (infinity norm of the defect) exceeds ``tol`` times its data
+    scale.  The flux D u + f is the quantity downstream consumers need, so
     it is formed here rather than re-differenced.
     """
     drift = np.max(np.abs(dot(xi, xi) - 1.0), axis=-1)
@@ -286,4 +277,4 @@ def solve_flux_form(
     scale = np.fmax(1.0, np.max(row_norms(h), axis=-1) + np.max(row_norms(f), axis=-1))
     text = f"tension solve residual {{:.3e}} exceeds tolerance {tol:.1e} * {{:.3e}}"
     _refuse_first_failure(residual <= tol * scale, NumericalSolveError, text, residual, scale)
-    return FluxSolveResult(u=u, flux=flux, residual=residual[()])
+    return u, flux

@@ -47,7 +47,8 @@ class DegenerateCurveError(NumericalAbort):
 
 
 class NumericalSolveError(NumericalAbort):
-    """A linear solve failed or left a residual above the configured tolerance."""
+    """A linear solve failed or left a residual above the configured
+    tolerance, or the leapfrog's inner iteration did not converge."""
 
 
 class ConstraintDriftError(NumericalAbort):

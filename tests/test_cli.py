@@ -306,13 +306,51 @@ def test_constraint_gate_abort_keeps_last_good(tmp_path, capsys):
     assert 0.0 < meta["summary"]["max_displacement"] < 1.0
 
 
+def test_unconverged_leapfrog_aborts_with_last_good(tmp_path, monkeypatch, capsys):
+    # one inner sweep cannot settle the leapfrog of a moving wire; from the
+    # third step on, the march aborts after the two levels whose steps held
+    import elwire.dynamics
+    import elwire.wave
+
+    real, calls = elwire.dynamics.leapfrog_step, []
+
+    def capped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            monkeypatch.setattr(elwire.wave, "INNER_ITER", 1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(elwire.dynamics, "leapfrog_step", capped)
+    data = {
+        "grid": {"n": 32},
+        "time": {"horizon": 0.25},
+        "initial": {"name": "circle", "velocity": {"name": "rotate", "omega": 0.5}},
+    }
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "aborted: NumericalSolveError: leapfrog inner iteration did not converge" in err
+    assert "after 1 sweeps exceeds 1.0e-10" in err
+
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "aborted"
+    assert meta["failure"]["type"] == "NumericalSolveError"
+    _header, rows = read_csv(out / "diagnostics.csv")
+    assert [float(row[0]) for row in rows] == [0.0, 1 / 32]
+    last_good = meta["failure"]["last_good"]
+    assert last_good["time"] == 1 / 32
+    cells = ["" if last_good[name] is None else repr(last_good[name]) for name in CSV_COLUMNS]
+    assert rows[-1] == cells
+
+
 @pytest.mark.parametrize(
     "curve, failure",
     [
         # a cusp: the speed vanishes at a sample, which is placed; the first
-        # step then breaks the unit-tangent gate
-        ({"mode": 2, "amplitude": 1}, "ConstraintDriftError"),
-        ({"mode": 2, "amplitude": -1}, "ConstraintDriftError"),
+        # step's leapfrog then cannot settle its inner iteration (a relative
+        # change near 8e-4 after its last sweep)
+        ({"mode": 2, "amplitude": 1}, "NumericalSolveError"),
+        ({"mode": 2, "amplitude": -1}, "NumericalSolveError"),
         # forty lobes on 64 samples: the arc length cannot be inverted
         ({"mode": 40, "amplitude": 0.5}, "DegenerateCurveError"),
     ],
@@ -335,11 +373,14 @@ def test_degenerate_perturbed_circle_aborts_with_report(tmp_path, capsys, curve,
 
 def test_solver_drift_guard_aborts_with_report(tmp_path, capsys):
     # a loose constraint gate lets the tangent drift until the tension solve
-    # itself refuses; that is a numerical abort, not a config error
+    # itself refuses; that is a numerical abort, not a config error.  On the
+    # half-plane the defect grows over converged leapfrog steps (their last
+    # relative change stays below 1e-14) and passes 0.1 near t = 0.53
     data = {
-        "grid": {"n": 16},
-        "time": {"horizon": 3},
-        "initial": {"name": "perturbed-circle", "amplitude": 0.2, "mode": 3},
+        "manifold": {"name": "hyperbolic"},
+        "grid": {"n": 32},
+        "time": {"horizon": 1.0},
+        "initial": {"name": "hyperbolic-circle"},
         "tolerances": {"constraint": 0.9, "bentness_floor": 1e-6},
     }
     path = config_file(tmp_path, data)
@@ -347,6 +388,7 @@ def test_solver_drift_guard_aborts_with_report(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "aborted: ConstraintDriftError" in err
+    assert "exceeds 0.1; refusing tension solve" in err
     assert "config error" not in err
 
     meta = json.loads((out / "metadata.json").read_text())

@@ -41,8 +41,8 @@ def rest_level(n: int, with_theta: bool = True):
     level, _ = prepare_initial(curve, velocity, manifold, grid)
     if with_theta:
         psi, phi = assemble_sources(level)
-        solved = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
-        level = replace(level, theta=solved.u)
+        theta, _ = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
+        level = replace(level, theta=theta)
     return replace(level, bentness=bentness(level.xi, level.samples, grid)), manifold, grid
 
 

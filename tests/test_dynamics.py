@@ -26,6 +26,7 @@ from elwire.dynamics import (
     prepare_initial,
     reconstruct_mu,
     step,
+    window_rows,
 )
 from elwire.elliptic import solve_flux_form
 from elwire.errors import CflError, ConstraintDriftError, DegenerateCurveError, NearGeodesicError
@@ -66,8 +67,8 @@ def wide_symbol(grid: Grid) -> float:
 def solved_level(level, grid):
     """``level`` with its tension solved afresh, and the tension flux."""
     psi, phi = assemble_sources(level)
-    solved = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
-    return replace(level, theta=solved.u), solved.flux
+    theta, flux = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
+    return replace(level, theta=theta), flux
 
 
 def test_level_derive_defaults_and_tangent_derivatives():
@@ -177,10 +178,10 @@ def test_rest_circle_tension_and_multiplier_closed_forms():
     assert m0(psi) < EXACT_TOL
     assert m0(phi + omega_sq * level.xi) < 1e-10
 
-    solved = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
-    assert m0(solved.u + level.xi) < CLOSED_FORM_TOL
+    theta, _ = solve_flux_form(psi, phi, level.xi, level.samples, grid, **SOLVE_DEFAULTS)
+    assert m0(theta + level.xi) < CLOSED_FORM_TOL
 
-    mu = reconstruct_mu(replace(level, theta=solved.u))
+    mu = reconstruct_mu(replace(level, theta=theta))
     assert np.max(np.abs(mu - omega_sq)) < CLOSED_FORM_TOL
     with pytest.raises(ValueError, match="tension"):
         reconstruct_mu(level)
@@ -422,6 +423,27 @@ def test_curved_picard_iterate_carries_the_samples_of_its_own_curves():
     assert fresh.scale.shape == (9, 32)
     for name in ("scale", "conn", "curv"):
         assert getattr(iterate.samples, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "chart, curve", [("euclidean", "perturbed-circle"), ("sphere", "sphere-loop")]
+)
+def test_window_levels_carry_the_tangent_derivatives_of_their_own_fields(chart, curve):
+    # a sweep's returned level takes D_x xi from the refreshed level, which has
+    # the same xi and samples: every level of a converged window equals its
+    # own Level.derive, byte for byte, in D_x xi and in D_t xi
+    manifold = make_manifold(chart)
+    grid = Grid(32)
+    rotating = {"velocity": {"name": "rotate", "omega": 0.5}}
+    data, velocity = initial.generate(curve, manifold, grid, rotating)
+    start, _ = prepare_initial(data, velocity, manifold, grid)
+    cfg = run_config(grid, 8)
+    iterate, report = picard_coupled(start, manifold, grid, cfg)
+    assert report.iterations > 2
+    for level in window_rows(iterate, grid, cfg):
+        own = Level.derive(level.gamma, level.xi, level.xi_t, level.eta, level.samples, grid.dx)
+        assert level.dxi.tobytes() == own.dxi.tobytes()
+        assert level.dtxi.tobytes() == own.dtxi.tobytes()
 
 
 def _translated_start(chart: str, curve: str, n: int):

@@ -11,6 +11,7 @@ dynamics._gate, whose refusals are checked here too.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,9 +172,9 @@ def test_assembled_system_solves_like_flux_form():
     f = 0.1 * rng.standard_normal(xi.shape)
     h = rng.standard_normal(xi.shape)
     direct = dense_solve(xi, samples, grid, "perp", h + cov_dx(f, xi, samples, grid.dx))
-    result = solve_flux_form(f, h, xi, samples, grid, **SOLVE_DEFAULTS)
-    assert m0(result.u - direct) < 1e-9
-    assert m0(result.flux - (cov_dx(result.u, xi, samples, grid.dx) + f)) < EXACT_TOL
+    u, flux = solve_flux_form(f, h, xi, samples, grid, **SOLVE_DEFAULTS)
+    assert m0(u - direct) < 1e-9
+    assert m0(flux - (cov_dx(u, xi, samples, grid.dx) + f)) < EXACT_TOL
 
 
 def test_flux_form_solves_one_system(monkeypatch):
@@ -206,12 +207,12 @@ def test_closed_forms_on_rest_circle():
     omega = math.sin(TWO_PI * grid.dx) / grid.dx
     zero = np.zeros_like(xi)
 
-    result = solve_flux_form(zero, -omega * omega * xi, xi, samples, grid, **SOLVE_DEFAULTS)
-    assert m0(result.u + xi) / m0(xi) < CLOSED_FORM_TOL
+    u, _ = solve_flux_form(zero, -omega * omega * xi, xi, samples, grid, **SOLVE_DEFAULTS)
+    assert m0(u + xi) / m0(xi) < CLOSED_FORM_TOL
 
-    result = solve_flux_form(zero, xi, xi, samples, grid, **SOLVE_DEFAULTS)
-    assert m0(result.u - xi / omega**2) / m0(xi / omega**2) < CLOSED_FORM_TOL
-    assert result.residual < 1e-8
+    u, flux = solve_flux_form(zero, xi, xi, samples, grid, **SOLVE_DEFAULTS)
+    assert m0(u - xi / omega**2) / m0(xi / omega**2) < CLOSED_FORM_TOL
+    assert m0(-cov_dx(flux, xi, samples, grid.dx) + perp(u, xi) - xi) < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["perp", "identity"])
@@ -221,7 +222,7 @@ def test_dense_and_cg_paths_agree(chart, n_points, kind):
     grid, samples, xi = chart_setup(chart, n_points)
     if kind == "perp":
         rhs = np.random.default_rng(3).standard_normal(xi.shape)
-        reduced = solve_flux_form(np.zeros_like(xi), rhs, xi, samples, grid, **SOLVE_DEFAULTS).u
+        reduced, _ = solve_flux_form(np.zeros_like(xi), rhs, xi, samples, grid, **SOLVE_DEFAULTS)
     else:
         rhs = xi
         reduced = _solve_system(xi, samples, grid, "identity", xi)
@@ -235,9 +236,9 @@ def test_solver_is_linear():
     h1 = rng.standard_normal(xi.shape)
     h2 = rng.standard_normal(xi.shape)
     zero = np.zeros_like(xi)
-    u1 = solve_flux_form(zero, h1, xi, samples, grid, **SOLVE_DEFAULTS).u
-    u2 = solve_flux_form(zero, h2, xi, samples, grid, **SOLVE_DEFAULTS).u
-    u12 = solve_flux_form(zero, h1 + 0.5 * h2, xi, samples, grid, **SOLVE_DEFAULTS).u
+    u1, _ = solve_flux_form(zero, h1, xi, samples, grid, **SOLVE_DEFAULTS)
+    u2, _ = solve_flux_form(zero, h2, xi, samples, grid, **SOLVE_DEFAULTS)
+    u12, _ = solve_flux_form(zero, h1 + 0.5 * h2, xi, samples, grid, **SOLVE_DEFAULTS)
     assert m0(u12 - (u1 + 0.5 * u2)) < 1e-9
 
 
@@ -382,11 +383,16 @@ def test_factorisation_failure_raises_solve_error(monkeypatch):
 
 
 def test_residual_is_checked_against_defect():
+    # the gate holds the sup norm of the defect of the returned (u, flux):
+    # a tolerance just below it raises, naming it, and one just above passes
     grid, samples, xi = hyperbolic_setup(32)
     rng = np.random.default_rng(14)
     h = rng.standard_normal(xi.shape)
-    result = solve_flux_form(np.zeros_like(xi), h, xi, samples, grid, **SOLVE_DEFAULTS)
-    defect = (
-        -cov_dx(result.flux, xi, samples, grid.dx) + perp(result.u, xi) - h
-    )
-    assert result.residual == pytest.approx(m0(defect), abs=EXACT_TOL)
+    zero = np.zeros_like(xi)
+    u, flux = solve_flux_form(zero, h, xi, samples, grid, **SOLVE_DEFAULTS)
+    residual = m0(-cov_dx(flux, xi, samples, grid.dx) + perp(u, xi) - h)
+    assert residual < SOLVE_DEFAULTS["tol"]
+    scale = max(1.0, m0(h))
+    with pytest.raises(NumericalSolveError, match=re.escape(f"residual {residual:.3e} exceeds")):
+        solve_flux_form(zero, h, xi, samples, grid, tol=0.99 * residual / scale)
+    solve_flux_form(zero, h, xi, samples, grid, tol=1.01 * residual / scale)
