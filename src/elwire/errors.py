@@ -48,7 +48,7 @@ class DegenerateCurveError(NumericalAbort):
 
 class NumericalSolveError(NumericalAbort):
     """A linear solve failed or left a residual above the configured
-    tolerance, or the leapfrog's inner iteration did not converge."""
+    tolerance, or a leapfrog step has no real next level."""
 
 
 class ConstraintDriftError(NumericalAbort):

@@ -23,8 +23,8 @@ k/N of the total.  Measured against adaptive quadrature, max |N gap / L - 1|
 was at most 6.2e-12 at N = 4096 (the residual tolerance allows 7.3e-12),
 2.8e-13 at N = 1024 and 6e-14 at N <= 64, for modes 1-4 with
 |amplitude| <= 0.1 and for hyperbolic circles; the hyperbolic length comes
-out as 1 to 1.3e-15.  A cusp (amplitude +-1) is placed too; a speed the
-cells do not resolve raises DegenerateCurveError.
+out as 1 to 1.3e-15.  A cusp (amplitude +-1), and a speed the cells do not
+resolve, raise DegenerateCurveError.
 
 Velocities are prescribed in chart components: ``none``, a rigid
 ``translate`` by a fixed vector, or a rigid ``rotate`` about a centre in the
@@ -162,18 +162,22 @@ def flat_circle(grid: Grid, dim: int, center, radius: float = CIRCLE_RADIUS) -> 
     return _embed(grid, dim, plane) + center
 
 
+def _perturbed_speed(mode: int, amplitude: float):
+    """The speed on [0, 1) of the perturbed circle, before rescaling."""
+    return lambda u: TWO_PI * CIRCLE_RADIUS * np.hypot(
+        amplitude * mode * np.sin(TWO_PI * mode * u), 1.0 + amplitude * np.cos(TWO_PI * mode * u)
+    )
+
+
 def perturbed_circle(
     grid: Grid, dim: int, center: np.ndarray, mode: int, amplitude: float
 ) -> np.ndarray:
-    """Radially perturbed circle, arc-length sampled and rescaled to length one."""
-
-    def speed(u):
-        wave = TWO_PI * mode * u
-        return TWO_PI * CIRCLE_RADIUS * np.hypot(
-            amplitude * mode * np.sin(wave), 1.0 + amplitude * np.cos(wave)
-        )
-
-    (u_samples, total) = _equal_arc(speed, grid.n_points, "perturbed-circle")
+    """Radially perturbed circle, arc-length sampled and rescaled to length one;
+    the cusp of |amplitude| = 1 raises DegenerateCurveError before placing."""
+    if abs(amplitude) == 1.0:
+        cusp = 0.5 / mode if amplitude > 0 else 0.0
+        raise DegenerateCurveError(f"perturbed-circle: cusp at u = {cusp:.6f}, where the speed vanishes")
+    u_samples, total = _equal_arc(_perturbed_speed(mode, amplitude), grid.n_points, "perturbed-circle")
     phi = TWO_PI * u_samples
     rho_s = CIRCLE_RADIUS * (1.0 + amplitude * np.cos(TWO_PI * mode * u_samples))
     plane = rho_s[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)

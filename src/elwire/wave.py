@@ -15,13 +15,13 @@ one route per job:
   quadrature over the dependence triangle obeys an exact three-level
   recurrence, which wave_series evaluates in O(N) per level, and a source
   iteration feeds the solution back into the sources over the window;
-* the marching integrator takes the explicit three-level covariant leapfrog
-  (leapfrog_step).
+* the marching integrator takes the three-level covariant leapfrog
+  (leapfrog_step), whose implicit next level is solved in closed form.
 
-The other routes are oracles under tests/: the plain triangle quadrature
-and the characteristic derivatives, whose h-contribution never
-differentiates h in space, are in tests/wave_oracle.py, and the tests check
-the window solve against the leapfrog.
+The other routes are oracles under tests/: the plain triangle quadrature,
+the characteristic derivatives, whose h-contribution never differentiates h
+in space, and the leapfrog's fixed-point sweep are in tests/wave_oracle.py,
+and the tests check the window solve against the leapfrog.
 """
 
 from __future__ import annotations
@@ -32,14 +32,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CflError, NonContractionError, NumericalSolveError
-from .fields import Grid, cov_dx, cov_dxx, m0, m1, perp, sided_grad_sq, time_diff_series
+from .fields import Grid, cov_dx, cov_dxx, m1, perp, sided_grad_sq, time_diff_series
 from .fields import shift as grid_shift
 from .geometry import GeometrySamples, apply_chris, dot
 
 UNIT_DATA_TOL = 1e-8
-#: sweeps and relative tolerance of the leapfrog's inner fixed-point iteration
-INNER_ITER = 8
-INNER_TOL = 1e-14
 #: sweep cap and tolerance of the window's source iteration (picard_wave_solve)
 WAVE_MAX_ITER = 30
 WAVE_TOL = 1e-11
@@ -251,67 +248,66 @@ def leapfrog_step(
     eta_rate: np.ndarray,
     conn_rate: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One explicit three-level step of the covariant tangent wave equation.
+    """One three-level step of the covariant tangent wave equation.
 
-    The covariant second time difference is expanded around the central level:
-    plain second difference plus the connection terms G(eta, D_t xi) and the
-    time derivative of G(eta, xi).  The latter splits into a connection-rate
-    part using the supplied ``conn_rate`` (the caller's difference of the
-    connection samples along the curve's motion), a G(eta_t, xi) part using
-    the supplied velocity rate ``eta_rate``, and a G(eta, xi_t) part.
-    Because xi_t at the centre is itself centred over the unknown next level,
-    a short inner fixed-point iteration resolves the implicitness (the
-    quadratic speed term converges at rate O(dt)).  It stops once its
-    relative change is within INNER_TOL; a change still above 1e-10 after
-    INNER_ITER sweeps raises NumericalSolveError.
+    The covariant second time difference is expanded around the central level
+    xi: plain second difference plus G(eta, D_t xi) and the time derivative of
+    G(eta, xi), which splits into a part using the supplied ``conn_rate`` (the
+    caller's difference of the connection samples along the curve's motion),
+    one using the supplied velocity rate ``eta_rate``, and G(eta, xi_t), with
+    xi_t centred over the next level y.  Through that term and the speed
+    coefficient kappa = c0 - |(y - xi)/dt + G(eta, xi)|^2 / 2, where c0 holds
+    the spatial and the backward time differences, y solves
 
-    The plain spatial part uses the compact (1, -2, 1) stencil, and the speed
-    coefficient averages the squared one-sided differences in both space and
-    time.  With that pairing the defect s = ||xi||^2 - 1 obeys a homogeneous
-    discrete wave equation in the flat case: starting from unit data it stays
-    at the level seeded by the first-step bootstrap (O(dt^3)) instead of
-    accumulating an O(dx^2) secular drift.
+        (I + dt G) y = R + dt^2 kappa xi,   G v = eta <c, v> - <eta, v> c,
 
-    On a flat model ``conn_rate`` is None and, like every connection term
-    there, the connection rate term is an exact +0.0 field.  dt must satisfy
-    the stability bound dt <= dx.
+    with R every term that does not read y and c the connection samples.
+    I + dt G has determinant 1 + dt^2 (|c|^2 |eta|^2 - <c, eta>^2) >= 1: a
+    2 x 2 solve per sample gives (a, b) = (I + dt G)^-1 (R, dt^2 xi), and
+    y = a + kappa b.  With p = (a - xi)/dt + G(eta, xi) and q = b/dt, kappa
+    is the root of |q|^2 kappa^2 / 2 + (1 + <p, q>) kappa + |p|^2 / 2 - c0
+    that stays finite as dt -> 0; a negative (or NaN) discriminant leaves no
+    real next level and raises NumericalSolveError.
+
+    The compact (1, -2, 1) spatial stencil pairs with the speed coefficient's
+    averaged squared one-sided differences, in space and time, so that on a
+    flat model the defect ||xi||^2 - 1 obeys a homogeneous discrete wave
+    equation and stays at the O(dt^3) its first-step bootstrap seeds.  There
+    ``conn_rate`` is None, every connection term is an exact +0.0 field and
+    I + dt G is the identity.  dt must satisfy the stability bound dt <= dx.
     """
     dx = grid.dx
     if dt > dx * (1.0 + 1e-12):
         raise CflError(f"leapfrog requires dt <= dx; got dt={dt!r}, dx={dx!r}")
     conn = samples.conn
     conn_eta_xi = apply_chris(conn, eta, xi_curr)
-    d2u = cov_dxx(xi_curr, xi_curr, samples, dx)
-    du_sq = sided_grad_sq(xi_curr, xi_curr, samples, dx)
-    theta_perp = perp(theta, xi_curr)
-    xi_t = (xi_curr - xi_prev) / dt  # first guess, refined below
-    xi_next = xi_curr
-    bwd_t = xi_t + conn_eta_xi
-    bwd_t_sq = dot(bwd_t, bwd_t)
-    # the rate terms do not read the iterate; the loop adds them one at a time,
-    # since their pre-summed array would round differently
-    eta_rate_term = apply_chris(conn, eta_rate, xi_curr)
-    conn_rate_term = apply_chris(conn_rate, eta, xi_curr)
-    for _ in range(INNER_ITER):
-        dtu = xi_t + conn_eta_xi
-        fwd_t = (xi_next - xi_curr) / dt + conn_eta_xi
-        coeff = du_sq - 0.5 * (dot(fwd_t, fwd_t) + bwd_t_sq)
-        accel = d2u + coeff[:, None] * xi_curr + theta_perp
-        correction = apply_chris(conn, eta, xi_t) + apply_chris(conn, eta, dtu)
-        correction += eta_rate_term
-        correction += conn_rate_term
-        accel = accel - correction
-        xi_next = 2.0 * xi_curr - xi_prev + dt * dt * accel
-        new_t = (xi_next - xi_prev) / (2.0 * dt)
-        change, scale = m0(new_t - xi_t), 1.0 + m0(new_t)
-        xi_t = new_t
-        if change <= INNER_TOL * scale:
-            break
-    # a stall at the rounding floor (relative changes up to 5.6e-14 measured)
-    # may reach the sweep cap and passes; a change above 1e-10, or NaN, fails
-    if not change <= 1e-10 * scale:
+    bwd_t = (xi_curr - xi_prev) / dt + conn_eta_xi
+    base = sided_grad_sq(xi_curr, xi_curr, samples, dx) - 0.5 * dot(bwd_t, bwd_t)
+    accel = (
+        cov_dxx(xi_curr, xi_curr, samples, dx)
+        + perp(theta, xi_curr)
+        - apply_chris(conn, eta, conn_eta_xi)
+        - apply_chris(conn, eta_rate, xi_curr)
+        - apply_chris(conn_rate, eta, xi_curr)
+    )
+    # dt^2 terms (balanced at rest) are summed apart so their rounding does not seed the defect
+    free = 2.0 * xi_curr - xi_prev + dt * apply_chris(conn, eta, xi_prev)
+    rhs = np.stack([free, accel, xi_curr])
+    if conn is not None:  # y = rhs - dt G y, where G y = <c, y> eta - <eta, y> c
+        ce, cc, ee = dot(conn, eta), dot(conn, conn), dot(eta, eta)
+        det = 1.0 + dt * dt * (cc * ee - ce * ce)
+        rhs_c, rhs_eta = dot(conn, rhs), dot(eta, rhs)
+        y_c = ((1.0 - dt * ce) * rhs_c + dt * cc * rhs_eta) / det
+        y_eta = ((1.0 + dt * ce) * rhs_eta - dt * ee * rhs_c) / det
+        rhs = rhs - dt * (y_c[..., None] * eta - y_eta[..., None] * conn)
+    free, forced, along = rhs
+    p, q = (free - xi_curr) / dt + dt * forced + conn_eta_xi, dt * along
+    quad, lin, const = 0.5 * dot(q, q), 1.0 + dot(p, q), 0.5 * dot(p, p) - base
+    disc = lin * lin - 4.0 * quad * const
+    if not np.all(disc >= 0.0):
+        k = int(np.argmin(disc))
         raise NumericalSolveError(
-            f"leapfrog inner iteration did not converge: relative change "
-            f"{change / scale:.3e} after {INNER_ITER} sweeps exceeds 1.0e-10"
+            f"leapfrog step has no real next level: discriminant {disc[k]:.3e} at grid index {k}"
         )
-    return xi_next
+    kappa = -2.0 * const / (lin + np.sqrt(disc))
+    return free + dt * dt * (forced + kappa[:, None] * along)

@@ -306,21 +306,21 @@ def test_constraint_gate_abort_keeps_last_good(tmp_path, capsys):
     assert 0.0 < meta["summary"]["max_displacement"] < 1.0
 
 
-def test_unconverged_leapfrog_aborts_with_last_good(tmp_path, monkeypatch, capsys):
-    # one inner sweep cannot settle the leapfrog of a moving wire; from the
-    # third step on, the march aborts after the two levels whose steps held
+def test_leapfrog_without_a_real_next_level_aborts_with_last_good(tmp_path, monkeypatch, capsys):
+    # the third step's previous tangent is replaced by xi - 3 xi, for which
+    # the step's quadratic in the speed coefficient has no real root; the
+    # march aborts after the two levels whose steps held
     import elwire.dynamics
-    import elwire.wave
 
     real, calls = elwire.dynamics.leapfrog_step, []
 
-    def capped(*args, **kwargs):
+    def broken(xi_prev, xi_curr, *args, **kwargs):
         calls.append(1)
         if len(calls) == 3:
-            monkeypatch.setattr(elwire.wave, "INNER_ITER", 1)
-        return real(*args, **kwargs)
+            xi_prev = xi_curr - 3.0 * xi_curr
+        return real(xi_prev, xi_curr, *args, **kwargs)
 
-    monkeypatch.setattr(elwire.dynamics, "leapfrog_step", capped)
+    monkeypatch.setattr(elwire.dynamics, "leapfrog_step", broken)
     data = {
         "grid": {"n": 32},
         "time": {"horizon": 0.25},
@@ -329,8 +329,7 @@ def test_unconverged_leapfrog_aborts_with_last_good(tmp_path, monkeypatch, capsy
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "aborted: NumericalSolveError: leapfrog inner iteration did not converge" in err
-    assert "after 1 sweeps exceeds 1.0e-10" in err
+    assert "aborted: NumericalSolveError: leapfrog step has no real next level: discriminant" in err
 
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["status"] == "aborted"
@@ -346,11 +345,9 @@ def test_unconverged_leapfrog_aborts_with_last_good(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "curve, failure",
     [
-        # a cusp: the speed vanishes at a sample, which is placed; the first
-        # step's leapfrog then cannot settle its inner iteration (a relative
-        # change near 8e-4 after its last sweep)
-        ({"mode": 2, "amplitude": 1}, "NumericalSolveError"),
-        ({"mode": 2, "amplitude": -1}, "NumericalSolveError"),
+        # a cusp: the speed vanishes where cos(4 pi u) = -amplitude
+        ({"mode": 2, "amplitude": 1}, "DegenerateCurveError"),
+        ({"mode": 2, "amplitude": -1}, "DegenerateCurveError"),
         # forty lobes on 64 samples: the arc length cannot be inverted
         ({"mode": 40, "amplitude": 0.5}, "DegenerateCurveError"),
     ],
@@ -367,15 +364,49 @@ def test_degenerate_perturbed_circle_aborts_with_report(tmp_path, capsys, curve,
     assert f"aborted: {failure}" in capsys.readouterr().err
     meta = json.loads((out / "metadata.json").read_text())
     assert (meta["status"], meta["failure"]["type"]) == ("aborted", failure)
-    if failure == "DegenerateCurveError":
-        assert meta["failure"]["reason"].startswith("perturbed-circle: arc length not inverted")
+    # refused before any step: no row, and so no last good one
+    assert "last_good" not in meta["failure"]
+    assert read_csv(out / "diagnostics.csv")[1] == []
+    cusp = {1: "cusp at u = 0.250000", -1: "cusp at u = 0.000000"}.get(curve["amplitude"])
+    reason = cusp or "arc length not inverted"
+    assert meta["failure"]["reason"].startswith(f"perturbed-circle: {reason}")
+
+
+@pytest.mark.parametrize(
+    "constraint, reason, times",
+    [
+        # the bootstrap leaves the first step's tangent 6e-2 off unit length
+        (None, "unit-tangent defect 5.957e-02 exceeds tolerance 1.0e-02 at t=0.062500", [0.0]),
+        # past a loose gate, the tension solve's own guard refuses the next level
+        (0.9, "unit-tangent defect 1.191e-01 exceeds 0.1; refusing tension solve", [0.0, 1 / 16]),
+    ],
+    ids=["default-gate", "loose-gate"],
+)
+def test_coarse_bent_wire_steps_until_a_constraint_gate_refuses(tmp_path, capsys, constraint, reason, times):
+    # sixteen samples of a mode-3 wire: every step has its exact next level,
+    # and the run ends on the unit-tangent gates, not in the leapfrog
+    data = {
+        "grid": {"n": 16},
+        "time": {"horizon": 0.25},
+        "initial": {"name": "perturbed-circle", "amplitude": 0.2, "mode": 3},
+    }
+    if constraint is not None:
+        data["tolerances"] = {"constraint": constraint, "bentness_floor": 1e-6}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 3
+    assert f"aborted: ConstraintDriftError: {reason}\n" in capsys.readouterr().err
+    meta = json.loads((out / "metadata.json").read_text())
+    assert (meta["failure"]["type"], meta["failure"]["reason"]) == ("ConstraintDriftError", reason)
+    _header, rows = read_csv(out / "diagnostics.csv")
+    assert [float(row[0]) for row in rows] == times
+    assert meta["failure"]["last_good"]["time"] == times[-1]
 
 
 def test_solver_drift_guard_aborts_with_report(tmp_path, capsys):
     # a loose constraint gate lets the tangent drift until the tension solve
     # itself refuses; that is a numerical abort, not a config error.  On the
-    # half-plane the defect grows over converged leapfrog steps (their last
-    # relative change stays below 1e-14) and passes 0.1 near t = 0.53
+    # half-plane the defect grows over the leapfrog's exact steps and passes
+    # 0.1 near t = 0.53
     data = {
         "manifold": {"name": "hyperbolic"},
         "grid": {"n": 32},

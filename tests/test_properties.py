@@ -25,6 +25,11 @@
   failing level; the series carries level 0's fresh bentness gate.
 * Every series-shaped helper gives on a random window series (M+1, N, n)
   exactly (==) the stack of its calls on the levels.
+* On a moving wire in every chart (a bent loop of length about one, a
+  tangent rate off it, and nonzero theta, velocity, velocity rate and
+  connection rate), the closed-form leapfrog step equals the fixed-point
+  sweep of its equation run to convergence (``wave_oracle``) within 1e-15,
+  and one sweep from it moves it by at most 1e-15.
 * ``dot`` equals ``np.sum(p * q, axis=-1)`` bit for bit (signed zeros too) on
   levels and window series of n = 1 ... 7 components with signed zeros,
   infinities and NaN among the values, and so do ``perp``, ``row_norms``
@@ -52,7 +57,8 @@
   with random centres, have samples equally spaced in arc length as
   ``scipy.integrate.quad`` measures it, at N = 8 ... 4096, and length one;
   placing them evaluates the speed at no more than a stated number of points
-  per sample, cusps and near-cusps included.
+  per sample, cusps and near-cusps included; ``perturbed_circle`` refuses a
+  cusp before placing.
 """
 
 import contextlib
@@ -116,6 +122,7 @@ from elwire.geometry import (
     stack_samples,
 )
 from elwire.initial import CURVES, VELOCITIES
+from elwire.wave import leapfrog_step
 from geometry_oracle import (
     apply_chris_einsum,
     apply_curv_einsum,
@@ -125,6 +132,7 @@ from geometry_oracle import (
     dense_curv,
 )
 from run_config import SOLVE_DEFAULTS, run_config
+from wave_oracle import leapfrog_sweep, leapfrog_sweeps
 
 #: relative to the sum of the absolute products, the scale of any rounding
 REL_TOL = 1e-14
@@ -150,19 +158,26 @@ def chart_model(name):
     return CHARTS[name][0]()
 
 
+def fourier_field(rng, base, modes, size):
+    """``base`` (N, dim) plus a random field of the Fourier modes 1..``modes``
+    on the grid, each coefficient uniform in [-size, size]."""
+    n_points, dim = base.shape
+    t = 2.0 * np.pi * np.arange(n_points) / n_points
+    coeffs = rng.uniform(-size, size, (modes, 2, dim))
+    out = base.copy()
+    for m in range(modes):
+        out += np.cos((m + 1) * t)[:, None] * coeffs[m, 0]
+        out += np.sin((m + 1) * t)[:, None] * coeffs[m, 1]
+    return out
+
+
 def closed_curve(center, n_points, rng):
     """Samples of a random three-mode Fourier loop about ``center``.
 
     Its chart distance from the centre stays below 0.9, inside every chart
     of CHARTS.
     """
-    t = 2.0 * np.pi * np.arange(n_points) / n_points
-    coeffs = rng.uniform(-0.15, 0.15, (3, 2, len(center)))
-    pts = np.array(center, dtype=float) + np.zeros((n_points, 1))
-    for m in range(3):
-        pts += np.cos((m + 1) * t)[:, None] * coeffs[m, 0]
-        pts += np.sin((m + 1) * t)[:, None] * coeffs[m, 1]
-    return pts
+    return fourier_field(rng, np.array(center, dtype=float) + np.zeros((n_points, 1)), 3, 0.15)
 
 
 def assert_actions_match_oracle(samples, u, v, w):
@@ -520,6 +535,31 @@ def test_series_helpers_equal_their_stacked_levels(levels, chart, n_points, seed
     assert m0(p) == max(m0(level) for level in p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(**curves)
+def test_leapfrog_step_is_the_converged_sweep_on_a_moving_wire(chart, n_points, seed):
+    # a loop of length about one about the chart's centre, bent by modes 1-2,
+    # whose tangent moves at a rate of modes 1-2 off it; theta, eta and both
+    # rates are nonzero (the connection rate exists on the curved charts)
+    model, rng, grid = chart_model(chart), np.random.default_rng(seed), Grid(n_points)
+    t = 2.0 * np.pi * grid.points()
+    loop = np.zeros((n_points, model.dim))
+    loop[:, :2] = np.column_stack([np.cos(t), np.sin(t)]) / (2.0 * np.pi)
+    pts = fourier_field(rng, loop + CHARTS[chart][1], 2, 0.01)
+    samples = sample_geometry(model, pts)
+    xi = frame_tangent(pts, model, samples, grid)
+    xi = xi / row_norms(xi)[:, None]
+    dt = grid.dx * rng.uniform(0.5, 1.0)
+    theta, eta, eta_rate, conn_rate, rate = (
+        fourier_field(rng, np.zeros_like(xi), 2, 1.0) for _ in range(5)
+    )
+    args = (xi - dt * perp(rate, xi), xi, theta, eta, dt, grid, samples)
+    kwargs = {"eta_rate": eta_rate, "conn_rate": None if samples.conn is None else conn_rate}
+    step = leapfrog_step(*args, **kwargs)
+    assert m0(step - leapfrog_sweeps(*args, **kwargs)) <= 1e-15
+    assert m0(leapfrog_sweep(step, *args, **kwargs) - step) <= 1e-15
+
+
 #: values of every class a component may hold: signed zeros, subnormals,
 #: the extremes, infinities and NaN
 dot_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
@@ -800,17 +840,14 @@ def test_gauss_legendre_literals_are_the_6_point_rule():
 @pytest.mark.parametrize("n", [64, 1024])
 @pytest.mark.parametrize("amplitude", [0.01, 0.5, 0.99, 1.0, -2.0])
 @pytest.mark.parametrize("mode", [1, 2, 4])
-def test_arc_length_placement_evaluates_a_bounded_number_of_points(monkeypatch, n, amplitude, mode):
-    # the production speed, counted; an inversion that refines a grid until
-    # a near-cusp is resolved would evaluate 64 points per sample or more
+def test_arc_length_placement_evaluates_a_bounded_number_of_points(n, amplitude, mode):
+    # the production speed, counted, placed as perturbed_circle places it
+    # (which refuses the cusp of |amplitude| = 1 before placing); an
+    # inversion that refines a grid until a near-cusp is resolved would
+    # evaluate 64 points per sample or more
     points = []
-    place = initial._equal_arc
-
-    def counted(speed, n, curve):
-        return place(lambda u: points.append(u.size) or speed(u), n, curve)
-
-    monkeypatch.setattr(initial, "_equal_arc", counted)
-    initial.perturbed_circle(Grid(n), 2, np.zeros(2), mode, amplitude)
+    speed = initial._perturbed_speed(mode, amplitude)
+    initial._equal_arc(lambda u: points.append(u.size) or speed(u), n, "perturbed-circle")
     assert 0 < sum(points) <= POINTS_PER_SAMPLE * n
 
 
@@ -821,6 +858,11 @@ def test_arc_length_placement_refuses_what_it_cannot_place():
     message = "^perturbed-circle: arc length not inverted in 16 Newton steps; at u = "
     with pytest.raises(DegenerateCurveError, match=message):
         initial.perturbed_circle(Grid(64), 2, np.zeros(2), 40, 0.5)
+    # a cusp is refused before any sample is placed
+    for mode, amplitude, cusp in [(2, 1.0, "0.250000"), (3, -1, "0.000000")]:
+        message = f"^perturbed-circle: cusp at u = {cusp}, where the speed vanishes"
+        with pytest.raises(DegenerateCurveError, match=message):
+            initial.perturbed_circle(Grid(64), 2, np.zeros(2), mode, amplitude)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,17 @@ import math
 import numpy as np
 import pytest
 
-from elwire.errors import CflError, NonContractionError
+from elwire.errors import CflError, NonContractionError, NumericalSolveError
 from elwire.fields import Grid, circ_diff, m0
 from elwire.geometry import EuclideanModel, sample_geometry, stack_samples
 from elwire.wave import _contract, leapfrog_step, picard_wave_solve, wave_series
 
-from wave_oracle import characteristic_derivatives, characteristic_quadrature, triangle_series
+from wave_oracle import (
+    characteristic_derivatives,
+    characteristic_quadrature,
+    leapfrog_sweeps,
+    triangle_series,
+)
 
 EXACT_TOL = 1e-12
 TRANSPORT_TOL = 1e-11
@@ -256,3 +261,22 @@ def test_leapfrog_rejects_unstable_step():
     zero = np.zeros_like(a)
     with pytest.raises(CflError):
         leapfrog_step(a, a, zero, zero, 2.0 * grid.dx, grid, flat_samples(16), eta_rate=zero)
+
+
+@pytest.mark.parametrize("jump, real", [(2.0, True), (2.5, False), (3.0, False)])
+def test_leapfrog_without_a_real_next_level_raises(jump, real):
+    # xi_prev = xi - jump xi gives the backward rate jump xi / dt; on the
+    # resting circle the step's quadratic in the speed coefficient then has
+    # a discriminant near 1 + 2 jump - jump^2, negative past 1 + sqrt(2)
+    grid = Grid(16)
+    x = grid.points()
+    xi = np.column_stack([-np.sin(TWO_PI * x), np.cos(TWO_PI * x)])
+    zero = np.zeros_like(xi)
+    args = (xi - jump * xi, xi, zero, zero, grid.dx, grid, flat_samples(16))
+    if real:
+        step = leapfrog_step(*args, eta_rate=zero)
+        assert m0(step - leapfrog_sweeps(*args, eta_rate=zero)) <= 1e-15
+    else:
+        message = "^leapfrog step has no real next level: discriminant -"
+        with pytest.raises(NumericalSolveError, match=message):
+            leapfrog_step(*args, eta_rate=zero)

@@ -1,4 +1,4 @@
-"""Reference routes of the characteristic (d'Alembert) representation.
+"""Reference routes of the tangent wave solvers.
 
 Production evaluates the representation level by level through its exact
 three-level recurrence (``wave.wave_series``).  The tests check it against
@@ -9,13 +9,18 @@ exactly.  The characteristic derivatives u_x +/- u_t of the representation
 come two ways, as running trapezoid sums and as sums redone afresh at every
 level; the tests compare them with each other and with centred differences
 of wave_series.
+
+The march's leapfrog step is solved in closed form (``wave.leapfrog_step``);
+the fixed-point sweep of its implicit equation, run to convergence, is the
+reference here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from elwire.fields import circ_diff, time_diff_series
+from elwire.fields import circ_diff, cov_dxx, m0, perp, sided_grad_sq, time_diff_series
+from elwire.geometry import apply_chris, dot
 
 
 @dataclass(frozen=True)
@@ -141,3 +146,58 @@ def characteristic_derivatives(a, b, f, h, dx, n_levels=None):
             run -= h[: n_levels + 1]
         out[sign] = run
     return CharacteristicFields(u_plus=out[+1], u_minus=out[-1])
+
+
+def leapfrog_sweep(guess, xi_prev, xi_curr, theta, eta, dt, grid, samples, *, eta_rate, conn_rate=None):
+    """One sweep of the leapfrog's fixed-point form from a guess y of the
+    next level, with the arguments of ``wave.leapfrog_step``.
+
+    The centred rate (y - xi_prev) / (2 dt) enters the connection terms of
+    the covariant second difference, and the forward rate
+    (y - xi_curr) / dt + Gamma(eta, xi_curr) the speed coefficient, beside
+    the backward one; the sweep returns 2 xi_curr - xi_prev plus dt^2 times
+    the acceleration.  Its fixed points are the next levels of the step, so
+    sweep(y) - y is the residual of the step's equation at y.
+    """
+    dx = grid.dx
+    conn = samples.conn
+    conn_eta_xi = apply_chris(conn, eta, xi_curr)
+    xi_t = (guess - xi_prev) / (2.0 * dt)
+    fwd_t = (guess - xi_curr) / dt + conn_eta_xi
+    bwd_t = (xi_curr - xi_prev) / dt + conn_eta_xi
+    coeff = sided_grad_sq(xi_curr, xi_curr, samples, dx) - 0.5 * (dot(fwd_t, fwd_t) + dot(bwd_t, bwd_t))
+    accel = (
+        cov_dxx(xi_curr, xi_curr, samples, dx)
+        + coeff[:, None] * xi_curr
+        + perp(theta, xi_curr)
+        - apply_chris(conn, eta, xi_t)
+        - apply_chris(conn, eta, xi_t + conn_eta_xi)
+        - apply_chris(conn, eta_rate, xi_curr)
+        - apply_chris(conn_rate, eta, xi_curr)
+    )
+    return 2.0 * xi_curr - xi_prev + dt * dt * accel
+
+
+def leapfrog_sweeps(xi_prev, xi_curr, *args, **kwargs):
+    """The leapfrog's next level by leapfrog_sweep, run to convergence.
+
+    Sweeps start from the current level and go on, with no cap, while the
+    sup change between iterates shrinks; the last iterate is returned.  The
+    map contracts at a rate of order dt, so the change stops shrinking at the
+    rounding floor; a last change above 1e-12 relative means the sweeps did
+    not converge and fails the caller.  Where the step's quadratic has two
+    real roots, this start settles on the one the step takes (from
+    2 xi_curr - xi_prev the sweeps reach the other on the resting circle
+    with xi_prev = -xi).
+    """
+    guess = xi_curr
+    change = np.inf
+    while True:
+        new = leapfrog_sweep(guess, xi_prev, xi_curr, *args, **kwargs)
+        step = m0(new - guess)
+        guess = new
+        if not step < change:
+            break
+        change = step
+    assert step <= 1e-12 * (1.0 + m0(guess)), f"leapfrog sweeps stopped at a change of {step:.3e}"
+    return guess
