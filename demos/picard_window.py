@@ -1,7 +1,8 @@
 """Solve a short window by coupled source iteration and compare with marching.
 
-The window solver freezes the tension series, solves the tangent wave in
-integral form, advances the ordinary equations, and repeats until the iterates
+The window solver freezes the tension series, takes the tangent wave's
+integral form once with the sources of the current iterate, projects it to
+unit length, advances the ordinary equations, and repeats until the iterates
 stop moving.  Near the resting circle the map contracts immediately; the
 converged window agrees with the marching integrator to discretization level.
 """

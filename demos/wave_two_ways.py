@@ -1,10 +1,10 @@
 """The free tangent wave solved two independent ways.
 
-The same initial data is evolved by the integral-representation window solver
-(source iteration on the closed-form wave operator) and by the three-level
-leapfrog, each started from its own bootstrap.  The sup gap between the two
-trajectories shrinks at second order, which is the strongest cheap evidence
-that both implement the same equation.
+The same initial data is evolved by the integral representation (the
+d'Alembert series, fed back its own wave sources until it stops moving) and
+by the three-level leapfrog, each started from its own bootstrap.  The sup
+gap between the two trajectories shrinks at second order, which is the
+strongest cheap evidence that both implement the same equation.
 """
 
 import math
@@ -13,9 +13,24 @@ import numpy as np
 
 from elwire.fields import Grid, compact_second
 from elwire.geometry import EuclideanModel, sample_geometry, stack_samples
-from elwire.wave import leapfrog_step, picard_wave_solve
+from elwire.wave import assemble_wave_sources, leapfrog_step, wave_series
 
 TWO_PI = 2.0 * math.pi
+
+
+def window_series(a, b, grid, steps, samples):
+    """The free tangent wave over ``steps`` levels from (a, b) by source
+    iteration: each sweep takes the d'Alembert series with the wave sources
+    of the last one, no tension and no velocity; returns the series and the
+    number of sweeps."""
+    zero = np.zeros((steps + 1,) + a.shape)
+    series = wave_series(a, b, None, None, grid.dx, steps)
+    for sweep in range(1, 31):
+        f, h = assemble_wave_sources(series, zero, zero, samples, grid)
+        series, last = wave_series(a, b, f, h, grid.dx, steps), series
+        if np.max(np.abs(series - last)) <= 1e-13:
+            return series, sweep
+    raise RuntimeError("the source iteration did not settle in 30 sweeps")
 
 
 def route_gap(n: int) -> float:
@@ -30,15 +45,7 @@ def route_gap(n: int) -> float:
 
     # a resting flat curve: zero tension and velocity, flat geometry samples
     flat = sample_geometry(EuclideanModel(2), np.zeros_like(a))
-    zero_series = np.zeros((steps + 1, n, 2))
-    series, report = picard_wave_solve(
-        a,
-        b,
-        zero_series,
-        grid,
-        eta_series=zero_series,
-        samples_series=stack_samples([flat] * (steps + 1)),
-    )
+    series, sweeps = window_series(a, b, grid, steps, stack_samples([flat] * (steps + 1)))
 
     forward = (np.roll(a, -1, 0) - a) / dx
     backward = (a - np.roll(a, 1, 0)) / dx
@@ -51,7 +58,7 @@ def route_gap(n: int) -> float:
         curr, prev = leapfrog_step(prev, curr, zero, zero, dx, grid, flat, eta_rate=zero), curr
         gap = max(gap, float(np.max(np.abs(series[m] - curr))))
     print(
-        f"  n = {n:3d}  window sweeps = {report.iterations}  "
+        f"  n = {n:3d}  window sweeps = {sweeps}  "
         f"sup gap to t = 1/4: {gap:.3e}"
     )
     return gap

@@ -169,11 +169,8 @@ def _picard_levels(cfg: RunConfig, manifold, grid: Grid, meta: dict) -> Iterator
     try:
         iterate, report = picard_coupled(initial, manifold, grid, cfg)
     except NonContractionError as exc:
-        # the sweeps up to the failure, and those of a failed inner wave
-        # solve, are part of the abort report
+        # the sweeps up to the failure are part of the abort report
         meta["contraction"] = dataclasses.asdict(exc.report)
-        if isinstance(exc.__cause__, NonContractionError):
-            meta["contraction"]["inner"] = dataclasses.asdict(exc.__cause__.report)
         raise
     meta["contraction"] = dataclasses.asdict(report)
     yield from window_rows(iterate, grid, cfg)

@@ -19,9 +19,10 @@ unless noted; defaults in parentheses):
 ``"characteristic"`` locks the time step to the grid spacing, which is
 what the integral wave solver and the transport diagnostic require.  Both
 modes read the tolerances alike (see dynamics._gate): ``constraint`` holds
-the unit-tangent defect of each level a step is taken from (a march level
-before its last, a window's level 0), not of one that only ends a step;
-``bentness_floor`` holds the bentness solved every ``bentness_every`` levels.
+the unit-tangent defect of every level but a march's last, which only
+reports it; ``bentness_floor`` holds the bentness solved every
+``bentness_every`` levels.  ``renormalize`` rescales the march's tangent to
+unit rows after each step; a picard window always projects its tangent.
 Validation collects every problem (not just the first) with its JSON path,
 e.g. ``grid.n: must be an integer >= 8, got 4``: a key that nothing reads,
 in any section, and a number that is not finite are refused.  This module

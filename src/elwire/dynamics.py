@@ -19,8 +19,9 @@ velocity.  This module provides
 * picard_coupled     the contraction-map alternative on a short time window,
                      whose iterate is a Level of series: each sweep solves
                      the tension of the whole window in one call, twice,
-                     and moves its curves and velocities by the march's
-                     half-step updates,
+                     takes one d'Alembert series for the tangent, projected
+                     to unit rows, and moves its curves and velocities by
+                     the march's half-step updates,
 * window_rows        the generator of a converged window's levels, each gated,
 * reconstruct_mu     the pointwise multiplier of the single-equation form.
 
@@ -81,7 +82,7 @@ from .geometry import (
     sample_geometry,
     stack_samples,
 )
-from .wave import ContractionReport, _contract, leapfrog_step, picard_wave_solve
+from .wave import ContractionReport, _contract, assemble_wave_sources, leapfrog_step, wave_series
 
 #: tangent samples shorter than this fraction of the mean abort preparation
 MIN_TANGENT_NORM = 1e-6
@@ -150,12 +151,13 @@ def _gate(
     *, steps_from: bool = True,
 ) -> float:
     """The one gate of every level a run records, here level ``k`` of a run
-    whose last level is ``last``.  A level the run ``steps_from`` (a march
-    level before its last, a window's level 0) has its unit-tangent defect
-    held to ``cfg.constraint_tol`` (ConstraintDriftError; a NaN defect fails
-    too); other levels only report it.  Returns the bentness in force by the
-    run's one cadence: fresh at a multiple of ``cfg.bentness_every`` before
-    ``last``, held to ``cfg.b_floor`` (NearGeodesicError); else ``gate``."""
+    whose last level is ``last``.  The level's unit-tangent defect is held
+    to ``cfg.constraint_tol`` (ConstraintDriftError; a NaN defect fails
+    too), except on a march's last level, which no step is taken from
+    (``steps_from`` False): that level only reports it.  Returns the
+    bentness in force by the run's one cadence: fresh at a multiple of
+    ``cfg.bentness_every`` before ``last``, held to ``cfg.b_floor``
+    (NearGeodesicError); else ``gate``."""
     drift = constraint_drift(level.xi) if steps_from else 0.0
     if not drift <= cfg.constraint_tol:
         raise ConstraintDriftError(
@@ -466,15 +468,19 @@ def picard_coupled(
     contraction; the iterate is a Level of series (see Level).
 
     One sweep: solve the tension on the frozen iterate, advance the curve from
-    the frozen velocity, run the full inner wave solve for the tangent, update
-    the velocity from the frozen flux, then refresh tension and velocity once
-    more on the new fields.  The sweep returns the refreshed level with the
-    refreshed velocity, derived anew in D_t xi only: it keeps that level's
-    D_x xi, of the same xi and samples.  Each tension solve is one call on
-    the whole series.  Distances between sweeps use the composite norm of
-    window_distance; sweeps stop once one is within ``cfg.picard_tol``, and
-    three consecutive non-decreasing distances, or ``cfg.picard_max_iter``
-    sweeps without reaching the tolerance, raise NonContractionError.  Level
+    the frozen velocity, take one d'Alembert series (wave_series) for the
+    tangent from the current iterate's wave sources and project it to unit
+    rows (always: the wire is inextensible; ``cfg.renormalize`` is a march
+    option), update the velocity from the frozen flux, then refresh tension
+    and velocity once more on the new fields.  The sweep returns the
+    refreshed level with the refreshed velocity, derived anew in D_t xi
+    only: it keeps that level's D_x xi, of the same xi and samples.  Each
+    tension solve is one call on the whole series.  The sweeps are the
+    window's one contraction loop (_contract): distances between them use
+    the composite norm of window_distance; they stop once one is within
+    ``cfg.picard_tol``, and three consecutive non-decreasing distances, or
+    ``cfg.picard_max_iter`` sweeps without reaching the tolerance, raise
+    NonContractionError.  Level
     0 is the fixed initial level: the start iterate repeats it on every
     level, its samples serve every sweep's level 0, and it passes _gate
     before any sweep, whose tension solves all carry its bentness; the later
@@ -507,10 +513,9 @@ def picard_coupled(
         gamma_new, samples_new, halves = _window_curve(
             initial.gamma, initial.samples, eta, manifold, dt
         )
-        xi_new, _ = picard_wave_solve(
-            initial.xi, initial.xi_t, solved.theta, grid,
-            eta_series=eta, samples_series=current.samples,
-        )
+        f, h = assemble_wave_sources(current.xi, solved.theta, eta, current.samples, grid)
+        xi_new = wave_series(initial.xi, initial.xi_t, f, h, dt, cfg.picard_window)
+        xi_new = xi_new / row_norms(xi_new)[..., None]
         eta_mid = _integrate_eta(initial.eta, flux, current.dxi, samples_new, halves, dt)
         # refresh tension and velocity on the advanced fields; the refreshed
         # and the returned level differ in eta alone, so they share D_x xi
@@ -538,12 +543,13 @@ def _at(series, m: int):
 
 def window_rows(iterate: Level, grid: Grid, cfg: RunConfig) -> Iterator[Level]:
     """Yield the levels 0..cfg.picard_window of a converged window iterate,
-    each with its samples and time m * dx; each level after 0 passes _gate
-    for its bentness, so a level below the floor raises after those before."""
+    each with its samples and time m * dx; each level after 0 passes _gate,
+    which holds its unit tangent and its bentness, so a level that fails
+    raises after those before."""
 
     gate = iterate.bentness
     for m in range(cfg.picard_window + 1):
         level = replace(_at(iterate, m), samples=_at(iterate.samples, m), time=m * grid.dx)
         if m:
-            gate = _gate(level, grid, cfg, m, cfg.picard_window, gate, steps_from=False)
+            gate = _gate(level, grid, cfg, m, cfg.picard_window, gate)
         yield replace(level, bentness=gate)

@@ -9,19 +9,21 @@ with all connection and tension contributions collected in the local sources f
 and h (assemble_wave_sources, whole window series at once).  Production uses
 one route per job:
 
-* the Picard window (picard_wave_solve) evaluates the characteristic
-  (d'Alembert) representation with the time step locked to dx, so
+* the Picard window evaluates the characteristic (d'Alembert)
+  representation (wave_series) with the time step locked to dx, so
   characteristics pass exactly through grid points.  Its trapezoid
   quadrature over the dependence triangle obeys an exact three-level
-  recurrence, which wave_series evaluates in O(N) per level, and a source
-  iteration feeds the solution back into the sources over the window;
+  recurrence, evaluated in O(N) per level.  Each coupled sweep of the window
+  (dynamics.picard_coupled) takes one such series, with the sources of the
+  current iterate, under its one contraction loop (_contract);
 * the marching integrator takes the three-level covariant leapfrog
   (leapfrog_step), whose implicit next level is solved in closed form.
 
 The other routes are oracles under tests/: the plain triangle quadrature,
 the characteristic derivatives, whose h-contribution never differentiates h
-in space, and the leapfrog's fixed-point sweep are in tests/wave_oracle.py,
-and the tests check the window solve against the leapfrog.
+in space, the wave-only source iteration and the leapfrog's fixed-point sweep
+are in tests/wave_oracle.py, and the tests check the window solve against the
+leapfrog.
 """
 
 from __future__ import annotations
@@ -32,14 +34,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CflError, NonContractionError, NumericalSolveError
-from .fields import Grid, cov_dx, cov_dxx, m1, perp, sided_grad_sq, time_diff_series
+from .fields import Grid, cov_dx, cov_dxx, perp, sided_grad_sq, time_diff_series
 from .fields import shift as grid_shift
 from .geometry import GeometrySamples, apply_chris, dot
-
-UNIT_DATA_TOL = 1e-8
-#: sweep cap and tolerance of the window's source iteration (picard_wave_solve)
-WAVE_MAX_ITER = 30
-WAVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -110,9 +107,8 @@ def _contract(
 
     Returns the last iterate and its ContractionReport.  Three consecutive
     distance ratios >= 1, or ``max_iter`` sweeps that end above ``tol``,
-    raise NonContractionError naming ``label``; one raised inside a sweep
-    (an inner iteration) is raised again with the sweep's number in front.
-    Each carries the report up to the failure.
+    raise NonContractionError naming ``label``, with the report up to the
+    failure.
     """
     current = start
     distances: list[float] = []
@@ -127,11 +123,8 @@ def _contract(
             iterations=len(distances),
         )
 
-    for index in range(max_iter):
-        try:
-            new = sweep(current)
-        except NonContractionError as exc:
-            raise NonContractionError(f"{label} sweep {index + 1}: {exc}", report()) from exc
+    for _ in range(max_iter):
+        new = sweep(current)
         dist = distance(new, current)
         if distances:
             ratio = dist / distances[-1] if distances[-1] > 0 else 0.0
@@ -186,54 +179,6 @@ def assemble_wave_sources(
         + apply_chris(c, u_series, du)
     )
     return f, apply_chris(c, u_series, u_series)
-
-
-def picard_wave_solve(
-    a: np.ndarray,
-    b: np.ndarray,
-    theta_series: np.ndarray,
-    grid: Grid,
-    *,
-    eta_series: np.ndarray,
-    samples_series: GeometrySamples,
-) -> tuple[np.ndarray, ContractionReport]:
-    """Solve the tangent wave equation over a window by source iteration.
-
-    theta, eta and the geometry samples along the curve (``stack_samples``)
-    are frozen series on the window's levels 0..M with dt = dx, M read from
-    the eta series.  The initial tangent ``a`` must be a unit field and its
-    plain rate ``b`` orthogonal to it, point by point.  Starting from the
-    source-free series wave_series(a, b, None, None, dx, M), each sweep
-    reassembles (f, h) from the current iterate and returns
-    wave_series(a, b, f, h, dx, M).  Distances between consecutive iterates
-    are measured in the composite first-order norm; the iteration stops at
-    WAVE_TOL, and three consecutive non-decreasing distances or WAVE_MAX_ITER
-    sweeps without reaching it raise NonContractionError.
-    """
-    dx = grid.dx
-    n_levels = len(eta_series) - 1
-    if n_levels < 2:
-        raise ValueError("picard window needs at least 2 time levels")
-    unit = np.max(np.abs(dot(a, a) - 1.0))
-    ortho = np.max(np.abs(dot(a, b)))
-    if unit > UNIT_DATA_TOL or ortho > UNIT_DATA_TOL:
-        raise ValueError(
-            f"wave data not admissible: max | ||a||^2 - 1 | = {unit:.3e}, "
-            f"max |<a, b>| = {ortho:.3e}"
-        )
-
-    def sweep(current):
-        f, h = assemble_wave_sources(current, theta_series, eta_series, samples_series, grid)
-        return wave_series(a, b, f, h, dx, n_levels)
-
-    return _contract(
-        sweep,
-        wave_series(a, b, None, None, dx, n_levels),
-        lambda new, current: m1(new - current, dx, dx),
-        max_iter=WAVE_MAX_ITER,
-        tol=WAVE_TOL,
-        label="picard iteration",
-    )
 
 
 def leapfrog_step(

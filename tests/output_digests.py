@@ -143,17 +143,36 @@ CONFIGS = {
         "picard": {"window": 16, "max_iter": 2},
         "initial": _PERTURBED,
     },
-    # level 0 passes (bentness 0.98741); level 1 ends a step and is recorded
-    # with its defect 4.9e-4 past the tolerance; level 2's fresh bentness
-    # 0.98667 falls below the floor, after the snapshots of levels 0-1
+    # the wire's bentness falls as its mode-2 bend relaxes: levels 0 and 2
+    # pass (fresh bentness 0.98797, 0.98765), and level 4's 0.98746 falls
+    # below the floor, after the snapshots of levels 0-3
     "abort-window-gate": {
         "mode": "picard",
         "grid": {"n": 32},
-        "picard": {"window": 4},
-        "initial": _PERTURBED,
-        "tolerances": {"constraint": 3e-4, "bentness_floor": 0.987},
+        "picard": {"window": 8},
+        "initial": {"name": "perturbed-circle", "mode": 2, "amplitude": 0.3},
+        "tolerances": {"bentness_floor": 0.9876},
         "output": {"snapshot_every": 1},
         "diagnostics": {"bentness_every": 2},
+    },
+    # a circle in rigid rotation: its window contracts in 11 sweeps at n = 16
+    "picard-rotating": {
+        "mode": "picard",
+        "grid": {"n": 16},
+        "picard": {"window": 8},
+        "initial": {"name": "circle", "velocity": {"name": "rotate", "omega": 1}},
+    },
+    # a bent wire rotating fast: the sweeps stop contracting after 4
+    "abort-noncontracting-window": {
+        "mode": "picard",
+        "grid": {"n": 16},
+        "picard": {"window": 12},
+        "initial": {
+            "name": "perturbed-circle",
+            "mode": 3,
+            "amplitude": 0.05,
+            "velocity": {"name": "rotate", "omega": 2},
+        },
     },
     "config-errors": {
         "grid": None,

@@ -47,11 +47,11 @@ from elwire.geometry import (
     sample_geometry,
     stack_samples,
 )
-from elwire.wave import leapfrog_step, picard_wave_solve, wave_series
+from elwire.wave import leapfrog_step, wave_series
 from geometry_oracle import dense_chris
 from residual_oracle import residual_base_single
 from run_config import SOLVE_DEFAULTS, run_config
-from wave_oracle import characteristic_derivatives
+from wave_oracle import characteristic_derivatives, picard_wave_solve
 
 TWO_PI = 2.0 * math.pi
 RESOLUTIONS = (64, 128, 256)

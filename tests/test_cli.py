@@ -519,64 +519,93 @@ def test_bad_generator_parameters_exit_code(tmp_path, capsys):
     assert "direction" in err
 
 
+#: a circle rotating rigidly at n = 16: its window moves, so its sweeps
+#: contract over several iterations (a resting circle's window is its start)
+ROTATING_CONFIG = dict(
+    REST_CONFIG,
+    initial={"name": "circle", "velocity": {"name": "rotate", "omega": 1}},
+    mode="picard",
+    picard={"window": 8},
+)
+
+
 def test_picard_run_outputs(tmp_path, capsys):
-    # n=16 is too coarse here: the window iterate drifts past the unit-length
-    # guard on the tension solve, so the smallest healthy resolution is used.
-    data = dict(REST_CONFIG)
-    data["grid"] = {"n": 32}
-    data["mode"] = "picard"
-    data["picard"] = {"window": 4}
-    path = config_file(tmp_path, data)
+    path = config_file(tmp_path, ROTATING_CONFIG)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-    assert "picard window of 4 steps" in capsys.readouterr().out
+    assert "picard window of 8 steps converged in 11 sweeps" in capsys.readouterr().out
 
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["mode"] == "picard"
-    assert meta["window_steps"] == 4
+    assert meta["window_steps"] == 8
     assert meta["status"] == "completed"
     assert meta["prepared"]["projection_magnitude"] < 1e-12
     assert meta["contraction"]["converged"] is True
-    assert len(meta["contraction"]["ratios"]) >= 1
+    assert len(meta["contraction"]["ratios"]) == 10
     header, rows = read_csv(out / "diagnostics.csv")
     assert header == ",".join(CSV_COLUMNS)
-    assert len(rows) == 5
+    assert len(rows) == 9
+    drift = CSV_COLUMNS.index("constraint_drift")
+    assert max(float(row[drift]) for row in rows) <= 1e-15
     snapshots = sorted(p.name for p in out.glob("snapshot_*.json"))
-    assert snapshots == ["snapshot_000000.json", "snapshot_000004.json"]
+    assert snapshots == ["snapshot_000000.json", "snapshot_000008.json"]
 
 
-def test_picard_window_longer_than_the_grid_aborts_with_report(tmp_path, capsys):
-    # the periodic representation holds for any window length.  At n=8 the
-    # circle's window iteration does not contract (neither does a window of
-    # one period), so the run ends as a numerical abort with its report.
-    data = {"grid": {"n": 8}, "mode": "picard", "picard": {"window": 12}}
+def test_picard_window_longer_than_the_grid_holds_the_resting_circle(tmp_path):
+    # the periodic representation holds for any window length: at n=8 a
+    # window of 12 steps, one and a half periods, keeps the circle at rest,
+    # so the first sweep returns the start iterate to rounding
+    data = {
+        "grid": {"n": 8},
+        "mode": "picard",
+        "picard": {"window": 12},
+        "output": {"snapshot_every": 1},
+    }
     path = config_file(tmp_path, data)
     assert main(["check", "--config", str(path), "--quiet"]) == 0
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
-    assert "aborted: NonContractionError" in capsys.readouterr().err
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
     meta = json.loads((out / "metadata.json").read_text())
-    assert meta["status"] == "aborted"
-    assert meta["failure"]["type"] == "NonContractionError"
-    header, _rows = read_csv(out / "diagnostics.csv")
-    assert header == ",".join(CSV_COLUMNS)
+    contraction = meta["contraction"]
+    assert contraction["converged"] is True and contraction["iterations"] == 1
+    assert contraction["distances"][0] < 1e-13
+    first, *later = (
+        json.loads((out / f"snapshot_{m:06d}.json").read_text()) for m in range(13)
+    )
+    assert len(later) == 12
+    for level in later:
+        assert level["gamma"] == first["gamma"]
+        for key in ("xi", "eta"):
+            assert np.max(np.abs(np.subtract(level[key], first[key]))) <= 2.6e-15
 
 
 def test_picard_abort_keeps_the_sweep_record(tmp_path):
-    # the first coupled sweep's inner wave solve stops contracting; the abort
-    # names that sweep and keeps the distances of both iterations
-    data = {"grid": {"n": 8}, "mode": "picard", "picard": {"window": 12}}
+    # a bent wire rotating fast at n=16: the coupled sweeps stop contracting,
+    # and the abort keeps the distances and ratios of every sweep
+    data = {
+        "grid": {"n": 16},
+        "mode": "picard",
+        "picard": {"window": 12},
+        "initial": {
+            "name": "perturbed-circle",
+            "mode": 3,
+            "amplitude": 0.05,
+            "velocity": {"name": "rotate", "omega": 2},
+        },
+    }
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 3
     meta = json.loads((out / "metadata.json").read_text())
+    assert meta["failure"]["type"] == "NonContractionError"
     reason = meta["failure"]["reason"]
-    assert reason.startswith("coupled picard iteration sweep 1: picard iteration stopped")
+    assert reason == (
+        "coupled picard iteration stopped contracting: last ratios ['2.093', '1.241', '1.149']"
+    )
     contraction = meta["contraction"]
-    assert contraction["distances"] == [] and contraction["converged"] is False
-    inner = contraction["inner"]
-    assert len(inner["distances"]) == len(inner["ratios"]) + 1 == 4
-    assert [f"{r:.3f}" for r in inner["ratios"]] == ["4.130", "95.556", "1982.623"]
-    assert "'4.130', '95.556', '1982.623'" in reason
+    assert contraction["converged"] is False and contraction["iterations"] == 4
+    assert len(contraction["distances"]) == len(contraction["ratios"]) + 1 == 4
+    assert [f"{r:.3f}" for r in contraction["ratios"]] == ["2.093", "1.241", "1.149"]
+    assert set(contraction) == {"distances", "ratios", "converged", "iterations"}
 
 
 def test_unconverged_picard_run_aborts_with_its_sweeps(tmp_path, capsys):
@@ -631,18 +660,18 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
         if name.startswith("elwire") and hasattr(module, "sample_geometry"):
             monkeypatch.setattr(module, "sample_geometry", counted("sample_geometry", sample_geometry))
     every = 2
+    rotate = {"name": "rotate", "omega": 1}
     cases = [
-        ({"name": "euclidean"}, {"name": "circle"}, 5, 1),
-        ({"name": "sphere"}, {"name": "sphere-loop"}, 8, 2),
+        ({"name": "euclidean"}, {"name": "circle", "velocity": rotate}, 16, 8, 1),
+        ({"name": "sphere"}, {"name": "sphere-loop", "velocity": rotate}, 32, 8, 2),
     ]
-    for index, (manifold, initial, window, per_step) in enumerate(cases):
+    for index, (manifold, initial, n, window, per_step) in enumerate(cases):
         calls.update(dict.fromkeys(calls, 0))
         data = dict(
-            REST_CONFIG,
+            ROTATING_CONFIG,
             manifold=manifold,
             initial=initial,
-            grid={"n": 32},
-            mode="picard",
+            grid={"n": n},
             picard={"window": window},
             diagnostics={"bentness_every": every},
         )

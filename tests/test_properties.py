@@ -45,8 +45,11 @@
   lengths, bentness cadences and tolerances, a window level below the
   bentness floor, and a march level before the last past the constraint
   tolerance, abort the run with exit 3 after the levels before it, which
-  metadata.json reports as the last good; a level that only ends a step, a
-  march's last or a window's later level, is recorded past that tolerance.
+  metadata.json reports as the last good; a march's last level, which only
+  ends a step, is recorded past that tolerance.  A window level doctored
+  past it stops the window's rows at that level.
+* On a moving loop in every chart, every level of a converged Picard window
+  has unit tangent rows (defect at most 1e-15).
 * A failing hypothesis test fails alone under the suite's warning filters:
   the tests after it still run.
 * On a drawn chart, dimension and initial section (curves, velocities,
@@ -83,12 +86,21 @@ from elliptic_oracle import block_tridiagonal_to_dense, dense_operator
 from elwire import initial
 from elwire.cli import main, write_snapshot
 from elwire.config import parse_config
-from elwire.dynamics import Level, _gate, _solve_level, frame_tangent
+from elwire.dynamics import (
+    Level,
+    _gate,
+    _solve_level,
+    frame_tangent,
+    picard_coupled,
+    prepare_initial,
+    window_rows,
+)
 from elwire.elliptic import _block_operator, _fold_order, _solve_system, bentness, solve_flux_form
 from elwire.errors import (
     ConfigError,
     ConstraintDriftError,
     DegenerateCurveError,
+    NonContractionError,
     NumericalAbort,
     NumericalSolveError,
 )
@@ -169,6 +181,15 @@ def fourier_field(rng, base, modes, size):
         out += np.cos((m + 1) * t)[:, None] * coeffs[m, 0]
         out += np.sin((m + 1) * t)[:, None] * coeffs[m, 1]
     return out
+
+
+def bent_loop(chart, grid, rng):
+    """A loop of length about one about the centre of CHARTS[chart], bent by
+    a random field of modes 1-2."""
+    t = 2.0 * np.pi * grid.points()
+    loop = np.zeros((grid.n_points, chart_model(chart).dim))
+    loop[:, :2] = np.column_stack([np.cos(t), np.sin(t)]) / (2.0 * np.pi)
+    return fourier_field(rng, loop + CHARTS[chart][1], 2, 0.01)
 
 
 def closed_curve(center, n_points, rng):
@@ -542,10 +563,7 @@ def test_leapfrog_step_is_the_converged_sweep_on_a_moving_wire(chart, n_points, 
     # whose tangent moves at a rate of modes 1-2 off it; theta, eta and both
     # rates are nonzero (the connection rate exists on the curved charts)
     model, rng, grid = chart_model(chart), np.random.default_rng(seed), Grid(n_points)
-    t = 2.0 * np.pi * grid.points()
-    loop = np.zeros((n_points, model.dim))
-    loop[:, :2] = np.column_stack([np.cos(t), np.sin(t)]) / (2.0 * np.pi)
-    pts = fourier_field(rng, loop + CHARTS[chart][1], 2, 0.01)
+    pts = bent_loop(chart, grid, rng)
     samples = sample_geometry(model, pts)
     xi = frame_tangent(pts, model, samples, grid)
     xi = xi / row_norms(xi)[:, None]
@@ -978,9 +996,9 @@ def test_parse_config_accepts_exactly_what_the_builders_build(sections):
 # ---------------------------------------------------------------------------
 # every level a run records passes the run's one gate
 
-#: runs at N = 32 whose unit-tangent defect grows from level to level (a
-#: perturbed-circle window, a hyperbolic-circle march), and the window's
-#: bentness falls; ``level_profile`` measures both
+#: runs at N = 32: a perturbed-circle window, whose bentness falls from
+#: level to level, and a hyperbolic-circle march, whose unit-tangent defect
+#: grows; ``level_profile`` measures both
 GATED_RUNS = {
     "picard": {
         "mode": "picard",
@@ -1033,23 +1051,21 @@ def assert_aborted_after(meta, rows, failure, m):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    mode=st.sampled_from(sorted(GATED_RUNS)),
     data=st.data(),
     steps=st.integers(2, 6),
     every=st.integers(1, 7),
     where=st.floats(0.0, 0.99),
 )
-def test_the_constraint_holds_each_level_a_step_is_taken_from(mode, data, steps, every, where):
-    # a tolerance from level m - 1's defect up to level m's refuses level m
-    # when a step is taken from it, a march level before the last; a level
-    # that only ends a step, a march's last or any window level after 0, is
-    # recorded with its defect
-    drift, _ = level_profile(mode, steps)
+def test_the_constraint_holds_each_level_a_step_is_taken_from(data, steps, every, where):
+    # a tolerance from level m - 1's defect up to level m's refuses march
+    # level m when a step is taken from it, any level before the last; the
+    # last level, which only ends a step, is recorded with its defect
+    drift, _ = level_profile("march", steps)
     m = data.draw(st.integers(1, steps), label="m")
     assert drift[m] > drift[m - 1] > 0.0
     tol = drift[m - 1] + where * (drift[m] - drift[m - 1])
-    code, err, meta, rows = gated_run(mode, steps, every, {"constraint": tol})
-    if mode == "picard" or m == steps:
+    code, err, meta, rows = gated_run("march", steps, every, {"constraint": tol})
+    if m == steps:
         assert (code, err, meta["status"]) == (0, [], "completed")
         assert [row["constraint_drift"] for row in rows] == drift
         return
@@ -1060,6 +1076,57 @@ def test_the_constraint_holds_each_level_a_step_is_taken_from(mode, data, steps,
     ]
     assert_aborted_after(meta, rows, "ConstraintDriftError", m)
     assert rows[-1]["constraint_drift"] == drift[m - 1]
+
+
+@functools.lru_cache(maxsize=None)
+def converged_window(window):
+    """The converged iterate of a GATED_RUNS["picard"] window of ``window``
+    steps, with its grid and RunConfig."""
+    grid = Grid(32)
+    model = EuclideanModel(2)
+    curve, velocity = initial.generate("perturbed-circle", model, grid, {"mode": 2, "amplitude": 0.01})
+    start, _ = prepare_initial(curve, velocity, model, grid)
+    cfg = run_config(grid, window)
+    iterate, _ = picard_coupled(start, model, grid, cfg)
+    return iterate, grid, cfg
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), window=st.integers(2, 6), excess=st.floats(1.01, 100.0))
+def test_window_rows_hold_the_constraint_at_every_level(data, window, excess):
+    # a window level whose unit-tangent defect is doctored past the
+    # tolerance stops the rows at that level, after the levels before it
+    iterate, grid, cfg = converged_window(window)
+    m = data.draw(st.integers(1, window), label="m")
+    xi = iterate.xi.copy()
+    xi[m] *= np.sqrt(1.0 + excess * cfg.constraint_tol)
+    rows = []
+    with pytest.raises(ConstraintDriftError, match=rf"exceeds tolerance .* at t={m / 32:.6f}$"):
+        for level in window_rows(dataclasses.replace(iterate, xi=xi), grid, cfg):
+            rows.append(level)
+    assert len(rows) == m
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    chart=st.sampled_from(sorted(CHARTS)),
+    n_points=st.integers(16, 32),
+    window=st.integers(2, 6),
+    seed=seeds,
+)
+def test_a_converged_window_keeps_unit_rows_at_every_level(chart, n_points, window, seed):
+    # a loop of length about one about the chart's centre, bent by modes 1-2
+    # and moving at a random velocity of modes 1-2: each sweep projects the
+    # tangent to unit rows, so every level of a converged window has them
+    model, rng, grid = chart_model(chart), np.random.default_rng(seed), Grid(n_points)
+    pts = bent_loop(chart, grid, rng)
+    start, _ = prepare_initial(pts, fourier_field(rng, np.zeros_like(pts), 2, 0.3), model, grid)
+    cfg = run_config(grid, window)
+    try:
+        iterate, _ = picard_coupled(start, model, grid, cfg)
+    except NonContractionError:
+        return
+    assert constraint_drift(iterate.xi) <= 1e-15
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,5 @@
-"""Tests for the tangent wave solvers: integral representation, source
-iteration, and the three-level leapfrog.
+"""Tests for the tangent wave solvers: integral representation, the wave-only
+source iteration of wave_oracle, and the three-level leapfrog.
 
 Exact discrete identities used as oracles: the standing-mode factor
 cos(2 pi m dx) of the source-free representation, the quadratic ramp under a
@@ -17,12 +17,13 @@ import pytest
 from elwire.errors import CflError, NonContractionError, NumericalSolveError
 from elwire.fields import Grid, circ_diff, m0
 from elwire.geometry import EuclideanModel, sample_geometry, stack_samples
-from elwire.wave import _contract, leapfrog_step, picard_wave_solve, wave_series
+from elwire.wave import _contract, leapfrog_step, wave_series
 
 from wave_oracle import (
     characteristic_derivatives,
     characteristic_quadrature,
     leapfrog_sweeps,
+    picard_wave_solve,
     triangle_series,
 )
 

@@ -10,6 +10,11 @@ come two ways, as running trapezoid sums and as sums redone afresh at every
 level; the tests compare them with each other and with centred differences
 of wave_series.
 
+The wave-only route, ``picard_wave_solve``, solves the tangent wave equation
+over a window with the curve, tension and velocity frozen, by source
+iteration over ``wave.wave_series`` run to its own tolerance; the tests
+compare it with the leapfrog and the closed-form solutions.
+
 The march's leapfrog step is solved in closed form (``wave.leapfrog_step``);
 the fixed-point sweep of its implicit equation, run to convergence, is the
 reference here.
@@ -19,8 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from elwire.fields import circ_diff, cov_dxx, m0, perp, sided_grad_sq, time_diff_series
+from elwire.fields import circ_diff, cov_dxx, m0, m1, perp, sided_grad_sq, time_diff_series
 from elwire.geometry import apply_chris, dot
+from elwire.wave import _contract, assemble_wave_sources, wave_series
+
+#: admissibility tolerance of the initial tangent data (picard_wave_solve)
+UNIT_DATA_TOL = 1e-8
+#: sweep cap and tolerance of the source iteration (picard_wave_solve)
+WAVE_MAX_ITER = 30
+WAVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -201,3 +213,44 @@ def leapfrog_sweeps(xi_prev, xi_curr, *args, **kwargs):
         change = step
     assert step <= 1e-12 * (1.0 + m0(guess)), f"leapfrog sweeps stopped at a change of {step:.3e}"
     return guess
+
+
+def picard_wave_solve(a, b, theta_series, grid, *, eta_series, samples_series):
+    """Solve the tangent wave equation over a window by source iteration.
+
+    theta, eta and the geometry samples along the curve (``stack_samples``)
+    are frozen series on the window's levels 0..M with dt = dx, M read from
+    the eta series.  The initial tangent ``a`` must be a unit field and its
+    plain rate ``b`` orthogonal to it, point by point.  Starting from the
+    source-free series wave_series(a, b, None, None, dx, M), each sweep
+    reassembles (f, h) from the current iterate and returns
+    wave_series(a, b, f, h, dx, M).  Distances between consecutive iterates
+    are measured in the composite first-order norm; the iteration stops at
+    WAVE_TOL, and three consecutive non-decreasing distances or WAVE_MAX_ITER
+    sweeps without reaching it raise NonContractionError.  Returns the
+    series and its ContractionReport.
+    """
+    dx = grid.dx
+    n_levels = len(eta_series) - 1
+    if n_levels < 2:
+        raise ValueError("picard window needs at least 2 time levels")
+    unit = np.max(np.abs(dot(a, a) - 1.0))
+    ortho = np.max(np.abs(dot(a, b)))
+    if unit > UNIT_DATA_TOL or ortho > UNIT_DATA_TOL:
+        raise ValueError(
+            f"wave data not admissible: max | ||a||^2 - 1 | = {unit:.3e}, "
+            f"max |<a, b>| = {ortho:.3e}"
+        )
+
+    def sweep(current):
+        f, h = assemble_wave_sources(current, theta_series, eta_series, samples_series, grid)
+        return wave_series(a, b, f, h, dx, n_levels)
+
+    return _contract(
+        sweep,
+        wave_series(a, b, None, None, dx, n_levels),
+        lambda new, current: m1(new - current, dx, dx),
+        max_iter=WAVE_MAX_ITER,
+        tol=WAVE_TOL,
+        label="picard iteration",
+    )
