@@ -21,8 +21,9 @@ what the integral wave solver and the transport diagnostic require.  Both
 modes read the tolerances alike (see dynamics._gate): ``constraint`` holds
 the unit-tangent defect of every level but a march's last, which only
 reports it; ``bentness_floor`` holds the bentness solved every
-``bentness_every`` levels.  ``renormalize`` rescales the march's tangent to
-unit rows after each step; a picard window always projects its tangent.
+``bentness_every`` levels (a floor of 0 admits a geodesic).  ``renormalize``
+rescales the march's tangent to unit rows after each step; a picard window
+always projects its tangent.
 Validation collects every problem (not just the first) with its JSON path,
 e.g. ``grid.n: must be an integer >= 8, got 4``: a key that nothing reads,
 in any section, and a number that is not finite are refused.  This module
@@ -48,7 +49,7 @@ MODES = ("march", "picard", "convergence-study")
 
 #: JSON path -> (RunConfig field, least value) of each scalar setting; the
 #: least value's type gives the kind: an integer >= an int, a finite number
-#: > a float, a boolean for None
+#: > a float (>= for the paths of _CLOSED), a boolean for None
 _SCALARS = {
     "manifold.dim": ("dim", 1),
     "grid.n": ("grid_n", 8),
@@ -64,6 +65,9 @@ _SCALARS = {
     "diagnostics.bentness_every": ("bentness_every", 1),
     "renormalize": ("renormalize", None),
 }
+#: the float settings that may equal their least value: a bentness floor of 0
+#: admits a geodesic, whose bentness on a flat chart is exactly 0
+_CLOSED = {"tolerances.bentness_floor"}
 #: every key a document may hold outside ``initial``, by JSON path; the other
 #: keys of ``manifold`` are its chart's settings (geometry.build_chart), those
 #: of ``initial`` its curve's (initial.check)
@@ -120,15 +124,17 @@ class RunConfig:
         return max(1, int(round(self.horizon / self.dt)))
 
 
-def _kind(value, least) -> Optional[str]:
-    """None if the value is a setting of the kind ``least`` gives (see
-    ``_SCALARS``), else the wording of that kind."""
+def _kind(value, least, closed: bool) -> Optional[str]:
+    """None if the value is a setting of the kind ``least`` and ``closed``
+    give (see ``_SCALARS``), else the wording of that kind."""
     if least is None:
         return None if isinstance(value, bool) else "a boolean"
     if isinstance(least, int):
         return None if _integer(value, least) else f"an integer >= {least}"
     number = _number(value)
-    return None if number is not None and number > least else f"a number > {least:g}"
+    if number is not None and (number >= least if closed else number > least):
+        return None
+    return f"a number {'>=' if closed else '>'} {least:g}"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -163,7 +169,7 @@ def parse_config(text: str) -> RunConfig:
         section, _, key = path.rpartition(".")
         block = data.get(section, {}) if section else data
         if key in block:
-            wrong = _kind(block[key], least)
+            wrong = _kind(block[key], least, path in _CLOSED)
             if wrong:
                 err(path, f"must be {wrong}, got {block[key]!r}")
             else:

@@ -169,7 +169,7 @@ def _gate(
     gate = elliptic.bentness(level.xi, level.samples, grid)
     if gate < cfg.b_floor:
         raise NearGeodesicError(
-            f"bentness {gate:.3e} below floor {cfg.b_floor:.3e}; "
+            f"bentness {gate!r} below floor {cfg.b_floor!r}; "
             "tension operator is (near) singular"
         )
     return gate

@@ -6,6 +6,11 @@ derivative D = cov_dx along the current curve:
 * tension:   -D(D u + f) + perp(u) = h   (perp = projection off the tangent)
 * bentness:  -D D phi + phi = xi
 
+On a flat chart D is the plain centred difference and the bentness operator
+is circulant, so its value is one exact Fourier sum (see bentness); every
+other solve, a curved chart's bentness among them, takes the block route
+below.
+
 The second derivative is deliberately the composition D o D.  The centred
 difference matrix is antisymmetric and the connection action is pointwise
 antisymmetric, so D^T = -D exactly and both operators are symmetric positive
@@ -142,7 +147,10 @@ def _block_operator(xi, samples, grid, kind: str):
     stack[..., 2 * npts + 1 : -2, :, :] = centre
     stack[..., -2, :, :] = 0.0
     stack[..., -1, :, :] = eye
-    return stack.reshape(*lead, -1)[..., _layout(npts, n)[1]]
+    entries = _layout(npts, n)[1]
+    if not lead:  # a lone level takes numpy's faster one-dimensional gather
+        return stack.reshape(-1)[entries]
+    return stack.reshape(*lead, -1)[..., entries]
 
 
 def _cyclic_reduction(diag, upper, rhs):
@@ -227,7 +235,20 @@ def bentness(xi: np.ndarray, samples: GeometrySamples, grid: Grid) -> float:
     The square root of the minimum of ||phi - xi||_L2^2 + ||D phi||_L2^2 over
     fields phi; the minimum is attained at the solution of (-DD + I) phi = xi
     and vanishes exactly when some covariantly constant field equals xi.
+
+    On a flat chart D is the plain centred difference, so -DD + I is
+    circulant and its symbol on mode j is 1 + s_j, s_j = sin^2(2 pi j / N) /
+    dx^2.  By Parseval the minimum is then the exact sum
+    dx / N * sum_j |xi^_j|^2 s_j / (1 + s_j) over the modes xi^ = fft(xi).
+    A curved chart solves for phi by block cyclic reduction and evaluates
+    the penalty there.
     """
+    if samples.conn is None:
+        npts = xi.shape[-2]
+        symbol = (np.sin(2.0 * np.pi * np.arange(npts) / npts) / grid.dx) ** 2
+        modes = np.fft.fft(xi, axis=-2)
+        power = modes.real**2 + modes.imag**2
+        return float(np.sqrt(grid.dx / npts * np.sum(power * (symbol / (1.0 + symbol))[:, None])))
     phi = _solve_system(xi, samples, grid, "identity", xi)
     dphi = cov_dx(phi, xi, samples, grid.dx)
     value_sq = l2_norm(phi - xi, grid.dx) ** 2 + l2_norm(dphi, grid.dx) ** 2

@@ -300,8 +300,8 @@ def compare(src: Path, root: Path) -> list:
                 lines.append(f"{name}: {key} {old[key]!r} -> {new[key]!r}")
         for file in sorted(set(old["files"]) | set(new["files"])):
             if file not in new["files"] or file not in old["files"]:
-                side = "other tree" if file in old["files"] else "this tree"
-                lines.append(f"{name}/{file}: written by the {side} only")
+                side = "the other tree" if file in old["files"] else "this tree"
+                lines.append(f"{name}/{file}: written by {side} only")
             elif old["files"][file] != new["files"][file]:
                 diff = _difference(root / "there" / name / file, root / "here" / name / file)
                 lines.append(f"{name}/{file}: {diff}")

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elliptic_oracle import FOURIER_TOL
+
 import elwire
 from elwire.cli import CSV_COLUMNS, main, run, write_json
 from elwire.config import RunConfig
@@ -743,31 +745,51 @@ def run_in_subprocess(code, **env):
     return done.stdout
 
 
-def test_run_path_loads_no_scipy(tmp_path):
-    # importing scipy.linalg once cost more start-up time than a short run,
-    # and numpy.fft or numpy.polynomial costs about as much as placing a
-    # perturbed circle's samples; orjson (the snapshot number encoder) is
-    # loaded by the first snapshot, not by the import of the CLI
-    data = {"grid": {"n": 16}, "time": {"horizon": 2 / 16}, "initial": {"name": "perturbed-circle"}}
+def run_path_modules(tmp_path, data):
+    """Exit code of a quiet ``elwire run`` of ``data`` in a fresh interpreter,
+    and which of scipy, numpy.fft, numpy.polynomial and orjson (each with its
+    submodules) are loaded after ``import elwire.cli`` and after the run."""
     path = config_file(tmp_path, data)
-    out = tmp_path / "out"
     code = f"""
 import json, sys
+roots = ("scipy", "numpy.fft", "numpy.polynomial", "orjson")
+def loaded():
+    return [r for r in roots if any(m == r or m.startswith(r + ".") for m in sys.modules)]
 import elwire.cli
-orjson = ["orjson" in sys.modules]
-exit_code = elwire.cli.main(["run", "--config", {str(path)!r}, "--out", {str(out)!r}, "--quiet"])
-orjson.append("orjson" in sys.modules)
-heavy = ("scipy", "numpy.fft", "numpy.polynomial")
-loaded = sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + "." for h in heavy)))
-print(json.dumps({{"exit": exit_code, "loaded": loaded, "orjson": orjson}}))
+stages = [loaded()]
+exit_code = elwire.cli.main(["run", "--config", {str(path)!r}, "--out", {str(tmp_path / "out")!r}, "--quiet"])
+stages.append(loaded())
+print(json.dumps({{"exit": exit_code, "loaded": stages}}))
 """
-    report = json.loads(run_in_subprocess(code).splitlines()[-1])
-    assert report == {"exit": 0, "loaded": [], "orjson": [False, True]}
+    return json.loads(run_in_subprocess(code).splitlines()[-1])
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    # importing scipy.linalg once cost more start-up time than a short run,
+    # and numpy.polynomial costs about as much as placing a perturbed
+    # circle's samples; numpy.fft (a flat chart's bentness sum) is loaded by
+    # a flat run's first bentness, and orjson (the snapshot number encoder)
+    # by the first snapshot, neither by the import of the CLI
+    data = {"grid": {"n": 16}, "time": {"horizon": 2 / 16}, "initial": {"name": "perturbed-circle"}}
+    report = run_path_modules(tmp_path, data)
+    assert report == {"exit": 0, "loaded": [[], ["numpy.fft", "orjson"]]}
+    out = tmp_path / "out"
     assert len(read_csv(out / "diagnostics.csv")[1]) == 3
     assert sorted(p.name for p in out.glob("snapshot_*.json")) == [
         "snapshot_000000.json",
         "snapshot_000002.json",
     ]
+
+
+def test_curved_run_path_loads_no_fft(tmp_path):
+    # a curved chart's bentness is a block reduction, so its run loads no numpy.fft
+    data = {
+        "manifold": {"name": "sphere"},
+        "grid": {"n": 16},
+        "time": {"horizon": 2 / 16},
+        "initial": {"name": "sphere-loop"},
+    }
+    assert run_path_modules(tmp_path, data) == {"exit": 0, "loaded": [[], ["orjson"]]}
 
 
 def component_reductions(source: str) -> list[str]:
@@ -1012,13 +1034,14 @@ def strict_json(path):
 def test_zero_energy_run_writes_strict_json(tmp_path, capsys, mode):
     # a straight geodesic at rest has no energy and so no relative energy
     # drift: the summaries hold null there, not a bare NaN, and the printed
-    # lines and the study's orders show it as "-"
+    # lines and the study's orders show it as "-".  Its bentness is exactly
+    # 0 on the flat torus, which only a floor of 0 admits
     data = {
         "manifold": {"name": "flat-torus"},
         "grid": {"n": 16},
         "time": {"horizon": 0.25},
         "initial": {"name": "torus-geodesic"},
-        "tolerances": {"bentness_floor": 1e-300},
+        "tolerances": {"bentness_floor": 0},
         "mode": mode,
     }
     out = tmp_path / "out"
@@ -1302,8 +1325,11 @@ def test_flat_march_contracts_no_connection(tmp_path, monkeypatch):
 def test_flat_fast_path_matches_the_general_path(tmp_path, mode, section):
     # the conformal metric exp(2 * 0) * delta is flat but takes the general
     # path, which samples and contracts the zero connection and curvature;
-    # the euclidean chart leaves them out.  Both write the same bytes.
-    outputs = {}
+    # the euclidean chart leaves them out.  Both write the same bytes, but
+    # for the bentness, which the euclidean chart sums in Fourier modes and
+    # the general path takes from its block reduction: that column agrees
+    # within FOURIER_TOL
+    outputs, tables = {}, {}
     for name, manifold in [
         ("general", {"name": "conformal", "expression": "0"}),
         ("flat", {"name": "euclidean"}),
@@ -1318,10 +1344,16 @@ def test_flat_fast_path_matches_the_general_path(tmp_path, mode, section):
         out = tmp_path / name
         path = config_file(tmp_path, data, name=f"{name}.json")
         assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
-        files = sorted(out.glob("snapshot_*.json")) + [out / "diagnostics.csv"]
-        outputs[name] = {f.name: f.read_bytes() for f in files}
-    assert len(outputs["flat"]) == (6 if mode == "march" else 5)
+        outputs[name] = {f.name: f.read_bytes() for f in sorted(out.glob("snapshot_*.json"))}
+        tables[name] = read_csv(out / "diagnostics.csv")
+    assert len(outputs["flat"]) == (5 if mode == "march" else 4)
     assert outputs["general"] == outputs["flat"]
+    (header, general), (flat_header, flat) = tables["general"], tables["flat"]
+    assert header == flat_header and len(general) == len(flat)
+    column = header.split(",").index("bentness")
+    for row, flat_row in zip(general, flat):
+        assert row[:column] + row[column + 1 :] == flat_row[:column] + flat_row[column + 1 :]
+        assert abs(float(row[column]) - float(flat_row[column])) <= FOURIER_TOL
 
 
 @pytest.mark.parametrize(

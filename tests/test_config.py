@@ -89,6 +89,18 @@ def test_every_problem_is_collected_with_its_path():
     assert expected <= paths
 
 
+def test_a_bentness_floor_may_be_zero_and_no_tolerance_less():
+    # a floor of 0 admits a geodesic, whose flat-chart bentness is exactly 0;
+    # every other float setting must exceed its least value
+    assert parse_config(json.dumps({"tolerances": {"bentness_floor": 0}})).b_floor == 0.0
+    text = json.dumps({"tolerances": {"bentness_floor": -1e-300, "constraint": 0, "solver": 0}})
+    assert sorted(problems_of(text)) == [
+        "tolerances.bentness_floor: must be a number >= 0, got -1e-300",
+        "tolerances.constraint: must be a number > 0, got 0",
+        "tolerances.solver: must be a number > 0, got 0",
+    ]
+
+
 def test_unknown_fields_are_rejected():
     problems = problems_of(json.dumps({"gird": {}, "grid": {"m": 3}}))
     paths = {p.split(":")[0] for p in problems}

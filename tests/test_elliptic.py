@@ -307,7 +307,7 @@ def test_near_geodesic_refusal_and_report_reuse():
     with pytest.raises(NearGeodesicError) as refused:
         _gate(geodesic, grid, cfg, 0, 1)
     assert str(refused.value) == (
-        f"bentness {low:.3e} below floor 1.000e-03; tension operator is (near) singular"
+        f"bentness {low!r} below floor 0.001; tension operator is (near) singular"
     )
 
     bent = level_of(circle_tangent(grid))
