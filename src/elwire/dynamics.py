@@ -161,8 +161,8 @@ def _gate(
     drift = constraint_drift(level.xi) if steps_from else 0.0
     if not drift <= cfg.constraint_tol:
         raise ConstraintDriftError(
-            f"unit-tangent defect {drift:.3e} exceeds tolerance "
-            f"{cfg.constraint_tol:.1e} at t={level.time:.6f}"
+            f"unit-tangent defect {drift!r} exceeds tolerance "
+            f"{cfg.constraint_tol!r} at t={level.time:.6f}"
         )
     if k % cfg.bentness_every or k == last:
         return gate

@@ -6,11 +6,6 @@ derivative D = cov_dx along the current curve:
 * tension:   -D(D u + f) + perp(u) = h   (perp = projection off the tangent)
 * bentness:  -D D phi + phi = xi
 
-On a flat chart D is the plain centred difference and the bentness operator
-is circulant, so its value is one exact Fourier sum (see bentness); every
-other solve, a curved chart's bentness among them, takes the block route
-below.
-
 The second derivative is deliberately the composition D o D.  The centred
 difference matrix is antisymmetric and the connection action is pointwise
 antisymmetric, so D^T = -D exactly and both operators are symmetric positive
@@ -20,23 +15,36 @@ covariantly constant; the bentness value measures the distance from that
 degeneracy.  The run's gates on it and on the unit tangent live in
 dynamics (``_gate``); the tension solve keeps only its own guards.
 
-D couples each point to its two neighbours, so -D o D + Z is
-block-pentadiagonal with periodic corners.  Taking the points in the folded
-order 0, N-1, 1, N-2, ... puts points two apart on the circle at most four
-places apart, so grouping four consecutive places into one block row of
-size 4n gives a block-tridiagonal matrix with ceil(N/4) block rows (the
-unused places of the last one are identity rows).  One indexing step
-gathers its diagonal and upper blocks from a stack of couplings built from
-the connection blocks Gamma(xi_k, .), through an entry map that depends on
-the grid alone; block odd-even (cyclic) reduction in numpy solves it at
-every grid size.  Each stage eliminates the odd block rows through one
-batched inverse of their diagonal blocks and leaves the even rows, updated
-by their Schur complements, as the next stage's system, down to one small
-dense solve; two block products per stage then recover the odd rows.
+Each chart takes one route per problem:
 
-The tension solve takes a level (N, n) or a window series (L, N, n), as the
-field helpers do: the levels lead the gathered system, and every step
-batches over them yet solves each alone, to the bytes of a lone solve.
+* A flat chart (``samples.conn is None``) has D the plain centred
+  difference, so D o D couples point k only to k +- 2 and -D o D + Z splits
+  into independent periodic strands of step 2: two of N/2 points for even
+  N, one of N points for odd N.  Each strand is periodic block-tridiagonal
+  with n x n blocks, stored (n, n, strands, points) so that every block
+  product is elementwise over the strands and points; periodic odd-even
+  reduction with Gauss-Jordan on the blocks solves them
+  (_strand_reduction).  The bentness operator -D o D + I is circulant
+  there, so its value is one exact Fourier sum (see bentness).
+* A curved chart couples each point to its two neighbours through the
+  connection blocks too, so -D o D + Z is block-pentadiagonal with periodic
+  corners.  Taking the points in the folded order 0, N-1, 1, N-2, ... puts
+  points two apart on the circle at most four places apart, so grouping four
+  consecutive places into one block row of size 4n gives a block-tridiagonal
+  matrix with ceil(N/4) block rows (the unused places of the last one are
+  identity rows).  One indexing step gathers its diagonal and upper blocks
+  from a stack of couplings built from the connection blocks Gamma(xi_k, .),
+  through an entry map that depends on the grid alone; block odd-even
+  (cyclic) reduction in numpy solves it.  Each stage eliminates the odd
+  block rows through one batched inverse of their diagonal blocks and
+  leaves the even rows, updated by their Schur complements, as the next
+  stage's system, down to one small dense solve; two block products per
+  stage then recover the odd rows.
+
+Both routes finish with a dense solve once the system has DENSE_SIZE
+unknowns or fewer.  The tension solve takes a level (N, n) or a window
+series (L, N, n), as the field helpers do: every step batches over the
+levels yet solves each alone, to the bytes of a lone solve.
 """
 
 from __future__ import annotations
@@ -212,10 +220,168 @@ def _cyclic_reduction(diag, upper, rhs):
     return x[..., 0]
 
 
+def _strand_order(npts: int) -> np.ndarray:
+    """Points in the order 0, 2, 4, ..., then 1, 3, 5, ...
+
+    For even N these are the two periodic strands k -> k + 2 of N/2 points
+    each; for odd N the one strand of N points that visits every point
+    (N - 1 steps on to 1).
+    """
+    return np.concatenate([np.arange(0, npts, 2), np.arange(1, npts, 2)])
+
+
+def _to_strands(field: np.ndarray) -> np.ndarray:
+    """A level (N, n) or series (L, N, n) as (n, C, M): the C = L * strands
+    periodic strands of M points each, in _strand_order."""
+    npts, n = field.shape[-2:]
+    length = npts if npts % 2 else npts // 2
+    # component rows first, copied once: strided slices of them are cheap
+    rows = np.ascontiguousarray(np.moveaxis(field, -1, 0).reshape(n, -1, npts))
+    return np.concatenate([rows[..., 0::2], rows[..., 1::2]], axis=-1).reshape(n, -1, length)
+
+
+def _strand_operator(xi, dx, kind):
+    """-D o D + Z on a flat chart, as the blocks of periodic block-tridiagonal
+    strands: ``(diag, upper)``, each (n, n, C, M) with the block row and
+    column first (see _to_strands).
+
+    D o D couples point k only to k +- 2, so each strand is a cycle whose
+    point j has the diagonal block (1/(2 dx^2) + 1) I - xi_j xi_j^T (no
+    xi xi^T for "identity") and couples to the next point of its strand
+    (the last to the first) by upper = -I / (4 dx^2).  Both may be
+    read-only broadcast views: _strand_reduction writes to neither.
+    """
+    if kind not in ("perp", "identity"):
+        raise ValueError(f"unknown zeroth-order kind {kind!r}")
+    strands = _to_strands(xi)
+    n = strands.shape[0]
+    eye = np.eye(n)[:, :, None, None]
+    shape = (n, n) + strands.shape[1:]
+    diag = np.broadcast_to((0.5 / (dx * dx) + 1.0) * eye, shape)
+    if kind == "perp":
+        diag = diag - strands[:, None] * strands[None]
+    return diag, np.broadcast_to(-eye / (4.0 * dx * dx), shape)
+
+
+def _times(a, b):
+    """Block products a @ b of blocks stored (rows, cols, ...): each block
+    entry is a sum of elementwise products over the shared index, in order."""
+    out = a[:, :1] * b[:1]
+    for k in range(1, a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1]
+    return out
+
+
+def _gauss_jordan(aug):
+    """D^-1 R for the blocks [D | R] of ``aug`` (n, n + q, ...), by n
+    unpivoted Gauss-Jordan steps in place; the diagonal blocks are symmetric
+    positive definite.  A zero or non-finite pivot raises
+    NumericalSolveError before it is divided by."""
+    n = aug.shape[0]
+    for p in range(n):
+        pivot = aug[p, p : p + 1].copy()
+        if not (pivot.all() and np.isfinite(pivot).all()):
+            raise NumericalSolveError(
+                "elliptic solve met a singular block (zero or non-finite pivot)"
+            )
+        aug[p] /= pivot
+        for i in range(n):
+            if i != p:
+                aug[i] -= aug[i, p : p + 1] * aug[p]
+    return aug[:, n:]
+
+
+def _strand_reduction(diag, upper, rhs):
+    """Solve the periodic symmetric block-tridiagonal systems of C strands,
+    blocks ``diag`` and ``upper`` (n, n, C, M; upper couples point j to
+    j + 1 and the last to the first) and right-hand side (n, 1, C, M), for
+    x (n, 1, C, M), by periodic odd-even reduction.
+
+    A stage with an odd point count first eliminates its last point, which
+    couples its two neighbours directly.  Then odd point j reads
+    U_{2j}^T x_{2j} + D x_{2j+1} + U_{2j+1} x_{2j+2} = r, and Gauss-Jordan
+    gives left = D^-1 U_{2j}^T, solved = D^-1 r and right = D^-1 U_{2j+1};
+    the even points' Schur updates, with the wrap to point 0, make the next
+    stage's strands of half the length.  A dense solve finishes once
+    M * n <= DENSE_SIZE or M = 1.  Every product is elementwise over (C, M), so each
+    strand, and each level of a series, is solved to the bytes of a lone one.
+    """
+    n = diag.shape[0]
+    stages = []
+    while diag.shape[-1] > 1 and diag.shape[-1] * n > DENSE_SIZE:
+        if diag.shape[-1] % 2:  # point M - 1 couples to M - 2 by lo and to 0 by up
+            lo, up = upper[..., -2], upper[..., -1]
+            aug = np.concatenate([diag[..., -1], lo.swapaxes(0, 1), rhs[..., -1], up], axis=1)
+            out = _gauss_jordan(aug)
+            diag, upper, rhs = diag[..., :-1].copy(), upper[..., :-1].copy(), rhs[..., :-1].copy()
+            ahead = _times(lo, out)
+            diag[..., -1] -= ahead[:, :n]
+            rhs[..., -1] -= ahead[:, n : n + 1]
+            upper[..., -1] = -ahead[:, n + 1 :]
+            behind = _times(up.swapaxes(0, 1), out[:, n:])
+            rhs[..., 0] -= behind[:, :1]
+            diag[..., 0] -= behind[:, 1:]
+            stages.append((False, out))
+        up_even, up_odd = upper[..., 0::2], upper[..., 1::2]
+        aug = np.concatenate([diag[..., 1::2], up_even.swapaxes(0, 1), rhs[..., 1::2], up_odd], axis=1)
+        out = _gauss_jordan(aug)  # [left | solved | right]
+        ahead = _times(up_even, out)
+        diag = diag[..., 0::2] - ahead[:, :n]
+        rhs = rhs[..., 0::2] - ahead[:, n : n + 1]
+        upper = -ahead[:, n + 1 :]
+        # even point j + 1 meets odd point j through up_odd^T
+        behind = _times(up_odd.swapaxes(0, 1), out[:, n:])
+        rhs[..., 1:] -= behind[:, :1, :, :-1]
+        rhs[..., 0] -= behind[:, :1, :, -1]
+        diag[..., 1:] -= behind[:, 1:, :, :-1]
+        diag[..., 0] -= behind[:, 1:, :, -1]
+        stages.append((True, out))
+
+    length, strands = diag.shape[-1], diag.shape[2]
+    rows = np.arange(length)
+    ahead = (rows + 1) % length
+    # indexing two axes apart puts the point axis first: (M, C, n, n).  Wide
+    # blocks (n > 16) can reduce a strand to two points or one, whose next
+    # and previous points coincide, so the couplings are added
+    dense = np.zeros((strands, length, n, length, n))
+    dense[:, rows, :, rows, :] = diag.transpose(3, 2, 0, 1)
+    dense[:, rows, :, ahead, :] += upper.transpose(3, 2, 0, 1)
+    dense[:, ahead, :, rows, :] += upper.transpose(3, 2, 1, 0)
+    size = length * n
+    try:
+        x = np.linalg.solve(
+            dense.reshape(strands, size, size), rhs[:, 0].transpose(1, 2, 0).reshape(strands, size, 1)
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NumericalSolveError(f"elliptic solve met a singular block ({exc})") from exc
+    x = x.reshape(strands, length, n).transpose(2, 0, 1)[:, None]
+    for halved, out in reversed(stages):
+        left, solved, right = out[:, :n], out[:, n : n + 1], out[:, n + 1 :]
+        if not halved:
+            last = solved - _times(left, x[..., -1]) - _times(right, x[..., 0])
+            x = np.concatenate([x, last[..., None]], axis=-1)
+            continue
+        odd = solved - _times(left, x)
+        odd[..., :-1] -= _times(right[..., :-1], x[..., 1:])
+        odd[..., -1] -= _times(right[..., -1], x[..., 0])
+        merged = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
+        merged[..., 0::2], merged[..., 1::2] = x, odd
+        x = merged
+    return x
+
+
 def _solve_system(xi, samples, grid, kind, rhs_field):
-    """Solve (-D o D + Z) u = rhs by block cyclic reduction in fold order, for
-    a level (N, n) or each level of a window series (L, N, n); ``place``
-    folds each level's right-hand side and unfolds its solution."""
+    """Solve (-D o D + Z) u = rhs for a level (N, n) or each level of a
+    window series (L, N, n).  A flat chart solves its step-2 strands by
+    periodic reduction (_strand_reduction); a curved chart the block system
+    in fold order by block cyclic reduction, where ``place`` folds each
+    level's right-hand side and unfolds its solution."""
+    if samples.conn is None:
+        diag, upper = _strand_operator(xi, grid.dx, kind)
+        x = _strand_reduction(diag, upper, _to_strands(rhs_field)[:, None])
+        u = np.empty(xi.shape)
+        u[..., _strand_order(xi.shape[-2]), :] = x[:, 0].transpose(1, 2, 0).reshape(xi.shape)
+        return u
     system = _block_operator(xi, samples, grid, kind)
     place = _layout(*xi.shape[-2:])[0]
     blocks = system.reshape((-1,) + system.shape[-4:])
@@ -262,7 +428,7 @@ def _refuse_first_failure(passed, error, text: str, *values) -> None:
         return
     at = () if passed.ndim == 0 else int(np.argmin(passed))
     where = "" if at == () else f" at window level {at}"
-    raise error(text.format(*(value[at] for value in values)) + where)
+    raise error(text.format(*(float(value[at]) for value in values)) + where)
 
 
 def solve_flux_form(
@@ -296,6 +462,6 @@ def solve_flux_form(
     # sup norms over each level's grid
     residual = np.max(row_norms(defect), axis=-1)
     scale = np.fmax(1.0, np.max(row_norms(h), axis=-1) + np.max(row_norms(f), axis=-1))
-    text = f"tension solve residual {{:.3e}} exceeds tolerance {tol:.1e} * {{:.3e}}"
+    text = f"tension solve residual {{!r}} exceeds tolerance {tol!r} * {{!r}}"
     _refuse_first_failure(residual <= tol * scale, NumericalSolveError, text, residual, scale)
     return u, flux

@@ -1,19 +1,23 @@
 """Reference routes for the elliptic operators -D o D + Z (D = cov_dx).
 
-Production solves one block-tridiagonal system in fold order by cyclic
-reduction.  The tests check it against two routes that share none of its
-assembly: a dense (N*n, N*n) matrix multiplied out from the dense difference
-matrix, and conjugate gradients on an operator that applies ``cov_dx`` twice.
+Production solves a curved chart's block-tridiagonal system in fold order by
+cyclic reduction, and a flat chart's periodic strands of step 2 by periodic
+odd-even reduction.  The tests check both against two routes that share none
+of their assembly: a dense (N*n, N*n) matrix multiplied out from the dense
+difference matrix, and conjugate gradients on an operator that applies
+``cov_dx`` twice.
 
-On a flat chart production takes the bentness as one Fourier sum; the block
-reduction's penalty at its minimiser, the route of every curved chart, is its
-reference there (``reduction_bentness``, within ``FOURIER_TOL``).
+On a flat chart the block route of every curved chart (``block_solve``) is
+the reference of the strand route, and its penalty at its minimiser
+(``reduction_bentness``, within ``FOURIER_TOL``) the reference of the
+bentness's Fourier sum.  ``block_tridiagonal_to_dense`` and
+``strand_system_to_dense`` unfold the two production systems.
 """
 
 import numpy as np
 import scipy.sparse.linalg
 
-from elwire.elliptic import _solve_system
+from elwire.elliptic import _block_operator, _cyclic_reduction, _layout, _strand_order
 from elwire.fields import cov_dx, l2_norm
 from geometry_oracle import dense_chris
 
@@ -82,11 +86,24 @@ def cg_solve(xi, samples, grid, kind, rhs, rtol=1e-10):
     return flat.reshape(npts, n)
 
 
+def block_solve(xi, samples, grid, kind, rhs):
+    """(-D o D + Z) u = rhs for a level (N, n) by the block cyclic reduction
+    in fold order (_block_operator, _cyclic_reduction) on any chart, as
+    production solves a curved chart."""
+    diag, upper = _block_operator(xi, samples, grid, kind)
+    place = _layout(*xi.shape)[0]
+    count, m = diag.shape[:2]
+    folded = np.zeros(count * m)
+    folded[place] = rhs
+    x = _cyclic_reduction(diag[None], upper[None], folded.reshape(1, count, m))
+    return x.reshape(-1)[place]
+
+
 def reduction_bentness(xi, samples, grid):
     """The bentness by block cyclic reduction on any chart: the root of the
     penalty ||phi - xi||^2 + ||D phi||^2 at the minimiser phi that
-    ``_solve_system`` solves (-DD + I) phi = xi for."""
-    phi = _solve_system(xi, samples, grid, "identity", xi)
+    ``block_solve`` solves (-DD + I) phi = xi for."""
+    phi = block_solve(xi, samples, grid, "identity", xi)
     dphi = cov_dx(phi, xi, samples, grid.dx)
     return float(np.sqrt(l2_norm(phi - xi, grid.dx) ** 2 + l2_norm(dphi, grid.dx) ** 2))
 
@@ -116,4 +133,27 @@ def block_tridiagonal_to_dense(system, order, n):
     scalar_order = (order[:, None] * n + np.arange(n)).reshape(-1)
     dense = np.empty((size, size))
     dense[np.ix_(scalar_order, scalar_order)] = folded[:size, :size]
+    return dense
+
+
+def strand_system_to_dense(system, npts):
+    """Unfold a flat level's strand blocks (_strand_operator) into the dense
+    matrix in grid order.
+
+    ``system`` holds the (n, n, C, M) diagonal blocks and the blocks coupling
+    each point of a strand to the next, the last to the first; the blocks
+    coupling it to the one before are their transposes.
+    """
+    diag, upper = system
+    n, _, strands, length = diag.shape
+    assert strands * length == npts
+    order = _strand_order(npts).reshape(strands, length)
+    dense = np.zeros((npts * n, npts * n))
+    for c in range(strands):
+        for j in range(length):
+            row = slice(n * order[c, j], n * order[c, j] + n)
+            ahead = slice(n * order[c, (j + 1) % length], n * order[c, (j + 1) % length] + n)
+            dense[row, row] += diag[:, :, c, j]
+            dense[row, ahead] += upper[:, :, c, j]
+            dense[ahead, row] += upper[:, :, c, j].T
     return dense

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from elliptic_oracle import block_tridiagonal_to_dense, cg_solve, dense_solve
+from elliptic_oracle import block_tridiagonal_to_dense, cg_solve, dense_solve, strand_system_to_dense
 from elwire import initial
 from elwire.cli import main
 from elwire.diagnostics import energy
@@ -24,7 +24,7 @@ from elwire.dynamics import (
     prepare_initial,
     reconstruct_mu,
 )
-from elwire.elliptic import _block_operator, _fold_order, bentness, solve_flux_form
+from elwire.elliptic import _block_operator, _fold_order, _strand_operator, bentness, solve_flux_form
 from elwire.fields import (
     Grid,
     circ_diff,
@@ -280,18 +280,19 @@ def test_05_bentness_lipschitz(capsys):
 
 
 def test_06_tension_solver_oracles(capsys):
-    def symmetry_gap(xi, samples, grid):
-        system = _block_operator(xi, samples, grid, "perp")
-        matrix = block_tridiagonal_to_dense(system, _fold_order(len(xi)), xi.shape[1])
+    # each chart's symmetry reads the system production solves there: a flat
+    # chart's step-2 strands, a curved chart's folded blocks
+    def symmetry_gap(matrix):
         return np.max(np.abs(matrix - matrix.T))
 
     grid = Grid(256)
     flat = _flat_samples(256)
     xi = _circle_tangent(grid)
     zero = np.zeros_like(xi)
-    sym_flat = symmetry_gap(xi, flat, grid)
+    sym_flat = symmetry_gap(strand_system_to_dense(_strand_operator(xi, grid.dx, "perp"), len(xi)))
     grid_h, samples_h, xi_h = _hyperbolic_setup(96)
-    sym_hyp = symmetry_gap(xi_h, samples_h, grid_h)
+    system = _block_operator(xi_h, samples_h, grid_h, "perp")
+    sym_hyp = symmetry_gap(block_tridiagonal_to_dense(system, _fold_order(len(xi_h)), xi_h.shape[1]))
 
     # the stencil symbol stands in for the continuum 4 pi^2 of the two
     # closed-form solutions xi / (4 pi^2) and -xi

@@ -378,7 +378,7 @@ def test_degenerate_perturbed_circle_aborts_with_report(tmp_path, capsys, curve,
     "constraint, reason, times",
     [
         # the bootstrap leaves the first step's tangent 6e-2 off unit length
-        (None, "unit-tangent defect 5.957e-02 exceeds tolerance 1.0e-02 at t=0.062500", [0.0]),
+        (None, "unit-tangent defect 0.0595740974219211 exceeds tolerance 0.01 at t=0.062500", [0.0]),
         # past a loose gate, the tension solve's own guard refuses the next level
         (0.9, "unit-tangent defect 1.191e-01 exceeds 0.1; refusing tension solve", [0.0, 1 / 16]),
     ],
@@ -556,7 +556,11 @@ def test_picard_run_outputs(tmp_path, capsys):
 def test_picard_window_longer_than_the_grid_holds_the_resting_circle(tmp_path):
     # the periodic representation holds for any window length: at n=8 a
     # window of 12 steps, one and a half periods, keeps the circle at rest,
-    # so the first sweep returns the start iterate to rounding
+    # so the first sweep returns the start iterate to rounding.  The floor
+    # depends on how the tension solve's last bits fall: with the tension
+    # solved on its two strands the distance is 1.1e-13 and the tangent moves
+    # by 5.6e-15; with every tension solve correctly rounded, 5.9e-14 and
+    # 2.6e-15 (against a composite norm of the iterate of about 7)
     data = {
         "grid": {"n": 8},
         "mode": "picard",
@@ -570,7 +574,7 @@ def test_picard_window_longer_than_the_grid_holds_the_resting_circle(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     contraction = meta["contraction"]
     assert contraction["converged"] is True and contraction["iterations"] == 1
-    assert contraction["distances"][0] < 1e-13
+    assert contraction["distances"][0] < 2e-13
     first, *later = (
         json.loads((out / f"snapshot_{m:06d}.json").read_text()) for m in range(13)
     )
@@ -578,7 +582,7 @@ def test_picard_window_longer_than_the_grid_holds_the_resting_circle(tmp_path):
     for level in later:
         assert level["gamma"] == first["gamma"]
         for key in ("xi", "eta"):
-            assert np.max(np.abs(np.subtract(level[key], first[key]))) <= 2.6e-15
+            assert np.max(np.abs(np.subtract(level[key], first[key]))) <= 64 * np.finfo(float).eps
 
 
 def test_picard_abort_keeps_the_sweep_record(tmp_path):
@@ -1284,7 +1288,8 @@ def test_march_samples_each_curve_position_once(
 
 def test_flat_march_contracts_no_connection(tmp_path, monkeypatch):
     # a flat chart samples nothing: no connection or curvature sample is
-    # contracted (geometry, elliptic), while a curved run contracts them
+    # contracted (geometry, elliptic), and its tension solve inverts no block
+    # matrix, while a curved run contracts them and reduces its blocks
     calls = {"einsum": [], "inv": []}
     real = {"einsum": np.einsum, "inv": np.linalg.inv}
 
@@ -1305,14 +1310,16 @@ def test_flat_march_contracts_no_connection(tmp_path, monkeypatch):
     }
     path = config_file(tmp_path, data)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    # the counters see the run: the block reduction's inverses
-    assert "_cyclic_reduction" in calls["inv"]
+    assert calls["inv"] == []
     assert [c for c in calls["einsum"] if c in ("elwire.geometry", "elwire.elliptic")] == []
-    # and they see the contractions of a curved run
-    curved = {"manifold": {"name": "sphere"}, "grid": {"n": 16}, "time": {"horizon": 2 / 16}}
+    # and they see the contractions and the block inverses of a curved run
+    # (N = 64 gives 16 block rows of 8 x 8, so one stage reduces before the
+    # dense solve)
+    curved = {"manifold": {"name": "sphere"}, "grid": {"n": 64}, "time": {"horizon": 2 / 64}}
     path = config_file(tmp_path, dict(curved, initial={"name": "sphere-loop"}), name="curved.json")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "curved"), "--quiet"]) == 0
     assert "elwire.geometry" in calls["einsum"]
+    assert "_cyclic_reduction" in calls["inv"]
 
 
 @pytest.mark.parametrize(
@@ -1324,11 +1331,14 @@ def test_flat_march_contracts_no_connection(tmp_path, monkeypatch):
 )
 def test_flat_fast_path_matches_the_general_path(tmp_path, mode, section):
     # the conformal metric exp(2 * 0) * delta is flat but takes the general
-    # path, which samples and contracts the zero connection and curvature;
-    # the euclidean chart leaves them out.  Both write the same bytes, but
-    # for the bentness, which the euclidean chart sums in Fourier modes and
-    # the general path takes from its block reduction: that column agrees
-    # within FOURIER_TOL
+    # path, which samples and contracts the zero connection and curvature and
+    # solves the folded block system; the euclidean chart leaves them out,
+    # solves its step-2 strands and sums the bentness in Fourier modes.  The
+    # two tension solves round apart within the operator's conditioning,
+    # eps / dx^2 relative (1.5e-11 at N = 256), and so does every output but
+    # the transport residual, a second difference in time of the fields,
+    # which gets a further 1 / dt^2 (dt = dx).  The bentness agrees within
+    # FOURIER_TOL
     outputs, tables = {}, {}
     for name, manifold in [
         ("general", {"name": "conformal", "expression": "0"}),
@@ -1344,16 +1354,33 @@ def test_flat_fast_path_matches_the_general_path(tmp_path, mode, section):
         out = tmp_path / name
         path = config_file(tmp_path, data, name=f"{name}.json")
         assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
-        outputs[name] = {f.name: f.read_bytes() for f in sorted(out.glob("snapshot_*.json"))}
+        outputs[name] = {f.name: json.loads(f.read_text()) for f in sorted(out.glob("snapshot_*.json"))}
         tables[name] = read_csv(out / "diagnostics.csv")
     assert len(outputs["flat"]) == (5 if mode == "march" else 4)
-    assert outputs["general"] == outputs["flat"]
+    dx = 1.0 / section["grid"]["n"]
+    tol = np.finfo(float).eps / dx**2
+
+    def close(a, b, bound):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= bound * max(1.0, np.max(np.abs(a)))
+
+    assert outputs["general"].keys() == outputs["flat"].keys()
+    for name, general in outputs["general"].items():
+        flat = outputs["flat"][name]
+        assert general.keys() == flat.keys()
+        for key, value in general.items():
+            if isinstance(value, list):
+                assert close(value, flat[key], tol), (name, key)
+            else:
+                assert value == flat[key], (name, key)
     (header, general), (flat_header, flat) = tables["general"], tables["flat"]
     assert header == flat_header and len(general) == len(flat)
-    column = header.split(",").index("bentness")
-    for row, flat_row in zip(general, flat):
-        assert row[:column] + row[column + 1 :] == flat_row[:column] + flat_row[column + 1 :]
-        assert abs(float(row[column]) - float(flat_row[column])) <= FOURIER_TOL
+    for column, name in enumerate(header.split(",")):
+        values = [row[column] for row in general]
+        others = [row[column] for row in flat]
+        assert [v == "" for v in values] == [v == "" for v in others], name
+        bound = {"transport_residual": tol / dx**2, "bentness": FOURIER_TOL}.get(name, tol)
+        assert close([float(v) for v in values if v], [float(v) for v in others if v], bound), name
 
 
 @pytest.mark.parametrize(

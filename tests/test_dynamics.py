@@ -309,7 +309,7 @@ def test_step_rejects_drifted_tangent():
     xi = start.xi.copy()
     xi[3, 0] = np.nan
     bad = replace(start, xi=xi)
-    gate = "unit-tangent defect nan exceeds tolerance 1.0e-02 at t=0.000000"
+    gate = "unit-tangent defect nan exceeds tolerance 0.01 at t=0.000000"
     with pytest.raises(ConstraintDriftError, match=gate):
         next(march(bad, manifold, grid, run_config(grid, 1)))
 

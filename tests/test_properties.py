@@ -20,8 +20,11 @@
   level, the bentness minimiser solves its optimality system and gives the
   bentness value (exactly on a curved chart; on a flat one, whose bentness
   is a Fourier sum, within ``FOURIER_TOL``, on random unit fields and at
-  N = 180 too), and the block cyclic reduction agrees with a dense solve
-  of the oracle matrix.  A tension solve on a window series of such curves
+  N = 180 too), and the production solve (block cyclic reduction on a
+  curved chart, the strand reduction on a flat one) agrees with a dense
+  solve of the oracle matrix.  On a flat chart the unfolded strand system
+  equals the dense oracle, and the strand solve agrees with the block route
+  within the same residual bound.  A tension solve on a window series of such curves
   gives each level exactly the bytes of that level's own solve, and its
   drift and residual gates refuse the series as they refuse its first
   failing level; the series carries level 0's fresh bentness gate.
@@ -84,7 +87,14 @@ from scipy.integrate import quad
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from elliptic_oracle import FOURIER_TOL, block_tridiagonal_to_dense, dense_operator, reduction_bentness
+from elliptic_oracle import (
+    FOURIER_TOL,
+    block_solve,
+    block_tridiagonal_to_dense,
+    dense_operator,
+    reduction_bentness,
+    strand_system_to_dense,
+)
 from elwire import initial
 from elwire.cli import main, write_snapshot
 from elwire.config import parse_config
@@ -97,7 +107,14 @@ from elwire.dynamics import (
     prepare_initial,
     window_rows,
 )
-from elwire.elliptic import _block_operator, _fold_order, _solve_system, bentness, solve_flux_form
+from elwire.elliptic import (
+    _block_operator,
+    _fold_order,
+    _solve_system,
+    _strand_operator,
+    bentness,
+    solve_flux_form,
+)
 from elwire.errors import (
     ConfigError,
     ConstraintDriftError,
@@ -466,7 +483,22 @@ def test_flat_bentness_is_the_reductions_penalty(chart, n_points, seed, random):
     assert abs(bentness(xi, samples, grid) - reduction_bentness(xi, samples, grid)) <= FOURIER_TOL
 
 
+def operator_gap(matrix, u, v, rhs, dx):
+    """Sup norm of the operator applied to the gap u - v of two solves, and
+    the residual bound of a backward stable solve: RESIDUAL_TOL times the
+    operator's scale 1/dx^2 on the solution plus the data."""
+    gap = (matrix @ (u - v).reshape(-1)).reshape(u.shape)
+    return m0(gap), RESIDUAL_TOL * (m0(v) / dx**2 + m0(rhs))
+
+
+# a flat chart's strands reach an odd point count at every depth: N = 97 is
+# one strand of 97 points, N = 180 two of 90 -> 45, N = 264 two of
+# 132 -> 66 -> 33, and the 3-D flat torus at N = 90 two of 45 -> 22 -> 11
 @settings(max_examples=60, deadline=None)
+@example(kind="perp", chart="euclidean", n_points=97, seed=0)
+@example(kind="identity", chart="euclidean", n_points=180, seed=1)
+@example(kind="perp", chart="euclidean", n_points=264, seed=2)
+@example(kind="perp", chart="flat-torus", n_points=90, seed=3)
 @given(kind=st.sampled_from(["perp", "identity"]), **curves)
 def test_cyclic_reduction_matches_dense_solve(kind, chart, n_points, seed):
     # N = 8 ... 64 gives 2 ... 16 block rows: odd and even row counts at
@@ -476,10 +508,36 @@ def test_cyclic_reduction_matches_dense_solve(kind, chart, n_points, seed):
     rhs = rng.standard_normal(xi.shape)
     matrix = dense_operator(xi, samples, grid, kind)
     dense = np.linalg.solve(matrix, rhs.reshape(-1)).reshape(xi.shape)
-    reduced = _solve_system(xi, samples, grid, kind, rhs)
-    gap = (matrix @ (reduced - dense).reshape(-1)).reshape(xi.shape)
-    scale = m0(dense) / grid.dx**2 + m0(rhs)
-    assert m0(gap) <= RESIDUAL_TOL * scale
+    gap, bound = operator_gap(matrix, _solve_system(xi, samples, grid, kind, rhs), dense, rhs, grid.dx)
+    assert gap <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@example(kind="perp", chart="euclidean", n_points=264, seed=0)
+@example(kind="identity", chart="flat-torus", n_points=97, seed=1)
+@given(
+    kind=st.sampled_from(["perp", "identity"]),
+    chart=st.sampled_from(["euclidean", "flat-torus"]),
+    n_points=st.one_of(st.integers(8, 64), st.just(180)),
+    seed=seeds,
+)
+def test_strand_solve_matches_the_block_route(kind, chart, n_points, seed):
+    # a flat chart's strand system is the dense oracle, and its solve agrees
+    # with the block route of every curved chart within the residual bound
+    # of a backward stable solve; on a curved chart production is that route
+    grid, samples, xi, rng = curve_setup(chart, n_points, seed)
+    matrix = dense_operator(xi, samples, grid, kind)
+    strands = strand_system_to_dense(_strand_operator(xi, grid.dx, kind), n_points)
+    assert np.array_equal(strands, strands.T)
+    assert np.max(np.abs(strands - matrix)) <= REL_TOL * np.max(np.abs(matrix))
+    rhs = rng.standard_normal(xi.shape)
+    block = block_solve(xi, samples, grid, kind, rhs)
+    gap, bound = operator_gap(matrix, _solve_system(xi, samples, grid, kind, rhs), block, rhs, grid.dx)
+    assert gap <= bound
+    grid, samples, xi, rng = curve_setup("sphere", n_points, seed)
+    rhs = rng.standard_normal(xi.shape)
+    block = block_solve(xi, samples, grid, kind, rhs)
+    assert block.tobytes() == _solve_system(xi, samples, grid, kind, rhs).tobytes()
 
 
 def sup_defect(u, flux, h, xi, samples, grid):
@@ -494,6 +552,9 @@ def sup_defect(u, flux, h, xi, samples, grid):
 # 3-D blocks of 12 x 12 and one reduction stage: the gathered series holds
 # its level axis innermost, so the reduction must not read it strided
 @example(levels=2, chart="sphere", n_points=29, seed=0)
+# flat strands: two of 90 -> 45 points, and one of 97
+@example(levels=3, chart="euclidean", n_points=180, seed=0)
+@example(levels=2, chart="flat-torus", n_points=97, seed=1)
 def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     setups = [curve_setup(chart, n_points, seed + m) for m in range(levels)]
     grid, rng = setups[0][0], setups[0][3]
@@ -545,7 +606,7 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     assert str(whole.value) == message + f" at window level {last}"
 
     scale = max(1.0, m0(h[0]) + m0(f[0]))
-    message = f"tension solve residual {residual[0]:.3e} exceeds tolerance 1.0e-30 * {scale:.3e}"
+    message = f"tension solve residual {float(residual[0])!r} exceeds tolerance 1e-30 * {scale!r}"
     with pytest.raises(NumericalSolveError) as single:
         solve_flux_form(f[0], h[0], xi[0], per_level[0], grid, tol=1e-30)
     assert str(single.value) == message
@@ -1097,8 +1158,8 @@ def test_the_constraint_holds_each_level_a_step_is_taken_from(data, steps, every
         return
     assert code == 3
     assert err == [
-        f"aborted: ConstraintDriftError: unit-tangent defect {drift[m]:.3e} exceeds "
-        f"tolerance {tol:.1e} at t={m / 32:.6f}"
+        f"aborted: ConstraintDriftError: unit-tangent defect {float(drift[m])!r} exceeds "
+        f"tolerance {tol!r} at t={m / 32:.6f}"
     ]
     assert_aborted_after(meta, rows, "ConstraintDriftError", m)
     assert rows[-1]["constraint_drift"] == drift[m - 1]
