@@ -23,7 +23,7 @@ Each chart takes one route per problem:
   N, one of N points for odd N.  Each strand is periodic block-tridiagonal
   with n x n blocks, stored (n, n, strands, points) so that every block
   product is elementwise over the strands and points; periodic odd-even
-  reduction with Gauss-Jordan on the blocks solves them
+  reduction with Gauss-Jordan on the blocks solves them down to one point
   (_strand_reduction).  The bentness operator -D o D + I is circulant
   there, so its value is one exact Fourier sum (see bentness).
 * A curved chart couples each point to its two neighbours through the
@@ -41,9 +41,9 @@ Each chart takes one route per problem:
   stage's system, down to one small dense solve; two block products per
   stage then recover the odd rows.
 
-Both routes finish with a dense solve once the system has DENSE_SIZE
-unknowns or fewer.  The tension solve takes a level (N, n) or a window
-series (L, N, n), as the field helpers do: every step batches over the
+The block reduction finishes with a dense solve once the system has
+DENSE_SIZE unknowns or fewer.  The tension solve takes a level (N, n) or a
+window series (L, N, n), as the field helpers do: every step batches over the
 levels yet solves each alone, to the bytes of a lone solve.
 """
 
@@ -74,7 +74,7 @@ def _fold_order(npts: int) -> np.ndarray:
 #: sit at most four slots apart, so four slots per block row make the folded
 #: system block tridiagonal.
 SLOTS = 4
-#: largest order of the dense system that finishes the reduction
+#: largest order of the dense system that finishes the block reduction
 DENSE_SIZE = 64
 
 
@@ -123,29 +123,25 @@ def _block_operator(xi, samples, grid, kind: str):
     """-D o D + Z in fold order, as the blocks of a block-tridiagonal matrix.
 
     ``xi`` is a level (N, n) or a window series (L, N, n) with the samples of
-    its curves.  Returns the system (..., 2, B, m, m), B = ceil(N / SLOTS),
-    m = SLOTS * n, gathered per level through the grid's entry map (see
-    _layout): the diagonal blocks and the blocks coupling block row b to
-    b + 1 (the last is zero); the blocks below the diagonal are their
-    transposes.
+    its curves on a curved chart (``samples.conn`` is sampled).  Returns the
+    system (..., 2, B, m, m), B = ceil(N / SLOTS), m = SLOTS * n, gathered
+    per level through the grid's entry map (see _layout): the diagonal
+    blocks and the blocks coupling block row b to b + 1 (the last is zero);
+    the blocks below the diagonal are their transposes.
     """
     if kind not in ("perp", "identity"):
         raise ValueError(f"unknown zeroth-order kind {kind!r}")
     *lead, npts, n = xi.shape
     dx = grid.dx
-    # connection blocks B_k = Gamma(xi_k, .) = xi_k c_k^T - c_k xi_k^T; none on a flat chart
-    flat = samples.conn is None
-    if flat:
-        conn = np.zeros(xi.shape + (n,))
-    else:
-        conn = xi[..., :, None] * samples.conn[..., None, :]
-        conn = conn - conn.swapaxes(-1, -2)
+    # connection blocks B_k = Gamma(xi_k, .) = xi_k c_k^T - c_k xi_k^T
+    conn = xi[..., :, None] * samples.conn[..., None, :]
+    conn = conn - conn.swapaxes(-1, -2)
     eye = np.eye(n)
     # couplings: far (k to k +- 2), edge_k (k + 1 to k; k to k + 1 is -edge_k)
     # and centre_k (k to k), stacked per level as [far, edge, -edge, centre]
     # with a zero and an identity block for the entries no coupling fills
     edge = (conn + shift(conn, -1, axis=-3)) / (2.0 * dx)
-    centre = (0.5 / (dx * dx) + 1.0) * eye - (0.0 if flat else conn @ conn)
+    centre = (0.5 / (dx * dx) + 1.0) * eye - conn @ conn
     if kind == "perp":
         centre = centre - xi[..., :, None] * xi[..., None, :]
     stack = np.empty((*lead, 3 + 3 * npts, n, n))
@@ -275,16 +271,11 @@ def _times(a, b):
 def _gauss_jordan(aug):
     """D^-1 R for the blocks [D | R] of ``aug`` (n, n + q, ...), by n
     unpivoted Gauss-Jordan steps in place; the diagonal blocks are symmetric
-    positive definite.  A zero or non-finite pivot raises
-    NumericalSolveError before it is divided by."""
+    positive definite.  A zero or non-finite pivot leaves a non-finite
+    entry in the result, which the caller checks."""
     n = aug.shape[0]
     for p in range(n):
-        pivot = aug[p, p : p + 1].copy()
-        if not (pivot.all() and np.isfinite(pivot).all()):
-            raise NumericalSolveError(
-                "elliptic solve met a singular block (zero or non-finite pivot)"
-            )
-        aug[p] /= pivot
+        aug[p] /= aug[p, p : p + 1]
         for i in range(n):
             if i != p:
                 aug[i] -= aug[i, p : p + 1] * aug[p]
@@ -302,71 +293,66 @@ def _strand_reduction(diag, upper, rhs):
     U_{2j}^T x_{2j} + D x_{2j+1} + U_{2j+1} x_{2j+2} = r, and Gauss-Jordan
     gives left = D^-1 U_{2j}^T, solved = D^-1 r and right = D^-1 U_{2j+1};
     the even points' Schur updates, with the wrap to point 0, make the next
-    stage's strands of half the length.  A dense solve finishes once
-    M * n <= DENSE_SIZE or M = 1.  Every product is elementwise over (C, M), so each
-    strand, and each level of a series, is solved to the bytes of a lone one.
+    stage's strands of half the length.  The last stage leaves one point,
+    coupled to itself, which Gauss-Jordan solves.  Every product is
+    elementwise over (C, M), so each strand, and each level of a series, is
+    solved to the bytes of a lone one.
+
+    A zero or non-finite pivot anywhere makes the solution non-finite, which
+    raises NumericalSolveError; numpy's warnings on the way are silenced.
+    A row of zeros in both the last point's block and its right-hand side
+    leaves its unknown free, and it is taken as zero: a curve at rest on a
+    geodesic, whose tension operator is singular, has zero tension.
     """
     n = diag.shape[0]
     stages = []
-    while diag.shape[-1] > 1 and diag.shape[-1] * n > DENSE_SIZE:
-        if diag.shape[-1] % 2:  # point M - 1 couples to M - 2 by lo and to 0 by up
-            lo, up = upper[..., -2], upper[..., -1]
-            aug = np.concatenate([diag[..., -1], lo.swapaxes(0, 1), rhs[..., -1], up], axis=1)
-            out = _gauss_jordan(aug)
-            diag, upper, rhs = diag[..., :-1].copy(), upper[..., :-1].copy(), rhs[..., :-1].copy()
-            ahead = _times(lo, out)
-            diag[..., -1] -= ahead[:, :n]
-            rhs[..., -1] -= ahead[:, n : n + 1]
-            upper[..., -1] = -ahead[:, n + 1 :]
-            behind = _times(up.swapaxes(0, 1), out[:, n:])
-            rhs[..., 0] -= behind[:, :1]
-            diag[..., 0] -= behind[:, 1:]
-            stages.append((False, out))
-        up_even, up_odd = upper[..., 0::2], upper[..., 1::2]
-        aug = np.concatenate([diag[..., 1::2], up_even.swapaxes(0, 1), rhs[..., 1::2], up_odd], axis=1)
-        out = _gauss_jordan(aug)  # [left | solved | right]
-        ahead = _times(up_even, out)
-        diag = diag[..., 0::2] - ahead[:, :n]
-        rhs = rhs[..., 0::2] - ahead[:, n : n + 1]
-        upper = -ahead[:, n + 1 :]
-        # even point j + 1 meets odd point j through up_odd^T
-        behind = _times(up_odd.swapaxes(0, 1), out[:, n:])
-        rhs[..., 1:] -= behind[:, :1, :, :-1]
-        rhs[..., 0] -= behind[:, :1, :, -1]
-        diag[..., 1:] -= behind[:, 1:, :, :-1]
-        diag[..., 0] -= behind[:, 1:, :, -1]
-        stages.append((True, out))
+    with np.errstate(all="ignore"):
+        while diag.shape[-1] > 1:
+            if diag.shape[-1] % 2:  # point M - 1 couples to M - 2 by lo and to 0 by up
+                lo, up = upper[..., -2], upper[..., -1]
+                aug = np.concatenate([diag[..., -1], lo.swapaxes(0, 1), rhs[..., -1], up], axis=1)
+                out = _gauss_jordan(aug)
+                diag, upper, rhs = diag[..., :-1].copy(), upper[..., :-1].copy(), rhs[..., :-1].copy()
+                ahead = _times(lo, out)
+                diag[..., -1] -= ahead[:, :n]
+                rhs[..., -1] -= ahead[:, n : n + 1]
+                upper[..., -1] = -ahead[:, n + 1 :]
+                behind = _times(up.swapaxes(0, 1), out[:, n:])
+                rhs[..., 0] -= behind[:, :1]
+                diag[..., 0] -= behind[:, 1:]
+                stages.append((False, out))
+            up_even, up_odd = upper[..., 0::2], upper[..., 1::2]
+            aug = np.concatenate([diag[..., 1::2], up_even.swapaxes(0, 1), rhs[..., 1::2], up_odd], axis=1)
+            out = _gauss_jordan(aug)  # [left | solved | right]
+            ahead = _times(up_even, out)
+            # even point j + 1 meets odd point j through up_odd^T, point 0 the last
+            behind = _times(up_odd.swapaxes(0, 1), out[:, n:])
+            behind = np.concatenate([behind[..., -1:], behind[..., :-1]], axis=-1)
+            diag = diag[..., 0::2] - ahead[:, :n]
+            rhs = rhs[..., 0::2] - ahead[:, n : n + 1]
+            upper = -ahead[:, n + 1 :]
+            rhs -= behind[:, :1]
+            diag -= behind[:, 1:]
+            stages.append((True, out))
 
-    length, strands = diag.shape[-1], diag.shape[2]
-    rows = np.arange(length)
-    ahead = (rows + 1) % length
-    # indexing two axes apart puts the point axis first: (M, C, n, n).  Wide
-    # blocks (n > 16) can reduce a strand to two points or one, whose next
-    # and previous points coincide, so the couplings are added
-    dense = np.zeros((strands, length, n, length, n))
-    dense[:, rows, :, rows, :] = diag.transpose(3, 2, 0, 1)
-    dense[:, rows, :, ahead, :] += upper.transpose(3, 2, 0, 1)
-    dense[:, ahead, :, rows, :] += upper.transpose(3, 2, 1, 0)
-    size = length * n
-    try:
-        x = np.linalg.solve(
-            dense.reshape(strands, size, size), rhs[:, 0].transpose(1, 2, 0).reshape(strands, size, 1)
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericalSolveError(f"elliptic solve met a singular block ({exc})") from exc
-    x = x.reshape(strands, length, n).transpose(2, 0, 1)[:, None]
-    for halved, out in reversed(stages):
-        left, solved, right = out[:, :n], out[:, n : n + 1], out[:, n + 1 :]
-        if not halved:
-            last = solved - _times(left, x[..., -1]) - _times(right, x[..., 0])
-            x = np.concatenate([x, last[..., None]], axis=-1)
-            continue
-        odd = solved - _times(left, x)
-        odd[..., :-1] -= _times(right[..., :-1], x[..., 1:])
-        odd[..., -1] -= _times(right[..., -1], x[..., 0])
-        merged = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
-        merged[..., 0::2], merged[..., 1::2] = x, odd
-        x = merged
+        # one point is left, coupled to itself by upper and upper^T
+        aug = np.concatenate([diag + upper + upper.swapaxes(0, 1), rhs], axis=1)[..., 0]
+        comp = np.arange(n)
+        aug[comp, comp] += ~aug.any(axis=1)
+        x = _gauss_jordan(aug)[..., None]
+        for halved, out in reversed(stages):
+            left, solved, right = out[:, :n], out[:, n : n + 1], out[:, n + 1 :]
+            if not halved:
+                last = solved - _times(left, x[..., -1]) - _times(right, x[..., 0])
+                x = np.concatenate([x, last[..., None]], axis=-1)
+                continue
+            ahead = np.concatenate([x[..., 1:], x[..., :1]], axis=-1)
+            odd = solved - _times(left, x) - _times(right, ahead)
+            merged = np.empty(x.shape[:-1] + (2 * x.shape[-1],))
+            merged[..., 0::2], merged[..., 1::2] = x, odd
+            x = merged
+    if not np.isfinite(x).all():
+        raise NumericalSolveError("elliptic solve met a singular block (zero or non-finite pivot)")
     return x
 
 

@@ -7,12 +7,16 @@ of their assembly: a dense (N*n, N*n) matrix multiplied out from the dense
 difference matrix, and conjugate gradients on an operator that applies
 ``cov_dx`` twice.
 
-On a flat chart the block route of every curved chart (``block_solve``) is
-the reference of the strand route, and its penalty at its minimiser
-(``reduction_bentness``, within ``FOURIER_TOL``) the reference of the
-bentness's Fourier sum.  ``block_tridiagonal_to_dense`` and
+On a flat chart the block route of every curved chart (``block_operator``
+and ``block_solve``, which pass the zero connection a flat chart does not
+sample) is the reference of the strand route, and its penalty at its
+minimiser (``reduction_bentness``, within ``FOURIER_TOL``) the reference of
+the bentness's Fourier sum.  ``block_tridiagonal_to_dense`` and
 ``strand_system_to_dense`` unfold the two production systems.
 """
+
+import dataclasses
+
 
 import numpy as np
 import scipy.sparse.linalg
@@ -86,11 +90,19 @@ def cg_solve(xi, samples, grid, kind, rhs, rtol=1e-10):
     return flat.reshape(npts, n)
 
 
+def block_operator(xi, samples, grid, kind):
+    """_block_operator on any chart: a flat chart passes its connection,
+    zero, which it does not sample."""
+    if samples.conn is None:
+        samples = dataclasses.replace(samples, conn=np.zeros(xi.shape))
+    return _block_operator(xi, samples, grid, kind)
+
+
 def block_solve(xi, samples, grid, kind, rhs):
     """(-D o D + Z) u = rhs for a level (N, n) by the block cyclic reduction
-    in fold order (_block_operator, _cyclic_reduction) on any chart, as
+    in fold order (block_operator, _cyclic_reduction) on any chart, as
     production solves a curved chart."""
-    diag, upper = _block_operator(xi, samples, grid, kind)
+    diag, upper = block_operator(xi, samples, grid, kind)
     place = _layout(*xi.shape)[0]
     count, m = diag.shape[:2]
     folded = np.zeros(count * m)

@@ -556,11 +556,7 @@ def test_picard_run_outputs(tmp_path, capsys):
 def test_picard_window_longer_than_the_grid_holds_the_resting_circle(tmp_path):
     # the periodic representation holds for any window length: at n=8 a
     # window of 12 steps, one and a half periods, keeps the circle at rest,
-    # so the first sweep returns the start iterate to rounding.  The floor
-    # depends on how the tension solve's last bits fall: with the tension
-    # solved on its two strands the distance is 1.1e-13 and the tangent moves
-    # by 5.6e-15; with every tension solve correctly rounded, 5.9e-14 and
-    # 2.6e-15 (against a composite norm of the iterate of about 7)
+    # so the first sweep returns the start iterate to rounding
     data = {
         "grid": {"n": 8},
         "mode": "picard",
@@ -574,7 +570,7 @@ def test_picard_window_longer_than_the_grid_holds_the_resting_circle(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     contraction = meta["contraction"]
     assert contraction["converged"] is True and contraction["iterations"] == 1
-    assert contraction["distances"][0] < 2e-13
+    assert contraction["distances"][0] < 1e-13
     first, *later = (
         json.loads((out / f"snapshot_{m:06d}.json").read_text()) for m in range(13)
     )
@@ -582,7 +578,7 @@ def test_picard_window_longer_than_the_grid_holds_the_resting_circle(tmp_path):
     for level in later:
         assert level["gamma"] == first["gamma"]
         for key in ("xi", "eta"):
-            assert np.max(np.abs(np.subtract(level[key], first[key]))) <= 64 * np.finfo(float).eps
+            assert np.max(np.abs(np.subtract(level[key], first[key]))) <= 2.6e-15
 
 
 def test_picard_abort_keeps_the_sweep_record(tmp_path):
@@ -1334,11 +1330,11 @@ def test_flat_fast_path_matches_the_general_path(tmp_path, mode, section):
     # path, which samples and contracts the zero connection and curvature and
     # solves the folded block system; the euclidean chart leaves them out,
     # solves its step-2 strands and sums the bentness in Fourier modes.  The
-    # two tension solves round apart within the operator's conditioning,
-    # eps / dx^2 relative (1.5e-11 at N = 256), and so does every output but
-    # the transport residual, a second difference in time of the fields,
-    # which gets a further 1 / dt^2 (dt = dx).  The bentness agrees within
-    # FOURIER_TOL
+    # start state takes no tension solve, so its fields, its diagnostics and
+    # every time and non-array field are equal.  The two tension solves round
+    # apart, so what passed through them agrees within 10 times the largest
+    # gap seen over both modes (relative to max(1, |value|)); the bentness
+    # within FOURIER_TOL, as the two bentness routes do
     outputs, tables = {}, {}
     for name, manifold in [
         ("general", {"name": "conformal", "expression": "0"}),
@@ -1357,8 +1353,26 @@ def test_flat_fast_path_matches_the_general_path(tmp_path, mode, section):
         outputs[name] = {f.name: json.loads(f.read_text()) for f in sorted(out.glob("snapshot_*.json"))}
         tables[name] = read_csv(out / "diagnostics.csv")
     assert len(outputs["flat"]) == (5 if mode == "march" else 4)
-    dx = 1.0 / section["grid"]["n"]
-    tol = np.finfo(float).eps / dx**2
+    # largest gaps seen: theta 7.3e-13, xi_t 3.8e-13, eta 3.7e-15, xi 1.0e-15
+    # and gamma 2.2e-16
+    field_bounds = {"theta": 8e-12, "xi_t": 4e-12, "eta": 4e-14, "xi": 1e-14, "gamma": 3e-15}
+    # transport_residual 2.8e-10, mu_min 2.0e-14, mu_max 4.6e-15,
+    # gamma_xi_drift 2.0e-15, constraint_drift 4.4e-16, energy and
+    # energy_bending 3.6e-16, energy_tangent_rate 2.8e-16, energy_velocity 2.1e-17
+    column_bounds = {
+        "transport_residual": 3e-9,
+        "mu_min": 2e-13,
+        "mu_max": 5e-14,
+        "gamma_xi_drift": 2e-14,
+        "constraint_drift": 5e-15,
+        "energy": 4e-15,
+        "energy_bending": 4e-15,
+        "energy_tangent_rate": 3e-15,
+        "energy_velocity": 3e-16,
+        "bentness": FOURIER_TOL,
+    }
+    start_fields = ("gamma", "xi", "eta")
+    start_columns = ("energy", "energy_velocity", "energy_bending", "constraint_drift", "gamma_xi_drift")
 
     def close(a, b, bound):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -1369,17 +1383,22 @@ def test_flat_fast_path_matches_the_general_path(tmp_path, mode, section):
         flat = outputs["flat"][name]
         assert general.keys() == flat.keys()
         for key, value in general.items():
-            if isinstance(value, list):
-                assert close(value, flat[key], tol), (name, key)
-            else:
+            if not isinstance(value, list) or (name == "snapshot_000000.json" and key in start_fields):
                 assert value == flat[key], (name, key)
+            else:
+                assert close(value, flat[key], field_bounds[key]), (name, key)
     (header, general), (flat_header, flat) = tables["general"], tables["flat"]
     assert header == flat_header and len(general) == len(flat)
     for column, name in enumerate(header.split(",")):
         values = [row[column] for row in general]
         others = [row[column] for row in flat]
+        if name == "time":
+            assert values == others
+            continue
+        if name in start_columns:
+            assert values[0] == others[0], name
         assert [v == "" for v in values] == [v == "" for v in others], name
-        bound = {"transport_residual": tol / dx**2, "bentness": FOURIER_TOL}.get(name, tol)
+        bound = column_bounds[name]
         assert close([float(v) for v in values if v], [float(v) for v in others if v], bound), name
 
 

@@ -116,7 +116,10 @@ def chart_setup(name: str, n: int):
 
 
 def production_matrix(xi, samples, grid, kind):
-    """The block operator of the production solve, unfolded to a dense matrix."""
+    """The system of the production solve, unfolded to a dense matrix: a flat
+    chart's step-2 strands, a curved chart's folded blocks."""
+    if samples.conn is None:
+        return strand_system_to_dense(_strand_operator(xi, grid.dx, kind), len(xi))
     system = _block_operator(xi, samples, grid, kind)
     return block_tridiagonal_to_dense(system, _fold_order(len(xi)), xi.shape[1])
 
@@ -179,9 +182,6 @@ def test_dense_matrices_match_naive_loops(chart, n_points):
         assert np.max(np.abs(oracle - naive)) < ORACLE_TOL
         production = production_matrix(xi, samples, grid, kind)
         assert np.max(np.abs(production - oracle)) < ORACLE_TOL
-        if samples.conn is None:  # a flat chart solves its step-2 strands
-            strands = strand_system_to_dense(_strand_operator(xi, grid.dx, kind), n_points)
-            assert np.max(np.abs(strands - oracle)) < ORACLE_TOL
 
 
 def test_assembled_system_solves_like_flux_form():
@@ -401,10 +401,10 @@ def test_factorisation_failure_raises_solve_error(monkeypatch):
 
 
 @pytest.mark.parametrize("n, n_points", [(17, 8), (33, 9), (70, 8)])
-def test_wide_flat_blocks_reduce_to_short_strands(n, n_points):
-    # past 16 components a flat strand reduces to two points, whose next and
-    # previous points coincide (n = 17: 4 -> 2; n = 33: 9 -> 8 -> 4 -> 2),
-    # or to one point (n = 70: 4 -> 2 -> 1), before the dense solve
+def test_wide_flat_blocks_solve_like_the_dense_oracle(n, n_points):
+    # unpivoted Gauss-Jordan on blocks of 17 to 70 components, on strands
+    # that reduce through two points, whose next and previous points
+    # coincide, to one coupled to itself (4 -> 2 -> 1; 9 -> 8 -> 4 -> 2 -> 1)
     grid = Grid(n_points)
     samples = sample_geometry(EuclideanModel(n), np.zeros((n_points, n)))
     rng = np.random.default_rng(n)
@@ -417,10 +417,11 @@ def test_wide_flat_blocks_reduce_to_short_strands(n, n_points):
 
 
 def test_zero_or_nonfinite_pivot_raises_solve_error():
-    # the strand reduction divides by no zero or non-finite pivot: it raises
-    # before, and no numpy warning escapes.  One strand of 64 points with
-    # unit blocks, uncoupled, but for a zero block at point 1; then a NaN
-    # tangent at point 2 of a flat N = 128, which sits at point 1 of a strand
+    # a zero or non-finite pivot in the strand reduction raises, and no numpy
+    # warning escapes.  One strand of 64 points with unit blocks, uncoupled,
+    # but for a zero block at point 1; a NaN tangent at point 2 of a flat
+    # N = 128, which sits at point 1 of a strand; and a straight line, whose
+    # tension operator is singular, under a load along it
     n, length = 2, 64
     diag = np.zeros((n, n, 1, length))
     diag[0, 0], diag[1, 1] = 1.0, 1.0
@@ -434,6 +435,22 @@ def test_zero_or_nonfinite_pivot_raises_solve_error():
         xi[2] = np.nan
         with pytest.raises(NumericalSolveError, match="singular block"):
             _solve_system(xi, samples, grid, "perp", np.ones_like(xi))
+        line = np.tile([1.0, 0.0], (128, 1))
+        with pytest.raises(NumericalSolveError, match="singular block"):
+            _solve_system(line, samples, grid, "perp", line)
+
+
+def test_straight_line_without_load_has_zero_tension():
+    # on a geodesic the tension operator is singular along the tangent, so
+    # the last point's block of each strand has a row of zeros; with no load
+    # there the unknown is free and the solve takes it as zero
+    for n_points in (16, 97, 128):
+        grid, samples = flat_setup(n_points)
+        line = np.tile([1.0, 0.0], (n_points, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tension = _solve_system(line, samples, grid, "perp", np.zeros_like(line))
+        assert not tension.any()
 
 
 def test_residual_is_checked_against_defect():

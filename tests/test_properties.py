@@ -89,6 +89,7 @@ from hypothesis.extra import numpy as hnp
 
 from elliptic_oracle import (
     FOURIER_TOL,
+    block_operator,
     block_solve,
     block_tridiagonal_to_dense,
     dense_operator,
@@ -108,7 +109,6 @@ from elwire.dynamics import (
     window_rows,
 )
 from elwire.elliptic import (
-    _block_operator,
     _fold_order,
     _solve_system,
     _strand_operator,
@@ -425,8 +425,9 @@ def test_cov_dx_sums_by_parts(chart, n_points, seed):
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["perp", "identity"]), **curves)
 def test_production_band_is_symmetric(kind, chart, n_points, seed):
+    # a flat chart's band is the reference of its strand route
     grid, samples, xi, _ = curve_setup(chart, n_points, seed)
-    system = _block_operator(xi, samples, grid, kind)
+    system = block_operator(xi, samples, grid, kind)
     matrix = block_tridiagonal_to_dense(system, _fold_order(len(xi)), xi.shape[1])
     scale = REL_TOL * np.max(np.abs(matrix))
     assert np.max(np.abs(matrix - matrix.T)) <= scale
@@ -491,11 +492,13 @@ def operator_gap(matrix, u, v, rhs, dx):
     return m0(gap), RESIDUAL_TOL * (m0(v) / dx**2 + m0(rhs))
 
 
-# a flat chart's strands reach an odd point count at every depth: N = 97 is
-# one strand of 97 points, N = 180 two of 90 -> 45, N = 264 two of
-# 132 -> 66 -> 33, and the 3-D flat torus at N = 90 two of 45 -> 22 -> 11
+# a flat chart's strands meet their first odd point count at each depth:
+# N = 97 is one strand of 97 points, N = 180 two of 90 -> 45, N = 264 two of
+# 132 -> 66 -> 33, and the 3-D flat torus at N = 90 two of 45; N = 254 gives
+# two strands of 127, odd after every halving (127, 63, 31, 15, 7, 3)
 @settings(max_examples=60, deadline=None)
 @example(kind="perp", chart="euclidean", n_points=97, seed=0)
+@example(kind="identity", chart="euclidean", n_points=254, seed=4)
 @example(kind="identity", chart="euclidean", n_points=180, seed=1)
 @example(kind="perp", chart="euclidean", n_points=264, seed=2)
 @example(kind="perp", chart="flat-torus", n_points=90, seed=3)
@@ -568,10 +571,10 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     assert residual.shape == (levels,)
     # the gathered series system is each level's own system, stacked
     for kind in ("perp", "identity"):
-        system = _block_operator(xi, series_samples, grid, kind)
+        system = block_operator(xi, series_samples, grid, kind)
         assert system.shape[0] == levels
         for m in range(levels):
-            alone = _block_operator(xi[m], per_level[m], grid, kind)
+            alone = block_operator(xi[m], per_level[m], grid, kind)
             assert system[m].shape == alone.shape and system[m].tobytes() == alone.tobytes()
     for m in range(levels):
         u_m, flux_m = solve_flux_form(f[m], h[m], xi[m], per_level[m], grid, tol=tol)
