@@ -19,9 +19,9 @@ unless noted; defaults in parentheses):
 ``"characteristic"`` locks the time step to the grid spacing, which is
 what the integral wave solver and the transport diagnostic require.  Both
 modes read the tolerances alike (see dynamics._gate): ``constraint`` holds
-the unit-tangent defect of every level but a march's last, which only
-reports it; ``bentness_floor`` holds the bentness solved every
-``bentness_every`` levels (a floor of 0 admits a geodesic).  ``renormalize``
+the unit-tangent defect of every recorded level, the last included;
+``bentness_floor`` holds the bentness solved every ``bentness_every``
+levels (a floor of 0 admits a geodesic).  ``renormalize``
 rescales the march's tangent to unit rows after each step; a picard window
 always projects its tangent.
 Validation collects every problem (not just the first) with its JSON path,

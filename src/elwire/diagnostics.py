@@ -28,7 +28,8 @@ class DiagnosticsRecord:
     covariant tangent rate, the velocity, and the covariant tangent
     derivative).  ``bentness`` is the value in force at the level, in a
     march and a window alike: the one solved at the latest multiple of
-    ``bentness_every`` levels before the run's last (see dynamics._gate).
+    ``bentness_every`` levels, up to and including this one (see
+    dynamics._gate).
     ``transport_residual`` is None when the check does not apply (time step
     not locked to dx, or too few levels retained).
     """

@@ -146,25 +146,20 @@ def assemble_sources(level: Level) -> tuple[np.ndarray, np.ndarray]:
     return psi, phi
 
 
-def _gate(
-    level: Level, grid: Grid, cfg: RunConfig, k: int, last: int, gate: Optional[float] = None,
-    *, steps_from: bool = True,
-) -> float:
-    """The one gate of every level a run records, here level ``k`` of a run
-    whose last level is ``last``.  The level's unit-tangent defect is held
-    to ``cfg.constraint_tol`` (ConstraintDriftError; a NaN defect fails
-    too), except on a march's last level, which no step is taken from
-    (``steps_from`` False): that level only reports it.  Returns the
-    bentness in force by the run's one cadence: fresh at a multiple of
-    ``cfg.bentness_every`` before ``last``, held to ``cfg.b_floor``
-    (NearGeodesicError); else ``gate``."""
-    drift = constraint_drift(level.xi) if steps_from else 0.0
+def _gate(level: Level, grid: Grid, cfg: RunConfig, k: int, gate: Optional[float] = None) -> float:
+    """The one gate of every level a run records, here level ``k``.  The
+    level's unit-tangent defect is held to ``cfg.constraint_tol``
+    (ConstraintDriftError; a NaN defect fails too).  Returns the bentness in
+    force by the run's one cadence: fresh at every multiple of
+    ``cfg.bentness_every``, held to ``cfg.b_floor`` (NearGeodesicError);
+    else ``gate``."""
+    drift = constraint_drift(level.xi)
     if not drift <= cfg.constraint_tol:
         raise ConstraintDriftError(
             f"unit-tangent defect {drift!r} exceeds tolerance "
             f"{cfg.constraint_tol!r} at t={level.time:.6f}"
         )
-    if k % cfg.bentness_every or k == last:
+    if k % cfg.bentness_every:
         return gate
     gate = elliptic.bentness(level.xi, level.samples, grid)
     if gate < cfg.b_floor:
@@ -381,9 +376,9 @@ def march(
 ) -> Iterator[Level]:
     """Run the marching integrator, yielding the levels 0..cfg.n_steps one by one.
 
-    Every level passes _gate, which holds the unit tangent of each level a
-    step is taken from, and then has its tension solved once, so diagnostics
-    cover [0, T]; a level is yielded once the step from it has succeeded, so
+    Every level, the last included, passes _gate, which holds its unit
+    tangent, and then has its tension solved once, so diagnostics cover
+    [0, T]; a level is yielded once the step from it has succeeded, so
     a consumer holds only the levels it keeps and never sees a level whose
     step failed.  Every level after ``initial`` (see prepare_initial) is the
     one its step returned.
@@ -393,7 +388,7 @@ def march(
     flux_prev: Optional[np.ndarray] = None
     gate: Optional[float] = None
     for k in range(cfg.n_steps + 1):
-        gate = _gate(current, grid, cfg, k, cfg.n_steps, gate, steps_from=k < cfg.n_steps)
+        gate = _gate(current, grid, cfg, k, gate)
         level, flux = _solve_level(current, grid, cfg, gate)
         if k < cfg.n_steps:
             current = step(level, flux, manifold, grid, cfg, prev=prev, flux_prev=flux_prev)
@@ -494,7 +489,7 @@ def picard_coupled(
     levels = cfg.picard_window + 1
     if levels < 3:
         raise ValueError("picard window needs at least 2 steps (3 levels)")
-    gate = _gate(initial, grid, cfg, 0, cfg.picard_window)
+    gate = _gate(initial, grid, cfg, 0)
 
     def constant(field: np.ndarray) -> np.ndarray:
         return np.broadcast_to(field, (levels,) + field.shape).copy()
@@ -551,5 +546,5 @@ def window_rows(iterate: Level, grid: Grid, cfg: RunConfig) -> Iterator[Level]:
     for m in range(cfg.picard_window + 1):
         level = replace(_at(iterate, m), samples=_at(iterate.samples, m), time=m * grid.dx)
         if m:
-            gate = _gate(level, grid, cfg, m, cfg.picard_window, gate)
+            gate = _gate(level, grid, cfg, m, gate)
         yield replace(level, bentness=gate)

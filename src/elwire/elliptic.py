@@ -439,8 +439,9 @@ def solve_flux_form(
     it is formed here rather than re-differenced.
     """
     drift = np.max(np.abs(dot(xi, xi) - 1.0), axis=-1)
-    text = "unit-tangent defect {:.3e} exceeds 0.1; refusing tension solve"
-    _refuse_first_failure(drift <= 0.1, ConstraintDriftError, text, drift)
+    guard = 0.1
+    text = f"unit-tangent defect {{!r}} exceeds {guard!r}; refusing tension solve"
+    _refuse_first_failure(drift <= guard, ConstraintDriftError, text, drift)
     rhs = h + cov_dx(f, xi, samples, grid.dx)
     u = _solve_system(xi, samples, grid, "perp", rhs)
     flux = cov_dx(u, xi, samples, grid.dx) + f

@@ -133,8 +133,7 @@ def _contract(
             if rising >= 3:
                 distances.append(dist)
                 raise NonContractionError(
-                    f"{label} stopped contracting: last ratios "
-                    f"{[f'{r:.3f}' for r in ratios[-3:]]}",
+                    f"{label} stopped contracting: last ratios {[float(r) for r in ratios[-3:]]}",
                     report(),
                 )
         distances.append(dist)
@@ -142,8 +141,8 @@ def _contract(
         if dist <= tol:
             return current, report(converged=True)
     raise NonContractionError(
-        f"{label} did not converge: distance {distances[-1]:.3e} after {max_iter} sweeps, "
-        f"tolerance {tol:.1e}",
+        f"{label} did not converge: distance {float(distances[-1])!r} after {max_iter} sweeps, "
+        f"tolerance {tol!r}",
         report(),
     )
 
@@ -252,7 +251,7 @@ def leapfrog_step(
     if not np.all(disc >= 0.0):
         k = int(np.argmin(disc))
         raise NumericalSolveError(
-            f"leapfrog step has no real next level: discriminant {disc[k]:.3e} at grid index {k}"
+            f"leapfrog step has no real next level: discriminant {float(disc[k])!r} at grid index {k}"
         )
     kappa = -2.0 * const / (lin + np.sqrt(disc))
     return free + dt * dt * (forced + kappa[:, None] * along)

@@ -21,7 +21,9 @@ regenerates that file with ``--write`` and lists the files that changed.
 ``--compare SRC`` makes that list: it runs every config under this tree
 and, in a child process, under the ``src`` directory SRC of another
 checkout, then prints one line per difference.  A file whose bytes moved
-gets the largest absolute difference of its numbers and where it is: the
+gets what a change of shape added or removed (a CSV's row count and
+columns, a JSON file's keys and list lengths), then the largest absolute
+difference of the numbers both versions hold and where it is: the
 snapshot key or metadata path (``xi[12][0]``, ``contraction.ratios[4]``)
 or the CSV column and row; a changed text value is named too.  Changed
 exit codes and standard-error lines, and files written by one side only,
@@ -226,17 +228,24 @@ def record(root: Path) -> dict:
     return {"numpy": numpy.__version__, "runs": runs}
 
 
-def _leaves(path: Path):
-    """(location, value) of every value of an output file: each number or
-    string of a JSON file by its key path, each CSV cell by column and row."""
-    text = path.read_text()
-    if path.suffix == ".csv":
+def _parse(text: str, suffix: str):
+    """An output file's content: a CSV as (header, rows), else its JSON value."""
+    if suffix == ".csv":
         header, *rows = csv.reader(io.StringIO(text))
+        return header, rows
+    return json.loads(text)
+
+
+def _leaves(content, suffix: str):
+    """(location, value) of every value of a parsed output file: each number
+    or string of a JSON file by its key path, each CSV cell by column and row."""
+    if suffix == ".csv":
+        header, rows = content
         for r, row in enumerate(rows):
             for column, cell in zip(header, row):
                 yield f"{column} (row {r})", cell
         return
-    stack = [("", json.loads(text))]
+    stack = [("", content)]
     while stack:
         where, value = stack.pop()
         if isinstance(value, dict):
@@ -245,6 +254,31 @@ def _leaves(path: Path):
             stack += [(f"{where}[{i}]", v) for i, v in enumerate(value)]
         else:
             yield where, value
+
+
+def _layout(old, new, where: str = ""):
+    """What a change of shape added or removed between two parsed JSON
+    values: the keys of one side only, and lists whose length changed."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        at = f"{where}." if where else ""
+        yield from (f"removed {at}{k}" for k in sorted(old.keys() - new.keys()))
+        yield from (f"added {at}{k}" for k in sorted(new.keys() - old.keys()))
+        for k in sorted(old.keys() & new.keys()):
+            yield from _layout(old[k], new[k], f"{at}{k}")
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            yield f"{where} length {len(old)} → {len(new)}"
+        for i, (x, y) in enumerate(zip(old, new)):
+            yield from _layout(x, y, f"{where}[{i}]")
+
+
+def _csv_layout(old, new):
+    """A change of a CSV's row count, and its columns of one side only."""
+    (old_header, old_rows), (new_header, new_rows) = old, new
+    if len(old_rows) != len(new_rows):
+        yield f"rows {len(old_rows)} → {len(new_rows)}"
+    yield from (f"removed column {c}" for c in old_header if c not in new_header)
+    yield from (f"added column {c}" for c in new_header if c not in old_header)
 
 
 def _number(value):
@@ -257,14 +291,16 @@ def _number(value):
         return None
 
 
-def _difference(old: Path, new: Path) -> str:
-    """Where two versions of an output file differ, and by how much."""
-    a, b = dict(_leaves(old)), dict(_leaves(new))
-    if a.keys() != b.keys():
-        return f"layout differs at {sorted(a.keys() ^ b.keys())[0]}"
+def _difference(old: str, new: str, suffix: str) -> str:
+    """Where two versions of an output file with this suffix differ: what a
+    change of shape added or removed, and by how much the values both hold
+    moved."""
+    old, new = _parse(old, suffix), _parse(new, suffix)
+    parts = list((_csv_layout if suffix == ".csv" else _layout)(old, new))
+    a, b = dict(_leaves(old, suffix)), dict(_leaves(new, suffix))
     worst, where, texts = 0.0, None, []
     for key, x in a.items():
-        y = b[key]
+        y = b.get(key, x)
         if x == y:
             continue
         fx, fy = _number(x), _number(y)
@@ -275,7 +311,7 @@ def _difference(old: Path, new: Path) -> str:
         gap = math.inf if math.isnan(gap) else gap
         if where is None or gap > worst:
             worst, where = gap, key
-    parts = [] if where is None else [f"{worst:.2g} at {where}"]
+    parts += [] if where is None else [f"{worst:.2g} at {where}"]
     parts += texts[:1] + ([f"and {len(texts) - 1} more text values"] if len(texts) > 1 else [])
     return "; ".join(parts) or "bytes differ, values equal"
 
@@ -303,7 +339,9 @@ def compare(src: Path, root: Path) -> list:
                 side = "the other tree" if file in old["files"] else "this tree"
                 lines.append(f"{name}/{file}: written by {side} only")
             elif old["files"][file] != new["files"][file]:
-                diff = _difference(root / "there" / name / file, root / "here" / name / file)
+                old_text = (root / "there" / name / file).read_text()
+                new_text = (root / "here" / name / file).read_text()
+                diff = _difference(old_text, new_text, Path(file).suffix)
                 lines.append(f"{name}/{file}: {diff}")
     return lines
 

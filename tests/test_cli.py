@@ -380,7 +380,7 @@ def test_degenerate_perturbed_circle_aborts_with_report(tmp_path, capsys, curve,
         # the bootstrap leaves the first step's tangent 6e-2 off unit length
         (None, "unit-tangent defect 0.0595740974219211 exceeds tolerance 0.01 at t=0.062500", [0.0]),
         # past a loose gate, the tension solve's own guard refuses the next level
-        (0.9, "unit-tangent defect 1.191e-01 exceeds 0.1; refusing tension solve", [0.0, 1 / 16]),
+        (0.9, "unit-tangent defect 0.11914819484384198 exceeds 0.1; refusing tension solve", [0.0, 1 / 16]),
     ],
     ids=["default-gate", "loose-gate"],
 )
@@ -421,7 +421,8 @@ def test_solver_drift_guard_aborts_with_report(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "aborted: ConstraintDriftError" in err
-    assert "exceeds 0.1; refusing tension solve" in err
+    defect = re.search(r"unit-tangent defect (\S+) exceeds 0\.1; refusing tension solve\n", err)
+    assert defect and float(defect[1]) > 0.1 and repr(float(defect[1])) == defect[1]
     assert "config error" not in err
 
     meta = json.loads((out / "metadata.json").read_text())
@@ -599,11 +600,11 @@ def test_picard_abort_keeps_the_sweep_record(tmp_path):
     assert main(["run", "--config", str(config_file(tmp_path, data)), "--out", str(out)]) == 3
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["failure"]["type"] == "NonContractionError"
-    reason = meta["failure"]["reason"]
-    assert reason == (
-        "coupled picard iteration stopped contracting: last ratios ['2.093', '1.241', '1.149']"
-    )
     contraction = meta["contraction"]
+    # the reason prints the recorded ratios in full
+    assert meta["failure"]["reason"] == (
+        f"coupled picard iteration stopped contracting: last ratios {contraction['ratios'][-3:]}"
+    )
     assert contraction["converged"] is False and contraction["iterations"] == 4
     assert len(contraction["distances"]) == len(contraction["ratios"]) + 1 == 4
     assert [f"{r:.3f}" for r in contraction["ratios"]] == ["2.093", "1.241", "1.149"]
@@ -625,8 +626,11 @@ def test_unconverged_picard_run_aborts_with_its_sweeps(tmp_path, capsys):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["status"] == "aborted"
     assert meta["failure"]["type"] == "NonContractionError"
-    assert "did not converge" in meta["failure"]["reason"]
     contraction = meta["contraction"]
+    assert meta["failure"]["reason"] == (
+        f"coupled picard iteration did not converge: distance {contraction['distances'][-1]!r} "
+        f"after 2 sweeps, tolerance {RunConfig().picard_tol!r}"
+    )
     assert contraction["iterations"] == 2
     assert contraction["converged"] is False
     assert "inner" not in contraction
@@ -637,7 +641,7 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
     # level 0 of the window is the fixed initial state: its bentness is in
     # force in every sweep's tension solves and is the first level's value in
     # the output; each later level passes dynamics._gate, which solves a fresh
-    # value every bentness_every levels, and the last level carries its value.
+    # value every bentness_every levels, the last level included.
     # A sweep solves the tension twice, each time on the whole window series.
     # Each window curve is sampled once, as it is built: prepare_initial
     # samples the initial curve, whose samples serve the start iterate and
@@ -682,7 +686,7 @@ def test_picard_run_solves_level_zero_bentness_once(tmp_path, monkeypatch):
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         sweeps = json.loads((out / "metadata.json").read_text())["contraction"]["iterations"]
         assert sweeps > 1
-        assert calls["bentness"] == 1 + (window - 1) // every
+        assert calls["bentness"] == 1 + window // every
         assert calls["solve_flux_form"] == 2 * sweeps
         assert calls["sample_geometry"] == 1 + per_step * window * sweeps
 
@@ -991,6 +995,24 @@ def test_outputs_match_their_digests():
     )
 
 
+def test_digest_compare_names_what_changed_shape():
+    # a file whose shape moved is described by what it gained or lost, and
+    # the values both versions hold are still compared
+    from output_digests import _difference
+
+    old_csv = "time,energy\n0.0,1.5\n0.25,1.5\n0.5,1.5\n"
+    new_csv = "time,energy,mu\n0.0,1.5,0\n0.25,1.75,0\n"
+    assert _difference(old_csv, new_csv, ".csv") == "rows 3 → 2; added column mu; 0.25 at energy (row 1)"
+    old_json = json.dumps({"status": "completed", "summary": {"max": 1.0}, "ratios": [0.5, 0.25]})
+    new_json = json.dumps({
+        "status": "aborted", "summary": {"max": 2.0}, "ratios": [0.5], "failure": {"type": "X"},
+    })
+    assert _difference(old_json, new_json, ".json") == (
+        "added failure; ratios length 2 → 1; 1 at summary.max; status: 'completed' -> 'aborted'"
+    )
+    assert _difference(old_json, old_json.replace("1.0", "1.00"), ".json") == "bytes differ, values equal"
+
+
 def test_out_flag_overrides_config_directory(tmp_path):
     data = dict(REST_CONFIG)
     data["output"] = {"directory": str(tmp_path / "from_config")}
@@ -1121,7 +1143,9 @@ def test_runtime_value_error_is_not_a_config_error(tmp_path, monkeypatch, capsys
 def test_json_outputs_are_canonical_indented_json(tmp_path, mode):
     # shortest round-trip floats read back exactly, so re-encoding what was
     # written must give the same bytes: orjson's indented layout for the
-    # snapshots, json.dumps's for metadata.json
+    # snapshots, json.dumps's for metadata.json.  The half-plane march's last
+    # level is refused by the unit-tangent gate, so its metadata carries the
+    # failure and its last good row, and level 8's snapshot is not written
     import orjson
 
     snapshot_options = (
@@ -1144,14 +1168,18 @@ def test_json_outputs_are_canonical_indented_json(tmp_path, mode):
         data = dict(REST_CONFIG, grid={"n": 32}, mode="picard", picard={"window": 4})
     path = config_file(tmp_path, data)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    code = main(["run", "--config", str(path), "--out", str(out), "--quiet"])
+    assert code == (3 if mode == "march" else 0)
     snapshots = sorted(out.glob("snapshot_*.json"))
-    assert len(snapshots) == (4 if mode == "march" else 2)
+    assert [file.name[9:15] for file in snapshots] == (
+        ["000000", "000003", "000006"] if mode == "march" else ["000000", "000004"]
+    )
     for file in snapshots:
         text = file.read_bytes()
         assert orjson.dumps(json.loads(text), option=snapshot_options) == text
     text = (out / "metadata.json").read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert ("failure" in json.loads(text)) == (mode == "march")
 
 
 def test_check_never_runs_the_conformal_expression(tmp_path, capsys):
@@ -1175,24 +1203,25 @@ def test_check_rejects_conformal_factors_it_cannot_evaluate(tmp_path, capsys, ex
 
 
 @pytest.mark.parametrize(
-    "manifold, initial, steps, per_step",
+    "manifold, initial, steps, per_step, code",
     [
-        ({"name": "euclidean"}, {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01}, 16, 1),
-        ({"name": "sphere"}, {"name": "sphere-loop"}, 16, 2),
-        ({"name": "hyperbolic"}, {"name": "hyperbolic-circle"}, 8, 2),
+        ({"name": "euclidean"}, {"name": "perturbed-circle", "mode": 2, "amplitude": 0.01}, 16, 1, 0),
+        ({"name": "sphere"}, {"name": "sphere-loop"}, 16, 2, 0),
+        # the half-plane circle's last level is 1.16e-2 off unit length, so
+        # the unit-tangent gate refuses it and levels 0..7 are recorded
+        ({"name": "hyperbolic"}, {"name": "hyperbolic-circle"}, 8, 2, 3),
     ],
     ids=["euclidean", "sphere", "hyperbolic"],
 )
 def test_march_samples_each_curve_position_once(
-    tmp_path, monkeypatch, manifold, initial, steps, per_step
+    tmp_path, monkeypatch, manifold, initial, steps, per_step, code
 ):
     # a step samples the curve it moves to, which the next level takes over;
     # curved charts also sample the half-step position.  The extra one is
-    # prepare_initial's, which level 0 takes over.  Each level's tension
-    # is solved once, and the bentness gate is fresh every bentness_every
-    # steps; the final level, here a multiple of it, carries the last gate.
-    # D_x xi and D_t xi are derived once per level; the diagnostics and the
-    # velocity rate read them.
+    # prepare_initial's, which level 0 takes over.  Each recorded level's
+    # tension is solved once, and the bentness gate is fresh every
+    # bentness_every steps, the final level included.  D_x xi and D_t xi are
+    # derived once per level; the diagnostics and the velocity rate read them.
     import elwire.cli
     import elwire.dynamics
     import elwire.elliptic
@@ -1273,13 +1302,21 @@ def test_march_samples_each_curve_position_once(
         "diagnostics": {"bentness_every": 4},
     }
     path = config_file(tmp_path, data)
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == code
+    recorded = steps if code else steps + 1
     assert len(calls) == per_step * steps + 1
-    assert len(refs) == steps + 1
+    assert len(refs) == recorded
     assert max(alive) <= 3
-    assert solves == {"solve_flux_form": steps + 1, "bentness": -(-steps // 4)}
+    assert solves == {"solve_flux_form": recorded, "bentness": -(-recorded // 4)}
     assert len(derived) == steps + 1
     assert stray == []
+    _header, rows = read_csv(out / "diagnostics.csv")
+    assert [float(row[0]) for row in rows] == [k / 32 for k in range(recorded)]
+    if code:
+        meta = json.loads((out / "metadata.json").read_text())
+        last_good = meta["failure"]["last_good"]
+        assert rows[-1] == ["" if last_good[name] is None else repr(last_good[name]) for name in CSV_COLUMNS]
 
 
 def test_flat_march_contracts_no_connection(tmp_path, monkeypatch):

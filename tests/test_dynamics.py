@@ -209,13 +209,13 @@ def test_march_keeps_rest_circle_and_counts_levels():
     assert max(displacements) < 1e-10
     assert [lv.time for lv in levels] == [k * grid.dx for k in range(13)]
     assert all(lv.theta is not None for lv in levels)
-    # fresh bentness gates at the configured cadence, carried values between
-    # (the same float object); the final level carries the last value
+    # fresh bentness gates at the configured cadence, the final level
+    # included, carried values between (the same float object)
     gate_ids = [id(lv.bentness) for lv in levels]
     assert len(set(gate_ids[0:4])) == 1
     assert len(set(gate_ids[4:8])) == 1
-    assert len(set(gate_ids[8:13])) == 1
-    assert gate_ids[0] != gate_ids[4] != gate_ids[8]
+    assert len(set(gate_ids[8:12])) == 1
+    assert len({gate_ids[0], gate_ids[4], gate_ids[8], gate_ids[12]}) == 4
 
 
 @pytest.mark.parametrize(

@@ -312,7 +312,7 @@ def test_near_geodesic_refusal_and_report_reuse():
     # the run's gate (dynamics._gate) refuses a constant field below the
     # bentness floor; a healthy field passes with its fresh value, and a
     # carried value is returned as the same float object, unsolved, between
-    # multiples of bentness_every and at the run's last level
+    # multiples of bentness_every
     grid, samples = flat_setup(32)
     cfg = run_config(grid, 1)
 
@@ -323,36 +323,33 @@ def test_near_geodesic_refusal_and_report_reuse():
     geodesic = level_of(np.broadcast_to(np.array([1.0, 0.0]), (32, 2)).copy())
     low = bentness(geodesic.xi, samples, grid)
     with pytest.raises(NearGeodesicError) as refused:
-        _gate(geodesic, grid, cfg, 0, 1)
+        _gate(geodesic, grid, cfg, 0)
     assert str(refused.value) == (
         f"bentness {low!r} below floor 0.001; tension operator is (near) singular"
     )
 
     bent = level_of(circle_tangent(grid))
     value = bentness(bent.xi, samples, grid)
-    assert _gate(bent, grid, cfg, 0, 1) == value
-    assert _gate(bent, grid, cfg, 1, 20, value) is value
-    assert _gate(geodesic, grid, cfg, 1, 20, value) is value
-    assert _gate(geodesic, grid, cfg, 10, 10, value) is value
+    assert _gate(bent, grid, cfg, 0) == value
+    assert _gate(bent, grid, cfg, 1, value) is value
+    assert _gate(geodesic, grid, cfg, 1, value) is value
+    assert _gate(geodesic, grid, cfg, 9, value) is value
     with pytest.raises(NearGeodesicError):
-        _gate(geodesic, grid, cfg, 10, 20, value)
+        _gate(geodesic, grid, cfg, 10, value)
 
-    # the unit tangent of a level a step is taken from is held to
-    # constraint_tol whether the gate is fresh or carried; a level that only
-    # ends a step passes with its defect, and its bentness is still held
+    # the unit tangent of every level is held to constraint_tol whether the
+    # gate is fresh or carried, and before its bentness is solved
     drifted = level_of(1.1 * bent.xi, time=0.25)
     message = (
         f"unit-tangent defect {constraint_drift(drifted.xi)!r} exceeds tolerance "
         "0.01 at t=0.250000"
     )
-    for k, carried in ((0, None), (1, value), (1, None)):
+    for k, carried in ((0, None), (1, value), (1, None), (10, value)):
         with pytest.raises(ConstraintDriftError) as refused:
-            _gate(drifted, grid, cfg, k, 1, carried)
+            _gate(drifted, grid, cfg, k, carried)
         assert str(refused.value) == message
-    assert _gate(drifted, grid, cfg, 1, 1, value, steps_from=False) is value
-    assert _gate(drifted, grid, cfg, 0, 1, steps_from=False) == bentness(drifted.xi, samples, grid)
-    with pytest.raises(NearGeodesicError):
-        _gate(level_of(1.1 * geodesic.xi), grid, cfg, 0, 1, steps_from=False)
+    with pytest.raises(ConstraintDriftError):
+        _gate(level_of(1.1 * geodesic.xi), grid, cfg, 0)
 
 
 def test_unit_drift_guard():

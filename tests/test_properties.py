@@ -48,10 +48,9 @@
   one, whichever component holds it.
 * Every level a run records passes the run's one gate: on drawn window
   lengths, bentness cadences and tolerances, a window level below the
-  bentness floor, and a march level before the last past the constraint
-  tolerance, abort the run with exit 3 after the levels before it, which
-  metadata.json reports as the last good; a march's last level, which only
-  ends a step, is recorded past that tolerance.  A window level doctored
+  bentness floor, and a march level past the constraint tolerance, the last
+  level included, abort the run with exit 3 after the levels before it,
+  which metadata.json reports as the last good.  A window level doctored
   past it stops the window's rows at that level.
 * On a moving loop in every chart, every level of a converged Picard window
   has unit tangent rows (defect at most 1e-15).
@@ -584,13 +583,13 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
         assert residual[m].tobytes() == alone.tobytes()
 
     # level 0's gate, solved fresh by _gate, is carried by the whole series,
-    # and by a run's last level, as the same float object
+    # and by a later level short of bentness_every, as the same float object
     cfg = run_config(grid, levels, b_floor=0.0)
     zero = np.zeros_like(xi)
     start = Level.derive(zero[0], xi[0], zero[0], zero[0], per_level[0], grid.dx)
-    gate = _gate(start, grid, cfg, 0, levels)
+    gate = _gate(start, grid, cfg, 0)
     assert gate == bentness(xi[0], per_level[0], grid)
-    assert _gate(start, grid, cfg, levels, levels, gate) is gate
+    assert levels < cfg.bentness_every and _gate(start, grid, cfg, levels, gate) is gate
     window = Level.derive(zero, xi, zero, zero, series_samples, grid.dx)
     assert _solve_level(window, grid, cfg, gate)[0].bentness is gate
 
@@ -600,7 +599,7 @@ def test_series_solve_equals_its_level_solves(levels, chart, n_points, seed):
     drifted = xi.copy()
     drifted[last] *= 1.2
     defect = float(np.max(np.abs(np.sum(drifted[last] ** 2, axis=-1) - 1.0)))
-    message = f"unit-tangent defect {defect:.3e} exceeds 0.1; refusing tension solve"
+    message = f"unit-tangent defect {defect!r} exceeds 0.1; refusing tension solve"
     with pytest.raises(ConstraintDriftError) as single:
         solve_flux_form(f[last], h[last], drifted[last], per_level[last], grid, tol=tol)
     assert str(single.value) == message
@@ -1086,8 +1085,8 @@ def test_parse_config_accepts_exactly_what_the_builders_build(sections):
 # ---------------------------------------------------------------------------
 # every level a run records passes the run's one gate
 
-#: runs at N = 32: a perturbed-circle window, whose bentness falls from
-#: level to level, and a hyperbolic-circle march, whose unit-tangent defect
+#: runs at N = 32: a perturbed-circle window, whose bentness falls over its
+#: first four levels, and a hyperbolic-circle march, whose unit-tangent defect
 #: grows; ``level_profile`` measures both
 GATED_RUNS = {
     "picard": {
@@ -1126,7 +1125,7 @@ def gated_run(mode, steps, every, tolerances):
 @functools.lru_cache(maxsize=None)
 def level_profile(mode, steps):
     """The unit-tangent defect and the fresh bentness of levels 0..steps of a
-    run that no gate refuses (the last level's bentness is carried)."""
+    run that no gate refuses."""
     code, _, _, rows = gated_run(mode, steps, 1, {})
     assert code == 0
     return [r["constraint_drift"] for r in rows], [r["bentness"] for r in rows]
@@ -1146,19 +1145,14 @@ def assert_aborted_after(meta, rows, failure, m):
     every=st.integers(1, 7),
     where=st.floats(0.0, 0.99),
 )
-def test_the_constraint_holds_each_level_a_step_is_taken_from(data, steps, every, where):
+def test_the_constraint_holds_every_recorded_level(data, steps, every, where):
     # a tolerance from level m - 1's defect up to level m's refuses march
-    # level m when a step is taken from it, any level before the last; the
-    # last level, which only ends a step, is recorded with its defect
+    # level m, the last level included
     drift, _ = level_profile("march", steps)
     m = data.draw(st.integers(1, steps), label="m")
     assert drift[m] > drift[m - 1] > 0.0
     tol = drift[m - 1] + where * (drift[m] - drift[m - 1])
     code, err, meta, rows = gated_run("march", steps, every, {"constraint": tol})
-    if m == steps:
-        assert (code, err, meta["status"]) == (0, [], "completed")
-        assert [row["constraint_drift"] for row in rows] == drift
-        return
     assert code == 3
     assert err == [
         f"aborted: ConstraintDriftError: unit-tangent defect {float(drift[m])!r} exceeds "
@@ -1223,12 +1217,15 @@ def test_a_converged_window_keeps_unit_rows_at_every_level(chart, n_points, wind
 @given(data=st.data(), window=st.integers(3, 6), where=st.floats(0.01, 0.99))
 def test_window_level_below_the_bentness_floor_aborts_the_run(data, window, where):
     # a floor between a fresh level's bentness and every earlier fresh value
-    # refuses that level; the last level carries its value and is never solved
+    # refuses that level, the last level included.  The window's bentness
+    # rises again after level 4, so m is drawn among the fresh levels below
+    # every earlier fresh value, for which such a floor exists
     _, bent = level_profile("picard", window)
-    every = data.draw(st.integers(1, window - 1), label="every")
-    m = data.draw(st.sampled_from(range(every, window, every)), label="m")
+    every = data.draw(st.integers(1, window), label="every")
+    lowest = [m for m in range(every, window + 1, every) if bent[m] < min(bent[:m:every])]
+    assert lowest
+    m = data.draw(st.sampled_from(lowest), label="m")
     earlier = min(bent[:m:every])
-    assert bent[m] < earlier
     floor = bent[m] + where * (earlier - bent[m])
     code, err, meta, rows = gated_run("picard", window, every, {"bentness_floor": floor})
     assert code == 3
