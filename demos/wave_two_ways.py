@@ -24,7 +24,7 @@ def window_series(a, b, grid, steps, samples):
     of the last one, no tension and no velocity; returns the series and the
     number of sweeps."""
     zero = np.zeros((steps + 1,) + a.shape)
-    series = wave_series(a, b, None, None, grid.dx, steps)
+    series = wave_series(a, b, zero, zero, grid.dx, steps)
     for sweep in range(1, 31):
         f, h = assemble_wave_sources(series, zero, zero, samples, grid)
         series, last = wave_series(a, b, f, h, grid.dx, steps), series

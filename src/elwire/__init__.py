@@ -28,10 +28,11 @@ Every name is imported from its module; the package itself defines only
 ``__version__``.  A ``RunConfig`` (built directly or by ``parse_config``)
 holds every run setting: ``march``, ``picard_coupled`` and the level solves
 read their tolerances, caps and cadences from it, and its field defaults are
-the only ones; a ``dt`` left out follows ``grid_n`` (the characteristic step
-``1 / grid_n``).  Second routes that only verify production (the dense
-connection and curvature tensors, dense and CG elliptic solves, the triangle quadrature, characteristic derivatives, the
-single-equation residual) live in ``tests/``.
+the only ones; its time step ``dt`` is the grid spacing ``1 / grid_n``.
+Second routes that only verify production (the dense connection and
+curvature tensors, dense and CG elliptic solves, the triangle quadrature,
+characteristic derivatives, the single-equation residual) live in
+``tests/``.
 """
 
 __version__ = "0.1.0"

@@ -202,9 +202,7 @@ def _run_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
             if final or index == 0 or (cfg.snapshot_every and index % cfg.snapshot_every == 0):
                 write_snapshot(out / f"snapshot_{index:06d}.json", level)
             if final or index % cfg.diag_every == 0:
-                residual = None
-                if cfg.dt_characteristic and len(window) == 3:
-                    residual = transport_check(list(window), cfg.dt, grid)
+                residual = transport_check(list(window), grid) if len(window) == 3 else None
                 record = make_record(level, manifold, grid, transport_residual=residual)
                 # refused before it is recorded: the summary's maxima skip a NaN
                 for name, value in zip(CSV_COLUMNS, _row(record)):
@@ -266,12 +264,7 @@ def _study_into(cfg: RunConfig, out: Path, quiet: bool) -> tuple[int, dict]:
     resolutions = list(dirs)
     runs = []
     for n, sub_out in dirs.items():
-        sub = dataclasses.replace(
-            cfg,
-            grid_n=n,
-            dt=(1.0 / n) if cfg.dt_characteristic else cfg.dt * cfg.grid_n / n,
-            mode="march",
-        )
+        sub = dataclasses.replace(cfg, grid_n=n, mode="march")
         code, meta = _run_into(sub, sub_out, quiet=True)
         if code != 0:
             write_json(out / "study.json", {"status": "aborted", "resolution": n, "detail": meta})

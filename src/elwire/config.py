@@ -5,7 +5,7 @@ unless noted; defaults in parentheses):
 
     manifold     {"name": "euclidean" (default), "dim": 2, "expression": ...}
     grid         {"n": 64}            n >= 8
-    time         {"dt": "characteristic", "horizon": 1.0}   dt <= 1/n
+    time         {"horizon": 1.0}
     mode         "march" | "picard" | "convergence-study"   (march)
     initial      {"name": "circle", ..., "velocity": {"name": "none", ...}}
     tolerances   {"solver": 1e-8, "constraint": 1e-2, "bentness_floor": 1e-3}
@@ -16,18 +16,19 @@ unless noted; defaults in parentheses):
     diagnostics  {"every": 1, "bentness_every": 10}
     renormalize  false
 
-``"characteristic"`` locks the time step to the grid spacing, which is
-what the integral wave solver and the transport diagnostic require.  Both
-modes read the tolerances alike (see dynamics._gate): ``constraint`` holds
-the unit-tangent defect of every recorded level, the last included;
+The time step is the grid spacing 1/n, on which the integral wave solver
+and the transport diagnostic rest; no setting changes it, and a
+``time.dt`` is refused as an unknown field.  Both modes read the
+tolerances alike (see dynamics._gate): ``constraint`` holds the
+unit-tangent defect of every recorded level, the last included;
 ``bentness_floor`` holds the bentness solved every ``bentness_every``
-levels (a floor of 0 admits a geodesic).  ``renormalize``
-rescales the march's tangent to unit rows after each step; a picard window
-always projects its tangent.
+levels (a floor of 0 admits a geodesic).  ``renormalize`` rescales the
+march's tangent to unit rows after each step; a picard window always
+projects its tangent.
 Validation collects every problem (not just the first) with its JSON path,
 e.g. ``grid.n: must be an integer >= 8, got 4``: a key that nothing reads,
 in any section, and a number that is not finite are refused.  This module
-holds the document's shape, its scalar settings, ``time.dt`` and ``mode``;
+holds the document's shape, its scalar settings and ``mode``;
 the ``manifold`` and ``initial`` sections are held to the rules declared
 beside what they describe, by the one check that ``make_manifold`` and
 ``initial.generate`` run too (``geometry.build_chart``, ``initial.check``).
@@ -71,7 +72,7 @@ _CLOSED = {"tolerances.bentness_floor"}
 #: every key a document may hold outside ``initial``, by JSON path; the other
 #: keys of ``manifold`` are its chart's settings (geometry.build_chart), those
 #: of ``initial`` its curve's (initial.check)
-_PATHS = {*_SCALARS, "manifold.name", "time.dt", "mode", "output.directory"}
+_PATHS = {*_SCALARS, "manifold.name", "mode", "output.directory"}
 #: the sections, each an object
 _SECTIONS = {path.split(".")[0] for path in _PATHS if "." in path} | {"initial"}
 
@@ -83,16 +84,14 @@ class RunConfig:
     The field defaults are the one home of the run settings' defaults: an
     empty config document parses to ``RunConfig()``, and the solvers read
     their tolerances, caps and cadences from the instance they are given.
-    The fields are independent settings.  ``dt`` left out (None) becomes
-    the characteristic step ``1 / grid_n``; ``dataclasses.replace(cfg,
-    grid_n=...)`` keeps the old ``dt``, so pass the new one with it.
+    The fields are independent settings; the time step ``dt`` is not one of
+    them but the grid spacing ``1 / grid_n``.
     """
 
     manifold_name: str = "euclidean"
     dim: int = 2
     conformal_expression: Optional[str] = None
     grid_n: int = 64
-    dt: Optional[float] = None
     horizon: float = 1.0
     mode: str = "march"
     initial_name: str = "circle"
@@ -109,15 +108,9 @@ class RunConfig:
     bentness_every: int = 10
     renormalize: bool = False
 
-    def __post_init__(self):
-        if self.dt is None:
-            object.__setattr__(self, "dt", 1.0 / self.grid_n)
-
     @property
-    def dt_characteristic(self) -> bool:
-        """Whether the step is the grid spacing, as the picard window and
-        the transport diagnostic require."""
-        return abs(self.dt - 1.0 / self.grid_n) <= 1e-12
+    def dt(self) -> float:
+        return 1.0 / self.grid_n
 
     @property
     def n_steps(self) -> int:
@@ -186,16 +179,6 @@ def parse_config(text: str) -> RunConfig:
     values["conformal_expression"] = settings.get("expression")
     problems += build_chart(values["manifold_name"], dim, settings)[1]
 
-    raw_dt = data.get("time", {}).get("dt", "characteristic")
-    if raw_dt != "characteristic":
-        dt = _number(raw_dt)
-        if dt is None or dt <= 0.0:
-            err("time.dt", f'must be a positive number or "characteristic", got {raw_dt!r}')
-        elif dt > 1.0 / n + 1e-12:
-            err("time.dt", f"violates the stability bound dt <= 1/n = {1.0 / n:.6g}, got {dt!r}")
-        else:
-            values["dt"] = dt
-
     mode = data.get("mode", default.mode)
     if isinstance(mode, str) and mode in MODES:
         values["mode"] = mode
@@ -214,9 +197,6 @@ def parse_config(text: str) -> RunConfig:
     elif out_dir is not None:
         values["out_dir"] = out_dir
 
-    cfg = RunConfig(**values)
-    if cfg.mode == "picard" and not cfg.dt_characteristic:
-        err("time.dt", f"picard mode requires the characteristic step 1/n, got {cfg.dt!r}")
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return RunConfig(**values)

@@ -30,8 +30,8 @@ class DiagnosticsRecord:
     march and a window alike: the one solved at the latest multiple of
     ``bentness_every`` levels, up to and including this one (see
     dynamics._gate).
-    ``transport_residual`` is None when the check does not apply (time step
-    not locked to dx, or too few levels retained).
+    ``transport_residual`` is None when the check does not apply (too few
+    levels retained).
     """
 
     time: float
@@ -62,19 +62,17 @@ def gamma_xi_drift(level: Level, manifold: ManifoldModel, grid: Grid) -> float:
     return m0(frame_tangent(level.gamma, manifold, level.samples, grid) - level.xi)
 
 
-def transport_check(levels: list, dt: float, grid: Grid) -> float:
+def transport_check(levels: list, grid: Grid) -> float:
     """Residual of the characteristic transport identity on a level window.
 
     Along left/right characteristics the shifted combinations
     (D_x xi +/- D_t xi)(x -/+ t, t) change their squared length at the rate
-    +/- 2 <combo, perp(theta)> evaluated at the same shifted point.  Requires
-    dt == dx (characteristics through grid points) and three consecutive
-    levels that carry tension fields: the centred difference of the
-    outer two levels' squared lengths meets the rate at the middle one.
-    Returns the sup residual.
+    +/- 2 <combo, perp(theta)> evaluated at the same shifted point.  The
+    levels are three consecutive ones, a step dt = dx apart (characteristics
+    through grid points), that carry tension fields: the centred difference
+    of the outer two levels' squared lengths meets the rate at the middle
+    one.  Returns the sup residual.
     """
-    if abs(dt - grid.dx) > 1e-12 * max(1.0, dt):
-        raise ValueError("transport identity check requires dt == dx")
     if len(levels) != 3:
         raise ValueError("transport identity check needs exactly 3 levels")
     if any(level.theta is None for level in levels):
@@ -86,7 +84,7 @@ def transport_check(levels: list, dt: float, grid: Grid) -> float:
             shift(level.dxi + sign * level.dtxi, sign * m)
             for m, level in enumerate(levels)
         )
-        rate = (dot(after, after) - dot(before, before)) / (2.0 * dt)
+        rate = (dot(after, after) - dot(before, before)) / (2.0 * grid.dx)
         target = 2.0 * sign * dot(hat, shift(theta_perp, sign))
         worst = max(worst, float(np.max(np.abs(rate - target))))
     return worst

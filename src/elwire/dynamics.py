@@ -234,7 +234,7 @@ def prepare_initial(
     if min_norm < MIN_TANGENT_NORM:
         k = int(np.argmin(norms))
         raise DegenerateCurveError(
-            f"discrete tangent (nearly) vanishes at sample {k} (norm {min_norm:.3e}); "
+            f"discrete tangent (nearly) vanishes at sample {k} (norm {min_norm!r}); "
             "the curve is not an admissible closed wire"
         )
     xi = a_raw / norms[:, None]

@@ -216,19 +216,12 @@ def _cyclic_reduction(diag, upper, rhs):
     return x[..., 0]
 
 
-def _strand_order(npts: int) -> np.ndarray:
-    """Points in the order 0, 2, 4, ..., then 1, 3, 5, ...
-
-    For even N these are the two periodic strands k -> k + 2 of N/2 points
-    each; for odd N the one strand of N points that visits every point
-    (N - 1 steps on to 1).
-    """
-    return np.concatenate([np.arange(0, npts, 2), np.arange(1, npts, 2)])
-
-
 def _to_strands(field: np.ndarray) -> np.ndarray:
     """A level (N, n) or series (L, N, n) as (n, C, M): the C = L * strands
-    periodic strands of M points each, in _strand_order."""
+    periodic strands k -> k + 2 of M points each.  Each level's points run
+    0, 2, 4, ..., then 1, 3, 5, ...: for even N two strands of N/2 points,
+    for odd N one strand of N points that visits every point (N - 1 steps
+    on to 1)."""
     npts, n = field.shape[-2:]
     length = npts if npts % 2 else npts // 2
     # component rows first, copied once: strided slices of them are cheap
@@ -365,8 +358,10 @@ def _solve_system(xi, samples, grid, kind, rhs_field):
     if samples.conn is None:
         diag, upper = _strand_operator(xi, grid.dx, kind)
         x = _strand_reduction(diag, upper, _to_strands(rhs_field)[:, None])
+        x = x[:, 0].transpose(1, 2, 0).reshape(xi.shape)
+        evens = (xi.shape[-2] + 1) // 2
         u = np.empty(xi.shape)
-        u[..., _strand_order(xi.shape[-2]), :] = x[:, 0].transpose(1, 2, 0).reshape(xi.shape)
+        u[..., 0::2, :], u[..., 1::2, :] = x[..., :evens, :], x[..., evens:, :]
         return u
     system = _block_operator(xi, samples, grid, kind)
     place = _layout(*xi.shape[-2:])[0]

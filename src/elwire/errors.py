@@ -22,8 +22,6 @@ class ConfigError(ElwireError):
     """
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
@@ -63,7 +61,7 @@ class NonContractionError(NumericalAbort):
     the failing sweep.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

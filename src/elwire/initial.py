@@ -151,7 +151,7 @@ def _equal_arc(speed, n: int, curve: str) -> tuple[np.ndarray, float]:
     raise DegenerateCurveError(
         f"{curve}: arc length not inverted in {NEWTON_STEPS} Newton steps; at "
         f"u = {(cell[worst] + t[worst]) / m:.6f} the residual is still "
-        f"{abs(residual[worst]) / cum[-1]:.1e} of the length (the speed vanishes "
+        f"{float(abs(residual[worst]) / cum[-1])!r} of the length (the speed vanishes "
         "there, or the grid does not resolve it)"
     )
 

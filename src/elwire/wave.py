@@ -61,16 +61,16 @@ def _neighbours(v: np.ndarray) -> np.ndarray:
 def wave_series(
     a: np.ndarray,
     b: np.ndarray,
-    f: Optional[np.ndarray],
-    h: Optional[np.ndarray],
+    f: np.ndarray,
+    h: np.ndarray,
     dx: float,
     n_levels: int,
 ) -> np.ndarray:
     """The characteristic-average representation at levels 0..n_levels.
 
     ``a`` is the initial field and ``b`` its plain initial rate, both (N, n);
-    ``f`` and ``h`` are source series on the window grid with dt = dx, or None
-    for a source-free problem, of which only levels 0..n_levels-1 are read.
+    ``f`` and ``h`` are source series on the window grid with dt = dx (zeros
+    for a source-free problem), of which only levels 0..n_levels-1 are read.
     Level m averages a at the characteristic feet k -/+ m and adds the
     trapezoid integrals of b over [k-m, k+m], of f over the dependence
     triangle and of the end-point differences of h.  With dt = dx those
@@ -87,10 +87,8 @@ def wave_series(
     if n_levels == 0:
         return feet
     kick = np.zeros((n_levels,) + a.shape)
-    if f is not None:
-        kick += dx * (f[:n_levels] + 0.5 * _neighbours(f[:n_levels]))
-    if h is not None:
-        kick += grid_shift(h[:n_levels], -1) - grid_shift(h[:n_levels], 1)
+    kick += dx * (f[:n_levels] + 0.5 * _neighbours(f[:n_levels]))
+    kick += grid_shift(h[:n_levels], -1) - grid_shift(h[:n_levels], 1)
     kick *= 0.5 * dx
     kick[0] *= 0.5
     integral = np.zeros_like(feet)

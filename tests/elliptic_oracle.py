@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 import scipy.sparse.linalg
 
-from elwire.elliptic import _block_operator, _cyclic_reduction, _layout, _strand_order
+from elwire.elliptic import _block_operator, _cyclic_reduction, _layout
 from elwire.fields import cov_dx, l2_norm
 from geometry_oracle import dense_chris
 
@@ -146,6 +146,12 @@ def block_tridiagonal_to_dense(system, order, n):
     dense = np.empty((size, size))
     dense[np.ix_(scalar_order, scalar_order)] = folded[:size, :size]
     return dense
+
+
+def _strand_order(npts: int) -> np.ndarray:
+    """Grid points in strand order (elliptic._to_strands): 0, 2, 4, ...,
+    then 1, 3, 5, ..."""
+    return np.concatenate([np.arange(0, npts, 2), np.arange(1, npts, 2)])
 
 
 def strand_system_to_dense(system, npts):

@@ -3,18 +3,11 @@
 from elwire.config import RunConfig
 
 
-def run_config(grid, steps, *, dt=None, **settings):
-    """The settings of a run of ``steps`` steps of size ``dt`` (default dx)
-    on ``grid``: a march of ``steps`` steps, or a picard window of as many.
-    Any other RunConfig field is passed through ``settings``."""
-    dt = grid.dx if dt is None else dt
-    return RunConfig(
-        grid_n=grid.n_points,
-        dt=dt,
-        horizon=steps * dt,
-        picard_window=steps,
-        **settings,
-    )
+def run_config(grid, steps, **settings):
+    """The settings of a run of ``steps`` steps of size dx on ``grid``: a
+    march of ``steps`` steps, or a picard window of as many.  Any other
+    RunConfig field is passed through ``settings``."""
+    return RunConfig(grid_n=grid.n_points, horizon=steps * grid.dx, picard_window=steps, **settings)
 
 
 _DEFAULT = RunConfig()

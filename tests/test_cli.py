@@ -1493,7 +1493,7 @@ def test_diagnostics_rows_recompute_from_the_marched_states(tmp_path, monkeypatc
         )
     rows = []
     for k, level in enumerate(rebuilt):
-        residual = transport_check(rebuilt[k - 2 : k + 1], cfg.dt, grid) if k >= 2 else None
+        residual = transport_check(rebuilt[k - 2 : k + 1], grid) if k >= 2 else None
         record = dataclasses.asdict(make_record(level, manifold, grid, transport_residual=residual))
         rows.append(["" if record[c] is None else repr(float(record[c])) for c in CSV_COLUMNS])
     _header, written = read_csv(out / "diagnostics.csv")

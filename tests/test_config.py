@@ -1,4 +1,4 @@
-"""Tests for configuration parsing: defaults, validation paths, dt rules."""
+"""Tests for configuration parsing: defaults, validation paths, the time step."""
 
 import dataclasses
 import json
@@ -24,8 +24,7 @@ def test_empty_document_yields_defaults():
     assert cfg.initial_params == {"velocity": {"name": "none"}}
     assert cfg.manifold_name == "euclidean"
     assert cfg.grid_n == 64
-    assert cfg.dt == pytest.approx(1.0 / 64)
-    assert cfg.dt_characteristic
+    assert cfg.dt == 1.0 / 64
     assert cfg.mode == "march"
     assert cfg.initial_name == "circle"
     assert cfg.picard_window == 16
@@ -37,12 +36,12 @@ def test_empty_document_parses_to_the_field_defaults():
 
 
 def test_a_directly_built_config_steps_with_its_grid():
-    cfg = RunConfig(grid_n=32)
-    assert cfg.dt == 1 / 32
-    assert cfg.dt_characteristic
-    assert not RunConfig(grid_n=32, dt=1 / 64).dt_characteristic
-    # replace keeps the old step: it is not characteristic on the new grid
-    assert dataclasses.replace(RunConfig(), grid_n=32).dt == 1 / 64
+    assert RunConfig(grid_n=32).dt == 1 / 32
+    assert dataclasses.replace(RunConfig(), grid_n=32).dt == 1 / 32
+    # the step is no setting: a config has no dt field to set or echo
+    assert "dt" not in {f.name for f in dataclasses.fields(RunConfig)}
+    with pytest.raises(TypeError):
+        RunConfig(grid_n=32, dt=1 / 64)
 
 
 def test_the_readme_example_config_parses():
@@ -165,25 +164,10 @@ def test_a_parameter_nothing_reads_is_refused(kind, name):
     assert problems[0].startswith(f"{path}: unknown field; {kind} {name!r} takes ")
 
 
-def test_dt_rules():
-    cfg = parse_config(json.dumps({"grid": {"n": 32}, "time": {"dt": "characteristic"}}))
-    assert cfg.dt == pytest.approx(1.0 / 32)
-    assert cfg.dt_characteristic
-
-    cfg = parse_config(json.dumps({"grid": {"n": 32}, "time": {"dt": 1.0 / 32}}))
-    assert cfg.dt_characteristic
-
-    cfg = parse_config(json.dumps({"grid": {"n": 32}, "time": {"dt": 1.0 / 64}}))
-    assert not cfg.dt_characteristic
-    assert cfg.dt == pytest.approx(1.0 / 64)
-
-    problems = problems_of(json.dumps({"grid": {"n": 32}, "time": {"dt": 1.0 / 16}}))
-    assert any("stability bound" in p for p in problems)
-
-    problems = problems_of(
-        json.dumps({"mode": "picard", "grid": {"n": 32}, "time": {"dt": 1.0 / 64}})
-    )
-    assert any("picard mode requires the characteristic step" in p for p in problems)
+@pytest.mark.parametrize("dt", [0.01, "characteristic"])
+def test_time_dt_is_refused_as_an_unknown_field(dt):
+    # the step is the grid spacing; nothing reads a time.dt
+    assert problems_of(json.dumps({"time": {"dt": dt}})) == ["time.dt: unknown field"]
 
 
 def test_manifold_rules():

@@ -108,39 +108,37 @@ def test_make_record_fills_every_column():
 
 def test_transport_identity_holds_on_rest_window():
     level, _, grid = rest_level(64)
-    residual = transport_check([level, level, level], grid.dx, grid)
+    residual = transport_check([level, level, level], grid)
     # roundoff in the pointwise squared norms is amplified by 1 / (2 dt)
     assert residual < 1e-9
 
 
 def test_transport_check_validates_inputs():
     level, _, grid = rest_level(32)
-    with pytest.raises(ValueError, match="dt == dx"):
-        transport_check([level, level, level], 0.5 * grid.dx, grid)
     with pytest.raises(ValueError, match="3 levels"):
-        transport_check([level, level], grid.dx, grid)
+        transport_check([level, level], grid)
     with pytest.raises(ValueError, match="3 levels"):
-        transport_check([level] * 4, grid.dx, grid)
+        transport_check([level] * 4, grid)
     naked = replace(level, theta=None)
     with pytest.raises(ValueError, match="tension"):
-        transport_check([naked, naked, naked], grid.dx, grid)
+        transport_check([naked, naked, naked], grid)
 
 
 def test_transport_residual_refines_at_second_order():
     residuals = []
     for n in (32, 64, 128):
         levels, _, grid = marched_levels(n)
-        residuals.append(transport_check(levels, grid.dx, grid))
+        residuals.append(transport_check(levels, grid))
     orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     assert min(orders) > ORDER_MIN
 
 
 def test_transport_detects_corrupted_tension():
     levels, _, grid = marched_levels(64)
-    healthy = transport_check(levels, grid.dx, grid)
+    healthy = transport_check(levels, grid)
     corrupted = []
     for lv in levels:
         perp_field = np.column_stack([-lv.xi[:, 1], lv.xi[:, 0]])
         corrupted.append(replace(lv, theta=lv.theta + perp_field))
-    broken = transport_check(corrupted, grid.dx, grid)
+    broken = transport_check(corrupted, grid)
     assert broken > 10.0 * healthy

@@ -29,7 +29,12 @@ from elwire.dynamics import (
     window_rows,
 )
 from elwire.elliptic import solve_flux_form
-from elwire.errors import CflError, ConstraintDriftError, DegenerateCurveError, NearGeodesicError
+from elwire.errors import (
+    ConstraintDriftError,
+    DegenerateCurveError,
+    NearGeodesicError,
+    NumericalSolveError,
+)
 from elwire.fields import Grid, constraint_drift, cov_dx, m0, row_norms
 from elwire.geometry import (
     GeometrySamples,
@@ -114,8 +119,17 @@ def test_prepare_initial_rejects_bad_shapes_and_degenerate_curves():
     with pytest.raises(ValueError, match="shape"):
         prepare_initial(np.zeros((8, 2)), np.zeros((8, 2)), manifold, grid)
     constant = np.broadcast_to(np.array([0.1, 0.2]), (16, 2)).copy()
-    with pytest.raises(DegenerateCurveError):
+    with pytest.raises(DegenerateCurveError, match=r"at sample 0 \(norm 0\.0\);"):
         prepare_initial(constant, np.zeros((16, 2)), manifold, grid)
+    # a tiny circle: the refusal prints the shortest norm unrounded
+    phi = 2.0 * np.pi * grid.points()
+    tiny = constant + 1e-8 * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    with pytest.raises(DegenerateCurveError) as excinfo:
+        prepare_initial(tiny, np.zeros((16, 2)), manifold, grid)
+    assert str(excinfo.value) == (
+        "discrete tangent (nearly) vanishes at sample 2 (norm 6.122934913249786e-08); "
+        "the curve is not an admissible closed wire"
+    )
 
 
 def test_initial_generators_validate_parameters():
@@ -380,12 +394,18 @@ def test_march_solves_the_bentness_on_its_fresh_levels_only(monkeypatch):
         assert levels[k].bentness == real_bentness(levels[k].xi, levels[k].samples, grid)
 
 
-def test_march_yields_a_level_only_after_its_step():
-    # dt > dx breaks the leapfrog's CFL limit in the first step, so level 0,
-    # though solved, is never yielded
+def test_march_yields_a_level_only_after_its_step(monkeypatch):
+    # a first step that fails in the leapfrog leaves level 0, though solved,
+    # unyielded
+    import elwire.dynamics
+
+    def refuse(*args, **kwargs):
+        raise NumericalSolveError("leapfrog step has no real next level")
+
+    monkeypatch.setattr(elwire.dynamics, "leapfrog_step", refuse)
     start, manifold, grid, _ = flat_start(32)
-    levels = march(start, manifold, grid, run_config(grid, 3, dt=2.0 * grid.dx))
-    with pytest.raises(CflError):
+    levels = march(start, manifold, grid, run_config(grid, 3))
+    with pytest.raises(NumericalSolveError):
         next(levels)
 
 

@@ -222,7 +222,7 @@ def picard_wave_solve(a, b, theta_series, grid, *, eta_series, samples_series):
     are frozen series on the window's levels 0..M with dt = dx, M read from
     the eta series.  The initial tangent ``a`` must be a unit field and its
     plain rate ``b`` orthogonal to it, point by point.  Starting from the
-    source-free series wave_series(a, b, None, None, dx, M), each sweep
+    series with zero sources f and h, each sweep
     reassembles (f, h) from the current iterate and returns
     wave_series(a, b, f, h, dx, M).  Distances between consecutive iterates
     are measured in the composite first-order norm; the iteration stops at
@@ -242,13 +242,15 @@ def picard_wave_solve(a, b, theta_series, grid, *, eta_series, samples_series):
             f"max |<a, b>| = {ortho:.3e}"
         )
 
+    zero = np.zeros((n_levels,) + a.shape)
+
     def sweep(current):
         f, h = assemble_wave_sources(current, theta_series, eta_series, samples_series, grid)
         return wave_series(a, b, f, h, dx, n_levels)
 
     return _contract(
         sweep,
-        wave_series(a, b, None, None, dx, n_levels),
+        wave_series(a, b, zero, zero, dx, n_levels),
         lambda new, current: m1(new - current, dx, dx),
         max_iter=WAVE_MAX_ITER,
         tol=WAVE_TOL,
